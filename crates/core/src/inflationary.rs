@@ -12,32 +12,11 @@
 //! queries**.
 
 use crate::error::EvalError;
-use crate::exec::{for_each_head, IndexCache, Sources};
-use crate::ir::Plan;
+use crate::fixpoint::{self, Accumulate};
 use crate::options::{EvalOptions, FixpointRun};
-use crate::planner::{Catalog, Planner};
 use crate::require_language;
-use crate::subst::{active_domain, merge_new_facts, merge_new_facts_with, record_births};
-use unchained_common::{HeapSize, Instance, SpanKind, StageRecord};
-use unchained_parser::{check_range_restricted, HeadLiteral, Language, Program};
-
-/// Plans every rule against the *current* instance — called once per
-/// round, because a catalog snapshotted at entry goes stale as the idb
-/// grows and the stale join orders would stick for the whole run. The
-/// idb cardinalities are inflated only on the first round, while the
-/// relations are genuinely empty.
-fn plan_rules(
-    program: &Program,
-    instance: &Instance,
-    options: &EvalOptions,
-    first_round: bool,
-) -> Vec<Plan> {
-    let mut planner = Planner::new(Catalog::from_instance(instance), options.plan_mode);
-    if first_round {
-        planner.inflate(program.idb());
-    }
-    program.rules.iter().map(|r| planner.plan_rule(r)).collect()
-}
+use unchained_common::{FxHashMap, Instance, Symbol, Tuple};
+use unchained_parser::{check_range_restricted, Language, Program};
 
 /// Evaluates a Datalog¬ program under the inflationary semantics.
 ///
@@ -57,87 +36,13 @@ pub fn eval(
 ) -> Result<FixpointRun, EvalError> {
     require_language(program, Language::DatalogNeg)?;
     check_range_restricted(program, false)?;
-
-    let adom = active_domain(program, input);
-    let mut cache = IndexCache::new();
-    let mut instance = input.clone();
-    let schema = program.schema()?;
-    for pred in program.idb() {
-        instance.ensure(pred, schema.arity(pred).expect("idb has arity"));
-    }
-
-    let tel = &options.telemetry;
-    tel.begin("inflationary");
-    let run_sw = tel.stopwatch();
-    let tracer = tel.tracer().clone();
-    let eval_guard = tracer.span(SpanKind::Eval, "inflationary");
-
-    let mut stages = 0;
-    loop {
-        stages += 1;
-        if options.max_stages.is_some_and(|m| stages > m) {
-            return Err(EvalError::StageLimitExceeded(stages - 1));
-        }
-        let round_guard = tracer.span(SpanKind::Round, format!("round {stages}"));
-        let stage_sw = tel.stopwatch();
-        let joins_before = cache.counters;
-        let plans = plan_rules(program, &instance, &options, stages == 1);
-        let mut fired: u64 = 0;
-        // One parallel firing: all rules read the same instance; newly
-        // inferred facts only become visible at the next stage.
-        let mut new_facts = Vec::new();
-        for (rule, plan) in program.rules.iter().zip(&plans) {
-            let HeadLiteral::Pos(head) = &rule.head[0] else {
-                unreachable!("Datalog¬ heads are positive")
-            };
-            fired += for_each_head(
-                plan,
-                &head.args,
-                Sources::simple(&instance),
-                &adom,
-                &mut cache,
-                &mut |tuple| {
-                    if !instance.contains_fact(head.pred, &tuple) {
-                        new_facts.push((head.pred, tuple));
-                    }
-                },
-            );
-        }
-        let (changed, delta) = merge_new_facts(
-            &mut instance,
-            new_facts,
-            tel.is_enabled() || tracer.is_enabled(),
-        );
-        let added: usize = delta.iter().map(|(_, n)| n).sum();
-        tracer.gauge("facts_added", added as u64);
-        tracer.gauge("rules_fired", fired);
-        drop(round_guard);
-        tel.with(|t| {
-            t.stages.push(StageRecord {
-                stage: stages,
-                wall_nanos: stage_sw.nanos(),
-                facts_added: added,
-                facts_removed: 0,
-                rules_fired: fired,
-                delta,
-                bytes: instance.heap_bytes() as u64,
-                joins: cache.counters.since(&joins_before),
-            });
-            t.peak_facts = t.peak_facts.max(instance.fact_count());
-            t.bytes_peak = t.bytes_peak.max(instance.heap_bytes() as u64);
-        });
-        if !changed {
-            tracer.gauge("rounds", stages as u64);
-            tracer.gauge("final_facts", instance.fact_count() as u64);
-            drop(eval_guard);
-            tel.with(|t| t.bytes_final = instance.heap_bytes() as u64);
-            tel.finish(&run_sw, instance.fact_count());
-            return Ok(FixpointRun { instance, stages });
-        }
-        if options.max_facts.is_some_and(|m| instance.fact_count() > m) {
-            return Err(EvalError::FactLimitExceeded(instance.fact_count()));
-        }
-    }
+    fixpoint::eval(
+        program,
+        input,
+        &options,
+        "inflationary",
+        &mut Accumulate::default(),
+    )
 }
 
 /// Semi-naive evaluation of inflationary Datalog¬.
@@ -161,40 +66,7 @@ pub fn eval_seminaive(
 ) -> Result<FixpointRun, EvalError> {
     require_language(program, Language::DatalogNeg)?;
     check_range_restricted(program, false)?;
-
-    let adom = active_domain(program, input);
-    let mut instance = input.clone();
-    let schema = program.schema()?;
-    for pred in program.idb() {
-        instance.ensure(pred, schema.arity(pred).expect("idb has arity"));
-    }
-    let recursive: unchained_common::FxHashSet<unchained_common::Symbol> =
-        program.idb().into_iter().collect();
-    let rules: Vec<&unchained_parser::Rule> = program.rules.iter().collect();
-    let mut cache = IndexCache::new();
-    options.telemetry.begin("inflationary-seminaive");
-    let run_sw = options.telemetry.stopwatch();
-    let tracer = options.telemetry.tracer().clone();
-    let eval_guard = tracer.span(SpanKind::Eval, "inflationary-seminaive");
-    let stratum_guard = tracer.span(SpanKind::Stratum, "stratum 0");
-    let stages = crate::seminaive::seminaive_fixpoint(
-        &rules,
-        &mut instance,
-        &adom,
-        &recursive,
-        &mut cache,
-        &options,
-    )?;
-    tracer.gauge("rounds", stages as u64);
-    tracer.gauge("rules", rules.len() as u64);
-    drop(stratum_guard);
-    tracer.gauge("final_facts", instance.fact_count() as u64);
-    drop(eval_guard);
-    options
-        .telemetry
-        .with(|t| t.bytes_final = instance.heap_bytes() as u64);
-    options.telemetry.finish(&run_sw, instance.fact_count());
-    Ok(FixpointRun { instance, stages })
+    crate::seminaive::single_stratum(program, input, &options, "inflationary-seminaive")
 }
 
 /// A fixpoint run that also records the *birth stage* of every derived
@@ -208,18 +80,13 @@ pub struct TracedRun {
     pub stages: usize,
     /// `birth[(pred, tuple)]` = stage at which the fact was first
     /// inferred (input facts are not recorded).
-    pub birth:
-        unchained_common::FxHashMap<(unchained_common::Symbol, unchained_common::Tuple), usize>,
+    pub birth: FxHashMap<(Symbol, Tuple), usize>,
 }
 
 impl TracedRun {
     /// The birth stage of a fact (`None` for input facts and facts
     /// never derived).
-    pub fn birth_stage(
-        &self,
-        pred: unchained_common::Symbol,
-        tuple: &unchained_common::Tuple,
-    ) -> Option<usize> {
+    pub fn birth_stage(&self, pred: Symbol, tuple: &Tuple) -> Option<usize> {
         self.birth.get(&(pred, tuple.clone())).copied()
     }
 }
@@ -233,92 +100,19 @@ pub fn eval_traced(
 ) -> Result<TracedRun, EvalError> {
     require_language(program, Language::DatalogNeg)?;
     check_range_restricted(program, false)?;
-
-    let adom = active_domain(program, input);
-    let mut cache = IndexCache::new();
-    let mut instance = input.clone();
-    let schema = program.schema()?;
-    for pred in program.idb() {
-        instance.ensure(pred, schema.arity(pred).expect("idb has arity"));
-    }
-    let mut birth = unchained_common::FxHashMap::default();
-
-    let tel = &options.telemetry;
-    tel.begin("inflationary-traced");
-    let run_sw = tel.stopwatch();
-    let tracer = tel.tracer().clone();
-    let eval_guard = tracer.span(SpanKind::Eval, "inflationary-traced");
-
-    let mut stages = 0;
-    loop {
-        stages += 1;
-        if options.max_stages.is_some_and(|m| stages > m) {
-            return Err(EvalError::StageLimitExceeded(stages - 1));
-        }
-        let round_guard = tracer.span(SpanKind::Round, format!("round {stages}"));
-        let stage_sw = tel.stopwatch();
-        let joins_before = cache.counters;
-        let plans = plan_rules(program, &instance, &options, stages == 1);
-        let mut fired: u64 = 0;
-        let mut new_facts = Vec::new();
-        for (rule, plan) in program.rules.iter().zip(&plans) {
-            let HeadLiteral::Pos(head) = &rule.head[0] else {
-                unreachable!("Datalog¬ heads are positive")
-            };
-            fired += for_each_head(
-                plan,
-                &head.args,
-                Sources::simple(&instance),
-                &adom,
-                &mut cache,
-                &mut |tuple| {
-                    if !instance.contains_fact(head.pred, &tuple) {
-                        new_facts.push((head.pred, tuple));
-                    }
-                },
-            );
-        }
-        let enabled = tel.is_enabled() || tracer.is_enabled();
-        let (changed, mut delta) = merge_new_facts_with(
-            &mut instance,
-            new_facts,
-            enabled,
-            &mut record_births(&mut birth, stages),
-        );
-        let added: usize = delta.iter().map(|(_, n)| n).sum();
-        tracer.gauge("facts_added", added as u64);
-        tracer.gauge("rules_fired", fired);
-        drop(round_guard);
-        tel.with(|t| {
-            t.stages.push(StageRecord {
-                stage: stages,
-                wall_nanos: stage_sw.nanos(),
-                facts_added: added,
-                facts_removed: 0,
-                rules_fired: fired,
-                delta: std::mem::take(&mut delta),
-                bytes: instance.heap_bytes() as u64,
-                joins: cache.counters.since(&joins_before),
-            });
-            t.peak_facts = t.peak_facts.max(instance.fact_count());
-            t.bytes_peak = t.bytes_peak.max(instance.heap_bytes() as u64);
-        });
-        if !changed {
-            tracer.gauge("rounds", stages as u64);
-            tracer.gauge("final_facts", instance.fact_count() as u64);
-            drop(eval_guard);
-            tel.with(|t| t.bytes_final = instance.heap_bytes() as u64);
-            tel.finish(&run_sw, instance.fact_count());
-            return Ok(TracedRun {
-                instance,
-                stages,
-                birth,
-            });
-        }
-        if options.max_facts.is_some_and(|m| instance.fact_count() > m) {
-            return Err(EvalError::FactLimitExceeded(instance.fact_count()));
-        }
-    }
+    let mut birth = FxHashMap::default();
+    let run = fixpoint::eval(
+        program,
+        input,
+        &options,
+        "inflationary-traced",
+        &mut Accumulate::with_births(&mut birth),
+    )?;
+    Ok(TracedRun {
+        instance: run.instance,
+        stages: run.stages,
+        birth,
+    })
 }
 
 #[cfg(test)]

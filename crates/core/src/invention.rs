@@ -26,14 +26,11 @@
 //! `max_stages` / `max_facts` budgets bound such runs.
 
 use crate::error::EvalError;
-use crate::exec::{for_each_match, IndexCache, Sources};
-use crate::ir::Plan;
+use crate::fixpoint::{with_idb, Apply, Consequence, EvalScope, Stages};
 use crate::options::{EvalOptions, FixpointRun};
-use crate::planner::plan_rule;
 use crate::require_language;
-use crate::subst::{active_domain, instantiate};
-use std::ops::ControlFlow;
-use unchained_common::{FxHashSet, HeapSize, Instance, SpanKind, StageRecord, Symbol, Value};
+use crate::subst::{instantiate, Env};
+use unchained_common::{FxHashSet, Instance, Symbol, Tuple, Value};
 use unchained_parser::{check_range_restricted, features, HeadLiteral, Language, Program, Var};
 
 /// Result of a Datalog¬new run: the fixpoint plus invention statistics.
@@ -91,132 +88,88 @@ pub fn eval(
     }
     check_range_restricted(program, true)?;
 
-    let plans: Vec<Plan> = program.rules.iter().map(plan_rule).collect();
-    let invented_vars: Vec<Vec<Var>> = program.rules.iter().map(|r| r.invented_vars()).collect();
-    let body_vars: Vec<Vec<Var>> = program.rules.iter().map(|r| r.body_vars()).collect();
+    let mut invent = Invent {
+        invented_vars: program.rules.iter().map(|r| r.invented_vars()).collect(),
+        body_vars: program.rules.iter().map(|r| r.body_vars()).collect(),
+        memo: program.rules.iter().map(|_| FxHashSet::default()).collect(),
+        next_fresh: 0,
+        in_adom: 0,
+        pending: Vec::new(),
+    };
+    let mut instance = with_idb(program, input)?;
+    let scope = EvalScope::begin(&options, "invention");
+    let result = Stages::new(program, input, &options).run(&mut instance, None, &mut invent);
+    scope.tracer().gauge("invented", invent.next_fresh);
+    let stages = scope.end(&instance, result)?;
+    Ok(InventionRun {
+        instance,
+        stages,
+        invented: invent.next_fresh,
+    })
+}
 
-    let mut cache = IndexCache::new();
-    let mut instance = input.clone();
-    let schema = program.schema()?;
-    for pred in program.idb() {
-        instance.ensure(pred, schema.arity(pred).expect("idb has arity"));
+/// Insert the fired facts, extending each body valuation of an
+/// inventing rule with fresh values — once per `(rule, body
+/// valuation)`, the Skolem reading.
+struct Invent {
+    invented_vars: Vec<Vec<Var>>,
+    body_vars: Vec<Vec<Var>>,
+    /// Skolem memo: one entry per (rule, body valuation) that has fired.
+    memo: Vec<FxHashSet<Box<[Value]>>>,
+    next_fresh: u64,
+    /// Minted values already added to the active domain.
+    in_adom: u64,
+    pending: Vec<(Symbol, Tuple)>,
+}
+
+impl Consequence for Invent {
+    fn fire(&mut self, rule: usize, head: &HeadLiteral, env: &Env, instance: &Instance) {
+        let HeadLiteral::Pos(head) = head else {
+            unreachable!("head negation rejected above")
+        };
+        let invented = &self.invented_vars[rule];
+        if invented.is_empty() {
+            let tuple = instantiate(&head.args, env);
+            if !instance.contains_fact(head.pred, &tuple) {
+                self.pending.push((head.pred, tuple));
+            }
+            return;
+        }
+        let key: Box<[Value]> = self.body_vars[rule]
+            .iter()
+            .map(|v| env[v.index()].expect("body var bound"))
+            .collect();
+        if !self.memo[rule].insert(key) {
+            return;
+        }
+        // Extend the valuation with distinct fresh values.
+        let mut extended = env.clone();
+        for v in invented {
+            extended[v.index()] = Some(Value::Invented(self.next_fresh));
+            self.next_fresh += 1;
+        }
+        self.pending
+            .push((head.pred, instantiate(&head.args, &extended)));
     }
 
-    // Skolem memo: one entry per (rule, body valuation) that has fired.
-    let mut fired: Vec<FxHashSet<Box<[Value]>>> =
-        program.rules.iter().map(|_| FxHashSet::default()).collect();
-    let mut next_fresh: u64 = 0;
-
-    let tel = options.telemetry.clone();
-    tel.begin("invention");
-    let run_sw = tel.stopwatch();
-    let tracer = tel.tracer().clone();
-    let eval_guard = tracer.span(SpanKind::Eval, "invention");
-    let mut stages = 0;
-    loop {
-        stages += 1;
-        if options.max_stages.is_some_and(|m| stages > m) {
-            tel.finish(&run_sw, instance.fact_count());
-            return Err(EvalError::StageLimitExceeded(stages - 1));
+    fn apply(&mut self, stage: &mut Apply<'_>) -> Result<(), EvalError> {
+        for (pred, tuple) in self.pending.drain(..) {
+            stage.insert(pred, tuple)?;
         }
-        let round_guard = tracer.span(SpanKind::Round, format!("round {stages}"));
-        let stage_sw = tel.stopwatch();
-        let joins_before = cache.counters;
-        let mut rules_fired: u64 = 0;
-        // Invented values join the active domain, so recompute per stage.
-        let adom = active_domain(program, &instance);
-        let mut new_facts = Vec::new();
-        for (ridx, (rule, plan)) in program.rules.iter().zip(&plans).enumerate() {
-            let HeadLiteral::Pos(head) = &rule.head[0] else {
-                unreachable!("head negation rejected above")
-            };
-            let rule_invented = &invented_vars[ridx];
-            let rule_body_vars = &body_vars[ridx];
-            let fired_rule = &mut fired[ridx];
-            let _ = for_each_match(
-                plan,
-                Sources::simple(&instance),
-                &adom,
-                &mut cache,
-                &mut |env| {
-                    rules_fired += 1;
-                    if rule_invented.is_empty() {
-                        let tuple = instantiate(&head.args, env);
-                        if !instance.contains_fact(head.pred, &tuple) {
-                            new_facts.push((head.pred, tuple));
-                        }
-                        return ControlFlow::Continue(());
-                    }
-                    let key: Box<[Value]> = rule_body_vars
-                        .iter()
-                        .map(|v| env[v.index()].expect("body var bound"))
-                        .collect();
-                    if fired_rule.contains(&key) {
-                        return ControlFlow::Continue(());
-                    }
-                    fired_rule.insert(key);
-                    // Extend the valuation with distinct fresh values.
-                    let mut extended = env.clone();
-                    for v in rule_invented {
-                        extended[v.index()] = Some(Value::Invented(next_fresh));
-                        next_fresh += 1;
-                    }
-                    let tuple = instantiate(&head.args, &extended);
-                    new_facts.push((head.pred, tuple));
-                    ControlFlow::Continue(())
-                },
-            );
-        }
-        let enabled = tel.is_enabled() || tracer.is_enabled();
-        let mut delta: Vec<(Symbol, usize)> = Vec::new();
-        let mut changed = false;
-        for (pred, tuple) in new_facts {
-            if instance.insert_fact(pred, tuple) {
-                changed = true;
-                if enabled {
-                    match delta.iter_mut().find(|(p, _)| *p == pred) {
-                        Some((_, n)) => *n += 1,
-                        None => delta.push((pred, 1)),
-                    }
-                }
+        // Every value minted this stage now occurs in an inserted fact,
+        // and a stage adds no other new value, so extending the domain
+        // by the minted values equals recomputing it from the instance.
+        // `Invented` sorts last and the counter only grows, so each
+        // lands at the end.
+        for n in self.in_adom..self.next_fresh {
+            let v = Value::Invented(n);
+            if let Err(at) = stage.adom.binary_search(&v) {
+                stage.adom.insert(at, v);
             }
         }
-        let added: usize = delta.iter().map(|(_, n)| n).sum();
-        tracer.gauge("facts_added", added as u64);
-        tracer.gauge("rules_fired", rules_fired);
-        drop(round_guard);
-        tel.with(|t| {
-            t.stages.push(StageRecord {
-                stage: stages,
-                wall_nanos: stage_sw.nanos(),
-                facts_added: added,
-                facts_removed: 0,
-                rules_fired,
-                delta: std::mem::take(&mut delta),
-                bytes: instance.heap_bytes() as u64,
-                joins: cache.counters.since(&joins_before),
-            });
-            t.peak_facts = t.peak_facts.max(instance.fact_count());
-            t.bytes_peak = t.bytes_peak.max(instance.heap_bytes() as u64);
-            t.invented = next_fresh as usize;
-        });
-        if !changed {
-            tracer.gauge("rounds", stages as u64);
-            tracer.gauge("invented", next_fresh);
-            tracer.gauge("final_facts", instance.fact_count() as u64);
-            drop(eval_guard);
-            tel.with(|t| t.bytes_final = instance.heap_bytes() as u64);
-            tel.finish(&run_sw, instance.fact_count());
-            return Ok(InventionRun {
-                instance,
-                stages,
-                invented: next_fresh,
-            });
-        }
-        if options.max_facts.is_some_and(|m| instance.fact_count() > m) {
-            tel.finish(&run_sw, instance.fact_count());
-            return Err(EvalError::FactLimitExceeded(instance.fact_count()));
-        }
+        self.in_adom = self.next_fresh;
+        stage.tel.with(|t| t.invented = self.next_fresh as usize);
+        Ok(())
     }
 }
 

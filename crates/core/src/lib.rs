@@ -40,6 +40,7 @@
 pub mod active;
 pub mod error;
 pub mod exec;
+mod fixpoint;
 pub mod inflationary;
 pub mod invention;
 pub mod ir;

@@ -8,13 +8,11 @@
 //! the baseline for the `naive_vs_seminaive` benchmark.
 
 use crate::error::EvalError;
-use crate::exec::{for_each_head, IndexCache, Sources};
+use crate::fixpoint::{self, Accumulate};
 use crate::options::{EvalOptions, FixpointRun};
-use crate::planner::{Catalog, Planner};
 use crate::require_language;
-use crate::subst::{active_domain, merge_new_facts};
-use unchained_common::{HeapSize, Instance, SpanKind, StageRecord};
-use unchained_parser::{check_range_restricted, HeadLiteral, Language, Program};
+use unchained_common::Instance;
+use unchained_parser::{check_range_restricted, Language, Program};
 
 /// Computes the minimum model of a positive Datalog program on `input`.
 ///
@@ -31,102 +29,13 @@ pub fn minimum_model(
 ) -> Result<FixpointRun, EvalError> {
     require_language(program, Language::Datalog)?;
     check_range_restricted(program, false)?;
-
-    let adom = active_domain(program, input);
-    let mut cache = IndexCache::new();
-    let mut instance = input.clone();
-    // Make sure every idb relation exists, even if it stays empty.
-    let schema = program.schema()?;
-    for pred in program.idb() {
-        instance.ensure(pred, schema.arity(pred).expect("idb has arity"));
-    }
-
-    let tel = &options.telemetry;
-    tel.begin("naive");
-    let run_sw = tel.stopwatch();
-    let tracer = tel.tracer().clone();
-    let eval_guard = tracer.span(SpanKind::Eval, "naive");
-
-    let mut stages = 0;
-    let mut plan_stats = crate::planner::PlanStats::default();
-    loop {
-        stages += 1;
-        if options.max_stages.is_some_and(|m| stages > m) {
-            return Err(EvalError::StageLimitExceeded(stages - 1));
-        }
-        let round_guard = tracer.span(SpanKind::Round, format!("round {stages}"));
-        let stage_sw = tel.stopwatch();
-        let joins_before = cache.counters;
-        // Replan every round: a catalog snapshotted at entry goes stale
-        // as the idb grows, and join orders chosen against empty (or
-        // merely inflated) relations would stick for the whole run. On
-        // the first round the idb really is empty, so its cardinality is
-        // inflated; afterwards the live counts speak for themselves.
-        let mut planner = Planner::new(Catalog::from_instance(&instance), options.plan_mode);
-        if stages == 1 {
-            planner.inflate(program.idb());
-        }
-        let plans: Vec<_> = program.rules.iter().map(|r| planner.plan_rule(r)).collect();
-        let round_plans = planner.stats();
-        plan_stats.joins_pruned += round_plans.joins_pruned;
-        plan_stats.subplans_shared += round_plans.subplans_shared;
-        let mut fired: u64 = 0;
-        let mut new_facts = Vec::new();
-        for (rule, plan) in program.rules.iter().zip(&plans) {
-            let HeadLiteral::Pos(head) = &rule.head[0] else {
-                unreachable!("pure Datalog heads are positive")
-            };
-            fired += for_each_head(
-                plan,
-                &head.args,
-                Sources::simple(&instance),
-                &adom,
-                &mut cache,
-                &mut |tuple| {
-                    if !instance.contains_fact(head.pred, &tuple) {
-                        new_facts.push((head.pred, tuple));
-                    }
-                },
-            );
-        }
-        let enabled = tel.is_enabled() || tracer.is_enabled();
-        let (changed, mut delta) = merge_new_facts(&mut instance, new_facts, enabled);
-        let added: usize = delta.iter().map(|(_, n)| n).sum();
-        tracer.gauge("facts_added", added as u64);
-        tracer.gauge("rules_fired", fired);
-        drop(round_guard);
-        tel.with(|t| {
-            t.stages.push(StageRecord {
-                stage: stages,
-                wall_nanos: stage_sw.nanos(),
-                facts_added: added,
-                facts_removed: 0,
-                rules_fired: fired,
-                delta: std::mem::take(&mut delta),
-                bytes: instance.heap_bytes() as u64,
-                joins: cache.counters.since(&joins_before),
-            });
-            t.peak_facts = t.peak_facts.max(instance.fact_count());
-            t.bytes_peak = t.bytes_peak.max(instance.heap_bytes() as u64);
-        });
-        if !changed {
-            tracer.gauge("rounds", stages as u64);
-            tracer.gauge("final_facts", instance.fact_count() as u64);
-            tracer.gauge("plan_joins_pruned", plan_stats.joins_pruned);
-            tracer.gauge("subplans_shared", plan_stats.subplans_shared);
-            drop(eval_guard);
-            tel.with(|t| {
-                t.bytes_final = instance.heap_bytes() as u64;
-                t.plan_joins_pruned = plan_stats.joins_pruned;
-                t.subplans_shared = plan_stats.subplans_shared;
-            });
-            tel.finish(&run_sw, instance.fact_count());
-            return Ok(FixpointRun { instance, stages });
-        }
-        if options.max_facts.is_some_and(|m| instance.fact_count() > m) {
-            return Err(EvalError::FactLimitExceeded(instance.fact_count()));
-        }
-    }
+    fixpoint::eval(
+        program,
+        input,
+        &options,
+        "naive",
+        &mut Accumulate::default(),
+    )
 }
 
 #[cfg(test)]

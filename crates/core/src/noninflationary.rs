@@ -18,17 +18,13 @@
 //! `ptime` vs `pspace`).
 
 use crate::error::EvalError;
-use crate::exec::{for_each_match, IndexCache, Sources};
-use crate::ir::Plan;
+use crate::fixpoint::{self, Apply, Consequence};
 use crate::options::{DivergenceDetection, EvalOptions, FixpointRun};
-use crate::planner::plan_rule;
 use crate::require_language;
-use crate::subst::{active_domain, instantiate};
+use crate::subst::{instantiate, Env};
 use std::collections::hash_map::Entry;
-use std::ops::ControlFlow;
 use unchained_common::{
-    DivergenceSnapshot, FxHashMap, FxHashSet, HeapSize, Instance, SpanKind, StageRecord, Symbol,
-    Tuple,
+    DivergenceSnapshot, FxHashMap, FxHashSet, HeapSize, Instance, Symbol, Tuple,
 };
 use unchained_parser::{check_range_restricted, HeadLiteral, Language, Program};
 
@@ -80,33 +76,6 @@ impl Detector {
     }
 }
 
-/// Per-predicate symmetric difference `next ∖ prev` / `prev ∖ next`,
-/// for stage records. Only called when telemetry is enabled.
-fn diff_instances(prev: &Instance, next: &Instance) -> (usize, usize, Vec<(Symbol, usize)>) {
-    let mut added = 0;
-    let mut removed = 0;
-    let mut delta = Vec::new();
-    for (pred, rel) in next.iter() {
-        let before = prev.relation(pred);
-        let new_here = rel
-            .iter()
-            .filter(|t| !before.is_some_and(|b| b.contains(t)))
-            .count();
-        if new_here > 0 {
-            delta.push((pred, new_here));
-            added += new_here;
-        }
-    }
-    for (pred, rel) in prev.iter() {
-        let after = next.relation(pred);
-        removed += rel
-            .iter()
-            .filter(|t| !after.is_some_and(|a| a.contains(t)))
-            .count();
-    }
-    (added, removed, delta)
-}
-
 /// What to do when `A` and `¬A` are inferred in the same firing
 /// (Section 4.2 discusses all four; the languages are equivalent under
 /// any of the first three).
@@ -140,196 +109,102 @@ pub fn eval(
 ) -> Result<FixpointRun, EvalError> {
     require_language(program, Language::DatalogNegNeg)?;
     check_range_restricted(program, false)?;
+    let mut retract = Retract {
+        policy,
+        mode: options.divergence,
+        detector: Detector::default(),
+        inserted: FxHashSet::default(),
+        deleted: FxHashSet::default(),
+    };
+    let run = fixpoint::eval(program, input, &options, "noninflationary", &mut retract)?;
+    options
+        .telemetry
+        .with(|t| t.divergence = Some(retract.snapshot(None)));
+    Ok(run)
+}
 
-    let adom = active_domain(program, input);
-    let plans: Vec<Plan> = program.rules.iter().map(plan_rule).collect();
-    let mut cache = IndexCache::new();
-    let mut instance = input.clone();
-    let schema = program.schema()?;
-    for pred in program.idb() {
-        instance.ensure(pred, schema.arity(pred).expect("idb has arity"));
+/// Insert and delete under a [`ConflictPolicy`], remembering visited
+/// states to detect divergence.
+struct Retract {
+    policy: ConflictPolicy,
+    mode: DivergenceDetection,
+    detector: Detector,
+    inserted: FxHashSet<(Symbol, Tuple)>,
+    deleted: FxHashSet<(Symbol, Tuple)>,
+}
+
+impl Retract {
+    fn snapshot(&self, diverged: Option<(usize, usize)>) -> DivergenceSnapshot {
+        DivergenceSnapshot {
+            detector: match self.mode {
+                DivergenceDetection::Exact => "exact",
+                DivergenceDetection::Fingerprint => "fingerprint",
+                DivergenceDetection::Off => "off",
+            }
+            .to_string(),
+            states_seen: self.detector.states_seen(self.mode),
+            diverged_stage: diverged.map(|(stage, _)| stage),
+            period: diverged.map(|(_, period)| period),
+        }
+    }
+}
+
+impl Consequence for Retract {
+    fn fire(&mut self, _rule: usize, head: &HeadLiteral, env: &Env, _instance: &Instance) {
+        match head {
+            HeadLiteral::Pos(a) => self.inserted.insert((a.pred, instantiate(&a.args, env))),
+            HeadLiteral::Neg(a) => self.deleted.insert((a.pred, instantiate(&a.args, env))),
+            HeadLiteral::Bottom => unreachable!("⊥ is nondeterministic-only"),
+        };
     }
 
-    // Divergence detection state.
-    let mut detector = Detector::default();
-    detector.record(&instance, 0, options.divergence);
-
-    let tel = options.telemetry.clone();
-    tel.begin("noninflationary");
-    let run_sw = tel.stopwatch();
-    let tracer = tel.tracer().clone();
-    let eval_guard = tracer.span(SpanKind::Eval, "noninflationary");
-    let detector_name = match options.divergence {
-        DivergenceDetection::Exact => "exact",
-        DivergenceDetection::Fingerprint => "fingerprint",
-        DivergenceDetection::Off => "off",
-    };
-
-    let mut stages = 0;
-    loop {
-        stages += 1;
-        if options.max_stages.is_some_and(|m| stages > m) {
-            return Err(EvalError::StageLimitExceeded(stages - 1));
+    fn apply(&mut self, stage: &mut Apply<'_>) -> Result<(), EvalError> {
+        let inserted = std::mem::take(&mut self.inserted);
+        let deleted = std::mem::take(&mut self.deleted);
+        if self.policy == ConflictPolicy::Undefined && inserted.iter().any(|f| deleted.contains(f))
+        {
+            return Err(EvalError::Contradiction { stage: stage.stage });
         }
-        let round_guard = tracer.span(SpanKind::Round, format!("round {stages}"));
-        let stage_sw = tel.stopwatch();
-        let joins_before = cache.counters;
-        let mut fired: u64 = 0;
-        // One parallel firing: collect asserted and retracted facts.
-        let mut inserted: FxHashSet<(Symbol, Tuple)> = FxHashSet::default();
-        let mut deleted: FxHashSet<(Symbol, Tuple)> = FxHashSet::default();
-        for (rule, plan) in program.rules.iter().zip(&plans) {
-            let (head_pred, head_args, negative) = match &rule.head[0] {
-                HeadLiteral::Pos(a) => (a.pred, &a.args, false),
-                HeadLiteral::Neg(a) => (a.pred, &a.args, true),
-                HeadLiteral::Bottom => unreachable!("⊥ is nondeterministic-only"),
-            };
-            let _ = for_each_match(
-                plan,
-                Sources::simple(&instance),
-                &adom,
-                &mut cache,
-                &mut |env| {
-                    fired += 1;
-                    let tuple = instantiate(head_args, env);
-                    if negative {
-                        deleted.insert((head_pred, tuple));
-                    } else {
-                        inserted.insert((head_pred, tuple));
-                    }
-                    ControlFlow::Continue(())
-                },
+        if stage.stage == 1 {
+            // The input state counts as visited at stage 0.
+            self.detector.record(stage.instance, 0, self.mode);
+        }
+        // The state the stage fired against stays live while its
+        // successor materializes: that is the true high-water mark — on
+        // a shrinking program it strictly exceeds every stage-end count.
+        let prev = stage.instance.clone();
+        // A fact both inferred and retracted is resolved by the policy;
+        // afterwards the two sets are disjoint, so deleting first changes
+        // no outcome and keeps the fact budget exact.
+        for fact in &deleted {
+            if self.policy == ConflictPolicy::PreferNegative || !inserted.contains(fact) {
+                stage.remove(fact.0, &fact.1);
+            }
+        }
+        for fact in inserted {
+            if self.policy == ConflictPolicy::PreferPositive || !deleted.contains(&fact) {
+                stage.insert(fact.0, fact.1)?;
+            }
+        }
+        if stage.tel.is_enabled() {
+            stage.tel.sample_peak(
+                prev.fact_count() + stage.instance.fact_count(),
+                prev.heap_bytes() + stage.instance.heap_bytes(),
             );
         }
-
-        // Resolve conflicts per the policy and apply.
-        let mut next = instance.clone();
-        match policy {
-            ConflictPolicy::PreferPositive => {
-                for (pred, tuple) in &deleted {
-                    if !inserted.contains(&(*pred, tuple.clone())) {
-                        if let Some(rel) = next.relation_mut(*pred) {
-                            rel.remove(tuple);
-                        }
-                    }
-                }
-                for (pred, tuple) in inserted {
-                    next.insert_fact(pred, tuple);
-                }
-            }
-            ConflictPolicy::PreferNegative => {
-                for (pred, tuple) in inserted {
-                    if !deleted.contains(&(pred, tuple.clone())) {
-                        next.insert_fact(pred, tuple);
-                    }
-                }
-                for (pred, tuple) in &deleted {
-                    if let Some(rel) = next.relation_mut(*pred) {
-                        rel.remove(tuple);
-                    }
-                }
-            }
-            ConflictPolicy::NoOp => {
-                for (pred, tuple) in &inserted {
-                    if !deleted.contains(&(*pred, tuple.clone())) {
-                        next.insert_fact(*pred, tuple.clone());
-                    }
-                }
-                for (pred, tuple) in &deleted {
-                    if !inserted.contains(&(*pred, tuple.clone())) {
-                        if let Some(rel) = next.relation_mut(*pred) {
-                            rel.remove(tuple);
-                        }
-                    }
-                }
-            }
-            ConflictPolicy::Undefined => {
-                if let Some((_, _)) = inserted.iter().find(|f| deleted.contains(*f)) {
-                    return Err(EvalError::Contradiction { stage: stages });
-                }
-                for (pred, tuple) in inserted {
-                    next.insert_fact(pred, tuple);
-                }
-                for (pred, tuple) in &deleted {
-                    if let Some(rel) = next.relation_mut(*pred) {
-                        rel.remove(tuple);
-                    }
-                }
-            }
+        if !stage.changed() {
+            return Ok(());
         }
-
-        // Mid-stage, the previous state and its successor are both live
-        // (the firing reads `instance` while `next` materializes). That
-        // is the true high-water mark — on a shrinking program it
-        // strictly exceeds every stage-end count.
-        if tel.is_enabled() {
-            tel.sample_peak(
-                instance.fact_count() + next.fact_count(),
-                instance.heap_bytes() + next.heap_bytes(),
-            );
-        }
-        if tracer.is_enabled() {
-            let (added, removed, _) = diff_instances(&instance, &next);
-            tracer.gauge("facts_added", added as u64);
-            tracer.gauge("facts_removed", removed as u64);
-            tracer.gauge("rules_fired", fired);
-            tracer.gauge("bytes", next.heap_bytes() as u64);
-        }
-        drop(round_guard);
-        tel.with(|t| {
-            let (added, removed, delta) = diff_instances(&instance, &next);
-            t.stages.push(StageRecord {
-                stage: stages,
-                wall_nanos: stage_sw.nanos(),
-                facts_added: added,
-                facts_removed: removed,
-                rules_fired: fired,
-                delta,
-                bytes: next.heap_bytes() as u64,
-                joins: cache.counters.since(&joins_before),
-            });
-            t.peak_facts = t.peak_facts.max(next.fact_count());
-        });
-
-        if next.same_facts(&instance) {
-            tracer.gauge("rounds", stages as u64);
-            tracer.gauge("final_facts", instance.fact_count() as u64);
-            drop(eval_guard);
-            tel.with(|t| {
-                t.divergence = Some(DivergenceSnapshot {
-                    detector: detector_name.to_string(),
-                    states_seen: detector.states_seen(options.divergence),
-                    diverged_stage: None,
-                    period: None,
-                });
-                t.bytes_final = instance.heap_bytes() as u64;
-            });
-            tel.finish(&run_sw, instance.fact_count());
-            return Ok(FixpointRun { instance, stages });
-        }
-        if let Some(first) = detector.record(&next, stages, options.divergence) {
-            let period = stages - first;
-            tel.with(|t| {
-                t.divergence = Some(DivergenceSnapshot {
-                    detector: detector_name.to_string(),
-                    states_seen: detector.states_seen(options.divergence),
-                    diverged_stage: Some(stages),
-                    period: Some(period),
-                });
+        if let Some(first) = self.detector.record(stage.instance, stage.stage, self.mode) {
+            let (at, period) = (stage.stage, stage.stage - first);
+            stage.tel.with(|t| {
+                t.divergence = Some(self.snapshot(Some((at, period))));
                 t.notes
-                    .push(format!("diverged at stage {stages} with period {period}"));
-                t.bytes_final = next.heap_bytes() as u64;
+                    .push(format!("diverged at stage {at} with period {period}"));
             });
-            tel.finish(&run_sw, next.fact_count());
-            return Err(EvalError::Diverged {
-                stage: stages,
-                period,
-            });
+            return Err(EvalError::Diverged { stage: at, period });
         }
-        if options.max_facts.is_some_and(|m| next.fact_count() > m) {
-            return Err(EvalError::FactLimitExceeded(next.fact_count()));
-        }
-        instance = next;
+        Ok(())
     }
 }
 

@@ -10,15 +10,12 @@
 //! and [`explain`] always terminates.
 
 use crate::error::EvalError;
-use crate::exec::{for_each_match, IndexCache, Sources};
-use crate::ir::Plan;
+use crate::fixpoint::{self, Apply, Consequence};
 use crate::options::EvalOptions;
-use crate::planner::plan_rule;
 use crate::require_language;
-use crate::subst::{active_domain, instantiate};
-use std::ops::ControlFlow;
+use crate::subst::{instantiate, Env};
 use unchained_common::{FxHashMap, Instance, Interner, Symbol, Tuple};
-use unchained_parser::{check_range_restricted, HeadLiteral, Language, Literal, Program};
+use unchained_parser::{check_range_restricted, Atom, HeadLiteral, Language, Literal, Program};
 
 /// One recorded derivation step.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -78,11 +75,9 @@ pub fn minimum_model_with_provenance(
     require_language(program, Language::Datalog)?;
     check_range_restricted(program, false)?;
 
-    let adom = active_domain(program, input);
-    let plans: Vec<Plan> = program.rules.iter().map(plan_rule).collect();
     // Premise templates: the positive body atoms of each rule, in body
     // order.
-    let premise_templates: Vec<Vec<&unchained_parser::Atom>> = program
+    let templates = program
         .rules
         .iter()
         .map(|r| {
@@ -95,65 +90,49 @@ pub fn minimum_model_with_provenance(
                 .collect()
         })
         .collect();
-    let mut cache = IndexCache::new();
-    let mut instance = input.clone();
-    let schema = program.schema()?;
-    for pred in program.idb() {
-        instance.ensure(pred, schema.arity(pred).expect("idb has arity"));
-    }
-    let mut why: FxHashMap<(Symbol, Tuple), Derivation> = FxHashMap::default();
+    let mut derive = Derive {
+        templates,
+        pending: Vec::new(),
+        why: FxHashMap::default(),
+    };
+    let run = fixpoint::eval(program, input, &options, "provenance", &mut derive)?;
+    Ok(ProvenanceRun {
+        instance: run.instance,
+        stages: run.stages,
+        why: derive.why,
+    })
+}
 
-    let mut stages = 0;
-    loop {
-        stages += 1;
-        if options.max_stages.is_some_and(|m| stages > m) {
-            return Err(EvalError::StageLimitExceeded(stages - 1));
+/// Insert the fired facts, keeping the first derivation of each.
+struct Derive<'p> {
+    templates: Vec<Vec<&'p Atom>>,
+    pending: Vec<(Symbol, Tuple, Derivation)>,
+    why: FxHashMap<(Symbol, Tuple), Derivation>,
+}
+
+impl Consequence for Derive<'_> {
+    fn fire(&mut self, rule: usize, head: &HeadLiteral, env: &Env, instance: &Instance) {
+        let HeadLiteral::Pos(head) = head else {
+            unreachable!("pure Datalog heads are positive")
+        };
+        let tuple = instantiate(&head.args, env);
+        if !instance.contains_fact(head.pred, &tuple) {
+            let premises = self.templates[rule]
+                .iter()
+                .map(|a| (a.pred, instantiate(&a.args, env)))
+                .collect();
+            self.pending
+                .push((head.pred, tuple, Derivation { rule, premises }));
         }
-        let mut new_facts: Vec<(Symbol, Tuple, Derivation)> = Vec::new();
-        for (ridx, (rule, plan)) in program.rules.iter().zip(&plans).enumerate() {
-            let HeadLiteral::Pos(head) = &rule.head[0] else {
-                unreachable!("pure Datalog heads are positive")
-            };
-            let templates = &premise_templates[ridx];
-            let _ = for_each_match(
-                plan,
-                Sources::simple(&instance),
-                &adom,
-                &mut cache,
-                &mut |env| {
-                    let tuple = instantiate(&head.args, env);
-                    if !instance.contains_fact(head.pred, &tuple) {
-                        let premises = templates
-                            .iter()
-                            .map(|a| (a.pred, instantiate(&a.args, env)))
-                            .collect();
-                        new_facts.push((
-                            head.pred,
-                            tuple,
-                            Derivation {
-                                rule: ridx,
-                                premises,
-                            },
-                        ));
-                    }
-                    ControlFlow::Continue(())
-                },
-            );
-        }
-        let mut changed = false;
-        for (pred, tuple, derivation) in new_facts {
-            if instance.insert_fact(pred, tuple.clone()) {
-                changed = true;
-                why.entry((pred, tuple)).or_insert(derivation);
+    }
+
+    fn apply(&mut self, stage: &mut Apply<'_>) -> Result<(), EvalError> {
+        for (pred, tuple, derivation) in self.pending.drain(..) {
+            if stage.insert(pred, tuple.clone())? {
+                self.why.entry((pred, tuple)).or_insert(derivation);
             }
         }
-        if !changed {
-            return Ok(ProvenanceRun {
-                instance,
-                stages,
-                why,
-            });
-        }
+        Ok(())
     }
 }
 

@@ -14,6 +14,7 @@
 
 use crate::error::EvalError;
 use crate::exec::{for_each_head, IndexCache, Sources};
+use crate::fixpoint::{emit_round_leaves, with_idb, EvalScope, RuleStat};
 use crate::ir::Plan;
 use crate::options::{EvalOptions, FixpointRun};
 use crate::parallel::{run_round, PlanTask};
@@ -21,56 +22,9 @@ use crate::planner::{Catalog, Planner};
 use crate::require_language;
 use crate::subst::active_domain;
 use unchained_common::{
-    DeltaHandle, FxHashSet, HeapSize, Instance, JoinCounters, Span, SpanKind, StageRecord, Symbol,
-    Tracer,
+    DeltaHandle, FxHashSet, HeapSize, Instance, Span, SpanKind, StageRecord, Symbol,
 };
 use unchained_parser::{check_range_restricted, HeadLiteral, Language, Program, Rule};
-
-/// Per-rule attribution collected during one round: match count plus
-/// wall-clock placement of the rule's evaluation.
-#[derive(Clone, Copy, Default)]
-struct RuleStat {
-    fired: u64,
-    start_nanos: u64,
-    dur_nanos: u64,
-}
-
-/// Attaches one round's attribution leaves to the currently open round
-/// span: per-rule spans (deterministic `fired` gauges), per-worker lane
-/// spans (parallel rounds), and a join-counter summary.
-fn emit_round_leaves(
-    tracer: &Tracer,
-    head_preds: &[Symbol],
-    rule_stats: &[RuleStat],
-    worker_lanes: &mut Vec<(u64, u64)>,
-    joins: &JoinCounters,
-) {
-    for (ri, rs) in rule_stats.iter().enumerate() {
-        let mut span = Span::leaf(SpanKind::Rule, format!("rule {ri}"));
-        span.pred = Some(head_preds[ri]);
-        span.start_nanos = rs.start_nanos;
-        span.dur_nanos = rs.dur_nanos;
-        span.gauges.push(("fired", rs.fired));
-        tracer.leaf(span);
-    }
-    for (w, (start, dur)) in worker_lanes.drain(..).enumerate() {
-        let mut span = Span::leaf(SpanKind::Worker, format!("worker {w}"));
-        span.lane = Some(w);
-        span.start_nanos = start;
-        span.dur_nanos = dur;
-        tracer.leaf(span);
-    }
-    let mut join = Span::leaf(SpanKind::Join, "joins");
-    join.gauges = vec![
-        ("probes", joins.probes),
-        ("probe_tuples", joins.probe_tuples),
-        ("index_builds", joins.index_builds),
-        ("index_hits", joins.index_hits),
-        ("index_appends", joins.index_appends),
-        ("index_rebuilds", joins.index_rebuilds),
-    ];
-    tracer.leaf(join);
-}
 
 /// Runs the rules of one (sub)program to fixpoint with semi-naive
 /// deltas, mutating `instance` in place. Negative literals are checked
@@ -449,20 +403,26 @@ pub fn minimum_model(
 ) -> Result<FixpointRun, EvalError> {
     require_language(program, Language::Datalog)?;
     check_range_restricted(program, false)?;
+    single_stratum(program, input, &options, "seminaive")
+}
 
+/// Runs every rule of `program` as one semi-naive stratum over `input`,
+/// inside an [`EvalScope`] named `engine`. Sound for pure Datalog and,
+/// by the monotonicity argument of
+/// [`crate::inflationary::eval_seminaive`], for inflationary Datalog¬.
+pub(crate) fn single_stratum(
+    program: &Program,
+    input: &Instance,
+    options: &EvalOptions,
+    engine: &str,
+) -> Result<FixpointRun, EvalError> {
     let adom = active_domain(program, input);
-    let mut instance = input.clone();
-    let schema = program.schema()?;
-    for pred in program.idb() {
-        instance.ensure(pred, schema.arity(pred).expect("idb has arity"));
-    }
+    let mut instance = with_idb(program, input)?;
     let recursive: FxHashSet<Symbol> = program.idb().into_iter().collect();
     let rules: Vec<&Rule> = program.rules.iter().collect();
     let mut cache = IndexCache::new();
-    options.telemetry.begin("seminaive");
-    let run_sw = options.telemetry.stopwatch();
-    let tracer = options.telemetry.tracer().clone();
-    let eval_guard = tracer.span(SpanKind::Eval, "seminaive");
+    let scope = EvalScope::begin(options, engine);
+    let tracer = scope.tracer().clone();
     let stratum_guard = tracer.span(SpanKind::Stratum, "stratum 0");
     let stages = seminaive_fixpoint(
         &rules,
@@ -470,13 +430,11 @@ pub fn minimum_model(
         &adom,
         &recursive,
         &mut cache,
-        &options,
+        options,
     )?;
     tracer.gauge("rounds", stages as u64);
     tracer.gauge("rules", rules.len() as u64);
     drop(stratum_guard);
-    tracer.gauge("final_facts", instance.fact_count() as u64);
-    drop(eval_guard);
     let (segments, recent) = instance.storage_stats();
     options.telemetry.note(format!(
         "storage: {segments} segments, {recent} uncommitted"
@@ -486,10 +444,7 @@ pub fn minimum_model(
         cache.entry_count(),
         unchained_common::fmt_bytes(cache.heap_bytes() as u64)
     ));
-    options
-        .telemetry
-        .with(|t| t.bytes_final = instance.heap_bytes() as u64);
-    options.telemetry.finish(&run_sw, instance.fact_count());
+    scope.finish(&instance, None);
     Ok(FixpointRun { instance, stages })
 }
 

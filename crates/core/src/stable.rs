@@ -25,10 +25,9 @@
 //! semantics still answers — with unknowns.
 
 use crate::error::EvalError;
-use crate::exec::IndexCache;
+use crate::fixpoint::{with_idb, EvalScope, Stages};
 use crate::options::EvalOptions;
 use crate::require_language;
-use crate::subst::active_domain;
 use crate::wellfounded;
 use unchained_common::{Instance, Span, SpanKind, Telemetry, Tuple};
 use unchained_parser::{check_range_restricted, Language, Program};
@@ -100,59 +99,6 @@ impl From<EvalError> for StableError {
     }
 }
 
-/// The least fixpoint of the Gelfond–Lifschitz reduct `P/M` over
-/// `input`: negative literals are checked against the *fixed* candidate
-/// `M` while positive facts accumulate from the input.
-fn reduct_lfp(
-    program: &Program,
-    input: &Instance,
-    candidate: &Instance,
-    adom: &[unchained_common::Value],
-    options: &EvalOptions,
-) -> Result<Instance, EvalError> {
-    use crate::exec::{for_each_match, Sources};
-    use crate::planner::plan_rule;
-    use crate::subst::instantiate;
-    use std::ops::ControlFlow;
-    use unchained_parser::HeadLiteral;
-    let plans: Vec<_> = program.rules.iter().map(plan_rule).collect();
-    let mut cache = IndexCache::new();
-    let mut instance = input.clone();
-    let mut stage = 0usize;
-    loop {
-        stage += 1;
-        if options.max_stages.is_some_and(|m| stage > m) {
-            return Err(EvalError::StageLimitExceeded(stage - 1));
-        }
-        let mut new_facts = Vec::new();
-        for (rule, plan) in program.rules.iter().zip(&plans) {
-            let HeadLiteral::Pos(head) = &rule.head[0] else {
-                unreachable!("Datalog¬ heads are positive")
-            };
-            let sources = Sources {
-                full: &instance,
-                delta: None,
-                neg: Some(candidate),
-                delta_from: None,
-            };
-            let _ = for_each_match(plan, sources, adom, &mut cache, &mut |env| {
-                let tuple = instantiate(&head.args, env);
-                if !instance.contains_fact(head.pred, &tuple) {
-                    new_facts.push((head.pred, tuple));
-                }
-                ControlFlow::Continue(())
-            });
-        }
-        let mut changed = false;
-        for (pred, tuple) in new_facts {
-            changed |= instance.insert_fact(pred, tuple);
-        }
-        if !changed {
-            return Ok(instance);
-        }
-    }
-}
-
 /// True iff `model` is a stable model of `program` on `input`.
 pub fn is_stable_model(
     program: &Program,
@@ -162,9 +108,12 @@ pub fn is_stable_model(
 ) -> Result<bool, EvalError> {
     require_language(program, Language::DatalogNeg)?;
     check_range_restricted(program, false)?;
-    let adom = active_domain(program, input);
-    let lfp = reduct_lfp(program, input, model, &adom, &options)?;
-    Ok(lfp.same_facts(model))
+    let base = with_idb(program, input)?;
+    let scope = EvalScope::begin(&options, "stable");
+    let mut stages = Stages::new(program, input, &options);
+    let lfp = wellfounded::reduct(&mut stages, &base, model);
+    scope.finish(lfp.as_ref().unwrap_or(&base), None);
+    Ok(lfp?.same_facts(model))
 }
 
 /// Enumerates all stable models of a Datalog¬ program on `input`,
@@ -198,11 +147,8 @@ pub fn stable_models(
         .map_err(|e| StableError::Eval(EvalError::Analysis(e)))?;
     // The stable engine owns the trace; inner well-founded and reduct
     // runs get a muted handle so candidate churn doesn't clobber it.
-    let tel = options.eval.telemetry.clone();
-    tel.begin("stable");
-    let run_sw = tel.stopwatch();
-    let tracer = tel.tracer().clone();
-    let eval_guard = tracer.span(SpanKind::Eval, "stable");
+    let scope = EvalScope::begin(&options.eval, "stable");
+    let tracer = scope.tracer().clone();
     let inner = options.eval.clone().with_telemetry(Telemetry::off());
     let wf_phase = tracer.span(SpanKind::Phase, "wellfounded interval");
     let wf = wellfounded::eval(program, input, inner.clone())?;
@@ -216,7 +162,8 @@ pub fn stable_models(
             bound: options.max_unknowns,
         }));
     }
-    let adom = active_domain(program, input);
+    let base = with_idb(program, input)?;
+    let mut stages = Stages::new(program, input, &inner);
     let mut models = Vec::new();
     for mask in 0u64..(1u64 << unknowns.len()) {
         let mut candidate = wf.true_facts.clone();
@@ -226,7 +173,7 @@ pub fn stable_models(
             }
         }
         let candidate_start = tracer.now_nanos();
-        let lfp = reduct_lfp(program, input, &candidate, &adom, &inner)?;
+        let lfp = wellfounded::reduct(&mut stages, &base, &candidate)?;
         let stable = lfp.same_facts(&candidate);
         if tracer.is_enabled() {
             let mut leaf = Span::leaf(SpanKind::Phase, format!("candidate {mask}"));
@@ -241,20 +188,14 @@ pub fn stable_models(
     }
     models.sort_by_cached_key(|m| format!("{m:?}"));
     tracer.gauge("models", models.len() as u64);
-    drop(eval_guard);
-    tel.note(format!(
+    options.eval.telemetry.note(format!(
         "well-founded interval: {} true facts, {} unknown; {} candidates tested, {} stable",
         wf.true_facts.fact_count(),
         unknowns.len(),
         1u64 << unknowns.len(),
         models.len()
     ));
-    tel.finish(
-        &run_sw,
-        models
-            .first()
-            .map_or(wf.true_facts.fact_count(), Instance::fact_count),
-    );
+    scope.finish(models.first().unwrap_or(&wf.true_facts), None);
     Ok(models)
 }
 

@@ -8,11 +8,12 @@
 
 use crate::error::EvalError;
 use crate::exec::IndexCache;
+use crate::fixpoint::{with_idb, EvalScope};
 use crate::options::{EvalOptions, FixpointRun};
 use crate::require_language;
 use crate::seminaive::seminaive_fixpoint;
 use crate::subst::active_domain;
-use unchained_common::{FxHashSet, HeapSize, Instance, SpanKind, Symbol};
+use unchained_common::{FxHashSet, Instance, SpanKind, Symbol};
 use unchained_parser::{check_range_restricted, DependencyGraph, HeadLiteral, Language, Program};
 
 /// Evaluates a stratified Datalog¬ program.
@@ -35,17 +36,10 @@ pub fn eval(
     let stratification = DependencyGraph::build(program).stratify()?;
 
     let adom = active_domain(program, input);
-    let mut instance = input.clone();
-    let schema = program.schema()?;
-    for pred in program.idb() {
-        instance.ensure(pred, schema.arity(pred).expect("idb has arity"));
-    }
-
+    let mut instance = with_idb(program, input)?;
     let mut cache = IndexCache::new();
-    options.telemetry.begin("stratified");
-    let run_sw = options.telemetry.stopwatch();
-    let tracer = options.telemetry.tracer().clone();
-    let eval_guard = tracer.span(SpanKind::Eval, "stratified");
+    let scope = EvalScope::begin(&options, "stratified");
+    let tracer = scope.tracer().clone();
     let mut stages = 0;
     for (stratum, stratum_rules) in stratification
         .partition_rules(program)
@@ -79,16 +73,11 @@ pub fn eval(
             stratum_rules.len()
         ));
     }
-    tracer.gauge("final_facts", instance.fact_count() as u64);
-    drop(eval_guard);
     let (segments, recent) = instance.storage_stats();
     options.telemetry.note(format!(
         "storage: {segments} segments, {recent} uncommitted"
     ));
-    options
-        .telemetry
-        .with(|t| t.bytes_final = instance.heap_bytes() as u64);
-    options.telemetry.finish(&run_sw, instance.fact_count());
+    scope.finish(&instance, None);
     Ok(FixpointRun {
         instance,
         stages: stages.max(1),

@@ -1,12 +1,9 @@
 //! Substitution helpers shared by every engine: valuation
-//! environments, term evaluation, head instantiation, the active
-//! domain, and the fact-merge loop of the parallel-firing fixpoints.
-//!
-//! Before the IR refactor these helpers were copy-pasted (with small
-//! drift) across `eval.rs`, `naive.rs`, and `inflationary.rs`; they now
-//! live here once.
+//! environments, term evaluation, head instantiation, and the active
+//! domain. What a fixpoint stage does with the instantiated heads lives
+//! in [`crate::fixpoint`]'s consequence policies.
 
-use unchained_common::{FxHashMap, Instance, Symbol, Tuple, Value};
+use unchained_common::{Instance, Tuple, Value};
 use unchained_parser::Term;
 
 /// A valuation environment: one slot per rule variable.
@@ -40,53 +37,6 @@ pub fn active_domain(program: &unchained_parser::Program, instance: &Instance) -
     v
 }
 
-/// Merges `new_facts` into `instance`, reporting whether anything
-/// changed and (only when `enabled`) the per-predicate delta counts.
-pub fn merge_new_facts(
-    instance: &mut Instance,
-    new_facts: Vec<(Symbol, Tuple)>,
-    enabled: bool,
-) -> (bool, Vec<(Symbol, usize)>) {
-    merge_new_facts_with(instance, new_facts, enabled, &mut |_, _| {})
-}
-
-/// Like [`merge_new_facts`], invoking `on_insert` for every fact that
-/// was actually new (the inflationary traced engine records birth
-/// stages this way).
-pub fn merge_new_facts_with(
-    instance: &mut Instance,
-    new_facts: Vec<(Symbol, Tuple)>,
-    enabled: bool,
-    on_insert: &mut dyn FnMut(Symbol, &Tuple),
-) -> (bool, Vec<(Symbol, usize)>) {
-    let mut changed = false;
-    let mut delta: Vec<(Symbol, usize)> = Vec::new();
-    for (pred, tuple) in new_facts {
-        if instance.insert_fact(pred, tuple.clone()) {
-            changed = true;
-            on_insert(pred, &tuple);
-            if enabled {
-                match delta.iter_mut().find(|(p, _)| *p == pred) {
-                    Some((_, n)) => *n += 1,
-                    None => delta.push((pred, 1)),
-                }
-            }
-        }
-    }
-    (changed, delta)
-}
-
-/// Records the birth stage of each newly inserted fact into `birth`
-/// (first insertion wins), for use as a `merge_new_facts_with` hook.
-pub fn record_births<'a>(
-    birth: &'a mut FxHashMap<(Symbol, Tuple), usize>,
-    stage: usize,
-) -> impl FnMut(Symbol, &Tuple) + 'a {
-    move |pred, tuple| {
-        birth.entry((pred, tuple.clone())).or_insert(stage);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,54 +67,5 @@ mod tests {
         instance.insert_fact(q, Tuple::from([Value::Int(1)]));
         let adom = active_domain(&program, &instance);
         assert_eq!(adom, vec![Value::Int(1), Value::Int(9)]);
-    }
-
-    #[test]
-    fn merge_reports_change_and_delta_counts() {
-        let mut i = Interner::new();
-        let p = i.intern("P");
-        let q = i.intern("Q");
-        let mut instance = Instance::new();
-        instance.insert_fact(p, Tuple::from([Value::Int(1)]));
-        let new_facts = vec![
-            (p, Tuple::from([Value::Int(1)])), // already present
-            (p, Tuple::from([Value::Int(2)])),
-            (q, Tuple::from([Value::Int(3)])),
-            (q, Tuple::from([Value::Int(3)])), // duplicate in the batch
-        ];
-        let (changed, delta) = merge_new_facts(&mut instance, new_facts, true);
-        assert!(changed);
-        assert_eq!(delta, vec![(p, 1), (q, 1)]);
-        // With telemetry disabled the delta stays empty but the change
-        // flag is still exact.
-        let (changed, delta) = merge_new_facts(
-            &mut instance,
-            vec![(q, Tuple::from([Value::Int(3)]))],
-            false,
-        );
-        assert!(!changed);
-        assert!(delta.is_empty());
-    }
-
-    #[test]
-    fn birth_hook_records_first_insertion_only() {
-        let mut i = Interner::new();
-        let p = i.intern("P");
-        let mut instance = Instance::new();
-        let mut birth = FxHashMap::default();
-        let t = Tuple::from([Value::Int(1)]);
-        merge_new_facts_with(
-            &mut instance,
-            vec![(p, t.clone())],
-            false,
-            &mut record_births(&mut birth, 2),
-        );
-        merge_new_facts_with(
-            &mut instance,
-            vec![(p, t.clone())],
-            false,
-            &mut record_births(&mut birth, 5),
-        );
-        assert_eq!(birth.get(&(p, t)), Some(&2));
     }
 }

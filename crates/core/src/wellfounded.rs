@@ -19,17 +19,11 @@
 //! **unknown**, and everything else is **false**.
 
 use crate::error::EvalError;
-use crate::exec::{for_each_match, IndexCache, Sources};
-use crate::ir::Plan;
+use crate::fixpoint::{with_idb, Accumulate, EvalScope, Stages};
 use crate::options::{EvalOptions, FixpointRun};
-use crate::planner::plan_rule;
 use crate::require_language;
-use crate::subst::{active_domain, instantiate};
-use std::ops::ControlFlow;
-use unchained_common::{
-    HeapSize, Instance, SpanKind, StageRecord, Stopwatch, Symbol, Telemetry, Tuple, Value,
-};
-use unchained_parser::{check_range_restricted, HeadLiteral, Language, Program};
+use unchained_common::{Instance, SpanKind, Symbol, Tracer, Tuple};
+use unchained_parser::{check_range_restricted, Language, Program};
 
 /// The truth value of a fact in a 3-valued model.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -92,89 +86,16 @@ impl WellFoundedModel {
 }
 
 /// The reduct least-fixpoint `Γ̂(J)`: evaluates the program bottom-up
-/// from `input` with every negative literal checked against the frozen
+/// from `base` with every negative literal checked against the frozen
 /// instance `J`.
-#[allow(clippy::too_many_arguments)]
-fn reduct_lfp(
-    program: &Program,
-    plans: &[Plan],
-    input: &Instance,
+pub(crate) fn reduct(
+    stages: &mut Stages<'_>,
+    base: &Instance,
     frozen: &Instance,
-    adom: &[Value],
-    cache: &mut IndexCache,
-    options: &EvalOptions,
-    fired: &mut u64,
 ) -> Result<Instance, EvalError> {
-    let mut instance = input.clone();
-    let mut stage = 0usize;
-    loop {
-        stage += 1;
-        if options.max_stages.is_some_and(|m| stage > m) {
-            return Err(EvalError::StageLimitExceeded(stage - 1));
-        }
-        let mut new_facts = Vec::new();
-        for (rule, plan) in program.rules.iter().zip(plans) {
-            let HeadLiteral::Pos(head) = &rule.head[0] else {
-                unreachable!("Datalog¬ heads are positive")
-            };
-            let sources = Sources {
-                full: &instance,
-                delta: None,
-                neg: Some(frozen),
-                delta_from: None,
-            };
-            let _ = for_each_match(plan, sources, adom, cache, &mut |env| {
-                *fired += 1;
-                let tuple = instantiate(&head.args, env);
-                if !instance.contains_fact(head.pred, &tuple) {
-                    new_facts.push((head.pred, tuple));
-                }
-                ControlFlow::Continue(())
-            });
-        }
-        let mut changed = false;
-        for (pred, tuple) in new_facts {
-            changed |= instance.insert_fact(pred, tuple);
-        }
-        if !changed {
-            return Ok(instance);
-        }
-    }
-}
-
-/// Records one application of `Γ̂` as a telemetry stage: the iterate's
-/// idb cardinalities are the "delta" (each application recomputes from
-/// the base, so sizes are absolute, not incremental).
-#[allow(clippy::too_many_arguments)]
-fn record_application(
-    tel: &Telemetry,
-    cache: &IndexCache,
-    sw: &Stopwatch,
-    joins_before: unchained_common::JoinCounters,
-    fired: u64,
-    application: usize,
-    iterate: &Instance,
-    base_count: usize,
-    idb: &[Symbol],
-) {
-    tel.with(|t| {
-        t.stages.push(StageRecord {
-            stage: application,
-            wall_nanos: sw.nanos(),
-            facts_added: iterate.fact_count().saturating_sub(base_count),
-            facts_removed: 0,
-            rules_fired: fired,
-            delta: idb
-                .iter()
-                .filter_map(|&p| iterate.relation(p).map(|r| (p, r.len())))
-                .filter(|&(_, n)| n > 0)
-                .collect(),
-            bytes: iterate.heap_bytes() as u64,
-            joins: cache.counters.since(&joins_before),
-        });
-        t.peak_facts = t.peak_facts.max(iterate.fact_count());
-        t.bytes_peak = t.bytes_peak.max(iterate.heap_bytes() as u64);
-    });
+    let mut instance = base.clone();
+    stages.run(&mut instance, Some(frozen), &mut Accumulate::default())?;
+    Ok(instance)
 }
 
 /// Computes the well-founded model of a Datalog¬ program on `input`.
@@ -190,92 +111,48 @@ pub fn eval(
 ) -> Result<WellFoundedModel, EvalError> {
     require_language(program, Language::DatalogNeg)?;
     check_range_restricted(program, false)?;
-
-    let adom = active_domain(program, input);
-    let plans: Vec<Plan> = program.rules.iter().map(plan_rule).collect();
-    let mut cache = IndexCache::new();
-
-    let mut base = input.clone();
-    let schema = program.schema()?;
-    for pred in program.idb() {
-        base.ensure(pred, schema.arity(pred).expect("idb has arity"));
+    let base = with_idb(program, input)?;
+    let scope = EvalScope::begin(&options, "wellfounded");
+    let mut stages = Stages::new(program, input, &options);
+    match alternate(&mut stages, &base, scope.tracer()) {
+        Ok(model) => {
+            options.telemetry.note(format!(
+                "alternating fixpoint stable after {} reduct applications: \
+                 {} true facts, {} possible facts",
+                model.rounds,
+                model.true_facts.fact_count(),
+                model.possible_facts.fact_count()
+            ));
+            scope.finish(&model.true_facts, Some(model.rounds));
+            Ok(model)
+        }
+        Err(e) => {
+            scope.finish(&base, None);
+            Err(e)
+        }
     }
+}
 
-    let tel = options.telemetry.clone();
-    tel.begin("wellfounded");
-    let run_sw = tel.stopwatch();
-    let idb: Vec<Symbol> = program.idb().into_iter().collect();
-    let base_count = base.fact_count();
-
-    // Alternating sequence: even iterates underestimate, odd iterates
-    // overestimate. I₀ = base (idb empty).
-    let tracer = tel.tracer().clone();
-    let eval_guard = tracer.span(SpanKind::Eval, "wellfounded");
-    let mut even = base.clone(); // I₀
-    let mut sw = tel.stopwatch();
-    let mut joins_before = cache.counters;
-    let mut fired: u64 = 0;
-    let mut phase = tracer.span(SpanKind::Phase, "reduct 1");
-    let mut odd = reduct_lfp(
-        program, &plans, &base, &even, &adom, &mut cache, &options, &mut fired,
-    )?; // I₁
-    let mut rounds = 1;
-    tracer.gauge(
-        "facts_added",
-        odd.fact_count().saturating_sub(base_count) as u64,
-    );
-    tracer.gauge("rules_fired", fired);
-    drop(phase);
-    record_application(
-        &tel,
-        &cache,
-        &sw,
-        joins_before,
-        fired,
-        rounds,
-        &odd,
-        base_count,
-        &idb,
-    );
+/// The alternating sequence `I₀ = base, I₁ = Γ̂(I₀), …`: even iterates
+/// underestimate, odd iterates overestimate, until an even iterate
+/// repeats.
+fn alternate(
+    stages: &mut Stages<'_>,
+    base: &Instance,
+    tracer: &Tracer,
+) -> Result<WellFoundedModel, EvalError> {
+    let mut rounds = 0;
+    let mut apply = |frozen: &Instance, rounds: &mut usize| {
+        *rounds += 1;
+        let _phase = tracer.span(SpanKind::Phase, format!("reduct {rounds}"));
+        reduct(stages, base, frozen)
+    };
+    let mut even = base.clone();
     loop {
-        sw = tel.stopwatch();
-        joins_before = cache.counters;
-        fired = 0;
-        phase = tracer.span(SpanKind::Phase, format!("reduct {}", rounds + 1));
-        let next_even = reduct_lfp(
-            program, &plans, &base, &odd, &adom, &mut cache, &options, &mut fired,
-        )?;
-        rounds += 1;
-        tracer.gauge(
-            "facts_added",
-            next_even.fact_count().saturating_sub(base_count) as u64,
-        );
-        tracer.gauge("rules_fired", fired);
-        drop(phase);
-        record_application(
-            &tel,
-            &cache,
-            &sw,
-            joins_before,
-            fired,
-            rounds,
-            &next_even,
-            base_count,
-            &idb,
-        );
+        let odd = apply(&even, &mut rounds)?;
+        let next_even = apply(&odd, &mut rounds)?;
         if next_even.same_facts(&even) {
             // Simultaneous fixpoint reached: (even, odd) is stable.
-            tracer.gauge("rounds", rounds as u64);
-            tracer.gauge("final_facts", even.fact_count() as u64);
-            drop(eval_guard);
-            tel.note(format!(
-                "alternating fixpoint stable after {rounds} reduct applications: \
-                 {} true facts, {} possible facts",
-                even.fact_count(),
-                odd.fact_count()
-            ));
-            tel.with(|t| t.bytes_final = even.heap_bytes() as u64);
-            tel.finish(&run_sw, even.fact_count());
             return Ok(WellFoundedModel {
                 true_facts: even,
                 possible_facts: odd,
@@ -283,31 +160,6 @@ pub fn eval(
             });
         }
         even = next_even;
-        sw = tel.stopwatch();
-        joins_before = cache.counters;
-        fired = 0;
-        phase = tracer.span(SpanKind::Phase, format!("reduct {}", rounds + 1));
-        odd = reduct_lfp(
-            program, &plans, &base, &even, &adom, &mut cache, &options, &mut fired,
-        )?;
-        rounds += 1;
-        tracer.gauge(
-            "facts_added",
-            odd.fact_count().saturating_sub(base_count) as u64,
-        );
-        tracer.gauge("rules_fired", fired);
-        drop(phase);
-        record_application(
-            &tel,
-            &cache,
-            &sw,
-            joins_before,
-            fired,
-            rounds,
-            &odd,
-            base_count,
-            &idb,
-        );
     }
 }
 
@@ -328,7 +180,7 @@ pub fn eval_two_valued(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unchained_common::Interner;
+    use unchained_common::{Interner, Value};
     use unchained_parser::parse_program;
 
     /// Example 3.2 of the paper: the win-move game.

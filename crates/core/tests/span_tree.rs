@@ -7,7 +7,10 @@ use unchained_common::{
     gauge_tree, sum_gauge, to_chrome_json, validate_chrome_trace, Instance, Interner, Span,
     SpanKind, Telemetry, Tracer, Tuple, Value,
 };
-use unchained_core::{seminaive, stratified, wellfounded, EvalOptions};
+use unchained_core::noninflationary::ConflictPolicy;
+use unchained_core::{
+    inflationary, noninflationary, seminaive, stratified, wellfounded, EvalOptions,
+};
 use unchained_parser::parse_program;
 
 const TC: &str = "T(x,y) :- G(x,y). T(x,y) :- G(x,z), T(z,y).";
@@ -184,9 +187,59 @@ fn chrome_export_validates_for_every_engine_shape() {
     let tel = Telemetry::off().with_tracer(tracer.clone());
     wellfounded::eval(&program, &input, EvalOptions::default().with_telemetry(tel)).unwrap();
     let roots = tracer.finish();
-    validate_chrome_trace(&to_chrome_json(&roots, &interner), &["eval", "phase"]).unwrap();
+    validate_chrome_trace(
+        &to_chrome_json(&roots, &interner),
+        &["eval", "phase", "round", "rule", "join"],
+    )
+    .unwrap();
 
     // A kind the forest lacks is an error, as is junk input.
     assert!(validate_chrome_trace(&to_chrome_json(&roots, &interner), &["worker"]).is_err());
     assert!(validate_chrome_trace("[1,2,3]", &[]).is_err());
+}
+
+/// The stage-driver engines attribute every round to its rules the way
+/// the semi-naive engine does: each round's `rules_fired` is the sum of
+/// its rule leaves' `fired`, and the rule leaves carry wall time.
+#[test]
+fn stage_driver_rounds_account_for_their_rules() {
+    let mut interner = Interner::new();
+    let tc = parse_program(TC, &mut interner).unwrap();
+    let win = parse_program("win(x) :- moves(x,y), !win(y).", &mut interner).unwrap();
+    let input = chain(&mut interner, 8);
+    let moves = interner.intern("moves");
+    let mut game = Instance::new();
+    for (a, b) in [(1, 2), (2, 1), (2, 3), (3, 4)] {
+        game.insert_fact(moves, Tuple::from([Value::Int(a), Value::Int(b)]));
+    }
+    let tracer = Tracer::enabled();
+    let options =
+        EvalOptions::default().with_telemetry(Telemetry::off().with_tracer(tracer.clone()));
+    wellfounded::eval(&win, &game, options.clone()).unwrap();
+    inflationary::eval(&tc, &input, options.clone()).unwrap();
+    noninflationary::eval(&tc, &input, ConflictPolicy::PreferPositive, options).unwrap();
+    let roots = tracer.finish();
+    assert_eq!(roots.len(), 3, "one eval root per engine");
+    for eval in &roots {
+        let mut all = Vec::new();
+        walk(std::slice::from_ref(eval), &mut all);
+        let rounds: Vec<&&Span> = all.iter().filter(|s| s.kind == SpanKind::Round).collect();
+        assert!(rounds.len() >= 2, "{}", eval.name);
+        for round in rounds {
+            let rules: Vec<&Span> = round
+                .children
+                .iter()
+                .filter(|c| c.kind == SpanKind::Rule)
+                .collect();
+            assert!(!rules.is_empty(), "{} {}", eval.name, round.name);
+            let fired: u64 = rules.iter().map(|r| r.gauge("fired").unwrap_or(0)).sum();
+            assert_eq!(round.gauge("rules_fired"), Some(fired), "{}", eval.name);
+            assert!(round.children.iter().any(|c| c.kind == SpanKind::Join));
+        }
+        assert!(
+            sum_gauge(std::slice::from_ref(eval), SpanKind::Rule, "fired") > 0,
+            "{}",
+            eval.name
+        );
+    }
 }

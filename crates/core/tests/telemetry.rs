@@ -7,7 +7,9 @@
 //! Section 4.2 flip-flop program cycles with period 2.
 
 use unchained_common::{Instance, Interner, SpaceReport, Telemetry, Tuple, Value};
-use unchained_core::{naive, noninflationary, seminaive, wellfounded, EvalError, EvalOptions};
+use unchained_core::{
+    inflationary, naive, noninflationary, seminaive, wellfounded, EvalError, EvalOptions,
+};
 use unchained_parser::parse_program;
 
 const TC: &str = "T(x,y) :- G(x,y).\nT(x,y) :- G(x,z), T(z,y).";
@@ -132,6 +134,43 @@ fn naive_and_seminaive_traces_agree_on_totals() {
         ntrace.rules_fired,
         strace.rules_fired
     );
+}
+
+/// Naive and inflationary evaluation run the same Γ_P stages on a
+/// positive program, so their traces must agree on the planner gauges
+/// and on every stage's work — the engines once recorded `PlanStats` in
+/// one copy of the loop and not the other.
+#[test]
+fn naive_and_inflationary_traces_agree_stage_for_stage() {
+    let mut i = Interner::new();
+    let program = parse_program(TC, &mut i).unwrap();
+    let input = chain(&mut i, 7);
+    let traced = |run: &dyn Fn(EvalOptions)| {
+        let tel = Telemetry::enabled();
+        run(EvalOptions::default().with_telemetry(tel.clone()));
+        tel.snapshot().unwrap()
+    };
+    let naive = traced(&|o| {
+        naive::minimum_model(&program, &input, o).unwrap();
+    });
+    let inflationary = traced(&|o| {
+        inflationary::eval(&program, &input, o).unwrap();
+    });
+    let births = traced(&|o| {
+        inflationary::eval_traced(&program, &input, o).unwrap();
+    });
+    assert!(naive.plan_joins_pruned > 0, "TC's recursive join is pruned");
+    for trace in [&inflationary, &births] {
+        assert_eq!(trace.plan_joins_pruned, naive.plan_joins_pruned);
+        assert_eq!(trace.subplans_shared, naive.subplans_shared);
+        let work = |t: &unchained_common::EvalTrace| {
+            t.stages
+                .iter()
+                .map(|s| (s.rules_fired, s.facts_added))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(work(trace), work(&naive), "{}", trace.engine);
+    }
 }
 
 #[test]

@@ -282,6 +282,21 @@ if [ -d target/fuzz-corpus ] && [ -n "$(ls target/fuzz-corpus 2>/dev/null)" ]; t
     exit 1
 fi
 
+# The negation triple (negation/42/200) gates the Datalog¬ engines the
+# positive campaign cannot reach: stratified against well-founded, and
+# the inflationary family (plain, semi-naive, birth-traced, Datalog¬¬)
+# stage for stage.
+echo "==> fuzz smoke: negation/42/200, zero divergences"
+rm -rf target/fuzz-negation-corpus
+cargo run -q --release -p unchained-fuzz -- --campaign negation --seed 42 \
+    --budget 200 --json target/fuzz-negation.json --corpus target/fuzz-negation-corpus \
+    >/dev/null
+if ! grep -q '"divergences":0' target/fuzz-negation.json; then
+    echo "negation fuzz smoke found divergences:" >&2
+    cat target/fuzz-negation.json >&2
+    exit 1
+fi
+
 # Shrinker self-test: with a deliberately wrong oracle leg injected,
 # the campaign must (a) detect divergences (exit 1) and (b) delta-debug
 # every witness down to a repro of at most 3 rules.
