@@ -1,5 +1,6 @@
 //! Database instances.
 
+use crate::columnar::ColumnSegment;
 use crate::hash::{hash_one, FxHashMap, FxHashSet};
 use crate::interner::{Interner, Symbol};
 use crate::relation::{Generation, Relation};
@@ -8,6 +9,7 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An instance over a database schema: a mapping from relation symbols to
 /// finite relations.
@@ -161,14 +163,38 @@ impl Instance {
     /// True iff both instances hold exactly the same facts (empty
     /// relations are ignored, mirroring [`Instance::fingerprint`]).
     pub fn same_facts(&self, other: &Instance) -> bool {
-        let nonempty = |i: &Instance| {
-            i.relations
-                .iter()
+        self.nonempty().eq(other.nonempty())
+    }
+
+    /// True iff both instances hold the same facts in each relation of
+    /// `names`; an absent relation counts as empty.
+    pub fn same_facts_on(&self, other: &Instance, names: impl IntoIterator<Item = Symbol>) -> bool {
+        names
+            .into_iter()
+            .all(|name| match (self.relation(name), other.relation(name)) {
+                (Some(a), Some(b)) => a == b || (a.is_empty() && b.is_empty()),
+                (Some(r), None) | (None, Some(r)) => r.is_empty(),
+                (None, None) => true,
+            })
+    }
+
+    /// The non-empty relations, in symbol order.
+    fn nonempty(&self) -> impl Iterator<Item = (&Symbol, &Relation)> {
+        self.relations.iter().filter(|(_, r)| !r.is_empty())
+    }
+
+    /// Commits every relation and returns its facts as [`FrozenFacts`],
+    /// which share the relations' frozen segments instead of copying
+    /// them.
+    pub fn freeze(&mut self) -> FrozenFacts {
+        FrozenFacts {
+            relations: self
+                .relations
+                .iter_mut()
                 .filter(|(_, r)| !r.is_empty())
-                .map(|(&s, r)| (s, r.clone()))
-                .collect::<BTreeMap<_, _>>()
-        };
-        nonempty(self) == nonempty(other)
+                .map(|(&name, r)| (name, r.arity(), r.len(), r.freeze()))
+                .collect(),
+        }
     }
 
     /// Commits every relation's recent tail into a frozen stable segment
@@ -235,6 +261,41 @@ impl DeltaHandle {
     /// not present at capture time, meaning "everything is new").
     pub fn mark(&self, name: Symbol) -> Generation {
         self.marks.get(&name).copied().unwrap_or_default()
+    }
+}
+
+/// The facts of an instance at the moment of [`Instance::freeze`],
+/// held through the frozen segments of its relations.
+///
+/// Taking one copies no tuple, and unlike a clone of the instance it
+/// shares no relation's epoch token, so the instance keeps its lineage
+/// (and its indexes keep absorbing appends) as it moves on. States of
+/// an append-only run share their common segments.
+#[derive(Clone, Debug)]
+pub struct FrozenFacts {
+    /// `(name, arity, tuple count, segments)` per non-empty relation, in
+    /// symbol order.
+    relations: Vec<(Symbol, usize, usize, Vec<Arc<ColumnSegment>>)>,
+}
+
+impl FrozenFacts {
+    /// True iff `instance` holds exactly these facts (empty relations
+    /// are ignored, as in [`Instance::same_facts`]). Equal counts and
+    /// containment of every frozen row decide it, since a relation's
+    /// segments hold each of its tuples once.
+    pub fn same_facts(&self, instance: &Instance) -> bool {
+        let mut live = instance.nonempty();
+        self.relations.iter().all(|(name, arity, len, segments)| {
+            live.next().is_some_and(|(n, rel)| {
+                n == name
+                    && rel.arity() == *arity
+                    && rel.len() == *len
+                    && segments
+                        .iter()
+                        .flat_map(|s| s.rows())
+                        .all(|row| rel.contains_row(row))
+            })
+        }) && live.next().is_none()
     }
 }
 
@@ -343,6 +404,52 @@ mod tests {
         b.insert_fact(t, t2(1, 2));
         assert_ne!(a.fingerprint(), b.fingerprint());
         assert!(!a.same_facts(&b));
+    }
+
+    #[test]
+    fn same_facts_on_compares_only_the_named_relations() {
+        let (_, g, t) = setup();
+        let mut a = Instance::new();
+        a.insert_fact(g, t2(1, 2));
+        a.ensure(t, 2);
+        let mut b = Instance::new();
+        b.insert_fact(g, t2(3, 4));
+        assert!(a.same_facts_on(&b, [t]), "empty and absent T agree");
+        assert!(!a.same_facts_on(&b, [g, t]));
+        b.insert_fact(t, t2(5, 6));
+        assert!(!a.same_facts_on(&b, [t]));
+    }
+
+    #[test]
+    fn frozen_facts_share_segments_and_keep_the_lineage() {
+        let (_, g, t) = setup();
+        let mut inst = Instance::new();
+        inst.insert_fact(g, t2(1, 2));
+        inst.ensure(t, 2);
+        let frozen = inst.freeze();
+        assert_eq!(inst.storage_stats(), (1, 0), "freezing commits");
+        assert!(frozen.same_facts(&inst));
+        let epoch = inst.relation(g).unwrap().generation().epoch;
+        inst.insert_fact(g, t2(3, 4));
+        assert_eq!(
+            inst.relation(g).unwrap().generation().epoch,
+            epoch,
+            "a frozen state must not fork the lineage"
+        );
+        assert!(!frozen.same_facts(&inst));
+        inst.relation_mut(g).unwrap().remove(&t2(3, 4));
+        assert!(frozen.same_facts(&inst));
+        inst.insert_fact(t, t2(1, 2));
+        assert!(!frozen.same_facts(&inst), "a new relation differs");
+        // Tombstoned tuples are not part of a frozen state.
+        let mut retracted = Instance::new();
+        retracted.insert_fact(g, t2(1, 2));
+        retracted.insert_fact(g, t2(3, 4));
+        retracted.commit_all();
+        retracted.retract_fact(g, &t2(3, 4));
+        let mut expected = Instance::new();
+        expected.insert_fact(g, t2(1, 2));
+        assert!(retracted.freeze().same_facts(&expected));
     }
 
     #[test]

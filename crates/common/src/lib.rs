@@ -44,7 +44,7 @@ pub use bench::{
 pub use columnar::{ColumnSegment, Rows};
 pub use error::CommonError;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use instance::{DeltaHandle, Instance};
+pub use instance::{DeltaHandle, FrozenFacts, Instance};
 pub use interner::{Interner, Symbol};
 pub use json::{Json, JsonError};
 pub use metrics::{metrics, Registry, TIME_BUCKETS};

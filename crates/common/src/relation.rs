@@ -414,6 +414,23 @@ impl Relation {
         true
     }
 
+    /// Commits the recent tail and returns the live tuples as frozen
+    /// segments, shared with this relation rather than copied. A
+    /// relation with tombstones packs its live tuples into one fresh
+    /// segment instead, since its own segments still hold the dead
+    /// copies.
+    pub(crate) fn freeze(&mut self) -> Vec<Arc<ColumnSegment>> {
+        self.commit();
+        if self.retracted.is_empty() {
+            self.segments.clone()
+        } else {
+            vec![Arc::new(ColumnSegment::from_tuples(
+                self.arity,
+                self.sorted().iter(),
+            ))]
+        }
+    }
+
     /// Iterates over the tuples in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> + Clone {
         self.set.iter()

@@ -16,18 +16,28 @@
 //!
 //! [`Stages::run`] drives them all through one loop: re-plan every rule
 //! against the current instance, fire every plan, hand each match to
-//! the policy, apply it under the fact budget, and record the stage.
+//! the policy, apply it under the fact budget, commit, and record the
+//! stage.
+//!
+//! A policy whose stages only add facts, and whose negative literals can
+//! only turn false as the run goes on, is *Δ-driven*: a match new at
+//! stage k+1 must use a positive idb fact born at stage k, so after the
+//! first stage the driver fires only each rule's semi-naive variants over
+//! the previous stage's delta (§4.1). Inflationary `eval`/`eval_traced`
+//! and the well-founded and stable reducts are Δ-driven. Naive (the
+//! reference leg), `Retract`, `Invent` and `Derive` fire full Γ_P stages.
 
 use std::ops::ControlFlow;
 
 use unchained_common::{
-    FxHashMap, HeapSize, Instance, JoinCounters, Span, SpanGuard, SpanKind, StageRecord, Stopwatch,
-    Symbol, Telemetry, Tracer, Tuple, Value,
+    DeltaHandle, FxHashMap, HeapSize, Instance, JoinCounters, Span, SpanGuard, SpanKind,
+    StageRecord, Stopwatch, Symbol, Telemetry, Tracer, Tuple, Value,
 };
 use unchained_parser::{HeadLiteral, Program};
 
 use crate::error::EvalError;
 use crate::exec::{for_each_match, IndexCache, Sources};
+use crate::ir::Plan;
 use crate::options::{EvalOptions, FixpointRun};
 use crate::planner::{Catalog, Planner};
 use crate::subst::{active_domain, instantiate, Env};
@@ -147,6 +157,12 @@ pub(crate) trait Consequence {
     /// Applies what the stage fired. The stage is recorded whether or
     /// not this fails; a stage that changes nothing ends the run.
     fn apply(&mut self, stage: &mut Apply<'_>) -> Result<(), EvalError>;
+
+    /// Whether stages after the first may fire only the semi-naive
+    /// variants over the previous stage's delta (see the module doc).
+    fn delta_driven(&self) -> bool {
+        false
+    }
 }
 
 /// One stage's update of the instance, under the run's fact budget.
@@ -209,18 +225,38 @@ impl Apply<'_> {
 /// Insert every fired fact (naive, inflationary, and the reducts of the
 /// well-founded and stable engines), optionally recording the stage at
 /// which each fact was born.
-#[derive(Default)]
 pub(crate) struct Accumulate<'b> {
     pending: Vec<(Symbol, Tuple)>,
     birth: Option<&'b mut FxHashMap<(Symbol, Tuple), usize>>,
+    delta: bool,
 }
 
 impl<'b> Accumulate<'b> {
-    /// Records the birth stage of every inserted fact into `birth`.
-    pub(crate) fn with_births(birth: &'b mut FxHashMap<(Symbol, Tuple), usize>) -> Self {
+    /// Full Γ_P stages: naive evaluation, the reference the Δ-driven
+    /// engines are checked against.
+    pub(crate) fn full() -> Self {
         Accumulate {
             pending: Vec::new(),
+            birth: None,
+            delta: false,
+        }
+    }
+
+    /// Δ-driven stages: inflationary Datalog¬ and the reducts, whose
+    /// negative literals never turn true.
+    pub(crate) fn delta() -> Self {
+        Accumulate {
+            delta: true,
+            ..Accumulate::full()
+        }
+    }
+
+    /// Δ-driven stages that record the birth stage of every inserted
+    /// fact into `birth`.
+    pub(crate) fn with_births(birth: &'b mut FxHashMap<(Symbol, Tuple), usize>) -> Self {
+        Accumulate {
             birth: Some(birth),
+            ..Accumulate::delta()
         }
     }
 }
@@ -251,13 +287,18 @@ impl Consequence for Accumulate<'_> {
         }
         Ok(())
     }
+
+    fn delta_driven(&self) -> bool {
+        self.delta
+    }
 }
 
-/// The stage driver over one program: its active domain and the index
-/// cache every stage's joins share.
+/// The stage driver over one program: its sorted idb, its active domain
+/// and the index cache every stage's joins share.
 pub(crate) struct Stages<'p> {
     program: &'p Program,
     options: &'p EvalOptions,
+    idb: Vec<Symbol>,
     adom: Vec<Value>,
     cache: IndexCache,
 }
@@ -267,15 +308,24 @@ impl<'p> Stages<'p> {
         Stages {
             program,
             options,
+            idb: program.idb(),
             adom: active_domain(program, input),
             cache: IndexCache::new(),
         }
     }
 
+    /// The program's idb predicates, sorted.
+    pub(crate) fn idb(&self) -> &[Symbol] {
+        &self.idb
+    }
+
     /// Fires stage after stage over `instance` until one changes
     /// nothing, returning the stages performed (that last one
     /// included). Negative literals read `neg` when given — the frozen
-    /// instance of a reduct — and the current instance otherwise.
+    /// instance of a reduct — and the current instance otherwise. The
+    /// instance is committed on entry and after every stage, so a
+    /// stage's facts form one segment per relation and the delta marks
+    /// of a Δ-driven policy stay exact.
     ///
     /// # Errors
     /// [`EvalError::StageLimitExceeded`] past `max_stages`,
@@ -296,6 +346,12 @@ impl<'p> Stages<'p> {
             .iter()
             .map(|r| r.head[0].atom().expect("relational head").pred)
             .collect();
+        let idb = &self.idb;
+        let delta_driven = policy.delta_driven();
+        // Marks captured before the previous stage's apply: set from the
+        // second stage of a Δ-driven run on.
+        let mut mark: Option<DeltaHandle> = None;
+        instance.commit_all();
         let mut stage = 0;
         loop {
             stage += 1;
@@ -313,29 +369,43 @@ impl<'p> Stages<'p> {
             let mut planner =
                 Planner::new(Catalog::from_instance(instance), self.options.plan_mode);
             if stage == 1 {
-                planner.inflate(self.program.idb());
+                planner.inflate(idb.iter().copied());
             }
-            let plans: Vec<_> = rules.iter().map(|r| planner.plan_rule(r)).collect();
+            // A Δ stage fires each rule's variants over the delta, one
+            // per positive idb literal; a full stage fires the rule.
+            let plans: Vec<Vec<Plan>> = rules
+                .iter()
+                .map(|r| match mark {
+                    Some(_) => planner.seminaive_variants(r, &|p| idb.binary_search(&p).is_ok()),
+                    None => vec![planner.plan_rule(r)],
+                })
+                .collect();
             let plan_stats = planner.stats();
+            if mark.is_some() {
+                self.cache.begin_delta_round();
+            }
 
             // One parallel firing: every rule reads the same instance.
             let current: &Instance = instance;
             let sources = Sources {
                 full: current,
-                delta: None,
+                delta: mark.as_ref(),
                 neg,
                 delta_from: None,
             };
             let mut rule_stats = Vec::new();
             let mut fired = 0;
-            for (ri, (rule, plan)) in rules.iter().zip(&plans).enumerate() {
+            for (ri, (rule, plans)) in rules.iter().zip(&plans).enumerate() {
                 let start_nanos = tracer.now_nanos();
                 let mut rule_fired = 0u64;
-                let _ = for_each_match(plan, sources, &self.adom, &mut self.cache, &mut |env| {
-                    rule_fired += 1;
-                    policy.fire(ri, &rule.head[0], env, current);
-                    ControlFlow::Continue(())
-                });
+                for plan in plans {
+                    let _ =
+                        for_each_match(plan, sources, &self.adom, &mut self.cache, &mut |env| {
+                            rule_fired += 1;
+                            policy.fire(ri, &rule.head[0], env, current);
+                            ControlFlow::Continue(())
+                        });
+                }
                 fired += rule_fired;
                 if traced {
                     rule_stats.push(RuleStat {
@@ -346,6 +416,7 @@ impl<'p> Stages<'p> {
                 }
             }
 
+            let next_mark = delta_driven.then(|| DeltaHandle::capture(instance));
             let mut apply = Apply {
                 facts: instance.fact_count(),
                 instance: &mut *instance,
@@ -361,6 +432,8 @@ impl<'p> Stages<'p> {
             let applied = policy.apply(&mut apply);
             let changed = apply.changed();
             let (added, removed, delta) = (apply.added, apply.removed, apply.delta);
+            instance.commit_all();
+            mark = next_mark;
 
             if record {
                 let bytes = instance.heap_bytes() as u64;
@@ -419,15 +492,16 @@ pub(crate) fn eval(
 mod tests {
     use crate::noninflationary::ConflictPolicy;
     use crate::{
-        inflationary, invention, naive, noninflationary, provenance, wellfounded, EvalError,
-        EvalOptions,
+        inflationary, invention, naive, noninflationary, provenance, seminaive, stratified,
+        wellfounded, EvalError, EvalOptions,
     };
     use unchained_common::{Instance, Interner, Tuple, Value};
     use unchained_parser::parse_program;
 
     /// The fact budget is checked after every insertion, so a stage that
     /// would derive 1,000 facts stops at the first one over the budget
-    /// instead of reporting the post-stage count.
+    /// instead of reporting the post-stage count — in the stage driver
+    /// and in the semi-naive driver's merge alike, at any thread count.
     #[test]
     fn fact_budget_stops_a_stage_at_the_first_fact_over() {
         let mut i = Interner::new();
@@ -458,6 +532,24 @@ mod tests {
             provenance::minimum_model_with_provenance(&program, &input, options()).err(),
             over
         );
+        for threads in [1, 4] {
+            let options = || options().with_threads(threads);
+            assert_eq!(
+                seminaive::minimum_model(&program, &input, options()).err(),
+                over,
+                "seminaive @{threads}"
+            );
+            assert_eq!(
+                stratified::eval(&program, &input, options()).err(),
+                over,
+                "stratified @{threads}"
+            );
+            assert_eq!(
+                inflationary::eval_seminaive(&program, &input, options()).err(),
+                over,
+                "inflationary-seminaive @{threads}"
+            );
+        }
     }
 
     #[test]

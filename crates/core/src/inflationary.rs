@@ -26,6 +26,11 @@ use unchained_parser::{check_range_restricted, Language, Program};
 /// instance grows within a fixed polynomial space of facts), so
 /// `options.max_stages` is only a safety valve.
 ///
+/// Stages after the first fire only the rules' semi-naive variants over
+/// the previous stage's delta, which the argument on [`eval_seminaive`]
+/// makes sound: each stage derives exactly the facts a full Γ_P stage
+/// would.
+///
 /// # Errors
 /// Rejects programs with head negation, invention, or nondeterministic
 /// constructs, and non-range-restricted rules.
@@ -41,22 +46,22 @@ pub fn eval(
         input,
         &options,
         "inflationary",
-        &mut Accumulate::default(),
+        &mut Accumulate::delta(),
     )
 }
 
-/// Semi-naive evaluation of inflationary Datalog¬.
+/// Inflationary Datalog¬ on the semi-naive driver of
+/// [`crate::seminaive`], an independent implementation of what [`eval`]
+/// computes on the Γ_P stage driver; the differential oracle runs both.
 ///
-/// Semantically identical to [`eval`], usually much faster. The
-/// optimization is sound for the *inflationary* semantics even with
-/// negation — unlike for the noninflationary languages — by a
+/// The delta discipline is sound for the *inflationary* semantics even
+/// with negation — unlike for the noninflationary languages — by a
 /// monotonicity argument: facts only accumulate, so a negative literal
 /// `¬A` that holds at stage `k+1` also held at stage `k`. An
 /// instantiation newly firing at stage `k+1` therefore must use at
 /// least one positive fact first derived at stage `k` (its negative
-/// part cannot have *become* true), which is exactly the delta
-/// discipline of [`crate::seminaive`]. Consequently the engine derives
-/// the same facts at the same stages — including for the
+/// part cannot have *become* true). Consequently the engine derives the
+/// same facts at the same stages as [`eval`] — including for the
 /// stage-sensitive programs of Examples 4.1/4.3/4.4, which the tests
 /// check.
 pub fn eval_seminaive(

@@ -29,13 +29,7 @@ pub fn minimum_model(
 ) -> Result<FixpointRun, EvalError> {
     require_language(program, Language::Datalog)?;
     check_range_restricted(program, false)?;
-    fixpoint::eval(
-        program,
-        input,
-        &options,
-        "naive",
-        &mut Accumulate::default(),
-    )
+    fixpoint::eval(program, input, &options, "naive", &mut Accumulate::full())
 }
 
 #[cfg(test)]

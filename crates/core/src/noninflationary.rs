@@ -24,23 +24,27 @@ use crate::require_language;
 use crate::subst::{instantiate, Env};
 use std::collections::hash_map::Entry;
 use unchained_common::{
-    DivergenceSnapshot, FxHashMap, FxHashSet, HeapSize, Instance, Symbol, Tuple,
+    DivergenceSnapshot, FrozenFacts, FxHashMap, FxHashSet, HeapSize, Instance, Symbol, Tuple,
 };
 use unchained_parser::{check_range_restricted, HeadLiteral, Language, Program};
 
-/// Remembered states for divergence detection.
+/// Remembered states for divergence detection. Exact states are kept as
+/// [`FrozenFacts`]: they share the instance's committed segments instead
+/// of cloning it, so remembering a state neither copies its tuples nor
+/// breaks the lineage the index cache absorbs along.
 #[derive(Default)]
 struct Detector {
-    seen_exact: FxHashMap<u64, Vec<(Instance, usize)>>,
+    seen_exact: FxHashMap<u64, Vec<(FrozenFacts, usize)>>,
     seen_fp: FxHashMap<u64, usize>,
 }
 
 impl Detector {
     /// Records `inst` as visited at `stage`; returns the stage of a
-    /// previous visit if this state was seen before.
+    /// previous visit if this state was seen before. Tuples are compared
+    /// only on a fingerprint match.
     fn record(
         &mut self,
-        inst: &Instance,
+        inst: &mut Instance,
         stage: usize,
         mode: DivergenceDetection,
     ) -> Option<usize> {
@@ -56,10 +60,10 @@ impl Detector {
             },
             DivergenceDetection::Exact => {
                 let bucket = self.seen_exact.entry(fp).or_default();
-                if let Some((_, prev)) = bucket.iter().find(|(i, _)| i.same_facts(inst)) {
+                if let Some((_, prev)) = bucket.iter().find(|(f, _)| f.same_facts(inst)) {
                     Some(*prev)
                 } else {
-                    bucket.push((inst.clone(), stage));
+                    bucket.push((inst.freeze(), stage));
                     None
                 }
             }
@@ -111,6 +115,15 @@ pub fn eval(
     check_range_restricted(program, false)?;
     let mut retract = Retract {
         policy,
+        retractable: program
+            .rules
+            .iter()
+            .flat_map(|r| &r.head)
+            .filter_map(|h| match h {
+                HeadLiteral::Neg(a) => Some(a.pred),
+                _ => None,
+            })
+            .collect(),
         mode: options.divergence,
         detector: Detector::default(),
         inserted: FxHashSet::default(),
@@ -127,6 +140,8 @@ pub fn eval(
 /// states to detect divergence.
 struct Retract {
     policy: ConflictPolicy,
+    /// The predicates some rule's negative head retracts from.
+    retractable: FxHashSet<Symbol>,
     mode: DivergenceDetection,
     detector: Detector,
     inserted: FxHashSet<(Symbol, Tuple)>,
@@ -150,12 +165,21 @@ impl Retract {
 }
 
 impl Consequence for Retract {
-    fn fire(&mut self, _rule: usize, head: &HeadLiteral, env: &Env, _instance: &Instance) {
+    fn fire(&mut self, _rule: usize, head: &HeadLiteral, env: &Env, instance: &Instance) {
         match head {
-            HeadLiteral::Pos(a) => self.inserted.insert((a.pred, instantiate(&a.args, env))),
-            HeadLiteral::Neg(a) => self.deleted.insert((a.pred, instantiate(&a.args, env))),
+            HeadLiteral::Pos(a) => {
+                let tuple = instantiate(&a.args, env);
+                // Inferring a present fact changes nothing unless the
+                // stage may also infer its retraction.
+                if self.retractable.contains(&a.pred) || !instance.contains_fact(a.pred, &tuple) {
+                    self.inserted.insert((a.pred, tuple));
+                }
+            }
+            HeadLiteral::Neg(a) => {
+                self.deleted.insert((a.pred, instantiate(&a.args, env)));
+            }
             HeadLiteral::Bottom => unreachable!("⊥ is nondeterministic-only"),
-        };
+        }
     }
 
     fn apply(&mut self, stage: &mut Apply<'_>) -> Result<(), EvalError> {
@@ -172,7 +196,7 @@ impl Consequence for Retract {
         // The state the stage fired against stays live while its
         // successor materializes: that is the true high-water mark — on
         // a shrinking program it strictly exceeds every stage-end count.
-        let prev = stage.instance.clone();
+        let (prev_facts, prev_bytes) = (stage.instance.fact_count(), stage.instance.heap_bytes());
         // A fact both inferred and retracted is resolved by the policy;
         // afterwards the two sets are disjoint, so deleting first changes
         // no outcome and keeps the fact budget exact.
@@ -188,8 +212,8 @@ impl Consequence for Retract {
         }
         if stage.tel.is_enabled() {
             stage.tel.sample_peak(
-                prev.fact_count() + stage.instance.fact_count(),
-                prev.heap_bytes() + stage.instance.heap_bytes(),
+                prev_facts + stage.instance.fact_count(),
+                prev_bytes + stage.instance.heap_bytes(),
             );
         }
         if !stage.changed() {
@@ -215,7 +239,8 @@ mod tests {
     use unchained_parser::parse_program;
 
     /// The paper's Section 4.2 flip-flop program never terminates on
-    /// input `T(0)`.
+    /// input `T(0)`. The exact detector compares the live instance with
+    /// the frozen segments of the states it remembers.
     #[test]
     fn flip_flop_diverges() {
         let mut i = Interner::new();
@@ -234,7 +259,7 @@ mod tests {
             &program,
             &input,
             ConflictPolicy::PreferPositive,
-            EvalOptions::default(),
+            EvalOptions::default().with_divergence(DivergenceDetection::Exact),
         )
         .unwrap_err();
         // T flip-flops between {⟨0⟩} and {⟨1⟩}: period 2.

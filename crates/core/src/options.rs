@@ -31,8 +31,10 @@ pub const DEFAULT_MORSEL_SIZE: usize = 2048;
 /// reach a fixpoint (Section 4.2: e.g. the flip-flop program).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum DivergenceDetection {
-    /// Remember every visited state and compare exactly. Precise, memory
-    /// proportional to the number of stages × instance size.
+    /// Remember every visited state and compare exactly on a fingerprint
+    /// match. Precise; states share the instance's frozen segments, so
+    /// memory is proportional to the distinct segments ever committed
+    /// (the final instance, on an append-only run).
     #[default]
     Exact,
     /// Remember only 64-bit state fingerprints. Uses constant memory per

@@ -227,12 +227,10 @@ pub(crate) fn seminaive_fixpoint(
         // `iter_since(mark)` enumerates exactly this round's delta.
         let mark = DeltaHandle::capture(instance);
         let absorb_start = tracer.now_nanos();
-        let mut changed = false;
-        for (pred, rel) in pending.iter() {
-            for t in rel.iter() {
-                changed |= instance.insert_fact(pred, t.clone());
-            }
-        }
+        // Every round deduplicates pending against the instance, so any
+        // pending fact is a change.
+        let changed = !pending.is_empty();
+        let merged = merge(instance, &pending, options.max_facts);
         tel.with(|t| {
             t.stages.push(StageRecord {
                 stage: base + rounds,
@@ -272,6 +270,7 @@ pub(crate) fn seminaive_fixpoint(
             );
         }
         drop(round_guard);
+        merged?;
         if !changed {
             if threads > 1 {
                 tel.with(|t| {
@@ -286,9 +285,6 @@ pub(crate) fn seminaive_fixpoint(
                 });
             }
             return Ok(rounds);
-        }
-        if options.max_facts.is_some_and(|m| instance.fact_count() > m) {
-            return Err(EvalError::FactLimitExceeded(instance.fact_count()));
         }
         rounds += 1;
         if options.max_stages.is_some_and(|m| rounds > m) {
@@ -388,6 +384,29 @@ pub(crate) fn seminaive_fixpoint(
         }
         pending = next_pending;
     }
+}
+
+/// Inserts a round's `pending` facts into `instance`, failing at the
+/// first fact over the `max_facts` budget — the stage driver's
+/// per-insert check, so the reported count is `max_facts + 1` at any
+/// thread count.
+fn merge(
+    instance: &mut Instance,
+    pending: &Instance,
+    max_facts: Option<usize>,
+) -> Result<(), EvalError> {
+    let mut facts = instance.fact_count();
+    for (pred, rel) in pending.iter() {
+        for t in rel.iter() {
+            if instance.insert_fact(pred, t.clone()) {
+                facts += 1;
+                if max_facts.is_some_and(|m| facts > m) {
+                    return Err(EvalError::FactLimitExceeded(facts));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Computes the minimum model of a positive Datalog program on `input`

@@ -25,7 +25,7 @@
 //! semantics still answers — with unknowns.
 
 use crate::error::EvalError;
-use crate::fixpoint::{with_idb, EvalScope, Stages};
+use crate::fixpoint::{with_idb, Accumulate, EvalScope, Stages};
 use crate::options::EvalOptions;
 use crate::require_language;
 use crate::wellfounded;
@@ -108,12 +108,13 @@ pub fn is_stable_model(
 ) -> Result<bool, EvalError> {
     require_language(program, Language::DatalogNeg)?;
     check_range_restricted(program, false)?;
-    let base = with_idb(program, input)?;
+    let mut lfp = with_idb(program, input)?;
     let scope = EvalScope::begin(&options, "stable");
-    let mut stages = Stages::new(program, input, &options);
-    let lfp = wellfounded::reduct(&mut stages, &base, model);
-    scope.finish(lfp.as_ref().unwrap_or(&base), None);
-    Ok(lfp?.same_facts(model))
+    let result =
+        Stages::new(program, input, &options).run(&mut lfp, Some(model), &mut Accumulate::delta());
+    scope.finish(&lfp, None);
+    result?;
+    Ok(lfp.same_facts(model))
 }
 
 /// Enumerates all stable models of a Datalog¬ program on `input`,
@@ -162,7 +163,9 @@ pub fn stable_models(
             bound: options.max_unknowns,
         }));
     }
-    let base = with_idb(program, input)?;
+    let mut base = with_idb(program, input)?;
+    base.commit_all();
+    let mut lfp = base.clone();
     let mut stages = Stages::new(program, input, &inner);
     let mut models = Vec::new();
     for mask in 0u64..(1u64 << unknowns.len()) {
@@ -173,7 +176,7 @@ pub fn stable_models(
             }
         }
         let candidate_start = tracer.now_nanos();
-        let lfp = wellfounded::reduct(&mut stages, &base, &candidate)?;
+        wellfounded::reduct_into(&mut stages, &mut lfp, &base, &candidate)?;
         let stable = lfp.same_facts(&candidate);
         if tracer.is_enabled() {
             let mut leaf = Span::leaf(SpanKind::Phase, format!("candidate {mask}"));

@@ -22,7 +22,7 @@ use crate::error::EvalError;
 use crate::fixpoint::{with_idb, Accumulate, EvalScope, Stages};
 use crate::options::{EvalOptions, FixpointRun};
 use crate::require_language;
-use unchained_common::{Instance, SpanKind, Symbol, Tracer, Tuple};
+use unchained_common::{Instance, Relation, SpanKind, Symbol, Tracer, Tuple};
 use unchained_parser::{check_range_restricted, Language, Program};
 
 /// The truth value of a fact in a 3-valued model.
@@ -85,17 +85,32 @@ impl WellFoundedModel {
     }
 }
 
-/// The reduct least-fixpoint `Γ̂(J)`: evaluates the program bottom-up
-/// from `base` with every negative literal checked against the frozen
-/// instance `J`.
-pub(crate) fn reduct(
+/// The reduct least fixpoint `Γ̂(J)`, computed in place: resets every
+/// idb relation of `target` to `base`'s, then evaluates bottom-up with
+/// every negative literal checked against the frozen instance `J`.
+/// `target` keeps its edb relations, so an application copies none of
+/// the input.
+pub(crate) fn reduct_into(
     stages: &mut Stages<'_>,
+    target: &mut Instance,
     base: &Instance,
     frozen: &Instance,
-) -> Result<Instance, EvalError> {
-    let mut instance = base.clone();
-    stages.run(&mut instance, Some(frozen), &mut Accumulate::default())?;
-    Ok(instance)
+) -> Result<(), EvalError> {
+    for &pred in stages.idb() {
+        let from = base.relation(pred).expect("base holds every idb relation");
+        let rel = target
+            .relation_mut(pred)
+            .expect("target holds every idb relation");
+        // A fresh relation keeps the reduct's lineage unshared, so its
+        // first stage's delta mark stays exact.
+        *rel = if from.is_empty() {
+            Relation::new(from.arity())
+        } else {
+            from.clone()
+        };
+    }
+    stages.run(target, Some(frozen), &mut Accumulate::delta())?;
+    Ok(())
 }
 
 /// Computes the well-founded model of a Datalog¬ program on `input`.
@@ -111,7 +126,10 @@ pub fn eval(
 ) -> Result<WellFoundedModel, EvalError> {
     require_language(program, Language::DatalogNeg)?;
     check_range_restricted(program, false)?;
-    let base = with_idb(program, input)?;
+    let mut base = with_idb(program, input)?;
+    // Committed once, so the iterates cloned from it share one storage
+    // layout of the edb and its indexes serve every reduct.
+    base.commit_all();
     let scope = EvalScope::begin(&options, "wellfounded");
     let mut stages = Stages::new(program, input, &options);
     match alternate(&mut stages, &base, scope.tracer()) {
@@ -135,32 +153,37 @@ pub fn eval(
 
 /// The alternating sequence `I₀ = base, I₁ = Γ̂(I₀), …`: even iterates
 /// underestimate, odd iterates overestimate, until an even iterate
-/// repeats.
+/// repeats. Three instances hold the iterates; each application
+/// overwrites the idb relations of the one no longer needed.
 fn alternate(
     stages: &mut Stages<'_>,
     base: &Instance,
     tracer: &Tracer,
 ) -> Result<WellFoundedModel, EvalError> {
     let mut rounds = 0;
-    let mut apply = |frozen: &Instance, rounds: &mut usize| {
-        *rounds += 1;
+    let mut apply = |stages: &mut Stages<'_>, target: &mut Instance, frozen: &Instance| {
+        rounds += 1;
         let _phase = tracer.span(SpanKind::Phase, format!("reduct {rounds}"));
-        reduct(stages, base, frozen)
+        reduct_into(stages, target, base, frozen)
     };
     let mut even = base.clone();
+    let mut odd = base.clone();
+    let mut next_even = base.clone();
     loop {
-        let odd = apply(&even, &mut rounds)?;
-        let next_even = apply(&odd, &mut rounds)?;
-        if next_even.same_facts(&even) {
-            // Simultaneous fixpoint reached: (even, odd) is stable.
-            return Ok(WellFoundedModel {
-                true_facts: even,
-                possible_facts: odd,
-                rounds,
-            });
+        apply(stages, &mut odd, &even)?;
+        apply(stages, &mut next_even, &odd)?;
+        // Only the idb can differ: every iterate holds the same edb.
+        if next_even.same_facts_on(&even, stages.idb().iter().copied()) {
+            break;
         }
-        even = next_even;
+        std::mem::swap(&mut even, &mut next_even);
     }
+    // Simultaneous fixpoint reached: (even, odd) is stable.
+    Ok(WellFoundedModel {
+        true_facts: even,
+        possible_facts: odd,
+        rounds,
+    })
 }
 
 /// Convenience wrapper returning the 2-valued reading (true facts only),

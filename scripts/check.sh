@@ -50,6 +50,44 @@ if [ "$rebuilds" -gt 2 ]; then
     exit 1
 fi
 
+# Stage-driver invariants on the committed BENCH.json. Datalog¬¬ keeps
+# its relations' lineage (no per-stage clone, exact states held as
+# frozen segments), so chain/noninflationary absorbs every stage into
+# its indexes: index_rebuilds stays bounded by the relation count (2),
+# not the stage count. Inflationary stages after the first fire only
+# the semi-naive variants over the last stage's delta, so on chain TC
+# inflationary fires strictly fewer matches than naive's full stages.
+echo "==> BENCH.json stage-driver gauges on chain TC"
+chain_gauge() {
+    grep "\"workload\":\"chain\",\"engine\":\"$1\",\"threads\":1" BENCH.json \
+        | sed -n "s/.*\"$2\":\([0-9]*\).*/\1/p"
+}
+non_rebuilds=$(chain_gauge noninflationary index_rebuilds)
+infl_fired=$(chain_gauge inflationary rules_fired)
+naive_fired=$(chain_gauge naive rules_fired)
+if [ -z "$non_rebuilds" ] || [ -z "$infl_fired" ] || [ -z "$naive_fired" ]; then
+    echo "chain noninflationary/inflationary/naive (threads:1) entries missing from BENCH.json" >&2
+    exit 1
+fi
+if [ "$non_rebuilds" -gt 2 ]; then
+    echo "chain/noninflationary index_rebuilds=$non_rebuilds scales with stages (want <= 2)" >&2
+    exit 1
+fi
+if [ "$infl_fired" -ge "$naive_fired" ]; then
+    echo "chain/inflationary rules_fired=$infl_fired not below naive's $naive_fired" >&2
+    exit 1
+fi
+
+# Docs drift gate: DESIGN.md's layout must name every crate directory.
+echo "==> DESIGN.md names every crates/* directory"
+for dir in crates/*/; do
+    name=$(basename "$dir")
+    if ! grep -qF "$name/" DESIGN.md; then
+        echo "DESIGN.md does not mention crates/$name" >&2
+        exit 1
+    fi
+done
+
 # Parallel-path invariant on the bench smoke just produced: the
 # chain/seminaive@4 thread-scaling row must actually run parallel
 # ("threads":4), derive exactly the facts and stages of the sequential
