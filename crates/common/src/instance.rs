@@ -208,6 +208,15 @@ impl Instance {
             .sum()
     }
 
+    /// Compacts every relation whose dead rows outnumber its live ones
+    /// (see [`Relation::compact`]); returns how many it compacted.
+    pub fn compact_all(&mut self) -> usize {
+        self.relations
+            .values_mut()
+            .map(|r| usize::from(r.compact()))
+            .sum()
+    }
+
     /// Total `(stable segments, uncommitted recent tuples)` across all
     /// relations — the storage-shape gauge surfaced by `--stats`.
     pub fn storage_stats(&self) -> (usize, usize) {

@@ -19,15 +19,24 @@
 //! point where rows get packed. [`Index`] is open-addressing over the
 //! same packed representation: probe and absorb never allocate a
 //! per-tuple box.
+//!
+//! Retraction keeps the lineage too ([`Relation::retract`]): a dead
+//! tuple's row stays where it is, and reviving it appends a fresh copy
+//! while the old one stays dead *by position*. Dead rows are dropped
+//! only once they outnumber the live ones (see [`Relation::compact`]).
 
 use crate::columnar::ColumnSegment;
-use crate::hash::{hash_one, FxHashSet, FxHasher};
+use crate::hash::{hash_one, FxHashMap, FxHashSet, FxHasher};
 use crate::space::{tuple_bytes, HeapSize, SpaceNode, TUPLE_HEADER_BYTES, VALUE_BYTES};
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::cell::Cell;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+
+/// The `dead` entry of a tombstoned tuple no revival has re-appended.
+const NO_ROW: usize = usize::MAX;
 
 /// Global source of epoch identifiers. Epochs are unique across all
 /// relations in the process, so a generation captured from one relation can
@@ -128,8 +137,17 @@ pub struct Relation {
     /// generation cursors remain storage prefixes) but they are absent
     /// from `set`, and every iterator filters them out. Append-only
     /// within an epoch, which is what lets [`Relation::retracted_since`]
-    /// enumerate exactly the tombstones added after a mark.
+    /// enumerate exactly the tombstones added after a mark. Each
+    /// retraction kills exactly one stored row, so storage always holds
+    /// `set.len() + retracted.len()` rows.
     retracted: Vec<Tuple>,
+    /// Every tuple in the tombstone log → the storage row of the copy a
+    /// later revival appended, or [`NO_ROW`]. A stored row is live iff
+    /// its tuple has no entry here, or the tuple is a member and the
+    /// entry names this very row: a revived tuple's older copies stay
+    /// dead by position. Empty iff the log is — the tombstone-free fast
+    /// path every iterator checks first.
+    dead: FxHashMap<Tuple, usize>,
     /// Lineage stamp; see [`Generation`].
     epoch: u64,
     /// Shared token used to detect live clones: a mutation observed while
@@ -152,6 +170,7 @@ impl Relation {
             segments: Vec::new(),
             recent: Vec::new(),
             retracted: Vec::new(),
+            dead: FxHashMap::default(),
             epoch: next_epoch(),
             epoch_token: Arc::new(()),
             version: 0,
@@ -251,10 +270,11 @@ impl Relation {
             self.set.len() as u64 * per_tuple,
         ));
         if !self.retracted.is_empty() {
+            // The log plus the dead-copy map: two copies per tombstone.
             children.push(SpaceNode::leaf(
                 "tombstone log",
                 self.retracted.len() as u64,
-                self.retracted.len() as u64 * per_tuple,
+                (self.retracted.len() + self.dead.len()) as u64 * per_tuple,
             ));
         }
         SpaceNode::branch(
@@ -265,9 +285,11 @@ impl Relation {
     }
 
     /// Moves this relation to a fresh epoch if a live clone might still
-    /// share the current one. Must be called before any mutation so that
-    /// generations captured from sibling clones stop matching this storage.
-    fn fork_epoch_if_shared(&mut self) {
+    /// share the current one. Called before any mutation so that
+    /// generations captured from sibling clones stop matching this
+    /// storage; calling it up front instead keeps indexes built from
+    /// this relation valid through its first mutation.
+    pub fn fork_epoch_if_shared(&mut self) {
         if Arc::strong_count(&self.epoch_token) > 1 {
             self.epoch_token = Arc::new(());
             self.epoch = next_epoch();
@@ -299,16 +321,15 @@ impl Relation {
         if self.set.contains(&tuple) {
             return false;
         }
-        if self.retracted.contains(&tuple) {
-            // Reviving a tombstoned tuple: its dead physical copy is
-            // still in storage, so a plain append would make iterators
-            // yield it twice. Collapse to the live set (dropping the
-            // tombstone log) under a fresh epoch instead.
-            self.epoch = next_epoch();
-            self.epoch_token = Arc::new(());
-            self.collapse_to_set();
-        } else {
-            self.fork_epoch_if_shared();
+        self.fork_epoch_if_shared();
+        if !self.dead.is_empty() {
+            let row = self.set.len() + self.retracted.len();
+            if let Some(at) = self.dead.get_mut(&tuple) {
+                // Reviving a tombstoned tuple: its dead copies stay in
+                // storage, so the fresh copy is the one the entry names.
+                // Earlier cursors remain storage prefixes.
+                *at = row;
+            }
         }
         self.set.insert(tuple.clone());
         self.recent.push(tuple);
@@ -338,8 +359,37 @@ impl Relation {
         self.fork_epoch_if_shared();
         self.set.remove(tuple);
         self.retracted.push(tuple.clone());
+        if !self.dead.contains_key(tuple) {
+            self.dead.insert(tuple.clone(), NO_ROW);
+        }
         self.version += 1;
         true
+    }
+
+    /// Compacts the relation if its dead rows outnumber its live ones:
+    /// the live rows are packed into one segment, the tombstone log is
+    /// emptied, and a new epoch starts. Returns whether it compacted.
+    /// The rule is relative to the relation's size, so the index rebuild
+    /// the new epoch forces costs no more than the retractions that led
+    /// to it. Contents are unchanged, so the version does not move.
+    pub fn compact(&mut self) -> bool {
+        if self.retracted.len() <= self.set.len() {
+            return false;
+        }
+        self.epoch = next_epoch();
+        self.epoch_token = Arc::new(());
+        self.collapse_to_set();
+        self.commit();
+        true
+    }
+
+    /// Whether the stored row at storage position `pos` is a live copy
+    /// (see the `dead` field).
+    fn row_live(&self, pos: usize, row: &[Value]) -> bool {
+        match self.dead.get(row) {
+            None => true,
+            Some(&at) => at == pos && self.set.contains(row),
+        }
     }
 
     /// Removes a tuple, returning `true` if it was present.
@@ -354,34 +404,48 @@ impl Relation {
         self.version += 1;
         self.epoch = next_epoch();
         self.epoch_token = Arc::new(());
-        if let Some(pos) = self.recent.iter().position(|t| t == tuple) {
-            self.recent.remove(pos);
+        let in_tail = if self.dead.is_empty() {
+            self.recent.iter().position(|t| t == tuple)
         } else {
-            self.collapse_to_set();
+            None // dead rows are named by position: do not shift the tail
+        };
+        match in_tail {
+            Some(pos) => {
+                self.recent.remove(pos);
+            }
+            None => self.collapse_to_set(),
         }
         true
     }
 
     /// Rebuilds storage as a single recent tail holding exactly the members
-    /// of `set`, preserving the previous storage order. Used after removals
-    /// that punched holes into frozen segments.
+    /// of `set`, preserving the previous storage order, and drops the
+    /// tombstones. Used after removals that punched holes into frozen
+    /// segments, and by compaction.
     fn collapse_to_set(&mut self) {
+        let recent = std::mem::take(&mut self.recent);
+        let all_live = self.dead.is_empty();
+        let keep = |pos: usize, row: &[Value]| {
+            self.set.contains(row) && (all_live || self.row_live(pos, row))
+        };
         let mut all: Vec<Tuple> = Vec::with_capacity(self.set.len());
-        for seg in &self.segments {
-            for row in seg.rows() {
-                if self.set.contains(row) {
-                    all.push(Tuple::new(row));
-                }
+        let mut pos = 0;
+        for row in self.segments.iter().flat_map(|s| s.rows()) {
+            if keep(pos, row) {
+                all.push(Tuple::new(row));
             }
+            pos += 1;
         }
-        for t in self.recent.drain(..) {
-            if self.set.contains(&t) {
+        for t in recent {
+            if keep(pos, t.values()) {
                 all.push(t);
             }
+            pos += 1;
         }
         self.segments.clear();
         self.recent = all;
         self.retracted.clear();
+        self.dead.clear();
     }
 
     /// Removes all tuples.
@@ -393,6 +457,7 @@ impl Relation {
         self.segments.clear();
         self.recent.clear();
         self.retracted.clear();
+        self.dead.clear();
         self.version += 1;
         self.epoch = next_epoch();
         self.epoch_token = Arc::new(());
@@ -409,6 +474,19 @@ impl Relation {
         }
         let mut seg = std::mem::take(&mut self.recent);
         seg.sort_unstable();
+        if !self.dead.is_empty() {
+            // Sorting moved the tail's rows: re-point every revived
+            // tuple whose named copy sat in the tail. Copies of one
+            // tuple are equal rows, so naming the last is as good.
+            let base = self.set.len() + self.retracted.len() - seg.len();
+            for (i, t) in seg.iter().enumerate() {
+                if let Some(at) = self.dead.get_mut(t) {
+                    if *at != NO_ROW && *at >= base {
+                        *at = base + i;
+                    }
+                }
+            }
+        }
         self.segments
             .push(Arc::new(ColumnSegment::from_tuples(self.arity, &seg)));
         true
@@ -421,7 +499,7 @@ impl Relation {
     /// copies.
     pub(crate) fn freeze(&mut self) -> Vec<Arc<ColumnSegment>> {
         self.commit();
-        if self.retracted.is_empty() {
+        if self.dead.is_empty() {
             self.segments.clone()
         } else {
             vec![Arc::new(ColumnSegment::from_tuples(
@@ -441,12 +519,13 @@ impl Relation {
     /// appears exactly once as a borrowed row; tombstoned tuples are
     /// skipped.
     pub fn iter_stored(&self) -> impl Iterator<Item = &[Value]> + Clone {
-        let all_live = self.retracted.is_empty();
+        let all_live = self.dead.is_empty();
+        let pos = Cell::new(0);
         self.segments
             .iter()
             .flat_map(|s| s.rows())
             .chain(self.recent.iter().map(|t| t.values()))
-            .filter(move |row| all_live || self.set.contains(*row))
+            .filter(move |row| all_live || self.row_live(pos.replace(pos.get() + 1), row))
     }
 
     /// Rows `lo..hi` of [`Relation::iter_stored`]'s enumeration.
@@ -460,7 +539,7 @@ impl Relation {
         lo: usize,
         hi: usize,
     ) -> Box<dyn Iterator<Item = &[Value]> + '_> {
-        if self.retracted.is_empty() {
+        if self.dead.is_empty() {
             Box::new(rows_in_range(&self.segments, &self.recent, lo, hi))
         } else {
             Box::new(self.iter_stored().skip(lo).take(hi.saturating_sub(lo)))
@@ -482,12 +561,24 @@ impl Relation {
     /// delta.
     pub fn iter_since(&self, gen: Generation) -> impl Iterator<Item = &[Value]> {
         let (seg_from, rec_from) = self.delta_bounds(gen).unwrap_or((0, 0));
-        let all_live = self.retracted.is_empty();
+        let all_live = self.dead.is_empty();
+        // Storage position of the first enumerated row (when seg_from
+        // is short of the tail, rec_from is 0).
+        let base = if all_live {
+            0
+        } else {
+            self.segments[..seg_from]
+                .iter()
+                .map(|s| s.len())
+                .sum::<usize>()
+                + rec_from
+        };
+        let pos = Cell::new(base);
         self.segments[seg_from..]
             .iter()
             .flat_map(|s| s.rows())
             .chain(self.recent[rec_from..].iter().map(|t| t.values()))
-            .filter(move |row| all_live || self.set.contains(*row))
+            .filter(move |row| all_live || self.row_live(pos.replace(pos.get() + 1), row))
     }
 
     /// Rows `lo..hi` of [`Relation::iter_since`]'s enumeration for `gen`
@@ -501,7 +592,7 @@ impl Relation {
         lo: usize,
         hi: usize,
     ) -> Box<dyn Iterator<Item = &[Value]> + '_> {
-        if self.retracted.is_empty() {
+        if self.dead.is_empty() {
             let (seg_from, rec_from) = self.delta_bounds(gen).unwrap_or((0, 0));
             Box::new(rows_in_range(
                 &self.segments[seg_from..],
@@ -554,7 +645,7 @@ impl Relation {
     /// workers split a delta scan into equal contiguous morsels without
     /// first materializing it.
     pub fn delta_len(&self, gen: Generation) -> usize {
-        if !self.retracted.is_empty() {
+        if !self.dead.is_empty() {
             // Dead tuples hide inside the suffix; count the filtered
             // enumeration instead of trusting the storage arithmetic.
             return self.iter_since(gen).count();
@@ -596,8 +687,8 @@ impl Relation {
     /// Panics if arities differ.
     pub fn union_with(&mut self, other: &Relation) -> usize {
         assert_eq!(self.arity, other.arity, "arity mismatch in union");
-        // Routed through `insert` so reviving a tombstoned tuple takes
-        // the collapse path there instead of appending a duplicate copy.
+        // Routed through `insert` so reviving a tombstoned tuple names
+        // its fresh copy there.
         let mut added = 0;
         for t in other.iter() {
             if self.insert(t.clone()) {
@@ -701,7 +792,8 @@ impl HeapSize for Relation {
         let stored = self.segments.iter().map(|s| s.len()).sum::<usize>()
             + self.recent.len()
             + self.set.len()
-            + self.retracted.len();
+            + self.retracted.len()
+            + self.dead.len();
         stored * tuple_bytes(self.arity)
     }
 }
@@ -1538,29 +1630,123 @@ mod tests {
     }
 
     #[test]
-    fn reviving_a_tombstoned_tuple_collapses_storage() {
+    fn reviving_a_tombstoned_tuple_appends_a_fresh_copy() {
         let mut r = Relation::from_tuples(2, vec![t2(1, 2), t2(3, 4)]);
         r.commit();
+        let mut idx = Index::build(&r, &[0]);
         let mark = r.generation();
         r.retract(&t2(1, 2));
-        let epoch_before = r.generation().epoch;
         assert!(r.insert(t2(1, 2)), "revival counts as an insert");
-        assert_ne!(
+        assert_eq!(
             r.generation().epoch,
-            epoch_before,
-            "revival must fork the epoch"
+            mark.epoch,
+            "revival keeps the lineage"
         );
-        assert!(r.delta_bounds(mark).is_none(), "old cursors are refused");
-        assert_eq!(r.tombstone_count(), 0, "collapse drops the log");
-        // Exactly one physical copy per live tuple.
-        assert_eq!(r.iter_stored().count(), 2);
+        assert!(r.delta_bounds(mark).is_some(), "old cursors stay exact");
+        assert_eq!(r.tombstone_count(), 1, "the dead copy stays logged");
+        // Exactly one live copy per member, in every view.
         assert_eq!(r.len(), 2);
+        assert_eq!(r.iter_stored().count(), 2);
+        let delta: Vec<Tuple> = r.iter_since(mark).map(Tuple::new).collect();
+        assert_eq!(delta, vec![t2(1, 2)]);
+        assert_eq!(r.delta_len(mark), 1);
+        // The index un-appends the dead copy and appends the fresh one.
+        assert_eq!(idx.absorb_from(&r, mark), Some(1));
+        let got: Vec<Tuple> = idx.probe(&[Value::Int(1)]).map(Tuple::new).collect();
+        assert_eq!(got, vec![t2(1, 2)]);
         // Union-based merges take the same revival path.
         let mut a = Relation::from_tuples(2, vec![t2(7, 8)]);
         a.retract(&t2(7, 8));
         let b = Relation::from_tuples(2, vec![t2(7, 8)]);
         assert_eq!(a.union_with(&b), 1);
         assert_eq!(a.iter_stored().count(), 1);
+    }
+
+    /// One tuple retracted and revived again and again, across commits
+    /// that sort tails holding several of its copies: every view keeps
+    /// exactly one live copy, and an index that follows the lineage
+    /// agrees with a fresh build after every step.
+    #[test]
+    fn repeated_retract_and_revive_keeps_one_live_copy() {
+        let mut r = Relation::from_tuples(2, (0..4).map(|k| t2(k, k)).collect::<Vec<_>>());
+        r.commit();
+        let mut idx = Index::build(&r, &[0]);
+        let mut mark = r.generation();
+        let check = |r: &Relation, idx: &Index, round: usize| {
+            let mut stored: Vec<Tuple> = r.iter_stored().map(Tuple::new).collect();
+            stored.sort_unstable();
+            assert_eq!(stored, *r.sorted(), "round {round}");
+            let fresh = Index::build(r, &[0]);
+            for k in [0, 1, 2, 3, 9] {
+                let mut got: Vec<Tuple> = idx.probe(&[Value::Int(k)]).map(Tuple::new).collect();
+                let mut want: Vec<Tuple> = fresh.probe(&[Value::Int(k)]).map(Tuple::new).collect();
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "round {round}, key {k}");
+            }
+        };
+        for round in 0..8 {
+            assert!(r.retract(&t2(2, 2)));
+            r.insert(t2(9, round as i64));
+            assert!(r.insert(t2(2, 2)));
+            assert!(idx.absorb_from(&r, mark).is_some(), "round {round}");
+            check(&r, &idx, round);
+            if round % 3 == 2 {
+                r.commit();
+                check(&r, &idx, round);
+            }
+            mark = r.generation();
+        }
+        assert_eq!(r.tombstone_count(), 8);
+        assert_eq!(r.len(), 12);
+    }
+
+    #[test]
+    fn compaction_waits_until_dead_rows_outnumber_live_ones() {
+        let mut r = Relation::from_tuples(2, (0..4).map(|k| t2(k, 0)).collect::<Vec<_>>());
+        r.commit();
+        let mark = r.generation();
+        r.retract(&t2(0, 0));
+        r.retract(&t2(1, 0));
+        assert!(!r.compact(), "2 dead rows do not outnumber 2 live ones");
+        assert!(r.delta_bounds(mark).is_some());
+        r.retract(&t2(2, 0));
+        let version = r.version();
+        assert!(r.compact());
+        assert_eq!(r.version(), version, "compaction keeps the contents");
+        assert!(r.delta_bounds(mark).is_none(), "a new epoch starts");
+        assert_eq!(r.tombstone_count(), 0);
+        assert_eq!((r.segment_count(), r.recent_len()), (1, 0), "packed");
+        let rows: Vec<Tuple> = r.iter_stored().map(Tuple::new).collect();
+        assert_eq!(rows, vec![t2(3, 0)]);
+        // A tuple dead before compaction comes back as a plain insert.
+        assert!(r.insert(t2(0, 0)));
+        assert_eq!(r.iter_stored().count(), 2);
+    }
+
+    /// Inserting after many retractions costs one lookup in the
+    /// dead-copy map, not a scan of the tombstone log: the map holds
+    /// each tombstoned tuple once, a revival points its entry at the
+    /// fresh copy's storage row, and fresh tuples never enter it.
+    #[test]
+    fn revival_check_is_a_map_lookup() {
+        let mut r = Relation::new(2);
+        for k in 0..2000 {
+            r.insert(t2(k, 0));
+        }
+        for k in 0..1000 {
+            r.retract(&t2(k, 0));
+        }
+        assert_eq!(r.dead.len(), 1000);
+        let row = r.len() + r.tombstone_count();
+        assert_eq!(row, 2000, "every stored row is live or logged dead");
+        assert!(r.insert(t2(5, 0)));
+        assert_eq!(r.dead[&t2(5, 0)], row);
+        assert!(r.insert(t2(5000, 0)));
+        assert!(!r.dead.contains_key(&t2(5000, 0)));
+        assert_eq!(r.dead.len(), 1000);
+        let copies = r.iter_stored().filter(|row| *row == t2(5, 0).values());
+        assert_eq!(copies.count(), 1);
     }
 
     #[test]

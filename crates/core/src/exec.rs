@@ -22,8 +22,20 @@ use unchained_parser::Term;
 use crate::ir::{Plan, ScanSource, Step};
 use crate::subst::{instantiate, term_value, Env};
 
-/// Cache key: relation, index columns, scan source.
-type IndexKey = (Symbol, Box<[usize]>, ScanSource);
+/// What a cached index covers.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Covers {
+    /// A relation of the instance full scans read.
+    Full,
+    /// One round's delta slice of a relation.
+    Delta,
+    /// A relation of the withdrawn side of a pre-update view
+    /// ([`Sources::before`]).
+    Withdrawn,
+}
+
+/// Cache key: relation, index columns, what the index covers.
+type IndexKey = (Symbol, Box<[usize]>, Covers);
 
 struct CacheEntry {
     /// Generation of the relation the index is current for.
@@ -80,7 +92,15 @@ impl IndexCache {
     /// never carried across rounds.
     pub fn begin_delta_round(&mut self) {
         self.entries
-            .retain(|(_, _, source), _| *source == ScanSource::Full);
+            .retain(|(_, _, covers), _| *covers != Covers::Delta);
+    }
+
+    /// Drops the indexes over the withdrawn side of pre-update views
+    /// ([`Sources::before`]). Call whenever the withdrawn instance is
+    /// replaced or loses its lineage; the entries are change-sized.
+    pub fn forget_withdrawn(&mut self) {
+        self.entries
+            .retain(|(_, _, covers), _| *covers != Covers::Withdrawn);
     }
 
     /// Logical bytes held by every cached index (see
@@ -97,6 +117,7 @@ impl IndexCache {
         self.entries.len()
     }
 
+    #[inline]
     pub(crate) fn get(
         &mut self,
         pred: Symbol,
@@ -105,7 +126,22 @@ impl IndexCache {
         relation: &Relation,
         mark: Option<Generation>,
     ) -> &Index {
-        let key = (pred, cols.to_vec().into_boxed_slice(), source);
+        let covers = match source {
+            ScanSource::Full => Covers::Full,
+            ScanSource::Delta => Covers::Delta,
+        };
+        self.entry(pred, cols, covers, relation, mark)
+    }
+
+    fn entry(
+        &mut self,
+        pred: Symbol,
+        cols: &[usize],
+        covers: Covers,
+        relation: &Relation,
+        mark: Option<Generation>,
+    ) -> &Index {
+        let key = (pred, cols.to_vec().into_boxed_slice(), covers);
         let gen_now = relation.generation();
         let counters = &mut self.counters;
         let fresh = |counters: &mut JoinCounters| {
@@ -165,6 +201,14 @@ impl IndexCache {
 ///   drive Δ-variant plans over a scratch change set (the overdeleted
 ///   or newly inserted tuples) while `full` stays pinned to the
 ///   appropriate database state.
+/// * `before` — when set to `(inserted, deleted)`, full scans and
+///   negative checks read `(full − inserted) ∪ deleted` instead of
+///   `full`: the state before an update that inserted `inserted` and
+///   deleted `deleted`, read without copying it. The deleted side is
+///   indexed under its own cache entries (see
+///   [`IndexCache::forget_withdrawn`]). Incremental maintenance reads
+///   the pre-update fixpoint this way; the morsel entry points do not
+///   support it.
 #[derive(Clone, Copy)]
 pub struct Sources<'a> {
     /// Current instance.
@@ -175,6 +219,8 @@ pub struct Sources<'a> {
     pub neg: Option<&'a Instance>,
     /// Override instance for delta scans.
     pub delta_from: Option<&'a Instance>,
+    /// `(inserted, deleted)`: read full relations as before that update.
+    pub before: Option<(&'a Instance, &'a Instance)>,
 }
 
 impl<'a> Sources<'a> {
@@ -185,6 +231,7 @@ impl<'a> Sources<'a> {
             delta: None,
             neg: None,
             delta_from: None,
+            before: None,
         }
     }
 }
@@ -201,7 +248,7 @@ pub fn for_each_match(
     on_match: &mut dyn FnMut(&Env) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     let mut env: Env = vec![None; plan.var_count];
-    run_steps(&plan.steps, sources, adom, cache, &mut env, on_match)
+    run_steps(&plan.steps, &sources, adom, cache, &mut env, on_match)
 }
 
 /// Like [`for_each_match`], but starting from a caller-seeded
@@ -219,7 +266,7 @@ pub fn for_each_match_from(
     on_match: &mut dyn FnMut(&Env) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     debug_assert_eq!(env.len(), plan.var_count);
-    run_steps(&plan.steps, sources, adom, cache, env, on_match)
+    run_steps(&plan.steps, &sources, adom, cache, env, on_match)
 }
 
 /// Runs `plan` and instantiates `head_args` once per match, invoking
@@ -308,6 +355,10 @@ pub fn for_each_head_morsel(
     morsel: Morsel,
     on_tuple: &mut dyn FnMut(Tuple),
 ) -> u64 {
+    assert!(
+        sources.before.is_none(),
+        "morsels do not read pre-update views"
+    );
     let (lo, hi) = match morsel {
         Morsel::Whole => return for_each_head(plan, head_args, sources, adom, cache, on_tuple),
         Morsel::Rows { lo, hi } => (lo, hi),
@@ -375,7 +426,7 @@ pub fn for_each_head_morsel(
                 },
             }
         }
-        let _ = run_steps(rest, sources, adom, cache, &mut env, &mut |env| {
+        let _ = run_steps(rest, &sources, adom, cache, &mut env, &mut |env| {
             fired += 1;
             on_tuple(instantiate(head_args, env));
             ControlFlow::Continue(())
@@ -389,9 +440,70 @@ pub fn for_each_head_morsel(
     fired
 }
 
+/// The full scans a plain index probe does not serve: a scan with
+/// every position bound, answered by the membership sets, and scans
+/// through a pre-update view ([`Sources::before`]). Appends the
+/// matching rows to `buf` and returns their count. Kept out of line so
+/// the plain probe in [`run_steps`] stays small.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn probe_full(
+    sources: Sources<'_>,
+    pred: Symbol,
+    args: &[Term],
+    key: &[usize],
+    probe: &[Value],
+    env: &Env,
+    cache: &mut IndexCache,
+    buf: &mut Vec<Value>,
+) -> usize {
+    if key.len() == args.len() {
+        buf.extend(args.iter().map(|t| term_value(t, env)));
+        if in_full(sources, pred, buf) {
+            return 1;
+        }
+        buf.clear();
+        return 0;
+    }
+    let (inserted, deleted) = sources
+        .before
+        .expect("a partly bound scan reaches here only through a view");
+    let mut rows = 0;
+    if let Some(relation) = sources.full.relation(pred) {
+        let added = inserted.relation(pred);
+        let postings = cache.get(pred, key, ScanSource::Full, relation, None);
+        for row in postings.probe(probe) {
+            if !added.is_some_and(|a| a.contains_row(row)) {
+                buf.extend_from_slice(row);
+                rows += 1;
+            }
+        }
+    }
+    if let Some(withdrawn) = deleted.relation(pred) {
+        let postings = cache
+            .entry(pred, key, Covers::Withdrawn, withdrawn, None)
+            .probe(probe);
+        rows += postings.len();
+        for row in postings {
+            buf.extend_from_slice(row);
+        }
+    }
+    rows
+}
+
+/// Whether `row` is in `pred` as full scans read it: in `full`, or in
+/// the pre-update view when [`Sources::before`] is set.
+fn in_full(sources: Sources<'_>, pred: Symbol, row: &[Value]) -> bool {
+    let has = |instance: &Instance| instance.relation(pred).is_some_and(|r| r.contains_row(row));
+    match sources.before {
+        None => has(sources.full),
+        Some((inserted, deleted)) => (has(sources.full) && !has(inserted)) || has(deleted),
+    }
+}
+
 fn run_steps(
     steps: &[Step],
-    sources: Sources<'_>,
+    sources: &Sources<'_>,
     adom: &[Value],
     cache: &mut IndexCache,
     env: &mut Env,
@@ -416,13 +528,15 @@ fn run_steps(
                         .mark(*pred),
                 ),
             };
-            let scan_instance = match source {
-                ScanSource::Full => sources.full,
-                ScanSource::Delta => sources.delta_from.unwrap_or(sources.full),
+            let (scan_instance, view) = match source {
+                ScanSource::Full => (sources.full, sources.before),
+                ScanSource::Delta => (sources.delta_from.unwrap_or(sources.full), None),
             };
-            let Some(relation) = scan_instance.relation(*pred) else {
+            let relation = scan_instance.relation(*pred);
+            let withdrawn = view.and_then(|(_, deleted)| deleted.relation(*pred));
+            if relation.is_none() && withdrawn.is_none() {
                 return ControlFlow::Continue(()); // absent relation = empty
-            };
+            }
             // Build the probe key (packed) from the bound positions.
             let mut probe = cache.take_scratch();
             probe.extend(key.iter().map(|&p| term_value(&args[p], env)));
@@ -431,13 +545,16 @@ fn run_steps(
             // rows into a pooled packed buffer. Buckets are typically
             // small, and in steady state this allocates nothing.
             let mut buf = cache.take_scratch();
-            let rows = {
-                let postings = cache.get(*pred, key, *source, relation, mark).probe(&probe);
-                let rows = postings.len();
-                for row in postings {
-                    buf.extend_from_slice(row);
+            let rows = match relation {
+                Some(relation) if view.is_none() && (mark.is_some() || key.len() < args.len()) => {
+                    let postings = cache.get(*pred, key, *source, relation, mark).probe(&probe);
+                    let rows = postings.len();
+                    for row in postings {
+                        buf.extend_from_slice(row);
+                    }
+                    rows
                 }
-                rows
+                _ => probe_full(*sources, *pred, args, key, &probe, env, cache, &mut buf),
             };
             cache.counters.probes += 1;
             cache.counters.probe_tuples += rows as u64;
@@ -501,10 +618,10 @@ fn run_steps(
         }
         Step::CheckNeg { pred, args } => {
             let tuple: Tuple = args.iter().map(|t| term_value(t, env)).collect();
-            let neg_instance = sources.neg.unwrap_or(sources.full);
-            let present = neg_instance
-                .relation(*pred)
-                .is_some_and(|r| r.contains(&tuple));
+            let present = match sources.neg {
+                Some(neg) => neg.contains_fact(*pred, &tuple),
+                None => in_full(*sources, *pred, tuple.values()),
+            };
             if present {
                 ControlFlow::Continue(())
             } else {
@@ -525,6 +642,7 @@ fn run_steps(
 mod tests {
     use super::*;
     use unchained_common::Interner;
+    use unchained_parser::HeadLiteral;
 
     #[test]
     fn index_cache_absorbs_growth_instead_of_rebuilding() {
@@ -568,6 +686,52 @@ mod tests {
             0
         );
         assert_eq!(cache.counters.index_rebuilds, 1);
+    }
+
+    /// `Sources::before` reads `(full − inserted) ∪ deleted` in every
+    /// kind of read: an index-driven scan, a fully bound scan (answered
+    /// by membership) and a negative check.
+    #[test]
+    fn before_view_reads_the_pre_update_state() {
+        let mut i = Interner::new();
+        let program = unchained_parser::parse_program(
+            "Q(x,y) :- G(x,y).\nH(x) :- K(x), G(x,2).\nN(x) :- K(x), !G(x,2).",
+            &mut i,
+        )
+        .unwrap();
+        let (g, k) = (i.get("G").unwrap(), i.get("K").unwrap());
+        let pair = |a: i64| Tuple::from([Value::Int(a), Value::Int(2)]);
+        let mut live = Instance::new();
+        let (mut inserted, mut deleted) = (Instance::new(), Instance::new());
+        live.insert_fact(g, pair(1));
+        live.insert_fact(g, pair(5));
+        inserted.insert_fact(g, pair(5));
+        deleted.insert_fact(g, pair(3));
+        for a in [1, 3, 5] {
+            live.insert_fact(k, Tuple::from([Value::Int(a)]));
+        }
+        let sources = Sources {
+            before: Some((&inserted, &deleted)),
+            ..Sources::simple(&live)
+        };
+        let mut cache = IndexCache::new();
+        let mut heads = |ri: usize| {
+            let rule = &program.rules[ri];
+            let HeadLiteral::Pos(head) = &rule.head[0] else {
+                unreachable!()
+            };
+            let mut out: Vec<Tuple> = Vec::new();
+            let plan = crate::planner::plan_rule(rule);
+            for_each_head(&plan, &head.args, sources, &[], &mut cache, &mut |t| {
+                out.push(t)
+            });
+            out.sort_unstable();
+            out
+        };
+        assert_eq!(heads(0), vec![pair(1), pair(3)]);
+        let one = |a: i64| Tuple::from([Value::Int(a)]);
+        assert_eq!(heads(1), vec![one(1), one(3)]);
+        assert_eq!(heads(2), vec![one(5)]);
     }
 
     #[test]

@@ -392,6 +392,7 @@ impl<'p> Stages<'p> {
                 delta: mark.as_ref(),
                 neg,
                 delta_from: None,
+                before: None,
             };
             let mut rule_stats = Vec::new();
             let mut fired = 0;

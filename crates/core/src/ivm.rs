@@ -8,7 +8,7 @@
 //! [`Sources::delta_from`]. Deletes use DRed-style maintenance: an
 //! *overdelete* pass computes an overestimate of the tuples whose
 //! support may be gone (Δ plans over the deleted set, every other
-//! literal pinned to the pre-update fixpoint), then a *rederive* pass
+//! literal reading the pre-update fixpoint), then a *rederive* pass
 //! restores each withdrawn tuple that still has alternative support in
 //! the new state, queried through bound-head plans whose head variables
 //! become index probe keys. Strata without same-stratum positive
@@ -20,13 +20,23 @@
 //! back to an exact recount — see DESIGN.md § Incremental maintenance
 //! for why this is safe exactly there and not under recursion.
 //!
+//! A poll costs its change, not the instance. It copies nothing: the
+//! pre-update fixpoint is read as a view over the live instance
+//! ([`Sources::before`]) built from the poll's two change sets, the net
+//! deletions and net insertions so far. Those sets are recorded as the
+//! poll goes — from the queued edits against the EDB mirror, then from
+//! what each stratum's closures withdraw and add — rather than diffed.
+//! Deletions are tombstones and revivals append, so the session's
+//! index cache absorbs every poll instead of rebuilding.
+//!
 //! Two changes force a stratum back onto the batch path ([`PollStats::
 //! strata_recomputed`]): a change to a negated predicate (deletion
 //! under negation can *grow* the stratum, which Δ plans over positive
 //! literals cannot see), and an active-domain change under a rule with
 //! a variable not bound by any positive literal (its `Domain` steps
 //! enumerate the adom). Both recompute the stratum from scratch and
-//! diff, so downstream strata still see a minimal change set.
+//! diff it against its previous heads, so downstream strata still see a
+//! minimal change set.
 
 use std::ops::ControlFlow;
 
@@ -39,8 +49,8 @@ use crate::require_language;
 use crate::seminaive::seminaive_fixpoint;
 use crate::subst::{active_domain, Env};
 use unchained_common::{
-    DeltaHandle, FxHashMap, FxHashSet, HeapSize, Instance, JoinCounters, Schema, Symbol, Tuple,
-    Value,
+    DeltaHandle, FxHashMap, FxHashSet, HeapSize, Instance, JoinCounters, Relation, Schema, Symbol,
+    Tuple, Value,
 };
 use unchained_parser::{
     check_range_restricted, Atom, DependencyGraph, HeadLiteral, Language, Literal, Program, Rule,
@@ -104,7 +114,9 @@ pub struct IncrementalSession {
     edb: Instance,
     /// The maintained fixpoint (EDB plus all IDB strata).
     instance: Instance,
-    /// Active domain of (program, edb) as of the last stabilization.
+    /// Active domain of (program, edb) as of the last stabilization;
+    /// kept only when some stratum is `adom_dependent` (empty otherwise,
+    /// since no plan then enumerates it).
     adom: Vec<Value>,
     idb: FxHashSet<Symbol>,
     pending: Vec<Edit>,
@@ -151,28 +163,16 @@ impl IncrementalSession {
             }
         }
 
-        let adom = active_domain(&program, input);
-        let mut instance = input.clone();
-        for pred in program.idb() {
-            instance.ensure(pred, schema.arity(pred).expect("idb has arity"));
-        }
-        let mut cache = IndexCache::new();
-        options.telemetry.begin("ivm");
-
-        let mut counted = Vec::new();
-        let mut adom_dependent = Vec::new();
-        for stratum_rules in stratification.partition_rules(&program) {
-            let heads: FxHashSet<Symbol> = stratum_rules
-                .iter()
-                .filter_map(|r| r.head.first().and_then(HeadLiteral::atom))
-                .map(|a| a.pred)
-                .collect();
-            let reads_own_stratum = stratum_rules.iter().any(|r| {
+        let strata = stratification.partition_rules(&program);
+        let mut counted = Vec::with_capacity(strata.len());
+        let mut adom_dependent = Vec::with_capacity(strata.len());
+        for stratum_rules in &strata {
+            let heads = heads_of(stratum_rules);
+            counted.push(!stratum_rules.iter().any(|r| {
                 r.body
                     .iter()
                     .any(|l| matches!(l, Literal::Pos(a) if heads.contains(&a.pred)))
-            });
-            counted.push(!reads_own_stratum);
+            }));
             adom_dependent.push(stratum_rules.iter().any(|r| {
                 let mut pos_vars: FxHashSet<Var> = FxHashSet::default();
                 for l in &r.body {
@@ -185,14 +185,33 @@ impl IncrementalSession {
                     .chain(r.body_vars())
                     .any(|v| !pos_vars.contains(&v))
             }));
-            if stratum_rules.is_empty() {
-                continue;
+        }
+        let adom = if adom_dependent.contains(&true) {
+            active_domain(&program, input)
+        } else {
+            Vec::new()
+        };
+
+        let mut instance = input.clone();
+        // The copy shares epochs with `input` and the mirror: part ways
+        // now, before the initial fixpoint indexes it, not at the first
+        // poll's first edit.
+        for pred in input.symbols() {
+            if let Some(rel) = instance.relation_mut(pred) {
+                rel.fork_epoch_if_shared();
             }
+        }
+        for pred in program.idb() {
+            instance.ensure(pred, schema.arity(pred).expect("idb has arity"));
+        }
+        let mut cache = IndexCache::new();
+        options.telemetry.begin("ivm");
+        for stratum_rules in strata.iter().filter(|rules| !rules.is_empty()) {
             seminaive_fixpoint(
-                &stratum_rules,
+                stratum_rules,
                 &mut instance,
                 &adom,
-                &heads,
+                &heads_of(stratum_rules),
                 &mut cache,
                 &options,
             )?;
@@ -215,6 +234,7 @@ impl IncrementalSession {
             }
             support_plans.push(planner.plan_rule_bound(rule, &prebound));
         }
+        drop(strata);
 
         Ok(IncrementalSession {
             edb: input.clone(),
@@ -290,11 +310,10 @@ impl IncrementalSession {
                 "edits must target EDB relations, but this predicate is derived by a rule".into(),
             ));
         }
-        let expected = self.schema.arity(pred).or_else(|| {
-            self.edb
-                .relation(pred)
-                .map(unchained_common::Relation::arity)
-        });
+        let expected = self
+            .schema
+            .arity(pred)
+            .or_else(|| self.edb.relation(pred).map(Relation::arity));
         if let Some(arity) = expected {
             if arity != tuple.arity() {
                 return Err(EvalError::InvalidUpdate(format!(
@@ -320,36 +339,34 @@ impl IncrementalSession {
         let joins_entry = self.cache.counters;
         let poll_sw = self.options.telemetry.stopwatch();
 
-        // Net EDB change: apply the batch to the mirror in order, then
-        // diff — inserting and retracting the same tuple in one batch
-        // cancels out.
-        let edb_before = self.edb.clone();
+        // The poll's net change so far. Invariant: the live instance is
+        // the pre-poll fixpoint minus `deleted` plus `inserted`, which is
+        // what lets delete phases read the pre-update state as a view.
+        let mut deleted = Instance::new();
+        let mut inserted = Instance::new();
+        // The EDB net change, taken from the edits against the mirror's
+        // membership: an edit that changes the mirror either cancels an
+        // opposite change earlier in the batch or is new.
         for edit in std::mem::take(&mut self.pending) {
             match edit {
                 Edit::Insert(pred, tuple) => {
-                    self.edb.insert_fact(pred, tuple);
+                    if self.edb.insert_fact(pred, tuple.clone())
+                        && !deleted.retract_fact(pred, &tuple)
+                    {
+                        inserted.insert_fact(pred, tuple);
+                    }
                 }
                 Edit::Retract(pred, tuple) => {
-                    self.edb.retract_fact(pred, &tuple);
+                    if self.edb.retract_fact(pred, &tuple) && !inserted.retract_fact(pred, &tuple) {
+                        deleted.insert_fact(pred, tuple);
+                    }
                 }
             }
         }
-        let mut deleted = Instance::new();
-        let mut inserted = Instance::new();
-        let mut edb_preds: Vec<Symbol> = edb_before.symbols().chain(self.edb.symbols()).collect();
-        edb_preds.sort_unstable();
-        edb_preds.dedup();
-        for pred in edb_preds {
-            diff_pred(&edb_before, &self.edb, pred, &mut deleted, &mut inserted);
-        }
         stats.applied = (deleted.fact_count() + inserted.fact_count()) as u64;
-        if deleted.is_empty() && inserted.is_empty() {
+        if stats.applied == 0 {
             return Ok(stats);
         }
-
-        // Pin the pre-update fixpoint, then apply the EDB net change to
-        // the maintained instance.
-        let old = self.instance.clone();
         for (pred, rel) in deleted.iter() {
             for t in rel.iter() {
                 self.instance.retract_fact(pred, t);
@@ -360,16 +377,13 @@ impl IncrementalSession {
                 self.instance.insert_fact(pred, t.clone());
             }
         }
-        self.instance.commit_all();
 
-        let adom = active_domain(&self.program, &self.edb);
-        let adom_changed = adom != self.adom;
-        self.adom = adom.clone();
-
-        // Reads of the pre-update fixpoint and the scratch delete set go
-        // through a per-poll cache: they would otherwise collide with
-        // the session cache's entries for the live instance.
-        let mut old_cache = IndexCache::new();
+        let adom_changed = self.adom_dependent.contains(&true) && {
+            let adom = active_domain(&self.program, &self.edb);
+            let changed = adom != self.adom;
+            self.adom = adom;
+            changed
+        };
         let touched =
             |change: &Instance, p: Symbol| change.relation(p).is_some_and(|r| !r.is_empty());
 
@@ -382,11 +396,7 @@ impl IncrementalSession {
             if stratum_rules.is_empty() {
                 continue;
             }
-            let heads: FxHashSet<Symbol> = stratum_rules
-                .iter()
-                .filter_map(|r| r.head.first().and_then(HeadLiteral::atom))
-                .map(|a| a.pred)
-                .collect();
+            let heads = heads_of(&stratum_rules);
             let mut pos_preds: FxHashSet<Symbol> = FxHashSet::default();
             let mut neg_preds: FxHashSet<Symbol> = FxHashSet::default();
             for rule in &stratum_rules {
@@ -408,22 +418,34 @@ impl IncrementalSession {
             if neg_changed || (adom_changed && self.adom_dependent[stratum]) {
                 // Batch fallback: Δ plans over positive literals cannot
                 // see growth caused by deletion under negation or by a
-                // shifted active domain.
-                for &p in &heads {
-                    if let Some(rel) = self.instance.relation_mut(p) {
-                        rel.clear();
-                    }
+                // shifted active domain. The previous heads are moved
+                // out, not cloned, and diffed against the recomputation.
+                let mut preds: Vec<Symbol> = heads.iter().copied().collect();
+                preds.sort_unstable();
+                let mut previous = Vec::with_capacity(preds.len());
+                for &p in &preds {
+                    let rel = self.instance.relation_mut(p).expect("idb relations exist");
+                    let empty = Relation::new(rel.arity());
+                    previous.push((p, std::mem::replace(rel, empty)));
                     self.supports.remove(&p);
                 }
                 seminaive_fixpoint(
                     &stratum_rules,
                     &mut self.instance,
-                    &adom,
+                    &self.adom,
                     &heads,
                     &mut self.cache,
                     &self.options,
                 )?;
-                diff_heads(&heads, &old, &self.instance, &mut deleted, &mut inserted);
+                for (p, old) in previous {
+                    let new = self.instance.relation(p).expect("idb relations exist");
+                    for t in old.iter().filter(|t| !new.contains(t)) {
+                        deleted.insert_fact(p, t.clone());
+                    }
+                    for t in new.iter().filter(|t| !old.contains(t)) {
+                        inserted.insert_fact(p, t.clone());
+                    }
+                }
                 stats.strata_recomputed += 1;
                 continue;
             }
@@ -433,42 +455,47 @@ impl IncrementalSession {
                 stats.strata_skipped += 1;
                 continue;
             }
+            let mut withdrawn = Vec::new();
             if del_hit {
+                // `deleted` lost and gained tuples since the last delete
+                // phase read it: index its view side afresh.
+                self.cache.forget_withdrawn();
+                let change = Change {
+                    inserted: &inserted,
+                    deleted: &mut deleted,
+                };
                 if self.counted[stratum] {
-                    counted_delete(
+                    withdrawn = counted_delete(
                         &stratum_rules,
-                        &old,
-                        &deleted,
+                        change,
                         &mut self.instance,
                         &mut self.supports,
                         &self.program,
                         &self.rules_for,
                         &self.support_plans,
-                        &adom,
-                        &mut old_cache,
+                        &self.adom,
                         &mut self.cache,
                         self.options.plan_mode,
                         &mut stats,
                     );
                 } else {
-                    let overdeleted = overdelete_closure(
+                    withdrawn = overdelete_closure(
                         &stratum_rules,
-                        &old,
-                        &deleted,
+                        change,
                         &mut self.instance,
-                        &adom,
-                        &mut old_cache,
+                        &self.adom,
+                        &mut self.cache,
                         self.options.plan_mode,
                         self.options.max_stages,
                         &mut stats,
                     )?;
                     rederive(
-                        &overdeleted,
+                        &withdrawn,
                         &self.program,
                         &self.rules_for,
                         &self.support_plans,
                         &mut self.instance,
-                        &adom,
+                        &self.adom,
                         &mut self.cache,
                         &mut stats,
                     );
@@ -478,22 +505,30 @@ impl IncrementalSession {
                 insert_closure(
                     &stratum_rules,
                     &mut self.instance,
-                    &inserted,
+                    &mut inserted,
                     &mut self.supports,
-                    &adom,
+                    &self.adom,
                     &mut self.cache,
                     &self.options,
                     &mut stats,
                 )?;
             }
-            diff_heads(&heads, &old, &self.instance, &mut deleted, &mut inserted);
+            // The stratum's net head change: a withdrawn tuple that is
+            // live again (rederived, or re-added by the insert closure)
+            // never changed.
+            for (pred, tuple) in &withdrawn {
+                if self.instance.contains_fact(*pred, tuple) {
+                    deleted.retract_fact(*pred, tuple);
+                    inserted.retract_fact(*pred, tuple);
+                }
+            }
         }
 
-        self.instance.commit_all();
+        self.instance.compact_all();
+        self.edb.compact_all();
         stats.facts_removed = deleted.fact_count() as u64;
         stats.facts_added = inserted.fact_count() as u64;
         stats.joins = self.cache.counters.since(&joins_entry);
-        stats.joins.absorb(&old_cache.counters);
         // Each poll is one telemetry stage, so a trace of a session
         // reads as: initial fixpoint rounds, then one record per poll.
         let (facts, bytes) = (
@@ -518,6 +553,37 @@ impl IncrementalSession {
         });
         Ok(stats)
     }
+}
+
+/// A poll's net change so far, as a delete phase sees it: it reads
+/// both sides as its pre-update view and Δ-drives over `deleted`,
+/// into which it also records what it withdraws.
+struct Change<'a> {
+    inserted: &'a Instance,
+    deleted: &'a mut Instance,
+}
+
+impl Change<'_> {
+    /// Sources for a Δ pass over `deleted` since `mark` whose full
+    /// scans read the pre-update state of `instance`.
+    fn sources<'s>(&'s self, instance: &'s Instance, mark: &'s DeltaHandle) -> Sources<'s> {
+        Sources {
+            full: instance,
+            delta: Some(mark),
+            neg: None,
+            delta_from: Some(self.deleted),
+            before: Some((self.inserted, self.deleted)),
+        }
+    }
+}
+
+/// The head predicates of one stratum's rules.
+fn heads_of(rules: &[&Rule]) -> FxHashSet<Symbol> {
+    rules
+        .iter()
+        .filter_map(|r| r.head.first().and_then(HeadLiteral::atom))
+        .map(|a| a.pred)
+        .collect()
 }
 
 fn head_atom(rule: &Rule) -> &Atom {
@@ -549,46 +615,6 @@ fn seed_env(head: &Atom, tuple: &Tuple, var_count: usize) -> Option<Env> {
         }
     }
     Some(env)
-}
-
-/// Extends `deleted`/`inserted` with `new` vs `old` on one predicate.
-fn diff_pred(
-    old: &Instance,
-    new: &Instance,
-    pred: Symbol,
-    deleted: &mut Instance,
-    inserted: &mut Instance,
-) {
-    let old_rel = old.relation(pred);
-    let new_rel = new.relation(pred);
-    if let Some(o) = old_rel {
-        for t in o.iter() {
-            if !new_rel.is_some_and(|n| n.contains(t)) {
-                deleted.insert_fact(pred, t.clone());
-            }
-        }
-    }
-    if let Some(n) = new_rel {
-        for t in n.iter() {
-            if !old_rel.is_some_and(|o| o.contains(t)) {
-                inserted.insert_fact(pred, t.clone());
-            }
-        }
-    }
-}
-
-fn diff_heads(
-    heads: &FxHashSet<Symbol>,
-    old: &Instance,
-    new: &Instance,
-    deleted: &mut Instance,
-    inserted: &mut Instance,
-) {
-    let mut preds: Vec<Symbol> = heads.iter().copied().collect();
-    preds.sort_unstable();
-    for pred in preds {
-        diff_pred(old, new, pred, deleted, inserted);
-    }
 }
 
 /// Counts derivations of `tuple` (or just probes for one, with
@@ -640,36 +666,37 @@ fn count_support(
 }
 
 /// The DRed overdelete closure for one stratum: Δ-variant plans driven
-/// over the scratch delete set, every other literal reading the
-/// pre-update fixpoint `old`. Affected head tuples are withdrawn from
-/// `instance` and fed back into the delete set until nothing new is
-/// reachable. Returns the withdrawn tuples, in withdrawal order.
+/// over the poll's deletions, every other literal reading the
+/// pre-update fixpoint through the [`Change`] view. Affected head
+/// tuples are withdrawn from `instance` and recorded in the deletions —
+/// which keeps the view exact and feeds them back into the Δ — until
+/// nothing new is reachable. Returns the withdrawn tuples, in
+/// withdrawal order.
 #[allow(clippy::too_many_arguments)]
 fn overdelete_closure(
     stratum_rules: &[&Rule],
-    old: &Instance,
-    seed: &Instance,
+    change: Change<'_>,
     instance: &mut Instance,
     adom: &[Value],
-    old_cache: &mut IndexCache,
+    cache: &mut IndexCache,
     plan_mode: PlanMode,
     max_stages: Option<usize>,
     stats: &mut PollStats,
 ) -> Result<Vec<(Symbol, Tuple)>, EvalError> {
-    let mut ddel = seed.clone();
-    // The default handle marks everything in the seed as new; captured
-    // marks restrict later rounds to that round's additions.
+    // The default handle marks every deletion so far as new; captured
+    // marks restrict later rounds to that round's withdrawals.
     let mut mark = DeltaHandle::default();
     let mut overdeleted: Vec<(Symbol, Tuple)> = Vec::new();
-    let mut planner = Planner::new(Catalog::from_instance(old), plan_mode);
+    let mut planner = Planner::new(Catalog::from_instance(instance), plan_mode);
     let mut rounds = 0usize;
     loop {
         rounds += 1;
         if max_stages.is_some_and(|m| rounds > m) {
             return Err(EvalError::StageLimitExceeded(rounds - 1));
         }
-        old_cache.begin_delta_round();
-        let del_preds: FxHashSet<Symbol> = ddel
+        cache.begin_delta_round();
+        let del_preds: FxHashSet<Symbol> = change
+            .deleted
             .iter()
             .filter(|(_, r)| !r.is_empty())
             .map(|(p, _)| p)
@@ -681,14 +708,9 @@ fn overdelete_closure(
                 stats.rules_fired += for_each_head(
                     &plan,
                     &head.args,
-                    Sources {
-                        full: old,
-                        delta: Some(&mark),
-                        neg: None,
-                        delta_from: Some(&ddel),
-                    },
+                    change.sources(instance, &mark),
                     adom,
-                    old_cache,
+                    cache,
                     &mut |tuple| {
                         if instance.contains_fact(head.pred, &tuple) {
                             found.push((head.pred, tuple));
@@ -700,9 +722,9 @@ fn overdelete_closure(
         if found.is_empty() {
             return Ok(overdeleted);
         }
-        mark = DeltaHandle::capture(&ddel);
+        mark = DeltaHandle::capture(change.deleted);
         for (pred, tuple) in found {
-            if ddel.insert_fact(pred, tuple.clone()) {
+            if change.deleted.insert_fact(pred, tuple.clone()) {
                 instance.retract_fact(pred, &tuple);
                 stats.overdeleted += 1;
                 overdeleted.push((pred, tuple));
@@ -757,50 +779,46 @@ fn rederive(
 }
 
 /// Support-counted deletion for a stratum with no same-stratum positive
-/// dependencies: one Δ pass over the accumulated deletions finds every
+/// dependencies: one Δ pass over the poll's deletions, reading the
+/// pre-update fixpoint through the [`Change`] view, finds every
 /// affected head tuple (no cascade is possible within the stratum), a
 /// stored count that stays positive absorbs the deletion outright, and
-/// anything else gets an exact recount against the new state.
+/// anything else gets an exact recount against the new state. Returns
+/// the withdrawn tuples, which it also records in the deletions.
 #[allow(clippy::too_many_arguments)]
 fn counted_delete(
     stratum_rules: &[&Rule],
-    old: &Instance,
-    seed: &Instance,
+    change: Change<'_>,
     instance: &mut Instance,
     supports: &mut FxHashMap<Symbol, FxHashMap<Tuple, i64>>,
     program: &Program,
     rules_for: &FxHashMap<Symbol, Vec<usize>>,
     support_plans: &[Plan],
     adom: &[Value],
-    old_cache: &mut IndexCache,
     cache: &mut IndexCache,
     plan_mode: PlanMode,
     stats: &mut PollStats,
-) {
+) -> Vec<(Symbol, Tuple)> {
     let mark = DeltaHandle::default();
-    let del_preds: FxHashSet<Symbol> = seed
+    let del_preds: FxHashSet<Symbol> = change
+        .deleted
         .iter()
         .filter(|(_, r)| !r.is_empty())
         .map(|(p, _)| p)
         .collect();
-    let mut planner = Planner::new(Catalog::from_instance(old), plan_mode);
+    let mut planner = Planner::new(Catalog::from_instance(instance), plan_mode);
     let mut affected: Vec<(Symbol, Tuple)> = Vec::new();
     let mut seen: FxHashSet<(Symbol, Tuple)> = FxHashSet::default();
-    old_cache.begin_delta_round();
+    cache.begin_delta_round();
     for rule in stratum_rules {
         let head = head_atom(rule);
         for plan in planner.seminaive_variants(rule, &|p| del_preds.contains(&p)) {
             stats.rules_fired += for_each_head(
                 &plan,
                 &head.args,
-                Sources {
-                    full: old,
-                    delta: Some(&mark),
-                    neg: None,
-                    delta_from: Some(seed),
-                },
+                change.sources(instance, &mark),
                 adom,
-                old_cache,
+                cache,
                 &mut |tuple| {
                     if !instance.contains_fact(head.pred, &tuple) {
                         return;
@@ -820,6 +838,7 @@ fn counted_delete(
             );
         }
     }
+    let mut withdrawn = Vec::new();
     for (pred, tuple) in affected {
         if let Some(&c) = supports.get(&pred).and_then(|m| m.get(&tuple)) {
             if c > 0 {
@@ -845,29 +864,35 @@ fn counted_delete(
             .insert(tuple.clone(), count as i64);
         if count == 0 {
             instance.retract_fact(pred, &tuple);
+            change.deleted.insert_fact(pred, tuple.clone());
+            withdrawn.push((pred, tuple));
         }
     }
+    withdrawn
 }
 
 /// Semi-naive insertion propagation for one stratum: Δ-variant plans
-/// over a scratch insert set, full scans against the live (growing)
-/// instance. Stored support counts of re-derived tuples are invalidated
-/// rather than incremented — a Δ-match with `k` new body tuples is
-/// enumerated `k` times, so incrementing could overshoot the truth.
+/// over the poll's insertions, full scans against the live (growing)
+/// instance. Every tuple it adds joins `inserted`, which keeps it in the
+/// Δ of later rounds; the caller takes back out the ones that were
+/// withdrawn earlier in the poll. Stored support counts of re-derived
+/// tuples are invalidated rather than incremented — a Δ-match with `k`
+/// new body tuples is enumerated `k` times, so incrementing could
+/// overshoot the truth. The fact budget is checked per added fact.
 #[allow(clippy::too_many_arguments)]
 fn insert_closure(
     stratum_rules: &[&Rule],
     instance: &mut Instance,
-    seed: &Instance,
+    inserted: &mut Instance,
     supports: &mut FxHashMap<Symbol, FxHashMap<Tuple, i64>>,
     adom: &[Value],
     cache: &mut IndexCache,
     options: &EvalOptions,
     stats: &mut PollStats,
 ) -> Result<(), EvalError> {
-    let mut dins = seed.clone();
     let mut mark = DeltaHandle::default();
     let mut planner = Planner::new(Catalog::from_instance(instance), options.plan_mode);
+    let mut facts = instance.fact_count();
     let mut rounds = 0usize;
     loop {
         rounds += 1;
@@ -875,7 +900,7 @@ fn insert_closure(
             return Err(EvalError::StageLimitExceeded(rounds - 1));
         }
         cache.begin_delta_round();
-        let ins_preds: FxHashSet<Symbol> = dins
+        let ins_preds: FxHashSet<Symbol> = inserted
             .iter()
             .filter(|(_, r)| !r.is_empty())
             .map(|(p, _)| p)
@@ -891,7 +916,8 @@ fn insert_closure(
                         full: instance,
                         delta: Some(&mark),
                         neg: None,
-                        delta_from: Some(&dins),
+                        delta_from: Some(inserted),
+                        before: None,
                     },
                     adom,
                     cache,
@@ -906,17 +932,18 @@ fn insert_closure(
         if found.is_empty() {
             return Ok(());
         }
-        mark = DeltaHandle::capture(&dins);
+        mark = DeltaHandle::capture(inserted);
         for (pred, tuple) in found {
             if instance.insert_fact(pred, tuple.clone()) {
+                facts += 1;
+                if options.max_facts.is_some_and(|m| facts > m) {
+                    return Err(EvalError::FactLimitExceeded(facts));
+                }
                 if let Some(m) = supports.get_mut(&pred) {
                     m.remove(&tuple);
                 }
-                dins.insert_fact(pred, tuple);
+                inserted.insert_fact(pred, tuple);
             }
-        }
-        if options.max_facts.is_some_and(|m| instance.fact_count() > m) {
-            return Err(EvalError::FactLimitExceeded(instance.fact_count()));
         }
     }
 }
@@ -1136,6 +1163,82 @@ mod tests {
         s.retract(g, edge(2, 0)).unwrap();
         let stats = s.poll().unwrap();
         assert!(stats.facts_removed > 0);
+        assert_matches_scratch(&s, &i);
+    }
+
+    /// The fact budget stops a poll at the first fact over it and
+    /// reports `max_facts + 1`, like every batch driver (see
+    /// `fixpoint::tests::fact_budget_stops_a_stage_at_the_first_fact_over`):
+    /// ten `A` facts under a cubic rule would derive 1,000 `P` facts.
+    #[test]
+    fn fact_budget_stops_a_poll_at_the_first_fact_over() {
+        let mut i = Interner::new();
+        let program = parse_program("P(x,y,z) :- A(x), A(y), A(z).", &mut i).unwrap();
+        let a = i.get("A").unwrap();
+        let fact = |k: i64| Tuple::from([Value::Int(k)]);
+        let over = Some(EvalError::FactLimitExceeded(21));
+        for threads in [1, 4] {
+            let options = || {
+                EvalOptions::default()
+                    .with_max_facts(20)
+                    .with_threads(threads)
+            };
+            let mut ten = Instance::new();
+            for k in 0..10 {
+                ten.insert_fact(a, fact(k));
+            }
+            let built = IncrementalSession::new(program.clone(), &ten, options());
+            assert_eq!(built.err(), over, "new @{threads}");
+            let mut one = Instance::new();
+            one.insert_fact(a, fact(0));
+            let mut s = IncrementalSession::new(program.clone(), &one, options()).unwrap();
+            for k in 1..10 {
+                s.insert(a, fact(k)).unwrap();
+            }
+            assert_eq!(s.poll().err(), over, "poll @{threads}");
+        }
+    }
+
+    /// TC over a 400-link chain in which every link also has a parallel
+    /// two-hop path, alternately retracting and re-inserting the last
+    /// link. Every retraction overdeletes about 800 closure facts and
+    /// rederives them all. Once the first poll has built the indexes it
+    /// needs, every poll absorbs its change into them: no rebuild, and
+    /// indexing work far below the 320k-fact closure.
+    #[test]
+    fn polls_keep_index_lineage_through_retract_and_revive() {
+        let mut i = Interner::new();
+        let p = tc_program(&mut i);
+        let g = i.get("G").unwrap();
+        let n = 400i64;
+        let mut input = Instance::new();
+        for k in 0..n {
+            input.insert_fact(g, edge(k, k + 1));
+            input.insert_fact(g, edge(k, 1000 + k));
+            input.insert_fact(g, edge(1000 + k, k + 1));
+        }
+        let mut s = IncrementalSession::new(p, &input, EvalOptions::default()).unwrap();
+        let last = edge(n - 1, n);
+        for poll in 0..6 {
+            if poll % 2 == 0 {
+                s.retract(g, last.clone()).unwrap();
+            } else {
+                s.insert(g, last.clone()).unwrap();
+            }
+            let stats = s.poll().unwrap();
+            assert_eq!(stats.facts_added + stats.facts_removed, 1, "only G changes");
+            if poll % 2 == 0 {
+                assert!(stats.overdeleted > 700, "{stats:?}");
+                assert_eq!(stats.rederived, stats.overdeleted);
+            }
+            if poll > 0 {
+                assert_eq!(stats.joins.index_rebuilds, 0, "poll {poll}: {stats:?}");
+                assert!(
+                    stats.joins.indexed_tuples < 10_000,
+                    "poll {poll}: {stats:?}"
+                );
+            }
+        }
         assert_matches_scratch(&s, &i);
     }
 

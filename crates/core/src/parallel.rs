@@ -116,6 +116,7 @@ pub(crate) fn run_round(
         delta,
         neg: None,
         delta_from: None,
+        before: None,
     };
     let morsels = build_morsels(tasks, sources, morsel_size);
     let cursor = AtomicUsize::new(0);
@@ -385,6 +386,7 @@ mod tests {
             delta: None,
             neg: None,
             delta_from: None,
+            before: None,
         };
         let morsels = build_morsels(&tasks, sources, 3);
         // Each task's driver is G (7 rows) or T (absent): the G-driven

@@ -355,6 +355,7 @@ pub(crate) fn seminaive_fixpoint(
                         delta: Some(&mark),
                         neg: None,
                         delta_from: None,
+                        before: None,
                     },
                     adom,
                     cache,

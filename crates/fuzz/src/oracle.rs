@@ -179,12 +179,15 @@ pub fn check(
 /// One queued EDB edit: `true` inserts the tuple, `false` retracts it.
 type Edit = (bool, Symbol, Tuple);
 
-/// Derives a deterministic edit script from `seed`: a few batches of
-/// inserts and retracts against the program's edb relations.
+/// Derives a deterministic edit script from `seed`: two to twelve
+/// batches of inserts and retracts against the program's edb relations.
 /// Retractions target facts actually present after the preceding edits
 /// (tracked in a mirror), so the delete/rederive machinery is genuinely
 /// exercised; insertions draw from a slightly larger universe than the
-/// generator's, so both redundant and novel facts occur.
+/// generator's, so both redundant and novel facts occur. Some
+/// insertions re-insert a fact an earlier batch retracted, so sessions
+/// revive tombstoned facts — one fact possibly again and again — and
+/// compact small relations that retractions left mostly dead.
 fn edit_script(program: &Program, input: &Instance, seed: u64) -> Vec<Vec<Edit>> {
     let Ok(schema) = program.schema() else {
         return Vec::new();
@@ -200,8 +203,10 @@ fn edit_script(program: &Program, input: &Instance, seed: u64) -> Vec<Vec<Edit>>
     }
     let mut rng = Rng::seeded(seed);
     let mut mirror = input.clone();
-    let batches = 2 + rng.gen_index(3);
+    let batches = 2 + rng.gen_index(11);
     let mut script = Vec::with_capacity(batches);
+    // Facts retracted by earlier batches, candidates for re-insertion.
+    let mut retracted: Vec<(Symbol, Tuple)> = Vec::new();
     for _ in 0..batches {
         let mut batch = Vec::new();
         for _ in 0..1 + rng.gen_index(3) {
@@ -214,6 +219,10 @@ fn edit_script(program: &Program, input: &Instance, seed: u64) -> Vec<Vec<Edit>>
                 let tuple = existing[rng.gen_index(existing.len())].clone();
                 mirror.retract_fact(pred, &tuple);
                 batch.push((false, pred, tuple));
+            } else if !retracted.is_empty() && rng.gen_bool(0.4) {
+                let (pred, tuple) = retracted[rng.gen_index(retracted.len())].clone();
+                mirror.insert_fact(pred, tuple.clone());
+                batch.push((true, pred, tuple));
             } else {
                 let tuple: Tuple = (0..arity)
                     .map(|_| Value::Int(rng.gen_range_i64(0, 6)))
@@ -222,6 +231,12 @@ fn edit_script(program: &Program, input: &Instance, seed: u64) -> Vec<Vec<Edit>>
                 batch.push((true, pred, tuple));
             }
         }
+        retracted.extend(
+            batch
+                .iter()
+                .filter(|(insert, _, _)| !insert)
+                .map(|(_, pred, tuple)| (*pred, tuple.clone())),
+        );
         script.push(batch);
     }
     script

@@ -244,6 +244,30 @@ if [ "$(pick "$ivm_row" overdeleted)" = "0" ]; then
     exit 1
 fi
 
+# Incremental-maintenance gate 3: a poll costs its change, not the
+# instance. In the full quick smoke, the ivm row (initial fixpoint plus
+# one retraction poll) must absorb the poll into the session's indexes
+# without a rebuild, and index less than twice what the chain/seminaive
+# row (the same fixpoint, run alone) indexes.
+echo "==> bench smoke: ivm poll rebuilds no index and indexes < 2x chain/seminaive"
+ivm_smoke=$(grep '"workload":"ivm","engine":"incremental","threads":1' target/bench-smoke.json)
+chain_smoke=$(grep '"workload":"chain","engine":"seminaive","threads":1' target/bench-smoke.json)
+if [ -z "$ivm_smoke" ] || [ -z "$chain_smoke" ]; then
+    echo "ivm/incremental or chain/seminaive (threads:1) row missing from bench smoke" >&2
+    exit 1
+fi
+if [ "$(pick "$ivm_smoke" index_rebuilds)" != "0" ]; then
+    echo "ivm bench row rebuilt indexes during the poll" >&2
+    echo "  row: $ivm_smoke" >&2
+    exit 1
+fi
+if [ "$(pick "$ivm_smoke" indexed_tuples)" -ge $(( 2 * $(pick "$chain_smoke" indexed_tuples) )) ]; then
+    echo "ivm bench row indexed >= 2x the chain/seminaive row's tuples" >&2
+    echo "  ivm:   $ivm_smoke" >&2
+    echo "  chain: $chain_smoke" >&2
+    exit 1
+fi
+
 # Columnar/morsel gate 1: the scale campaign runs layered digraphs of
 # 10^4–10^5 EDB facts through the sequential engine vs morsel-parallel
 # at 2/4/8 threads (model + stage-count equality) plus an incremental
