@@ -217,6 +217,15 @@ impl Instance {
             .sum()
     }
 
+    /// Packs every relation that holds a dead row (see
+    /// [`Relation::pack`]); returns how many it packed.
+    pub fn pack_all(&mut self) -> usize {
+        self.relations
+            .values_mut()
+            .map(|r| usize::from(r.pack()))
+            .sum()
+    }
+
     /// Total `(stable segments, uncommitted recent tuples)` across all
     /// relations — the storage-shape gauge surfaced by `--stats`.
     pub fn storage_stats(&self) -> (usize, usize) {

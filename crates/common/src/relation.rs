@@ -373,7 +373,25 @@ impl Relation {
     /// the new epoch forces costs no more than the retractions that led
     /// to it. Contents are unchanged, so the version does not move.
     pub fn compact(&mut self) -> bool {
-        if self.retracted.len() <= self.set.len() {
+        self.retracted.len() > self.set.len() && self.repack()
+    }
+
+    /// Compacts the relation whenever it holds a dead row, whatever the
+    /// ratio (see [`Relation::compact`]), and trims its membership set
+    /// to the live tuples; returns whether it compacted. For a relation
+    /// about to be copied or kept as a result.
+    pub fn pack(&mut self) -> bool {
+        let packed = self.repack();
+        if packed {
+            self.set.shrink_to_fit();
+            self.retracted = Vec::new();
+            self.dead = FxHashMap::default();
+        }
+        packed
+    }
+
+    fn repack(&mut self) -> bool {
+        if self.retracted.is_empty() {
             return false;
         }
         self.epoch = next_epoch();
@@ -1722,6 +1740,26 @@ mod tests {
         // A tuple dead before compaction comes back as a plain insert.
         assert!(r.insert(t2(0, 0)));
         assert_eq!(r.iter_stored().count(), 2);
+    }
+
+    /// Packing drops every dead row, whatever the ratio, and keeps the
+    /// contents; a relation without one is left alone.
+    #[test]
+    fn packing_drops_dead_rows_whatever_the_ratio() {
+        let mut r = Relation::from_tuples(2, (0..4).map(|k| t2(k, 0)).collect::<Vec<_>>());
+        r.commit();
+        assert!(!r.pack(), "nothing dead");
+        r.retract(&t2(0, 0));
+        r.insert(t2(0, 0));
+        r.retract(&t2(1, 0));
+        assert!(!r.compact(), "2 dead rows against 3 live ones");
+        assert!(r.pack());
+        assert_eq!(r.tombstone_count(), 0);
+        assert_eq!((r.segment_count(), r.recent_len()), (1, 0), "packed");
+        let mut rows: Vec<Tuple> = r.iter_stored().map(Tuple::new).collect();
+        rows.sort_unstable();
+        assert_eq!(rows, vec![t2(0, 0), t2(2, 0), t2(3, 0)]);
+        assert!(!r.pack());
     }
 
     /// Inserting after many retractions costs one lookup in the

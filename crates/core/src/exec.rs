@@ -95,6 +95,13 @@ impl IndexCache {
             .retain(|(_, _, covers), _| *covers != Covers::Delta);
     }
 
+    /// Drops every cached index, returning the memory to the caller:
+    /// for a run whose next phase reads the instance through other
+    /// plans than the last.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// Drops the indexes over the withdrawn side of pre-update views
     /// ([`Sources::before`]). Call whenever the withdrawn instance is
     /// replaced or loses its lineage; the entries are change-sized.
@@ -195,6 +202,10 @@ impl IndexCache {
 ///   the Gelfond–Lifschitz-style reduct of the alternating fixpoint,
 ///   where negation reads the *previous* iterate while positive facts
 ///   accumulate in the current one.
+/// * `neg_added` — when set together with `neg`, negative literals read
+///   `neg − neg_added`: the negative context as it was before it gained
+///   `neg_added`. The alternating fixpoint's overdelete reads the
+///   previous under-estimate this way, without keeping a copy of it.
 /// * `delta_from` — when set, [`ScanSource::Delta`] scans read their
 ///   relations from this instance instead of `full` (marks still come
 ///   from `delta`). The incremental-maintenance engine uses this to
@@ -217,6 +228,8 @@ pub struct Sources<'a> {
     pub delta: Option<&'a DeltaHandle>,
     /// Override instance for negative checks.
     pub neg: Option<&'a Instance>,
+    /// Facts `neg` gained in its last update, read as absent.
+    pub neg_added: Option<&'a Instance>,
     /// Override instance for delta scans.
     pub delta_from: Option<&'a Instance>,
     /// `(inserted, deleted)`: read full relations as before that update.
@@ -230,6 +243,7 @@ impl<'a> Sources<'a> {
             full,
             delta: None,
             neg: None,
+            neg_added: None,
             delta_from: None,
             before: None,
         }
@@ -619,7 +633,12 @@ fn run_steps(
         Step::CheckNeg { pred, args } => {
             let tuple: Tuple = args.iter().map(|t| term_value(t, env)).collect();
             let present = match sources.neg {
-                Some(neg) => neg.contains_fact(*pred, &tuple),
+                Some(neg) => {
+                    neg.contains_fact(*pred, &tuple)
+                        && !sources
+                            .neg_added
+                            .is_some_and(|added| added.contains_fact(*pred, &tuple))
+                }
                 None => in_full(*sources, *pred, tuple.values()),
             };
             if present {

@@ -7,25 +7,32 @@
 //! differ only in what a stage does with the facts it fires — its
 //! [`Consequence`] policy:
 //!
-//! | policy | engines | a stage … |
-//! |---|---|---|
-//! | [`Accumulate`] | naive, inflationary, the well-founded and stable reducts | inserts the fired facts |
-//! | `Retract` | noninflationary | inserts and deletes under a conflict policy |
-//! | `Invent` | invention | inserts, minting fresh values per Skolem key |
-//! | `Derive` | provenance | inserts, keeping each fact's first derivation |
+//! | policy | engines | a stage … | Δ-driven |
+//! |---|---|---|---|
+//! | [`Accumulate`] | naive, inflationary, the well-founded and stable reducts | inserts the fired facts | every rule, except naive's |
+//! | `Retract` | noninflationary | inserts and deletes under a conflict policy | per rule: those whose head no rule retracts |
+//! | `Invent` | invention | inserts, minting fresh values per Skolem key | no |
+//! | `Derive` | provenance | inserts, keeping each fact's first derivation | no |
 //!
 //! [`Stages::run`] drives them all through one loop: re-plan every rule
 //! against the current instance, fire every plan, hand each match to
 //! the policy, apply it under the fact budget, commit, and record the
 //! stage.
 //!
-//! A policy whose stages only add facts, and whose negative literals can
-//! only turn false as the run goes on, is *Δ-driven*: a match new at
-//! stage k+1 must use a positive idb fact born at stage k, so after the
-//! first stage the driver fires only each rule's semi-naive variants over
-//! the previous stage's delta (§4.1). Inflationary `eval`/`eval_traced`
-//! and the well-founded and stable reducts are Δ-driven. Naive (the
-//! reference leg), `Retract`, `Invent` and `Derive` fire full Γ_P stages.
+//! A rule is *Δ-driven* when every fact its head infers stays: then only
+//! a valuation new at stage k+1 can add to the stage, and a new valuation
+//! must use a positive fact the last stage inserted or negate one it
+//! removed. So after the first stage the driver fires such a rule's
+//! semi-naive variants over the last stage's insertions and its negation
+//! variants over its removals (§4.1), and every other rule its full plan.
+//! Under inflationary semantics and the reducts nothing is removed, so
+//! only the semi-naive variants fire. Under `Retract` a head no rule
+//! retracts is never removed once inferred, and no `¬A` inference can
+//! conflict with it; removals are tombstones, read back through
+//! [`Relation::retracted_since`](unchained_common::Relation::retracted_since).
+//! A run can also be *entered* with the facts that just left its
+//! negative context ([`Stages::run_from`]): the alternating fixpoint
+//! grows its under-estimate that way.
 
 use std::ops::ControlFlow;
 
@@ -39,7 +46,7 @@ use crate::error::EvalError;
 use crate::exec::{for_each_match, IndexCache, Sources};
 use crate::ir::Plan;
 use crate::options::{EvalOptions, FixpointRun};
-use crate::planner::{Catalog, Planner};
+use crate::planner::{Catalog, PlanStats, Planner};
 use crate::subst::{active_domain, instantiate, Env};
 
 /// `input` with every idb relation of `program` present, even if it
@@ -158,9 +165,11 @@ pub(crate) trait Consequence {
     /// not this fails; a stage that changes nothing ends the run.
     fn apply(&mut self, stage: &mut Apply<'_>) -> Result<(), EvalError>;
 
-    /// Whether stages after the first may fire only the semi-naive
-    /// variants over the previous stage's delta (see the module doc).
-    fn delta_driven(&self) -> bool {
+    /// Whether stages after the first may fire, for the rules whose
+    /// head predicate is `head`, only their semi-naive variants over the
+    /// previous stage's insertions and their negation variants over its
+    /// removals (see the module doc).
+    fn delta_driven(&self, _head: Symbol) -> bool {
         false
     }
 }
@@ -203,12 +212,12 @@ impl Apply<'_> {
         Ok(true)
     }
 
-    /// Removes a fact, returning whether it was present.
+    /// Removes a fact as a tombstone (see [`Relation::retract`]), so the
+    /// relation keeps its lineage; returns whether it was present.
+    ///
+    /// [`Relation::retract`]: unchained_common::Relation::retract
     pub(crate) fn remove(&mut self, pred: Symbol, tuple: &Tuple) -> bool {
-        let gone = self
-            .instance
-            .relation_mut(pred)
-            .is_some_and(|rel| rel.remove(tuple));
+        let gone = self.instance.retract_fact(pred, tuple);
         if gone {
             self.removed += 1;
             self.facts -= 1;
@@ -288,7 +297,7 @@ impl Consequence for Accumulate<'_> {
         Ok(())
     }
 
-    fn delta_driven(&self) -> bool {
+    fn delta_driven(&self, _head: Symbol) -> bool {
         self.delta
     }
 }
@@ -314,9 +323,42 @@ impl<'p> Stages<'p> {
         }
     }
 
+    /// The options the run was started with.
+    pub(crate) fn options(&self) -> &'p EvalOptions {
+        self.options
+    }
+
     /// The program's idb predicates, sorted.
     pub(crate) fn idb(&self) -> &[Symbol] {
         &self.idb
+    }
+
+    /// A driver over the same program and active domain with an index
+    /// cache of its own, for an instance whose relations have their own
+    /// lineage.
+    pub(crate) fn sibling(&self) -> Stages<'p> {
+        Stages {
+            program: self.program,
+            options: self.options,
+            idb: self.idb.clone(),
+            adom: self.adom.clone(),
+            cache: IndexCache::new(),
+        }
+    }
+
+    /// The active domain `Domain` steps enumerate, and the index cache
+    /// every stage's joins share.
+    pub(crate) fn parts(&mut self) -> (&[Value], &mut IndexCache) {
+        (&self.adom, &mut self.cache)
+    }
+
+    /// The head predicate of every rule, in rule order.
+    pub(crate) fn head_preds(&self) -> Vec<Symbol> {
+        self.program
+            .rules
+            .iter()
+            .map(|r| r.head[0].atom().expect("relational head").pred)
+            .collect()
     }
 
     /// Fires stage after stage over `instance` until one changes
@@ -337,21 +379,37 @@ impl<'p> Stages<'p> {
         neg: Option<&Instance>,
         policy: &mut impl Consequence,
     ) -> Result<usize, EvalError> {
+        self.run_from(instance, neg, None, policy)
+    }
+
+    /// Like [`run`](Self::run), entered with `left`: the facts that just
+    /// left `neg`, on an `instance` that was the policy's fixpoint for
+    /// `neg` before they did. The first stage is then already a Δ stage:
+    /// Δ-driven rules fire only their negation variants over `left`,
+    /// since a valuation new to the looser negative context must use a
+    /// negated fact that left it.
+    pub(crate) fn run_from(
+        &mut self,
+        instance: &mut Instance,
+        neg: Option<&Instance>,
+        mut left: Option<Instance>,
+        policy: &mut impl Consequence,
+    ) -> Result<usize, EvalError> {
         let rules = &self.program.rules;
         let tel = &self.options.telemetry;
         let tracer = tel.tracer();
         let traced = tracer.is_enabled();
         let record = traced || tel.is_enabled();
-        let head_preds: Vec<Symbol> = rules
-            .iter()
-            .map(|r| r.head[0].atom().expect("relational head").pred)
-            .collect();
+        let head_preds = self.head_preds();
         let idb = &self.idb;
-        let delta_driven = policy.delta_driven();
-        // Marks captured before the previous stage's apply: set from the
-        // second stage of a Δ-driven run on.
-        let mut mark: Option<DeltaHandle> = None;
+        let driven: Vec<bool> = head_preds.iter().map(|&h| policy.delta_driven(h)).collect();
+        let any_driven = driven.contains(&true);
+        // Negation variants read `left` with every fact counted as new.
+        let all_new = DeltaHandle::default();
         instance.commit_all();
+        // Marks captured before the previous stage's apply: set from the
+        // second stage of a Δ-driven run on, or from the entry.
+        let mut mark: Option<DeltaHandle> = left.as_ref().map(|_| DeltaHandle::capture(instance));
         let mut stage = 0;
         loop {
             stage += 1;
@@ -363,21 +421,44 @@ impl<'p> Stages<'p> {
             let joins_before = self.cache.counters;
             // Re-plan every stage: join orders chosen against a stale
             // catalog would stick as the instance grows (or shrinks).
-            // On the first stage the idb really is empty, so its
+            // On a cold first stage the idb really is empty, so its
             // cardinality is inflated; afterwards the live counts speak
             // for themselves.
             let mut planner =
                 Planner::new(Catalog::from_instance(instance), self.options.plan_mode);
-            if stage == 1 {
+            if mark.is_none() && stage == 1 {
                 planner.inflate(idb.iter().copied());
             }
-            // A Δ stage fires each rule's variants over the delta, one
-            // per positive idb literal; a full stage fires the rule.
-            let plans: Vec<Vec<Plan>> = rules
+            // A Δ stage fires each Δ-driven rule's semi-naive variants
+            // over the last stage's insertions (one per positive idb
+            // literal) and its negation variants over the facts that
+            // left the negative context (one per negated literal over
+            // them); every other rule fires its full plan. The flag
+            // marks negation variants.
+            let left_has = |p: Symbol| {
+                left.as_ref()
+                    .and_then(|l| l.relation(p))
+                    .is_some_and(|r| !r.is_empty())
+            };
+            let plans: Vec<Vec<(Plan, bool)>> = rules
                 .iter()
-                .map(|r| match mark {
-                    Some(_) => planner.seminaive_variants(r, &|p| idb.binary_search(&p).is_ok()),
-                    None => vec![planner.plan_rule(r)],
+                .zip(&driven)
+                .map(|(r, &driven)| match mark {
+                    Some(_) if driven => {
+                        let mut plans: Vec<(Plan, bool)> = planner
+                            .seminaive_variants(r, &|p| idb.binary_search(&p).is_ok())
+                            .into_iter()
+                            .map(|p| (p, false))
+                            .collect();
+                        plans.extend(
+                            planner
+                                .negation_variants(r, &left_has)
+                                .into_iter()
+                                .map(|p| (p, true)),
+                        );
+                        plans
+                    }
+                    _ => vec![(planner.plan_rule(r), false)],
                 })
                 .collect();
             let plan_stats = planner.stats();
@@ -388,18 +469,22 @@ impl<'p> Stages<'p> {
             // One parallel firing: every rule reads the same instance.
             let current: &Instance = instance;
             let sources = Sources {
-                full: current,
                 delta: mark.as_ref(),
                 neg,
-                delta_from: None,
-                before: None,
+                ..Sources::simple(current)
+            };
+            let left_sources = Sources {
+                delta: Some(&all_new),
+                delta_from: left.as_ref(),
+                ..sources
             };
             let mut rule_stats = Vec::new();
             let mut fired = 0;
             for (ri, (rule, plans)) in rules.iter().zip(&plans).enumerate() {
                 let start_nanos = tracer.now_nanos();
                 let mut rule_fired = 0u64;
-                for plan in plans {
+                for (plan, negation) in plans {
+                    let sources = if *negation { left_sources } else { sources };
                     let _ =
                         for_each_match(plan, sources, &self.adom, &mut self.cache, &mut |env| {
                             rule_fired += 1;
@@ -417,7 +502,7 @@ impl<'p> Stages<'p> {
                 }
             }
 
-            let next_mark = delta_driven.then(|| DeltaHandle::capture(instance));
+            let next_mark = any_driven.then(|| DeltaHandle::capture(instance));
             let mut apply = Apply {
                 facts: instance.fact_count(),
                 instance: &mut *instance,
@@ -433,43 +518,104 @@ impl<'p> Stages<'p> {
             let applied = policy.apply(&mut apply);
             let changed = apply.changed();
             let (added, removed, delta) = (apply.added, apply.removed, apply.delta);
+            // Removals are tombstones, so the facts that left the
+            // instance — which negation reads when `neg` is unset — are
+            // the ones logged since the mark.
+            left = match &next_mark {
+                Some(marks) if removed > 0 && neg.is_none() => {
+                    Some(retracted_since(instance, marks))
+                }
+                _ => None,
+            };
             instance.commit_all();
+            if removed > 0 {
+                instance.compact_all();
+            }
             mark = next_mark;
 
             if record {
-                let bytes = instance.heap_bytes() as u64;
                 let joins = self.cache.counters.since(&joins_before);
-                tracer.gauge("facts_added", added as u64);
-                tracer.gauge("facts_removed", removed as u64);
-                tracer.gauge("rules_fired", fired);
-                tracer.gauge("bytes", bytes);
-                tracer.gauge("plan_joins_pruned", plan_stats.joins_pruned);
-                tracer.gauge("subplans_shared", plan_stats.subplans_shared);
-                if traced {
-                    emit_round_leaves(tracer, &head_preds, &rule_stats, &mut Vec::new(), &joins);
-                }
-                tel.with(|t| {
-                    t.stages.push(StageRecord {
-                        stage: t.stages.len() + 1,
-                        wall_nanos: stage_sw.nanos(),
-                        facts_added: added,
-                        facts_removed: removed,
-                        rules_fired: fired,
-                        delta,
-                        bytes,
-                        joins,
-                    });
-                    t.peak_facts = t.peak_facts.max(instance.fact_count());
-                    t.bytes_peak = t.bytes_peak.max(bytes);
-                    t.plan_joins_pruned += plan_stats.joins_pruned;
-                    t.subplans_shared += plan_stats.subplans_shared;
-                });
+                let round = Round {
+                    added,
+                    removed,
+                    fired,
+                    delta,
+                    joins,
+                    plan_stats,
+                };
+                round.record(tel, &head_preds, &rule_stats, stage_sw.nanos(), instance);
             }
             applied?;
             if !changed {
                 return Ok(stage);
             }
         }
+    }
+}
+
+/// The facts logged as retracted from `instance` since `marks` and still
+/// absent, as an instance of their own.
+fn retracted_since(instance: &Instance, marks: &DeltaHandle) -> Instance {
+    let mut out = Instance::new();
+    for (pred, rel) in instance.iter() {
+        for t in rel.retracted_since(marks.mark(pred)) {
+            if !rel.contains(t) {
+                out.ensure(pred, rel.arity()).insert(t.clone());
+            }
+        }
+    }
+    out
+}
+
+/// One round's gauges, recorded on the open round span (with its rule
+/// and join leaves) and as a [`StageRecord`].
+pub(crate) struct Round {
+    pub(crate) added: usize,
+    pub(crate) removed: usize,
+    pub(crate) fired: u64,
+    pub(crate) delta: Vec<(Symbol, usize)>,
+    pub(crate) joins: JoinCounters,
+    pub(crate) plan_stats: PlanStats,
+}
+
+impl Round {
+    /// Records the round that left `instance`; `rule_stats` holds one
+    /// entry per rule when tracing.
+    pub(crate) fn record(
+        self,
+        tel: &Telemetry,
+        head_preds: &[Symbol],
+        rule_stats: &[RuleStat],
+        wall_nanos: u64,
+        instance: &Instance,
+    ) {
+        let tracer = tel.tracer();
+        let bytes = instance.heap_bytes() as u64;
+        tracer.gauge("facts_added", self.added as u64);
+        tracer.gauge("facts_removed", self.removed as u64);
+        tracer.gauge("rules_fired", self.fired);
+        tracer.gauge("bytes", bytes);
+        tracer.gauge("plan_joins_pruned", self.plan_stats.joins_pruned);
+        tracer.gauge("subplans_shared", self.plan_stats.subplans_shared);
+        if tracer.is_enabled() {
+            emit_round_leaves(tracer, head_preds, rule_stats, &mut Vec::new(), &self.joins);
+        }
+        tel.with(|t| {
+            t.stages.push(StageRecord {
+                stage: t.stages.len() + 1,
+                wall_nanos,
+                facts_added: self.added,
+                facts_removed: self.removed,
+                rules_fired: self.fired,
+                delta: self.delta,
+                bytes,
+                joins: self.joins,
+            });
+            t.peak_facts = t.peak_facts.max(instance.fact_count());
+            t.bytes_peak = t.bytes_peak.max(bytes);
+            t.plan_joins_pruned += self.plan_stats.joins_pruned;
+            t.subplans_shared += self.plan_stats.subplans_shared;
+        });
     }
 }
 

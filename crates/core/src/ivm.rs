@@ -217,23 +217,10 @@ impl IncrementalSession {
             )?;
         }
 
-        // Bound-head support plans: one per rule, head variables
-        // prebound so a support check for a concrete tuple starts from
-        // index probes on the head bindings.
-        let mut planner = Planner::new(Catalog::from_instance(&instance), options.plan_mode);
-        let mut rules_for: FxHashMap<Symbol, Vec<usize>> = FxHashMap::default();
-        let mut support_plans = Vec::with_capacity(program.rules.len());
-        for (ri, rule) in program.rules.iter().enumerate() {
-            let head = head_atom(rule);
-            rules_for.entry(head.pred).or_default().push(ri);
-            let mut prebound: Vec<Var> = Vec::new();
-            for v in head.vars() {
-                if !prebound.contains(&v) {
-                    prebound.push(v);
-                }
-            }
-            support_plans.push(planner.plan_rule_bound(rule, &prebound));
-        }
+        let (rules_for, support_plans) = support_plans(
+            &program,
+            &mut Planner::new(Catalog::from_instance(&instance), options.plan_mode),
+        );
         drop(strata);
 
         Ok(IncrementalSession {
@@ -463,6 +450,7 @@ impl IncrementalSession {
                 let change = Change {
                     inserted: &inserted,
                     deleted: &mut deleted,
+                    neg: None,
                 };
                 if self.counted[stratum] {
                     withdrawn = counted_delete(
@@ -488,6 +476,7 @@ impl IncrementalSession {
                         self.options.plan_mode,
                         self.options.max_stages,
                         &mut stats,
+                        &mut vec![0; stratum_rules.len()],
                     )?;
                     rederive(
                         &withdrawn,
@@ -495,9 +484,11 @@ impl IncrementalSession {
                         &self.rules_for,
                         &self.support_plans,
                         &mut self.instance,
+                        None,
                         &self.adom,
                         &mut self.cache,
                         &mut stats,
+                        &mut vec![0; self.program.rules.len()],
                     );
                 }
             }
@@ -555,26 +546,55 @@ impl IncrementalSession {
     }
 }
 
-/// A poll's net change so far, as a delete phase sees it: it reads
+/// An update's net change so far, as a delete phase sees it: it reads
 /// both sides as its pre-update view and Δ-drives over `deleted`,
 /// into which it also records what it withdraws.
-struct Change<'a> {
-    inserted: &'a Instance,
-    deleted: &'a mut Instance,
+pub(crate) struct Change<'a> {
+    pub(crate) inserted: &'a Instance,
+    pub(crate) deleted: &'a mut Instance,
+    /// `(context, added)` when negative literals read another instance
+    /// than the updated one: they read `context` as it was before it
+    /// gained `added`. `None`: they read the pre-update view too.
+    pub(crate) neg: Option<(&'a Instance, &'a Instance)>,
 }
 
 impl Change<'_> {
     /// Sources for a Δ pass over `deleted` since `mark` whose full
-    /// scans read the pre-update state of `instance`.
+    /// scans and negative literals read the pre-update state.
     fn sources<'s>(&'s self, instance: &'s Instance, mark: &'s DeltaHandle) -> Sources<'s> {
         Sources {
             full: instance,
             delta: Some(mark),
-            neg: None,
+            neg: self.neg.map(|(context, _)| context),
+            neg_added: self.neg.map(|(_, added)| added),
             delta_from: Some(self.deleted),
             before: Some((self.inserted, self.deleted)),
         }
     }
+}
+
+/// Bound-head support plans, one per rule of `program`, with every head
+/// variable prebound so a support check for a concrete tuple starts
+/// from index probes on the head bindings; and the indices of the rules
+/// deriving each head predicate.
+pub(crate) fn support_plans(
+    program: &Program,
+    planner: &mut Planner,
+) -> (FxHashMap<Symbol, Vec<usize>>, Vec<Plan>) {
+    let mut rules_for: FxHashMap<Symbol, Vec<usize>> = FxHashMap::default();
+    let mut plans = Vec::with_capacity(program.rules.len());
+    for (ri, rule) in program.rules.iter().enumerate() {
+        let head = head_atom(rule);
+        rules_for.entry(head.pred).or_default().push(ri);
+        let mut prebound: Vec<Var> = Vec::new();
+        for v in head.vars() {
+            if !prebound.contains(&v) {
+                prebound.push(v);
+            }
+        }
+        plans.push(planner.plan_rule_bound(rule, &prebound));
+    }
+    (rules_for, plans)
 }
 
 /// The head predicates of one stratum's rules.
@@ -619,7 +639,8 @@ fn seed_env(head: &Atom, tuple: &Tuple, var_count: usize) -> Option<Env> {
 
 /// Counts derivations of `tuple` (or just probes for one, with
 /// `first_only`) across every rule whose head predicate matches,
-/// against the current `instance`.
+/// against the current `instance`, with negative literals reading `neg`
+/// when given. Adds each rule's matches to `fired[rule]`.
 #[allow(clippy::too_many_arguments)]
 fn count_support(
     pred: Symbol,
@@ -628,9 +649,11 @@ fn count_support(
     rules_for: &FxHashMap<Symbol, Vec<usize>>,
     support_plans: &[Plan],
     instance: &Instance,
+    neg: Option<&Instance>,
     adom: &[Value],
     cache: &mut IndexCache,
     stats: &mut PollStats,
+    fired: &mut [u64],
     first_only: bool,
 ) -> u64 {
     let mut count = 0u64;
@@ -642,9 +665,13 @@ fn count_support(
         let Some(mut env) = seed_env(head_atom(rule), tuple, rule.var_count()) else {
             continue;
         };
+        let before = count;
         let _ = for_each_match_from(
             &support_plans[ri],
-            Sources::simple(instance),
+            Sources {
+                neg,
+                ..Sources::simple(instance)
+            },
             adom,
             cache,
             &mut env,
@@ -657,6 +684,7 @@ fn count_support(
                 }
             },
         );
+        fired[ri] += count - before;
         if first_only && count > 0 {
             break;
         }
@@ -666,14 +694,14 @@ fn count_support(
 }
 
 /// The DRed overdelete closure for one stratum: Δ-variant plans driven
-/// over the poll's deletions, every other literal reading the
-/// pre-update fixpoint through the [`Change`] view. Affected head
+/// over the update's deletions, every other literal reading the
+/// pre-update state through the [`Change`] view. Affected head
 /// tuples are withdrawn from `instance` and recorded in the deletions —
 /// which keeps the view exact and feeds them back into the Δ — until
 /// nothing new is reachable. Returns the withdrawn tuples, in
-/// withdrawal order.
+/// withdrawal order; `fired[k]` gains the matches of `stratum_rules[k]`.
 #[allow(clippy::too_many_arguments)]
-fn overdelete_closure(
+pub(crate) fn overdelete_closure(
     stratum_rules: &[&Rule],
     change: Change<'_>,
     instance: &mut Instance,
@@ -682,6 +710,7 @@ fn overdelete_closure(
     plan_mode: PlanMode,
     max_stages: Option<usize>,
     stats: &mut PollStats,
+    fired: &mut [u64],
 ) -> Result<Vec<(Symbol, Tuple)>, EvalError> {
     // The default handle marks every deletion so far as new; captured
     // marks restrict later rounds to that round's withdrawals.
@@ -702,10 +731,10 @@ fn overdelete_closure(
             .map(|(p, _)| p)
             .collect();
         let mut found: Vec<(Symbol, Tuple)> = Vec::new();
-        for rule in stratum_rules {
+        for (rule, fired) in stratum_rules.iter().zip(fired.iter_mut()) {
             let head = head_atom(rule);
             for plan in planner.seminaive_variants(rule, &|p| del_preds.contains(&p)) {
-                stats.rules_fired += for_each_head(
+                let n = for_each_head(
                     &plan,
                     &head.args,
                     change.sources(instance, &mark),
@@ -717,6 +746,8 @@ fn overdelete_closure(
                         }
                     },
                 );
+                stats.rules_fired += n;
+                *fired += n;
             }
         }
         if found.is_empty() {
@@ -734,19 +765,22 @@ fn overdelete_closure(
 }
 
 /// The DRed rederivation pass: each withdrawn tuple that still has a
-/// derivation from surviving (certified) facts is restored. Iterates to
-/// fixpoint because a restored tuple can in turn support another
-/// candidate.
+/// derivation from surviving (certified) facts is restored, with
+/// negative literals reading `neg` when given (the new negative
+/// context). Iterates to fixpoint because a restored tuple can in turn
+/// support another candidate. `fired[rule]` gains each rule's matches.
 #[allow(clippy::too_many_arguments)]
-fn rederive(
+pub(crate) fn rederive(
     candidates: &[(Symbol, Tuple)],
     program: &Program,
     rules_for: &FxHashMap<Symbol, Vec<usize>>,
     support_plans: &[Plan],
     instance: &mut Instance,
+    neg: Option<&Instance>,
     adom: &[Value],
     cache: &mut IndexCache,
     stats: &mut PollStats,
+    fired: &mut [u64],
 ) {
     loop {
         let mut changed = false;
@@ -761,9 +795,11 @@ fn rederive(
                 rules_for,
                 support_plans,
                 instance,
+                neg,
                 adom,
                 cache,
                 stats,
+                fired,
                 true,
             ) > 0;
             if supported {
@@ -839,6 +875,7 @@ fn counted_delete(
         }
     }
     let mut withdrawn = Vec::new();
+    let mut fired = vec![0; program.rules.len()];
     for (pred, tuple) in affected {
         if let Some(&c) = supports.get(&pred).and_then(|m| m.get(&tuple)) {
             if c > 0 {
@@ -853,9 +890,11 @@ fn counted_delete(
             rules_for,
             support_plans,
             instance,
+            None,
             adom,
             cache,
             stats,
+            &mut fired,
             false,
         );
         supports
@@ -913,11 +952,9 @@ fn insert_closure(
                     &plan,
                     &head.args,
                     Sources {
-                        full: instance,
                         delta: Some(&mark),
-                        neg: None,
                         delta_from: Some(inserted),
-                        before: None,
+                        ..Sources::simple(instance)
                     },
                     adom,
                     cache,

@@ -9,6 +9,14 @@
 //! three alternatives, all yielding equivalent languages; we implement
 //! all four.
 //!
+//! A head no rule retracts is never removed once inferred, so from the
+//! second stage on its rules fire only over the last stage's change:
+//! their semi-naive variants over its insertions and their negation
+//! variants over its removals, which are tombstones (see the stage
+//! driver, `fixpoint.rs`). Rules whose head some rule retracts fire
+//! full stages. Without negative heads this is exactly inflationary
+//! Datalog¬'s Δ driving.
+//!
 //! Termination is *not* guaranteed: the flip-flop program of Section 4.2
 //! oscillates forever. The engine detects such divergence by
 //! remembering visited states (exactly, or by fingerprint).
@@ -229,6 +237,14 @@ impl Consequence for Retract {
             return Err(EvalError::Diverged { stage: at, period });
         }
         Ok(())
+    }
+
+    /// A head no rule retracts is never removed once inferred, and no
+    /// `¬A` inference can conflict with it, so only valuations new to
+    /// the stage can add to it: those using a fact the last stage
+    /// inserted, or negating one it removed.
+    fn delta_driven(&self, head: Symbol) -> bool {
+        !self.retractable.contains(&head)
     }
 }
 

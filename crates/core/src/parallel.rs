@@ -112,11 +112,8 @@ pub(crate) fn run_round(
 ) -> (Instance, RoundStats) {
     let round_start = Instant::now();
     let sources = Sources {
-        full: instance,
         delta,
-        neg: None,
-        delta_from: None,
-        before: None,
+        ..Sources::simple(instance)
     };
     let morsels = build_morsels(tasks, sources, morsel_size);
     let cursor = AtomicUsize::new(0);
@@ -381,13 +378,7 @@ mod tests {
         let (_, p, inst) = tc_setup(7); // G has 7 rows; T absent (empty driver)
         let plans: Vec<Plan> = p.rules.iter().map(plan_rule).collect();
         let tasks = full_tasks(&p, &plans);
-        let sources = Sources {
-            full: &inst,
-            delta: None,
-            neg: None,
-            delta_from: None,
-            before: None,
-        };
+        let sources = Sources::simple(&inst);
         let morsels = build_morsels(&tasks, sources, 3);
         // Each task's driver is G (7 rows) or T (absent): the G-driven
         // task splits 7 rows into ceil(7/3) = 3 ranges; absent drivers

@@ -29,6 +29,10 @@
 //!    cost mode the delta scan is forced first (a delta is presumed
 //!    smaller than anything else); under syntactic mode the variant
 //!    keeps the full plan's order with the one source flipped.
+//!    *Negation variants* do the same for a negated literal whose
+//!    instance changed: the literal becomes a delta scan over the facts
+//!    that left (or entered) that instance, so a valuation that a
+//!    negation newly enables, or newly blocks, is found from the change.
 //! 4. **Sharing** — all nodes are interned into one [`PlanArena`] with
 //!    canonical slot names, so identical body prefixes across the rules
 //!    of a program become the same nodes. The planner reports
@@ -201,6 +205,37 @@ impl Planner {
         for (i, lit) in rule.body.iter().enumerate() {
             if let Literal::Pos(atom) = lit {
                 if recursive(atom.pred) {
+                    variants.push(self.compile(rule, &literals, &vars, Some(i), &[]));
+                }
+            }
+        }
+        variants
+    }
+
+    /// Produces the negation variants of a rule: for each negated
+    /// literal `¬p(ū)` with `changed(p)`, a plan in which that literal
+    /// becomes a positive scan of `p(ū)` reading the delta — the facts
+    /// that left, or entered, the instance the literal reads — forced
+    /// first under cost mode. The other literals plan as usual, so
+    /// variables only the active domain binds keep their `Domain` steps.
+    /// Returns an empty vector if no negated literal changed.
+    pub fn negation_variants(
+        &mut self,
+        rule: &Rule,
+        changed: &dyn Fn(Symbol) -> bool,
+    ) -> Vec<Plan> {
+        let vars = rule.body_vars();
+        let mut variants = Vec::new();
+        for (i, lit) in rule.body.iter().enumerate() {
+            if let Literal::Neg(atom) = lit {
+                if changed(atom.pred) {
+                    let scanned = Literal::Pos(atom.clone());
+                    let literals: Vec<&Literal> = rule
+                        .body
+                        .iter()
+                        .enumerate()
+                        .map(|(j, l)| if j == i { &scanned } else { l })
+                        .collect();
                     variants.push(self.compile(rule, &literals, &vars, Some(i), &[]));
                 }
             }
@@ -773,6 +808,74 @@ mod tests {
         assert!(planner
             .seminaive_variants(&program2.rules[0], &|p| p == t)
             .is_empty());
+    }
+
+    /// A negation variant turns one changed negated literal into a
+    /// leading delta scan; the other negated literal stays a check, and a
+    /// variable only that check binds keeps its `Domain` step.
+    #[test]
+    fn negation_variant_scans_the_changed_literal_first() {
+        let mut interner = Interner::new();
+        let program = parse_program("H(x) :- E(x,y), !P(y), !Q(z), !R(x).", &mut interner).unwrap();
+        let (e, p, q, r) = (
+            interner.get("E").unwrap(),
+            interner.get("P").unwrap(),
+            interner.get("Q").unwrap(),
+            interner.get("R").unwrap(),
+        );
+        let instance = instance_with(&mut interner, &[("E", 2, 8)]);
+        let rule = &program.rules[0];
+        for mode in [PlanMode::Cost, PlanMode::Syntactic] {
+            let mut planner = Planner::new(Catalog::from_instance(&instance), mode);
+            assert!(planner.negation_variants(rule, &|_| false).is_empty());
+            let variants = planner.negation_variants(rule, &|s| s == p || s == r);
+            assert_eq!(variants.len(), 2, "{mode:?}");
+            for (plan, changed) in variants.iter().zip([p, r]) {
+                let delta: Vec<Symbol> = plan
+                    .steps
+                    .iter()
+                    .filter_map(|s| match s {
+                        Step::Scan {
+                            pred,
+                            source: ScanSource::Delta,
+                            ..
+                        } => Some(*pred),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(delta, vec![changed], "{mode:?}");
+                let mut negated: Vec<Symbol> = plan
+                    .steps
+                    .iter()
+                    .filter_map(|s| match s {
+                        Step::CheckNeg { pred, .. } => Some(*pred),
+                        _ => None,
+                    })
+                    .collect();
+                negated.sort_unstable();
+                let mut want: Vec<Symbol> =
+                    [p, q, r].into_iter().filter(|&s| s != changed).collect();
+                want.sort_unstable();
+                assert_eq!(negated, want, "{mode:?}");
+                assert_eq!(
+                    plan.steps
+                        .iter()
+                        .filter(|s| matches!(s, Step::Domain { .. }))
+                        .count(),
+                    1,
+                    "z is bound only by the active domain"
+                );
+                assert!(scan_preds(plan).contains(&e));
+            }
+            if mode == PlanMode::Cost {
+                // The delta scan leads, and E probes on what it bound.
+                assert_eq!(scan_preds(&variants[0]), vec![p, e]);
+                let Step::Scan { key, .. } = &variants[0].steps[1] else {
+                    panic!("E follows the delta scan");
+                };
+                assert_eq!(key, &[1]);
+            }
+        }
     }
 
     #[test]

@@ -351,11 +351,8 @@ pub(crate) fn seminaive_fixpoint(
                     plan,
                     &head.args,
                     Sources {
-                        full: instance,
                         delta: Some(&mark),
-                        neg: None,
-                        delta_from: None,
-                        before: None,
+                        ..Sources::simple(instance)
                     },
                     adom,
                     cache,

@@ -17,13 +17,29 @@
 //! true). At the simultaneous fixpoint, the even limit is the set of
 //! **true** facts, facts in the odd limit but not the even one are
 //! **unknown**, and everything else is **false**.
+//!
+//! Each application changes its iterate little, so only `I₁` and `I₂`
+//! are computed from scratch. From then on one instance holds the
+//! under-estimate and grows in place, one holds the over-estimate and
+//! shrinks in place, and each application does the work its input's
+//! last change requires: the over-estimate drops what the facts that
+//! entered the under-estimate block (delete and rederive), and the
+//! under-estimate adds what the facts that left the over-estimate
+//! enable (Δ-driven stages entered with those facts). Both start from
+//! *negation variants* ([`crate::planner::Planner::negation_variants`]).
 
 use crate::error::EvalError;
-use crate::fixpoint::{with_idb, Accumulate, EvalScope, Stages};
+use crate::exec::{for_each_head, Sources};
+use crate::fixpoint::{with_idb, Accumulate, EvalScope, Round, RuleStat, Stages};
+use crate::ir::Plan;
+use crate::ivm::{overdelete_closure, rederive, support_plans, Change, PollStats};
 use crate::options::{EvalOptions, FixpointRun};
+use crate::planner::{Catalog, Planner};
 use crate::require_language;
-use unchained_common::{Instance, Relation, SpanKind, Symbol, Tracer, Tuple};
-use unchained_parser::{check_range_restricted, Language, Program};
+use unchained_common::{
+    DeltaHandle, FxHashMap, HeapSize, Instance, Relation, SpanKind, Symbol, Tracer, Tuple,
+};
+use unchained_parser::{check_range_restricted, HeadLiteral, Language, Program, Rule};
 
 /// The truth value of a fact in a 3-valued model.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -128,11 +144,10 @@ pub fn eval(
     check_range_restricted(program, false)?;
     let mut base = with_idb(program, input)?;
     // Committed once, so the iterates cloned from it share one storage
-    // layout of the edb and its indexes serve every reduct.
+    // layout of the edb and its indexes serve every application.
     base.commit_all();
     let scope = EvalScope::begin(&options, "wellfounded");
-    let mut stages = Stages::new(program, input, &options);
-    match alternate(&mut stages, &base, scope.tracer()) {
+    match alternate(program, &base, &options, scope.tracer()) {
         Ok(model) => {
             options.telemetry.note(format!(
                 "alternating fixpoint stable after {} reduct applications: \
@@ -151,39 +166,269 @@ pub fn eval(
     }
 }
 
-/// The alternating sequence `I₀ = base, I₁ = Γ̂(I₀), …`: even iterates
-/// underestimate, odd iterates overestimate, until an even iterate
-/// repeats. Three instances hold the iterates; each application
-/// overwrites the idb relations of the one no longer needed.
+/// The alternating sequence `I₀ = base, I₁ = Γ̂(I₀), …`, until an even
+/// iterate repeats. `I₁` and `I₂` are computed from scratch; after that
+/// one instance holds the under-estimate, which only grows, and one the
+/// over-estimate, which only shrinks, and each application of `Γ̂`
+/// works from what the previous one changed:
+///
+/// * the over-estimate `Γ̂(I₂ₖ)` loses what the facts that entered the
+///   under-estimate block ([`shrink`]);
+/// * the under-estimate `Γ̂(I₂ₖ₊₁)` gains what the facts that left the
+///   over-estimate enable ([`Stages::run_from`]).
+///
+/// Each side keeps its own index cache, since their idb relations have
+/// separate lineages.
 fn alternate(
-    stages: &mut Stages<'_>,
+    program: &Program,
     base: &Instance,
+    options: &EvalOptions,
     tracer: &Tracer,
 ) -> Result<WellFoundedModel, EvalError> {
-    let mut rounds = 0;
-    let mut apply = |stages: &mut Stages<'_>, target: &mut Instance, frozen: &Instance| {
-        rounds += 1;
-        let _phase = tracer.span(SpanKind::Phase, format!("reduct {rounds}"));
-        reduct_into(stages, target, base, frozen)
-    };
-    let mut even = base.clone();
-    let mut odd = base.clone();
-    let mut next_even = base.clone();
-    loop {
-        apply(stages, &mut odd, &even)?;
-        apply(stages, &mut next_even, &odd)?;
-        // Only the idb can differ: every iterate holds the same edb.
-        if next_even.same_facts_on(&even, stages.idb().iter().copied()) {
-            break;
+    let tel = &options.telemetry;
+    let mut over_side = Stages::new(program, base, options);
+    let mut under_side = over_side.sibling();
+    let idb = over_side.idb().to_vec();
+    // The live iterates share the edb: count it once.
+    let edb_bytes = base.heap_bytes() as u64;
+    let sample = |under: &Instance, over: &Instance| {
+        if tel.is_enabled() {
+            let live = edb_bytes + idb_bytes(under, &idb) + idb_bytes(over, &idb);
+            tel.with(|t| t.bytes_peak = t.bytes_peak.max(live));
         }
-        std::mem::swap(&mut even, &mut next_even);
+    };
+    let mut rounds = 0;
+    let mut phase = || {
+        rounds += 1;
+        tracer.span(SpanKind::Phase, format!("reduct {rounds}"))
+    };
+
+    let mut over = base.clone();
+    let mut under = base.clone();
+    {
+        let _phase = phase();
+        reduct_into(&mut over_side, &mut over, base, base)?;
+        sample(&under, &over);
     }
-    // Simultaneous fixpoint reached: (even, odd) is stable.
+    {
+        let _phase = phase();
+        reduct_into(&mut under_side, &mut under, base, &over)?;
+        sample(&under, &over);
+    }
+    // From here on every application runs Δ and support plans only:
+    // the from-scratch plans' indexes would sit idle.
+    over_side.parts().1.clear();
+    under_side.parts().1.clear();
+    let mut gained = since(&under, &DeltaHandle::default(), base, &idb);
+    let (rules_for, support_plans) = support_plans(
+        program,
+        &mut Planner::new(Catalog::from_instance(&over), options.plan_mode),
+    );
+    let support = Support {
+        program,
+        rules_for: &rules_for,
+        plans: &support_plans,
+    };
+    while !gained.is_empty() {
+        let left = {
+            let _phase = phase();
+            let left = shrink(&mut over_side, base, &mut over, &under, &gained, &support)?;
+            sample(&under, &over);
+            left
+        };
+        let _phase = phase();
+        let mark = DeltaHandle::capture(&under);
+        under_side.run_from(
+            &mut under,
+            Some(&over),
+            Some(left),
+            &mut Accumulate::delta(),
+        )?;
+        gained = since(&under, &mark, base, &idb);
+        sample(&under, &over);
+    }
+    // The caller's answer step copies the over-estimate: drop the dead
+    // rows its withdrawals left first.
+    over.pack_all();
     Ok(WellFoundedModel {
-        true_facts: even,
-        possible_facts: odd,
+        true_facts: under,
+        possible_facts: over,
         rounds,
     })
+}
+
+/// Logical bytes of the `idb` relations of `instance`.
+fn idb_bytes(instance: &Instance, idb: &[Symbol]) -> u64 {
+    idb.iter()
+        .filter_map(|&p| instance.relation(p))
+        .map(|r| r.heap_bytes() as u64)
+        .sum()
+}
+
+/// The facts of the `idb` relations of `instance` added since `marks`,
+/// less the input's own (`base`).
+fn since(instance: &Instance, marks: &DeltaHandle, base: &Instance, idb: &[Symbol]) -> Instance {
+    let mut out = Instance::new();
+    for &pred in idb {
+        let rel = instance
+            .relation(pred)
+            .expect("iterates hold every idb relation");
+        for row in rel.iter_since(marks.mark(pred)) {
+            let tuple = Tuple::new(row);
+            if !base.contains_fact(pred, &tuple) {
+                out.ensure(pred, rel.arity()).insert(tuple);
+            }
+        }
+    }
+    out
+}
+
+/// The bound-head support queries of the rederive pass.
+struct Support<'a> {
+    program: &'a Program,
+    rules_for: &'a FxHashMap<Symbol, Vec<usize>>,
+    plans: &'a [Plan],
+}
+
+/// One application of `Γ̂` to an under-estimate that just gained
+/// `gained`, computed from the last over-estimate by delete and
+/// rederive (the DRed of [`crate::ivm`], with a negative context).
+///
+/// Γ̂ is antimonotone, so the new over-estimate is a subset of the old.
+/// A valuation of the old one is lost iff it negates a fact that entered
+/// the under-estimate, or uses a positive fact that is lost: the
+/// negation variants over `gained` seed the overdelete, reading every
+/// other literal in the old state (negation reads the under-estimate
+/// without `gained`), and the Δ closure over the withdrawn facts
+/// finishes it. A withdrawn fact that keeps a derivation — against the
+/// surviving facts and the new under-estimate — is rederived. Facts
+/// never withdrawn keep every derivation they had, so the result is
+/// exactly `Γ̂` of the new under-estimate.
+///
+/// Records the application as one round. Returns the facts that left
+/// the over-estimate.
+fn shrink(
+    side: &mut Stages<'_>,
+    base: &Instance,
+    over: &mut Instance,
+    under: &Instance,
+    gained: &Instance,
+    support: &Support<'_>,
+) -> Result<Instance, EvalError> {
+    let options = side.options();
+    let tel = &options.telemetry;
+    let tracer = tel.tracer();
+    let _round = tracer.span(SpanKind::Round, "round 1");
+    let stage_sw = tel.stopwatch();
+    let head_preds = side.head_preds();
+    let rules: Vec<&Rule> = support.program.rules.iter().collect();
+    let (adom, cache) = side.parts();
+    let joins_before = cache.counters;
+    let mut fired = vec![0u64; rules.len()];
+    let mut rule_stats = Vec::new();
+
+    // Seed: valuations of the old over-estimate that negate a gained fact.
+    let mut planner = Planner::new(Catalog::from_instance(over), options.plan_mode);
+    let all_new = DeltaHandle::default();
+    let seed_sources = Sources {
+        delta: Some(&all_new),
+        neg: Some(under),
+        neg_added: Some(gained),
+        delta_from: Some(gained),
+        ..Sources::simple(over)
+    };
+    let gained_has = |p: Symbol| gained.relation(p).is_some_and(|r| !r.is_empty());
+    cache.begin_delta_round();
+    let mut seed: Vec<(Symbol, Tuple)> = Vec::new();
+    for (rule, fired) in rules.iter().zip(fired.iter_mut()) {
+        let start_nanos = tracer.now_nanos();
+        let HeadLiteral::Pos(head) = &rule.head[0] else {
+            unreachable!("Datalog¬ heads are positive")
+        };
+        for plan in planner.negation_variants(rule, &gained_has) {
+            *fired += for_each_head(&plan, &head.args, seed_sources, adom, cache, &mut |t| {
+                if over.contains_fact(head.pred, &t) {
+                    seed.push((head.pred, t));
+                }
+            });
+        }
+        rule_stats.push(RuleStat {
+            fired: *fired,
+            start_nanos,
+            dur_nanos: tracer.now_nanos().saturating_sub(start_nanos),
+        });
+    }
+    let mut withdrawn = Instance::new();
+    let mut candidates = Vec::new();
+    for (pred, tuple) in seed {
+        if withdrawn.insert_fact(pred, tuple.clone()) {
+            over.retract_fact(pred, &tuple);
+            candidates.push((pred, tuple));
+        }
+    }
+
+    let mut stats = PollStats::default();
+    let nothing = Instance::new();
+    cache.forget_withdrawn();
+    candidates.extend(overdelete_closure(
+        &rules,
+        Change {
+            inserted: &nothing,
+            deleted: &mut withdrawn,
+            neg: Some((under, gained)),
+        },
+        over,
+        adom,
+        cache,
+        options.plan_mode,
+        options.max_stages,
+        &mut stats,
+        &mut fired,
+    )?);
+    // Input facts of idb predicates hold in every iterate: the
+    // overdelete may withdraw them, and they come straight back.
+    for (pred, tuple) in &candidates {
+        if base.contains_fact(*pred, tuple) {
+            over.insert_fact(*pred, tuple.clone());
+        }
+    }
+    rederive(
+        &candidates,
+        support.program,
+        support.rules_for,
+        support.plans,
+        over,
+        Some(under),
+        adom,
+        cache,
+        &mut stats,
+        &mut fired,
+    );
+    let mut left = Instance::new();
+    for (pred, tuple) in candidates {
+        if !over.contains_fact(pred, &tuple) {
+            left.insert_fact(pred, tuple);
+        }
+    }
+    over.commit_all();
+    over.compact_all();
+
+    if tel.is_enabled() || tracer.is_enabled() {
+        // The closure and rederive passes add to each rule's count.
+        for (stat, &n) in rule_stats.iter_mut().zip(&fired) {
+            stat.fired = n;
+        }
+        let round = Round {
+            added: 0,
+            removed: left.fact_count(),
+            fired: fired.iter().sum(),
+            delta: Vec::new(),
+            joins: cache.counters.since(&joins_before),
+            plan_stats: planner.stats(),
+        };
+        round.record(tel, &head_preds, &rule_stats, stage_sw.nanos(), over);
+    }
+    Ok(left)
 }
 
 /// Convenience wrapper returning the 2-valued reading (true facts only),

@@ -13,7 +13,7 @@
 //! Generation is fully deterministic in the seed; no wall clock, no
 //! global state.
 
-use unchained_common::{Instance, Interner, Rng, Tuple, Value};
+use unchained_common::{Instance, Interner, Rng, Symbol, Tuple, Value};
 use unchained_parser::{Atom, HeadLiteral, Literal, Program, Rule, Term, Var};
 
 /// A fuzzing campaign: which language fragment to generate and which
@@ -50,6 +50,12 @@ pub enum Campaign {
     /// sequentially vs morsel-parallel at 2/4/8 threads plus an
     /// edit-script incremental pass.
     Scale,
+    /// Unstratified Datalog¬ and Datalog¬¬: negation on any idb
+    /// predicate (recursion through negation) and negative heads. The
+    /// well-founded, inflationary and Datalog¬¬ engines (under all four
+    /// conflict policies) are checked against the definitional
+    /// reference evaluator in [`crate::spec`].
+    Unstratified,
 }
 
 impl Campaign {
@@ -63,6 +69,7 @@ impl Campaign {
             "planner" | "plan" => Campaign::Planner,
             "edits" | "edit-script" | "ivm" => Campaign::EditScript,
             "scale" | "columnar" => Campaign::Scale,
+            "unstratified" | "wellfounded" => Campaign::Unstratified,
             _ => return None,
         })
     }
@@ -77,11 +84,12 @@ impl Campaign {
             Campaign::Planner => "planner",
             Campaign::EditScript => "edits",
             Campaign::Scale => "scale",
+            Campaign::Unstratified => "unstratified",
         }
     }
 
     /// All campaigns, in documentation order.
-    pub fn all() -> [Campaign; 7] {
+    pub fn all() -> [Campaign; 8] {
         [
             Campaign::Positive,
             Campaign::Negation,
@@ -90,6 +98,7 @@ impl Campaign {
             Campaign::Planner,
             Campaign::EditScript,
             Campaign::Scale,
+            Campaign::Unstratified,
         ]
     }
 }
@@ -167,6 +176,10 @@ pub fn generate(
     let n_rules = 1 + rng.gen_index(cfg.max_rules);
     let mut rules = Vec::new();
     for _ in 0..n_rules {
+        if campaign == Campaign::Unstratified && rng.gen_bool(0.5) {
+            rules.extend(game_rules(&mut rng, &idb, &edb));
+            continue;
+        }
         let n_vars = 1 + rng.gen_index(VAR_NAMES.len() - 2);
         let pick_term = |rng: &mut Rng| {
             if rng.gen_bool(0.12) {
@@ -207,15 +220,22 @@ pub fn generate(
             campaign,
             Campaign::Negation | Campaign::Planner | Campaign::EditScript
         );
+        // The unstratified campaign negates any idb atom, so negation
+        // may close a recursive cycle.
+        let unstratified = campaign == Campaign::Unstratified;
         for _ in 0..n_body {
-            let negate = stratified && rng.gen_bool(0.3);
+            let negate = (stratified && rng.gen_bool(0.3)) || (unstratified && rng.gen_bool(0.35));
             let layered = stratified;
             let pos_pool = if layered {
                 (head_level + 1).min(idb.len())
             } else {
                 idb.len()
             };
-            let neg_pool = head_level.min(idb.len());
+            let neg_pool = if unstratified {
+                idb.len()
+            } else {
+                head_level.min(idb.len())
+            };
             let from_edb = if negate {
                 neg_pool == 0 || rng.gen_bool(0.5)
             } else {
@@ -300,8 +320,14 @@ pub fn generate(
         }
 
         let max_var = n_vars + usize::from(inventing);
+        // Datalog¬¬ retraction: some unstratified heads are negative.
+        let head = Atom::new(head_pred, head_args);
         rules.push(Rule {
-            head: vec![HeadLiteral::Pos(Atom::new(head_pred, head_args))],
+            head: vec![if unstratified && rng.gen_bool(0.25) {
+                HeadLiteral::Neg(head)
+            } else {
+                HeadLiteral::Pos(head)
+            }],
             body,
             forall: vec![],
             var_names: VAR_NAMES[..max_var].iter().map(|s| s.to_string()).collect(),
@@ -310,6 +336,10 @@ pub fn generate(
     let program = Program { rules }.normalized();
 
     let mut instance = Instance::new();
+    if campaign == Campaign::Unstratified {
+        game_instance(&mut rng, cfg, &edb, &idb, &mut instance);
+        return (program, instance);
+    }
     for (k, (pred, arity)) in edb.iter().enumerate() {
         instance.ensure(*pred, *arity);
         // The planner campaign skews cardinalities hard (E1 ≫ E0) so
@@ -332,6 +362,104 @@ pub fn generate(
         }
     }
     (program, instance)
+}
+
+/// One of the unstratified campaign's rule shapes over a move relation
+/// (the first binary edb predicate) and the unary idb predicates: the
+/// win-move rule, alone or with a second negated predicate, and its
+/// two-player variant, whose alternating fixpoints take as many rounds
+/// as the longest path; reachability; and a token that a pair of rules
+/// moves along the edges, one step a stage, retracting it behind.
+/// Random rules alone rarely keep the alternation or a Datalog¬¬ run
+/// going past a few steps.
+fn game_rules(rng: &mut Rng, idb: &[(Symbol, usize, usize)], edb: &[(Symbol, usize)]) -> Vec<Rule> {
+    let unary: Vec<Symbol> = idb.iter().filter(|i| i.1 == 1).map(|i| i.0).collect();
+    let pick = |rng: &mut Rng| unary[rng.gen_index(unary.len())];
+    let (a, b) = (pick(rng), pick(rng));
+    let moves = edb
+        .iter()
+        .find(|e| e.1 == 2)
+        .expect("the campaign has a binary edb predicate")
+        .0;
+    let (x, y) = (Term::Var(Var(0)), Term::Var(Var(1)));
+    let atom = |p: Symbol, t: &Term| Atom::new(p, vec![*t]);
+    let edge = Literal::Pos(Atom::new(moves, vec![x, y]));
+    let rule = |head: HeadLiteral, body: Vec<Literal>| Rule {
+        head: vec![head],
+        body,
+        forall: vec![],
+        var_names: VAR_NAMES[..2].iter().map(|s| s.to_string()).collect(),
+    };
+    let win = |negated: &[Symbol]| {
+        let mut body = vec![edge.clone()];
+        body.extend(negated.iter().map(|&p| Literal::Neg(atom(p, &y))));
+        rule(HeadLiteral::Pos(atom(a, &x)), body)
+    };
+    match rng.gen_index(5) {
+        0 => vec![win(&[a])],
+        1 => vec![win(&[b])],
+        2 => vec![win(&[a, b])],
+        3 => vec![rule(
+            HeadLiteral::Pos(atom(a, &y)),
+            vec![Literal::Pos(atom(b, &x)), edge.clone()],
+        )],
+        _ => vec![
+            rule(
+                HeadLiteral::Pos(atom(a, &y)),
+                vec![Literal::Pos(atom(a, &x)), edge.clone()],
+            ),
+            rule(
+                HeadLiteral::Neg(atom(a, &x)),
+                vec![Literal::Pos(atom(a, &x)), edge.clone()],
+            ),
+        ],
+    }
+}
+
+/// The unstratified campaign's input: the binary edb predicates hold a
+/// path through twice the usual universe with a few edges dropped and a
+/// few random ones added (so games have long lines, branches and
+/// cycles); the unary ones hold a few random values. Half the unary idb
+/// predicates start with one fact, a token for the moving rules.
+fn game_instance(
+    rng: &mut Rng,
+    cfg: GrammarConfig,
+    edb: &[(Symbol, usize)],
+    idb: &[(Symbol, usize, usize)],
+    instance: &mut Instance,
+) {
+    let universe = 2 * cfg.universe;
+    for &(pred, arity) in edb {
+        instance.ensure(pred, arity);
+        let mut fact = |vals: &[i64]| {
+            instance.insert_fact(pred, vals.iter().map(|&v| Value::Int(v)).collect());
+        };
+        if arity == 2 {
+            for k in 0..universe - 1 {
+                if rng.gen_bool(0.85) {
+                    fact(&[k, k + 1]);
+                }
+            }
+            for _ in 0..3 {
+                fact(&[
+                    rng.gen_range_i64(0, universe),
+                    rng.gen_range_i64(0, universe),
+                ]);
+            }
+        } else {
+            for _ in 0..3 {
+                fact(&[rng.gen_range_i64(0, universe)]);
+            }
+        }
+    }
+    for &(pred, arity, _) in idb {
+        if arity == 1 && rng.gen_bool(0.5) {
+            instance.insert_fact(
+                pred,
+                Tuple::from([Value::Int(rng.gen_range_i64(0, universe))]),
+            );
+        }
+    }
 }
 
 /// The pinned program pool for the scale campaign. Every program is
@@ -450,6 +578,9 @@ mod tests {
                     Campaign::Nondet => {
                         check_positively_bound(&p, false)
                             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+                    }
+                    Campaign::Unstratified => {
+                        assert!(classify(&p) <= Language::DatalogNegNeg, "seed {seed}");
                     }
                 }
             }

@@ -25,6 +25,7 @@ pub mod grammar;
 pub mod oracle;
 pub mod report;
 pub mod shrink;
+pub mod spec;
 pub mod translate;
 
 pub use corpus::Repro;
@@ -167,7 +168,9 @@ USAGE:
 OPTIONS:
   --campaign <C>     positive (default) | negation | invention | nondet |
                      planner | edits (incremental-session edit scripts) |
-                     scale (10^4–10^5-fact digraphs, morsel-parallel + ivm)
+                     scale (10^4–10^5-fact digraphs, morsel-parallel + ivm) |
+                     unstratified (recursion through negation, head
+                     negation; checked against the reference evaluator)
   --seed <N>         master seed (default 0); same seed, same run, bit for bit
   --budget <N>       programs to generate (default 100)
   --json <PATH>      write the campaign summary (default FUZZ.json)

@@ -12,6 +12,7 @@
 //! | planner | stratified syntactic-plan vs cost-plan, cost-plan@{2,4,8}, syntactic-plan@4 | stage-count equality |
 //! | edits | incremental session vs from-scratch stratified, after every poll of a seeded edit script, @{1,4} | edb-mirror fidelity |
 //! | scale | stratified@1 vs morsel-parallel@{2,4,8} on 10^4–10^5-fact layered digraphs, plus an incremental edit-script pass@4 | stage-count equality, edb-mirror fidelity |
+//! | unstratified | well-founded, inflationary and Datalog¬¬ under all four conflict policies, each against the definitional reference evaluator ([`crate::spec`]) | round/stage-count equality, divergence and contradiction stages |
 //!
 //! A `Fault` injects a deliberate wrong answer into one extra matrix
 //! entry — the shrinker's self-test: with the fault enabled the oracle
@@ -19,15 +20,16 @@
 //! the shrinker must walk that divergence down to a ≤ 3-rule repro.
 
 use unchained_common::{Instance, Interner, Rng, Symbol, Tuple, Value};
-use unchained_core::noninflationary::ConflictPolicy::PreferPositive;
+use unchained_core::noninflationary::ConflictPolicy::{self, PreferPositive};
 use unchained_core::{
     inflationary, invention, magic, naive, noninflationary, seminaive, stratified, wellfounded,
     EvalError, EvalOptions, FixpointRun, IncrementalSession, PlanMode,
 };
 use unchained_nondet::{poss_cert, run_once, EffOptions, NondetProgram, RandomChooser};
-use unchained_parser::Program;
+use unchained_parser::{HeadLiteral, Program};
 
 use crate::grammar::Campaign;
+use crate::spec;
 use crate::translate::to_while;
 
 /// Deliberate engine fault for the shrinker self-test.
@@ -81,7 +83,7 @@ fn opts(threads: usize) -> EvalOptions {
     // Thread count is always set explicitly so FUZZ output is identical
     // whether or not UNCHAINED_THREADS is exported.
     EvalOptions::default()
-        .with_max_stages(500)
+        .with_max_stages(MAX_STAGES)
         .with_max_facts(100_000)
         .with_threads(threads)
 }
@@ -173,6 +175,7 @@ pub fn check(
         Campaign::Planner => planner(program, &input, fault),
         Campaign::EditScript => edit_script_campaign(program, &input, run_seed, fault),
         Campaign::Scale => scale_campaign(program, &input, run_seed, fault),
+        Campaign::Unstratified => unstratified(program, &input, fault),
     }
 }
 
@@ -825,6 +828,138 @@ fn negation(program: &Program, input: &Instance, fault: Fault) -> Outcome {
     rule_permutation_leg(&mut out, program, input, &answer, Campaign::Negation);
     fault_leg(&mut out, &answer, fault);
     out
+}
+
+/// The unstratified campaign: every engine of the paper's non-monotone
+/// semantics against the definitional reference of [`crate::spec`],
+/// which shares no code with them. Datalog¬¬ runs the whole program
+/// under each conflict policy; the well-founded and inflationary
+/// engines run its Datalog¬ part (the rules with positive heads).
+fn unstratified(program: &Program, input: &Instance, fault: Fault) -> Outcome {
+    let mut out = Outcome::default();
+    for policy in [
+        ConflictPolicy::PreferPositive,
+        ConflictPolicy::PreferNegative,
+        ConflictPolicy::NoOp,
+        ConflictPolicy::Undefined,
+    ] {
+        out.oracle_runs += 2;
+        let want = spec::datalog_negneg(program, input, policy, MAX_STAGES);
+        let got = noninflationary::eval(program, input, policy, opts(1));
+        negneg_leg(
+            &mut out,
+            "spec-datalog-negneg",
+            "noninflationary",
+            &want,
+            got,
+        );
+    }
+
+    let mut datalog_neg = program.clone();
+    datalog_neg
+        .rules
+        .retain(|r| matches!(r.head[..], [HeadLiteral::Pos(_)]));
+    if datalog_neg.rules.is_empty() {
+        return out;
+    }
+    let idb = datalog_neg.idb();
+    out.oracle_runs += 2;
+    let want = spec::well_founded(&datalog_neg, input);
+    match wellfounded::eval(&datalog_neg, input, opts(1)) {
+        Ok(model) => {
+            let legs = [
+                ("wellfounded-true", &want.true_facts, &model.true_facts),
+                (
+                    "wellfounded-possible",
+                    &want.possible_facts,
+                    &model.possible_facts,
+                ),
+            ];
+            for (right, want, got) in legs {
+                out.comparisons += 1;
+                let got = spec::db_of(got);
+                if spec::project(want, &idb) != spec::project(&got, &idb) {
+                    out.diverge("spec-alternating-fixpoint", right, "facts differ".into());
+                }
+            }
+            out.comparisons += 1;
+            if model.rounds != want.rounds {
+                out.diverge(
+                    "spec-alternating-fixpoint",
+                    "wellfounded",
+                    format!("rounds {} vs {}", want.rounds, model.rounds),
+                );
+            }
+        }
+        Err(e) => out.diverge(
+            "spec-alternating-fixpoint",
+            "wellfounded",
+            format!("wellfounded failed: {e}"),
+        ),
+    }
+
+    out.oracle_runs += 2;
+    let want = spec::datalog_negneg(&datalog_neg, input, PreferPositive, MAX_STAGES);
+    let got = inflationary::eval(&datalog_neg, input, opts(1));
+    negneg_leg(&mut out, "spec-datalog-negneg", "inflationary", &want, got);
+
+    let mut answer = Instance::new();
+    for (pred, tuples) in spec::project(&want_facts(&want), &idb) {
+        for t in tuples {
+            answer.insert_fact(pred, Tuple::from(t));
+        }
+    }
+    fault_leg(&mut out, &answer, fault);
+    out
+}
+
+/// The stage budget of every run in the oracle (see [`opts`]).
+const MAX_STAGES: usize = 500;
+
+/// The facts of a reference run that reached a fixpoint.
+fn want_facts(want: &spec::Stages) -> spec::Db {
+    match want {
+        spec::Stages::Fixpoint { db, .. } => db.clone(),
+        _ => spec::Db::new(),
+    }
+}
+
+/// Compares an engine run of Datalog¬¬ stages with the reference: the
+/// same fixpoint in the same stages, or the same divergence,
+/// contradiction or budget error at the same stage.
+fn negneg_leg(
+    out: &mut Outcome,
+    left: &'static str,
+    right: &'static str,
+    want: &spec::Stages,
+    got: Result<FixpointRun, EvalError>,
+) {
+    // Two checks: how the run ended, and at which stage.
+    out.comparisons += 2;
+    let agree = match (want, &got) {
+        (spec::Stages::Fixpoint { db, stages }, Ok(run)) => {
+            *stages == run.stages && *db == spec::db_of(&run.instance)
+        }
+        (
+            spec::Stages::Diverged { stage, period },
+            Err(EvalError::Diverged {
+                stage: s,
+                period: p,
+            }),
+        ) => (stage, period) == (s, p),
+        (spec::Stages::Contradiction { stage }, Err(EvalError::Contradiction { stage: s })) => {
+            stage == s
+        }
+        (spec::Stages::StageLimit, Err(EvalError::StageLimitExceeded(_))) => true,
+        _ => false,
+    };
+    if !agree {
+        let got = match got {
+            Ok(run) => format!("fixpoint after {} stages", run.stages),
+            Err(e) => e.to_string(),
+        };
+        out.diverge(left, right, format!("{want:?} vs {got}"));
+    }
 }
 
 fn invention_campaign(program: &Program, input: &Instance, fault: Fault) -> Outcome {

@@ -39,7 +39,7 @@ fn valid(campaign: Campaign, program: &Program) -> bool {
             DependencyGraph::build(program).stratify().is_ok()
         }
         Campaign::Nondet => check_positively_bound(program, false).is_ok(),
-        Campaign::Positive | Campaign::Invention => true,
+        Campaign::Positive | Campaign::Invention | Campaign::Unstratified => true,
     }
 }
 

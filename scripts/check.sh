@@ -57,16 +57,25 @@ fi
 # not the stage count. Inflationary stages after the first fire only
 # the semi-naive variants over the last stage's delta, so on chain TC
 # inflationary fires strictly fewer matches than naive's full stages.
+# Datalog¬¬ fires a rule whose head no rule retracts over the last
+# stage's change only, so on chain TC, which retracts nothing, it fires
+# exactly inflationary's matches.
 echo "==> BENCH.json stage-driver gauges on chain TC"
 chain_gauge() {
     grep "\"workload\":\"chain\",\"engine\":\"$1\",\"threads\":1" BENCH.json \
         | sed -n "s/.*\"$2\":\([0-9]*\).*/\1/p"
 }
 non_rebuilds=$(chain_gauge noninflationary index_rebuilds)
+non_fired=$(chain_gauge noninflationary rules_fired)
 infl_fired=$(chain_gauge inflationary rules_fired)
 naive_fired=$(chain_gauge naive rules_fired)
-if [ -z "$non_rebuilds" ] || [ -z "$infl_fired" ] || [ -z "$naive_fired" ]; then
+if [ -z "$non_rebuilds" ] || [ -z "$non_fired" ] || [ -z "$infl_fired" ] \
+    || [ -z "$naive_fired" ]; then
     echo "chain noninflationary/inflationary/naive (threads:1) entries missing from BENCH.json" >&2
+    exit 1
+fi
+if [ "$non_fired" != "$infl_fired" ]; then
+    echo "chain/noninflationary rules_fired=$non_fired differs from inflationary's $infl_fired" >&2
     exit 1
 fi
 if [ "$non_rebuilds" -gt 2 ]; then
@@ -356,6 +365,22 @@ cargo run -q --release -p unchained-fuzz -- --campaign negation --seed 42 \
 if ! grep -q '"divergences":0' target/fuzz-negation.json; then
     echo "negation fuzz smoke found divergences:" >&2
     cat target/fuzz-negation.json >&2
+    exit 1
+fi
+
+# The unstratified triple (unstratified/42/200) gates the incremental
+# drivers of the non-monotone semantics on programs with recursion
+# through negation and head negation: well-founded, inflationary and
+# Datalog¬¬ under all four conflict policies, each against the
+# definitional reference evaluator, which shares no engine code.
+echo "==> fuzz smoke: unstratified/42/200, zero divergences"
+rm -rf target/fuzz-unstratified-corpus
+cargo run -q --release -p unchained-fuzz -- --campaign unstratified --seed 42 \
+    --budget 200 --json target/fuzz-unstratified.json \
+    --corpus target/fuzz-unstratified-corpus >/dev/null
+if ! grep -q '"divergences":0' target/fuzz-unstratified.json; then
+    echo "unstratified fuzz smoke found divergences:" >&2
+    cat target/fuzz-unstratified.json >&2
     exit 1
 fi
 
