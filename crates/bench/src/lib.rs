@@ -1265,7 +1265,8 @@ mod tests {
         assert_eq!(seq.gauges.facts_derived, par.gauges.facts_derived);
         assert_eq!(seq.gauges.rules_fired, par.gauges.rules_fired);
         // A --threads 4 run records what the engine actually used: 4 for
-        // the seminaive fixpoint, 1 for engines without a parallel path.
+        // the stage-driver engines, 1 for the while interpreter, which
+        // has no parallel path.
         let report = run_benchmarks(&BenchArgs {
             filter: Some("chain/".into()),
             quick: true,
@@ -1283,6 +1284,7 @@ mod tests {
                 .unwrap_or_else(|| panic!("{name} entry"))
         };
         assert_eq!(by_engine("seminaive").threads, 4);
+        assert_eq!(by_engine("naive").threads, 4);
         assert_eq!(by_engine("while").threads, 1);
     }
 

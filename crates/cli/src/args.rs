@@ -100,8 +100,8 @@ pub enum Command {
         memstats: bool,
         /// Write the evaluation trace as JSON lines to this path.
         trace_json: Option<String>,
-        /// Worker threads for the semi-naive hot path (None = engine
-        /// default, which honors `UNCHAINED_THREADS`).
+        /// Worker threads for the stage driver's parallel stages (None =
+        /// engine default, which honors `UNCHAINED_THREADS`).
         threads: Option<usize>,
         /// Driver rows per parallel morsel (None = engine default).
         morsel_size: Option<usize>,
@@ -162,7 +162,7 @@ pub enum Command {
         output: Option<String>,
         /// Stage budget per poll.
         max_stages: Option<usize>,
-        /// Worker threads for the semi-naive substrate.
+        /// Worker threads for the stage driver.
         threads: Option<usize>,
         /// Print per-poll maintenance statistics.
         stats: bool,
@@ -241,7 +241,7 @@ OPTIONS:
                                and rule deltas (identical for every
                                --threads count)
   --trace-json <PATH>          write the evaluation trace as JSON lines
-  --threads <N>                worker threads for semi-naive rounds
+  --threads <N>                worker threads for each evaluation stage
                                (default 1, or the UNCHAINED_THREADS env var;
                                output is identical for every thread count)
   --morsel-size <N>            driver rows per parallel work morsel

@@ -54,7 +54,7 @@ Enter Datalog statements (terminated by `.`) or commands:
                               invention, nondet, effect)
   .seed <n>                   RNG seed for nondeterministic runs
   .max-stages <n>             stage budget
-  .threads <n>                worker threads for semi-naive rounds
+  .threads <n>                worker threads for each evaluation stage
   .morsel-size <n>            driver rows per parallel work morsel
   .explain <fact>.            derivation tree of a fact (Datalog only)
   .why <fact>.                alias of .explain

@@ -218,7 +218,7 @@ impl IndexCache {
 ///   deleted `deleted`, read without copying it. The deleted side is
 ///   indexed under its own cache entries (see
 ///   [`IndexCache::forget_withdrawn`]). Incremental maintenance reads
-///   the pre-update fixpoint this way; the morsel entry points do not
+///   the pre-update fixpoint this way; the morsel entry point does not
 ///   support it.
 #[derive(Clone, Copy)]
 pub struct Sources<'a> {
@@ -304,7 +304,7 @@ pub fn for_each_head(
     fired
 }
 
-/// One unit of work for the morsel-driven parallel executor: either a
+/// One unit of work for the morsel-driven parallel stages: either a
 /// whole-plan evaluation, or a contiguous row range of the plan's
 /// *driver* — its first scan step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -351,30 +351,37 @@ pub fn driver_len(plan: &Plan, sources: Sources<'_>) -> Option<usize> {
     }
 }
 
-/// Like [`for_each_head`], but restricted to one [`Morsel`] of the
+/// Like [`for_each_match`], but restricted to one [`Morsel`] of the
 /// plan's driver scan. The driver rows are enumerated directly from
 /// columnar storage ([`Relation::iter_stored_range`] /
 /// [`Relation::iter_since_range`]) instead of through an index, so
 /// workers pulling disjoint row ranges partition the plan's match set
 /// exactly: every match consumes exactly one driver row, and the ranges
-/// partition the driver enumeration. Summing `fired` over a partition of
-/// `0..driver_len(plan, sources)` therefore equals the sequential fired
-/// count, independent of how morsels are assigned to workers.
-pub fn for_each_head_morsel(
+/// partition the driver enumeration. An index built or absorbed over
+/// committed storage yields its postings in that same stored order, so
+/// on a committed instance the morsels of a partition, taken in order,
+/// yield the matches in the order [`for_each_match`] does.
+pub fn for_each_match_morsel(
     plan: &Plan,
-    head_args: &[Term],
     sources: Sources<'_>,
     adom: &[Value],
     cache: &mut IndexCache,
     morsel: Morsel,
-    on_tuple: &mut dyn FnMut(Tuple),
-) -> u64 {
+    on_match: &mut dyn FnMut(&Env),
+) {
     assert!(
         sources.before.is_none(),
         "morsels do not read pre-update views"
     );
+    let mut on_match = |env: &Env| {
+        on_match(env);
+        ControlFlow::Continue(())
+    };
     let (lo, hi) = match morsel {
-        Morsel::Whole => return for_each_head(plan, head_args, sources, adom, cache, on_tuple),
+        Morsel::Whole => {
+            let _ = for_each_match(plan, sources, adom, cache, &mut on_match);
+            return;
+        }
         Morsel::Rows { lo, hi } => (lo, hi),
     };
     let Some((
@@ -391,7 +398,7 @@ pub fn for_each_head_morsel(
         ScanSource::Delta => sources.delta_from.unwrap_or(sources.full),
     };
     let Some(relation) = scan_instance.relation(*pred) else {
-        return 0; // absent relation = empty driver
+        return; // absent relation = empty driver
     };
     let rows: Box<dyn Iterator<Item = &[Value]>> = match source {
         ScanSource::Full => relation.iter_stored_range(lo, hi),
@@ -404,7 +411,6 @@ pub fn for_each_head_morsel(
         }
     };
     let mut env: Env = vec![None; plan.var_count];
-    let mut fired = 0u64;
     let mut scanned = 0u64;
     // The driver borrow comes from `sources`, not `cache`, so the row
     // iterator can be held across the recursive `run_steps` calls — no
@@ -440,18 +446,13 @@ pub fn for_each_head_morsel(
                 },
             }
         }
-        let _ = run_steps(rest, &sources, adom, cache, &mut env, &mut |env| {
-            fired += 1;
-            on_tuple(instantiate(head_args, env));
-            ControlFlow::Continue(())
-        });
+        let _ = run_steps(rest, &sources, adom, cache, &mut env, &mut on_match);
         for &b in &newly_bound {
             env[b] = None;
         }
     }
     cache.counters.probes += 1;
     cache.counters.probe_tuples += scanned;
-    fired
 }
 
 /// The full scans a plain index probe does not serve: a scan with

@@ -9,15 +9,22 @@
 //!
 //! | policy | engines | a stage … | Δ-driven |
 //! |---|---|---|---|
-//! | [`Accumulate`] | naive, inflationary, the well-founded and stable reducts | inserts the fired facts | every rule, except naive's |
+//! | [`Accumulate`] | naive, semi-naive, stratified, inflationary, the well-founded and stable reducts, the IVM batch fixpoints | inserts the fired facts | every rule, except naive's |
 //! | `Retract` | noninflationary | inserts and deletes under a conflict policy | per rule: those whose head no rule retracts |
 //! | `Invent` | invention | inserts, minting fresh values per Skolem key | no |
 //! | `Derive` | provenance | inserts, keeping each fact's first derivation | no |
 //!
+//! Every policy runs at any `threads`, with identical answers, stage
+//! counts and `rules_fired`.
+//!
 //! [`Stages::run`] drives them all through one loop: re-plan every rule
 //! against the current instance, fire every plan, hand each match to
 //! the policy, apply it under the fact budget, commit, and record the
-//! stage.
+//! stage. A run fires a rule set — the whole program, or one stratum
+//! ([`Stages::restrict`], [`eval_strata`]). At one thread the plans fire
+//! on the calling thread; otherwise [`crate::parallel`] fires them in
+//! morsels across workers and replays the matches into the policy in
+//! the sequential order.
 //!
 //! A rule is *Δ-driven* when every fact its head infers stays: then only
 //! a valuation new at stage k+1 can add to the stage, and a new valuation
@@ -25,10 +32,12 @@
 //! removed. So after the first stage the driver fires such a rule's
 //! semi-naive variants over the last stage's insertions and its negation
 //! variants over its removals (§4.1), and every other rule its full plan.
-//! Under inflationary semantics and the reducts nothing is removed, so
-//! only the semi-naive variants fire. Under `Retract` a head no rule
-//! retracts is never removed once inferred, and no `¬A` inference can
-//! conflict with it; removals are tombstones, read back through
+//! Semi-naive variants are taken over the head predicates of the rules
+//! the run fires; under semi-naive, stratified and inflationary
+//! evaluation and the reducts nothing is removed, so only they fire.
+//! Under `Retract` a head no rule retracts is never removed once
+//! inferred, and no `¬A` inference can conflict with it; removals are
+//! tombstones, read back through
 //! [`Relation::retracted_since`](unchained_common::Relation::retracted_since).
 //! A run can also be *entered* with the facts that just left its
 //! negative context ([`Stages::run_from`]): the alternating fixpoint
@@ -37,15 +46,16 @@
 use std::ops::ControlFlow;
 
 use unchained_common::{
-    DeltaHandle, FxHashMap, HeapSize, Instance, JoinCounters, Span, SpanGuard, SpanKind,
+    fmt_bytes, DeltaHandle, FxHashMap, HeapSize, Instance, JoinCounters, Span, SpanGuard, SpanKind,
     StageRecord, Stopwatch, Symbol, Telemetry, Tracer, Tuple, Value,
 };
-use unchained_parser::{HeadLiteral, Program};
+use unchained_parser::{HeadLiteral, Program, Rule};
 
 use crate::error::EvalError;
 use crate::exec::{for_each_match, IndexCache, Sources};
 use crate::ir::Plan;
 use crate::options::{EvalOptions, FixpointRun};
+use crate::parallel::{self, Task};
 use crate::planner::{Catalog, PlanStats, Planner};
 use crate::subst::{active_domain, instantiate, Env};
 
@@ -110,49 +120,13 @@ impl EvalScope {
 }
 
 /// Per-rule attribution collected during one round: match count plus
-/// wall-clock placement of the rule's evaluation.
+/// wall-clock placement of the rule's evaluation (for a parallel round,
+/// the summed worker time of the rule's morsels).
 #[derive(Clone, Copy, Default)]
 pub(crate) struct RuleStat {
     pub(crate) fired: u64,
     pub(crate) start_nanos: u64,
     pub(crate) dur_nanos: u64,
-}
-
-/// Attaches one round's attribution leaves to the currently open round
-/// span: per-rule spans (deterministic `fired` gauges), per-worker lane
-/// spans (parallel rounds), and a join-counter summary.
-pub(crate) fn emit_round_leaves(
-    tracer: &Tracer,
-    head_preds: &[Symbol],
-    rule_stats: &[RuleStat],
-    worker_lanes: &mut Vec<(u64, u64)>,
-    joins: &JoinCounters,
-) {
-    for (ri, rs) in rule_stats.iter().enumerate() {
-        let mut span = Span::leaf(SpanKind::Rule, format!("rule {ri}"));
-        span.pred = Some(head_preds[ri]);
-        span.start_nanos = rs.start_nanos;
-        span.dur_nanos = rs.dur_nanos;
-        span.gauges.push(("fired", rs.fired));
-        tracer.leaf(span);
-    }
-    for (w, (start, dur)) in worker_lanes.drain(..).enumerate() {
-        let mut span = Span::leaf(SpanKind::Worker, format!("worker {w}"));
-        span.lane = Some(w);
-        span.start_nanos = start;
-        span.dur_nanos = dur;
-        tracer.leaf(span);
-    }
-    let mut join = Span::leaf(SpanKind::Join, "joins");
-    join.gauges = vec![
-        ("probes", joins.probes),
-        ("probe_tuples", joins.probe_tuples),
-        ("index_builds", joins.index_builds),
-        ("index_hits", joins.index_hits),
-        ("index_appends", joins.index_appends),
-        ("index_rebuilds", joins.index_rebuilds),
-    ];
-    tracer.leaf(join);
 }
 
 /// What a stage does with the facts Γ_P fires.
@@ -302,25 +276,72 @@ impl Consequence for Accumulate<'_> {
     }
 }
 
-/// The stage driver over one program: its sorted idb, its active domain
-/// and the index cache every stage's joins share.
+/// The stage driver: the rule set a run fires — the whole program, or
+/// one stratum — with the active domain and the index caches every
+/// stage's joins share, across stages, runs and strata.
 pub(crate) struct Stages<'p> {
-    program: &'p Program,
     options: &'p EvalOptions,
+    rules: Vec<&'p Rule>,
+    /// The head predicates of `rules`, sorted: the predicates Δ variants
+    /// are taken over, and whose cardinality a cold first stage inflates.
     idb: Vec<Symbol>,
     adom: Vec<Value>,
     cache: IndexCache,
+    /// One index cache per worker of a parallel stage (none at one
+    /// thread), kept across stages like `cache`.
+    workers: Vec<IndexCache>,
 }
 
 impl<'p> Stages<'p> {
     pub(crate) fn new(program: &'p Program, input: &Instance, options: &'p EvalOptions) -> Self {
-        Stages {
+        Stages::over(
             program,
             options,
-            idb: program.idb(),
-            adom: active_domain(program, input),
-            cache: IndexCache::new(),
-        }
+            active_domain(program, input),
+            IndexCache::new(),
+        )
+    }
+
+    /// A driver firing every rule of `program`, whose `Domain` steps
+    /// enumerate `adom` and whose joins start from `cache`.
+    pub(crate) fn over(
+        program: &'p Program,
+        options: &'p EvalOptions,
+        adom: Vec<Value>,
+        cache: IndexCache,
+    ) -> Self {
+        let threads = options.threads.get();
+        let workers = if threads > 1 { threads } else { 0 };
+        let mut stages = Stages {
+            options,
+            rules: Vec::new(),
+            idb: Vec::new(),
+            adom,
+            cache,
+            workers: (0..workers).map(|_| IndexCache::new()).collect(),
+        };
+        stages.restrict(program.rules.iter().collect());
+        stages
+    }
+
+    /// Makes later runs fire `rules` only: one stratum, whose negative
+    /// literals read lower strata that are already complete.
+    pub(crate) fn restrict(&mut self, rules: Vec<&'p Rule>) {
+        let mut idb: Vec<Symbol> = rules
+            .iter()
+            .flat_map(|r| r.head.iter().filter_map(HeadLiteral::atom))
+            .map(|a| a.pred)
+            .collect();
+        idb.sort_unstable();
+        idb.dedup();
+        self.idb = idb;
+        self.rules = rules;
+    }
+
+    /// The active domain and the driver's index cache, for an owner that
+    /// keeps them between runs.
+    pub(crate) fn into_parts(self) -> (Vec<Value>, IndexCache) {
+        (self.adom, self.cache)
     }
 
     /// The options the run was started with.
@@ -328,21 +349,22 @@ impl<'p> Stages<'p> {
         self.options
     }
 
-    /// The program's idb predicates, sorted.
+    /// The head predicates of the rules a run fires, sorted.
     pub(crate) fn idb(&self) -> &[Symbol] {
         &self.idb
     }
 
-    /// A driver over the same program and active domain with an index
-    /// cache of its own, for an instance whose relations have their own
+    /// A driver over the same rules and active domain with index caches
+    /// of its own, for an instance whose relations have their own
     /// lineage.
     pub(crate) fn sibling(&self) -> Stages<'p> {
         Stages {
-            program: self.program,
             options: self.options,
+            rules: self.rules.clone(),
             idb: self.idb.clone(),
             adom: self.adom.clone(),
             cache: IndexCache::new(),
+            workers: self.workers.iter().map(|_| IndexCache::new()).collect(),
         }
     }
 
@@ -352,10 +374,18 @@ impl<'p> Stages<'p> {
         (&self.adom, &mut self.cache)
     }
 
+    /// Drops every cached index, the workers' included, for a run whose
+    /// next phase reads the instance through other plans than the last.
+    pub(crate) fn clear_indexes(&mut self) {
+        self.cache.clear();
+        for worker in &mut self.workers {
+            worker.clear();
+        }
+    }
+
     /// The head predicate of every rule, in rule order.
     pub(crate) fn head_preds(&self) -> Vec<Symbol> {
-        self.program
-            .rules
+        self.rules
             .iter()
             .map(|r| r.head[0].atom().expect("relational head").pred)
             .collect()
@@ -395,15 +425,14 @@ impl<'p> Stages<'p> {
         mut left: Option<Instance>,
         policy: &mut impl Consequence,
     ) -> Result<usize, EvalError> {
-        let rules = &self.program.rules;
-        let tel = &self.options.telemetry;
+        let options = self.options;
+        let tel = &options.telemetry;
         let tracer = tel.tracer();
-        let traced = tracer.is_enabled();
-        let record = traced || tel.is_enabled();
+        let record = tracer.is_enabled() || tel.is_enabled();
         let head_preds = self.head_preds();
-        let idb = &self.idb;
         let driven: Vec<bool> = head_preds.iter().map(|&h| policy.delta_driven(h)).collect();
         let any_driven = driven.contains(&true);
+        tel.with(|t| t.threads = self.workers.len().max(1));
         // Negation variants read `left` with every fact counted as new.
         let all_new = DeltaHandle::default();
         instance.commit_all();
@@ -413,7 +442,7 @@ impl<'p> Stages<'p> {
         let mut stage = 0;
         loop {
             stage += 1;
-            if self.options.max_stages.is_some_and(|m| stage > m) {
+            if options.max_stages.is_some_and(|m| stage > m) {
                 return Err(EvalError::StageLimitExceeded(stage - 1));
             }
             let _round = tracer.span(SpanKind::Round, format!("round {stage}"));
@@ -424,46 +453,39 @@ impl<'p> Stages<'p> {
             // On a cold first stage the idb really is empty, so its
             // cardinality is inflated; afterwards the live counts speak
             // for themselves.
-            let mut planner =
-                Planner::new(Catalog::from_instance(instance), self.options.plan_mode);
+            let mut planner = Planner::new(Catalog::from_instance(instance), options.plan_mode);
             if mark.is_none() && stage == 1 {
-                planner.inflate(idb.iter().copied());
+                planner.inflate(self.idb.iter().copied());
             }
             // A Δ stage fires each Δ-driven rule's semi-naive variants
             // over the last stage's insertions (one per positive idb
             // literal) and its negation variants over the facts that
             // left the negative context (one per negated literal over
-            // them); every other rule fires its full plan. The flag
-            // marks negation variants.
+            // them); every other rule fires its full plan. Each plan
+            // comes with its rule and a flag marking negation variants.
             let left_has = |p: Symbol| {
                 left.as_ref()
                     .and_then(|l| l.relation(p))
                     .is_some_and(|r| !r.is_empty())
             };
-            let plans: Vec<Vec<(Plan, bool)>> = rules
-                .iter()
-                .zip(&driven)
-                .map(|(r, &driven)| match mark {
-                    Some(_) if driven => {
-                        let mut plans: Vec<(Plan, bool)> = planner
-                            .seminaive_variants(r, &|p| idb.binary_search(&p).is_ok())
-                            .into_iter()
-                            .map(|p| (p, false))
-                            .collect();
-                        plans.extend(
-                            planner
-                                .negation_variants(r, &left_has)
-                                .into_iter()
-                                .map(|p| (p, true)),
-                        );
-                        plans
-                    }
-                    _ => vec![(planner.plan_rule(r), false)],
-                })
-                .collect();
+            let idb = &self.idb;
+            let mut plans: Vec<(usize, Plan, bool)> = Vec::new();
+            for (ri, (r, &driven)) in self.rules.iter().zip(&driven).enumerate() {
+                if mark.is_none() || !driven {
+                    plans.push((ri, planner.plan_rule(r), false));
+                    continue;
+                }
+                let seminaive = planner.seminaive_variants(r, &|p| idb.binary_search(&p).is_ok());
+                plans.extend(seminaive.into_iter().map(|p| (ri, p, false)));
+                let negation = planner.negation_variants(r, &left_has);
+                plans.extend(negation.into_iter().map(|p| (ri, p, true)));
+            }
             let plan_stats = planner.stats();
             if mark.is_some() {
                 self.cache.begin_delta_round();
+                for worker in &mut self.workers {
+                    worker.begin_delta_round();
+                }
             }
 
             // One parallel firing: every rule reads the same instance.
@@ -478,29 +500,16 @@ impl<'p> Stages<'p> {
                 delta_from: left.as_ref(),
                 ..sources
             };
-            let mut rule_stats = Vec::new();
-            let mut fired = 0;
-            for (ri, (rule, plans)) in rules.iter().zip(&plans).enumerate() {
-                let start_nanos = tracer.now_nanos();
-                let mut rule_fired = 0u64;
-                for (plan, negation) in plans {
-                    let sources = if *negation { left_sources } else { sources };
-                    let _ =
-                        for_each_match(plan, sources, &self.adom, &mut self.cache, &mut |env| {
-                            rule_fired += 1;
-                            policy.fire(ri, &rule.head[0], env, current);
-                            ControlFlow::Continue(())
-                        });
-                }
-                fired += rule_fired;
-                if traced {
-                    rule_stats.push(RuleStat {
-                        fired: rule_fired,
-                        start_nanos,
-                        dur_nanos: tracer.now_nanos().saturating_sub(start_nanos),
-                    });
-                }
-            }
+            let tasks: Vec<Task> = plans
+                .iter()
+                .map(|(rule, plan, negation)| Task {
+                    rule: *rule,
+                    plan,
+                    sources: if *negation { left_sources } else { sources },
+                })
+                .collect();
+            let (rule_stats, workers) = self.fire(&tasks, current, policy);
+            let fired = rule_stats.iter().map(|s| s.fired).sum();
 
             let next_mark = any_driven.then(|| DeltaHandle::capture(instance));
             let mut apply = Apply {
@@ -509,7 +518,7 @@ impl<'p> Stages<'p> {
                 adom: &mut self.adom,
                 stage,
                 tel,
-                max_facts: self.options.max_facts,
+                max_facts: options.max_facts,
                 record,
                 added: 0,
                 removed: 0,
@@ -534,14 +543,14 @@ impl<'p> Stages<'p> {
             mark = next_mark;
 
             if record {
-                let joins = self.cache.counters.since(&joins_before);
                 let round = Round {
                     added,
                     removed,
                     fired,
                     delta,
-                    joins,
+                    joins: self.cache.counters.since(&joins_before),
                     plan_stats,
+                    workers,
                 };
                 round.record(tel, &head_preds, &rule_stats, stage_sw.nanos(), instance);
             }
@@ -550,6 +559,69 @@ impl<'p> Stages<'p> {
                 return Ok(stage);
             }
         }
+    }
+
+    /// Fires `tasks` against `instance` and hands every match to
+    /// `policy`: on this thread through the driver's cache, or in
+    /// morsels across the workers, whose join counters then roll up into
+    /// the driver's. Returns each rule's attribution and the worker
+    /// lanes.
+    fn fire(
+        &mut self,
+        tasks: &[Task<'_>],
+        instance: &Instance,
+        policy: &mut impl Consequence,
+    ) -> (Vec<RuleStat>, Vec<(u64, u64)>) {
+        let tracer = self.options.telemetry.tracer();
+        let start_nanos = tracer.now_nanos();
+        let mut stats = vec![
+            RuleStat {
+                start_nanos,
+                ..RuleStat::default()
+            };
+            self.rules.len()
+        ];
+        let rules = &self.rules;
+        let mut fire =
+            |rule: usize, env: &Env| policy.fire(rule, &rules[rule].head[0], env, instance);
+        if self.workers.is_empty() {
+            for (k, task) in tasks.iter().enumerate() {
+                let task_start = tracer.now_nanos();
+                let stat = &mut stats[task.rule];
+                if k == 0 || tasks[k - 1].rule != task.rule {
+                    stat.start_nanos = task_start;
+                }
+                let fired = &mut stat.fired;
+                let _ = for_each_match(
+                    task.plan,
+                    task.sources,
+                    &self.adom,
+                    &mut self.cache,
+                    &mut |env| {
+                        *fired += 1;
+                        fire(task.rule, env);
+                        ControlFlow::Continue(())
+                    },
+                );
+                stat.dur_nanos += tracer.now_nanos().saturating_sub(task_start);
+            }
+            return (stats, Vec::new());
+        }
+        let lanes = parallel::fire(
+            tasks,
+            &self.adom,
+            &mut self.workers,
+            self.options.morsel_size,
+            tracer.is_enabled().then_some(start_nanos),
+            &mut stats,
+            &mut fire,
+        );
+        for worker in &mut self.workers {
+            self.cache
+                .counters
+                .absorb(&std::mem::take(&mut worker.counters));
+        }
+        (stats, lanes)
     }
 }
 
@@ -567,8 +639,9 @@ fn retracted_since(instance: &Instance, marks: &DeltaHandle) -> Instance {
     out
 }
 
-/// One round's gauges, recorded on the open round span (with its rule
-/// and join leaves) and as a [`StageRecord`].
+/// One round's gauges, recorded on the open round span — with a leaf per
+/// rule, per worker of a parallel round, and for its join counters — and
+/// as a [`StageRecord`].
 pub(crate) struct Round {
     pub(crate) added: usize,
     pub(crate) removed: usize,
@@ -576,11 +649,13 @@ pub(crate) struct Round {
     pub(crate) delta: Vec<(Symbol, usize)>,
     pub(crate) joins: JoinCounters,
     pub(crate) plan_stats: PlanStats,
+    /// `(start, duration)` of each worker of a parallel round.
+    pub(crate) workers: Vec<(u64, u64)>,
 }
 
 impl Round {
     /// Records the round that left `instance`; `rule_stats` holds one
-    /// entry per rule when tracing.
+    /// entry per rule of `head_preds`.
     pub(crate) fn record(
         self,
         tel: &Telemetry,
@@ -598,7 +673,31 @@ impl Round {
         tracer.gauge("plan_joins_pruned", self.plan_stats.joins_pruned);
         tracer.gauge("subplans_shared", self.plan_stats.subplans_shared);
         if tracer.is_enabled() {
-            emit_round_leaves(tracer, head_preds, rule_stats, &mut Vec::new(), &self.joins);
+            for (ri, rs) in rule_stats.iter().enumerate() {
+                let mut span = Span::leaf(SpanKind::Rule, format!("rule {ri}"));
+                span.pred = Some(head_preds[ri]);
+                span.start_nanos = rs.start_nanos;
+                span.dur_nanos = rs.dur_nanos;
+                span.gauges.push(("fired", rs.fired));
+                tracer.leaf(span);
+            }
+            for (w, &(start, dur)) in self.workers.iter().enumerate() {
+                let mut span = Span::leaf(SpanKind::Worker, format!("worker {w}"));
+                span.lane = Some(w);
+                span.start_nanos = start;
+                span.dur_nanos = dur;
+                tracer.leaf(span);
+            }
+            let mut join = Span::leaf(SpanKind::Join, "joins");
+            join.gauges = vec![
+                ("probes", self.joins.probes),
+                ("probe_tuples", self.joins.probe_tuples),
+                ("index_builds", self.joins.index_builds),
+                ("index_hits", self.joins.index_hits),
+                ("index_appends", self.joins.index_appends),
+                ("index_rebuilds", self.joins.index_rebuilds),
+            ];
+            tracer.leaf(join);
         }
         tel.with(|t| {
             t.stages.push(StageRecord {
@@ -635,6 +734,60 @@ pub(crate) fn eval(
     Ok(FixpointRun { instance, stages })
 }
 
+/// Runs `strata` of `program` in order on `input`, each to its Δ-driven
+/// [`Accumulate`] fixpoint, inside an [`EvalScope`] named `engine`: a
+/// negative literal must read a predicate no later stratum defines. Each
+/// non-empty stratum is one [`Stages`] run over its own rules in a
+/// `stratum k` span; the strata share one active domain and one index
+/// cache. Returns the stages of all strata together (at least one).
+pub(crate) fn eval_strata(
+    program: &Program,
+    input: &Instance,
+    options: &EvalOptions,
+    engine: &str,
+    strata: Vec<Vec<&Rule>>,
+) -> Result<FixpointRun, EvalError> {
+    let mut instance = with_idb(program, input)?;
+    let scope = EvalScope::begin(options, engine);
+    let tracer = scope.tracer().clone();
+    let mut stages = Stages::new(program, input, options);
+    let run = || -> Result<usize, EvalError> {
+        let mut total = 0;
+        for (k, rules) in strata.into_iter().enumerate() {
+            if rules.is_empty() {
+                continue;
+            }
+            let _stratum = tracer.span(SpanKind::Stratum, format!("stratum {k}"));
+            let n = rules.len();
+            stages.restrict(rules);
+            let rounds = stages.run(&mut instance, None, &mut Accumulate::delta())?;
+            tracer.gauge("rounds", rounds as u64);
+            tracer.gauge("rules", n as u64);
+            options
+                .telemetry
+                .note(format!("stratum {k}: {n} rules, {rounds} rounds"));
+            total += rounds;
+        }
+        Ok(total)
+    };
+    let result = run();
+    let (segments, recent) = instance.storage_stats();
+    options.telemetry.note(format!(
+        "storage: {segments} segments, {recent} uncommitted"
+    ));
+    let (_, cache) = stages.into_parts();
+    options.telemetry.note(format!(
+        "index cache: {} indexes, {}",
+        cache.entry_count(),
+        fmt_bytes(cache.heap_bytes() as u64)
+    ));
+    scope.finish(&instance, None);
+    Ok(FixpointRun {
+        instance,
+        stages: result?.max(1),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use crate::noninflationary::ConflictPolicy;
@@ -647,8 +800,8 @@ mod tests {
 
     /// The fact budget is checked after every insertion, so a stage that
     /// would derive 1,000 facts stops at the first one over the budget
-    /// instead of reporting the post-stage count — in the stage driver
-    /// and in the semi-naive driver's merge alike, at any thread count.
+    /// instead of reporting the post-stage count — on every stage-driver
+    /// engine, at any thread count.
     #[test]
     fn fact_budget_stops_a_stage_at_the_first_fact_over() {
         let mut i = Interner::new();
@@ -658,44 +811,51 @@ mod tests {
         for k in 0..10 {
             input.insert_fact(a, Tuple::from([Value::Int(k)]));
         }
-        let options = || EvalOptions::default().with_max_facts(10);
         let over = Some(EvalError::FactLimitExceeded(11));
         let policy = ConflictPolicy::PreferPositive;
-        assert_eq!(
-            naive::minimum_model(&program, &input, options()).err(),
-            over
-        );
-        assert_eq!(inflationary::eval(&program, &input, options()).err(), over);
-        assert_eq!(
-            inflationary::eval_traced(&program, &input, options()).err(),
-            over
-        );
-        assert_eq!(invention::eval(&program, &input, options()).err(), over);
-        assert_eq!(
-            noninflationary::eval(&program, &input, policy, options()).err(),
-            over
-        );
-        assert_eq!(
-            provenance::minimum_model_with_provenance(&program, &input, options()).err(),
-            over
-        );
         for threads in [1, 4] {
-            let options = || options().with_threads(threads);
-            assert_eq!(
-                seminaive::minimum_model(&program, &input, options()).err(),
-                over,
-                "seminaive @{threads}"
-            );
-            assert_eq!(
-                stratified::eval(&program, &input, options()).err(),
-                over,
-                "stratified @{threads}"
-            );
-            assert_eq!(
-                inflationary::eval_seminaive(&program, &input, options()).err(),
-                over,
-                "inflationary-seminaive @{threads}"
-            );
+            let options = || {
+                EvalOptions::default()
+                    .with_max_facts(10)
+                    .with_threads(threads)
+            };
+            let runs = [
+                (
+                    "naive",
+                    naive::minimum_model(&program, &input, options()).err(),
+                ),
+                (
+                    "seminaive",
+                    seminaive::minimum_model(&program, &input, options()).err(),
+                ),
+                (
+                    "stratified",
+                    stratified::eval(&program, &input, options()).err(),
+                ),
+                (
+                    "inflationary",
+                    inflationary::eval(&program, &input, options()).err(),
+                ),
+                (
+                    "inflationary-traced",
+                    inflationary::eval_traced(&program, &input, options()).err(),
+                ),
+                (
+                    "invention",
+                    invention::eval(&program, &input, options()).err(),
+                ),
+                (
+                    "noninflationary",
+                    noninflationary::eval(&program, &input, policy, options()).err(),
+                ),
+                (
+                    "provenance",
+                    provenance::minimum_model_with_provenance(&program, &input, options()).err(),
+                ),
+            ];
+            for (engine, err) in runs {
+                assert_eq!(err, over, "{engine} @{threads}");
+            }
         }
     }
 

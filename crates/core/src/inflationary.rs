@@ -27,9 +27,15 @@ use unchained_parser::{check_range_restricted, Language, Program};
 /// `options.max_stages` is only a safety valve.
 ///
 /// Stages after the first fire only the rules' semi-naive variants over
-/// the previous stage's delta, which the argument on [`eval_seminaive`]
-/// makes sound: each stage derives exactly the facts a full Γ_P stage
-/// would.
+/// the previous stage's delta. That is sound for the *inflationary*
+/// semantics even with negation — unlike for the noninflationary
+/// languages — by a monotonicity argument: facts only accumulate, so a
+/// negative literal `¬A` that holds at stage `k+1` also held at stage
+/// `k`. An instantiation newly firing at stage `k+1` therefore must use
+/// at least one positive fact first derived at stage `k` (its negative
+/// part cannot have *become* true). Each stage derives exactly the facts
+/// a full Γ_P stage would — including for the stage-sensitive programs
+/// of Examples 4.1/4.3/4.4, which the tests check.
 ///
 /// # Errors
 /// Rejects programs with head negation, invention, or nondeterministic
@@ -48,30 +54,6 @@ pub fn eval(
         "inflationary",
         &mut Accumulate::delta(),
     )
-}
-
-/// Inflationary Datalog¬ on the semi-naive driver of
-/// [`crate::seminaive`], an independent implementation of what [`eval`]
-/// computes on the Γ_P stage driver; the differential oracle runs both.
-///
-/// The delta discipline is sound for the *inflationary* semantics even
-/// with negation — unlike for the noninflationary languages — by a
-/// monotonicity argument: facts only accumulate, so a negative literal
-/// `¬A` that holds at stage `k+1` also held at stage `k`. An
-/// instantiation newly firing at stage `k+1` therefore must use at
-/// least one positive fact first derived at stage `k` (its negative
-/// part cannot have *become* true). Consequently the engine derives the
-/// same facts at the same stages as [`eval`] — including for the
-/// stage-sensitive programs of Examples 4.1/4.3/4.4, which the tests
-/// check.
-pub fn eval_seminaive(
-    program: &Program,
-    input: &Instance,
-    options: EvalOptions,
-) -> Result<FixpointRun, EvalError> {
-    require_language(program, Language::DatalogNeg)?;
-    check_range_restricted(program, false)?;
-    crate::seminaive::single_stratum(program, input, &options, "inflationary-seminaive")
 }
 
 /// A fixpoint run that also records the *birth stage* of every derived
@@ -273,11 +255,24 @@ mod tests {
         ));
     }
 
+    /// Inflationary semantics by full Γ_P stages: every rule fires
+    /// every stage, the reference the Δ-driven stages are held to.
+    fn full_stages(program: &Program, input: &Instance) -> crate::FixpointRun {
+        fixpoint::eval(
+            program,
+            input,
+            &EvalOptions::default(),
+            "inflationary-full",
+            &mut Accumulate::full(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn seminaive_matches_naive_inflationary_on_stage_sensitive_programs() {
         // The paper's three stage-sensitive example programs: identical
         // answers AND identical stage counts under the semi-naive
-        // optimization.
+        // optimization as under full Γ_P stages.
         let mut i = Interner::new();
         let programs = [
             // Example 4.1 closer
@@ -291,8 +286,8 @@ mod tests {
             let program = parse_program(src, &mut i).unwrap();
             for n in [2i64, 4, 6] {
                 let input = line(&mut i, n);
-                let a = eval(&program, &input, EvalOptions::default()).unwrap();
-                let b = eval_seminaive(&program, &input, EvalOptions::default()).unwrap();
+                let a = full_stages(&program, &input);
+                let b = eval(&program, &input, EvalOptions::default()).unwrap();
                 assert!(
                     a.instance.same_facts(&b.instance),
                     "answers differ (n={n}):\n{src}"
@@ -320,8 +315,8 @@ mod tests {
                 let b = ((s >> 13) % 7) as i64;
                 input.insert_fact(moves, Tuple::from([Value::Int(a), Value::Int(b)]));
             }
-            let a = eval(&program, &input, EvalOptions::default()).unwrap();
-            let b = eval_seminaive(&program, &input, EvalOptions::default()).unwrap();
+            let a = full_stages(&program, &input);
+            let b = eval(&program, &input, EvalOptions::default()).unwrap();
             assert!(a.instance.same_facts(&b.instance), "seed {seed}");
             assert_eq!(a.stages, b.stages, "seed {seed}");
         }

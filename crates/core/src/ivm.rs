@@ -42,14 +42,14 @@ use std::ops::ControlFlow;
 
 use crate::error::EvalError;
 use crate::exec::{for_each_head, for_each_match_from, IndexCache, Sources};
+use crate::fixpoint::{Accumulate, Round, Stages};
 use crate::ir::Plan;
 use crate::options::EvalOptions;
-use crate::planner::{Catalog, PlanMode, Planner};
+use crate::planner::{Catalog, PlanMode, PlanStats, Planner};
 use crate::require_language;
-use crate::seminaive::seminaive_fixpoint;
 use crate::subst::{active_domain, Env};
 use unchained_common::{
-    DeltaHandle, FxHashMap, FxHashSet, HeapSize, Instance, JoinCounters, Relation, Schema, Symbol,
+    DeltaHandle, FxHashMap, FxHashSet, Instance, JoinCounters, Relation, Schema, SpanKind, Symbol,
     Tuple, Value,
 };
 use unchained_parser::{
@@ -204,18 +204,15 @@ impl IncrementalSession {
         for pred in program.idb() {
             instance.ensure(pred, schema.arity(pred).expect("idb has arity"));
         }
-        let mut cache = IndexCache::new();
         options.telemetry.begin("ivm");
+        // The session keeps the index cache the initial fixpoint built,
+        // so the first poll absorbs into it instead of building afresh.
+        let mut stages = Stages::over(&program, &options, adom, IndexCache::new());
         for stratum_rules in strata.iter().filter(|rules| !rules.is_empty()) {
-            seminaive_fixpoint(
-                stratum_rules,
-                &mut instance,
-                &adom,
-                &heads_of(stratum_rules),
-                &mut cache,
-                &options,
-            )?;
+            stages.restrict(stratum_rules.clone());
+            stages.run(&mut instance, None, &mut Accumulate::delta())?;
         }
+        let (adom, cache) = stages.into_parts();
 
         let (rules_for, support_plans) = support_plans(
             &program,
@@ -354,6 +351,11 @@ impl IncrementalSession {
         if stats.applied == 0 {
             return Ok(stats);
         }
+        let _poll = self
+            .options
+            .telemetry
+            .tracer()
+            .span(SpanKind::Round, "poll");
         for (pred, rel) in deleted.iter() {
             for t in rel.iter() {
                 self.instance.retract_fact(pred, t);
@@ -416,14 +418,16 @@ impl IncrementalSession {
                     previous.push((p, std::mem::replace(rel, empty)));
                     self.supports.remove(&p);
                 }
-                seminaive_fixpoint(
-                    &stratum_rules,
-                    &mut self.instance,
-                    &self.adom,
-                    &heads,
-                    &mut self.cache,
+                let mut stages = Stages::over(
+                    &self.program,
                     &self.options,
-                )?;
+                    std::mem::take(&mut self.adom),
+                    std::mem::take(&mut self.cache),
+                );
+                stages.restrict(stratum_rules);
+                let result = stages.run(&mut self.instance, None, &mut Accumulate::delta());
+                (self.adom, self.cache) = stages.into_parts();
+                result?;
                 for (p, old) in previous {
                     let new = self.instance.relation(p).expect("idb relations exist");
                     for t in old.iter().filter(|t| !new.contains(t)) {
@@ -521,27 +525,22 @@ impl IncrementalSession {
         stats.facts_added = inserted.fact_count() as u64;
         stats.joins = self.cache.counters.since(&joins_entry);
         // Each poll is one telemetry stage, so a trace of a session
-        // reads as: initial fixpoint rounds, then one record per poll.
-        let (facts, bytes) = (
-            self.instance.fact_count(),
-            self.instance.heap_bytes() as u64,
-        );
-        self.options.telemetry.with(|t| {
+        // reads as: initial fixpoint rounds, then one round per poll.
+        let tel = &self.options.telemetry;
+        tel.with(|t| {
             t.ivm_overdeleted += stats.overdeleted;
             t.ivm_rederived += stats.rederived;
-            t.stages.push(unchained_common::StageRecord {
-                stage: t.stages.len() + 1,
-                wall_nanos: poll_sw.nanos(),
-                facts_added: stats.facts_added as usize,
-                facts_removed: stats.facts_removed as usize,
-                rules_fired: stats.rules_fired,
-                delta: Vec::new(),
-                bytes,
-                joins: stats.joins,
-            });
-            t.peak_facts = t.peak_facts.max(facts);
-            t.bytes_peak = t.bytes_peak.max(bytes);
         });
+        let round = Round {
+            added: stats.facts_added as usize,
+            removed: stats.facts_removed as usize,
+            fired: stats.rules_fired,
+            delta: Vec::new(),
+            joins: stats.joins,
+            plan_stats: PlanStats::default(),
+            workers: Vec::new(),
+        };
+        round.record(tel, &[], &[], poll_sw.nanos(), &self.instance);
         Ok(stats)
     }
 }

@@ -62,13 +62,14 @@ pub struct EvalOptions {
     /// Trace sink. Disabled by default; cloning the options clones the
     /// handle, so all clones feed the same trace.
     pub telemetry: Telemetry,
-    /// Worker threads for the semi-naive hot path (and the engines built
-    /// on it). 1 (the default, unless `UNCHAINED_THREADS` overrides it)
-    /// keeps evaluation strictly sequential; output is byte-identical for
-    /// every value.
+    /// Worker threads for every engine on the stage driver
+    /// ([`crate::fixpoint`]): each stage fires its plans in morsels
+    /// across this many workers. 1 (the default, unless
+    /// `UNCHAINED_THREADS` overrides it) keeps evaluation strictly
+    /// sequential; output is byte-identical for every value.
     pub threads: NonZeroUsize,
     /// Maximum driver rows per morsel for the parallel executor: each
-    /// fixpoint round is cut into contiguous driver-row ranges of at
+    /// parallel stage is cut into contiguous driver-row ranges of at
     /// most this many rows, pulled by workers from a shared queue.
     /// Output is byte-identical for every value (the morsel partition
     /// is deterministic and schedule-independent); the knob trades

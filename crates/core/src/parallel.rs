@@ -1,79 +1,63 @@
-//! Morsel-driven parallel round execution for the semi-naive hot path.
+//! Morsel-driven parallel firing of one stage of the stage driver
+//! ([`crate::fixpoint::Stages`]).
 //!
-//! One fixpoint round — "fire these plans against this frozen instance
-//! and collect the derived tuples" — is embarrassingly parallel once the
-//! storage is `Sync`: the instance is only read, and each derived tuple
-//! goes to a private per-worker buffer. Workers are `std::thread::scope`
-//! threads (no runtime, no channels, zero dependencies), one per
-//! requested thread, each owning a long-lived [`IndexCache`] so
-//! full-relation indexes absorb committed segments incrementally across
-//! rounds exactly as in the sequential path.
+//! Firing a stage — "run these plans against this frozen instance and
+//! hand every match to the policy" — is embarrassingly parallel once the
+//! storage is `Sync`: the instance is only read while the plans run.
+//! Workers are `std::thread::scope` threads (no runtime, no channels,
+//! zero dependencies), one per requested thread, each owning a
+//! long-lived [`IndexCache`] that the driver keeps across stages, so
+//! full-relation indexes absorb committed segments incrementally exactly
+//! as in the sequential path.
 //!
 //! Work is split into **morsels**: fixed-size contiguous row ranges of
 //! each plan's driver scan (its first step — the stored enumeration of a
-//! full scan, or the exact delta enumeration of a semi-naive delta
-//! variant). The morsel list is built deterministically, task-major,
-//! before any worker starts; workers then *pull* morsels from a shared
-//! atomic cursor until the queue is drained, so a worker stuck on a
-//! skewed morsel no longer idles the rest of the round (the failure mode
-//! of static striping). Plans whose first step is not a scan get a
-//! single whole-plan morsel.
+//! full scan, or the exact delta enumeration of a Δ variant). The morsel
+//! list is built deterministically, task-major, before any worker
+//! starts; workers then *pull* morsels from a shared atomic cursor until
+//! the queue is drained, so a worker stuck on a skewed morsel does not
+//! idle the rest of the stage. Plans whose first step is not a scan get
+//! a single whole-plan morsel.
 //!
-//! Determinism does not depend on the schedule: the morsel *partition*
-//! is fixed up front, every match of a plan consumes exactly one driver
-//! row, and the morsels partition each driver enumeration exactly — so
-//! the union of per-morsel match sets and the per-rule fired sums equal
-//! the sequential round's, no matter which worker ran which morsel.
-//! Per-worker buffers are merged in worker order into a set, so the
-//! resulting round delta — and therefore every subsequent round, the
-//! final instance, and its display — is byte-identical to the
-//! sequential evaluation for any thread count and any morsel size.
+//! Determinism does not depend on the schedule: each worker buffers the
+//! valuations its morsels match, and the driver replays the buffers into
+//! the policy in morsel order once every worker is done. The morsels
+//! partition each driver enumeration exactly and in order, so the
+//! policy sees the matches of the sequential stage in the sequential
+//! order — which is what lets the order-sensitive policies (fresh-value
+//! numbering, first derivations) answer identically at any thread count
+//! and any morsel size.
 
-use crate::exec::{driver_len, for_each_head_morsel, IndexCache, Morsel, Sources};
+use crate::exec::{driver_len, for_each_match_morsel, IndexCache, Morsel, Sources};
+use crate::fixpoint::RuleStat;
 use crate::ir::Plan;
+use crate::subst::Env;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-use unchained_common::{DeltaHandle, Instance, Value};
-use unchained_parser::Atom;
+use unchained_common::Value;
 
-/// One unit of round work: a compiled plan and the head it derives into.
-pub(crate) struct PlanTask<'p> {
-    /// Index of the source rule (several delta-variant tasks can share
-    /// one rule); attributes fired counts to rule spans.
-    pub rule: usize,
-    /// Head atom instantiated on each match.
-    pub head: Atom,
-    /// The compiled body (full plan in round 1, a delta variant after).
-    pub plan: &'p Plan,
+/// One plan a stage fires: the rule it belongs to, and what it reads.
+pub(crate) struct Task<'a> {
+    pub(crate) rule: usize,
+    pub(crate) plan: &'a Plan,
+    pub(crate) sources: Sources<'a>,
 }
 
-/// Per-round attribution data returned by [`run_round`] alongside the
-/// merged pending instance.
-pub(crate) struct RoundStats {
-    /// Total rule-body matches fired across all tasks and workers.
-    pub fired_total: u64,
-    /// Matches fired per source rule (summed over that rule's tasks and
-    /// all workers). Deterministic for every worker count and schedule:
-    /// the morsel partition of each driver enumeration is fixed before
-    /// the workers start, and fired counts sum over the partition.
-    pub fired_per_rule: Vec<u64>,
-    /// Per-worker `(start_offset_nanos, dur_nanos)` relative to round
-    /// entry — the worker-lane timeline. One entry per worker (also for
-    /// workers that pulled no morsels). Empty when `timed` was false.
-    pub workers: Vec<(u64, u64)>,
+/// The valuations one morsel matched: `count` of them, flattened into
+/// `envs` at the plan's variable count each.
+struct Matches {
+    count: u64,
+    envs: Vec<Option<Value>>,
+    nanos: u64,
 }
 
-/// The deterministic work list for one round: each entry names a task
+/// The deterministic work list for one stage: each entry names a task
 /// and a morsel of its driver scan.
-fn build_morsels(
-    tasks: &[PlanTask<'_>],
-    sources: Sources<'_>,
-    morsel_size: usize,
-) -> Vec<(usize, Morsel)> {
+fn build_morsels(tasks: &[Task<'_>], morsel_size: usize) -> Vec<(usize, Morsel)> {
     let step = morsel_size.max(1);
     let mut morsels = Vec::new();
     for (t, task) in tasks.iter().enumerate() {
-        match driver_len(task.plan, sources) {
+        match driver_len(task.plan, task.sources) {
             // No driver scan to partition: one whole-plan morsel.
             None => morsels.push((t, Morsel::Whole)),
             // Empty driver: the plan cannot match, skip it entirely.
@@ -91,126 +75,116 @@ fn build_morsels(
     morsels
 }
 
-/// Runs one round's `tasks` across `worker_caches.len()` scoped threads
-/// and merges the per-worker derived-tuple buffers in worker order.
-/// The round's work is cut into driver-row morsels of at most
-/// `morsel_size` rows (see the module docs) which workers pull from a
-/// shared queue. `rules` bounds the rule indexes in `tasks`; `timed`
-/// additionally records per-worker wall offsets (for worker-lane
-/// spans). Returns the merged pending instance (deduplicated against
-/// `instance` by the workers) and the round's attribution stats.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_round(
-    tasks: &[PlanTask<'_>],
-    instance: &Instance,
-    delta: Option<&DeltaHandle>,
+fn nanos_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Fires `tasks` across one scoped thread per cache in `workers`, in
+/// morsels of at most `morsel_size` driver rows, then replays every
+/// match into `on_match(rule, env)` in morsel order and counts it in
+/// `stats[rule]`. Timed from `start` (the stage's start on the tracer's
+/// clock), each rule's `dur_nanos` adds up the worker time of its
+/// morsels, and the `(start, duration)` of each worker is returned.
+pub(crate) fn fire(
+    tasks: &[Task<'_>],
     adom: &[Value],
-    worker_caches: &mut [IndexCache],
+    workers: &mut [IndexCache],
     morsel_size: usize,
-    rules: usize,
-    timed: bool,
-) -> (Instance, RoundStats) {
-    let round_start = Instant::now();
-    let sources = Sources {
-        delta,
-        ..Sources::simple(instance)
-    };
-    let morsels = build_morsels(tasks, sources, morsel_size);
+    start: Option<u64>,
+    stats: &mut [RuleStat],
+    on_match: &mut dyn FnMut(usize, &Env),
+) -> Vec<(u64, u64)> {
+    let timed = start.is_some();
+    let stage_start = Instant::now();
+    let morsels = build_morsels(tasks, morsel_size);
     let cursor = AtomicUsize::new(0);
-    type WorkerResult = (Instance, Vec<u64>, (u64, u64));
+    type WorkerResult = (Vec<(usize, Matches)>, (u64, u64));
     let results: Vec<WorkerResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = worker_caches
+        let handles: Vec<_> = workers
             .iter_mut()
             .map(|cache| {
-                let cursor = &cursor;
-                let morsels = &morsels;
+                let (cursor, morsels) = (&cursor, &morsels);
                 scope.spawn(move || {
-                    let started = if timed {
-                        u64::try_from(round_start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                    } else {
-                        0
-                    };
-                    let mut fired_per_rule = vec![0u64; rules];
-                    let mut pending = Instance::new();
+                    let started = if timed { nanos_since(stage_start) } else { 0 };
+                    let mut done = Vec::new();
                     loop {
                         let m = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(&(t, morsel)) = morsels.get(m) else {
                             break;
                         };
                         let task = &tasks[t];
-                        let fired = for_each_head_morsel(
+                        let clock = timed.then(Instant::now);
+                        let mut matches = Matches {
+                            count: 0,
+                            envs: Vec::new(),
+                            nanos: 0,
+                        };
+                        for_each_match_morsel(
                             task.plan,
-                            &task.head.args,
-                            sources,
+                            task.sources,
                             adom,
                             cache,
                             morsel,
-                            &mut |tuple| {
-                                if !instance.contains_fact(task.head.pred, &tuple)
-                                    && !pending.contains_fact(task.head.pred, &tuple)
-                                {
-                                    pending.insert_fact(task.head.pred, tuple);
-                                }
+                            &mut |env| {
+                                matches.count += 1;
+                                matches.envs.extend_from_slice(env);
                             },
                         );
-                        fired_per_rule[task.rule] += fired;
+                        matches.nanos = clock.map_or(0, nanos_since);
+                        done.push((m, matches));
                     }
-                    let timing = if timed {
-                        let ended =
-                            u64::try_from(round_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        (started, ended.saturating_sub(started))
+                    let lane = if timed {
+                        (started, nanos_since(stage_start).saturating_sub(started))
                     } else {
                         (0, 0)
                     };
-                    (pending, fired_per_rule, timing)
+                    (done, lane)
                 })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("parallel round worker panicked"))
+            .map(|h| h.join().expect("parallel stage worker panicked"))
             .collect()
     });
 
-    let mut stats = RoundStats {
-        fired_total: 0,
-        fired_per_rule: vec![0u64; rules],
-        workers: Vec::new(),
-    };
-    let mut merged = Instance::new();
-    // Reuse the first worker's buffer as the merge target: with one
-    // worker this is exactly the sequential pending set, and with more
-    // the remaining (typically small) buffers fold into it in order.
-    for (w, (pending, fired_per_rule, timing)) in results.into_iter().enumerate() {
-        for (rule, f) in fired_per_rule.into_iter().enumerate() {
-            stats.fired_per_rule[rule] += f;
-            stats.fired_total += f;
+    let mut lanes = Vec::new();
+    let mut slots: Vec<Option<Matches>> = morsels.iter().map(|_| None).collect();
+    for (done, (started, dur)) in results {
+        if let Some(start) = start {
+            lanes.push((start + started, dur));
         }
-        if timed {
-            stats.workers.push(timing);
-        }
-        if w == 0 {
-            merged = pending;
-        } else {
-            for (pred, rel) in pending.iter() {
-                for t in rel.iter() {
-                    merged.insert_fact(pred, t.clone());
-                }
-            }
+        for (m, matches) in done {
+            slots[m] = Some(matches);
         }
     }
-    (merged, stats)
+    let mut env = Env::new();
+    for (&(t, _), matches) in morsels.iter().zip(slots) {
+        let matches = matches.expect("every morsel was pulled");
+        let task = &tasks[t];
+        stats[task.rule].fired += matches.count;
+        stats[task.rule].dur_nanos += matches.nanos;
+        let width = task.plan.var_count;
+        for k in 0..matches.count as usize {
+            env.clear();
+            env.extend_from_slice(&matches.envs[k * width..(k + 1) * width]);
+            on_match(task.rule, &env);
+        }
+    }
+    lanes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{plan_rule, Catalog, PlanMode, Planner};
+    use crate::exec::for_each_match;
+    use crate::planner::plan_rule;
     use crate::subst::active_domain;
-    use unchained_common::{FxHashSet, Interner, Symbol, Tuple};
-    use unchained_parser::{parse_program, HeadLiteral};
+    use std::ops::ControlFlow;
+    use unchained_common::{DeltaHandle, Instance, Interner, Tuple};
+    use unchained_parser::{parse_program, Program};
 
-    fn tc_setup(n: i64) -> (Interner, unchained_parser::Program, Instance) {
+    fn tc_setup(n: i64) -> (Interner, Program, Instance) {
         let mut i = Interner::new();
         let p = parse_program("T(x,y) :- G(x,y).\nT(x,y) :- G(x,z), T(z,y).", &mut i).unwrap();
         let g = i.get("G").unwrap();
@@ -222,70 +196,80 @@ mod tests {
         (i, p, inst)
     }
 
-    fn head(rule: &unchained_parser::Rule) -> Atom {
-        match &rule.head[0] {
-            HeadLiteral::Pos(a) => a.clone(),
-            _ => unreachable!(),
-        }
-    }
-
-    fn full_tasks<'p>(p: &unchained_parser::Program, plans: &'p [Plan]) -> Vec<PlanTask<'p>> {
-        p.rules
+    fn tasks<'a>(plans: &'a [Plan], sources: Sources<'a>) -> Vec<Task<'a>> {
+        plans
             .iter()
-            .zip(plans)
             .enumerate()
-            .map(|(i, (r, plan))| PlanTask {
-                rule: i,
-                head: head(r),
+            .map(|(rule, plan)| Task {
+                rule,
                 plan,
+                sources,
             })
             .collect()
     }
 
-    /// Full round 1: the merged buffer and attribution equal a
-    /// single-worker run, across worker counts and morsel sizes —
-    /// including morsel size 1 (one row per morsel) and more workers
-    /// than morsels.
+    /// The matches of `tasks` in the order the sequential path yields
+    /// them, as `(rule, env)` pairs.
+    fn sequential(tasks: &[Task<'_>], adom: &[Value]) -> Vec<(usize, Env)> {
+        let mut cache = IndexCache::new();
+        let mut out = Vec::new();
+        for task in tasks {
+            let _ = for_each_match(task.plan, task.sources, adom, &mut cache, &mut |env| {
+                out.push((task.rule, env.clone()));
+                ControlFlow::Continue(())
+            });
+        }
+        out
+    }
+
+    /// Across worker counts and morsel sizes — including one row per
+    /// morsel and more workers than morsels — the replay hands the
+    /// policy the sequential matches in the sequential order, and the
+    /// per-rule counts and worker lanes add up.
     #[test]
     fn morsel_full_round_matches_single_worker() {
-        let (_, p, inst) = tc_setup(6);
+        let (mut i, p, mut inst) = tc_setup(8);
+        // Seed T with a first stage's output so the recursive rule
+        // joins something, committed as one segment.
+        let (g, t) = (i.get("G").unwrap(), i.intern("T"));
+        let edges: Vec<Tuple> = inst.relation(g).unwrap().iter().cloned().collect();
+        for e in edges {
+            inst.insert_fact(t, e);
+        }
+        inst.commit_all();
         let adom = active_domain(&p, &inst);
         let plans: Vec<Plan> = p.rules.iter().map(plan_rule).collect();
-        let tasks = full_tasks(&p, &plans);
-        let rules = p.rules.len();
-        let mut one = vec![IndexCache::new()];
-        let (seq, seq_stats) = run_round(&tasks, &inst, None, &adom, &mut one, 1024, rules, false);
-        for (workers, morsel_size) in [(4, 1024), (4, 1), (3, 2), (16, 4)] {
+        let tasks = tasks(&plans, Sources::simple(&inst));
+        let expect = sequential(&tasks, &adom);
+        assert!(!expect.is_empty());
+        for (workers, morsel_size) in [(1, 1024), (4, 1024), (4, 1), (3, 2), (16, 4)] {
             let mut caches: Vec<IndexCache> = (0..workers).map(|_| IndexCache::new()).collect();
-            let (par, par_stats) = run_round(
+            let mut got = Vec::new();
+            let mut stats = vec![RuleStat::default(); plans.len()];
+            let lanes = fire(
                 &tasks,
-                &inst,
-                None,
                 &adom,
                 &mut caches,
                 morsel_size,
-                rules,
-                true,
+                Some(0),
+                &mut stats,
+                &mut |rule, env| got.push((rule, env.clone())),
             );
-            assert!(seq.same_facts(&par), "workers={workers} size={morsel_size}");
-            assert_eq!(seq_stats.fired_total, par_stats.fired_total);
-            // Per-rule attribution is schedule-invariant; worker
-            // timings appear only on the timed run, one per worker
-            // even when a worker pulled no morsels.
-            assert_eq!(seq_stats.fired_per_rule, par_stats.fired_per_rule);
-            assert_eq!(par_stats.workers.len(), workers);
+            assert_eq!(got, expect, "workers={workers} size={morsel_size}");
+            for (rule, stat) in stats.iter().enumerate() {
+                let want = expect.iter().filter(|(r, _)| *r == rule).count() as u64;
+                assert_eq!(stat.fired, want, "workers={workers} size={morsel_size}");
+            }
+            assert_eq!(lanes.len(), workers);
         }
-        assert!(seq_stats.workers.is_empty());
     }
 
-    /// Delta mode: the morsels partition each delta enumeration exactly,
-    /// so the merged result and fired counts equal sequential.
+    /// Δ scans: the morsels partition the delta enumeration exactly and
+    /// replay it in order.
     #[test]
     fn morsel_delta_round_matches_single_worker() {
         let (mut i, p, mut inst) = tc_setup(8);
         let t = i.intern("T");
-        let recursive: FxHashSet<Symbol> = [t].into_iter().collect();
-        // Seed T with round 1's output and capture the delta mark by hand.
         let mark = DeltaHandle::capture(&inst);
         let g = i.get("G").unwrap();
         let edges: Vec<Tuple> = inst.relation(g).unwrap().iter().cloned().collect();
@@ -293,83 +277,65 @@ mod tests {
             inst.insert_fact(t, e);
         }
         inst.commit_all();
-        let mut planner = Planner::new(Catalog::empty(), PlanMode::Cost);
-        let plans: Vec<Vec<Plan>> = p
-            .rules
-            .iter()
-            .map(|r| planner.seminaive_variants(r, &|s| recursive.contains(&s)))
-            .collect();
-        let tasks: Vec<PlanTask> = p
-            .rules
-            .iter()
-            .zip(&plans)
-            .enumerate()
-            .flat_map(|(i, (r, variants))| {
-                variants.iter().map(move |plan| PlanTask {
-                    rule: i,
-                    head: head(r),
-                    plan,
-                })
-            })
-            .collect();
-        assert!(!tasks.is_empty());
-        let rules = p.rules.len();
-        let mut one = vec![IndexCache::new()];
-        let (seq, seq_stats) = run_round(
-            &tasks,
-            &inst,
-            Some(&mark),
-            &adom_of(&inst),
-            &mut one,
-            1024,
-            rules,
-            false,
+        let mut planner = crate::planner::Planner::new(
+            crate::planner::Catalog::empty(),
+            crate::planner::PlanMode::Cost,
         );
+        let plans: Vec<Plan> = p
+            .rules
+            .iter()
+            .flat_map(|r| planner.seminaive_variants(r, &|s| s == t))
+            .collect();
+        assert!(!plans.is_empty());
+        let sources = Sources {
+            delta: Some(&mark),
+            ..Sources::simple(&inst)
+        };
+        let tasks = tasks(&plans, sources);
+        let adom = inst.adom_sorted();
+        let expect = sequential(&tasks, &adom);
         for (workers, morsel_size) in [(2, 3), (3, 1), (4, 2), (4, 1024)] {
             let mut caches: Vec<IndexCache> = (0..workers).map(|_| IndexCache::new()).collect();
-            let (par, par_stats) = run_round(
+            let mut got = Vec::new();
+            let mut stats = vec![RuleStat::default(); plans.len()];
+            let lanes = fire(
                 &tasks,
-                &inst,
-                Some(&mark),
-                &adom_of(&inst),
+                &adom,
                 &mut caches,
                 morsel_size,
-                rules,
-                false,
+                None,
+                &mut stats,
+                &mut |rule, env| got.push((rule, env.clone())),
             );
-            assert!(seq.same_facts(&par), "workers={workers} size={morsel_size}");
-            assert_eq!(
-                seq_stats.fired_total, par_stats.fired_total,
-                "workers={workers} size={morsel_size}"
-            );
-            assert_eq!(
-                seq_stats.fired_per_rule, par_stats.fired_per_rule,
-                "workers={workers} size={morsel_size}"
-            );
+            assert!(lanes.is_empty(), "untimed stages record no lanes");
+            assert_eq!(got, expect, "workers={workers} size={morsel_size}");
         }
     }
 
-    /// Rounds with no work at all — no tasks, or only empty drivers —
-    /// produce an empty merged buffer and zeroed attribution, and every
-    /// worker still reports a timing lane.
+    /// Stages with no work at all — no tasks, or only empty drivers —
+    /// replay nothing, and every worker still reports a timing lane.
     #[test]
     fn empty_rounds_drain_cleanly() {
         let (_, p, inst) = tc_setup(0); // G exists in the program, no facts
         let adom = active_domain(&p, &inst);
         let plans: Vec<Plan> = p.rules.iter().map(plan_rule).collect();
-        let tasks = full_tasks(&p, &plans);
-        let rules = p.rules.len();
         let mut caches: Vec<IndexCache> = (0..4).map(|_| IndexCache::new()).collect();
-        let (merged, stats) = run_round(&tasks, &inst, None, &adom, &mut caches, 8, rules, true);
-        assert_eq!(merged.fact_count(), 0);
-        assert_eq!(stats.fired_total, 0);
-        assert_eq!(stats.workers.len(), 4);
-
-        // Entirely taskless round.
-        let (merged, stats) = run_round(&[], &inst, None, &adom, &mut caches, 8, 0, true);
-        assert_eq!(merged.fact_count(), 0);
-        assert_eq!(stats.fired_total, 0);
-        assert_eq!(stats.workers.len(), 4);
+        for tasks in [tasks(&plans, Sources::simple(&inst)), Vec::new()] {
+            let mut calls = 0;
+            let mut stats = vec![RuleStat::default(); 2];
+            let lanes = fire(
+                &tasks,
+                &adom,
+                &mut caches,
+                8,
+                Some(0),
+                &mut stats,
+                &mut |_, _| calls += 1,
+            );
+            assert_eq!(calls, 0);
+            assert!(stats.iter().all(|s| s.fired == 0));
+            assert_eq!(lanes.len(), 4);
+        }
     }
 
     /// The morsel list is deterministic and covers each driver exactly.
@@ -377,9 +343,9 @@ mod tests {
     fn morsel_list_partitions_drivers_exactly() {
         let (_, p, inst) = tc_setup(7); // G has 7 rows; T absent (empty driver)
         let plans: Vec<Plan> = p.rules.iter().map(plan_rule).collect();
-        let tasks = full_tasks(&p, &plans);
         let sources = Sources::simple(&inst);
-        let morsels = build_morsels(&tasks, sources, 3);
+        let tasks = tasks(&plans, sources);
+        let morsels = build_morsels(&tasks, 3);
         // Each task's driver is G (7 rows) or T (absent): the G-driven
         // task splits 7 rows into ceil(7/3) = 3 ranges; absent drivers
         // contribute nothing.
@@ -404,12 +370,8 @@ mod tests {
         }
         // Morsel size is clamped to at least one row.
         assert_eq!(
-            build_morsels(&tasks, sources, 0).len(),
-            build_morsels(&tasks, sources, 1).len()
+            build_morsels(&tasks, 0).len(),
+            build_morsels(&tasks, 1).len()
         );
-    }
-
-    fn adom_of(inst: &Instance) -> Vec<Value> {
-        inst.adom_sorted()
     }
 }

@@ -2,19 +2,17 @@
 //!
 //! The program's predicates are partitioned into strata such that
 //! negation is only applied to predicates defined in strictly earlier
-//! strata. Each stratum is then evaluated to a (semi-naive) fixpoint in
-//! order, so every negative literal reads a fully computed relation —
+//! strata. Each stratum is then evaluated to a semi-naive fixpoint in
+//! order, each by one run of the stage driver over its rules, so every
+//! negative literal reads a fully computed relation —
 //! "the portion of P defining R comes before the negation of R is used".
 
 use crate::error::EvalError;
-use crate::exec::IndexCache;
-use crate::fixpoint::{with_idb, EvalScope};
+use crate::fixpoint;
 use crate::options::{EvalOptions, FixpointRun};
 use crate::require_language;
-use crate::seminaive::seminaive_fixpoint;
-use crate::subst::active_domain;
-use unchained_common::{FxHashSet, Instance, SpanKind, Symbol};
-use unchained_parser::{check_range_restricted, DependencyGraph, HeadLiteral, Language, Program};
+use unchained_common::Instance;
+use unchained_parser::{check_range_restricted, DependencyGraph, Language, Program};
 
 /// Evaluates a stratified Datalog¬ program.
 ///
@@ -35,53 +33,8 @@ pub fn eval(
     check_range_restricted(program, false)?;
     let stratification = DependencyGraph::build(program).stratify()?;
 
-    let adom = active_domain(program, input);
-    let mut instance = with_idb(program, input)?;
-    let mut cache = IndexCache::new();
-    let scope = EvalScope::begin(&options, "stratified");
-    let tracer = scope.tracer().clone();
-    let mut stages = 0;
-    for (stratum, stratum_rules) in stratification
-        .partition_rules(program)
-        .into_iter()
-        .enumerate()
-    {
-        if stratum_rules.is_empty() {
-            continue;
-        }
-        // Recursive predicates of this stratum: those defined here.
-        let recursive: FxHashSet<Symbol> = stratum_rules
-            .iter()
-            .filter_map(|r| r.head.first().and_then(HeadLiteral::atom))
-            .map(|a| a.pred)
-            .collect();
-        let stratum_guard = tracer.span(SpanKind::Stratum, format!("stratum {stratum}"));
-        let rounds = seminaive_fixpoint(
-            &stratum_rules,
-            &mut instance,
-            &adom,
-            &recursive,
-            &mut cache,
-            &options,
-        )?;
-        tracer.gauge("rounds", rounds as u64);
-        tracer.gauge("rules", stratum_rules.len() as u64);
-        drop(stratum_guard);
-        stages += rounds;
-        options.telemetry.note(format!(
-            "stratum {stratum}: {} rules, {rounds} rounds",
-            stratum_rules.len()
-        ));
-    }
-    let (segments, recent) = instance.storage_stats();
-    options.telemetry.note(format!(
-        "storage: {segments} segments, {recent} uncommitted"
-    ));
-    scope.finish(&instance, None);
-    Ok(FixpointRun {
-        instance,
-        stages: stages.max(1),
-    })
+    let strata = stratification.partition_rules(program);
+    fixpoint::eval_strata(program, input, &options, "stratified", strata)
 }
 
 #[cfg(test)]

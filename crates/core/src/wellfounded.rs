@@ -217,8 +217,8 @@ fn alternate(
     }
     // From here on every application runs Δ and support plans only:
     // the from-scratch plans' indexes would sit idle.
-    over_side.parts().1.clear();
-    under_side.parts().1.clear();
+    over_side.clear_indexes();
+    under_side.clear_indexes();
     let mut gained = since(&under, &DeltaHandle::default(), base, &idb);
     let (rules_for, support_plans) = support_plans(
         program,
@@ -425,6 +425,7 @@ fn shrink(
             delta: Vec::new(),
             joins: cache.counters.since(&joins_before),
             plan_stats: planner.stats(),
+            workers: Vec::new(),
         };
         round.record(tel, &head_preds, &rule_stats, stage_sw.nanos(), over);
     }

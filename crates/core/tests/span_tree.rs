@@ -175,7 +175,8 @@ fn chrome_export_validates_for_every_engine_shape() {
     )
     .unwrap();
 
-    // Well-founded: alternating-fixpoint phases.
+    // Well-founded: alternating-fixpoint phases, with worker lanes when
+    // its stages run in parallel.
     let mut interner = Interner::new();
     let program = parse_program("win(x) :- moves(x,y), !win(y).", &mut interner).unwrap();
     let moves = interner.intern("moves");
@@ -183,19 +184,58 @@ fn chrome_export_validates_for_every_engine_shape() {
     for (a, b) in [(1, 2), (2, 1), (2, 3)] {
         input.insert_fact(moves, Tuple::from([Value::Int(a), Value::Int(b)]));
     }
-    let tracer = Tracer::enabled();
-    let tel = Telemetry::off().with_tracer(tracer.clone());
-    wellfounded::eval(&program, &input, EvalOptions::default().with_telemetry(tel)).unwrap();
-    let roots = tracer.finish();
+    let traced_wf = |threads: usize| {
+        let tracer = Tracer::enabled();
+        let tel = Telemetry::off().with_tracer(tracer.clone());
+        let options = EvalOptions::default()
+            .with_telemetry(tel)
+            .with_threads(threads);
+        wellfounded::eval(&program, &input, options).unwrap();
+        to_chrome_json(&tracer.finish(), &interner)
+    };
     validate_chrome_trace(
-        &to_chrome_json(&roots, &interner),
-        &["eval", "phase", "round", "rule", "join"],
+        &traced_wf(4),
+        &["eval", "phase", "round", "rule", "worker", "join"],
     )
     .unwrap();
+    let sequential = traced_wf(1);
+    validate_chrome_trace(&sequential, &["eval", "phase", "round", "rule", "join"]).unwrap();
 
     // A kind the forest lacks is an error, as is junk input.
-    assert!(validate_chrome_trace(&to_chrome_json(&roots, &interner), &["worker"]).is_err());
+    assert!(validate_chrome_trace(&sequential, &["worker"]).is_err());
     assert!(validate_chrome_trace("[1,2,3]", &[]).is_err());
+}
+
+/// A parallel round attributes to each rule the worker time its morsels
+/// took, so a 4-worker profile shows non-zero rule times.
+#[test]
+fn parallel_rule_spans_carry_worker_time() {
+    let (roots, _) = traced_tc(32, 4);
+    let mut all = Vec::new();
+    walk(&roots, &mut all);
+    let rules: Vec<&&Span> = all.iter().filter(|s| s.kind == SpanKind::Rule).collect();
+    assert!(!rules.is_empty());
+    assert!(
+        rules.iter().any(|r| r.dur_nanos > 0),
+        "every parallel rule span reads 0 ns"
+    );
+    // The worker time of a rule never exceeds what its round's workers
+    // spent together.
+    for round in all.iter().filter(|s| s.kind == SpanKind::Round) {
+        let rule_time: u64 = round
+            .children
+            .iter()
+            .filter(|c| c.kind == SpanKind::Rule)
+            .map(|c| c.dur_nanos)
+            .sum();
+        let worker_time: u64 = round
+            .children
+            .iter()
+            .filter(|c| c.kind == SpanKind::Worker)
+            .map(|c| c.dur_nanos)
+            .sum();
+        assert!(rule_time <= worker_time, "{}", round.name);
+    }
 }
 
 /// The stage-driver engines attribute every round to its rules the way

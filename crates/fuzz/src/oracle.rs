@@ -5,14 +5,14 @@
 //!
 //! | campaign | engines | metamorphic checks |
 //! |---|---|---|
-//! | positive | naive, semi-naive, stratified, magic, semi-naive@{2,4,8}, inflationary (plain, traced), Datalog¬¬, while-translation | edb-monotonicity, rule permutation, stage-count equality |
-//! | negation | stratified, well-founded, stratified@{2,4,8}, inflationary (plain, semi-naive, traced), Datalog¬¬, while-translation | rule/stratum permutation, stage-count equality |
+//! | positive | naive, semi-naive, stratified, magic, semi-naive@{2,4,8}, inflationary (plain, traced), Datalog¬¬, the definitional least fixpoint ([`crate::spec`]), while-translation | edb-monotonicity, rule permutation, stage-count equality |
+//! | negation | stratified, well-founded@{1,4}, stratified@{2,4,8}, inflationary@{1,4} against the definitional Datalog¬¬ stages, inflationary-traced, Datalog¬¬@{1,4}, while-translation | rule/stratum permutation, stage/round-count equality |
 //! | invention | invention ×2 (determinism), invention@4 | — |
 //! | nondet | seeded run ×2 (determinism), poss/cert containment | — |
 //! | planner | stratified syntactic-plan vs cost-plan, cost-plan@{2,4,8}, syntactic-plan@4 | stage-count equality |
 //! | edits | incremental session vs from-scratch stratified, after every poll of a seeded edit script, @{1,4} | edb-mirror fidelity |
 //! | scale | stratified@1 vs morsel-parallel@{2,4,8} on 10^4–10^5-fact layered digraphs, plus an incremental edit-script pass@4 | stage-count equality, edb-mirror fidelity |
-//! | unstratified | well-founded, inflationary and Datalog¬¬ under all four conflict policies, each against the definitional reference evaluator ([`crate::spec`]) | round/stage-count equality, divergence and contradiction stages |
+//! | unstratified | well-founded, inflationary and Datalog¬¬ under all four conflict policies, each @{1,4} against the definitional reference evaluator ([`crate::spec`]) | round/stage-count equality, divergence and contradiction stages |
 //!
 //! A `Fault` injects a deliberate wrong answer into one extra matrix
 //! entry — the shrinker's self-test: with the fault enabled the oracle
@@ -698,7 +698,17 @@ fn positive(program: &Program, input: &Instance, interner: &mut Interner, fault:
         }
     }
 
-    // Independent reference: the fixpoint-language translation.
+    // Independent references: the least fixpoint by its definition —
+    // Γ̂(∅), the reduct over an empty J, is the minimum model of a
+    // positive program — and the fixpoint-language translation.
+    out.oracle_runs += 1;
+    out.comparisons += 1;
+    let edb = spec::db_of(input);
+    let adom = spec::active_domain(program, &edb);
+    let want = spec::reduct(program, &edb, &spec::Db::new(), &adom);
+    if spec::project(&want, &idb) != spec::project(&spec::db_of(&answer), &idb) {
+        out.diverge("spec-minimum-model", "seminaive", "facts differ".into());
+    }
     while_leg(&mut out, program, input, &answer, "seminaive");
 
     // Metamorphic: positive programs are monotone in the edb.
@@ -768,54 +778,80 @@ fn negation(program: &Program, input: &Instance, fault: Fault) -> Outcome {
     }
 
     // On stratifiable programs the well-founded model is total and
-    // coincides with the stratified model (§3.3).
-    out.oracle_runs += 1;
-    match wellfounded::eval(program, input, opts(1)) {
-        Ok(model) => {
-            let idb = program.idb();
-            compare(
-                &mut out,
-                "stratified",
-                "wellfounded-true",
-                &answer,
-                &model.true_facts.project_schema(idb.iter().copied()),
-            );
-            compare(
-                &mut out,
-                "stratified",
-                "wellfounded-possible",
-                &answer,
-                &model.possible_facts.project_schema(idb),
-            );
+    // coincides with the stratified model (§3.3), at any thread count,
+    // in the same rounds.
+    let mut rounds = None;
+    for threads in [1usize, 4] {
+        out.oracle_runs += 1;
+        let (right, true_leg, possible_leg) = if threads == 1 {
+            ("wellfounded", "wellfounded-true", "wellfounded-possible")
+        } else {
+            (
+                "wellfounded@4",
+                "wellfounded@4-true",
+                "wellfounded@4-possible",
+            )
+        };
+        match wellfounded::eval(program, input, opts(threads)) {
+            Ok(model) => {
+                let idb = program.idb();
+                compare(
+                    &mut out,
+                    "stratified",
+                    true_leg,
+                    &answer,
+                    &model.true_facts.project_schema(idb.iter().copied()),
+                );
+                compare(
+                    &mut out,
+                    "stratified",
+                    possible_leg,
+                    &answer,
+                    &model.possible_facts.project_schema(idb),
+                );
+                out.comparisons += 1;
+                let first = *rounds.get_or_insert(model.rounds);
+                if model.rounds != first {
+                    out.diverge(
+                        "wellfounded",
+                        right,
+                        format!("rounds {first} vs {}", model.rounds),
+                    );
+                }
+            }
+            Err(e) => out.diverge("stratified", right, format!("{right} failed: {e}")),
         }
-        Err(e) => out.diverge(
-            "stratified",
-            "wellfounded",
-            format!("wellfounded failed: {e}"),
-        ),
     }
 
-    // The inflationary family: no reference outside it (its answer is
-    // not the stratified one), so the legs agree with each other stage
-    // for stage. The stratified reference already rejected head
-    // negation, so Datalog¬¬ under insertion priority never retracts.
+    // The inflationary family: its answer is not the stratified one,
+    // so the legs agree stage for stage with inflationary `eval`, which
+    // the definitional reference checks. The stratified reference
+    // already rejected head negation, so Datalog¬¬ under insertion
+    // priority never retracts.
     out.oracle_runs += 1;
     match inflationary::eval(program, input, opts(1)) {
         Ok(run) => {
             let left = "inflationary";
-            let semi = inflationary::eval_seminaive(program, input, opts(1));
-            stage_leg(
+            // On Datalog¬ programs, Datalog¬¬ stages under insertion
+            // priority are inflationary stages: the definitional
+            // reference checks the facts and the stage count.
+            out.oracle_runs += 1;
+            let want = spec::datalog_negneg(program, input, PreferPositive, MAX_STAGES);
+            negneg_leg(
                 &mut out,
+                "spec-datalog-negneg",
                 left,
-                "inflationary-seminaive",
-                &run,
-                program,
-                semi,
+                &want,
+                Ok(run.clone()),
             );
+            let par = inflationary::eval(program, input, opts(4));
+            stage_leg(&mut out, left, "inflationary@4", &run, program, par);
             let traced = inflationary_traced(program, input);
             stage_leg(&mut out, left, "inflationary-traced", &run, program, traced);
             let negneg = noninflationary::eval(program, input, PreferPositive, opts(1));
             stage_leg(&mut out, left, "noninflationary", &run, program, negneg);
+            let negneg = noninflationary::eval(program, input, PreferPositive, opts(4));
+            stage_leg(&mut out, left, "noninflationary@4", &run, program, negneg);
         }
         Err(e) => out.diverge(
             "stratified",
@@ -843,16 +879,12 @@ fn unstratified(program: &Program, input: &Instance, fault: Fault) -> Outcome {
         ConflictPolicy::NoOp,
         ConflictPolicy::Undefined,
     ] {
-        out.oracle_runs += 2;
+        out.oracle_runs += 3;
         let want = spec::datalog_negneg(program, input, policy, MAX_STAGES);
-        let got = noninflationary::eval(program, input, policy, opts(1));
-        negneg_leg(
-            &mut out,
-            "spec-datalog-negneg",
-            "noninflationary",
-            &want,
-            got,
-        );
+        for (threads, right) in [(1, "noninflationary"), (4, "noninflationary@4")] {
+            let got = noninflationary::eval(program, input, policy, opts(threads));
+            negneg_leg(&mut out, "spec-datalog-negneg", right, &want, got);
+        }
     }
 
     let mut datalog_neg = program.clone();
@@ -863,45 +895,55 @@ fn unstratified(program: &Program, input: &Instance, fault: Fault) -> Outcome {
         return out;
     }
     let idb = datalog_neg.idb();
-    out.oracle_runs += 2;
+    out.oracle_runs += 1;
     let want = spec::well_founded(&datalog_neg, input);
-    match wellfounded::eval(&datalog_neg, input, opts(1)) {
-        Ok(model) => {
-            let legs = [
-                ("wellfounded-true", &want.true_facts, &model.true_facts),
-                (
-                    "wellfounded-possible",
-                    &want.possible_facts,
-                    &model.possible_facts,
-                ),
-            ];
-            for (right, want, got) in legs {
+    let wellfounded_legs = [
+        (1, "wellfounded", "wellfounded-true", "wellfounded-possible"),
+        (
+            4,
+            "wellfounded@4",
+            "wellfounded@4-true",
+            "wellfounded@4-possible",
+        ),
+    ];
+    for (threads, engine, true_leg, possible_leg) in wellfounded_legs {
+        out.oracle_runs += 1;
+        match wellfounded::eval(&datalog_neg, input, opts(threads)) {
+            Ok(model) => {
+                let legs = [
+                    (true_leg, &want.true_facts, &model.true_facts),
+                    (possible_leg, &want.possible_facts, &model.possible_facts),
+                ];
+                for (right, want, got) in legs {
+                    out.comparisons += 1;
+                    let got = spec::db_of(got);
+                    if spec::project(want, &idb) != spec::project(&got, &idb) {
+                        out.diverge("spec-alternating-fixpoint", right, "facts differ".into());
+                    }
+                }
                 out.comparisons += 1;
-                let got = spec::db_of(got);
-                if spec::project(want, &idb) != spec::project(&got, &idb) {
-                    out.diverge("spec-alternating-fixpoint", right, "facts differ".into());
+                if model.rounds != want.rounds {
+                    out.diverge(
+                        "spec-alternating-fixpoint",
+                        engine,
+                        format!("rounds {} vs {}", want.rounds, model.rounds),
+                    );
                 }
             }
-            out.comparisons += 1;
-            if model.rounds != want.rounds {
-                out.diverge(
-                    "spec-alternating-fixpoint",
-                    "wellfounded",
-                    format!("rounds {} vs {}", want.rounds, model.rounds),
-                );
-            }
+            Err(e) => out.diverge(
+                "spec-alternating-fixpoint",
+                engine,
+                format!("{engine} failed: {e}"),
+            ),
         }
-        Err(e) => out.diverge(
-            "spec-alternating-fixpoint",
-            "wellfounded",
-            format!("wellfounded failed: {e}"),
-        ),
     }
 
-    out.oracle_runs += 2;
+    out.oracle_runs += 3;
     let want = spec::datalog_negneg(&datalog_neg, input, PreferPositive, MAX_STAGES);
-    let got = inflationary::eval(&datalog_neg, input, opts(1));
-    negneg_leg(&mut out, "spec-datalog-negneg", "inflationary", &want, got);
+    for (threads, right) in [(1, "inflationary"), (4, "inflationary@4")] {
+        let got = inflationary::eval(&datalog_neg, input, opts(threads));
+        negneg_leg(&mut out, "spec-datalog-negneg", right, &want, got);
+    }
 
     let mut answer = Instance::new();
     for (pred, tuples) in spec::project(&want_facts(&want), &idb) {
@@ -998,7 +1040,9 @@ fn invention_campaign(program: &Program, input: &Instance, fault: Fault) -> Outc
         Err(e) => out.diverge("invention", "invention-rerun", format!("rerun failed: {e}")),
     }
 
-    // Thread invariance of the shared semi-naive substrate.
+    // Thread invariance: at 4 workers the stages fire in parallel and
+    // replay their matches in sequential order, so fresh values are
+    // numbered as at one thread.
     out.oracle_runs += 1;
     match invention::eval(program, input, opts(4)) {
         Ok(par) => compare(

@@ -145,9 +145,25 @@ if ! printf '%s' "$profile_out" | grep -q "hottest rules"; then
     echo "profile run printed no hottest-rules table" >&2
     exit 1
 fi
+# A parallel rule span carries the summed worker time of its morsels,
+# so at least one hottest-rules row reads a non-zero wall time.
+if ! printf '%s\n' "$profile_out" | grep '^rule ' | grep -qv ' 0\.000ms'; then
+    echo "every rule of the 4-worker profile reads 0.000ms:" >&2
+    printf '%s\n' "$profile_out" | grep -A5 "hottest rules" >&2
+    exit 1
+fi
 cargo run -q --release -p unchained-cli -- trace-check \
     target/profile-smoke.trace.json \
     --expect eval,stratum,round,rule,worker,join >/dev/null
+# The parallel stages are on for the other stage-driver engines too: a
+# 4-worker well-founded profile has worker lanes.
+echo "==> profile smoke: well-founded at 4 workers has worker lanes"
+cargo run -q --release -p unchained-cli -- run -s wellfounded \
+    examples/programs/win.dl examples/programs/win_facts.dl \
+    --threads 4 --profile target/profile-wellfounded.trace.json >/dev/null
+cargo run -q --release -p unchained-cli -- trace-check \
+    target/profile-wellfounded.trace.json \
+    --expect eval,round,rule,worker,join >/dev/null
 for series in 'unchained_eval_runs_total{engine="seminaive"}' \
     unchained_eval_wall_seconds_bucket unchained_trace_spans; do
     if ! grep -q "$series" target/profile-smoke.prom; then
@@ -354,9 +370,10 @@ if [ -d target/fuzz-corpus ] && [ -n "$(ls target/fuzz-corpus 2>/dev/null)" ]; t
 fi
 
 # The negation triple (negation/42/200) gates the Datalog¬ engines the
-# positive campaign cannot reach: stratified against well-founded, and
-# the inflationary family (plain, semi-naive, birth-traced, Datalog¬¬)
-# stage for stage.
+# positive campaign cannot reach: stratified against well-founded (at 1
+# and 4 workers), and the inflationary family (plain and at 4 workers,
+# birth-traced, Datalog¬¬) stage for stage against the definitional
+# reference evaluator.
 echo "==> fuzz smoke: negation/42/200, zero divergences"
 rm -rf target/fuzz-negation-corpus
 cargo run -q --release -p unchained-fuzz -- --campaign negation --seed 42 \

@@ -3,14 +3,27 @@
 //! program of a fragment, so we compare them on programs nobody
 //! hand-picked (seeded, deterministic).
 
-use unchained::common::Interner;
+use unchained::common::{Instance, Interner};
 use unchained::core::{
     inflationary, naive, noninflationary, seminaive, stratified, wellfounded, EvalOptions,
 };
+use unchained::fuzz::spec;
 use unchained::harness::randprog::{random_edb, random_program, Fragment, RandProgConfig};
 use unchained::nondet::{effect, EffOptions, NondetProgram};
 
 const SEEDS: std::ops::Range<u64> = 0..40;
+
+/// Inflationary semantics by its definition: the Datalog¬¬ stages of a
+/// program without head negation under insertion priority, computed by
+/// the reference evaluator, which shares no code with the engines.
+/// Returns the fixpoint's facts and its stage count.
+fn spec_inflationary(program: &unchained::parser::Program, input: &Instance) -> (spec::Db, usize) {
+    let policy = noninflationary::ConflictPolicy::PreferPositive;
+    match spec::datalog_negneg(program, input, policy, 1_000) {
+        spec::Stages::Fixpoint { db, stages } => (db, stages),
+        other => panic!("the reference reached no fixpoint: {other:?}"),
+    }
+}
 
 #[test]
 fn naive_equals_seminaive_on_random_positive_programs() {
@@ -28,6 +41,8 @@ fn naive_equals_seminaive_on_random_positive_programs() {
     }
 }
 
+/// The semi-naive inflationary engine derives what full Γ_P stages
+/// derive, stage for stage: the definition's stages are the naive side.
 #[test]
 fn inflationary_naive_equals_seminaive_on_random_datalog_neg() {
     for seed in SEEDS {
@@ -39,9 +54,9 @@ fn inflationary_naive_equals_seminaive_on_random_datalog_neg() {
         let program = random_program(&mut i, cfg, seed);
         let input = random_edb(&mut i, cfg, 5, 6, seed ^ 0x1234);
         let a = inflationary::eval(&program, &input, EvalOptions::default()).unwrap();
-        let b = inflationary::eval_seminaive(&program, &input, EvalOptions::default()).unwrap();
-        assert!(a.instance.same_facts(&b.instance), "seed {seed}");
-        assert_eq!(a.stages, b.stages, "seed {seed}");
+        let (facts, stages) = spec_inflationary(&program, &input);
+        assert_eq!(spec::db_of(&a.instance), facts, "seed {seed}");
+        assert_eq!(a.stages, stages, "seed {seed}");
     }
 }
 
@@ -150,9 +165,9 @@ fn deep_differential_fuzz() {
         let program = random_program(&mut i, cfg, seed);
         let input = random_edb(&mut i, cfg, 6, 8, seed ^ 0xDEED);
         let a = inflationary::eval(&program, &input, EvalOptions::default()).unwrap();
-        let b = inflationary::eval_seminaive(&program, &input, EvalOptions::default()).unwrap();
-        assert!(a.instance.same_facts(&b.instance), "seed {seed}");
-        assert_eq!(a.stages, b.stages, "seed {seed}");
+        let (facts, stages) = spec_inflationary(&program, &input);
+        assert_eq!(spec::db_of(&a.instance), facts, "seed {seed}");
+        assert_eq!(a.stages, stages, "seed {seed}");
         let c = noninflationary::eval(
             &program,
             &input,
