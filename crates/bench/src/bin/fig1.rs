@@ -98,7 +98,7 @@ fn level_datalog_vs_stratified(report: &mut Report) {
         .relation(ct)
         .cloned()
         .unwrap();
-    let lost = ct_small.iter().any(|t| !ct_big.contains(t));
+    let lost = ct_small.iter().any(|t| !ct_big.contains(&t));
     report.check(
         "FIG1/strat⊋datalog: CT is non-monotone (Datalog is monotone)",
         lost,

@@ -1,17 +1,18 @@
 //! Columnar tuple storage: flat, arity-strided value buffers.
 //!
-//! A frozen relation segment used to be a `Vec<Tuple>` — one heap
-//! allocation (a `Box<[Value]>`) per tuple, pointer-chased on every
-//! scan. [`ColumnSegment`] packs the same rows into a single contiguous
-//! `Vec<Value>` in row-major order with a fixed stride (the arity):
-//! row `i` occupies `values[i*arity .. (i+1)*arity]`. Scans walk one
-//! allocation linearly, rows are handed out as borrowed `&[Value]`
-//! slices, and freezing a tail drops the per-tuple boxes entirely.
+//! Every tuple a relation stores is a row of one of these buffers.
+//! [`ColumnSegment`] packs rows into a single contiguous `Vec<Value>`
+//! in row-major order with a fixed stride (the arity): row `i`
+//! occupies `values[i*arity .. (i+1)*arity]`. A relation's uncommitted
+//! tail is packed the same way, and a commit hands its sorted buffer to
+//! a new segment ([`ColumnSegment::from_packed`]) without copying rows
+//! out one by one. Scans walk one allocation linearly and [`Rows`]
+//! hands rows out as borrowed `&[Value]` slices; no tuple is ever a
+//! heap box of its own.
 //!
-//! The logical space model (see [`crate::space`]) is unchanged: a
-//! stored row still costs [`tuple_bytes`](crate::space::tuple_bytes)
-//! of *logical* bytes regardless of the physical layout, so byte
-//! gauges stay comparable across this representation change.
+//! In the logical space model (see [`crate::space`]) a stored row costs
+//! [`tuple_bytes`](crate::space::tuple_bytes) whatever the physical
+//! layout, so byte gauges stay comparable across layouts.
 
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -46,6 +47,20 @@ impl ColumnSegment {
         }
         seg.values.shrink_to_fit();
         seg
+    }
+
+    /// A segment of `rows` rows already packed row-major in `values`;
+    /// takes the buffer over without copying it.
+    ///
+    /// # Panics
+    /// Panics if `values` does not hold exactly `rows` rows of `arity`.
+    pub fn from_packed(arity: usize, rows: usize, values: Vec<Value>) -> Self {
+        assert_eq!(values.len(), rows * arity, "packed length mismatch");
+        ColumnSegment {
+            arity,
+            rows,
+            values,
+        }
     }
 
     /// The row stride.
@@ -87,11 +102,11 @@ impl ColumnSegment {
             "range {lo}..{hi} out of {}",
             self.rows
         );
-        Rows {
-            values: &self.values[lo * self.arity..hi * self.arity],
-            arity: self.arity,
-            remaining: hi - lo,
-        }
+        Rows::over(
+            &self.values[lo * self.arity..hi * self.arity],
+            self.arity,
+            hi - lo,
+        )
     }
 }
 
@@ -105,6 +120,17 @@ pub struct Rows<'a> {
 }
 
 impl<'a> Rows<'a> {
+    /// The first `rows` rows packed row-major in `values`, which holds at
+    /// least that many (arity 0 needs the count: its rows hold nothing).
+    pub fn over(values: &'a [Value], arity: usize, rows: usize) -> Self {
+        debug_assert!(values.len() >= rows * arity);
+        Rows {
+            values,
+            arity,
+            remaining: rows,
+        }
+    }
+
     /// An empty rows iterator of the given stride.
     pub fn empty(arity: usize) -> Self {
         Rows {

@@ -67,22 +67,29 @@ impl Instance {
 
     /// Inserts a fact. Creates the relation if needed.
     pub fn insert_fact(&mut self, name: Symbol, tuple: Tuple) -> bool {
-        let arity = tuple.arity();
-        self.ensure(name, arity).insert(tuple)
+        self.insert_row(name, &tuple)
+    }
+
+    /// Inserts the fact `name(row)`, copying the row into its relation's
+    /// storage. Creates the relation if needed.
+    pub fn insert_row(&mut self, name: Symbol, row: &[Value]) -> bool {
+        self.ensure(name, row.len()).insert_row(row)
     }
 
     /// Retracts a fact as a tombstone on its relation's generational
     /// storage (see [`Relation::retract`]). Returns `false` if the fact
     /// (or its relation) is absent.
-    pub fn retract_fact(&mut self, name: Symbol, tuple: &Tuple) -> bool {
+    pub fn retract_fact(&mut self, name: Symbol, row: &[Value]) -> bool {
         self.relations
             .get_mut(&name)
-            .is_some_and(|r| r.retract(tuple))
+            .is_some_and(|r| r.retract(row))
     }
 
     /// True iff the fact is present.
-    pub fn contains_fact(&self, name: Symbol, tuple: &Tuple) -> bool {
-        self.relations.get(&name).is_some_and(|r| r.contains(tuple))
+    pub fn contains_fact(&self, name: Symbol, row: &[Value]) -> bool {
+        self.relations
+            .get(&name)
+            .is_some_and(|r| r.contains_row(row))
     }
 
     /// Iterates over `(symbol, relation)` pairs in symbol order.
@@ -141,7 +148,8 @@ impl Instance {
         }
     }
 
-    /// A deterministic, order-independent fingerprint of the full state.
+    /// A deterministic, order-independent fingerprint of the full state,
+    /// composed from the fingerprints the relations keep up to date.
     ///
     /// Used by the noninflationary engine for divergence (cycle)
     /// detection and by the nondeterministic engines to memoize visited

@@ -51,7 +51,7 @@ pub use metrics::{metrics, Registry, TIME_BUCKETS};
 pub use relation::{Generation, Index, Relation};
 pub use rng::Rng;
 pub use schema::{RelationSchema, Schema};
-pub use space::{fmt_bytes, tuple_bytes, HeapSize, SpaceNode, SpaceReport};
+pub use space::{fmt_bytes, tuple_bytes, HeapSize, SpaceNode, SpaceReport, SLOT_BYTES};
 pub use telemetry::{
     DivergenceSnapshot, EvalTrace, JoinCounters, StageRecord, Stopwatch, Telemetry,
 };
@@ -59,5 +59,5 @@ pub use trace::{
     gauge_tree, hottest_rules, sum_gauge, to_chrome_json, validate_chrome_trace, Span, SpanGuard,
     SpanKind, Tracer,
 };
-pub use tuple::Tuple;
+pub use tuple::{Row, Tuple};
 pub use value::Value;

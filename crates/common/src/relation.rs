@@ -1,42 +1,45 @@
 //! Relations (finite sets of constant tuples) and hash indexes over them.
 //!
-//! Storage is *generational*: a relation keeps an immutable list of frozen,
-//! internally sorted **stable segments** plus a mutable, insertion-ordered
-//! **recent tail**. [`Relation::commit`] promotes the tail into a new frozen
-//! segment. A [`Generation`] is a cheap copyable cursor `(epoch, segments,
-//! recent)` into that layout; [`Relation::iter_since`] enumerates exactly the
-//! tuples added after a captured generation, which is what semi-naive
-//! evaluation needs for its per-round deltas, and what [`Index::absorb_from`]
-//! needs to maintain hash indexes incrementally instead of rebuilding them
-//! from scratch on every version bump.
+//! A relation stores each of its tuples **once**, as a row of columnar
+//! storage, and answers membership through a table of row positions
+//! rather than a second copy of the tuple:
 //!
-//! Physically, frozen segments are **columnar**: each is a single
-//! arity-strided `Vec<Value>` ([`ColumnSegment`]) rather than a
-//! `Vec<Tuple>` of per-tuple boxes, so scans walk one contiguous
-//! allocation and hand out borrowed `&[Value]` rows without pointer
-//! chasing. The recent tail still holds owned [`Tuple`]s (it is built
-//! incrementally, one insert at a time); [`Relation::commit`] is the
-//! point where rows get packed. [`Index`] is open-addressing over the
-//! same packed representation: probe and absorb never allocate a
-//! per-tuple box.
+//! * **Storage** is *generational*: an immutable list of frozen,
+//!   internally sorted **stable segments** ([`ColumnSegment`], one
+//!   arity-strided `Vec<Value>` each, shared by clones through `Arc`)
+//!   plus a mutable **tail** in insertion order, packed the same way.
+//!   [`Relation::commit`] sorts the tail and freezes it into a new
+//!   segment. Rows are numbered by *storage position*: the segments in
+//!   order, then the tail.
+//! * **Membership** is an open-addressing row-id table: each slot holds
+//!   the storage position of one live row plus the top bits of its hash.
+//!   A probe hashes the borrowed row, walks the slots, and compares a
+//!   stored row only when the hash bits match, so `insert`, `contains`
+//!   and `contains_row` allocate nothing. Clones share the table until
+//!   one of them writes.
+//! * **Retraction** ([`Relation::retract`]) keeps the lineage: the dead
+//!   row stays where it is, marked in a dead-row bitset and appended (by
+//!   position) to a retraction log. Reviving a tuple appends a fresh row,
+//!   and the old one stays dead by position. Dead rows are dropped only
+//!   once they outnumber the live ones (see [`Relation::compact`]).
 //!
-//! Retraction keeps the lineage too ([`Relation::retract`]): a dead
-//! tuple's row stays where it is, and reviving it appends a fresh copy
-//! while the old one stays dead *by position*. Dead rows are dropped
-//! only once they outnumber the live ones (see [`Relation::compact`]).
+//! A [`Generation`] is a cheap copyable cursor `(epoch, segments, recent,
+//! retracted)` into that layout; [`Relation::iter_since`] enumerates
+//! exactly the rows added after a captured generation and
+//! [`Relation::retracted_since`] the rows retracted after it — what
+//! semi-naive evaluation needs for its per-round deltas, and what
+//! [`Index::absorb_from`] needs to maintain hash indexes incrementally
+//! instead of rebuilding them on every version bump. Every scan hands
+//! out borrowed `&[Value]` rows (or [`Row`]s) without pointer chasing.
 
-use crate::columnar::ColumnSegment;
-use crate::hash::{hash_one, FxHashMap, FxHashSet, FxHasher};
-use crate::space::{tuple_bytes, HeapSize, SpaceNode, TUPLE_HEADER_BYTES, VALUE_BYTES};
-use crate::tuple::Tuple;
+use crate::columnar::{ColumnSegment, Rows};
+use crate::hash::{FxHashSet, FxHasher};
+use crate::space::{tuple_bytes, HeapSize, SpaceNode, SLOT_BYTES, TUPLE_HEADER_BYTES, VALUE_BYTES};
+use crate::tuple::{Row, Tuple};
 use crate::value::Value;
-use std::cell::Cell;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-
-/// The `dead` entry of a tombstoned tuple no revival has re-appended.
-const NO_ROW: usize = usize::MAX;
 
 /// Global source of epoch identifiers. Epochs are unique across all
 /// relations in the process, so a generation captured from one relation can
@@ -114,40 +117,99 @@ impl<T: Clone> Clone for Memo<T> {
     }
 }
 
+/// The hash of a row, as the row-id table and the fingerprint use it:
+/// the value a [`Tuple`] of the same values hashes to.
+fn row_hash(row: &[Value]) -> u64 {
+    let mut h = FxHasher::default();
+    row.hash(&mut h);
+    h.finish()
+}
+
+/// Low bits of a row-id table entry: the row's storage position. The
+/// high bits hold the top bits of the row's hash.
+const POS_BITS: u32 = 40;
+const POS_MASK: u64 = (1 << POS_BITS) - 1;
+/// A slot that never held an entry; it ends every probe.
+const EMPTY: u64 = u64::MAX;
+/// A slot whose entry was retracted; probes pass over it.
+const REMOVED: u64 = u64::MAX - 1;
+
+/// The table entry of the row at `pos` hashing to `h`.
+fn slot_entry(h: u64, pos: usize) -> u64 {
+    (h & !POS_MASK) | pos as u64
+}
+
+/// Bit `pos` of a bitset (unset past its end).
+fn bit(bits: &[u64], pos: usize) -> bool {
+    bits.get(pos / 64)
+        .is_some_and(|word| word >> (pos % 64) & 1 == 1)
+}
+
+/// Sets bit `pos` of a bitset to `on`, growing it as needed.
+fn set_bit(bits: &mut Vec<u64>, pos: usize, on: bool) {
+    if bits.len() <= pos / 64 {
+        bits.resize(pos / 64 + 1, 0);
+    }
+    if on {
+        bits[pos / 64] |= 1 << (pos % 64);
+    } else {
+        bits[pos / 64] &= !(1 << (pos % 64));
+    }
+}
+
+/// The membership table: linear probing over the storage positions of
+/// the live rows, at load ≤ 3/4 counting removed slots.
+#[derive(Clone, Debug, Default)]
+struct RowTable {
+    /// Power-of-two slot array (empty until the first insert).
+    slots: Vec<u64>,
+    /// Slots holding [`REMOVED`].
+    removed: usize,
+}
+
 /// A finite relation instance: a set of same-arity tuples.
 ///
-/// Alongside the generational segment storage, the relation keeps a flat
-/// hash set of all tuples for O(1) membership, a `version` counter bumped on
-/// every content change (used to invalidate the cached [`fingerprint`] and
-/// [`sorted`] views), and the epoch stamp described on [`Generation`].
+/// Alongside the generational row storage and its row-id table, the
+/// relation keeps its fingerprint up to date, a `version` counter bumped
+/// on every content change (used to invalidate the cached [`sorted`]
+/// view), and the epoch stamp described on [`Generation`].
 ///
-/// [`fingerprint`]: Relation::fingerprint
 /// [`sorted`]: Relation::sorted
 #[derive(Clone, Debug)]
 pub struct Relation {
     arity: usize,
-    /// Membership set over segments ∪ recent (each tuple stored once there).
-    set: FxHashSet<Tuple>,
     /// Frozen, internally sorted columnar runs; shared by clones via `Arc`.
     segments: Vec<Arc<ColumnSegment>>,
-    /// Uncommitted tail in insertion order, already deduplicated.
-    recent: Vec<Tuple>,
-    /// Tombstone log: tuples retracted from this lineage, in retraction
-    /// order. Their physical copies stay in `segments`/`recent` (so
-    /// generation cursors remain storage prefixes) but they are absent
-    /// from `set`, and every iterator filters them out. Append-only
-    /// within an epoch, which is what lets [`Relation::retracted_since`]
-    /// enumerate exactly the tombstones added after a mark. Each
-    /// retraction kills exactly one stored row, so storage always holds
-    /// `set.len() + retracted.len()` rows.
-    retracted: Vec<Tuple>,
-    /// Every tuple in the tombstone log → the storage row of the copy a
-    /// later revival appended, or [`NO_ROW`]. A stored row is live iff
-    /// its tuple has no entry here, or the tuple is a member and the
-    /// entry names this very row: a revived tuple's older copies stay
-    /// dead by position. Empty iff the log is — the tombstone-free fast
-    /// path every iterator checks first.
-    dead: FxHashMap<Tuple, usize>,
+    /// Storage position of each segment's first row.
+    starts: Vec<usize>,
+    /// Storage position of the tail's first row: the segments' rows.
+    tail_base: usize,
+    /// Uncommitted rows in insertion order, packed with stride `arity`.
+    tail: Vec<Value>,
+    /// Rows in the tail (the count arity 0 cannot read off `tail`).
+    tail_len: usize,
+    /// The table slot of each tail row, so a commit re-points the slots
+    /// of the rows its sort moves without probing for them.
+    tail_slots: Vec<usize>,
+    /// Row-id table over the live rows; shared by clones until a write.
+    table: Arc<RowTable>,
+    /// Live tuples: the rows the table holds.
+    live: usize,
+    /// Dead-row bitset by storage position (empty while nothing died).
+    dead: Vec<u64>,
+    /// Tombstone log: the storage positions of the rows retracted from
+    /// this lineage, in retraction order. The rows stay in storage (so
+    /// generation cursors remain storage prefixes) but every iterator
+    /// skips them. Append-only within an epoch, which is what lets
+    /// [`Relation::retracted_since`] enumerate exactly the tombstones
+    /// added after a mark. Each retraction kills exactly one stored row,
+    /// so storage always holds `live + retracted.len()` rows.
+    retracted: Vec<usize>,
+    /// Length of the log at the last commit: a row the commit's sort
+    /// moves can only have been logged after it.
+    logged_at_commit: usize,
+    /// Wrapping sum of the live rows' hashes; see [`Relation::fingerprint`].
+    fingerprint: u64,
     /// Lineage stamp; see [`Generation`].
     epoch: u64,
     /// Shared token used to detect live clones: a mutation observed while
@@ -155,8 +217,6 @@ pub struct Relation {
     /// postings absorbed from them) can never alias this relation's storage.
     epoch_token: Arc<()>,
     version: u64,
-    /// `(epoch, version)`-keyed memo for [`Relation::fingerprint`].
-    fingerprint_cache: Memo<u64>,
     /// `(epoch, version)`-keyed memo for [`Relation::sorted`].
     sorted_cache: Memo<Arc<Vec<Tuple>>>,
 }
@@ -166,15 +226,21 @@ impl Relation {
     pub fn new(arity: usize) -> Self {
         Relation {
             arity,
-            set: FxHashSet::default(),
             segments: Vec::new(),
-            recent: Vec::new(),
+            starts: Vec::new(),
+            tail_base: 0,
+            tail: Vec::new(),
+            tail_len: 0,
+            tail_slots: Vec::new(),
+            table: Arc::default(),
+            live: 0,
+            dead: Vec::new(),
             retracted: Vec::new(),
-            dead: FxHashMap::default(),
+            logged_at_commit: 0,
+            fingerprint: 0,
             epoch: next_epoch(),
             epoch_token: Arc::new(()),
             version: 0,
-            fingerprint_cache: Memo::default(),
             sorted_cache: Memo::default(),
         }
     }
@@ -198,12 +264,12 @@ impl Relation {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.set.len()
+        self.live
     }
 
     /// Whether the relation is empty.
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.live == 0
     }
 
     /// The mutation counter. Two calls returning the same value guarantee
@@ -219,7 +285,7 @@ impl Relation {
         Generation {
             epoch: self.epoch,
             segments: self.segments.len(),
-            recent: self.recent.len(),
+            recent: self.tail_len,
             retracted: self.retracted.len(),
         }
     }
@@ -236,7 +302,7 @@ impl Relation {
 
     /// Length of the uncommitted recent tail.
     pub fn recent_len(&self) -> usize {
-        self.recent.len()
+        self.tail_len
     }
 
     /// Tuple counts of the frozen stable segments, in storage order.
@@ -245,13 +311,13 @@ impl Relation {
     }
 
     /// The relation's [`SpaceNode`]: one child per frozen segment, one
-    /// for the recent tail, one for the membership set (which owns its
-    /// own clone of every tuple). `items` on the branch is the logical
-    /// cardinality, not the child sum — see the invariant note on
-    /// [`SpaceNode`].
+    /// for the recent tail, one for the row-id table (a slot per live
+    /// tuple), and one for the tombstone log when it is not empty.
+    /// `items` on the branch is the logical cardinality, not the child
+    /// sum — see the invariant note on [`SpaceNode`].
     pub fn space_node(&self, name: &str) -> SpaceNode {
         let per_tuple = tuple_bytes(self.arity) as u64;
-        let mut children = Vec::with_capacity(self.segments.len() + 2);
+        let mut children = Vec::with_capacity(self.segments.len() + 3);
         for (i, seg) in self.segments.iter().enumerate() {
             children.push(SpaceNode::leaf(
                 format!("segment {i}"),
@@ -261,27 +327,22 @@ impl Relation {
         }
         children.push(SpaceNode::leaf(
             "recent tail",
-            self.recent.len() as u64,
-            self.recent.len() as u64 * per_tuple,
+            self.tail_len as u64,
+            self.tail_len as u64 * per_tuple,
         ));
         children.push(SpaceNode::leaf(
-            "membership set",
-            self.set.len() as u64,
-            self.set.len() as u64 * per_tuple,
+            "row-id table",
+            self.live as u64,
+            (self.live * SLOT_BYTES) as u64,
         ));
         if !self.retracted.is_empty() {
-            // The log plus the dead-copy map: two copies per tombstone.
             children.push(SpaceNode::leaf(
                 "tombstone log",
                 self.retracted.len() as u64,
-                (self.retracted.len() + self.dead.len()) as u64 * per_tuple,
+                (self.retracted.len() * SLOT_BYTES) as u64,
             ));
         }
-        SpaceNode::branch(
-            format!("{name}/{}", self.arity),
-            self.set.len() as u64,
-            children,
-        )
+        SpaceNode::branch(format!("{name}/{}", self.arity), self.live as u64, children)
     }
 
     /// Moves this relation to a fresh epoch if a live clone might still
@@ -291,19 +352,117 @@ impl Relation {
     /// this relation valid through its first mutation.
     pub fn fork_epoch_if_shared(&mut self) {
         if Arc::strong_count(&self.epoch_token) > 1 {
-            self.epoch_token = Arc::new(());
-            self.epoch = next_epoch();
+            self.new_epoch();
         }
     }
 
+    /// Starts a fresh lineage.
+    fn new_epoch(&mut self) {
+        self.epoch_token = Arc::new(());
+        self.epoch = next_epoch();
+    }
+
+    /// Number of stored rows, dead ones included.
+    fn stored_rows(&self) -> usize {
+        self.tail_base + self.tail_len
+    }
+
+    /// The stored row at storage position `pos`.
+    #[inline]
+    fn row_at(&self, pos: usize) -> &[Value] {
+        let a = self.arity;
+        if pos >= self.tail_base {
+            let i = pos - self.tail_base;
+            return &self.tail[i * a..i * a + a];
+        }
+        let s = self.starts.partition_point(|&start| start <= pos) - 1;
+        self.segments[s].row(pos - self.starts[s])
+    }
+
+    /// Whether the row at storage position `pos` was retracted.
+    fn is_dead(&self, pos: usize) -> bool {
+        bit(&self.dead, pos)
+    }
+
+    /// Looks `row`, hashing to `h`, up in the row-id table: `Ok` with its
+    /// slot, or `Err` with the slot an insert of it would take.
+    fn probe(&self, h: u64, row: &[Value]) -> Result<usize, usize> {
+        let slots = &self.table.slots;
+        if slots.is_empty() {
+            return Err(0);
+        }
+        let mask = slots.len() - 1;
+        let tag = h & !POS_MASK;
+        let mut free = None;
+        let mut i = h as usize & mask;
+        loop {
+            match slots[i] {
+                EMPTY => return Err(free.unwrap_or(i)),
+                REMOVED => {
+                    free.get_or_insert(i);
+                }
+                e => {
+                    if e & !POS_MASK == tag && self.row_at((e & POS_MASK) as usize) == row {
+                        return Ok(i);
+                    }
+                }
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Rebuilds the row-id table over the live rows at a size fit for
+    /// `live` of them (load ≤ 1/2), dropping its removed slots.
+    fn rebuild_table(&mut self, live: usize) {
+        let mut len = 16;
+        while len < live * 2 {
+            len *= 2;
+        }
+        let mask = len - 1;
+        let mut slots = vec![EMPTY; len];
+        let mut tail_slots = std::mem::take(&mut self.tail_slots);
+        for (pos, row) in self.live_rows(0, 0) {
+            let h = row_hash(row);
+            let mut i = h as usize & mask;
+            while slots[i] != EMPTY {
+                i = (i + 1) & mask;
+            }
+            slots[i] = slot_entry(h, pos);
+            if pos >= self.tail_base {
+                tail_slots[pos - self.tail_base] = i;
+            }
+        }
+        self.tail_slots = tail_slots;
+        self.table = Arc::new(RowTable { slots, removed: 0 });
+    }
+
     /// Membership test.
-    pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.set.contains(tuple)
+    pub fn contains(&self, row: &[Value]) -> bool {
+        self.contains_row(row)
     }
 
     /// Membership test for a borrowed row (no `Tuple` allocation).
     pub fn contains_row(&self, row: &[Value]) -> bool {
-        self.set.contains(row)
+        self.probe(row_hash(row), row).is_ok()
+    }
+
+    /// Reads the memory a membership probe for `row` starts with: its
+    /// home slot in the row-id table and, when that slot's hash bits
+    /// match, the stored row it points at. Returns a word that depends
+    /// on both reads and means nothing else. Touching a batch of rows
+    /// before probing them lets their cache misses overlap, where the
+    /// probes alone would wait for them one after another.
+    pub fn touch(&self, row: &[Value]) -> u64 {
+        let slots = &self.table.slots;
+        if slots.is_empty() {
+            return 0;
+        }
+        let h = row_hash(row);
+        let e = slots[h as usize & (slots.len() - 1)];
+        let home = e < REMOVED
+            && e & !POS_MASK == h & !POS_MASK
+            && self.row_at((e & POS_MASK) as usize) == row;
+        e ^ u64::from(home)
     }
 
     /// Inserts a tuple, returning `true` if it was new.
@@ -311,28 +470,43 @@ impl Relation {
     /// # Panics
     /// Panics if the tuple's arity does not match the relation's.
     pub fn insert(&mut self, tuple: Tuple) -> bool {
+        self.insert_row(tuple.values())
+    }
+
+    /// Inserts a row, copying it into the tail; returns `true` if it was
+    /// new. Reviving a tombstoned tuple appends a fresh row: its dead
+    /// rows stay in storage, so earlier cursors remain storage prefixes.
+    ///
+    /// # Panics
+    /// Panics if the row's arity does not match the relation's.
+    pub fn insert_row(&mut self, row: &[Value]) -> bool {
         assert_eq!(
-            tuple.arity(),
+            row.len(),
             self.arity,
             "arity mismatch: relation has arity {}, tuple has arity {}",
             self.arity,
-            tuple.arity()
+            row.len()
         );
-        if self.set.contains(&tuple) {
+        let h = row_hash(row);
+        let Err(mut slot) = self.probe(h, row) else {
             return false;
-        }
+        };
         self.fork_epoch_if_shared();
-        if !self.dead.is_empty() {
-            let row = self.set.len() + self.retracted.len();
-            if let Some(at) = self.dead.get_mut(&tuple) {
-                // Reviving a tombstoned tuple: its dead copies stay in
-                // storage, so the fresh copy is the one the entry names.
-                // Earlier cursors remain storage prefixes.
-                *at = row;
-            }
+        if (self.live + self.table.removed + 1) * 4 > self.table.slots.len() * 3 {
+            self.rebuild_table(self.live + 1);
+            slot = self.probe(h, row).expect_err("row is absent");
         }
-        self.set.insert(tuple.clone());
-        self.recent.push(tuple);
+        let pos = self.stored_rows();
+        let table = Arc::make_mut(&mut self.table);
+        if table.slots[slot] == REMOVED {
+            table.removed -= 1;
+        }
+        table.slots[slot] = slot_entry(h, pos);
+        self.tail.extend_from_slice(row);
+        self.tail_len += 1;
+        self.tail_slots.push(slot);
+        self.live += 1;
+        self.fingerprint = self.fingerprint.wrapping_add(h);
         self.version += 1;
         true
     }
@@ -341,27 +515,31 @@ impl Relation {
     /// present.
     ///
     /// Unlike [`Relation::remove`], retraction preserves the append-only
-    /// lineage: the physical copy stays where it is, the tuple is dropped
-    /// from the membership set, and a tombstone is appended to the
+    /// lineage: the stored row stays where it is, it leaves the row-id
+    /// table, and its position is marked dead and appended to the
     /// retraction log. Generation cursors captured earlier in this epoch
     /// stay exact — [`Relation::iter_since`] simply filters the dead
-    /// tuples out and [`Relation::retracted_since`] enumerates the
+    /// rows out and [`Relation::retracted_since`] enumerates the
     /// tombstones added since the mark, which is what lets indexes
     /// un-append postings instead of rebuilding.
     ///
     /// The epoch still forks when a live clone shares the storage:
     /// sibling clones with diverging tombstone logs must never answer
     /// each other's cursors.
-    pub fn retract(&mut self, tuple: &Tuple) -> bool {
-        if !self.set.contains(tuple) {
+    pub fn retract(&mut self, row: &[Value]) -> bool {
+        let h = row_hash(row);
+        let Ok(slot) = self.probe(h, row) else {
             return false;
-        }
+        };
         self.fork_epoch_if_shared();
-        self.set.remove(tuple);
-        self.retracted.push(tuple.clone());
-        if !self.dead.contains_key(tuple) {
-            self.dead.insert(tuple.clone(), NO_ROW);
-        }
+        let table = Arc::make_mut(&mut self.table);
+        let pos = (table.slots[slot] & POS_MASK) as usize;
+        table.slots[slot] = REMOVED;
+        table.removed += 1;
+        set_bit(&mut self.dead, pos, true);
+        self.retracted.push(pos);
+        self.live -= 1;
+        self.fingerprint = self.fingerprint.wrapping_sub(h);
         self.version += 1;
         true
     }
@@ -373,177 +551,206 @@ impl Relation {
     /// the new epoch forces costs no more than the retractions that led
     /// to it. Contents are unchanged, so the version does not move.
     pub fn compact(&mut self) -> bool {
-        self.retracted.len() > self.set.len() && self.repack()
+        self.retracted.len() > self.live && self.repack()
     }
 
     /// Compacts the relation whenever it holds a dead row, whatever the
-    /// ratio (see [`Relation::compact`]), and trims its membership set
-    /// to the live tuples; returns whether it compacted. For a relation
-    /// about to be copied or kept as a result.
+    /// ratio (see [`Relation::compact`]); returns whether it compacted.
+    /// For a relation about to be copied or kept as a result.
     pub fn pack(&mut self) -> bool {
-        let packed = self.repack();
-        if packed {
-            self.set.shrink_to_fit();
-            self.retracted = Vec::new();
-            self.dead = FxHashMap::default();
-        }
-        packed
+        self.repack()
     }
 
     fn repack(&mut self) -> bool {
         if self.retracted.is_empty() {
             return false;
         }
-        self.epoch = next_epoch();
-        self.epoch_token = Arc::new(());
-        self.collapse_to_set();
+        self.new_epoch();
+        self.collapse();
         self.commit();
         true
-    }
-
-    /// Whether the stored row at storage position `pos` is a live copy
-    /// (see the `dead` field).
-    fn row_live(&self, pos: usize, row: &[Value]) -> bool {
-        match self.dead.get(row) {
-            None => true,
-            Some(&at) => at == pos && self.set.contains(row),
-        }
     }
 
     /// Removes a tuple, returning `true` if it was present.
     ///
     /// A removal breaks the append-only lineage (a hole invalidates every
     /// previously captured prefix cursor), so the relation moves to a fresh
-    /// epoch and generational consumers fall back to full rebuilds.
-    pub fn remove(&mut self, tuple: &Tuple) -> bool {
-        if !self.set.remove(tuple) {
+    /// epoch and generational consumers fall back to full rebuilds. The
+    /// row is dropped from storage at the next compaction.
+    pub fn remove(&mut self, row: &[Value]) -> bool {
+        if !self.retract(row) {
             return false;
         }
-        self.version += 1;
-        self.epoch = next_epoch();
-        self.epoch_token = Arc::new(());
-        let in_tail = if self.dead.is_empty() {
-            self.recent.iter().position(|t| t == tuple)
-        } else {
-            None // dead rows are named by position: do not shift the tail
-        };
-        match in_tail {
-            Some(pos) => {
-                self.recent.remove(pos);
-            }
-            None => self.collapse_to_set(),
-        }
+        self.new_epoch();
+        self.compact();
         true
     }
 
-    /// Rebuilds storage as a single recent tail holding exactly the members
-    /// of `set`, preserving the previous storage order, and drops the
-    /// tombstones. Used after removals that punched holes into frozen
-    /// segments, and by compaction.
-    fn collapse_to_set(&mut self) {
-        let recent = std::mem::take(&mut self.recent);
-        let all_live = self.dead.is_empty();
-        let keep = |pos: usize, row: &[Value]| {
-            self.set.contains(row) && (all_live || self.row_live(pos, row))
-        };
-        let mut all: Vec<Tuple> = Vec::with_capacity(self.set.len());
-        let mut pos = 0;
-        for row in self.segments.iter().flat_map(|s| s.rows()) {
-            if keep(pos, row) {
-                all.push(Tuple::new(row));
-            }
-            pos += 1;
-        }
-        for t in recent {
-            if keep(pos, t.values()) {
-                all.push(t);
-            }
-            pos += 1;
+    /// Rebuilds storage as a single tail holding exactly the live rows,
+    /// in their previous storage order, and drops the tombstones. Used
+    /// after removals that punched holes into frozen segments, and by
+    /// compaction.
+    fn collapse(&mut self) {
+        let mut tail = Vec::with_capacity(self.live * self.arity);
+        for (_, row) in self.live_rows(0, 0) {
+            tail.extend_from_slice(row);
         }
         self.segments.clear();
-        self.recent = all;
-        self.retracted.clear();
-        self.dead.clear();
+        self.starts.clear();
+        self.tail_base = 0;
+        self.tail = tail;
+        self.tail_len = self.live;
+        self.tail_slots = vec![0; self.live];
+        self.dead = Vec::new();
+        self.retracted = Vec::new();
+        self.logged_at_commit = 0;
+        self.rebuild_table(self.live);
     }
 
     /// Removes all tuples.
     pub fn clear(&mut self) {
-        if self.set.is_empty() && self.retracted.is_empty() {
+        if self.stored_rows() == 0 {
             return;
         }
-        self.set.clear();
-        self.segments.clear();
-        self.recent.clear();
-        self.retracted.clear();
-        self.dead.clear();
-        self.version += 1;
-        self.epoch = next_epoch();
-        self.epoch_token = Arc::new(());
+        let arity = self.arity;
+        *self = Relation {
+            version: self.version + 1,
+            ..Relation::new(arity)
+        };
     }
 
     /// Freezes the recent tail into a new stable segment (sorted and
     /// packed columnar), returning `true` if anything was committed.
     /// Contents are unchanged, so the version does not move — only the
-    /// generation shape does. This is the point where per-tuple boxes
-    /// from the tail are flattened into one contiguous value buffer.
+    /// generation shape does. The sort moves rows, so the table slots,
+    /// dead bits and log entries of the moved rows are re-pointed at
+    /// their new positions.
     pub fn commit(&mut self) -> bool {
-        if self.recent.is_empty() {
+        let logged = std::mem::replace(&mut self.logged_at_commit, self.retracted.len());
+        let n = self.tail_len;
+        if n == 0 {
             return false;
         }
-        let mut seg = std::mem::take(&mut self.recent);
-        seg.sort_unstable();
-        if !self.dead.is_empty() {
-            // Sorting moved the tail's rows: re-point every revived
-            // tuple whose named copy sat in the tail. Copies of one
-            // tuple are equal rows, so naming the last is as good.
-            let base = self.set.len() + self.retracted.len() - seg.len();
-            for (i, t) in seg.iter().enumerate() {
-                if let Some(at) = self.dead.get_mut(t) {
-                    if *at != NO_ROW && *at >= base {
-                        *at = base + i;
-                    }
+        let (a, base) = (self.arity, self.tail_base);
+        let tail = std::mem::take(&mut self.tail);
+        let row = |i: usize| &tail[i * a..i * a + a];
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_unstable_by(|&i, &j| row(i).cmp(row(j)));
+        let mut values = Vec::with_capacity(n * a);
+        for &i in &order {
+            values.extend_from_slice(row(i));
+        }
+        if order.iter().enumerate().any(|(k, &i)| k != i) {
+            let mut rank = vec![0; n];
+            for (k, &i) in order.iter().enumerate() {
+                rank[i] = k;
+            }
+            // Dead tail rows were logged since the last commit.
+            let moved_dead: Vec<usize> = self.retracted[logged..]
+                .iter()
+                .filter(|&&pos| pos >= base)
+                .map(|&pos| pos - base)
+                .collect();
+            let table = Arc::make_mut(&mut self.table);
+            for (i, &slot) in self.tail_slots.iter().enumerate() {
+                if !bit(&self.dead, base + i) {
+                    let e = &mut table.slots[slot];
+                    *e = (*e & !POS_MASK) | (base + rank[i]) as u64;
+                }
+            }
+            for &i in &moved_dead {
+                set_bit(&mut self.dead, base + i, false);
+            }
+            for &i in &moved_dead {
+                set_bit(&mut self.dead, base + rank[i], true);
+            }
+            for pos in &mut self.retracted[logged..] {
+                if *pos >= base {
+                    *pos = base + rank[*pos - base];
                 }
             }
         }
         self.segments
-            .push(Arc::new(ColumnSegment::from_tuples(self.arity, &seg)));
+            .push(Arc::new(ColumnSegment::from_packed(a, n, values)));
+        self.starts.push(base);
+        self.tail_base += n;
+        self.tail_len = 0;
+        self.tail_slots = Vec::new();
         true
     }
 
     /// Commits the recent tail and returns the live tuples as frozen
     /// segments, shared with this relation rather than copied. A
     /// relation with tombstones packs its live tuples into one fresh
-    /// segment instead, since its own segments still hold the dead
-    /// copies.
+    /// sorted segment instead, since its own segments still hold the
+    /// dead rows.
     pub(crate) fn freeze(&mut self) -> Vec<Arc<ColumnSegment>> {
         self.commit();
-        if self.dead.is_empty() {
-            self.segments.clone()
-        } else {
-            vec![Arc::new(ColumnSegment::from_tuples(
-                self.arity,
-                self.sorted().iter(),
-            ))]
+        if self.retracted.is_empty() {
+            return self.segments.clone();
+        }
+        let mut rows: Vec<&[Value]> = self.iter_stored().collect();
+        rows.sort_unstable();
+        let mut values = Vec::with_capacity(rows.len() * self.arity);
+        for row in &rows {
+            values.extend_from_slice(row);
+        }
+        vec![Arc::new(ColumnSegment::from_packed(
+            self.arity,
+            rows.len(),
+            values,
+        ))]
+    }
+
+    /// Storage position of the first row [`Relation::live_rows`] reads
+    /// for delta bounds `(seg_from, rec_from)`.
+    fn position(&self, seg_from: usize, rec_from: usize) -> usize {
+        match self.starts.get(seg_from) {
+            Some(&start) => start,
+            None => self.tail_base + rec_from,
         }
     }
 
-    /// Iterates over the tuples in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> + Clone {
-        self.set.iter()
+    /// The live rows from segment `seg_from` on, then the tail from row
+    /// `rec_from` on (the whole tail when `seg_from` is short of it), with
+    /// their storage positions.
+    fn live_rows(
+        &self,
+        seg_from: usize,
+        rec_from: usize,
+    ) -> impl Iterator<Item = (usize, &[Value])> + Clone {
+        let all_live = self.retracted.is_empty();
+        let rec_from = if seg_from < self.segments.len() {
+            0
+        } else {
+            rec_from
+        };
+        let base = self.position(seg_from, rec_from);
+        let tail = Rows::over(
+            &self.tail[rec_from * self.arity..],
+            self.arity,
+            self.tail_len - rec_from,
+        );
+        self.segments[seg_from..]
+            .iter()
+            .flat_map(|s| s.rows())
+            .chain(tail)
+            .enumerate()
+            .map(move |(i, row)| (base + i, row))
+            .filter(move |&(pos, _)| all_live || !self.is_dead(pos))
+    }
+
+    /// Iterates over the tuples in storage order, as [`Row`]s.
+    pub fn iter(&self) -> impl Iterator<Item = Row<'_>> + Clone {
+        self.iter_stored().map(Row)
     }
 
     /// Iterates in storage order: frozen segments first (each internally
     /// sorted), then the recent tail in insertion order. Every live tuple
-    /// appears exactly once as a borrowed row; tombstoned tuples are
+    /// appears exactly once as a borrowed row; tombstoned rows are
     /// skipped.
     pub fn iter_stored(&self) -> impl Iterator<Item = &[Value]> + Clone {
-        let all_live = self.dead.is_empty();
-        let pos = Cell::new(0);
-        self.segments
-            .iter()
-            .flat_map(|s| s.rows())
-            .chain(self.recent.iter().map(|t| t.values()))
-            .filter(move |row| all_live || self.row_live(pos.replace(pos.get() + 1), row))
+        self.live_rows(0, 0).map(|(_, row)| row)
     }
 
     /// Rows `lo..hi` of [`Relation::iter_stored`]'s enumeration.
@@ -557,8 +764,8 @@ impl Relation {
         lo: usize,
         hi: usize,
     ) -> Box<dyn Iterator<Item = &[Value]> + '_> {
-        if self.dead.is_empty() {
-            Box::new(rows_in_range(&self.segments, &self.recent, lo, hi))
+        if self.retracted.is_empty() {
+            Box::new(self.rows_in_range(0, 0, lo, hi))
         } else {
             Box::new(self.iter_stored().skip(lo).take(hi.saturating_sub(lo)))
         }
@@ -579,24 +786,7 @@ impl Relation {
     /// delta.
     pub fn iter_since(&self, gen: Generation) -> impl Iterator<Item = &[Value]> {
         let (seg_from, rec_from) = self.delta_bounds(gen).unwrap_or((0, 0));
-        let all_live = self.dead.is_empty();
-        // Storage position of the first enumerated row (when seg_from
-        // is short of the tail, rec_from is 0).
-        let base = if all_live {
-            0
-        } else {
-            self.segments[..seg_from]
-                .iter()
-                .map(|s| s.len())
-                .sum::<usize>()
-                + rec_from
-        };
-        let pos = Cell::new(base);
-        self.segments[seg_from..]
-            .iter()
-            .flat_map(|s| s.rows())
-            .chain(self.recent[rec_from..].iter().map(|t| t.values()))
-            .filter(move |row| all_live || self.row_live(pos.replace(pos.get() + 1), row))
+        self.live_rows(seg_from, rec_from).map(|(_, row)| row)
     }
 
     /// Rows `lo..hi` of [`Relation::iter_since`]'s enumeration for `gen`
@@ -610,30 +800,64 @@ impl Relation {
         lo: usize,
         hi: usize,
     ) -> Box<dyn Iterator<Item = &[Value]> + '_> {
-        if self.dead.is_empty() {
+        if self.retracted.is_empty() {
             let (seg_from, rec_from) = self.delta_bounds(gen).unwrap_or((0, 0));
-            Box::new(rows_in_range(
-                &self.segments[seg_from..],
-                &self.recent[rec_from..],
-                lo,
-                hi,
-            ))
+            Box::new(self.rows_in_range(seg_from, rec_from, lo, hi))
         } else {
             Box::new(self.iter_since(gen).skip(lo).take(hi.saturating_sub(lo)))
         }
     }
 
-    /// The tombstones appended since `gen` was captured from this
-    /// relation, in retraction order. Falls back to the whole log when
-    /// `gen` belongs to another epoch — a conservative superset, since
-    /// every logged tuple is genuinely dead.
-    pub fn retracted_since(&self, gen: Generation) -> impl Iterator<Item = &Tuple> {
+    /// Enumerates rows `lo..hi` of the storage from delta bounds
+    /// `(seg_from, rec_from)` on, dead rows included, by jumping straight
+    /// to the covering segment offsets (no per-row skipping). Bounds
+    /// outside the storage are clamped.
+    fn rows_in_range(
+        &self,
+        seg_from: usize,
+        rec_from: usize,
+        lo: usize,
+        hi: usize,
+    ) -> impl Iterator<Item = &[Value]> {
+        let mut pieces: Vec<Rows<'_>> = Vec::new();
+        let mut off = 0usize;
+        for seg in &self.segments[seg_from..] {
+            let n = seg.len();
+            let a = lo.max(off);
+            let b = hi.min(off + n);
+            if a < b {
+                pieces.push(seg.rows_range(a - off, b - off));
+            }
+            off += n;
+        }
+        let rec_from = if seg_from < self.segments.len() {
+            0
+        } else {
+            rec_from
+        };
+        let tail_rows = self.tail_len - rec_from;
+        let a = lo.clamp(off, off + tail_rows);
+        let b = hi.clamp(off, off + tail_rows);
+        let first = rec_from + a - off;
+        pieces.push(Rows::over(
+            &self.tail[first * self.arity..],
+            self.arity,
+            b.saturating_sub(a),
+        ));
+        pieces.into_iter().flatten()
+    }
+
+    /// The rows retracted since `gen` was captured from this relation,
+    /// in retraction order. Falls back to the whole log when `gen`
+    /// belongs to another epoch — a conservative superset, since every
+    /// logged row is genuinely dead.
+    pub fn retracted_since(&self, gen: Generation) -> impl Iterator<Item = &[Value]> {
         let from = if gen.epoch == self.epoch {
             gen.retracted.min(self.retracted.len())
         } else {
             0
         };
-        self.retracted[from..].iter()
+        self.retracted[from..].iter().map(|&pos| self.row_at(pos))
     }
 
     /// Exact delta bounds `(first new segment, first new recent index)` for
@@ -644,7 +868,7 @@ impl Relation {
             return None;
         }
         if gen.segments > self.segments.len()
-            || (gen.segments == self.segments.len() && gen.recent > self.recent.len())
+            || (gen.segments == self.segments.len() && gen.recent > self.tail_len)
             || gen.retracted > self.retracted.len()
         {
             return None; // cursor is ahead of us: a diverged sibling's mark
@@ -663,24 +887,20 @@ impl Relation {
     /// workers split a delta scan into equal contiguous morsels without
     /// first materializing it.
     pub fn delta_len(&self, gen: Generation) -> usize {
-        if !self.dead.is_empty() {
-            // Dead tuples hide inside the suffix; count the filtered
-            // enumeration instead of trusting the storage arithmetic.
-            return self.iter_since(gen).count();
-        }
         let (seg_from, rec_from) = self.delta_bounds(gen).unwrap_or((0, 0));
-        self.segments[seg_from..]
-            .iter()
-            .map(|s| s.len())
-            .sum::<usize>()
-            + (self.recent.len() - rec_from)
+        if !self.retracted.is_empty() {
+            // Dead rows hide inside the suffix; count the filtered
+            // enumeration instead of trusting the storage arithmetic.
+            return self.live_rows(seg_from, rec_from).count();
+        }
+        self.stored_rows() - self.position(seg_from, rec_from)
     }
 
-    /// Number of rows [`Relation::iter_stored`] yields. Equals `len()`
-    /// for tombstone-free relations; with tombstones the storage walk is
-    /// filtered, but every live tuple still appears exactly once.
+    /// Number of rows [`Relation::iter_stored`] yields. Equals `len()`:
+    /// the storage walk skips dead rows, and every live tuple appears in
+    /// it exactly once.
     pub fn stored_len(&self) -> usize {
-        self.set.len()
+        self.live
     }
 
     /// Returns the tuples in sorted order as shared owned storage.
@@ -692,7 +912,7 @@ impl Relation {
         if let Some(cached) = self.sorted_cache.get(key) {
             return cached;
         }
-        let mut acc: Vec<Tuple> = self.set.iter().cloned().collect();
+        let mut acc: Vec<Tuple> = self.iter_stored().map(Tuple::new).collect();
         acc.sort_unstable();
         let view = Arc::new(acc);
         self.sorted_cache.set(key, Arc::clone(&view));
@@ -705,114 +925,61 @@ impl Relation {
     /// Panics if arities differ.
     pub fn union_with(&mut self, other: &Relation) -> usize {
         assert_eq!(self.arity, other.arity, "arity mismatch in union");
-        // Routed through `insert` so reviving a tombstoned tuple names
-        // its fresh copy there.
-        let mut added = 0;
-        for t in other.iter() {
-            if self.insert(t.clone()) {
-                added += 1;
-            }
-        }
-        added
+        other
+            .iter_stored()
+            .filter(|row| self.insert_row(row))
+            .count()
     }
 
     /// Set-difference in place; returns the number removed.
     pub fn difference_with(&mut self, other: &Relation) -> usize {
         assert_eq!(self.arity, other.arity, "arity mismatch in difference");
-        let mut removed = 0;
-        for t in other.iter() {
-            if self.set.remove(t) {
-                removed += 1;
-            }
-        }
+        let removed = other.iter_stored().filter(|&row| self.retract(row)).count();
         if removed > 0 {
-            self.version += 1;
-            self.epoch = next_epoch();
-            self.epoch_token = Arc::new(());
-            self.collapse_to_set();
+            self.new_epoch();
+            self.collapse();
         }
         removed
     }
 
     /// True iff both relations hold exactly the same tuples.
     pub fn same_tuples(&self, other: &Relation) -> bool {
-        self.arity == other.arity && self.set == other.set
+        self.arity == other.arity
+            && self.live == other.live
+            && self.fingerprint == other.fingerprint
+            && self.iter_stored().all(|row| other.contains_row(row))
     }
 
     /// Collects the values occurring in the relation into `out`.
     pub fn collect_adom(&self, out: &mut FxHashSet<Value>) {
-        for t in self.iter() {
-            out.extend(t.values().iter().copied());
+        for row in self.iter_stored() {
+            out.extend(row.iter().copied());
         }
     }
 
     /// An order-independent 64-bit fingerprint of the contents.
     ///
-    /// Computed as the wrapping sum of per-tuple hashes, so it does not
-    /// depend on hash-set iteration order. Used (together with relation
-    /// names) for instance-level state fingerprints in cycle detection.
-    /// Cached per version: convergence loops that fingerprint an unchanged
-    /// relation every round pay for one full pass, not one per round.
+    /// The wrapping sum of the live rows' hashes, so it does not depend
+    /// on storage order, and equal contents give equal values. Used
+    /// (together with relation names) for instance-level state
+    /// fingerprints in cycle detection. Kept up to date by every insert
+    /// and retraction from the hash the row-id table computes anyway,
+    /// so reading it costs nothing.
     pub fn fingerprint(&self) -> u64 {
-        let key = (self.epoch, self.version);
-        if let Some(fp) = self.fingerprint_cache.get(key) {
-            return fp;
-        }
-        let fp = self
-            .set
-            .iter()
-            .fold(0u64, |acc, t| acc.wrapping_add(hash_one(t)));
-        self.fingerprint_cache.set(key, fp);
-        fp
+        self.fingerprint
     }
-}
-
-/// Enumerates rows `lo..hi` of the concatenation `segments ++ recent`
-/// by jumping straight to the covering segment offsets (no per-row
-/// skipping). Bounds outside the storage are clamped.
-fn rows_in_range<'a>(
-    segments: &'a [Arc<ColumnSegment>],
-    recent: &'a [Tuple],
-    lo: usize,
-    hi: usize,
-) -> impl Iterator<Item = &'a [Value]> {
-    let mut pieces: Vec<crate::columnar::Rows<'a>> = Vec::new();
-    let mut off = 0usize;
-    for seg in segments {
-        let n = seg.len();
-        let a = lo.max(off);
-        let b = hi.min(off + n);
-        if a < b {
-            pieces.push(seg.rows_range(a - off, b - off));
-        }
-        off += n;
-    }
-    let a = lo.clamp(off, off + recent.len());
-    let b = hi.clamp(off, off + recent.len());
-    let tail: &[Tuple] = if a < b {
-        &recent[a - off..b - off]
-    } else {
-        &[]
-    };
-    pieces
-        .into_iter()
-        .flatten()
-        .chain(tail.iter().map(|t| t.values()))
 }
 
 impl HeapSize for Relation {
-    /// One stored-tuple copy per segment row, recent-tail posting,
-    /// and membership-set entry. Computed from counts only (O(#segments)),
-    /// so engines can sample it after every rule application. The
-    /// *logical* byte model is layout-independent: a columnar row costs
-    /// the same `tuple_bytes(arity)` a boxed tuple did.
+    /// One stored-tuple copy per stored row (dead rows included), one
+    /// row-id table slot per live tuple, and one log entry per
+    /// tombstone. Computed from counts only (O(1)), so engines can
+    /// sample it after every rule application. The *logical* byte model
+    /// is layout-independent: a columnar row costs the same
+    /// `tuple_bytes(arity)` a boxed tuple did.
     fn heap_bytes(&self) -> usize {
-        let stored = self.segments.iter().map(|s| s.len()).sum::<usize>()
-            + self.recent.len()
-            + self.set.len()
-            + self.retracted.len()
-            + self.dead.len();
-        stored * tuple_bytes(self.arity)
+        self.stored_rows() * tuple_bytes(self.arity)
+            + (self.live + self.retracted.len()) * SLOT_BYTES
     }
 }
 
@@ -824,8 +991,31 @@ impl PartialEq for Relation {
 
 impl Eq for Relation {}
 
-/// Sentinel for "no slot / end of chain" in the open-addressing index.
+/// Sentinel for "end of chain" in the open-addressing index.
 const NONE32: u32 = u32::MAX;
+
+/// An empty slot of the index's slot table.
+const NO_BUCKET: u64 = u64::MAX;
+
+/// The slot entry of bucket `b`, whose key hashes to `h`: the bucket id
+/// in the low 32 bits under the top 32 bits of the hash, so a probe
+/// passes over other keys without touching their buckets.
+fn bucket_entry(h: u64, b: usize) -> u64 {
+    (h & !0xFFFF_FFFF) | b as u64
+}
+
+/// One bucket of an [`Index`]: its key's hash and its posting chain.
+#[derive(Clone, Copy, Debug)]
+struct Bucket {
+    /// Cached key hash, for table growth.
+    hash: u64,
+    /// First posting (`NONE32` when the bucket is empty).
+    head: u32,
+    /// Last posting, for O(1) order-preserving append.
+    tail: u32,
+    /// Live postings.
+    len: u32,
+}
 
 /// Hashes the key columns of a packed row. Must agree with
 /// [`hash_key`]: both feed the same `Value` sequence to the hasher.
@@ -861,9 +1051,10 @@ fn hash_key(key: &[Value]) -> u64 {
 /// the columnar storage:
 ///
 /// * `slots` is a power-of-two linear-probe table mapping key hashes to
-///   bucket ids;
+///   bucket ids, each tagged with hash bits;
 /// * bucket keys live packed in one `Vec<Value>` (stride = #key
-///   columns) with their hashes cached for cheap table growth;
+///   columns), and each bucket's hash and chain ends in one record, so
+///   a probe touches the slot, the key and the bucket;
 /// * postings live packed in one `Vec<Value>` (stride = arity), linked
 ///   per bucket through a `next` chain that preserves append order.
 ///
@@ -874,18 +1065,12 @@ fn hash_key(key: &[Value]) -> u64 {
 pub struct Index {
     key_columns: Vec<usize>,
     arity: usize,
-    /// Linear-probe slot table; `NONE32` marks an empty slot.
-    slots: Vec<u32>,
+    /// Linear-probe slot table of [`bucket_entry`]s; [`NO_BUCKET`] marks
+    /// an empty slot.
+    slots: Vec<u64>,
     /// Packed bucket keys, stride `key_columns.len()`.
     keys: Vec<Value>,
-    /// Cached key hash per bucket.
-    hashes: Vec<u64>,
-    /// First posting per bucket (`NONE32` when the bucket is empty).
-    heads: Vec<u32>,
-    /// Last posting per bucket, for O(1) order-preserving append.
-    tails: Vec<u32>,
-    /// Live postings per bucket.
-    lens: Vec<u32>,
+    buckets: Vec<Bucket>,
     /// Packed posting rows, stride `arity`. Unappended rows stay in the
     /// buffer (unlinked from their chain) — absorb workloads retract
     /// far fewer rows than they append.
@@ -898,6 +1083,8 @@ pub struct Index {
     live: usize,
     /// Buckets with at least one live posting.
     live_buckets: usize,
+    /// The bucket of the last appended row.
+    last_bucket: usize,
 }
 
 impl Index {
@@ -907,21 +1094,21 @@ impl Index {
             arity,
             slots: Vec::new(),
             keys: Vec::new(),
-            hashes: Vec::new(),
-            heads: Vec::new(),
-            tails: Vec::new(),
-            lens: Vec::new(),
+            buckets: Vec::new(),
             rows: Vec::new(),
             next: Vec::new(),
             row_count: 0,
             live: 0,
             live_buckets: 0,
+            last_bucket: usize::MAX,
         }
     }
 
     /// Builds the index. `key_columns` must be valid positions.
     pub fn build(relation: &Relation, key_columns: &[usize]) -> Self {
         let mut idx = Index::empty(key_columns, relation.arity());
+        idx.rows.reserve(relation.len() * relation.arity());
+        idx.next.reserve(relation.len());
         for row in relation.iter_stored() {
             idx.append_row(row);
         }
@@ -963,21 +1150,41 @@ impl Index {
     /// Grows (or seeds) the slot table so the load factor stays ≤ 3/4.
     /// Buckets re-place by their cached hashes — no key re-hashing.
     fn maybe_grow(&mut self) {
-        let buckets = self.heads.len();
         if self.slots.is_empty() {
-            self.slots = vec![NONE32; 16];
-        } else if (buckets + 1) * 4 >= self.slots.len() * 3 {
+            self.slots = vec![NO_BUCKET; 16];
+        } else if (self.buckets.len() + 1) * 4 >= self.slots.len() * 3 {
             let new_len = self.slots.len() * 2;
             let mask = new_len - 1;
-            let mut slots = vec![NONE32; new_len];
-            for b in 0..buckets {
-                let mut i = (self.hashes[b] as usize) & mask;
-                while slots[i] != NONE32 {
+            let mut slots = vec![NO_BUCKET; new_len];
+            for (b, bucket) in self.buckets.iter().enumerate() {
+                let mut i = (bucket.hash as usize) & mask;
+                while slots[i] != NO_BUCKET {
                     i = (i + 1) & mask;
                 }
-                slots[i] = b as u32;
+                slots[i] = bucket_entry(bucket.hash, b);
             }
             self.slots = slots;
+        }
+    }
+
+    /// Walks the probe sequence of hash `h`: `Ok` with the bucket whose
+    /// key `matches`, or `Err` with the empty slot that ends the walk.
+    #[inline]
+    fn find(&self, h: u64, matches: impl Fn(usize) -> bool) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let tag = bucket_entry(h, 0);
+        let mut i = (h as usize) & mask;
+        loop {
+            match self.slots[i] {
+                NO_BUCKET => return Err(i),
+                e => {
+                    let b = (e & 0xFFFF_FFFF) as usize;
+                    if e & !0xFFFF_FFFF == tag && matches(b) {
+                        return Ok(b);
+                    }
+                }
+            }
+            i = (i + 1) & mask;
         }
     }
 
@@ -986,20 +1193,7 @@ impl Index {
         if self.slots.is_empty() {
             return None;
         }
-        let mask = self.slots.len() - 1;
-        let mut i = (h as usize) & mask;
-        loop {
-            match self.slots[i] {
-                NONE32 => return None,
-                b => {
-                    let b = b as usize;
-                    if self.hashes[b] == h && self.key_of(b) == key {
-                        return Some(b);
-                    }
-                }
-            }
-            i = (i + 1) & mask;
-        }
+        self.find(h, |b| self.key_of(b) == key).ok()
     }
 
     /// Finds the bucket whose key matches `row`'s key columns, if present.
@@ -1007,69 +1201,56 @@ impl Index {
         if self.slots.is_empty() {
             return None;
         }
-        let mask = self.slots.len() - 1;
-        let mut i = (h as usize) & mask;
-        loop {
-            match self.slots[i] {
-                NONE32 => return None,
-                b => {
-                    let b = b as usize;
-                    if self.hashes[b] == h && self.key_matches_row(b, row) {
-                        return Some(b);
-                    }
-                }
-            }
-            i = (i + 1) & mask;
-        }
+        self.find(h, |b| self.key_matches_row(b, row)).ok()
     }
 
     /// Finds or creates the bucket for `row`'s key columns.
     fn bucket_for_row(&mut self, h: u64, row: &[Value]) -> usize {
         self.maybe_grow();
-        let mask = self.slots.len() - 1;
-        let mut i = (h as usize) & mask;
-        loop {
-            match self.slots[i] {
-                NONE32 => break,
-                b => {
-                    let b = b as usize;
-                    if self.hashes[b] == h && self.key_matches_row(b, row) {
-                        return b;
-                    }
-                }
-            }
-            i = (i + 1) & mask;
-        }
-        let b = self.heads.len();
+        let slot = match self.find(h, |b| self.key_matches_row(b, row)) {
+            Ok(b) => return b,
+            Err(slot) => slot,
+        };
+        let b = self.buckets.len();
         for &c in &self.key_columns {
             self.keys.push(row[c]);
         }
-        self.hashes.push(h);
-        self.heads.push(NONE32);
-        self.tails.push(NONE32);
-        self.lens.push(0);
-        self.slots[i] = b as u32;
+        self.buckets.push(Bucket {
+            hash: h,
+            head: NONE32,
+            tail: NONE32,
+            len: 0,
+        });
+        self.slots[slot] = bucket_entry(h, b);
         b
     }
 
     /// Appends a posting for `row`, preserving append order per bucket.
     fn append_row(&mut self, row: &[Value]) {
         debug_assert_eq!(row.len(), self.arity);
-        let h = hash_row_key(&self.key_columns, row);
-        let b = self.bucket_for_row(h, row);
+        // Sorted storage appends runs of rows with one key: a row whose
+        // key is the last row's joins its bucket without hashing.
+        let b = match self.last_bucket {
+            b if b < self.buckets.len() && self.key_matches_row(b, row) => b,
+            _ => {
+                let h = hash_row_key(&self.key_columns, row);
+                self.bucket_for_row(h, row)
+            }
+        };
+        self.last_bucket = b;
         let r = self.row_count as u32;
-        self.rows.extend_from_slice(row);
+        self.rows.extend(row.iter().copied());
         self.next.push(NONE32);
         self.row_count += 1;
-        if self.lens[b] == 0 {
+        let bucket = &mut self.buckets[b];
+        if bucket.len == 0 {
             self.live_buckets += 1;
-            self.heads[b] = r;
+            bucket.head = r;
         } else {
-            let t = self.tails[b] as usize;
-            self.next[t] = r;
+            self.next[bucket.tail as usize] = r;
         }
-        self.tails[b] = r;
-        self.lens[b] += 1;
+        bucket.tail = r;
+        bucket.len += 1;
         self.live += 1;
     }
 
@@ -1082,24 +1263,26 @@ impl Index {
             return;
         };
         let mut prev = NONE32;
-        let mut cur = self.heads[b];
+        let mut cur = self.buckets[b].head;
         while cur != NONE32 {
             if self.row_of(cur) == row {
                 let nxt = self.next[cur as usize];
-                if prev == NONE32 {
-                    self.heads[b] = nxt;
-                } else {
+                if prev != NONE32 {
                     self.next[prev as usize] = nxt;
                 }
-                if self.tails[b] == cur {
-                    self.tails[b] = prev;
+                let bucket = &mut self.buckets[b];
+                if prev == NONE32 {
+                    bucket.head = nxt;
                 }
-                self.lens[b] -= 1;
+                if bucket.tail == cur {
+                    bucket.tail = prev;
+                }
+                bucket.len -= 1;
                 self.live -= 1;
-                if self.lens[b] == 0 {
+                if bucket.len == 0 {
                     self.live_buckets -= 1;
-                    self.heads[b] = NONE32;
-                    self.tails[b] = NONE32;
+                    bucket.head = NONE32;
+                    bucket.tail = NONE32;
                 }
                 return;
             }
@@ -1121,7 +1304,7 @@ impl Index {
     pub fn absorb_from(&mut self, relation: &Relation, gen: Generation) -> Option<usize> {
         relation.delta_bounds(gen)?;
         for t in relation.retracted_since(gen) {
-            self.unappend(t.values());
+            self.unappend(t);
         }
         let mut appended = 0;
         for row in relation.iter_since(gen) {
@@ -1144,8 +1327,8 @@ impl Index {
         match self.find_bucket_for_key(h, key) {
             Some(b) => Postings {
                 index: self,
-                cur: self.heads[b],
-                remaining: self.lens[b] as usize,
+                cur: self.buckets[b].head,
+                remaining: self.buckets[b].len as usize,
             },
             None => Postings {
                 index: self,
@@ -1581,7 +1764,7 @@ mod tests {
         assert_eq!(delta, vec![t2(5, 6)]);
         assert_eq!(r.delta_len(mark), 1);
         // …and the tombstones since the mark are enumerable.
-        let dead: Vec<_> = r.retracted_since(mark).cloned().collect();
+        let dead: Vec<_> = r.retracted_since(mark).map(Tuple::new).collect();
         assert_eq!(dead, vec![t2(1, 2)]);
         // Dead tuples vanish from every view.
         assert_eq!(r.iter_stored().count(), 2);
@@ -1762,10 +1945,10 @@ mod tests {
         assert!(!r.pack());
     }
 
-    /// Inserting after many retractions costs one lookup in the
-    /// dead-copy map, not a scan of the tombstone log: the map holds
-    /// each tombstoned tuple once, a revival points its entry at the
-    /// fresh copy's storage row, and fresh tuples never enter it.
+    /// Inserting after many retractions costs one probe of the row-id
+    /// table, not a scan of the tombstone log: the table holds only the
+    /// live rows, a revival appends a fresh row at the next storage
+    /// position, and the dead rows stay dead by position.
     #[test]
     fn revival_check_is_a_map_lookup() {
         let mut r = Relation::new(2);
@@ -1775,14 +1958,24 @@ mod tests {
         for k in 0..1000 {
             r.retract(&t2(k, 0));
         }
-        assert_eq!(r.dead.len(), 1000);
+        let live_slots = |r: &Relation| {
+            let slots = &r.table.slots;
+            slots
+                .iter()
+                .filter(|&&e| e != EMPTY && e != REMOVED)
+                .count()
+        };
+        assert_eq!(live_slots(&r), 1000);
+        assert_eq!(r.dead.iter().map(|w| w.count_ones()).sum::<u32>(), 1000);
         let row = r.len() + r.tombstone_count();
         assert_eq!(row, 2000, "every stored row is live or logged dead");
         assert!(r.insert(t2(5, 0)));
-        assert_eq!(r.dead[&t2(5, 0)], row);
+        let (slot, pos) = (r.probe(row_hash(t2(5, 0).values()), t2(5, 0).values()), row);
+        assert_eq!(r.table.slots[slot.unwrap()] & POS_MASK, pos as u64);
+        assert!(r.is_dead(5), "the old copy stays dead");
         assert!(r.insert(t2(5000, 0)));
-        assert!(!r.dead.contains_key(&t2(5000, 0)));
-        assert_eq!(r.dead.len(), 1000);
+        assert_eq!(live_slots(&r), 1002);
+        assert_eq!(r.tombstone_count(), 1000);
         let copies = r.iter_stored().filter(|row| *row == t2(5, 0).values());
         assert_eq!(copies.count(), 1);
     }
@@ -1812,5 +2005,199 @@ mod tests {
         assert_eq!(idx.absorb_from(&r, mid_tail), None);
         // iter_since degrades to a superset instead of losing tuples.
         assert_eq!(r.iter_since(mid_tail).count(), 2);
+    }
+
+    /// The state a relation under test must match: its tuples, and what
+    /// happened since the current delta mark.
+    #[derive(Clone, Default)]
+    struct Model {
+        tuples: std::collections::BTreeSet<Tuple>,
+        /// Tuples newly inserted since the mark.
+        appended: std::collections::BTreeSet<Tuple>,
+        /// Tuples retracted since the mark, in order.
+        retracted: Vec<Tuple>,
+    }
+
+    impl Model {
+        fn insert(&mut self, t: &Tuple) -> bool {
+            let fresh = self.tuples.insert(t.clone());
+            if fresh {
+                self.appended.insert(t.clone());
+            }
+            fresh
+        }
+
+        fn retract(&mut self, t: &Tuple) -> bool {
+            let gone = self.tuples.remove(t);
+            if gone {
+                self.retracted.push(t.clone());
+            }
+            gone
+        }
+    }
+
+    /// Every tuple over a small domain: all the tuples a test can name.
+    fn universe(arity: usize) -> Vec<Tuple> {
+        let mut out = vec![Tuple::from([])];
+        for _ in 0..arity {
+            out = out
+                .iter()
+                .flat_map(|t| {
+                    (0..4).map(move |v| {
+                        let mut values = t.values().to_vec();
+                        values.push(Value::Int(v));
+                        Tuple::from(values)
+                    })
+                })
+                .collect();
+        }
+        out
+    }
+
+    /// Checks `r` against `model`, including the deltas since `mark`.
+    fn check_against(r: &Relation, model: &Model, mark: Generation, ctx: &str) {
+        let want: Vec<Tuple> = model.tuples.iter().cloned().collect();
+        assert_eq!(r.len(), want.len(), "{ctx}: len");
+        let mut stored: Vec<Tuple> = r.iter_stored().map(Tuple::new).collect();
+        stored.sort_unstable();
+        assert_eq!(stored, want, "{ctx}: iter_stored");
+        assert_eq!(*r.sorted(), want, "{ctx}: sorted");
+        for t in universe(r.arity()) {
+            assert_eq!(
+                r.contains(&t),
+                model.tuples.contains(&t),
+                "{ctx}: contains {t:?}"
+            );
+        }
+        // The row-id table holds exactly the live rows, each under its
+        // own hash bits, and counts its removed slots.
+        let entries: Vec<u64> = r
+            .table
+            .slots
+            .iter()
+            .copied()
+            .filter(|&e| e < REMOVED)
+            .collect();
+        assert_eq!(entries.len(), r.len(), "{ctx}: table entries");
+        for e in entries {
+            let pos = (e & POS_MASK) as usize;
+            assert!(!r.is_dead(pos), "{ctx}: table names a dead row");
+            assert_eq!(
+                slot_entry(row_hash(r.row_at(pos)), pos),
+                e,
+                "{ctx}: table entry"
+            );
+        }
+        let removed = r.table.slots.iter().filter(|&&e| e == REMOVED).count();
+        assert_eq!(removed, r.table.removed, "{ctx}: removed slots");
+        let fresh = Relation::from_tuples(r.arity(), want.iter().cloned());
+        assert_eq!(r.fingerprint(), fresh.fingerprint(), "{ctx}: fingerprint");
+        assert!(*r == fresh, "{ctx}: equality");
+        let mut since: Vec<Tuple> = r.iter_since(mark).map(Tuple::new).collect();
+        since.sort_unstable();
+        assert_eq!(since.len(), r.delta_len(mark), "{ctx}: delta_len");
+        if r.delta_bounds(mark).is_some() {
+            let added: Vec<Tuple> = model
+                .appended
+                .intersection(&model.tuples)
+                .cloned()
+                .collect();
+            assert_eq!(since, added, "{ctx}: iter_since");
+        } else {
+            assert_eq!(since, want, "{ctx}: iter_since fallback");
+        }
+        if mark.epoch == r.generation().epoch {
+            let dead: Vec<Tuple> = r.retracted_since(mark).map(Tuple::new).collect();
+            assert_eq!(dead, model.retracted, "{ctx}: retracted_since");
+        }
+    }
+
+    /// Probes every key of `idx` and of a fresh build over `r`: both hold
+    /// the same postings.
+    fn check_index(idx: &Index, r: &Relation, ctx: &str) {
+        let fresh = Index::build(r, idx.key_columns());
+        assert_eq!(idx.tuple_count(), fresh.tuple_count(), "{ctx}: index size");
+        assert_eq!(
+            idx.distinct_keys(),
+            fresh.distinct_keys(),
+            "{ctx}: index keys"
+        );
+        let keys = universe(idx.key_columns().len());
+        for key in keys {
+            let mut got: Vec<Tuple> = idx.probe(key.values()).map(Tuple::new).collect();
+            let mut want: Vec<Tuple> = fresh.probe(key.values()).map(Tuple::new).collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "{ctx}: index probe {key:?}");
+        }
+    }
+
+    /// Seeded random sequences of insert, retract, re-insert, commit,
+    /// compact, pack and clone-then-mutate against a `BTreeSet` model:
+    /// contents, membership, fingerprint, the deltas and tombstones
+    /// since captured marks, and an index kept up to date by absorbing
+    /// (or rebuilt when the lineage breaks) all stay exact.
+    #[test]
+    fn random_operations_match_a_set_model() {
+        for seed in 0..60 {
+            let mut rng = crate::rng::Rng::seeded(seed);
+            let arity = rng.gen_index(3);
+            let domain = universe(arity);
+            let key: Vec<usize> = (0..arity.min(1)).collect();
+            let mut r = Relation::new(arity);
+            let mut model = Model::default();
+            let mut mark = r.generation();
+            let mut idx = Index::build(&r, &key);
+            let mut idx_gen = r.generation();
+            let mut sibling: Option<(Relation, Model, Generation)> = None;
+            for step in 0..250 {
+                let ctx = format!("seed {seed}, arity {arity}, step {step}");
+                let t = domain[rng.gen_index(domain.len())].clone();
+                match rng.gen_index(12) {
+                    0..=3 => assert_eq!(r.insert(t.clone()), model.insert(&t), "{ctx}: insert"),
+                    4..=6 => assert_eq!(r.retract(&t), model.retract(&t), "{ctx}: retract"),
+                    7 => {
+                        r.commit();
+                    }
+                    8 => {
+                        r.compact();
+                    }
+                    9 => {
+                        r.pack();
+                    }
+                    10 => {
+                        mark = r.generation();
+                        model.appended.clear();
+                        model.retracted.clear();
+                    }
+                    _ => {
+                        // Clone, then mutate the clone: the original keeps
+                        // its contents and lineage, the clone forks.
+                        let mut c = r.clone();
+                        let mut cm = model.clone();
+                        let u = domain[rng.gen_index(domain.len())].clone();
+                        assert_eq!(c.retract(&t), cm.retract(&t), "{ctx}: clone retract");
+                        assert_eq!(c.insert(u.clone()), cm.insert(&u), "{ctx}: clone insert");
+                        check_against(&c, &cm, mark, &format!("{ctx} (clone)"));
+                        sibling = Some((c, cm, mark));
+                    }
+                }
+                check_against(&r, &model, mark, &ctx);
+                if let Some((c, cm, c_mark)) = &mut sibling {
+                    // The sibling keeps diverging while `r` moves on.
+                    let u = domain[rng.gen_index(domain.len())].clone();
+                    assert_eq!(c.insert(u.clone()), cm.insert(&u), "{ctx}: sibling insert");
+                    if step % 3 == 0 {
+                        c.commit();
+                    }
+                    check_against(c, cm, *c_mark, &format!("{ctx} (sibling)"));
+                }
+                if idx.absorb_from(&r, idx_gen).is_none() {
+                    idx = Index::build(&r, &key);
+                }
+                idx_gen = r.generation();
+                check_index(&idx, &r, &ctx);
+            }
+        }
     }
 }

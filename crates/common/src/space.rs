@@ -18,9 +18,12 @@
 //! * a stored tuple is [`TUPLE_HEADER_BYTES`] for its inline
 //!   `Box<[Value]>` handle plus one value slot per column
 //!   ([`tuple_bytes`]);
-//! * a relation owns one stored-tuple copy per frozen-segment posting,
-//!   one per recent-tail posting, and one per membership-set entry
-//!   (the set really does hold its own clone of every tuple);
+//! * a relation owns what it stores: one stored-tuple copy per row of
+//!   a frozen segment or of the recent tail (dead rows included — they
+//!   stay until compaction), one [`SLOT_BYTES`] row-id table slot per
+//!   live tuple, and one [`SLOT_BYTES`] log entry per tombstone — a
+//!   tuple is stored once, and the membership table holds its
+//!   position, not a copy;
 //! * an index owns one boxed key per bucket plus one stored-tuple copy
 //!   per posting;
 //! * the interner owns every name twice (the id-to-name vector and the
@@ -42,6 +45,9 @@ pub const VALUE_BYTES: usize = 16;
 /// Inline handle of a stored [`Tuple`](crate::tuple::Tuple): the
 /// two-word `Box<[Value]>` fat pointer.
 pub const TUPLE_HEADER_BYTES: usize = 16;
+
+/// One row position: a row-id table slot or a tombstone-log entry.
+pub const SLOT_BYTES: usize = 8;
 
 /// Inline handle of an interned string (`Box<str>` fat pointer).
 pub const STR_HEADER_BYTES: usize = 16;
@@ -72,8 +78,8 @@ pub trait HeapSize {
 /// `bytes` of a branch always equals the sum over its children (that is
 /// the additivity invariant `check_additive` verifies); `items` is the
 /// *logical* count for the label (e.g. a relation's cardinality), which
-/// intentionally need not be the child sum — a relation stores each
-/// tuple both in a segment and in its membership set.
+/// intentionally need not be the child sum — a relation counts each
+/// tuple both as a stored row and as a row-id table slot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpaceNode {
     /// Human label (`T/2`, `segment 0`, `interner`…).
@@ -129,7 +135,8 @@ impl SpaceNode {
 }
 
 /// The full space breakdown of an evaluation: instance relations (each
-/// split into frozen segments, recent tail, and membership set) plus
+/// split into frozen segments, recent tail, row-id table and tombstone
+/// log) plus
 /// the interner, rendered as an indented tree with deterministic byte
 /// gauges.
 #[derive(Clone, Debug, PartialEq, Eq)]

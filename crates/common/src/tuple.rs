@@ -41,7 +41,7 @@ impl Tuple {
     /// Renders the tuple for humans, e.g. `('a', 3)`.
     pub fn display<'a>(&'a self, interner: &'a Interner) -> DisplayTuple<'a> {
         DisplayTuple {
-            tuple: self,
+            values: &self.0,
             interner,
         }
     }
@@ -92,16 +92,75 @@ impl<const N: usize> From<[Value; N]> for Tuple {
     }
 }
 
-/// Helper returned by [`Tuple::display`].
+/// One stored tuple of a relation, borrowed from its columnar storage:
+/// what [`Relation::iter`](crate::relation::Relation::iter) yields. It
+/// dereferences to the row's values; [`Row::to_tuple`] copies it out.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+pub struct Row<'a>(pub &'a [Value]);
+
+impl<'a> Row<'a> {
+    /// The values as a slice.
+    pub fn values(self) -> &'a [Value] {
+        self.0
+    }
+
+    /// The row's arity.
+    pub fn arity(self) -> usize {
+        self.0.len()
+    }
+
+    /// An owned copy of the row.
+    pub fn to_tuple(self) -> Tuple {
+        Tuple::new(self.0)
+    }
+
+    /// Projects the row onto the given column positions.
+    ///
+    /// # Panics
+    /// Panics if any position is out of range.
+    pub fn project(self, columns: &[usize]) -> Tuple {
+        Tuple(columns.iter().map(|&c| self.0[c]).collect())
+    }
+
+    /// Renders the row for humans, e.g. `('a', 3)`.
+    pub fn display(self, interner: &'a Interner) -> DisplayTuple<'a> {
+        DisplayTuple {
+            values: self.0,
+            interner,
+        }
+    }
+}
+
+impl Deref for Row<'_> {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        self.0
+    }
+}
+
+impl From<Row<'_>> for Tuple {
+    fn from(row: Row<'_>) -> Self {
+        row.to_tuple()
+    }
+}
+
+impl PartialEq<Tuple> for Row<'_> {
+    fn eq(&self, other: &Tuple) -> bool {
+        self.0 == other.values()
+    }
+}
+
+/// Helper returned by [`Tuple::display`] and [`Row::display`].
 pub struct DisplayTuple<'a> {
-    tuple: &'a Tuple,
+    values: &'a [Value],
     interner: &'a Interner,
 }
 
 impl fmt::Display for DisplayTuple<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
-        for (i, v) in self.tuple.values().iter().enumerate() {
+        for (i, v) in self.values.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }

@@ -20,7 +20,7 @@
 
 use unchained_common::{
     tuple_bytes, ColumnSegment, HeapSize, Instance, Interner, Relation, Rng, SpaceReport, Tuple,
-    Value,
+    Value, SLOT_BYTES,
 };
 
 /// A random tuple of the given arity over a small value domain, so
@@ -104,7 +104,7 @@ fn assert_matches_model(rel: &Relation, model: &RefModel, context: &str) {
     let expected = model.stored();
     let packed: Vec<Tuple> = rel.iter_stored().map(Tuple::new).collect();
     assert_eq!(packed, expected, "{context}: iter_stored() order/content");
-    let mut boxed: Vec<Tuple> = rel.iter().cloned().collect();
+    let mut boxed: Vec<Tuple> = rel.iter().map(Tuple::from).collect();
     let mut sorted = expected.clone();
     boxed.sort_unstable();
     sorted.sort_unstable();
@@ -250,11 +250,11 @@ fn heap_bytes_are_deterministic_in_contents_and_additive() {
     assert_eq!(one_segment.len(), many_segments.len());
     assert_eq!(one_segment.heap_bytes(), many_segments.heap_bytes());
     assert_eq!(one_segment.heap_bytes(), unfrozen.heap_bytes());
-    // The model: every stored copy costs tuple_bytes(arity) — one in
-    // the membership set, one in a segment or the tail.
+    // The model: each tuple is stored once, in a segment or the tail,
+    // at tuple_bytes(arity), plus one row-id table slot.
     assert_eq!(
         one_segment.heap_bytes(),
-        2 * one_segment.len() * tuple_bytes(2)
+        one_segment.len() * (tuple_bytes(2) + SLOT_BYTES)
     );
 
     // Additivity holds over the whole space tree of a random instance.

@@ -9,6 +9,7 @@
 
 use unchained_common::{
     tuple_bytes, HeapSize, Index, Instance, Interner, Relation, Rng, SpaceReport, Tuple, Value,
+    SLOT_BYTES,
 };
 
 fn t2(a: i64, b: i64) -> Tuple {
@@ -21,15 +22,20 @@ fn relation_bytes_count_every_stored_copy() {
     assert_eq!(r.heap_bytes(), 0);
     r.insert(t2(1, 2));
     r.insert(t2(3, 4));
-    // Uncommitted: each tuple lives in the recent tail and in the
-    // membership set.
-    assert_eq!(r.heap_bytes(), 4 * tuple_bytes(2));
+    // Uncommitted: each tuple is one row of the recent tail, plus its
+    // row-id table slot.
+    let stored = 2 * (tuple_bytes(2) + SLOT_BYTES);
+    assert_eq!(r.heap_bytes(), stored);
     r.commit();
-    // Committed: same copies, now in a frozen segment and the set.
-    assert_eq!(r.heap_bytes(), 4 * tuple_bytes(2));
+    // Committed: the same rows, now in a frozen segment.
+    assert_eq!(r.heap_bytes(), stored);
     // A duplicate insert stores nothing.
     assert!(!r.insert(t2(1, 2)));
-    assert_eq!(r.heap_bytes(), 4 * tuple_bytes(2));
+    assert_eq!(r.heap_bytes(), stored);
+    // A retraction keeps the dead row; its table slot becomes a
+    // tombstone-log entry.
+    assert!(r.retract(&t2(1, 2)));
+    assert_eq!(r.heap_bytes(), stored);
 }
 
 #[test]

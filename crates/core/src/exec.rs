@@ -11,7 +11,6 @@
 //! scratch. Join-work telemetry ([`JoinCounters`]) is emitted here, in
 //! one place, for all engines.
 
-use std::collections::hash_map::Entry as MapEntry;
 use std::ops::ControlFlow;
 use unchained_common::{
     DeltaHandle, FxHashMap, Generation, HeapSize, Index, Instance, JoinCounters, Relation, Symbol,
@@ -34,8 +33,10 @@ enum Covers {
     Withdrawn,
 }
 
-/// Cache key: relation, index columns, what the index covers.
-type IndexKey = (Symbol, Box<[usize]>, Covers);
+/// The cached indexes of one relation and coverage, by key columns: a
+/// lookup compares the probe's column slice in place, so a probe that
+/// hits allocates nothing.
+type ColumnEntries = Vec<(Box<[usize]>, CacheEntry)>;
 
 struct CacheEntry {
     /// Generation of the relation the index is current for.
@@ -58,7 +59,7 @@ struct CacheEntry {
 /// [`IndexCache::begin_delta_round`].
 #[derive(Default)]
 pub struct IndexCache {
-    entries: FxHashMap<IndexKey, CacheEntry>,
+    entries: FxHashMap<(Symbol, Covers), ColumnEntries>,
     /// Join-work counters, incremented unconditionally (plain integer
     /// adds — the telemetry-off path stays branch-free). Engines
     /// snapshot and diff this per stage when telemetry is enabled.
@@ -68,6 +69,8 @@ pub struct IndexCache {
     /// not allocate. Depth-bounded: the pool high-water mark is the
     /// deepest scan nesting of any plan, not the data size.
     scratch: Vec<Vec<Value>>,
+    /// Pool of variable-slot lists the scan step reuses the same way.
+    slots: Vec<Vec<usize>>,
 }
 
 impl IndexCache {
@@ -87,12 +90,33 @@ impl IndexCache {
         self.scratch.push(buf);
     }
 
+    /// The variables a scan of `args` binds from each row: those at
+    /// non-`key` positions still unbound in `env`, in a pooled list to
+    /// hand back with [`IndexCache::put_slots`].
+    fn binds(&mut self, args: &[Term], key: &[usize], env: &Env) -> Vec<usize> {
+        let mut binds = self.slots.pop().unwrap_or_default();
+        for (p, term) in args.iter().enumerate() {
+            if let Term::Var(v) = term {
+                if !key.contains(&p) && env[v.index()].is_none() {
+                    binds.push(v.index());
+                }
+            }
+        }
+        binds
+    }
+
+    /// Returns a list taken by [`IndexCache::binds`] to the pool.
+    fn put_slots(&mut self, mut slots: Vec<usize>) {
+        slots.clear();
+        self.slots.push(slots);
+    }
+
     /// Drops all delta-source entries. Call at the start of each
     /// semi-naive round: delta indexes cover one round's slice and are
     /// never carried across rounds.
     pub fn begin_delta_round(&mut self) {
         self.entries
-            .retain(|(_, _, covers), _| *covers != Covers::Delta);
+            .retain(|(_, covers), _| *covers != Covers::Delta);
     }
 
     /// Drops every cached index, returning the memory to the caller:
@@ -107,7 +131,7 @@ impl IndexCache {
     /// replaced or loses its lineage; the entries are change-sized.
     pub fn forget_withdrawn(&mut self) {
         self.entries
-            .retain(|(_, _, covers), _| *covers != Covers::Withdrawn);
+            .retain(|(_, covers), _| *covers != Covers::Withdrawn);
     }
 
     /// Logical bytes held by every cached index (see
@@ -116,12 +140,16 @@ impl IndexCache {
     /// worker-shard layout, so unlike relation bytes they are not
     /// invariant across thread counts.
     pub fn heap_bytes(&self) -> usize {
-        self.entries.values().map(|e| e.index.heap_bytes()).sum()
+        self.entries
+            .values()
+            .flatten()
+            .map(|(_, e)| e.index.heap_bytes())
+            .sum()
     }
 
     /// Number of cached indexes.
     pub fn entry_count(&self) -> usize {
-        self.entries.len()
+        self.entries.values().map(Vec::len).sum()
     }
 
     #[inline]
@@ -148,7 +176,6 @@ impl IndexCache {
         relation: &Relation,
         mark: Option<Generation>,
     ) -> &Index {
-        let key = (pred, cols.to_vec().into_boxed_slice(), covers);
         let gen_now = relation.generation();
         let counters = &mut self.counters;
         let fresh = |counters: &mut JoinCounters| {
@@ -164,10 +191,14 @@ impl IndexCache {
                 index,
             }
         };
-        match self.entries.entry(key) {
-            MapEntry::Vacant(slot) => &slot.insert(fresh(counters)).index,
-            MapEntry::Occupied(slot) => {
-                let entry = slot.into_mut();
+        let entries = self.entries.entry((pred, covers)).or_default();
+        match entries.iter().position(|(c, _)| **c == *cols) {
+            None => {
+                entries.push((cols.into(), fresh(counters)));
+                &entries.last().expect("just pushed").1.index
+            }
+            Some(at) => {
+                let entry = &mut entries[at].1;
                 if entry.gen == gen_now && entry.mark == mark {
                     counters.index_hits += 1;
                 } else if mark.is_some() {
@@ -417,46 +448,19 @@ pub fn for_each_match_morsel(
     // buffering needed. At step 0 nothing is bound yet, so every
     // position is handled right here: constants are checked, variables
     // bound (with the repeated-variable check).
-    'rows: for row in rows {
+    for row in rows {
         scanned += 1;
-        let mut newly_bound: Vec<usize> = Vec::new();
-        for (p, term) in args.iter().enumerate() {
-            match term {
-                Term::Const(_) => {
-                    if term_value(term, &env) != row[p] {
-                        for &b in &newly_bound {
-                            env[b] = None;
-                        }
-                        continue 'rows;
-                    }
-                }
-                Term::Var(v) => match env[v.index()] {
-                    Some(existing) => {
-                        if existing != row[p] {
-                            for &b in &newly_bound {
-                                env[b] = None;
-                            }
-                            continue 'rows;
-                        }
-                    }
-                    None => {
-                        env[v.index()] = Some(row[p]);
-                        newly_bound.push(v.index());
-                    }
-                },
-            }
+        if bind_row(args, &[], row, &mut env) {
+            let _ = run_steps(rest, &sources, adom, cache, &mut env, &mut on_match);
         }
-        let _ = run_steps(rest, &sources, adom, cache, &mut env, &mut on_match);
-        for &b in &newly_bound {
-            env[b] = None;
-        }
+        env.fill(None);
     }
     cache.counters.probes += 1;
     cache.counters.probe_tuples += scanned;
 }
 
 /// The full scans a plain index probe does not serve: a scan with
-/// every position bound, answered by the membership sets, and scans
+/// every position bound, answered by the row-id tables, and scans
 /// through a pre-update view ([`Sources::before`]). Appends the
 /// matching rows to `buf` and returns their count. Kept out of line so
 /// the plain probe in [`run_steps`] stays small.
@@ -516,6 +520,36 @@ fn in_full(sources: Sources<'_>, pred: Symbol, row: &[Value]) -> bool {
     }
 }
 
+/// Binds the variables at the non-`key` positions of `args` to `row`'s
+/// values; returns `false` at the first position `row` does not match:
+/// a constant it differs from, or a variable already bound (earlier in
+/// the row, or before the scan) to another value. Bindings made before
+/// a mismatch stay for the caller to undo.
+#[inline]
+fn bind_row(args: &[Term], key: &[usize], row: &[Value], env: &mut Env) -> bool {
+    for (p, term) in args.iter().enumerate() {
+        if key.contains(&p) {
+            continue;
+        }
+        match term {
+            Term::Const(c) => {
+                if *c != row[p] {
+                    return false;
+                }
+            }
+            Term::Var(v) => match env[v.index()] {
+                Some(existing) => {
+                    if existing != row[p] {
+                        return false;
+                    }
+                }
+                None => env[v.index()] = Some(row[p]),
+            },
+        }
+    }
+    true
+}
+
 fn run_steps(
     steps: &[Step],
     sources: &Sources<'_>,
@@ -564,8 +598,9 @@ fn run_steps(
                 Some(relation) if view.is_none() && (mark.is_some() || key.len() < args.len()) => {
                     let postings = cache.get(*pred, key, *source, relation, mark).probe(&probe);
                     let rows = postings.len();
+                    buf.reserve(rows * args.len());
                     for row in postings {
-                        buf.extend_from_slice(row);
+                        buf.extend(row.iter().copied());
                     }
                     rows
                 }
@@ -574,43 +609,22 @@ fn run_steps(
             cache.counters.probes += 1;
             cache.counters.probe_tuples += rows as u64;
             let arity = args.len();
+            let binds = cache.binds(args, key, env);
             let mut flow = ControlFlow::Continue(());
-            'rows: for i in 0..rows {
+            for i in 0..rows {
                 let row = &buf[i * arity..i * arity + arity];
                 // Bind non-key positions, checking repeated variables.
-                let mut newly_bound: Vec<usize> = Vec::new();
-                for (p, term) in args.iter().enumerate() {
-                    if key.contains(&p) {
-                        continue;
-                    }
-                    let Term::Var(v) = term else {
-                        unreachable!("constant positions are always key positions")
-                    };
-                    match env[v.index()] {
-                        Some(existing) => {
-                            if existing != row[p] {
-                                // Repeated variable mismatch.
-                                for &b in &newly_bound {
-                                    env[b] = None;
-                                }
-                                continue 'rows;
-                            }
-                        }
-                        None => {
-                            env[v.index()] = Some(row[p]);
-                            newly_bound.push(v.index());
-                        }
-                    }
+                if bind_row(args, key, row, env) {
+                    flow = run_steps(rest, sources, adom, cache, env, on_match);
                 }
-                let f = run_steps(rest, sources, adom, cache, env, on_match);
-                for &b in &newly_bound {
+                for &b in &binds {
                     env[b] = None;
                 }
-                if f.is_break() {
-                    flow = ControlFlow::Break(());
-                    break 'rows;
+                if flow.is_break() {
+                    break;
                 }
             }
+            cache.put_slots(binds);
             cache.put_scratch(buf);
             cache.put_scratch(probe);
             flow
@@ -632,16 +646,18 @@ fn run_steps(
             ControlFlow::Continue(())
         }
         Step::CheckNeg { pred, args } => {
-            let tuple: Tuple = args.iter().map(|t| term_value(t, env)).collect();
+            let mut row = cache.take_scratch();
+            row.extend(args.iter().map(|t| term_value(t, env)));
             let present = match sources.neg {
                 Some(neg) => {
-                    neg.contains_fact(*pred, &tuple)
+                    neg.contains_fact(*pred, &row)
                         && !sources
                             .neg_added
-                            .is_some_and(|added| added.contains_fact(*pred, &tuple))
+                            .is_some_and(|added| added.contains_fact(*pred, &row))
                 }
-                None => in_full(*sources, *pred, tuple.values()),
+                None => in_full(*sources, *pred, &row),
             };
+            cache.put_scratch(row);
             if present {
                 ControlFlow::Continue(())
             } else {

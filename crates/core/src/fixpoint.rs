@@ -49,7 +49,7 @@ use unchained_common::{
     fmt_bytes, DeltaHandle, FxHashMap, HeapSize, Instance, JoinCounters, Span, SpanGuard, SpanKind,
     StageRecord, Stopwatch, Symbol, Telemetry, Tracer, Tuple, Value,
 };
-use unchained_parser::{HeadLiteral, Program, Rule};
+use unchained_parser::{HeadLiteral, Program, Rule, Term};
 
 use crate::error::EvalError;
 use crate::exec::{for_each_match, IndexCache, Sources};
@@ -57,7 +57,7 @@ use crate::ir::Plan;
 use crate::options::{EvalOptions, FixpointRun};
 use crate::parallel::{self, Task};
 use crate::planner::{Catalog, PlanStats, Planner};
-use crate::subst::{active_domain, instantiate, Env};
+use crate::subst::{active_domain_if_enumerated, instantiate_into, Env};
 
 /// `input` with every idb relation of `program` present, even if it
 /// stays empty.
@@ -166,10 +166,10 @@ pub(crate) struct Apply<'s> {
 }
 
 impl Apply<'_> {
-    /// Inserts a fact, returning whether it was new. Fails at the first
-    /// fact over the `max_facts` budget.
-    pub(crate) fn insert(&mut self, pred: Symbol, tuple: Tuple) -> Result<bool, EvalError> {
-        if !self.instance.insert_fact(pred, tuple) {
+    /// Inserts the fact `pred(row)`, returning whether it was new. Fails
+    /// at the first fact over the `max_facts` budget.
+    pub(crate) fn insert(&mut self, pred: Symbol, row: &[Value]) -> Result<bool, EvalError> {
+        if !self.instance.insert_row(pred, row) {
             return Ok(false);
         }
         self.added += 1;
@@ -190,8 +190,8 @@ impl Apply<'_> {
     /// relation keeps its lineage; returns whether it was present.
     ///
     /// [`Relation::retract`]: unchained_common::Relation::retract
-    pub(crate) fn remove(&mut self, pred: Symbol, tuple: &Tuple) -> bool {
-        let gone = self.instance.retract_fact(pred, tuple);
+    pub(crate) fn remove(&mut self, pred: Symbol, row: &[Value]) -> bool {
+        let gone = self.instance.retract_fact(pred, row);
         if gone {
             self.removed += 1;
             self.facts -= 1;
@@ -205,11 +205,117 @@ impl Apply<'_> {
     }
 }
 
+/// Facts [`Fired::push_new`] buffers before it checks them against the
+/// instance as one batch.
+const CHECK_BATCH: usize = 64;
+
+/// The facts a stage fired, in firing order, packed into one flat value
+/// buffer: firing a fact allocates nothing once the buffers have grown.
+#[derive(Default)]
+pub(crate) struct Fired {
+    /// Each fact's predicate and the end of its row in `values`.
+    facts: Vec<(Symbol, usize)>,
+    values: Vec<Value>,
+    /// The facts from here on have not been checked against the
+    /// instance yet.
+    unchecked: usize,
+}
+
+impl Fired {
+    /// Fires `pred(args)` under `env`, unless `instance` already holds
+    /// it. Facts are checked in batches: the rows of a batch are first
+    /// [touched](unchained_common::Relation::touch), so their membership
+    /// probes overlap their cache misses instead of taking them in turn.
+    /// The instance does not change while a stage fires, so a check
+    /// made later in the stage has the same outcome.
+    pub(crate) fn push_new(&mut self, pred: Symbol, args: &[Term], env: &Env, instance: &Instance) {
+        self.push(pred, args, env);
+        if self.facts.len() - self.unchecked >= CHECK_BATCH {
+            self.drop_known(instance);
+        }
+    }
+
+    /// Drops the unchecked facts `instance` already holds.
+    fn drop_known(&mut self, instance: &Instance) {
+        let from = self.unchecked;
+        let mut start = from.checked_sub(1).map_or(0, |i| self.facts[i].1);
+        let mut rel = None;
+        let mut lookup = |pred: Symbol| match rel {
+            Some((p, r)) if p == pred => r,
+            _ => {
+                let r = instance.relation(pred);
+                rel = Some((pred, r));
+                r
+            }
+        };
+        let mut touched = 0;
+        let mut begin = start;
+        for &(pred, end) in &self.facts[from..] {
+            if let Some(r) = lookup(pred) {
+                touched ^= r.touch(&self.values[begin..end]);
+            }
+            begin = end;
+        }
+        std::hint::black_box(touched);
+        let (mut kept, mut kept_end) = (from, start);
+        for i in from..self.facts.len() {
+            let (pred, end) = self.facts[i];
+            let known = lookup(pred).is_some_and(|r| r.contains_row(&self.values[start..end]));
+            if !known {
+                self.values.copy_within(start..end, kept_end);
+                kept_end += end - start;
+                self.facts[kept] = (pred, kept_end);
+                kept += 1;
+            }
+            start = end;
+        }
+        self.facts.truncate(kept);
+        self.values.truncate(kept_end);
+        self.unchecked = kept;
+    }
+
+    /// Fires `pred(args)` under `env`.
+    pub(crate) fn push(&mut self, pred: Symbol, args: &[Term], env: &Env) {
+        instantiate_into(args, env, &mut self.values);
+        self.facts.push((pred, self.values.len()));
+    }
+
+    /// The fired facts, in firing order.
+    fn iter(&self) -> impl Iterator<Item = (Symbol, &[Value])> {
+        let mut start = 0;
+        self.facts.iter().map(move |&(pred, end)| {
+            let row = &self.values[start..end];
+            start = end;
+            (pred, row)
+        })
+    }
+
+    /// Inserts every fired fact into `stage`, handing each new one to
+    /// `inserted`, and empties the buffer.
+    pub(crate) fn apply(
+        &mut self,
+        stage: &mut Apply<'_>,
+        mut inserted: impl FnMut(Symbol, &[Value], usize),
+    ) -> Result<(), EvalError> {
+        self.drop_known(&*stage.instance);
+        let result = self.iter().try_for_each(|(pred, row)| {
+            if stage.insert(pred, row)? {
+                inserted(pred, row, stage.stage);
+            }
+            Ok(())
+        });
+        self.facts.clear();
+        self.values.clear();
+        self.unchecked = 0;
+        result
+    }
+}
+
 /// Insert every fired fact (naive, inflationary, and the reducts of the
 /// well-founded and stable engines), optionally recording the stage at
 /// which each fact was born.
 pub(crate) struct Accumulate<'b> {
-    pending: Vec<(Symbol, Tuple)>,
+    fired: Fired,
     birth: Option<&'b mut FxHashMap<(Symbol, Tuple), usize>>,
     delta: bool,
 }
@@ -219,7 +325,7 @@ impl<'b> Accumulate<'b> {
     /// engines are checked against.
     pub(crate) fn full() -> Self {
         Accumulate {
-            pending: Vec::new(),
+            fired: Fired::default(),
             birth: None,
             delta: false,
         }
@@ -249,26 +355,16 @@ impl Consequence for Accumulate<'_> {
         let HeadLiteral::Pos(head) = head else {
             unreachable!("accumulating heads are positive")
         };
-        let tuple = instantiate(&head.args, env);
-        if !instance.contains_fact(head.pred, &tuple) {
-            self.pending.push((head.pred, tuple));
-        }
+        self.fired.push_new(head.pred, &head.args, env, instance);
     }
 
     fn apply(&mut self, stage: &mut Apply<'_>) -> Result<(), EvalError> {
-        for (pred, tuple) in self.pending.drain(..) {
-            match &mut self.birth {
-                Some(birth) => {
-                    if stage.insert(pred, tuple.clone())? {
-                        birth.entry((pred, tuple)).or_insert(stage.stage);
-                    }
-                }
-                None => {
-                    stage.insert(pred, tuple)?;
-                }
+        let birth = &mut self.birth;
+        self.fired.apply(stage, |pred, row, at| {
+            if let Some(birth) = birth {
+                birth.entry((pred, Tuple::new(row))).or_insert(at);
             }
-        }
-        Ok(())
+        })
     }
 
     fn delta_driven(&self, _head: Symbol) -> bool {
@@ -297,7 +393,7 @@ impl<'p> Stages<'p> {
         Stages::over(
             program,
             options,
-            active_domain(program, input),
+            active_domain_if_enumerated(program, input),
             IndexCache::new(),
         )
     }
@@ -632,7 +728,7 @@ fn retracted_since(instance: &Instance, marks: &DeltaHandle) -> Instance {
     for (pred, rel) in instance.iter() {
         for t in rel.retracted_since(marks.mark(pred)) {
             if !rel.contains(t) {
-                out.ensure(pred, rel.arity()).insert(t.clone());
+                out.insert_row(pred, t);
             }
         }
     }
@@ -797,6 +893,40 @@ mod tests {
     };
     use unchained_common::{Instance, Interner, Tuple, Value};
     use unchained_parser::parse_program;
+
+    /// `Fired::push_new` checks facts against the instance in batches:
+    /// across several batches, with known facts, repeats and two
+    /// predicates interleaved, exactly the facts the instance lacks
+    /// survive, in firing order.
+    #[test]
+    fn fired_drops_known_facts_in_firing_order() {
+        use super::{Fired, CHECK_BATCH};
+        use crate::subst::Env;
+        use unchained_parser::{Term, Var};
+        let mut i = Interner::new();
+        let (p, q) = (i.intern("P"), i.intern("Q"));
+        let mut instance = Instance::new();
+        for k in (0..300).step_by(3) {
+            instance.insert_fact(p, Tuple::from([Value::Int(k)]));
+        }
+        let args = [Term::Var(Var(0))];
+        let mut fired = Fired::default();
+        let mut want = Vec::new();
+        for k in 0..(3 * CHECK_BATCH as i64) {
+            let env: Env = vec![Some(Value::Int(k % 150))];
+            let pred = if k % 7 == 0 { q } else { p };
+            fired.push_new(pred, &args, &env, &instance);
+            if pred == q || k % 150 % 3 != 0 {
+                want.push((pred, vec![Value::Int(k % 150)]));
+            }
+        }
+        fired.drop_known(&instance);
+        let got: Vec<_> = fired
+            .iter()
+            .map(|(pred, row)| (pred, row.to_vec()))
+            .collect();
+        assert_eq!(got, want);
+    }
 
     /// The fact budget is checked after every insertion, so a stage that
     /// would derive 1,000 facts stops at the first one over the budget

@@ -26,11 +26,11 @@
 //! `max_stages` / `max_facts` budgets bound such runs.
 
 use crate::error::EvalError;
-use crate::fixpoint::{with_idb, Apply, Consequence, EvalScope, Stages};
+use crate::fixpoint::{with_idb, Apply, Consequence, EvalScope, Fired, Stages};
 use crate::options::{EvalOptions, FixpointRun};
 use crate::require_language;
-use crate::subst::{instantiate, Env};
-use unchained_common::{FxHashSet, Instance, Symbol, Tuple, Value};
+use crate::subst::Env;
+use unchained_common::{FxHashSet, Instance, Value};
 use unchained_parser::{check_range_restricted, features, HeadLiteral, Language, Program, Var};
 
 /// Result of a Datalog¬new run: the fixpoint plus invention statistics.
@@ -94,7 +94,7 @@ pub fn eval(
         memo: program.rules.iter().map(|_| FxHashSet::default()).collect(),
         next_fresh: 0,
         in_adom: 0,
-        pending: Vec::new(),
+        fired: Fired::default(),
     };
     let mut instance = with_idb(program, input)?;
     let scope = EvalScope::begin(&options, "invention");
@@ -119,7 +119,7 @@ struct Invent {
     next_fresh: u64,
     /// Minted values already added to the active domain.
     in_adom: u64,
-    pending: Vec<(Symbol, Tuple)>,
+    fired: Fired,
 }
 
 impl Consequence for Invent {
@@ -129,10 +129,7 @@ impl Consequence for Invent {
         };
         let invented = &self.invented_vars[rule];
         if invented.is_empty() {
-            let tuple = instantiate(&head.args, env);
-            if !instance.contains_fact(head.pred, &tuple) {
-                self.pending.push((head.pred, tuple));
-            }
+            self.fired.push_new(head.pred, &head.args, env, instance);
             return;
         }
         let key: Box<[Value]> = self.body_vars[rule]
@@ -148,14 +145,11 @@ impl Consequence for Invent {
             extended[v.index()] = Some(Value::Invented(self.next_fresh));
             self.next_fresh += 1;
         }
-        self.pending
-            .push((head.pred, instantiate(&head.args, &extended)));
+        self.fired.push(head.pred, &head.args, &extended);
     }
 
     fn apply(&mut self, stage: &mut Apply<'_>) -> Result<(), EvalError> {
-        for (pred, tuple) in self.pending.drain(..) {
-            stage.insert(pred, tuple)?;
-        }
+        self.fired.apply(stage, |_, _, _| {})?;
         // Every value minted this stage now occurs in an inserted fact,
         // and a stage adds no other new value, so extending the domain
         // by the minted values equals recomputing it from the instance.

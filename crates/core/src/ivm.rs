@@ -47,7 +47,7 @@ use crate::ir::Plan;
 use crate::options::EvalOptions;
 use crate::planner::{Catalog, PlanMode, PlanStats, Planner};
 use crate::require_language;
-use crate::subst::{active_domain, Env};
+use crate::subst::{active_domain, active_domain_if_enumerated, enumerates_domain, Env};
 use unchained_common::{
     DeltaHandle, FxHashMap, FxHashSet, Instance, JoinCounters, Relation, Schema, SpanKind, Symbol,
     Tuple, Value,
@@ -173,24 +173,9 @@ impl IncrementalSession {
                     .iter()
                     .any(|l| matches!(l, Literal::Pos(a) if heads.contains(&a.pred)))
             }));
-            adom_dependent.push(stratum_rules.iter().any(|r| {
-                let mut pos_vars: FxHashSet<Var> = FxHashSet::default();
-                for l in &r.body {
-                    if let Literal::Pos(a) = l {
-                        pos_vars.extend(a.vars());
-                    }
-                }
-                r.head_vars()
-                    .into_iter()
-                    .chain(r.body_vars())
-                    .any(|v| !pos_vars.contains(&v))
-            }));
+            adom_dependent.push(enumerates_domain(stratum_rules.iter().copied()));
         }
-        let adom = if adom_dependent.contains(&true) {
-            active_domain(&program, input)
-        } else {
-            Vec::new()
-        };
+        let adom = active_domain_if_enumerated(&program, input);
 
         let mut instance = input.clone();
         // The copy shares epochs with `input` and the mirror: part ways
@@ -358,12 +343,12 @@ impl IncrementalSession {
             .span(SpanKind::Round, "poll");
         for (pred, rel) in deleted.iter() {
             for t in rel.iter() {
-                self.instance.retract_fact(pred, t);
+                self.instance.retract_fact(pred, &t);
             }
         }
         for (pred, rel) in inserted.iter() {
             for t in rel.iter() {
-                self.instance.insert_fact(pred, t.clone());
+                self.instance.insert_row(pred, &t);
             }
         }
 
@@ -431,10 +416,10 @@ impl IncrementalSession {
                 for (p, old) in previous {
                     let new = self.instance.relation(p).expect("idb relations exist");
                     for t in old.iter().filter(|t| !new.contains(t)) {
-                        deleted.insert_fact(p, t.clone());
+                        deleted.insert_row(p, &t);
                     }
                     for t in new.iter().filter(|t| !old.contains(t)) {
-                        inserted.insert_fact(p, t.clone());
+                        inserted.insert_row(p, &t);
                     }
                 }
                 stats.strata_recomputed += 1;

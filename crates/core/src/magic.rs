@@ -330,7 +330,7 @@ pub fn answer(
                 .zip(t.values())
                 .all(|(b, v)| b.is_none_or(|c| c == *v));
             if matches {
-                out.insert(t.clone());
+                out.insert_row(&t);
             }
         }
     }
@@ -366,7 +366,7 @@ pub fn compare_with_full(
                     .zip(t.values())
                     .all(|(b, v)| b.is_none_or(|c| c == *v));
                 if matches {
-                    out.insert(t.clone());
+                    out.insert_row(&t);
                 }
             }
         }

@@ -29,10 +29,10 @@ use crate::error::EvalError;
 use crate::fixpoint::{self, Apply, Consequence};
 use crate::options::{DivergenceDetection, EvalOptions, FixpointRun};
 use crate::require_language;
-use crate::subst::{instantiate, Env};
+use crate::subst::{instantiate_into, Env};
 use std::collections::hash_map::Entry;
 use unchained_common::{
-    DivergenceSnapshot, FrozenFacts, FxHashMap, FxHashSet, HeapSize, Instance, Symbol, Tuple,
+    DivergenceSnapshot, FrozenFacts, FxHashMap, FxHashSet, HeapSize, Instance, Symbol, Value,
 };
 use unchained_parser::{check_range_restricted, HeadLiteral, Language, Program};
 
@@ -134,14 +134,22 @@ pub fn eval(
             .collect(),
         mode: options.divergence,
         detector: Detector::default(),
-        inserted: FxHashSet::default(),
-        deleted: FxHashSet::default(),
+        inserted: Instance::new(),
+        deleted: Instance::new(),
+        row: Vec::new(),
     };
     let run = fixpoint::eval(program, input, &options, "noninflationary", &mut retract)?;
     options
         .telemetry
         .with(|t| t.divergence = Some(retract.snapshot(None)));
     Ok(run)
+}
+
+/// Every fact of `instance`, relation by relation.
+fn facts(instance: &Instance) -> impl Iterator<Item = (Symbol, &[Value])> {
+    instance
+        .iter()
+        .flat_map(|(pred, rel)| rel.iter_stored().map(move |row| (pred, row)))
 }
 
 /// Insert and delete under a [`ConflictPolicy`], remembering visited
@@ -152,8 +160,11 @@ struct Retract {
     retractable: FxHashSet<Symbol>,
     mode: DivergenceDetection,
     detector: Detector,
-    inserted: FxHashSet<(Symbol, Tuple)>,
-    deleted: FxHashSet<(Symbol, Tuple)>,
+    /// The facts the stage inferred, and those it retracted.
+    inserted: Instance,
+    deleted: Instance,
+    /// Scratch space for instantiating a head.
+    row: Vec<Value>,
 }
 
 impl Retract {
@@ -174,17 +185,20 @@ impl Retract {
 
 impl Consequence for Retract {
     fn fire(&mut self, _rule: usize, head: &HeadLiteral, env: &Env, instance: &Instance) {
+        let row = &mut self.row;
+        row.clear();
         match head {
             HeadLiteral::Pos(a) => {
-                let tuple = instantiate(&a.args, env);
+                instantiate_into(&a.args, env, row);
                 // Inferring a present fact changes nothing unless the
                 // stage may also infer its retraction.
-                if self.retractable.contains(&a.pred) || !instance.contains_fact(a.pred, &tuple) {
-                    self.inserted.insert((a.pred, tuple));
+                if self.retractable.contains(&a.pred) || !instance.contains_fact(a.pred, &*row) {
+                    self.inserted.insert_row(a.pred, row);
                 }
             }
             HeadLiteral::Neg(a) => {
-                self.deleted.insert((a.pred, instantiate(&a.args, env)));
+                instantiate_into(&a.args, env, row);
+                self.deleted.insert_row(a.pred, row);
             }
             HeadLiteral::Bottom => unreachable!("⊥ is nondeterministic-only"),
         }
@@ -193,7 +207,8 @@ impl Consequence for Retract {
     fn apply(&mut self, stage: &mut Apply<'_>) -> Result<(), EvalError> {
         let inserted = std::mem::take(&mut self.inserted);
         let deleted = std::mem::take(&mut self.deleted);
-        if self.policy == ConflictPolicy::Undefined && inserted.iter().any(|f| deleted.contains(f))
+        if self.policy == ConflictPolicy::Undefined
+            && facts(&inserted).any(|(pred, row)| deleted.contains_fact(pred, row))
         {
             return Err(EvalError::Contradiction { stage: stage.stage });
         }
@@ -208,14 +223,14 @@ impl Consequence for Retract {
         // A fact both inferred and retracted is resolved by the policy;
         // afterwards the two sets are disjoint, so deleting first changes
         // no outcome and keeps the fact budget exact.
-        for fact in &deleted {
-            if self.policy == ConflictPolicy::PreferNegative || !inserted.contains(fact) {
-                stage.remove(fact.0, &fact.1);
+        for (pred, row) in facts(&deleted) {
+            if self.policy == ConflictPolicy::PreferNegative || !inserted.contains_fact(pred, row) {
+                stage.remove(pred, row);
             }
         }
-        for fact in inserted {
-            if self.policy == ConflictPolicy::PreferPositive || !deleted.contains(&fact) {
-                stage.insert(fact.0, fact.1)?;
+        for (pred, row) in facts(&inserted) {
+            if self.policy == ConflictPolicy::PreferPositive || !deleted.contains_fact(pred, row) {
+                stage.insert(pred, row)?;
             }
         }
         if stage.tel.is_enabled() {
@@ -251,7 +266,7 @@ impl Consequence for Retract {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unchained_common::{Interner, Value};
+    use unchained_common::{Interner, Tuple, Value};
     use unchained_parser::parse_program;
 
     /// The paper's Section 4.2 flip-flop program never terminates on

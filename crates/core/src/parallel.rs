@@ -232,7 +232,7 @@ mod tests {
         // Seed T with a first stage's output so the recursive rule
         // joins something, committed as one segment.
         let (g, t) = (i.get("G").unwrap(), i.intern("T"));
-        let edges: Vec<Tuple> = inst.relation(g).unwrap().iter().cloned().collect();
+        let edges: Vec<Tuple> = inst.relation(g).unwrap().iter().map(Tuple::from).collect();
         for e in edges {
             inst.insert_fact(t, e);
         }
@@ -272,7 +272,7 @@ mod tests {
         let t = i.intern("T");
         let mark = DeltaHandle::capture(&inst);
         let g = i.get("G").unwrap();
-        let edges: Vec<Tuple> = inst.relation(g).unwrap().iter().cloned().collect();
+        let edges: Vec<Tuple> = inst.relation(g).unwrap().iter().map(Tuple::from).collect();
         for e in edges {
             inst.insert_fact(t, e);
         }

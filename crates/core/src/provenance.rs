@@ -128,7 +128,7 @@ impl Consequence for Derive<'_> {
 
     fn apply(&mut self, stage: &mut Apply<'_>) -> Result<(), EvalError> {
         for (pred, tuple, derivation) in self.pending.drain(..) {
-            if stage.insert(pred, tuple.clone())? {
+            if stage.insert(pred, &tuple)? {
                 self.why.entry((pred, tuple)).or_insert(derivation);
             }
         }
@@ -223,7 +223,7 @@ mod tests {
         assert_eq!(rel.len(), 10);
         for tuple in rel.iter() {
             let d = prov
-                .derivation(t, tuple)
+                .derivation(t, &tuple.to_tuple())
                 .expect("derived fact has provenance");
             for (p, prem) in &d.premises {
                 assert!(prov.instance.contains_fact(*p, prem));

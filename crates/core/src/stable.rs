@@ -325,10 +325,10 @@ mod tests {
                 .into_iter()
                 .flat_map(|r| r.iter())
             {
-                assert!(m.contains_fact(win, t));
+                assert!(m.contains_fact(win, &t));
             }
             for t in m.relation(win).unwrap().iter() {
-                assert!(wf.possible_facts.contains_fact(win, t));
+                assert!(wf.possible_facts.contains_fact(win, &t));
             }
         }
     }

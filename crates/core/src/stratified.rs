@@ -76,7 +76,7 @@ mod tests {
         // |T| + |CT| = |adom|² and they are disjoint.
         assert_eq!(t_rel.len() + ct_rel.len(), 16);
         for tup in t_rel.iter() {
-            assert!(!ct_rel.contains(tup));
+            assert!(!ct_rel.contains(&tup));
         }
         // (0,1) reachable, so in T not CT; (1,0) unreachable.
         assert!(ct_rel.contains(&Tuple::from([Value::Int(1), Value::Int(0)])));

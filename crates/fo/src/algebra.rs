@@ -35,7 +35,7 @@ pub enum Expr {
     /// A base relation of the instance.
     Rel(Symbol),
     /// A literal constant relation.
-    Lit(Relation),
+    Lit(Box<Relation>),
     /// `π_cols(e)` — also serves as positional rename/reorder.
     Project(Box<Expr>, Vec<usize>),
     /// `σ_conds(e)` (conjunction of conditions).
@@ -123,7 +123,7 @@ impl fmt::Display for AlgebraError {
 
 impl std::error::Error for AlgebraError {}
 
-fn operand_value(op: Operand, tuple: &Tuple) -> Value {
+fn operand_value(op: Operand, tuple: &[Value]) -> Value {
     match op {
         Operand::Col(c) => tuple[c],
         Operand::Const(v) => v,
@@ -147,7 +147,7 @@ pub fn eval(expr: &Expr, instance: &Instance) -> Result<Relation, AlgebraError> 
             .relation(*name)
             .cloned()
             .ok_or(AlgebraError::UnknownRelation(*name)),
-        Expr::Lit(rel) => Ok(rel.clone()),
+        Expr::Lit(rel) => Ok((**rel).clone()),
         Expr::Project(inner, cols) => {
             let input = eval(inner, instance)?;
             for &c in cols {
@@ -174,9 +174,9 @@ pub fn eval(expr: &Expr, instance: &Instance) -> Result<Relation, AlgebraError> 
             for t in input.iter() {
                 let ok = conds
                     .iter()
-                    .all(|c| (operand_value(c.left, t) == operand_value(c.right, t)) == c.equal);
+                    .all(|c| (operand_value(c.left, &t) == operand_value(c.right, &t)) == c.equal);
                 if ok {
-                    out.insert(t.clone());
+                    out.insert_row(&t);
                 }
             }
             Ok(out)
@@ -361,7 +361,7 @@ mod tests {
     fn literal_relations() {
         let (_, _, inst) = setup();
         let lit = Relation::from_tuples(1, vec![Tuple::from([Value::Int(9)])]);
-        let out = eval(&Expr::Lit(lit.clone()), &inst).unwrap();
+        let out = eval(&Expr::Lit(Box::new(lit.clone())), &inst).unwrap();
         assert!(out.same_tuples(&lit));
     }
 }

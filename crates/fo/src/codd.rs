@@ -115,11 +115,11 @@ impl Ctx {
     fn domain_power(&self, k: usize) -> Expr {
         if k == 0 {
             // The zero-ary "true" relation: one empty tuple.
-            return Expr::Lit(Relation::from_tuples(0, [Tuple::from([])]));
+            return Expr::Lit(Box::new(Relation::from_tuples(0, [Tuple::from([])])));
         }
-        let mut e = Expr::Lit(self.domain.clone());
+        let mut e = Expr::Lit(Box::new(self.domain.clone()));
         for _ in 1..k {
-            e = e.product(Expr::Lit(self.domain.clone()));
+            e = e.product(Expr::Lit(Box::new(self.domain.clone())));
         }
         e
     }
@@ -128,7 +128,7 @@ impl Ctx {
         let k = layout.len();
         match phi {
             Formula::True => Ok(self.domain_power(k)),
-            Formula::False => Ok(Expr::Lit(Relation::new(k))),
+            Formula::False => Ok(Expr::Lit(Box::new(Relation::new(k)))),
             Formula::Atom(pred, terms) => {
                 // Start from R × D^k, select agreement between R's
                 // columns and the layout columns (or constants), then
@@ -211,7 +211,7 @@ impl Ctx {
                         None => e,
                     });
                 }
-                Ok(expr.unwrap_or_else(|| Expr::Lit(Relation::new(k))))
+                Ok(expr.unwrap_or_else(|| Expr::Lit(Box::new(Relation::new(k)))))
             }
             Formula::Exists(vars, inner) => {
                 // Extend the layout with the quantified variables,

@@ -689,7 +689,7 @@ fn positive(program: &Program, input: &Instance, interner: &mut Interner, fault:
                     let mut got = Instance::new();
                     got.ensure(query_pred, arity);
                     for t in rel.iter() {
-                        got.insert_fact(query_pred, t.clone());
+                        got.insert_row(query_pred, &t);
                     }
                     compare(&mut out, "seminaive", "magic", &expected, &got);
                 }

@@ -263,7 +263,7 @@ mod tests {
                     let full = relation_of(&run.instance, t, 2);
                     let mut out = Relation::new(2);
                     for tuple in full.iter().skip(1) {
-                        out.insert(tuple.clone());
+                        out.insert_row(&tuple);
                     }
                     out
                 })

@@ -173,7 +173,7 @@ pub fn is_valid_orientation(original: &Relation, oriented: &Relation) -> bool {
     }
     // Every oriented edge must come from the original.
     for t in oriented.iter() {
-        if !original.contains(t) {
+        if !original.contains(&t) {
             return false;
         }
     }
@@ -182,10 +182,10 @@ pub fn is_valid_orientation(original: &Relation, oriented: &Relation) -> bool {
         let symmetric = original.contains(&rev) && t[0] != t[1];
         if symmetric {
             // Exactly one direction survives.
-            if oriented.contains(t) == oriented.contains(&rev) {
+            if oriented.contains(&t) == oriented.contains(&rev) {
                 return false;
             }
-        } else if !oriented.contains(t) {
+        } else if !oriented.contains(&t) {
             // One-way edges must survive.
             return false;
         }

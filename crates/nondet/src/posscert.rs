@@ -12,7 +12,7 @@
 use crate::eff::{effect, EffOptions};
 use crate::program::NondetProgram;
 use crate::NondetError;
-use unchained_common::{Instance, Relation};
+use unchained_common::{Instance, Relation, Tuple};
 
 /// Both deterministic readings of a nondeterministic program's effect.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -67,7 +67,10 @@ pub fn poss_cert(
                     let current = cert.relation(pred).expect("pred listed");
                     Relation::from_tuples(
                         current.arity(),
-                        current.iter().filter(|t| other.contains(t)).cloned(),
+                        current
+                            .iter()
+                            .filter(|t| other.contains(t))
+                            .map(Tuple::from),
                     )
                 }
                 None => Relation::new(cert.relation(pred).expect("pred listed").arity()),

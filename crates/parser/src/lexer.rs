@@ -5,6 +5,10 @@
 //! `bottom`, and `≠` for `!=`.
 //!
 //! Comments run from `%` or `//` or `#` to end of line.
+//!
+//! [`Lexer`] is a pull tokenizer: it lexes one token per call, so the
+//! fact loader holds a single token of lookahead however long the file
+//! is. [`lex`] collects it into a token list for the rule parser.
 
 use std::fmt;
 
@@ -161,13 +165,27 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_' || c == '-' || c == '\''
 }
 
-/// Tokenizes `src`. The result always ends with an [`TokenKind::Eof`]
-/// token.
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
-    let mut cur = Cursor::new(src);
-    let mut out = Vec::new();
-    loop {
-        // Skip whitespace and comments.
+/// A pull tokenizer over `src`: each [`Iterator::next`] lexes one more
+/// token, so a caller that consumes tokens as it goes holds one at a
+/// time. The sequence ends with one [`TokenKind::Eof`] token, or stops
+/// after the first [`LexError`].
+pub struct Lexer<'a> {
+    cur: Cursor<'a>,
+    done: bool,
+}
+
+impl<'a> Lexer<'a> {
+    /// A tokenizer positioned at the start of `src`.
+    pub fn new(src: &'a str) -> Self {
+        Lexer {
+            cur: Cursor::new(src),
+            done: false,
+        }
+    }
+
+    /// Skips whitespace and comments.
+    fn skip_trivia(&mut self) -> Result<(), LexError> {
+        let cur = &mut self.cur;
         loop {
             match cur.peek() {
                 Some(c) if c.is_whitespace() => {
@@ -197,16 +215,21 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                         });
                     }
                 }
-                _ => break,
+                _ => return Ok(()),
             }
         }
+    }
+
+    /// Lexes the next token.
+    fn token(&mut self) -> Result<Token, LexError> {
+        self.skip_trivia()?;
+        let cur = &mut self.cur;
         let pos = cur.pos();
         let Some(c) = cur.peek() else {
-            out.push(Token {
+            return Ok(Token {
                 kind: TokenKind::Eof,
                 pos,
             });
-            return Ok(out);
         };
         let kind = match c {
             '(' => {
@@ -339,8 +362,27 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 })
             }
         };
-        out.push(Token { kind, pos });
+        Ok(Token { kind, pos })
     }
+}
+
+impl Iterator for Lexer<'_> {
+    type Item = Result<Token, LexError>;
+
+    fn next(&mut self) -> Option<Result<Token, LexError>> {
+        if self.done {
+            return None;
+        }
+        let token = self.token();
+        self.done = !matches!(&token, Ok(t) if t.kind != TokenKind::Eof);
+        Some(token)
+    }
+}
+
+/// Tokenizes `src` in one go. The result always ends with an
+/// [`TokenKind::Eof`] token.
+pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
+    Lexer::new(src).collect()
 }
 
 #[cfg(test)]

@@ -33,5 +33,5 @@ pub use analysis::{
     DependencyGraph, Features, Language, Stratification,
 };
 pub use ast::{Atom, HeadLiteral, Literal, Program, Rule, Term, Var};
-pub use lexer::{lex, LexError, Pos, Token, TokenKind};
+pub use lexer::{lex, LexError, Lexer, Pos, Token, TokenKind};
 pub use parser::{parse_facts, parse_program, ParseError};

@@ -20,9 +20,9 @@
 //! is an integer constant).
 
 use crate::ast::{Atom, HeadLiteral, Literal, Program, Rule, Term, Var};
-use crate::lexer::{lex, LexError, Pos, Token, TokenKind};
+use crate::lexer::{lex, LexError, Lexer, Pos, Token, TokenKind};
 use std::fmt;
-use unchained_common::{FxHashMap, Instance, Interner, Tuple, Value};
+use unchained_common::{FxHashMap, Instance, Interner, Value};
 
 /// A parse error with position information.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -50,9 +50,15 @@ impl From<LexError> for ParseError {
     }
 }
 
-struct Parser<'a> {
-    tokens: Vec<Token>,
-    at: usize,
+/// The parser over a token stream `T`, holding one token of lookahead.
+struct Parser<'a, T> {
+    tokens: T,
+    /// The lookahead token.
+    cur: Token,
+    /// Where the token before `cur` started.
+    prev: Pos,
+    /// The lex error the stream stopped at; `cur` is then end of input.
+    lex_error: Option<LexError>,
     interner: &'a mut Interner,
 }
 
@@ -75,21 +81,61 @@ impl VarScope {
     }
 }
 
-impl<'a> Parser<'a> {
+impl<'a, T: Iterator<Item = Result<Token, LexError>>> Parser<'a, T> {
+    fn new(tokens: T, interner: &'a mut Interner) -> Self {
+        let start = Pos { line: 1, col: 1 };
+        let mut parser = Parser {
+            tokens,
+            cur: Token {
+                kind: TokenKind::Eof,
+                pos: start,
+            },
+            prev: start,
+            lex_error: None,
+            interner,
+        };
+        parser.bump();
+        parser
+    }
+
     fn peek(&self) -> &TokenKind {
-        &self.tokens[self.at].kind
+        &self.cur.kind
     }
 
     fn pos(&self) -> Pos {
-        self.tokens[self.at].pos
+        self.cur.pos
     }
 
+    /// Returns the lookahead token and pulls the next one. At the end
+    /// of input (or at a lex error) the lookahead stays end of input.
     fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.at].kind.clone();
-        if self.at + 1 < self.tokens.len() {
-            self.at += 1;
+        let next = match self.tokens.next() {
+            Some(Ok(token)) => token,
+            Some(Err(e)) => {
+                let pos = e.pos;
+                self.lex_error = Some(e);
+                Token {
+                    kind: TokenKind::Eof,
+                    pos,
+                }
+            }
+            None => Token {
+                kind: TokenKind::Eof,
+                pos: self.cur.pos,
+            },
+        };
+        self.prev = self.cur.pos;
+        std::mem::replace(&mut self.cur, next).kind
+    }
+
+    /// `result`, unless the token stream stopped at a lex error: that
+    /// error comes first, since everything after it was read as the end
+    /// of input.
+    fn finish<R>(&mut self, result: Result<R, ParseError>) -> Result<R, ParseError> {
+        match self.lex_error.take() {
+            Some(e) => Err(e.into()),
+            None => result,
         }
-        t
     }
 
     fn expect(&mut self, kind: &TokenKind) -> Result<(), ParseError> {
@@ -115,7 +161,7 @@ impl<'a> Parser<'a> {
             TokenKind::IntConst(n) => Ok(Term::Const(Value::Int(n))),
             other => Err(ParseError {
                 message: format!("expected term, found {other}"),
-                pos: self.tokens[self.at.saturating_sub(1)].pos,
+                pos: self.prev,
             }),
         }
     }
@@ -263,6 +309,21 @@ impl<'a> Parser<'a> {
             self.bump();
             head.push(self.parse_head_literal(&mut scope)?);
         }
+        let (body, forall) = self.parse_rule_tail(&mut scope)?;
+        Ok(Rule {
+            head,
+            body,
+            forall,
+            var_names: scope.names,
+        })
+    }
+
+    /// Parses what follows a rule's head: an optional `:-` body, with its
+    /// optional `forall` prefix, and the closing `.`.
+    fn parse_rule_tail(
+        &mut self,
+        scope: &mut VarScope,
+    ) -> Result<(Vec<Literal>, Vec<Var>), ParseError> {
         let mut body = Vec::new();
         let mut forall = Vec::new();
         if self.peek() == &TokenKind::Arrow {
@@ -289,31 +350,75 @@ impl<'a> Parser<'a> {
             }
             // An empty body after `:-` is allowed (unconditional rule).
             if self.peek() != &TokenKind::Dot {
-                body.push(self.parse_body_literal(&mut scope)?);
+                body.push(self.parse_body_literal(scope)?);
                 while self.peek() == &TokenKind::Comma {
                     self.bump();
-                    body.push(self.parse_body_literal(&mut scope)?);
+                    body.push(self.parse_body_literal(scope)?);
                 }
             }
         }
         self.expect(&TokenKind::Dot)?;
-        Ok(Rule {
-            head,
-            body,
-            forall,
-            var_names: scope.names,
-        })
+        Ok((body, forall))
+    }
+
+    /// Parses one statement of a fact file with the rule grammar, checks
+    /// that it is a ground positive fact, and inserts it into `out`.
+    /// Errors of the check point at the statement's first token.
+    /// `values` is scratch space for the fact's row.
+    fn parse_fact(
+        &mut self,
+        values: &mut Vec<Value>,
+        out: &mut Instance,
+    ) -> Result<(), ParseError> {
+        let at = self.pos();
+        let mut scope = VarScope::default();
+        let head = self.parse_head_literal(&mut scope)?;
+        let mut heads = 1;
+        while self.peek() == &TokenKind::Comma {
+            self.bump();
+            self.parse_head_literal(&mut scope)?;
+            heads += 1;
+        }
+        let (body, forall) = self.parse_rule_tail(&mut scope)?;
+        let error = |message: String| Err(ParseError { message, pos: at });
+        if !body.is_empty() || heads != 1 || !forall.is_empty() {
+            return error("fact files may only contain ground facts".into());
+        }
+        let HeadLiteral::Pos(atom) = head else {
+            return error("fact files may only contain positive facts".into());
+        };
+        values.clear();
+        for arg in &atom.args {
+            match arg {
+                Term::Const(v) => values.push(*v),
+                Term::Var(v) => {
+                    return error(format!(
+                        "fact contains variable `{}`; facts must be ground",
+                        scope.names[v.index()]
+                    ))
+                }
+            }
+        }
+        if let Some(rel) = out
+            .relation(atom.pred)
+            .filter(|r| r.arity() != values.len())
+        {
+            return error(format!(
+                "relation `{}` used with arity {} and {}",
+                self.interner.name(atom.pred),
+                rel.arity(),
+                values.len()
+            ));
+        }
+        out.insert_row(atom.pred, values);
+        Ok(())
     }
 }
 
 /// Parses a program from source text.
 pub fn parse_program(src: &str, interner: &mut Interner) -> Result<Program, ParseError> {
     let tokens = lex(src)?;
-    let mut parser = Parser {
-        tokens,
-        at: 0,
-        interner,
-    };
+    let mut parser = Parser::new(tokens.into_iter().map(Ok), interner);
     let mut rules = Vec::new();
     while parser.peek() != &TokenKind::Eof {
         rules.push(parser.parse_rule()?);
@@ -323,44 +428,19 @@ pub fn parse_program(src: &str, interner: &mut Interner) -> Result<Program, Pars
 
 /// Parses a fact file: a sequence of ground atoms terminated by `.`,
 /// e.g. `G('a','b'). G('b','c').`. Returns the facts as an [`Instance`].
+///
+/// The file is read in one pass: each fact is lexed, parsed, checked
+/// and stored as a row of its relation before the next one is read, so
+/// no token list or rule is kept per fact.
 pub fn parse_facts(src: &str, interner: &mut Interner) -> Result<Instance, ParseError> {
-    let program = parse_program(src, interner)?;
+    let mut parser = Parser::new(Lexer::new(src), interner);
     let mut instance = Instance::new();
-    for rule in &program.rules {
-        if !rule.body.is_empty() || rule.head.len() != 1 || !rule.forall.is_empty() {
-            return Err(ParseError {
-                message: "fact files may only contain ground facts".into(),
-                pos: Pos { line: 1, col: 1 },
-            });
-        }
-        match &rule.head[0] {
-            HeadLiteral::Pos(atom) => {
-                let mut values = Vec::with_capacity(atom.args.len());
-                for arg in &atom.args {
-                    match arg {
-                        Term::Const(v) => values.push(*v),
-                        Term::Var(v) => {
-                            return Err(ParseError {
-                                message: format!(
-                                    "fact contains variable `{}`; facts must be ground",
-                                    rule.var_names[v.index()]
-                                ),
-                                pos: Pos { line: 1, col: 1 },
-                            })
-                        }
-                    }
-                }
-                instance.insert_fact(atom.pred, Tuple::from(values));
-            }
-            _ => {
-                return Err(ParseError {
-                    message: "fact files may only contain positive facts".into(),
-                    pos: Pos { line: 1, col: 1 },
-                })
-            }
-        }
+    let mut values = Vec::new();
+    while parser.peek() != &TokenKind::Eof {
+        let fact = parser.parse_fact(&mut values, &mut instance);
+        parser.finish(fact)?;
     }
-    Ok(instance)
+    parser.finish(Ok(instance))
 }
 
 #[cfg(test)]
@@ -469,6 +549,35 @@ mod tests {
         assert!(parse_facts("A(x) :- B(x).", &mut i).is_err());
         assert!(parse_facts("A(x).", &mut i).is_err());
         assert!(parse_facts("!A(1).", &mut i).is_err());
+    }
+
+    /// Each check of a fact file reports the position of the fact at
+    /// fault, not the start of the file.
+    #[test]
+    fn fact_file_errors_point_at_the_fact() {
+        let mut i = Interner::new();
+        let err = parse_facts("G(1,2).\nG(x,3).", &mut i).unwrap_err();
+        assert_eq!(err.pos, Pos { line: 2, col: 1 });
+        assert!(err.message.contains("variable `x`"), "{err}");
+        let err = parse_facts("G(1,2).\n  A(x) :- B(x).", &mut i).unwrap_err();
+        assert_eq!(err.pos, Pos { line: 2, col: 3 });
+        assert!(err.message.contains("ground facts"), "{err}");
+        let err = parse_facts("G(1,2). G(2,3).\n\n!A(1).", &mut i).unwrap_err();
+        assert_eq!(err.pos, Pos { line: 3, col: 1 });
+        assert!(err.message.contains("positive facts"), "{err}");
+        let err = parse_facts("G(1,2).\nG(3).", &mut i).unwrap_err();
+        assert_eq!(err.pos, Pos { line: 2, col: 1 });
+        assert!(err.message.contains("arity 2 and 1"), "{err}");
+    }
+
+    /// A lex error past the last fact still fails the file.
+    #[test]
+    fn fact_file_lex_errors_fail_the_file() {
+        let mut i = Interner::new();
+        let err = parse_facts("G(1,2).\nG(2,3). $", &mut i).unwrap_err();
+        assert_eq!(err.pos, Pos { line: 2, col: 9 });
+        assert!(err.message.contains("unexpected character"), "{err}");
+        assert!(parse_facts("G(1,2", &mut i).is_err());
     }
 
     #[test]

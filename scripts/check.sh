@@ -87,6 +87,23 @@ if [ "$infl_fired" -ge "$naive_fired" ]; then
     exit 1
 fi
 
+# Storage gate on the committed BENCH.json: scale_reach at one thread
+# stores each tuple once, so its space peak stays within 1.25 stored
+# copies of an arity-2 tuple (48 logical bytes) per fact — one row plus
+# its row-id table slot — not the two copies a boxed membership set kept.
+echo "==> BENCH.json scale_reach bytes_peak within one stored copy per fact"
+scale_row=$(grep '"workload":"scale_reach","engine":"seminaive","threads":1' BENCH.json)
+scale_bytes=$(printf '%s' "$scale_row" | sed -n 's/.*"bytes_peak":\([0-9]*\).*/\1/p')
+scale_facts=$(printf '%s' "$scale_row" | sed -n 's/.*"peak_facts":\([0-9]*\).*/\1/p')
+if [ -z "$scale_bytes" ] || [ -z "$scale_facts" ]; then
+    echo "scale_reach/seminaive (threads:1) entry missing from BENCH.json" >&2
+    exit 1
+fi
+if [ $(( scale_bytes * 100 )) -gt $(( scale_facts * 48 * 125 )) ]; then
+    echo "scale_reach bytes_peak=$scale_bytes exceeds 1.25 x 48 B x $scale_facts facts" >&2
+    exit 1
+fi
+
 # Docs drift gate: DESIGN.md's layout must name every crate directory.
 echo "==> DESIGN.md names every crates/* directory"
 for dir in crates/*/; do
@@ -193,6 +210,13 @@ if printf '%s' "$mem1" | grep -q 'T/2  *0B'; then
 fi
 if [ "$mem1" != "$mem4" ]; then
     echo "memstats output differs between --threads 1 and --threads 4" >&2
+    exit 1
+fi
+# Each tuple is stored once, as a row: the space tree charges a row-id
+# table slot per tuple, never a second copy in a membership set.
+if printf '%s' "$mem1" | grep -q 'membership set'; then
+    echo "memstats still reports a membership set:" >&2
+    printf '%s\n' "$mem1" >&2
     exit 1
 fi
 

@@ -142,7 +142,7 @@ fn wellfounded_true_facts_subset_of_inflationary_on_random_programs() {
         let strat = stratified::eval(&program, &input, EvalOptions::default()).unwrap();
         for (pred, rel) in wf.true_facts.iter() {
             for t in rel.iter() {
-                assert!(strat.instance.contains_fact(pred, t), "seed {seed}");
+                assert!(strat.instance.contains_fact(pred, &t), "seed {seed}");
             }
         }
     }

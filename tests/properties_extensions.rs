@@ -164,10 +164,10 @@ fn stable_models_are_reduct_fixpoints() {
                 .into_iter()
                 .flat_map(|r| r.iter())
             {
-                assert!(m.contains_fact(win, t), "seed {seed}");
+                assert!(m.contains_fact(win, &t), "seed {seed}");
             }
             for t in m.relation(win).into_iter().flat_map(|r| r.iter()) {
-                assert!(wf.possible_facts.contains_fact(win, t), "seed {seed}");
+                assert!(wf.possible_facts.contains_fact(win, &t), "seed {seed}");
             }
         }
     }
