@@ -362,8 +362,8 @@ impl Relation {
         self.epoch = next_epoch();
     }
 
-    /// Number of stored rows, dead ones included.
-    fn stored_rows(&self) -> usize {
+    /// Number of storage positions: the stored rows, dead ones included.
+    pub fn stored_rows(&self) -> usize {
         self.tail_base + self.tail_len
     }
 
@@ -421,7 +421,7 @@ impl Relation {
         let mask = len - 1;
         let mut slots = vec![EMPTY; len];
         let mut tail_slots = std::mem::take(&mut self.tail_slots);
-        for (pos, row) in self.live_rows(0, 0) {
+        for (pos, row) in self.live_rows(0, usize::MAX) {
             let h = row_hash(row);
             let mut i = h as usize & mask;
             while slots[i] != EMPTY {
@@ -592,7 +592,7 @@ impl Relation {
     /// compaction.
     fn collapse(&mut self) {
         let mut tail = Vec::with_capacity(self.live * self.arity);
-        for (_, row) in self.live_rows(0, 0) {
+        for (_, row) in self.live_rows(0, usize::MAX) {
             tail.extend_from_slice(row);
         }
         self.segments.clear();
@@ -702,41 +702,35 @@ impl Relation {
         ))]
     }
 
-    /// Storage position of the first row [`Relation::live_rows`] reads
-    /// for delta bounds `(seg_from, rec_from)`.
-    fn position(&self, seg_from: usize, rec_from: usize) -> usize {
-        match self.starts.get(seg_from) {
-            Some(&start) => start,
-            None => self.tail_base + rec_from,
-        }
-    }
-
-    /// The live rows from segment `seg_from` on, then the tail from row
-    /// `rec_from` on (the whole tail when `seg_from` is short of it), with
-    /// their storage positions.
-    fn live_rows(
-        &self,
-        seg_from: usize,
-        rec_from: usize,
-    ) -> impl Iterator<Item = (usize, &[Value])> + Clone {
+    /// The live rows at storage positions `lo..hi` (clamped to the
+    /// storage), with their positions, in storage order.
+    fn live_rows(&self, lo: usize, hi: usize) -> impl Iterator<Item = (usize, &[Value])> + Clone {
+        let hi = hi.min(self.stored_rows());
+        let lo = lo.min(hi);
         let all_live = self.retracted.is_empty();
-        let rec_from = if seg_from < self.segments.len() {
-            0
-        } else {
-            rec_from
-        };
-        let base = self.position(seg_from, rec_from);
-        let tail = Rows::over(
-            &self.tail[rec_from * self.arity..],
-            self.arity,
-            self.tail_len - rec_from,
-        );
-        self.segments[seg_from..]
+        let first = self
+            .starts
+            .partition_point(|&start| start <= lo)
+            .saturating_sub(1);
+        let segments = self.segments[first..]
             .iter()
-            .flat_map(|s| s.rows())
+            .zip(&self.starts[first..])
+            .map(move |(seg, &start)| {
+                let end = start + seg.len();
+                seg.rows_range(lo.clamp(start, end) - start, hi.clamp(start, end) - start)
+            });
+        let base = self.tail_base;
+        let from = lo.max(base) - base;
+        let tail = Rows::over(
+            &self.tail[from * self.arity..],
+            self.arity,
+            hi.max(base) - base - from,
+        );
+        segments
+            .flatten()
             .chain(tail)
-            .enumerate()
-            .map(move |(i, row)| (base + i, row))
+            .zip(lo..)
+            .map(|(row, pos)| (pos, row))
             .filter(move |&(pos, _)| all_live || !self.is_dead(pos))
     }
 
@@ -750,28 +744,25 @@ impl Relation {
     /// appears exactly once as a borrowed row; tombstoned rows are
     /// skipped.
     pub fn iter_stored(&self) -> impl Iterator<Item = &[Value]> + Clone {
-        self.live_rows(0, 0).map(|(_, row)| row)
+        self.iter_stored_range(0, usize::MAX)
     }
 
-    /// Rows `lo..hi` of [`Relation::iter_stored`]'s enumeration.
-    ///
-    /// Tombstone-free relations (the hot path) navigate straight to the
-    /// right segment offsets instead of skipping row by row, which is
-    /// what lets morsel-driven workers jump to their assigned range in
-    /// O(#segments) rather than O(lo).
+    /// The live rows at storage positions `lo..hi`, in storage order.
+    /// Positions count every stored row, dead ones included, so the
+    /// ranges of a partition of `0..stored_rows()` enumerate
+    /// [`Relation::iter_stored`] exactly, in order, and each range starts
+    /// at its segment offset in O(log #segments) — what lets
+    /// morsel-driven workers jump to their range, tombstones or not.
     pub fn iter_stored_range(
         &self,
         lo: usize,
         hi: usize,
-    ) -> Box<dyn Iterator<Item = &[Value]> + '_> {
-        if self.retracted.is_empty() {
-            Box::new(self.rows_in_range(0, 0, lo, hi))
-        } else {
-            Box::new(self.iter_stored().skip(lo).take(hi.saturating_sub(lo)))
-        }
+    ) -> impl Iterator<Item = &[Value]> + Clone {
+        self.live_rows(lo, hi).map(|(_, row)| row)
     }
 
-    /// The tuples added since `gen` was captured from this relation.
+    /// The tuples added since `gen` was captured from this relation: the
+    /// live rows from storage position [`Relation::delta_start`] on.
     ///
     /// If `gen` does not describe a prefix of this relation's storage (it
     /// came from a different epoch, from a diverged clone, or was captured
@@ -784,67 +775,21 @@ impl Relation {
     /// Tombstoned tuples are never yielded: a tuple appended after the
     /// mark and retracted again before the call is not part of the live
     /// delta.
-    pub fn iter_since(&self, gen: Generation) -> impl Iterator<Item = &[Value]> {
-        let (seg_from, rec_from) = self.delta_bounds(gen).unwrap_or((0, 0));
-        self.live_rows(seg_from, rec_from).map(|(_, row)| row)
+    pub fn iter_since(&self, gen: Generation) -> impl Iterator<Item = &[Value]> + Clone {
+        self.iter_stored_range(self.delta_start(gen), usize::MAX)
     }
 
-    /// Rows `lo..hi` of [`Relation::iter_since`]'s enumeration for `gen`
-    /// (including its conservative whole-relation fallback). Offsets are
-    /// relative to the delta, not to full storage; the ranges of a
-    /// partition of `0..delta_len(gen)` enumerate the delta exactly, in
-    /// order — the contract morsel-driven delta scans rely on.
-    pub fn iter_since_range(
-        &self,
-        gen: Generation,
-        lo: usize,
-        hi: usize,
-    ) -> Box<dyn Iterator<Item = &[Value]> + '_> {
-        if self.retracted.is_empty() {
-            let (seg_from, rec_from) = self.delta_bounds(gen).unwrap_or((0, 0));
-            Box::new(self.rows_in_range(seg_from, rec_from, lo, hi))
-        } else {
-            Box::new(self.iter_since(gen).skip(lo).take(hi.saturating_sub(lo)))
+    /// Storage position of the first row [`Relation::iter_since`] reads
+    /// for `gen`: the end of the storage prefix `gen` describes, or 0
+    /// when it describes none (the conservative whole-relation fallback).
+    pub fn delta_start(&self, gen: Generation) -> usize {
+        match self.delta_bounds(gen) {
+            None => 0,
+            Some((seg_from, rec_from)) => match self.starts.get(seg_from) {
+                Some(&start) => start,
+                None => self.tail_base + rec_from,
+            },
         }
-    }
-
-    /// Enumerates rows `lo..hi` of the storage from delta bounds
-    /// `(seg_from, rec_from)` on, dead rows included, by jumping straight
-    /// to the covering segment offsets (no per-row skipping). Bounds
-    /// outside the storage are clamped.
-    fn rows_in_range(
-        &self,
-        seg_from: usize,
-        rec_from: usize,
-        lo: usize,
-        hi: usize,
-    ) -> impl Iterator<Item = &[Value]> {
-        let mut pieces: Vec<Rows<'_>> = Vec::new();
-        let mut off = 0usize;
-        for seg in &self.segments[seg_from..] {
-            let n = seg.len();
-            let a = lo.max(off);
-            let b = hi.min(off + n);
-            if a < b {
-                pieces.push(seg.rows_range(a - off, b - off));
-            }
-            off += n;
-        }
-        let rec_from = if seg_from < self.segments.len() {
-            0
-        } else {
-            rec_from
-        };
-        let tail_rows = self.tail_len - rec_from;
-        let a = lo.clamp(off, off + tail_rows);
-        let b = hi.clamp(off, off + tail_rows);
-        let first = rec_from + a - off;
-        pieces.push(Rows::over(
-            &self.tail[first * self.arity..],
-            self.arity,
-            b.saturating_sub(a),
-        ));
-        pieces.into_iter().flatten()
     }
 
     /// The rows retracted since `gen` was captured from this relation,
@@ -883,24 +828,24 @@ impl Relation {
     }
 
     /// Number of tuples [`Relation::iter_since`] would yield for `gen`
-    /// (including the conservative whole-relation fallback). Lets parallel
-    /// workers split a delta scan into equal contiguous morsels without
-    /// first materializing it.
+    /// (including the conservative whole-relation fallback).
     pub fn delta_len(&self, gen: Generation) -> usize {
-        let (seg_from, rec_from) = self.delta_bounds(gen).unwrap_or((0, 0));
-        if !self.retracted.is_empty() {
-            // Dead rows hide inside the suffix; count the filtered
-            // enumeration instead of trusting the storage arithmetic.
-            return self.live_rows(seg_from, rec_from).count();
-        }
-        self.stored_rows() - self.position(seg_from, rec_from)
+        self.live_between(self.delta_start(gen), usize::MAX)
     }
 
-    /// Number of rows [`Relation::iter_stored`] yields. Equals `len()`:
-    /// the storage walk skips dead rows, and every live tuple appears in
-    /// it exactly once.
-    pub fn stored_len(&self) -> usize {
-        self.live
+    /// Number of rows [`Relation::iter_stored_range`] yields for
+    /// `lo..hi`: O(1) for the whole storage or a relation without
+    /// tombstones, a walk over the range's dead-row bits otherwise.
+    pub fn live_between(&self, lo: usize, hi: usize) -> usize {
+        let hi = hi.min(self.stored_rows());
+        let lo = lo.min(hi);
+        if lo == 0 && hi == self.stored_rows() {
+            self.live
+        } else if self.retracted.is_empty() {
+            hi - lo
+        } else {
+            (lo..hi).filter(|&pos| !self.is_dead(pos)).count()
+        }
     }
 
     /// Returns the tuples in sorted order as shared owned storage.
@@ -1679,11 +1624,28 @@ mod tests {
         assert_eq!(r.delta_len(mark), r.len());
     }
 
-    /// Contiguous ranges over the delta enumeration partition it exactly
-    /// and in order, for any morsel count (including more morsels than
-    /// tuples) — the contract parallel morsel scans rely on.
+    /// Splits storage positions `from..stored_rows()` into `parts`
+    /// contiguous ranges and returns their rows, concatenated, after
+    /// checking that [`Relation::live_between`] counts each range's rows.
+    fn rows_of_ranges(r: &Relation, from: usize, parts: usize) -> Vec<Tuple> {
+        let total = r.stored_rows() - from;
+        let mut merged: Vec<Tuple> = Vec::new();
+        for p in 0..parts {
+            let lo = from + p * total / parts;
+            let hi = from + (p + 1) * total / parts;
+            let rows: Vec<Tuple> = r.iter_stored_range(lo, hi).map(Tuple::new).collect();
+            assert_eq!(r.live_between(lo, hi), rows.len(), "{lo}..{hi}");
+            merged.extend(rows);
+        }
+        merged
+    }
+
+    /// Contiguous ranges of storage positions from the delta start
+    /// partition the delta exactly and in order, for any morsel count
+    /// (including more morsels than rows), tombstones or not — the
+    /// contract parallel morsel scans rely on.
     #[test]
-    fn iter_since_range_partitions_the_delta_exactly() {
+    fn delta_ranges_partition_the_delta_exactly() {
         let mut r = Relation::from_tuples(2, vec![t2(0, 0)]);
         r.commit();
         let mark = r.generation();
@@ -1695,30 +1657,19 @@ mod tests {
         for k in 8..=10 {
             r.insert(t2(k % 3, k));
         }
-        let full: Vec<Tuple> = r.iter_since(mark).map(Tuple::new).collect();
-        let total = r.delta_len(mark);
-        assert_eq!(total, full.len());
-        for parts in [1usize, 2, 3, 4, 16] {
-            let mut merged: Vec<Tuple> = Vec::new();
-            for p in 0..parts {
-                let lo = p * total / parts;
-                let hi = (p + 1) * total / parts;
-                merged.extend(r.iter_since_range(mark, lo, hi).map(Tuple::new));
+        assert_eq!(r.delta_start(mark), 1);
+        for tombstoned in [false, true] {
+            if tombstoned {
+                // Dead rows keep their positions; the ranges skip them.
+                r.retract(&t2(1, 1));
+                r.retract(&t2(1, 10));
             }
-            assert_eq!(merged, full, "parts={parts}");
-        }
-        // The tombstone fallback path partitions the filtered walk too.
-        r.retract(&t2(1, 1));
-        let full: Vec<Tuple> = r.iter_since(mark).map(Tuple::new).collect();
-        let total = r.delta_len(mark);
-        for parts in [1usize, 3] {
-            let mut merged: Vec<Tuple> = Vec::new();
-            for p in 0..parts {
-                let lo = p * total / parts;
-                let hi = (p + 1) * total / parts;
-                merged.extend(r.iter_since_range(mark, lo, hi).map(Tuple::new));
+            let full: Vec<Tuple> = r.iter_since(mark).map(Tuple::new).collect();
+            assert_eq!(r.delta_len(mark), full.len());
+            for parts in [1usize, 2, 3, 4, 16] {
+                let merged = rows_of_ranges(&r, r.delta_start(mark), parts);
+                assert_eq!(merged, full, "tombstoned={tombstoned} parts={parts}");
             }
-            assert_eq!(merged, full, "tombstoned parts={parts}");
         }
     }
 
@@ -1732,17 +1683,17 @@ mod tests {
                 r.commit();
             }
         }
-        let full: Vec<Tuple> = r.iter_stored().map(Tuple::new).collect();
-        let total = r.stored_len();
-        assert_eq!(total, full.len());
-        for parts in [1usize, 2, 5, 12] {
-            let mut merged: Vec<Tuple> = Vec::new();
-            for p in 0..parts {
-                let lo = p * total / parts;
-                let hi = (p + 1) * total / parts;
-                merged.extend(r.iter_stored_range(lo, hi).map(Tuple::new));
+        for tombstoned in [false, true] {
+            if tombstoned {
+                r.retract(&t2(0, 1));
+                r.retract(&t2(5, 6));
+                assert_eq!(r.stored_rows(), r.len() + 2);
             }
-            assert_eq!(merged, full, "parts={parts}");
+            let full: Vec<Tuple> = r.iter_stored().map(Tuple::new).collect();
+            for parts in [1usize, 2, 5, 12] {
+                let merged = rows_of_ranges(&r, 0, parts);
+                assert_eq!(merged, full, "tombstoned={tombstoned} parts={parts}");
+            }
         }
     }
 
@@ -2096,6 +2047,10 @@ mod tests {
         let mut since: Vec<Tuple> = r.iter_since(mark).map(Tuple::new).collect();
         since.sort_unstable();
         assert_eq!(since.len(), r.delta_len(mark), "{ctx}: delta_len");
+        // Position ranges partition the delta walk, dead rows or not.
+        let ordered: Vec<Tuple> = r.iter_since(mark).map(Tuple::new).collect();
+        let ranged = rows_of_ranges(r, r.delta_start(mark), 3);
+        assert_eq!(ranged, ordered, "{ctx}: iter_stored_range");
         if r.delta_bounds(mark).is_some() {
             let added: Vec<Tuple> = model
                 .appended

@@ -4,14 +4,17 @@
 //!
 //! The interpreter walks a compiled [`Plan`]'s steps
 //! ([`crate::ir::Step`]) depth-first, invoking a callback once per
-//! satisfying valuation, and memoizes per-(relation, columns) hash
-//! indexes across fixpoint iterations in an [`IndexCache`] tracked by
-//! relation [`Generation`]: when a relation only grew, the cached index
-//! absorbs the new tuples incrementally instead of being rebuilt from
-//! scratch. Join-work telemetry ([`JoinCounters`]) is emitted here, in
-//! one place, for all engines.
+//! satisfying valuation. A scan with no bound column reads the
+//! relation's stored rows in place, in storage order, through one loop
+//! that the morsel entry point shares ([`for_each_match_morsel`]). A
+//! keyed scan probes a per-(relation, columns) hash index, memoized
+//! across fixpoint iterations in an [`IndexCache`] tracked by relation
+//! [`Generation`]: when a relation only grew, the cached index absorbs
+//! the new tuples incrementally instead of being rebuilt from scratch.
+//! Join-work telemetry ([`JoinCounters`]) is emitted here, in one place,
+//! for all engines.
 
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use unchained_common::{
     DeltaHandle, FxHashMap, Generation, HeapSize, Index, Instance, JoinCounters, Relation, Symbol,
     Tuple, Value,
@@ -48,6 +51,8 @@ struct CacheEntry {
 
 /// A per-run cache of relation indexes, keyed by
 /// `(relation, key columns, source)` and tracked by relation generation.
+/// It holds only indexes some probe keys into: scans with no bound
+/// column read storage in place and build none.
 ///
 /// A full-source entry whose relation only grew since the index was built
 /// absorbs the new tuples by appending postings ([`Index::absorb_from`]);
@@ -64,10 +69,10 @@ pub struct IndexCache {
     /// adds — the telemetry-off path stays branch-free). Engines
     /// snapshot and diff this per stage when telemetry is enabled.
     pub counters: JoinCounters,
-    /// Pool of packed-value scratch buffers reused by the scan step
-    /// (probe keys and posting copies), so steady-state probing does
-    /// not allocate. Depth-bounded: the pool high-water mark is the
-    /// deepest scan nesting of any plan, not the data size.
+    /// Pool of packed-value scratch buffers reused by keyed scans (probe
+    /// keys, and the postings a probe copies out), so steady-state
+    /// probing does not allocate. Depth-bounded: the pool high-water
+    /// mark is the deepest scan nesting of any plan, not the data size.
     scratch: Vec<Vec<Value>>,
     /// Pool of variable-slot lists the scan step reuses the same way.
     slots: Vec<Vec<usize>>,
@@ -176,6 +181,7 @@ impl IndexCache {
         relation: &Relation,
         mark: Option<Generation>,
     ) -> &Index {
+        debug_assert!(!cols.is_empty(), "a keyless scan reads storage in place");
         let gen_now = relation.generation();
         let counters = &mut self.counters;
         let fresh = |counters: &mut JoinCounters| {
@@ -246,8 +252,8 @@ impl IndexCache {
 /// * `before` — when set to `(inserted, deleted)`, full scans and
 ///   negative checks read `(full − inserted) ∪ deleted` instead of
 ///   `full`: the state before an update that inserted `inserted` and
-///   deleted `deleted`, read without copying it. The deleted side is
-///   indexed under its own cache entries (see
+///   deleted `deleted`, read without copying it. A keyed scan indexes
+///   the deleted side under its own cache entries (see
 ///   [`IndexCache::forget_withdrawn`]). Incremental maintenance reads
 ///   the pre-update fixpoint this way; the morsel entry point does not
 ///   support it.
@@ -293,7 +299,7 @@ pub fn for_each_match(
     on_match: &mut dyn FnMut(&Env) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     let mut env: Env = vec![None; plan.var_count];
-    run_steps(&plan.steps, &sources, adom, cache, &mut env, on_match)
+    Run { sources, adom }.steps(&plan.steps, cache, &mut env, on_match)
 }
 
 /// Like [`for_each_match`], but starting from a caller-seeded
@@ -311,7 +317,7 @@ pub fn for_each_match_from(
     on_match: &mut dyn FnMut(&Env) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     debug_assert_eq!(env.len(), plan.var_count);
-    run_steps(&plan.steps, &sources, adom, cache, env, on_match)
+    Run { sources, adom }.steps(&plan.steps, cache, env, on_match)
 }
 
 /// Runs `plan` and instantiates `head_args` once per match, invoking
@@ -343,9 +349,9 @@ pub enum Morsel {
     /// Run the plan in full. Used for plans whose first step is not a
     /// scan (no row range to partition).
     Whole,
-    /// Run only driver rows `lo..hi` (a range of the driver relation's
-    /// stored enumeration for full scans, or of its exact delta
-    /// enumeration for delta scans).
+    /// Run only driver rows `lo..hi`: storage positions counted from
+    /// the start of the driver's span (see [`driver_len`]), dead rows
+    /// included.
     Rows {
         /// First driver row (inclusive).
         lo: usize,
@@ -354,44 +360,95 @@ pub enum Morsel {
     },
 }
 
-/// Number of driver rows `plan` enumerates under `sources`: the stored
-/// length of the first scan step's relation (full scans) or its delta
-/// length (delta scans). `None` when the first step is not a scan — such
-/// plans cannot be row-partitioned and run as one [`Morsel::Whole`].
-/// An absent relation yields `Some(0)`: nothing to scan, zero morsels.
-pub fn driver_len(plan: &Plan, sources: Sources<'_>) -> Option<usize> {
-    let Some(Step::Scan { pred, source, .. }) = plan.steps.first() else {
-        return None;
-    };
-    let scan_instance = match source {
-        ScanSource::Full => sources.full,
-        ScanSource::Delta => sources.delta_from.unwrap_or(sources.full),
-    };
-    let Some(relation) = scan_instance.relation(*pred) else {
-        return Some(0);
-    };
-    match source {
-        ScanSource::Full => Some(relation.stored_len()),
-        ScanSource::Delta => {
-            let mark = sources
-                .delta
-                .expect("delta plan run without delta marks")
-                .mark(*pred);
-            Some(relation.delta_len(mark))
+/// What a scan step reads, in storage order: the live rows of
+/// `relation` at the storage positions `span` (all of storage for a
+/// full scan, the rows since `mark` for a Δ scan), less those in
+/// `hidden`, then every row of `withdrawn`. Only a full scan through a
+/// pre-update view ([`Sources::before`]) has `hidden` (the update's
+/// insertions) and `withdrawn` (its deletions). A scan with no bound
+/// column reads these rows in place; a keyed scan probes an index.
+struct Stored<'a> {
+    relation: Option<&'a Relation>,
+    mark: Option<Generation>,
+    span: Range<usize>,
+    hidden: Option<&'a Relation>,
+    withdrawn: Option<&'a Relation>,
+}
+
+impl<'a> Stored<'a> {
+    /// What a scan of `pred` from `source` reads in `sources`.
+    fn new(sources: &Sources<'a>, pred: Symbol, source: ScanSource) -> Self {
+        let (instance, mark, view) = match source {
+            ScanSource::Full => (sources.full, None, sources.before),
+            ScanSource::Delta => {
+                let marks = sources.delta.expect("delta plan run without delta marks");
+                let instance = sources.delta_from.unwrap_or(sources.full);
+                (instance, Some(marks.mark(pred)), None)
+            }
+        };
+        let relation = instance.relation(pred);
+        Stored {
+            relation,
+            mark,
+            span: relation.map_or(0..0, |r| {
+                mark.map_or(0, |m| r.delta_start(m))..r.stored_rows()
+            }),
+            hidden: view.and_then(|(inserted, _)| inserted.relation(pred)),
+            withdrawn: view.and_then(|(_, deleted)| deleted.relation(pred)),
         }
+    }
+
+    /// The rows, borrowed from storage.
+    fn rows(&self) -> impl Iterator<Item = &'a [Value]> {
+        let (span, hidden) = (self.span.clone(), self.hidden);
+        self.relation
+            .into_iter()
+            .flat_map(move |r| r.iter_stored_range(span.start, span.end))
+            .filter(move |row| !hidden.is_some_and(|h| h.contains_row(row)))
+            .chain(self.withdrawn.into_iter().flat_map(Relation::iter_stored))
+    }
+
+    /// How many rows [`Stored::rows`] yields; read off the storage
+    /// without walking it, unless a view hides some of its rows.
+    fn count(&self) -> usize {
+        if self.hidden.is_some() {
+            return self.rows().count();
+        }
+        self.relation
+            .map_or(0, |r| r.live_between(self.span.start, self.span.end))
+            + self.withdrawn.map_or(0, Relation::len)
     }
 }
 
+/// The plan's first step, if it is a scan: its arguments, and what it
+/// reads in `sources`.
+fn driver<'p, 'a>(plan: &'p Plan, sources: &Sources<'a>) -> Option<(&'p [Term], Stored<'a>)> {
+    let Some(Step::Scan {
+        pred, args, source, ..
+    }) = plan.steps.first()
+    else {
+        return None;
+    };
+    Some((args, Stored::new(sources, *pred, *source)))
+}
+
+/// Number of driver rows `plan` partitions into morsels under
+/// `sources`: the storage positions its first scan step spans, dead
+/// rows included. `None` when the first step is not a scan — such plans
+/// cannot be row-partitioned and run as one [`Morsel::Whole`]. An
+/// absent relation yields `Some(0)`: nothing to scan, zero morsels.
+pub fn driver_len(plan: &Plan, sources: Sources<'_>) -> Option<usize> {
+    driver(plan, &sources).map(|(_, scan)| scan.span.len())
+}
+
 /// Like [`for_each_match`], but restricted to one [`Morsel`] of the
-/// plan's driver scan. The driver rows are enumerated directly from
-/// columnar storage ([`Relation::iter_stored_range`] /
-/// [`Relation::iter_since_range`]) instead of through an index, so
-/// workers pulling disjoint row ranges partition the plan's match set
-/// exactly: every match consumes exactly one driver row, and the ranges
-/// partition the driver enumeration. An index built or absorbed over
-/// committed storage yields its postings in that same stored order, so
-/// on a committed instance the morsels of a partition, taken in order,
-/// yield the matches in the order [`for_each_match`] does.
+/// plan's driver scan. The morsel's driver rows are read in place by
+/// the loop that serves every scan with no bound column (constants in
+/// the driver are checked row by row), so workers pulling disjoint
+/// ranges partition the plan's match set exactly: every match consumes
+/// exactly one driver row. The sequential scan reads the same rows in
+/// the same order, so the morsels of a partition, taken in order, yield
+/// the matches in the order [`for_each_match`] does, on any storage.
 pub fn for_each_match_morsel(
     plan: &Plan,
     sources: Sources<'_>,
@@ -400,114 +457,21 @@ pub fn for_each_match_morsel(
     morsel: Morsel,
     on_match: &mut dyn FnMut(&Env),
 ) {
-    assert!(
-        sources.before.is_none(),
-        "morsels do not read pre-update views"
-    );
-    let mut on_match = |env: &Env| {
+    assert!(sources.before.is_none(), "morsels do not read views");
+    let on_match = &mut |env: &Env| {
         on_match(env);
         ControlFlow::Continue(())
     };
-    let (lo, hi) = match morsel {
-        Morsel::Whole => {
-            let _ = for_each_match(plan, sources, adom, cache, &mut on_match);
-            return;
+    let env = &mut vec![None; plan.var_count];
+    let run = Run { sources, adom };
+    let _ = match (morsel, driver(plan, &sources)) {
+        (Morsel::Rows { lo, hi }, Some((args, mut scan))) => {
+            scan.span = scan.span.start + lo..scan.span.start + hi;
+            let (rows, rest) = (scan.rows(), &plan.steps[1..]);
+            run.each_row(scan.count(), rows, args, &[], rest, cache, env, on_match)
         }
-        Morsel::Rows { lo, hi } => (lo, hi),
+        _ => run.steps(&plan.steps, cache, env, on_match),
     };
-    let Some((
-        Step::Scan {
-            pred, args, source, ..
-        },
-        rest,
-    )) = plan.steps.split_first()
-    else {
-        unreachable!("row morsel for a plan without a driver scan");
-    };
-    let scan_instance = match source {
-        ScanSource::Full => sources.full,
-        ScanSource::Delta => sources.delta_from.unwrap_or(sources.full),
-    };
-    let Some(relation) = scan_instance.relation(*pred) else {
-        return; // absent relation = empty driver
-    };
-    let rows: Box<dyn Iterator<Item = &[Value]>> = match source {
-        ScanSource::Full => relation.iter_stored_range(lo, hi),
-        ScanSource::Delta => {
-            let mark = sources
-                .delta
-                .expect("delta plan run without delta marks")
-                .mark(*pred);
-            relation.iter_since_range(mark, lo, hi)
-        }
-    };
-    let mut env: Env = vec![None; plan.var_count];
-    let mut scanned = 0u64;
-    // The driver borrow comes from `sources`, not `cache`, so the row
-    // iterator can be held across the recursive `run_steps` calls — no
-    // buffering needed. At step 0 nothing is bound yet, so every
-    // position is handled right here: constants are checked, variables
-    // bound (with the repeated-variable check).
-    for row in rows {
-        scanned += 1;
-        if bind_row(args, &[], row, &mut env) {
-            let _ = run_steps(rest, &sources, adom, cache, &mut env, &mut on_match);
-        }
-        env.fill(None);
-    }
-    cache.counters.probes += 1;
-    cache.counters.probe_tuples += scanned;
-}
-
-/// The full scans a plain index probe does not serve: a scan with
-/// every position bound, answered by the row-id tables, and scans
-/// through a pre-update view ([`Sources::before`]). Appends the
-/// matching rows to `buf` and returns their count. Kept out of line so
-/// the plain probe in [`run_steps`] stays small.
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn probe_full(
-    sources: Sources<'_>,
-    pred: Symbol,
-    args: &[Term],
-    key: &[usize],
-    probe: &[Value],
-    env: &Env,
-    cache: &mut IndexCache,
-    buf: &mut Vec<Value>,
-) -> usize {
-    if key.len() == args.len() {
-        buf.extend(args.iter().map(|t| term_value(t, env)));
-        if in_full(sources, pred, buf) {
-            return 1;
-        }
-        buf.clear();
-        return 0;
-    }
-    let (inserted, deleted) = sources
-        .before
-        .expect("a partly bound scan reaches here only through a view");
-    let mut rows = 0;
-    if let Some(relation) = sources.full.relation(pred) {
-        let added = inserted.relation(pred);
-        let postings = cache.get(pred, key, ScanSource::Full, relation, None);
-        for row in postings.probe(probe) {
-            if !added.is_some_and(|a| a.contains_row(row)) {
-                buf.extend_from_slice(row);
-                rows += 1;
-            }
-        }
-    }
-    if let Some(withdrawn) = deleted.relation(pred) {
-        let postings = cache
-            .entry(pred, key, Covers::Withdrawn, withdrawn, None)
-            .probe(probe);
-        rows += postings.len();
-        for row in postings {
-            buf.extend_from_slice(row);
-        }
-    }
-    rows
 }
 
 /// Whether `row` is in `pred` as full scans read it: in `full`, or in
@@ -550,125 +514,157 @@ fn bind_row(args: &[Term], key: &[usize], row: &[Value], env: &mut Env) -> bool 
     true
 }
 
-fn run_steps(
-    steps: &[Step],
-    sources: &Sources<'_>,
-    adom: &[Value],
-    cache: &mut IndexCache,
-    env: &mut Env,
-    on_match: &mut dyn FnMut(&Env) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    let Some((step, rest)) = steps.split_first() else {
-        return on_match(env);
-    };
-    match step {
-        Step::Scan {
-            pred,
-            args,
-            key,
-            source,
-        } => {
-            let mark = match source {
-                ScanSource::Full => None,
-                ScanSource::Delta => Some(
-                    sources
-                        .delta
-                        .expect("delta plan run without delta marks")
-                        .mark(*pred),
-                ),
-            };
-            let (scan_instance, view) = match source {
-                ScanSource::Full => (sources.full, sources.before),
-                ScanSource::Delta => (sources.delta_from.unwrap_or(sources.full), None),
-            };
-            let relation = scan_instance.relation(*pred);
-            let withdrawn = view.and_then(|(_, deleted)| deleted.relation(*pred));
-            if relation.is_none() && withdrawn.is_none() {
-                return ControlFlow::Continue(()); // absent relation = empty
+/// What every step of one plan run reads: its sources, and the active
+/// domain that domain steps enumerate.
+#[derive(Clone, Copy)]
+struct Run<'a> {
+    sources: Sources<'a>,
+    adom: &'a [Value],
+}
+
+impl Run<'_> {
+    /// Counts one probe yielding `count` rows, then binds `args` from
+    /// each of `rows` in turn, at the positions not in `key`, and runs
+    /// `rest` under each binding that matches.
+    #[allow(clippy::too_many_arguments)]
+    fn each_row<'r>(
+        self,
+        count: usize,
+        rows: impl Iterator<Item = &'r [Value]>,
+        args: &[Term],
+        key: &[usize],
+        rest: &[Step],
+        cache: &mut IndexCache,
+        env: &mut Env,
+        on_match: &mut dyn FnMut(&Env) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        cache.counters.probes += 1;
+        cache.counters.probe_tuples += count as u64;
+        let binds = cache.binds(args, key, env);
+        let mut flow = ControlFlow::Continue(());
+        for row in rows {
+            // Bind non-key positions, checking repeated variables.
+            if bind_row(args, key, row, env) {
+                flow = self.steps(rest, cache, env, on_match);
             }
-            // Build the probe key (packed) from the bound positions.
-            let mut probe = cache.take_scratch();
-            probe.extend(key.iter().map(|&p| term_value(&args[p], env)));
-            // The borrow checker will not let us hold the index across the
-            // recursive call (which needs `cache`), so copy the matching
-            // rows into a pooled packed buffer. Buckets are typically
-            // small, and in steady state this allocates nothing.
-            let mut buf = cache.take_scratch();
-            let rows = match relation {
-                Some(relation) if view.is_none() && (mark.is_some() || key.len() < args.len()) => {
-                    let postings = cache.get(*pred, key, *source, relation, mark).probe(&probe);
-                    let rows = postings.len();
-                    buf.reserve(rows * args.len());
-                    for row in postings {
-                        buf.extend(row.iter().copied());
+            for &b in &binds {
+                env[b] = None;
+            }
+            if flow.is_break() {
+                break;
+            }
+        }
+        cache.put_slots(binds);
+        flow
+    }
+
+    fn steps(
+        self,
+        steps: &[Step],
+        cache: &mut IndexCache,
+        env: &mut Env,
+        on_match: &mut dyn FnMut(&Env) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let Some((step, rest)) = steps.split_first() else {
+            return on_match(env);
+        };
+        let sources = self.sources;
+        match step {
+            Step::Scan {
+                pred,
+                args,
+                key,
+                source,
+            } => {
+                let scan = Stored::new(&sources, *pred, *source);
+                if scan.relation.is_none() && scan.withdrawn.is_none() {
+                    return ControlFlow::Continue(()); // absent relation = empty
+                }
+                if key.is_empty() {
+                    // Nothing bound: read the stored rows in place. They
+                    // borrow from `sources`, not `cache`: no buffering.
+                    let (count, rows) = (scan.count(), scan.rows());
+                    return self.each_row(count, rows, args, key, rest, cache, env, on_match);
+                }
+                // An index cannot be held across the recursive call (which
+                // needs `cache`), so copy the matching rows into a pooled
+                // buffer: buckets are typically small, and in steady state
+                // this allocates nothing.
+                let mut buf = cache.take_scratch();
+                let mut rows = 0;
+                if scan.mark.is_none() && key.len() == args.len() {
+                    // Every position bound: a membership test, no index.
+                    buf.extend(args.iter().map(|t| term_value(t, env)));
+                    rows = usize::from(in_full(sources, *pred, &buf));
+                    buf.truncate(rows * args.len());
+                } else {
+                    let mut probe = cache.take_scratch();
+                    probe.extend(key.iter().map(|&p| term_value(&args[p], env)));
+                    if let Some(relation) = scan.relation {
+                        let index = cache.get(*pred, key, *source, relation, scan.mark);
+                        for row in index.probe(&probe) {
+                            if !scan.hidden.is_some_and(|h| h.contains_row(row)) {
+                                buf.extend_from_slice(row);
+                                rows += 1;
+                            }
+                        }
                     }
-                    rows
+                    if let Some(withdrawn) = scan.withdrawn {
+                        let index = cache.entry(*pred, key, Covers::Withdrawn, withdrawn, None);
+                        for row in index.probe(&probe) {
+                            buf.extend_from_slice(row);
+                            rows += 1;
+                        }
+                    }
+                    cache.put_scratch(probe);
                 }
-                _ => probe_full(*sources, *pred, args, key, &probe, env, cache, &mut buf),
-            };
-            cache.counters.probes += 1;
-            cache.counters.probe_tuples += rows as u64;
-            let arity = args.len();
-            let binds = cache.binds(args, key, env);
-            let mut flow = ControlFlow::Continue(());
-            for i in 0..rows {
-                let row = &buf[i * arity..i * arity + arity];
-                // Bind non-key positions, checking repeated variables.
-                if bind_row(args, key, row, env) {
-                    flow = run_steps(rest, sources, adom, cache, env, on_match);
-                }
-                for &b in &binds {
-                    env[b] = None;
-                }
-                if flow.is_break() {
-                    break;
-                }
+                // A keyed scan binds a column, so its rows are not empty.
+                let chunks = buf.chunks_exact(args.len());
+                let flow = self.each_row(rows, chunks, args, key, rest, cache, env, on_match);
+                cache.put_scratch(buf);
+                flow
             }
-            cache.put_slots(binds);
-            cache.put_scratch(buf);
-            cache.put_scratch(probe);
-            flow
-        }
-        Step::BindEq { var, term } => {
-            let value = term_value(term, env);
-            let prev = env[var.index()];
-            env[var.index()] = Some(value);
-            let flow = run_steps(rest, sources, adom, cache, env, on_match);
-            env[var.index()] = prev;
-            flow
-        }
-        Step::Domain { var } => {
-            for &value in adom {
+            Step::BindEq { var, term } => {
+                let value = term_value(term, env);
+                let prev = env[var.index()];
                 env[var.index()] = Some(value);
-                run_steps(rest, sources, adom, cache, env, on_match)?;
+                let flow = self.steps(rest, cache, env, on_match);
+                env[var.index()] = prev;
+                flow
             }
-            env[var.index()] = None;
-            ControlFlow::Continue(())
-        }
-        Step::CheckNeg { pred, args } => {
-            let mut row = cache.take_scratch();
-            row.extend(args.iter().map(|t| term_value(t, env)));
-            let present = match sources.neg {
-                Some(neg) => {
-                    neg.contains_fact(*pred, &row)
-                        && !sources
-                            .neg_added
-                            .is_some_and(|added| added.contains_fact(*pred, &row))
+            Step::Domain { var } => {
+                for &value in self.adom {
+                    env[var.index()] = Some(value);
+                    self.steps(rest, cache, env, on_match)?;
                 }
-                None => in_full(*sources, *pred, &row),
-            };
-            cache.put_scratch(row);
-            if present {
+                env[var.index()] = None;
                 ControlFlow::Continue(())
-            } else {
-                run_steps(rest, sources, adom, cache, env, on_match)
             }
-        }
-        Step::CheckCmp { left, right, equal } => {
-            if (term_value(left, env) == term_value(right, env)) == *equal {
-                run_steps(rest, sources, adom, cache, env, on_match)
-            } else {
-                ControlFlow::Continue(())
+            Step::CheckNeg { pred, args } => {
+                let mut row = cache.take_scratch();
+                row.extend(args.iter().map(|t| term_value(t, env)));
+                let present = match sources.neg {
+                    Some(neg) => {
+                        neg.contains_fact(*pred, &row)
+                            && !sources
+                                .neg_added
+                                .is_some_and(|added| added.contains_fact(*pred, &row))
+                    }
+                    None => in_full(sources, *pred, &row),
+                };
+                cache.put_scratch(row);
+                if present {
+                    ControlFlow::Continue(())
+                } else {
+                    self.steps(rest, cache, env, on_match)
+                }
+            }
+            Step::CheckCmp { left, right, equal } => {
+                if (term_value(left, env) == term_value(right, env)) == *equal {
+                    self.steps(rest, cache, env, on_match)
+                } else {
+                    ControlFlow::Continue(())
+                }
             }
         }
     }
@@ -751,23 +747,26 @@ mod tests {
             ..Sources::simple(&live)
         };
         let mut cache = IndexCache::new();
-        let mut heads = |ri: usize| {
+        let heads = |ri: usize, cache: &mut IndexCache| {
             let rule = &program.rules[ri];
             let HeadLiteral::Pos(head) = &rule.head[0] else {
                 unreachable!()
             };
             let mut out: Vec<Tuple> = Vec::new();
             let plan = crate::planner::plan_rule(rule);
-            for_each_head(&plan, &head.args, sources, &[], &mut cache, &mut |t| {
-                out.push(t)
-            });
+            for_each_head(&plan, &head.args, sources, &[], cache, &mut |t| out.push(t));
             out.sort_unstable();
             out
         };
-        assert_eq!(heads(0), vec![pair(1), pair(3)]);
+        assert_eq!(heads(0, &mut cache), vec![pair(1), pair(3)]);
+        // The keyless scan read the view in place: one probe of its two
+        // rows, and no index over either side.
+        assert_eq!(cache.counters.index_builds, 0);
+        assert_eq!(cache.entry_count(), 0);
+        assert_eq!((cache.counters.probes, cache.counters.probe_tuples), (1, 2));
         let one = |a: i64| Tuple::from([Value::Int(a)]);
-        assert_eq!(heads(1), vec![one(1), one(3)]);
-        assert_eq!(heads(2), vec![one(5)]);
+        assert_eq!(heads(1, &mut cache), vec![one(1), one(3)]);
+        assert_eq!(heads(2, &mut cache), vec![one(5)]);
     }
 
     #[test]

@@ -6,13 +6,14 @@
 //! storage is `Sync`: the instance is only read while the plans run.
 //! Workers are `std::thread::scope` threads (no runtime, no channels,
 //! zero dependencies), one per requested thread, each owning a
-//! long-lived [`IndexCache`] that the driver keeps across stages, so
-//! full-relation indexes absorb committed segments incrementally exactly
-//! as in the sequential path.
+//! long-lived [`IndexCache`] for its keyed probes that the driver keeps
+//! across stages, so full-relation indexes absorb committed segments
+//! incrementally exactly as in the sequential path.
 //!
-//! Work is split into **morsels**: fixed-size contiguous row ranges of
-//! each plan's driver scan (its first step — the stored enumeration of a
-//! full scan, or the exact delta enumeration of a Δ variant). The morsel
+//! Work is split into **morsels**: fixed-size contiguous ranges of the
+//! storage positions each plan's driver scan (its first step) spans —
+//! all of storage for a full scan, the rows since the mark for a Δ
+//! variant — dead rows included, which the morsel skips. The morsel
 //! list is built deterministically, task-major, before any worker
 //! starts; workers then *pull* morsels from a shared atomic cursor until
 //! the queue is drained, so a worker stuck on a skewed morsel does not
@@ -21,12 +22,12 @@
 //!
 //! Determinism does not depend on the schedule: each worker buffers the
 //! valuations its morsels match, and the driver replays the buffers into
-//! the policy in morsel order once every worker is done. The morsels
-//! partition each driver enumeration exactly and in order, so the
-//! policy sees the matches of the sequential stage in the sequential
-//! order — which is what lets the order-sensitive policies (fresh-value
-//! numbering, first derivations) answer identically at any thread count
-//! and any morsel size.
+//! the policy in morsel order once every worker is done. A morsel reads
+//! its driver rows in place, in storage order, through the loop the
+//! sequential scan uses, so the policy sees the matches of the
+//! sequential stage in the sequential order — which is what lets the
+//! order-sensitive policies (fresh-value numbering, first derivations)
+//! answer identically at any thread count and any morsel size.
 
 use crate::exec::{driver_len, for_each_match_morsel, IndexCache, Morsel, Sources};
 use crate::fixpoint::RuleStat;
@@ -181,7 +182,7 @@ mod tests {
     use crate::planner::plan_rule;
     use crate::subst::active_domain;
     use std::ops::ControlFlow;
-    use unchained_common::{DeltaHandle, Instance, Interner, Tuple};
+    use unchained_common::{DeltaHandle, Instance, Interner, Symbol, Tuple};
     use unchained_parser::{parse_program, Program};
 
     fn tc_setup(n: i64) -> (Interner, Program, Instance) {
@@ -194,6 +195,22 @@ mod tests {
         }
         inst.commit_all();
         (i, p, inst)
+    }
+
+    /// Leaves `pred`'s storage untidy: an uncommitted tail of new
+    /// `(k, k + 2)` rows with a tombstone among them, and the committed
+    /// row `(0, 1)` retracted and revived, so its old row stays dead and
+    /// a fresh copy ends the tail.
+    fn scuff(inst: &mut Instance, pred: Symbol) {
+        for k in 0..5 {
+            inst.insert_fact(pred, Tuple::from([Value::Int(k), Value::Int(k + 2)]));
+        }
+        assert!(inst.retract_fact(pred, &[Value::Int(1), Value::Int(3)]));
+        let revived = [Value::Int(0), Value::Int(1)];
+        assert!(inst.retract_fact(pred, &revived));
+        assert!(inst.insert_fact(pred, Tuple::from(revived)));
+        let relation = inst.relation(pred).unwrap();
+        assert!(relation.recent_len() > 0 && relation.tombstone_count() == 2);
     }
 
     fn tasks<'a>(plans: &'a [Plan], sources: Sources<'a>) -> Vec<Task<'a>> {
@@ -225,9 +242,16 @@ mod tests {
     /// Across worker counts and morsel sizes — including one row per
     /// morsel and more workers than morsels — the replay hands the
     /// policy the sequential matches in the sequential order, and the
-    /// per-rule counts and worker lanes add up.
+    /// per-rule counts and worker lanes add up; on committed storage and
+    /// on an untidy one ([`scuff`]).
     #[test]
     fn morsel_full_round_matches_single_worker() {
+        for untidy in [false, true] {
+            full_round_matches_single_worker(untidy);
+        }
+    }
+
+    fn full_round_matches_single_worker(untidy: bool) {
         let (mut i, p, mut inst) = tc_setup(8);
         // Seed T with a first stage's output so the recursive rule
         // joins something, committed as one segment.
@@ -237,6 +261,10 @@ mod tests {
             inst.insert_fact(t, e);
         }
         inst.commit_all();
+        if untidy {
+            scuff(&mut inst, g);
+            scuff(&mut inst, t);
+        }
         let adom = active_domain(&p, &inst);
         let plans: Vec<Plan> = p.rules.iter().map(plan_rule).collect();
         let tasks = tasks(&plans, Sources::simple(&inst));
@@ -255,19 +283,27 @@ mod tests {
                 &mut stats,
                 &mut |rule, env| got.push((rule, env.clone())),
             );
-            assert_eq!(got, expect, "workers={workers} size={morsel_size}");
+            let ctx = format!("untidy={untidy} workers={workers} size={morsel_size}");
+            assert_eq!(got, expect, "{ctx}");
             for (rule, stat) in stats.iter().enumerate() {
                 let want = expect.iter().filter(|(r, _)| *r == rule).count() as u64;
-                assert_eq!(stat.fired, want, "workers={workers} size={morsel_size}");
+                assert_eq!(stat.fired, want, "{ctx}");
             }
             assert_eq!(lanes.len(), workers);
         }
     }
 
     /// Δ scans: the morsels partition the delta enumeration exactly and
-    /// replay it in order.
+    /// replay it in order, on committed storage and on an untidy one
+    /// ([`scuff`]).
     #[test]
     fn morsel_delta_round_matches_single_worker() {
+        for untidy in [false, true] {
+            delta_round_matches_single_worker(untidy);
+        }
+    }
+
+    fn delta_round_matches_single_worker(untidy: bool) {
         let (mut i, p, mut inst) = tc_setup(8);
         let t = i.intern("T");
         let mark = DeltaHandle::capture(&inst);
@@ -277,6 +313,9 @@ mod tests {
             inst.insert_fact(t, e);
         }
         inst.commit_all();
+        if untidy {
+            scuff(&mut inst, t);
+        }
         let mut planner = crate::planner::Planner::new(
             crate::planner::Catalog::empty(),
             crate::planner::PlanMode::Cost,
@@ -308,7 +347,10 @@ mod tests {
                 &mut |rule, env| got.push((rule, env.clone())),
             );
             assert!(lanes.is_empty(), "untimed stages record no lanes");
-            assert_eq!(got, expect, "workers={workers} size={morsel_size}");
+            assert_eq!(
+                got, expect,
+                "untidy={untidy} workers={workers} size={morsel_size}"
+            );
         }
     }
 

@@ -104,6 +104,17 @@ if [ $(( scale_bytes * 100 )) -gt $(( scale_facts * 48 * 125 )) ]; then
     exit 1
 fi
 
+# Index gate on the committed BENCH.json: a scan with no bound column
+# reads storage in place, so scale_reach at one thread indexes only G,
+# keyed once, never a copy of a scanned relation or delta.
+echo "==> BENCH.json scale_reach indexes no more than its EDB"
+scale_indexed=$(printf '%s' "$scale_row" | sed -n 's/.*"indexed_tuples":\([0-9]*\).*/\1/p')
+scale_edb=$(printf '%s' "$scale_row" | sed -n 's/.*"edb_facts":\([0-9]*\).*/\1/p')
+if [ -z "$scale_indexed" ] || [ -z "$scale_edb" ] || [ "$scale_indexed" -gt "$scale_edb" ]; then
+    echo "scale_reach indexed_tuples=$scale_indexed exceeds edb_facts=$scale_edb" >&2
+    exit 1
+fi
+
 # Docs drift gate: DESIGN.md's layout must name every crate directory.
 echo "==> DESIGN.md names every crates/* directory"
 for dir in crates/*/; do
@@ -296,9 +307,12 @@ fi
 # Incremental-maintenance gate 3: a poll costs its change, not the
 # instance. In the full quick smoke, the ivm row (initial fixpoint plus
 # one retraction poll) must absorb the poll into the session's indexes
-# without a rebuild, and index less than twice what the chain/seminaive
-# row (the same fixpoint, run alone) indexes.
-echo "==> bench smoke: ivm poll rebuilds no index and indexes < 2x chain/seminaive"
+# without a rebuild, and index no more than the chain/seminaive row
+# (the same fixpoint, run alone) plus the EDB once more: the poll's
+# support plans key into G's live rows and the pre-update view keys
+# into the retracted edge, edb_facts tuples together. A poll that
+# re-indexed state the size of the instance would exceed it.
+echo "==> bench smoke: ivm poll rebuilds no index and indexes <= chain/seminaive + EDB"
 ivm_smoke=$(grep '"workload":"ivm","engine":"incremental","threads":1' target/bench-smoke.json)
 chain_smoke=$(grep '"workload":"chain","engine":"seminaive","threads":1' target/bench-smoke.json)
 if [ -z "$ivm_smoke" ] || [ -z "$chain_smoke" ]; then
@@ -310,8 +324,9 @@ if [ "$(pick "$ivm_smoke" index_rebuilds)" != "0" ]; then
     echo "  row: $ivm_smoke" >&2
     exit 1
 fi
-if [ "$(pick "$ivm_smoke" indexed_tuples)" -ge $(( 2 * $(pick "$chain_smoke" indexed_tuples) )) ]; then
-    echo "ivm bench row indexed >= 2x the chain/seminaive row's tuples" >&2
+if [ "$(pick "$ivm_smoke" indexed_tuples)" -gt \
+    $(( $(pick "$chain_smoke" indexed_tuples) + $(pick "$chain_smoke" edb_facts) )) ]; then
+    echo "ivm bench row indexed more than the chain/seminaive row's tuples plus its EDB" >&2
     echo "  ivm:   $ivm_smoke" >&2
     echo "  chain: $chain_smoke" >&2
     exit 1
@@ -337,11 +352,13 @@ fi
 # Columnar/morsel gate 2: one full-size scale workload (Andersen
 # points-to, 4.4e5-fact EDB) through the bench harness at one timed
 # repetition. The thread-scaling rows must report byte-identical work
-# gauges (facts, stages, rules fired) — the morsel scheduler is only
-# allowed to change wall time — and the parallel wall time must stay
-# within the same order of magnitude as sequential (this container is
-# single-core, so parallel rows are legitimately slower, never faster;
-# the gate catches pathological blowups, not missing speedups).
+# gauges (facts, stages, rules fired, and probe_tuples: every match
+# consumes one driver row whichever loop reads it) — the morsel
+# scheduler is only allowed to change wall time — and the parallel
+# wall time must stay within the same order of magnitude as sequential
+# (this container is single-core, so parallel rows are legitimately
+# slower, never faster; the gate catches pathological blowups, not
+# missing speedups).
 echo "==> bench smoke: scale_pointsto work-gauge equality seq vs parallel"
 cargo run -q --release -p unchained-bench -- --filter scale_pointsto --reps 1 \
     --json target/bench-scale.json >/dev/null
@@ -360,7 +377,8 @@ for t in 2 4 8; do
     fi
     if [ "$(pick "$scale_seq" facts_derived)" != "$(pick "$scale_par" facts_derived)" ] \
         || [ "$(pick "$scale_seq" stages)" != "$(pick "$scale_par" stages)" ] \
-        || [ "$(pick "$scale_seq" rules_fired)" != "$(pick "$scale_par" rules_fired)" ]; then
+        || [ "$(pick "$scale_seq" rules_fired)" != "$(pick "$scale_par" rules_fired)" ] \
+        || [ "$(pick "$scale_seq" probe_tuples)" != "$(pick "$scale_par" probe_tuples)" ]; then
         echo "scale_pointsto threads:$t row drifted from sequential work gauges" >&2
         echo "  seq: $scale_seq" >&2
         echo "  par: $scale_par" >&2
