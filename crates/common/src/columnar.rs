@@ -4,9 +4,9 @@
 //! [`ColumnSegment`] packs rows into a single contiguous `Vec<Value>`
 //! in row-major order with a fixed stride (the arity): row `i`
 //! occupies `values[i*arity .. (i+1)*arity]`. A relation's uncommitted
-//! tail is packed the same way, and a commit hands its sorted buffer to
-//! a new segment ([`ColumnSegment::from_packed`]) without copying rows
-//! out one by one. Scans walk one allocation linearly and [`Rows`]
+//! tail is packed the same way, and a commit sorts the tail in place
+//! and hands that very buffer to a new segment
+//! ([`ColumnSegment::from_packed`]) without copying a row. Scans walk one allocation linearly and [`Rows`]
 //! hands rows out as borrowed `&[Value]` slices; no tuple is ever a
 //! heap box of its own.
 //!
@@ -76,6 +76,11 @@ impl ColumnSegment {
     /// True if the segment holds no rows.
     pub fn is_empty(&self) -> bool {
         self.rows == 0
+    }
+
+    /// The packed rows, row-major with stride [`ColumnSegment::arity`].
+    pub fn values(&self) -> &[Value] {
+        &self.values
     }
 
     /// Row `i` as a borrowed slice.

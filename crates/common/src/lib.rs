@@ -51,7 +51,9 @@ pub use metrics::{metrics, Registry, TIME_BUCKETS};
 pub use relation::{Generation, Index, Relation};
 pub use rng::Rng;
 pub use schema::{RelationSchema, Schema};
-pub use space::{fmt_bytes, tuple_bytes, HeapSize, SpaceNode, SpaceReport, SLOT_BYTES};
+pub use space::{
+    fmt_bytes, tuple_bytes, HeapSize, SpaceNode, SpaceReport, POSTING_BYTES, SLOT_BYTES,
+};
 pub use telemetry::{
     DivergenceSnapshot, EvalTrace, JoinCounters, StageRecord, Stopwatch, Telemetry,
 };

@@ -8,9 +8,9 @@
 //!   internally sorted **stable segments** ([`ColumnSegment`], one
 //!   arity-strided `Vec<Value>` each, shared by clones through `Arc`)
 //!   plus a mutable **tail** in insertion order, packed the same way.
-//!   [`Relation::commit`] sorts the tail and freezes it into a new
-//!   segment. Rows are numbered by *storage position*: the segments in
-//!   order, then the tail.
+//!   [`Relation::commit`] sorts the tail in place and hands its buffer
+//!   to a new segment. Rows are numbered by *storage position*: the
+//!   segments in order, then the tail.
 //! * **Membership** is an open-addressing row-id table: each slot holds
 //!   the storage position of one live row plus the top bits of its hash.
 //!   A probe hashes the borrowed row, walks the slots, and compares a
@@ -31,13 +31,25 @@
 //! [`Index::absorb_from`] needs to maintain hash indexes incrementally
 //! instead of rebuilding them on every version bump. Every scan hands
 //! out borrowed `&[Value]` rows (or [`Row`]s) without pointer chasing.
+//!
+//! An [`Index`] holds no rows either: its postings are the `u32`
+//! storage positions of the rows they index, and [`Relation::rows_at`]
+//! reads them back through a forward segment cursor. A position names
+//! the same row for as long as the relation's [`Generation`] describes
+//! a prefix of its storage: segments never move, but a commit sorts the
+//! tail, so an index stamped while the tail held rows must be rebuilt
+//! after a commit, never probed — [`Index::absorb_from`] refuses such a
+//! stamp.
 
 use crate::columnar::{ColumnSegment, Rows};
-use crate::hash::{FxHashSet, FxHasher};
-use crate::space::{tuple_bytes, HeapSize, SpaceNode, SLOT_BYTES, TUPLE_HEADER_BYTES, VALUE_BYTES};
+use crate::hash::{FxHashMap, FxHashSet, FxHasher};
+use crate::space::{
+    tuple_bytes, HeapSize, SpaceNode, POSTING_BYTES, SLOT_BYTES, TUPLE_HEADER_BYTES, VALUE_BYTES,
+};
 use crate::tuple::{Row, Tuple};
 use crate::value::Value;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -154,6 +166,32 @@ fn set_bit(bits: &mut Vec<u64>, pos: usize, on: bool) {
         bits[pos / 64] |= 1 << (pos % 64);
     } else {
         bits[pos / 64] &= !(1 << (pos % 64));
+    }
+}
+
+/// Rearranges the rows packed in `values` with stride `a` so that row
+/// `k` becomes the row that was at `order[k]`: each cycle of the
+/// permutation is walked once, holding one row aside. Leaves `order`
+/// the identity.
+fn permute_rows(values: &mut [Value], a: usize, order: &mut [u32]) {
+    let mut held = Vec::with_capacity(a);
+    for start in 0..order.len() {
+        if order[start] as usize == start {
+            continue;
+        }
+        held.clear();
+        held.extend_from_slice(&values[start * a..start * a + a]);
+        let mut k = start;
+        loop {
+            let from = order[k] as usize;
+            order[k] = k as u32;
+            if from == start {
+                values[k * a..k * a + a].copy_from_slice(&held);
+                break;
+            }
+            values.copy_within(from * a..from * a + a, k * a);
+            k = from;
+        }
     }
 }
 
@@ -622,9 +660,14 @@ impl Relation {
     /// Freezes the recent tail into a new stable segment (sorted and
     /// packed columnar), returning `true` if anything was committed.
     /// Contents are unchanged, so the version does not move — only the
-    /// generation shape does. The sort moves rows, so the table slots,
-    /// dead bits and log entries of the moved rows are re-pointed at
-    /// their new positions.
+    /// generation shape does.
+    ///
+    /// The sort runs over a `u32` order of the tail's rows; the table
+    /// slots of the rows it moves are re-pointed straight from the
+    /// order, and dead rows (and their log entries) through a small map
+    /// built only when the tail holds any. The packed tail is then
+    /// permuted in place, cycle by cycle, and its own buffer becomes the
+    /// segment: no second copy of the rows is ever allocated.
     pub fn commit(&mut self) -> bool {
         let logged = std::mem::replace(&mut self.logged_at_commit, self.retracted.len());
         let n = self.tail_len;
@@ -632,44 +675,15 @@ impl Relation {
             return false;
         }
         let (a, base) = (self.arity, self.tail_base);
-        let tail = std::mem::take(&mut self.tail);
-        let row = |i: usize| &tail[i * a..i * a + a];
-        let mut order: Vec<usize> = (0..n).collect();
+        let mut order: Vec<u32> = (0..u32::try_from(n).expect("tail fits u32 positions")).collect();
+        let tail = &self.tail;
+        let row = |i: u32| &tail[i as usize * a..i as usize * a + a];
         order.sort_unstable_by(|&i, &j| row(i).cmp(row(j)));
-        let mut values = Vec::with_capacity(n * a);
-        for &i in &order {
-            values.extend_from_slice(row(i));
+        if order.iter().enumerate().any(|(k, &i)| k != i as usize) {
+            self.repoint_tail(logged, &order);
+            permute_rows(&mut self.tail, a, &mut order);
         }
-        if order.iter().enumerate().any(|(k, &i)| k != i) {
-            let mut rank = vec![0; n];
-            for (k, &i) in order.iter().enumerate() {
-                rank[i] = k;
-            }
-            // Dead tail rows were logged since the last commit.
-            let moved_dead: Vec<usize> = self.retracted[logged..]
-                .iter()
-                .filter(|&&pos| pos >= base)
-                .map(|&pos| pos - base)
-                .collect();
-            let table = Arc::make_mut(&mut self.table);
-            for (i, &slot) in self.tail_slots.iter().enumerate() {
-                if !bit(&self.dead, base + i) {
-                    let e = &mut table.slots[slot];
-                    *e = (*e & !POS_MASK) | (base + rank[i]) as u64;
-                }
-            }
-            for &i in &moved_dead {
-                set_bit(&mut self.dead, base + i, false);
-            }
-            for &i in &moved_dead {
-                set_bit(&mut self.dead, base + rank[i], true);
-            }
-            for pos in &mut self.retracted[logged..] {
-                if *pos >= base {
-                    *pos = base + rank[*pos - base];
-                }
-            }
-        }
+        let values = std::mem::take(&mut self.tail);
         self.segments
             .push(Arc::new(ColumnSegment::from_packed(a, n, values)));
         self.starts.push(base);
@@ -677,6 +691,41 @@ impl Relation {
         self.tail_len = 0;
         self.tail_slots = Vec::new();
         true
+    }
+
+    /// Re-points what names a tail row by position at the position the
+    /// commit's sort gives it: the row `order[k]` moves to tail index
+    /// `k`. Live rows are found through their table slots; dead ones
+    /// were logged since the last commit (at `logged` on), and only
+    /// those are mapped.
+    fn repoint_tail(&mut self, logged: usize, order: &[u32]) {
+        let base = self.tail_base;
+        let any_dead = self.retracted[logged..].iter().any(|&pos| pos >= base);
+        let mut moved_dead: FxHashMap<usize, usize> = FxHashMap::default();
+        let table = Arc::make_mut(&mut self.table);
+        for (k, &i) in order.iter().enumerate() {
+            let i = i as usize;
+            if any_dead && bit(&self.dead, base + i) {
+                moved_dead.insert(i, k);
+            } else {
+                let e = &mut table.slots[self.tail_slots[i]];
+                *e = (*e & !POS_MASK) | (base + k) as u64;
+            }
+        }
+        if moved_dead.is_empty() {
+            return;
+        }
+        for &i in moved_dead.keys() {
+            set_bit(&mut self.dead, base + i, false);
+        }
+        for &k in moved_dead.values() {
+            set_bit(&mut self.dead, base + k, true);
+        }
+        for pos in &mut self.retracted[logged..] {
+            if *pos >= base {
+                *pos = base + moved_dead[&(*pos - base)];
+            }
+        }
     }
 
     /// Commits the recent tail and returns the live tuples as frozen
@@ -797,12 +846,36 @@ impl Relation {
     /// belongs to another epoch — a conservative superset, since every
     /// logged row is genuinely dead.
     pub fn retracted_since(&self, gen: Generation) -> impl Iterator<Item = &[Value]> {
+        self.retracted_positions_since(gen)
+            .iter()
+            .map(|&pos| self.row_at(pos))
+    }
+
+    /// The storage positions of the rows [`Relation::retracted_since`]
+    /// yields, in retraction order.
+    fn retracted_positions_since(&self, gen: Generation) -> &[usize] {
         let from = if gen.epoch == self.epoch {
             gen.retracted.min(self.retracted.len())
         } else {
             0
         };
-        self.retracted[from..].iter().map(|&pos| self.row_at(pos))
+        &self.retracted[from..]
+    }
+
+    /// The stored rows at `positions`, read through a forward segment
+    /// cursor: a position in the segment of the one before it costs a
+    /// slice, and only a move to another segment searches for it, from
+    /// that segment on when positions ascend — as the postings of an
+    /// [`Index`] bucket do. Every position must be below
+    /// [`Relation::stored_rows`].
+    pub fn rows_at<I: IntoIterator<Item = u32>>(&self, positions: I) -> RowsAt<'_, I::IntoIter> {
+        RowsAt {
+            relation: self,
+            positions: positions.into_iter(),
+            seg: 0,
+            span: 0..0,
+            values: &[],
+        }
     }
 
     /// Exact delta bounds `(first new segment, first new recent index)` for
@@ -936,6 +1009,60 @@ impl PartialEq for Relation {
 
 impl Eq for Relation {}
 
+/// Iterator over stored rows by storage position; see
+/// [`Relation::rows_at`].
+#[derive(Clone, Debug)]
+pub struct RowsAt<'a, I> {
+    relation: &'a Relation,
+    positions: I,
+    /// The run the last position fell in — segment `seg`, or the tail
+    /// when `seg` is the segment count — its storage positions, and its
+    /// packed rows.
+    seg: usize,
+    span: Range<usize>,
+    values: &'a [Value],
+}
+
+impl<'a, I> RowsAt<'a, I> {
+    /// Moves the cursor to the run holding storage position `pos`,
+    /// searching from the current run on when `pos` lies past it.
+    #[cold]
+    fn seek(&mut self, pos: usize) {
+        let r = self.relation;
+        if pos >= r.tail_base {
+            self.seg = r.segments.len();
+            self.span = r.tail_base..r.stored_rows();
+            self.values = &r.tail;
+            return;
+        }
+        let from = if pos >= self.span.end { self.seg } else { 0 };
+        self.seg = from + r.starts[from..].partition_point(|&start| start <= pos) - 1;
+        let seg = &r.segments[self.seg];
+        self.span = r.starts[self.seg]..r.starts[self.seg] + seg.len();
+        self.values = seg.values();
+    }
+}
+
+impl<'a, I: Iterator<Item = u32>> Iterator for RowsAt<'a, I> {
+    type Item = &'a [Value];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [Value]> {
+        let pos = self.positions.next()? as usize;
+        if !self.span.contains(&pos) {
+            self.seek(pos);
+        }
+        let (a, i) = (self.relation.arity, pos - self.span.start);
+        Some(&self.values[i * a..i * a + a])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.positions.size_hint()
+    }
+}
+
+impl<I: ExactSizeIterator<Item = u32>> ExactSizeIterator for RowsAt<'_, I> {}
+
 /// Sentinel for "end of chain" in the open-addressing index.
 const NONE32: u32 = u32::MAX;
 
@@ -987,10 +1114,12 @@ fn hash_key(key: &[Value]) -> u64 {
 /// fixed set of key columns.
 ///
 /// Built once per (relation generation, key columns) by evaluators and used
-/// to drive index-nested-loop joins: `probe` returns exactly the tuples
-/// whose key columns equal the probe key. When the underlying relation only
-/// grew since the index was built, [`Index::absorb_from`] appends the new
-/// postings instead of rebuilding.
+/// to drive index-nested-loop joins: `probe` returns exactly the storage
+/// positions of the tuples whose key columns equal the probe key, and
+/// [`Relation::rows_at`] reads those rows from the relation the index
+/// was built over. When the underlying relation only grew since the
+/// index was built, [`Index::absorb_from`] appends the new postings
+/// instead of rebuilding.
 ///
 /// The layout is open-addressing over packed columns, specialized for
 /// the columnar storage:
@@ -1000,30 +1129,27 @@ fn hash_key(key: &[Value]) -> u64 {
 /// * bucket keys live packed in one `Vec<Value>` (stride = #key
 ///   columns), and each bucket's hash and chain ends in one record, so
 ///   a probe touches the slot, the key and the bucket;
-/// * postings live packed in one `Vec<Value>` (stride = arity), linked
-///   per bucket through a `next` chain that preserves append order.
+/// * postings are `u32` storage positions, linked per bucket through a
+///   `next` chain that preserves append order — ascending positions,
+///   since rows are appended in storage order.
 ///
-/// Probing and absorbing therefore never allocate a per-tuple box: a
-/// probe hashes the borrowed key slice, walks the chain, and yields
-/// borrowed `&[Value]` rows.
+/// The index never copies a row: a tuple is stored once, in its
+/// relation. Probing and absorbing allocate nothing per tuple.
 #[derive(Debug)]
 pub struct Index {
     key_columns: Vec<usize>,
-    arity: usize,
     /// Linear-probe slot table of [`bucket_entry`]s; [`NO_BUCKET`] marks
     /// an empty slot.
     slots: Vec<u64>,
     /// Packed bucket keys, stride `key_columns.len()`.
     keys: Vec<Value>,
     buckets: Vec<Bucket>,
-    /// Packed posting rows, stride `arity`. Unappended rows stay in the
-    /// buffer (unlinked from their chain) — absorb workloads retract
-    /// far fewer rows than they append.
-    rows: Vec<Value>,
+    /// The storage position of each posting's row. Unappended postings
+    /// stay (unlinked from their chain) — absorb workloads retract far
+    /// fewer rows than they append.
+    positions: Vec<u32>,
     /// Per-posting chain links.
     next: Vec<u32>,
-    /// Total postings ever appended (dead ones included).
-    row_count: usize,
     /// Live postings across all buckets.
     live: usize,
     /// Buckets with at least one live posting.
@@ -1033,16 +1159,14 @@ pub struct Index {
 }
 
 impl Index {
-    fn empty(key_columns: &[usize], arity: usize) -> Self {
+    fn empty(key_columns: &[usize]) -> Self {
         Index {
             key_columns: key_columns.to_vec(),
-            arity,
             slots: Vec::new(),
             keys: Vec::new(),
             buckets: Vec::new(),
-            rows: Vec::new(),
+            positions: Vec::new(),
             next: Vec::new(),
-            row_count: 0,
             live: 0,
             live_buckets: 0,
             last_bucket: usize::MAX,
@@ -1051,36 +1175,36 @@ impl Index {
 
     /// Builds the index. `key_columns` must be valid positions.
     pub fn build(relation: &Relation, key_columns: &[usize]) -> Self {
-        let mut idx = Index::empty(key_columns, relation.arity());
-        idx.rows.reserve(relation.len() * relation.arity());
+        let mut idx = Index::empty(key_columns);
+        idx.positions.reserve(relation.len());
         idx.next.reserve(relation.len());
-        for row in relation.iter_stored() {
-            idx.append_row(row);
-        }
+        idx.append_from(relation, 0);
         idx
     }
 
     /// Builds an index over only the tuples added since `gen` — the shape
     /// semi-naive evaluation uses for its per-round delta scans.
     pub fn build_delta(relation: &Relation, key_columns: &[usize], gen: Generation) -> Self {
-        let mut idx = Index::empty(key_columns, relation.arity());
-        for row in relation.iter_since(gen) {
-            idx.append_row(row);
-        }
+        let mut idx = Index::empty(key_columns);
+        idx.append_from(relation, relation.delta_start(gen));
         idx
+    }
+
+    /// Appends a posting for every live row of `relation` from storage
+    /// position `lo` on, in storage order; returns how many.
+    fn append_from(&mut self, relation: &Relation, lo: usize) -> usize {
+        let mut appended = 0;
+        for (pos, row) in relation.live_rows(lo, usize::MAX) {
+            self.append(pos, row);
+            appended += 1;
+        }
+        appended
     }
 
     /// The key slice of bucket `b`.
     fn key_of(&self, b: usize) -> &[Value] {
         let k = self.key_columns.len();
         &self.keys[b * k..(b + 1) * k]
-    }
-
-    /// The packed row of posting `r`.
-    fn row_of(&self, r: u32) -> &[Value] {
-        let a = self.arity;
-        let r = r as usize;
-        &self.rows[r * a..r * a + a]
     }
 
     /// True iff bucket `b`'s key equals `row`'s key columns.
@@ -1170,9 +1294,9 @@ impl Index {
         b
     }
 
-    /// Appends a posting for `row`, preserving append order per bucket.
-    fn append_row(&mut self, row: &[Value]) {
-        debug_assert_eq!(row.len(), self.arity);
+    /// Appends a posting for `row`, stored at position `pos`, at the end
+    /// of its bucket. Positions must ascend within a bucket.
+    fn append(&mut self, pos: usize, row: &[Value]) {
         // Sorted storage appends runs of rows with one key: a row whose
         // key is the last row's joins its bucket without hashing.
         let b = match self.last_bucket {
@@ -1183,15 +1307,19 @@ impl Index {
             }
         };
         self.last_bucket = b;
-        let r = self.row_count as u32;
-        self.rows.extend(row.iter().copied());
+        let pos = u32::try_from(pos).expect("storage position fits a u32 posting");
+        let r = u32::try_from(self.positions.len()).expect("postings fit u32 links");
+        self.positions.push(pos);
         self.next.push(NONE32);
-        self.row_count += 1;
         let bucket = &mut self.buckets[b];
         if bucket.len == 0 {
             self.live_buckets += 1;
             bucket.head = r;
         } else {
+            debug_assert!(
+                self.positions[bucket.tail as usize] < pos,
+                "postings ascend"
+            );
             self.next[bucket.tail as usize] = r;
         }
         bucket.tail = r;
@@ -1199,40 +1327,42 @@ impl Index {
         self.live += 1;
     }
 
-    /// Removes one posting for `row`, if present. Tolerant of absent
-    /// postings: a tuple inserted *and* retracted since the index's
-    /// generation was never appended in the first place.
-    fn unappend(&mut self, row: &[Value]) {
+    /// Removes the posting of `row`, stored at position `pos`, if there
+    /// is one. Tolerant of absent postings: a tuple inserted *and*
+    /// retracted since the index's generation was never appended in the
+    /// first place. Postings ascend within a bucket, so the walk stops
+    /// at the first position past `pos`.
+    fn unappend(&mut self, pos: usize, row: &[Value]) {
         let h = hash_row_key(&self.key_columns, row);
         let Some(b) = self.find_bucket_for_row(h, row) else {
             return;
         };
         let mut prev = NONE32;
         let mut cur = self.buckets[b].head;
-        while cur != NONE32 {
-            if self.row_of(cur) == row {
-                let nxt = self.next[cur as usize];
-                if prev != NONE32 {
-                    self.next[prev as usize] = nxt;
-                }
-                let bucket = &mut self.buckets[b];
-                if prev == NONE32 {
-                    bucket.head = nxt;
-                }
-                if bucket.tail == cur {
-                    bucket.tail = prev;
-                }
-                bucket.len -= 1;
-                self.live -= 1;
-                if bucket.len == 0 {
-                    self.live_buckets -= 1;
-                    bucket.head = NONE32;
-                    bucket.tail = NONE32;
-                }
-                return;
-            }
+        while cur != NONE32 && (self.positions[cur as usize] as usize) < pos {
             prev = cur;
             cur = self.next[cur as usize];
+        }
+        if cur == NONE32 || self.positions[cur as usize] as usize != pos {
+            return;
+        }
+        let nxt = self.next[cur as usize];
+        if prev != NONE32 {
+            self.next[prev as usize] = nxt;
+        }
+        let bucket = &mut self.buckets[b];
+        if prev == NONE32 {
+            bucket.head = nxt;
+        }
+        if bucket.tail == cur {
+            bucket.tail = prev;
+        }
+        bucket.len -= 1;
+        self.live -= 1;
+        if bucket.len == 0 {
+            self.live_buckets -= 1;
+            bucket.head = NONE32;
+            bucket.tail = NONE32;
         }
     }
 
@@ -1242,21 +1372,18 @@ impl Index {
     }
 
     /// Absorbs the changes `relation` saw since `gen` (the generation this
-    /// index is current for): postings for retracted tuples are removed,
-    /// postings for new live tuples appended. Returns the number of
-    /// tuples appended, or `None` when the delta cannot be reconstructed
-    /// exactly and the caller must rebuild.
+    /// index is current for): the postings of the rows retracted since
+    /// are unlinked by their logged storage positions, and postings for
+    /// the new live rows appended. Returns the number of tuples
+    /// appended, or `None` when `gen` is no longer a storage prefix — a
+    /// lineage break, or a commit that sorted a tail the index holds
+    /// positions in — and the caller must rebuild.
     pub fn absorb_from(&mut self, relation: &Relation, gen: Generation) -> Option<usize> {
         relation.delta_bounds(gen)?;
-        for t in relation.retracted_since(gen) {
-            self.unappend(t);
+        for &pos in relation.retracted_positions_since(gen) {
+            self.unappend(pos, relation.row_at(pos));
         }
-        let mut appended = 0;
-        for row in relation.iter_since(gen) {
-            self.append_row(row);
-            appended += 1;
-        }
-        Some(appended)
+        Some(self.append_from(relation, relation.delta_start(gen)))
     }
 
     /// The key columns this index was built on.
@@ -1264,8 +1391,10 @@ impl Index {
         &self.key_columns
     }
 
-    /// The tuples whose key columns equal `key`, in append order, as
-    /// borrowed packed rows. The iterator reports its exact length.
+    /// The storage positions of the tuples whose key columns equal
+    /// `key`, ascending (append order); read the rows with
+    /// [`Relation::rows_at`] on the relation the index was built over.
+    /// The iterator reports its exact length.
     pub fn probe(&self, key: &[Value]) -> Postings<'_> {
         debug_assert_eq!(key.len(), self.key_columns.len());
         let h = hash_key(key);
@@ -1289,8 +1418,8 @@ impl Index {
     }
 }
 
-/// Iterator over the postings of one [`Index`] bucket, yielding packed
-/// rows in append order.
+/// Iterator over the postings of one [`Index`] bucket, yielding storage
+/// positions in append order.
 #[derive(Clone, Debug)]
 pub struct Postings<'a> {
     index: &'a Index,
@@ -1298,17 +1427,18 @@ pub struct Postings<'a> {
     remaining: usize,
 }
 
-impl<'a> Iterator for Postings<'a> {
-    type Item = &'a [Value];
+impl Iterator for Postings<'_> {
+    type Item = u32;
 
-    fn next(&mut self) -> Option<&'a [Value]> {
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
         if self.cur == NONE32 {
             return None;
         }
-        let r = self.cur;
-        self.cur = self.index.next[r as usize];
+        let r = self.cur as usize;
+        self.cur = self.index.next[r];
         self.remaining -= 1;
-        Some(self.index.row_of(r))
+        Some(self.index.positions[r])
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -1319,12 +1449,12 @@ impl<'a> Iterator for Postings<'a> {
 impl ExactSizeIterator for Postings<'_> {}
 
 impl HeapSize for Index {
-    /// One key row per live bucket plus one stored-tuple copy per live
-    /// posting — the same logical bucket model as before the columnar
-    /// layout, so index byte gauges stay comparable.
+    /// One boxed key per live bucket plus one [`POSTING_BYTES`] posting
+    /// (a storage position and a chain link) per live posting: the rows
+    /// themselves are charged to the relation that stores them.
     fn heap_bytes(&self) -> usize {
         let key_width = TUPLE_HEADER_BYTES + self.key_columns.len() * VALUE_BYTES;
-        self.live_buckets * key_width + self.live * tuple_bytes(self.arity)
+        self.live_buckets * key_width + self.live * POSTING_BYTES
     }
 }
 
@@ -1406,7 +1536,10 @@ mod tests {
         r.commit(); // segment is sorted: (1,10), (1,20), (1,30)
         r.insert(t2(1, 5)); // tail appends after the segment
         let idx = Index::build(&r, &[0]);
-        let got: Vec<Tuple> = idx.probe(&[Value::Int(1)]).map(Tuple::new).collect();
+        let got: Vec<Tuple> = r
+            .rows_at(idx.probe(&[Value::Int(1)]))
+            .map(Tuple::new)
+            .collect();
         assert_eq!(got, vec![t2(1, 10), t2(1, 20), t2(1, 30), t2(1, 5)]);
     }
 
@@ -1428,7 +1561,10 @@ mod tests {
         assert_eq!(idx.distinct_keys(), 500);
         assert_eq!(idx.tuple_count(), 1000);
         for k in 0..500 {
-            let got: Vec<Tuple> = idx.probe(&[Value::Int(k)]).map(Tuple::new).collect();
+            let got: Vec<Tuple> = r
+                .rows_at(idx.probe(&[Value::Int(k)]))
+                .map(Tuple::new)
+                .collect();
             assert_eq!(got, vec![t2(k, k + 1), t2(k, k + 2)], "key {k}");
         }
         assert_eq!(idx.probe(&[Value::Int(999)]).count(), 0);
@@ -1731,9 +1867,15 @@ mod tests {
         r.retract(&t2(1, 10));
         r.insert(t2(3, 40));
         assert_eq!(idx.absorb_from(&r, mark), Some(1));
-        let got: Vec<Tuple> = idx.probe(&[Value::Int(1)]).map(Tuple::new).collect();
+        let got: Vec<Tuple> = r
+            .rows_at(idx.probe(&[Value::Int(1)]))
+            .map(Tuple::new)
+            .collect();
         assert_eq!(got, vec![t2(1, 20)]);
-        let got: Vec<Tuple> = idx.probe(&[Value::Int(3)]).map(Tuple::new).collect();
+        let got: Vec<Tuple> = r
+            .rows_at(idx.probe(&[Value::Int(3)]))
+            .map(Tuple::new)
+            .collect();
         assert_eq!(got, vec![t2(3, 40)]);
         assert_eq!(idx.tuple_count(), 3);
         // Retracting the last posting of a key drops the bucket.
@@ -1750,16 +1892,23 @@ mod tests {
     }
 
     /// Unappending the head, middle, and tail of one bucket's chain
-    /// keeps the remaining postings in append order, and a re-append
-    /// after emptying the bucket revives it.
+    /// by storage position keeps the remaining postings in append order,
+    /// and a re-append after emptying the bucket revives it.
     #[test]
     fn unappend_keeps_chain_order_at_every_position() {
         let rows: Vec<Tuple> = (0..4).map(|k| t2(1, k)).collect();
         for victim in 0..4 {
             let r = Relation::from_tuples(2, rows.clone());
             let mut idx = Index::build(&r, &[0]);
-            idx.unappend(rows[victim].values());
-            let got: Vec<Tuple> = idx.probe(&[Value::Int(1)]).map(Tuple::new).collect();
+            // An absent posting (a position the bucket never held) is
+            // passed over.
+            idx.unappend(9, rows[victim].values());
+            assert_eq!(idx.tuple_count(), 4);
+            idx.unappend(victim, rows[victim].values());
+            let got: Vec<Tuple> = r
+                .rows_at(idx.probe(&[Value::Int(1)]))
+                .map(Tuple::new)
+                .collect();
             let expect: Vec<Tuple> = rows
                 .iter()
                 .enumerate()
@@ -1770,13 +1919,17 @@ mod tests {
             assert_eq!(idx.tuple_count(), 3);
         }
         // Empty a bucket completely, then revive it.
-        let r = Relation::from_tuples(2, vec![t2(7, 1)]);
+        let mut r = Relation::from_tuples(2, vec![t2(7, 1)]);
         let mut idx = Index::build(&r, &[0]);
-        idx.unappend(t2(7, 1).values());
+        idx.unappend(0, t2(7, 1).values());
         assert_eq!(idx.distinct_keys(), 0);
         assert_eq!(idx.probe(&[Value::Int(7)]).count(), 0);
-        idx.append_row(t2(7, 2).values());
-        let got: Vec<Tuple> = idx.probe(&[Value::Int(7)]).map(Tuple::new).collect();
+        r.insert(t2(7, 2));
+        idx.append(1, r.row_at(1));
+        let got: Vec<Tuple> = r
+            .rows_at(idx.probe(&[Value::Int(7)]))
+            .map(Tuple::new)
+            .collect();
         assert_eq!(got, vec![t2(7, 2)]);
         assert_eq!(idx.distinct_keys(), 1);
     }
@@ -1804,7 +1957,10 @@ mod tests {
         assert_eq!(r.delta_len(mark), 1);
         // The index un-appends the dead copy and appends the fresh one.
         assert_eq!(idx.absorb_from(&r, mark), Some(1));
-        let got: Vec<Tuple> = idx.probe(&[Value::Int(1)]).map(Tuple::new).collect();
+        let got: Vec<Tuple> = r
+            .rows_at(idx.probe(&[Value::Int(1)]))
+            .map(Tuple::new)
+            .collect();
         assert_eq!(got, vec![t2(1, 2)]);
         // Union-based merges take the same revival path.
         let mut a = Relation::from_tuples(2, vec![t2(7, 8)]);
@@ -1817,7 +1973,9 @@ mod tests {
     /// One tuple retracted and revived again and again, across commits
     /// that sort tails holding several of its copies: every view keeps
     /// exactly one live copy, and an index that follows the lineage
-    /// agrees with a fresh build after every step.
+    /// agrees with a fresh build after every step. A commit that sorts a
+    /// tail the index holds positions in refuses the index's stamp, and
+    /// the index is rebuilt rather than probed.
     #[test]
     fn repeated_retract_and_revive_keeps_one_live_copy() {
         let mut r = Relation::from_tuples(2, (0..4).map(|k| t2(k, k)).collect::<Vec<_>>());
@@ -1830,11 +1988,15 @@ mod tests {
             assert_eq!(stored, *r.sorted(), "round {round}");
             let fresh = Index::build(r, &[0]);
             for k in [0, 1, 2, 3, 9] {
-                let mut got: Vec<Tuple> = idx.probe(&[Value::Int(k)]).map(Tuple::new).collect();
-                let mut want: Vec<Tuple> = fresh.probe(&[Value::Int(k)]).map(Tuple::new).collect();
-                got.sort_unstable();
-                want.sort_unstable();
-                assert_eq!(got, want, "round {round}, key {k}");
+                let probe = |idx: &Index| {
+                    let mut rows: Vec<Tuple> = r
+                        .rows_at(idx.probe(&[Value::Int(k)]))
+                        .map(Tuple::new)
+                        .collect();
+                    rows.sort_unstable();
+                    rows
+                };
+                assert_eq!(probe(idx), probe(&fresh), "round {round}, key {k}");
             }
         };
         for round in 0..8 {
@@ -1843,14 +2005,45 @@ mod tests {
             assert!(r.insert(t2(2, 2)));
             assert!(idx.absorb_from(&r, mark).is_some(), "round {round}");
             check(&r, &idx, round);
-            if round % 3 == 2 {
-                r.commit();
-                check(&r, &idx, round);
-            }
             mark = r.generation();
+            if round % 3 == 2 {
+                assert!(mark.recent > 0, "the index holds tail positions");
+                r.commit();
+                assert_eq!(idx.absorb_from(&r, mark), None, "round {round}");
+                idx = Index::build(&r, &[0]);
+                check(&r, &idx, round);
+                mark = r.generation();
+            }
         }
         assert_eq!(r.tombstone_count(), 8);
         assert_eq!(r.len(), 12);
+    }
+
+    /// A commit sorts the tail where it lies and hands the tail's own
+    /// buffer to the new segment: no second copy of the rows.
+    #[test]
+    fn commit_sorts_the_tail_in_its_own_buffer() {
+        let mut r = Relation::new(2);
+        for k in [5, 3, 8, 1, 4, 2, 7, 6] {
+            r.insert(t2(k, -k));
+        }
+        r.retract(&t2(4, -4));
+        r.insert(t2(4, -4));
+        let buffer = r.tail.as_ptr();
+        assert!(r.commit());
+        let seg = r.segments.last().expect("committed");
+        assert_eq!(
+            seg.row(0).as_ptr(),
+            buffer,
+            "the segment owns the tail's buffer"
+        );
+        let rows: Vec<Tuple> = seg.rows().map(Tuple::new).collect();
+        let mut sorted = rows.clone();
+        sorted.sort_unstable();
+        assert_eq!(rows, sorted, "the segment is sorted");
+        assert_eq!(r.iter_stored().count(), 8);
+        assert!(r.contains(&t2(4, -4)));
+        assert_eq!(r.retracted_since(Generation::default()).count(), 1);
     }
 
     #[test]
@@ -2079,8 +2272,10 @@ mod tests {
         );
         let keys = universe(idx.key_columns().len());
         for key in keys {
-            let mut got: Vec<Tuple> = idx.probe(key.values()).map(Tuple::new).collect();
-            let mut want: Vec<Tuple> = fresh.probe(key.values()).map(Tuple::new).collect();
+            let rows = |idx: &Index| -> Vec<Tuple> {
+                r.rows_at(idx.probe(key.values())).map(Tuple::new).collect()
+            };
+            let (mut got, mut want) = (rows(idx), rows(&fresh));
             got.sort_unstable();
             want.sort_unstable();
             assert_eq!(got, want, "{ctx}: index probe {key:?}");
@@ -2091,9 +2286,12 @@ mod tests {
     /// compact, pack and clone-then-mutate against a `BTreeSet` model:
     /// contents, membership, fingerprint, the deltas and tombstones
     /// since captured marks, and an index kept up to date by absorbing
-    /// (or rebuilt when the lineage breaks) all stay exact.
+    /// (or rebuilt when the lineage breaks) all stay exact. A second
+    /// index absorbs only at segment boundaries, so it is probed across
+    /// commits that sorted tails holding dead rows.
     #[test]
     fn random_operations_match_a_set_model() {
+        let mut dead_tail_commits = 0;
         for seed in 0..60 {
             let mut rng = crate::rng::Rng::seeded(seed);
             let arity = rng.gen_index(3);
@@ -2104,6 +2302,8 @@ mod tests {
             let mut mark = r.generation();
             let mut idx = Index::build(&r, &key);
             let mut idx_gen = r.generation();
+            let mut bidx = Index::build(&r, &key);
+            let mut bidx_gen = r.generation();
             let mut sibling: Option<(Relation, Model, Generation)> = None;
             for step in 0..250 {
                 let ctx = format!("seed {seed}, arity {arity}, step {step}");
@@ -2112,6 +2312,10 @@ mod tests {
                     0..=3 => assert_eq!(r.insert(t.clone()), model.insert(&t), "{ctx}: insert"),
                     4..=6 => assert_eq!(r.retract(&t), model.retract(&t), "{ctx}: retract"),
                     7 => {
+                        let base = r.tail_base;
+                        if r.retracted[r.logged_at_commit..].iter().any(|&p| p >= base) {
+                            dead_tail_commits += 1;
+                        }
                         r.commit();
                     }
                     8 => {
@@ -2152,7 +2356,15 @@ mod tests {
                 }
                 idx_gen = r.generation();
                 check_index(&idx, &r, &ctx);
+                if r.recent_len() == 0 {
+                    if bidx.absorb_from(&r, bidx_gen).is_none() {
+                        bidx = Index::build(&r, &key);
+                    }
+                    bidx_gen = r.generation();
+                    check_index(&bidx, &r, &format!("{ctx} (boundary index)"));
+                }
             }
         }
+        assert!(dead_tail_commits > 0, "no commit sorted a dead tail row");
     }
 }

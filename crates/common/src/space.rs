@@ -24,8 +24,9 @@
 //!   live tuple, and one [`SLOT_BYTES`] log entry per tombstone — a
 //!   tuple is stored once, and the membership table holds its
 //!   position, not a copy;
-//! * an index owns one boxed key per bucket plus one stored-tuple copy
-//!   per posting;
+//! * an index owns one boxed key per bucket plus one [`POSTING_BYTES`]
+//!   posting per indexed tuple — the storage position of its row and a
+//!   chain link, not a copy of the row;
 //! * the interner owns every name twice (the id-to-name vector and the
 //!   name-to-id map key) plus one [`SYMBOL_BYTES`] id per entry.
 //!
@@ -48,6 +49,10 @@ pub const TUPLE_HEADER_BYTES: usize = 16;
 
 /// One row position: a row-id table slot or a tombstone-log entry.
 pub const SLOT_BYTES: usize = 8;
+
+/// One index posting: the `u32` storage position of the row it indexes
+/// and the `u32` link to the next posting of its bucket.
+pub const POSTING_BYTES: usize = 8;
 
 /// Inline handle of an interned string (`Box<str>` fat pointer).
 pub const STR_HEADER_BYTES: usize = 16;

@@ -9,7 +9,7 @@
 
 use unchained_common::{
     tuple_bytes, HeapSize, Index, Instance, Interner, Relation, Rng, SpaceReport, Tuple, Value,
-    SLOT_BYTES,
+    POSTING_BYTES, SLOT_BYTES,
 };
 
 fn t2(a: i64, b: i64) -> Tuple {
@@ -143,9 +143,10 @@ fn index_bytes_follow_the_bucket_model() {
     r.commit();
     let idx = Index::build(&r, &[0]);
     assert_eq!(idx.distinct_keys(), 2);
-    // Per bucket: one boxed 1-column key plus one stored copy per
-    // posting.
-    let expected = 2 * tuple_bytes(1) + 5 * tuple_bytes(2);
+    // Per bucket: one boxed 1-column key; per posting, the storage
+    // position of its row and a chain link — the rows themselves are
+    // charged to the relation, never copied into the index.
+    let expected = 2 * tuple_bytes(1) + 5 * POSTING_BYTES;
     assert_eq!(idx.heap_bytes(), expected);
 }
 

@@ -29,9 +29,11 @@ fn sorted_rows<'a>(rows: impl Iterator<Item = &'a [Value]>) -> Vec<Tuple> {
     out
 }
 
-fn probe_all(idx: &Index) -> Vec<Vec<Tuple>> {
+/// The rows each key's postings name in `rel`, the relation `idx` was
+/// built over (postings are storage positions).
+fn probe_all(idx: &Index, rel: &Relation) -> Vec<Vec<Tuple>> {
     (0..DOMAIN)
-        .map(|k| sorted_rows(idx.probe(&[Value::Int(k)])))
+        .map(|k| sorted_rows(rel.rows_at(idx.probe(&[Value::Int(k)]))))
         .collect()
 }
 
@@ -103,8 +105,8 @@ fn retract_revive_commit_compact_schedules_match_a_set_model() {
             match idx.absorb_from(&rel, idx_gen) {
                 Some(_) => {
                     assert_eq!(
-                        probe_all(&idx),
-                        probe_all(&Index::build(&rel, &[0])),
+                        probe_all(&idx, &rel),
+                        probe_all(&Index::build(&rel, &[0]), &rel),
                         "{ctx}: absorbed index"
                     );
                 }

@@ -11,8 +11,11 @@
 //! across fixpoint iterations in an [`IndexCache`] tracked by relation
 //! [`Generation`]: when a relation only grew, the cached index absorbs
 //! the new tuples incrementally instead of being rebuilt from scratch.
-//! Join-work telemetry ([`JoinCounters`]) is emitted here, in one place,
-//! for all engines.
+//! An index's postings are storage positions, not rows: the scan copies
+//! a probe's positions into a pooled buffer and reads each row from
+//! storage as it binds it ([`Relation::rows_at`]), so no tuple is ever
+//! copied out of its relation. Join-work telemetry ([`JoinCounters`])
+//! is emitted here, in one place, for all engines.
 
 use std::ops::{ControlFlow, Range};
 use unchained_common::{
@@ -56,7 +59,8 @@ struct CacheEntry {
 ///
 /// A full-source entry whose relation only grew since the index was built
 /// absorbs the new tuples by appending postings ([`Index::absorb_from`]);
-/// only lineage breaks (removals, clears, diverged clones) force a rebuild,
+/// only lineage breaks (removals, clears, diverged clones) and commits
+/// that sorted a tail the entry holds positions in force a rebuild,
 /// so on append-only fixpoints rebuilds stay bounded by the number of
 /// relations instead of scaling with the number of rounds. Delta-source
 /// entries index one round's `iter_since` slice; they are built fresh each
@@ -69,11 +73,15 @@ pub struct IndexCache {
     /// adds — the telemetry-off path stays branch-free). Engines
     /// snapshot and diff this per stage when telemetry is enabled.
     pub counters: JoinCounters,
-    /// Pool of packed-value scratch buffers reused by keyed scans (probe
-    /// keys, and the postings a probe copies out), so steady-state
-    /// probing does not allocate. Depth-bounded: the pool high-water
-    /// mark is the deepest scan nesting of any plan, not the data size.
+    /// Pool of packed-value scratch buffers reused by keyed scans and
+    /// negative checks (probe keys and fully bound rows), so
+    /// steady-state probing does not allocate. Depth-bounded: the pool
+    /// high-water mark is the deepest scan nesting of any plan, not the
+    /// data size.
     scratch: Vec<Vec<Value>>,
+    /// Pool of the buffers a keyed scan copies a probe's postings into:
+    /// storage positions, 4 bytes a match, never copies of the rows.
+    positions: Vec<Vec<u32>>,
     /// Pool of variable-slot lists the scan step reuses the same way.
     slots: Vec<Vec<usize>>,
 }
@@ -93,6 +101,17 @@ impl IndexCache {
     fn put_scratch(&mut self, mut buf: Vec<Value>) {
         buf.clear();
         self.scratch.push(buf);
+    }
+
+    /// Takes a cleared position buffer from the pool (or a fresh one).
+    fn take_positions(&mut self) -> Vec<u32> {
+        self.positions.pop().unwrap_or_default()
+    }
+
+    /// Returns a position buffer to the pool for reuse.
+    fn put_positions(&mut self, mut buf: Vec<u32>) {
+        buf.clear();
+        self.positions.push(buf);
     }
 
     /// The variables a scan of `args` binds from each row: those at
@@ -586,42 +605,53 @@ impl Run<'_> {
                     let (count, rows) = (scan.count(), scan.rows());
                     return self.each_row(count, rows, args, key, rest, cache, env, on_match);
                 }
-                // An index cannot be held across the recursive call (which
-                // needs `cache`), so copy the matching rows into a pooled
-                // buffer: buckets are typically small, and in steady state
-                // this allocates nothing.
-                let mut buf = cache.take_scratch();
-                let mut rows = 0;
                 if scan.mark.is_none() && key.len() == args.len() {
                     // Every position bound: a membership test, no index.
-                    buf.extend(args.iter().map(|t| term_value(t, env)));
-                    rows = usize::from(in_full(sources, *pred, &buf));
-                    buf.truncate(rows * args.len());
-                } else {
-                    let mut probe = cache.take_scratch();
-                    probe.extend(key.iter().map(|&p| term_value(&args[p], env)));
-                    if let Some(relation) = scan.relation {
-                        let index = cache.get(*pred, key, *source, relation, scan.mark);
-                        for row in index.probe(&probe) {
-                            if !scan.hidden.is_some_and(|h| h.contains_row(row)) {
-                                buf.extend_from_slice(row);
-                                rows += 1;
-                            }
-                        }
-                    }
-                    if let Some(withdrawn) = scan.withdrawn {
-                        let index = cache.entry(*pred, key, Covers::Withdrawn, withdrawn, None);
-                        for row in index.probe(&probe) {
-                            buf.extend_from_slice(row);
-                            rows += 1;
-                        }
-                    }
-                    cache.put_scratch(probe);
+                    let mut row = cache.take_scratch();
+                    row.extend(args.iter().map(|t| term_value(t, env)));
+                    let hit = usize::from(in_full(sources, *pred, &row));
+                    let rows = row.chunks_exact(args.len()).take(hit);
+                    let flow = self.each_row(hit, rows, args, key, rest, cache, env, on_match);
+                    cache.put_scratch(row);
+                    return flow;
                 }
-                // A keyed scan binds a column, so its rows are not empty.
-                let chunks = buf.chunks_exact(args.len());
-                let flow = self.each_row(rows, chunks, args, key, rest, cache, env, on_match);
-                cache.put_scratch(buf);
+                // An index cannot be held across the recursive call (which
+                // needs `cache`), so copy the matching postings — storage
+                // positions, not rows — into a pooled buffer: buckets are
+                // typically small, and in steady state this allocates
+                // nothing. The rows are read from storage as they bind.
+                let mut probe = cache.take_scratch();
+                probe.extend(key.iter().map(|&p| term_value(&args[p], env)));
+                let mut hits = cache.take_positions();
+                if let Some(relation) = scan.relation {
+                    let index = cache.get(*pred, key, *source, relation, scan.mark);
+                    let postings = index.probe(&probe);
+                    match scan.hidden {
+                        None => hits.extend(postings),
+                        Some(hidden) => hits.extend(
+                            postings
+                                .clone()
+                                .zip(relation.rows_at(postings))
+                                .filter(|(_, row)| !hidden.contains_row(row))
+                                .map(|(pos, _)| pos),
+                        ),
+                    }
+                }
+                let own = hits.len();
+                if let Some(withdrawn) = scan.withdrawn {
+                    let index = cache.entry(*pred, key, Covers::Withdrawn, withdrawn, None);
+                    hits.extend(index.probe(&probe));
+                }
+                cache.put_scratch(probe);
+                let (own, theirs) = hits.split_at(own);
+                let withdrawn = scan.withdrawn.into_iter();
+                let rows = scan
+                    .relation
+                    .into_iter()
+                    .flat_map(|r| r.rows_at(own.iter().copied()))
+                    .chain(withdrawn.flat_map(|w| w.rows_at(theirs.iter().copied())));
+                let flow = self.each_row(hits.len(), rows, args, key, rest, cache, env, on_match);
+                cache.put_positions(hits);
                 flow
             }
             Step::BindEq { var, term } => {
@@ -718,6 +748,57 @@ mod tests {
             0
         );
         assert_eq!(cache.counters.index_rebuilds, 1);
+    }
+
+    /// An entry that absorbed an uncommitted tail holds positions the
+    /// next commit's sort moves: after `commit_all` the entry is rebuilt,
+    /// never probed, and its probes agree with a fresh build.
+    #[test]
+    fn index_cache_rebuilds_an_entry_stamped_mid_tail_after_commit() {
+        let mut interner = Interner::new();
+        let g = interner.intern("G");
+        let pair = |a: i64, b: i64| Tuple::from([Value::Int(a), Value::Int(b)]);
+        let mut instance = Instance::new();
+        instance.insert_fact(g, pair(0, 0));
+        instance.commit_all();
+        let mut cache = IndexCache::new();
+        let _ = cache.get(
+            g,
+            &[0],
+            ScanSource::Full,
+            instance.relation(g).unwrap(),
+            None,
+        );
+        // Tail rows in reverse order, so the commit's sort moves them.
+        for b in (1..=6).rev() {
+            instance.insert_fact(g, pair(b % 2, b));
+        }
+        let _ = cache.get(
+            g,
+            &[0],
+            ScanSource::Full,
+            instance.relation(g).unwrap(),
+            None,
+        );
+        assert_eq!(cache.counters.index_appends, 1);
+        assert_eq!(cache.counters.appended_tuples, 6);
+        instance.commit_all();
+        let rel = instance.relation(g).unwrap();
+        let fresh = Index::build(rel, &[0]);
+        let idx = cache.get(g, &[0], ScanSource::Full, rel, None);
+        for k in 0..3 {
+            let got: Vec<Tuple> = rel
+                .rows_at(idx.probe(&[Value::Int(k)]))
+                .map(Tuple::new)
+                .collect();
+            let want: Vec<Tuple> = rel
+                .rows_at(fresh.probe(&[Value::Int(k)]))
+                .map(Tuple::new)
+                .collect();
+            assert_eq!(got, want, "key {k}");
+        }
+        assert_eq!(cache.counters.index_rebuilds, 1);
+        assert_eq!(cache.counters.index_appends, 1);
     }
 
     /// `Sources::before` reads `(full − inserted) ∪ deleted` in every

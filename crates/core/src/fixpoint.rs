@@ -129,6 +129,16 @@ pub(crate) struct RuleStat {
     pub(crate) dur_nanos: u64,
 }
 
+impl RuleStat {
+    /// Adds `fired` matches, and the time since `start_nanos` on
+    /// `tracer`'s clock, to a rule fired in several pieces (the delete
+    /// and rederive passes of [`crate::ivm`]).
+    pub(crate) fn add(&mut self, tracer: &Tracer, fired: u64, start_nanos: u64) {
+        self.fired += fired;
+        self.dur_nanos += tracer.now_nanos().saturating_sub(start_nanos);
+    }
+}
+
 /// What a stage does with the facts Γ_P fires.
 pub(crate) trait Consequence {
     /// Takes one body match `env` of rule `rule` (whose head is

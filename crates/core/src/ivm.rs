@@ -42,7 +42,7 @@ use std::ops::ControlFlow;
 
 use crate::error::EvalError;
 use crate::exec::{for_each_head, for_each_match_from, IndexCache, Sources};
-use crate::fixpoint::{Accumulate, Round, Stages};
+use crate::fixpoint::{Accumulate, Round, RuleStat, Stages};
 use crate::ir::Plan;
 use crate::options::EvalOptions;
 use crate::planner::{Catalog, PlanMode, PlanStats, Planner};
@@ -50,7 +50,7 @@ use crate::require_language;
 use crate::subst::{active_domain, active_domain_if_enumerated, enumerates_domain, Env};
 use unchained_common::{
     DeltaHandle, FxHashMap, FxHashSet, Instance, JoinCounters, Relation, Schema, SpanKind, Symbol,
-    Tuple, Value,
+    Tracer, Tuple, Value,
 };
 use unchained_parser::{
     check_range_restricted, Atom, DependencyGraph, HeadLiteral, Language, Literal, Program, Rule,
@@ -465,7 +465,8 @@ impl IncrementalSession {
                         self.options.plan_mode,
                         self.options.max_stages,
                         &mut stats,
-                        &mut vec![0; stratum_rules.len()],
+                        &Tracer::off(),
+                        &mut vec![RuleStat::default(); stratum_rules.len()],
                     )?;
                     rederive(
                         &withdrawn,
@@ -477,7 +478,8 @@ impl IncrementalSession {
                         &self.adom,
                         &mut self.cache,
                         &mut stats,
-                        &mut vec![0; self.program.rules.len()],
+                        &Tracer::off(),
+                        &mut vec![RuleStat::default(); self.program.rules.len()],
                     );
                 }
             }
@@ -624,7 +626,8 @@ fn seed_env(head: &Atom, tuple: &Tuple, var_count: usize) -> Option<Env> {
 /// Counts derivations of `tuple` (or just probes for one, with
 /// `first_only`) across every rule whose head predicate matches,
 /// against the current `instance`, with negative literals reading `neg`
-/// when given. Adds each rule's matches to `fired[rule]`.
+/// when given. Adds each rule's matches, and the time they took on
+/// `tracer`'s clock, to `rule_stats[rule]`.
 #[allow(clippy::too_many_arguments)]
 fn count_support(
     pred: Symbol,
@@ -637,7 +640,8 @@ fn count_support(
     adom: &[Value],
     cache: &mut IndexCache,
     stats: &mut PollStats,
-    fired: &mut [u64],
+    tracer: &Tracer,
+    rule_stats: &mut [RuleStat],
     first_only: bool,
 ) -> u64 {
     let mut count = 0u64;
@@ -649,7 +653,7 @@ fn count_support(
         let Some(mut env) = seed_env(head_atom(rule), tuple, rule.var_count()) else {
             continue;
         };
-        let before = count;
+        let (before, start_nanos) = (count, tracer.now_nanos());
         let _ = for_each_match_from(
             &support_plans[ri],
             Sources {
@@ -668,7 +672,7 @@ fn count_support(
                 }
             },
         );
-        fired[ri] += count - before;
+        rule_stats[ri].add(tracer, count - before, start_nanos);
         if first_only && count > 0 {
             break;
         }
@@ -683,7 +687,8 @@ fn count_support(
 /// tuples are withdrawn from `instance` and recorded in the deletions —
 /// which keeps the view exact and feeds them back into the Δ — until
 /// nothing new is reachable. Returns the withdrawn tuples, in
-/// withdrawal order; `fired[k]` gains the matches of `stratum_rules[k]`.
+/// withdrawal order; `rule_stats[k]` gains the matches of
+/// `stratum_rules[k]` and the time they took on `tracer`'s clock.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn overdelete_closure(
     stratum_rules: &[&Rule],
@@ -694,7 +699,8 @@ pub(crate) fn overdelete_closure(
     plan_mode: PlanMode,
     max_stages: Option<usize>,
     stats: &mut PollStats,
-    fired: &mut [u64],
+    tracer: &Tracer,
+    rule_stats: &mut [RuleStat],
 ) -> Result<Vec<(Symbol, Tuple)>, EvalError> {
     // The default handle marks every deletion so far as new; captured
     // marks restrict later rounds to that round's withdrawals.
@@ -715,8 +721,10 @@ pub(crate) fn overdelete_closure(
             .map(|(p, _)| p)
             .collect();
         let mut found: Vec<(Symbol, Tuple)> = Vec::new();
-        for (rule, fired) in stratum_rules.iter().zip(fired.iter_mut()) {
+        for (rule, stat) in stratum_rules.iter().zip(rule_stats.iter_mut()) {
             let head = head_atom(rule);
+            let start_nanos = tracer.now_nanos();
+            let mut fired = 0;
             for plan in planner.seminaive_variants(rule, &|p| del_preds.contains(&p)) {
                 let n = for_each_head(
                     &plan,
@@ -731,8 +739,9 @@ pub(crate) fn overdelete_closure(
                     },
                 );
                 stats.rules_fired += n;
-                *fired += n;
+                fired += n;
             }
+            stat.add(tracer, fired, start_nanos);
         }
         if found.is_empty() {
             return Ok(overdeleted);
@@ -752,7 +761,8 @@ pub(crate) fn overdelete_closure(
 /// derivation from surviving (certified) facts is restored, with
 /// negative literals reading `neg` when given (the new negative
 /// context). Iterates to fixpoint because a restored tuple can in turn
-/// support another candidate. `fired[rule]` gains each rule's matches.
+/// support another candidate. `rule_stats[rule]` gains each rule's
+/// matches and the time they took on `tracer`'s clock.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rederive(
     candidates: &[(Symbol, Tuple)],
@@ -764,7 +774,8 @@ pub(crate) fn rederive(
     adom: &[Value],
     cache: &mut IndexCache,
     stats: &mut PollStats,
-    fired: &mut [u64],
+    tracer: &Tracer,
+    rule_stats: &mut [RuleStat],
 ) {
     loop {
         let mut changed = false;
@@ -783,7 +794,8 @@ pub(crate) fn rederive(
                 adom,
                 cache,
                 stats,
-                fired,
+                tracer,
+                rule_stats,
                 true,
             ) > 0;
             if supported {
@@ -859,7 +871,7 @@ fn counted_delete(
         }
     }
     let mut withdrawn = Vec::new();
-    let mut fired = vec![0; program.rules.len()];
+    let mut rule_stats = vec![RuleStat::default(); program.rules.len()];
     for (pred, tuple) in affected {
         if let Some(&c) = supports.get(&pred).and_then(|m| m.get(&tuple)) {
             if c > 0 {
@@ -878,7 +890,8 @@ fn counted_delete(
             adom,
             cache,
             stats,
-            &mut fired,
+            &Tracer::off(),
+            &mut rule_stats,
             false,
         );
         supports

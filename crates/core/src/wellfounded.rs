@@ -324,8 +324,7 @@ fn shrink(
     let rules: Vec<&Rule> = support.program.rules.iter().collect();
     let (adom, cache) = side.parts();
     let joins_before = cache.counters;
-    let mut fired = vec![0u64; rules.len()];
-    let mut rule_stats = Vec::new();
+    let mut rule_stats = Vec::with_capacity(rules.len());
 
     // Seed: valuations of the old over-estimate that negate a gained fact.
     let mut planner = Planner::new(Catalog::from_instance(over), options.plan_mode);
@@ -340,20 +339,21 @@ fn shrink(
     let gained_has = |p: Symbol| gained.relation(p).is_some_and(|r| !r.is_empty());
     cache.begin_delta_round();
     let mut seed: Vec<(Symbol, Tuple)> = Vec::new();
-    for (rule, fired) in rules.iter().zip(fired.iter_mut()) {
+    for rule in &rules {
         let start_nanos = tracer.now_nanos();
         let HeadLiteral::Pos(head) = &rule.head[0] else {
             unreachable!("Datalog¬ heads are positive")
         };
+        let mut fired = 0;
         for plan in planner.negation_variants(rule, &gained_has) {
-            *fired += for_each_head(&plan, &head.args, seed_sources, adom, cache, &mut |t| {
+            fired += for_each_head(&plan, &head.args, seed_sources, adom, cache, &mut |t| {
                 if over.contains_fact(head.pred, &t) {
                     seed.push((head.pred, t));
                 }
             });
         }
         rule_stats.push(RuleStat {
-            fired: *fired,
+            fired,
             start_nanos,
             dur_nanos: tracer.now_nanos().saturating_sub(start_nanos),
         });
@@ -383,7 +383,8 @@ fn shrink(
         options.plan_mode,
         options.max_stages,
         &mut stats,
-        &mut fired,
+        tracer,
+        &mut rule_stats,
     )?);
     // Input facts of idb predicates hold in every iterate: the
     // overdelete may withdraw them, and they come straight back.
@@ -402,7 +403,8 @@ fn shrink(
         adom,
         cache,
         &mut stats,
-        &mut fired,
+        tracer,
+        &mut rule_stats,
     );
     let mut left = Instance::new();
     for (pred, tuple) in candidates {
@@ -414,14 +416,10 @@ fn shrink(
     over.compact_all();
 
     if tel.is_enabled() || tracer.is_enabled() {
-        // The closure and rederive passes add to each rule's count.
-        for (stat, &n) in rule_stats.iter_mut().zip(&fired) {
-            stat.fired = n;
-        }
         let round = Round {
             added: 0,
             removed: left.fact_count(),
-            fired: fired.iter().sum(),
+            fired: rule_stats.iter().map(|s| s.fired).sum(),
             delta: Vec::new(),
             joins: cache.counters.since(&joins_before),
             plan_stats: planner.stats(),

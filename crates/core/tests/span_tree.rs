@@ -283,3 +283,51 @@ fn stage_driver_rounds_account_for_their_rules() {
         );
     }
 }
+
+/// A well-founded round that shrinks the over-estimate fires most of
+/// its matches in the overdelete closure and the rederive pass, not in
+/// the seed loop over the gained facts. Each rule's span carries the
+/// time of all three, so the rule spans of those rounds account for
+/// most of their time (the seed loop alone reads well under 1%).
+#[test]
+fn wellfounded_shrink_rounds_time_their_closure() {
+    let mut interner = Interner::new();
+    let program = parse_program(
+        "win(x) :- moves(x,y), !win(y). \
+         far(x,y) :- win(x), e(x,y). far(x,z) :- far(x,y), e(y,z).",
+        &mut interner,
+    )
+    .unwrap();
+    let (moves, e) = (interner.intern("moves"), interner.intern("e"));
+    let mut input = Instance::new();
+    for k in 0..6 {
+        input.insert_fact(moves, Tuple::from([Value::Int(k), Value::Int(k + 1)]));
+    }
+    for k in 0..300 {
+        input.insert_fact(e, Tuple::from([Value::Int(k), Value::Int(k + 1)]));
+    }
+    let tracer = Tracer::enabled();
+    let options =
+        EvalOptions::default().with_telemetry(Telemetry::off().with_tracer(tracer.clone()));
+    wellfounded::eval(&program, &input, options).unwrap();
+    let roots = tracer.finish();
+    let mut all = Vec::new();
+    walk(&roots, &mut all);
+    let shrinks: Vec<&&Span> = all
+        .iter()
+        .filter(|s| s.kind == SpanKind::Round && s.gauge("facts_removed").unwrap_or(0) > 0)
+        .collect();
+    assert!(!shrinks.is_empty(), "no round shrank the over-estimate");
+    let (mut rule_time, mut round_time) = (0, 0);
+    for round in shrinks {
+        let rules = round.children.iter().filter(|c| c.kind == SpanKind::Rule);
+        let fired: u64 = rules.clone().map(|r| r.gauge("fired").unwrap_or(0)).sum();
+        assert_eq!(round.gauge("rules_fired"), Some(fired), "{}", round.name);
+        rule_time += rules.map(|r| r.dur_nanos).sum::<u64>();
+        round_time += round.dur_nanos;
+    }
+    assert!(
+        rule_time * 3 >= round_time,
+        "rule spans cover {rule_time} of {round_time} ns in shrinking rounds"
+    );
+}

@@ -216,7 +216,7 @@ pub fn eval(expr: &Expr, instance: &Instance) -> Result<Relation, AlgebraError> 
                 for lt in l.iter() {
                     key.clear();
                     key.extend(pairs.iter().map(|&(i, _)| lt[i]));
-                    for rt in index.probe(&key) {
+                    for rt in r.rows_at(index.probe(&key)) {
                         let vals: Vec<Value> =
                             lt.values().iter().chain(rt.iter()).copied().collect();
                         out.insert(Tuple::from(vals));

@@ -85,8 +85,10 @@ enum Access<'a> {
     /// No position is bound when the scan runs: full relation scan.
     Full(&'a Relation),
     /// At least one position is bound: a hash index on those columns,
-    /// probed with the values of `key_terms` under the current binding.
+    /// probed with the values of `key_terms` under the current binding;
+    /// its postings are storage positions in `rel`.
     Probe {
+        rel: &'a Relation,
         index: Box<Index>,
         key_terms: Vec<FoTerm>,
     },
@@ -206,6 +208,7 @@ fn eval_part(
             Access::Full(rel)
         } else {
             Access::Probe {
+                rel,
                 index: Box::new(Index::build(rel, &key_cols)),
                 key_terms: key_cols.iter().map(|&i| terms[i]).collect(),
             }
@@ -313,12 +316,16 @@ fn exec(
                         }
                     }
                 }
-                Access::Probe { index, key_terms } => {
+                Access::Probe {
+                    rel,
+                    index,
+                    key_terms,
+                } => {
                     let key: Vec<Value> = key_terms
                         .iter()
                         .map(|t| term_value(t, env))
                         .collect::<Result<_, _>>()?;
-                    for row in index.probe(&key) {
+                    for row in rel.rows_at(index.probe(&key)) {
                         if match_row(terms, row, env, domain_set, &mut fresh) {
                             exec(rest, free_vars, instance, domain, domain_set, env, out)?;
                         }

@@ -303,12 +303,14 @@ impl<'p> NondetProgram<'p> {
 
     /// The immediate successors of `state` that differ from it
     /// (Definition 5.2's condition (ii) makes states with no such
-    /// successor terminal). Deduplicated.
+    /// successor terminal). Deduplicated. A firing that only commits a
+    /// choice changes the state too: [`states_equal`] counts choices,
+    /// and a run takes that step.
     pub fn successors(&self, state: &State, fresh: &mut u64) -> Vec<State> {
         let mut out: Vec<State> = Vec::new();
         for firing in self.firings(state, fresh) {
             let next = self.apply(state, &firing);
-            let changed = next.bottom != state.bottom || !next.instance.same_facts(&state.instance);
+            let changed = !states_equal(&next, state);
             if changed && !out.iter().any(|s| states_equal(s, &next)) {
                 out.push(next);
             }
@@ -421,6 +423,34 @@ mod tests {
         let mut fresh = 0;
         let succ = compiled.successors(&State::initial(input), &mut fresh);
         assert!(succ.is_empty(), "re-assertion must not be a successor ≠ J");
+    }
+
+    /// A firing that derives no new fact but commits a new choice is a
+    /// successor: after x=2 ↦ y=3 derives I2(3), the firing x=3 ↦ y=3
+    /// only commits its choice, and eff(P) must still reach that state.
+    #[test]
+    fn successors_include_choice_only_commitments() {
+        let mut i = Interner::new();
+        let program = parse_program("I2(y) :- E0(y), choice((x), (y)).", &mut i).unwrap();
+        let (e0, i2) = (i.get("E0").unwrap(), i.get("I2").unwrap());
+        let mut input = Instance::new();
+        for v in [2, 3] {
+            input.insert_fact(e0, Tuple::from([Value::Int(v)]));
+        }
+        let compiled = NondetProgram::compile(&program, false).unwrap();
+        let mut fresh = 0;
+        let three = Tuple::from([Value::Int(3)]);
+        let first = compiled
+            .successors(&State::initial(input), &mut fresh)
+            .into_iter()
+            .find(|s| s.instance.contains_fact(i2, &three) && s.instance.fact_count() == 3)
+            .expect("some firing derives I2(3) alone");
+        let succ = compiled.successors(&first, &mut fresh);
+        assert!(
+            succ.iter()
+                .any(|s| s.instance.same_facts(&first.instance) && s.choices != first.choices),
+            "a choice-only commitment is a successor"
+        );
     }
 
     #[test]

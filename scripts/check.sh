@@ -443,6 +443,24 @@ if ! grep -q '"divergences":0' target/fuzz-unstratified.json; then
     exit 1
 fi
 
+# The nondeterministic triples (nondet/42/200 and nondet/60/200) gate
+# N-Datalog¬ with choice: a seeded run replays step for step, and its
+# answer lies between cert and poss as eff(P)'s enumeration computes
+# them. Seed 60 holds a program whose firings only commit a choice, a
+# step eff(P) once dropped.
+for seed in 42 60; do
+    echo "==> fuzz smoke: nondet/$seed/200, zero divergences"
+    rm -rf "target/fuzz-nondet-$seed-corpus"
+    cargo run -q --release -p unchained-fuzz -- --campaign nondet --seed "$seed" \
+        --budget 200 --json "target/fuzz-nondet-$seed.json" \
+        --corpus "target/fuzz-nondet-$seed-corpus" >/dev/null
+    if ! grep -q '"divergences":0' "target/fuzz-nondet-$seed.json"; then
+        echo "nondet/$seed fuzz smoke found divergences:" >&2
+        cat "target/fuzz-nondet-$seed.json" >&2
+        exit 1
+    fi
+done
+
 # Shrinker self-test: with a deliberately wrong oracle leg injected,
 # the campaign must (a) detect divergences (exit 1) and (b) delta-debug
 # every witness down to a repro of at most 3 rules.

@@ -13,6 +13,9 @@ use unchained::fuzz::corpus::{corpus_files, load};
 use unchained::fuzz::oracle::check;
 use unchained::fuzz::Fault;
 
+/// Run seeds every corpus entry is replayed under.
+const RUN_SEEDS: std::ops::Range<u64> = 0..4;
+
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
 }
@@ -34,25 +37,29 @@ fn corpus_replays_without_divergence() {
                 dl.display()
             )
         });
-        let outcome = check(
-            campaign,
-            &repro.program,
-            &repro.instance,
-            &mut interner,
-            0,
-            Fault::None,
-        );
-        assert!(
-            !outcome.skipped,
-            "corpus entry {} must exercise the oracle, not skip",
-            dl.display()
-        );
-        assert!(
-            outcome.divergence.is_none(),
-            "corpus entry {} regressed: {:?}",
-            dl.display(),
-            outcome.divergence
-        );
+        // A repro does not record the run seed that drove its seeded
+        // choosers (nondet runs, edit scripts), so replay several.
+        for run_seed in RUN_SEEDS {
+            let outcome = check(
+                campaign,
+                &repro.program,
+                &repro.instance,
+                &mut interner,
+                run_seed,
+                Fault::None,
+            );
+            assert!(
+                !outcome.skipped,
+                "corpus entry {} must exercise the oracle, not skip",
+                dl.display()
+            );
+            assert!(
+                outcome.divergence.is_none(),
+                "corpus entry {} regressed at run seed {run_seed}: {:?}",
+                dl.display(),
+                outcome.divergence
+            );
+        }
     }
 }
 
