@@ -131,9 +131,13 @@ pub(crate) struct RuleStat {
 
 impl RuleStat {
     /// Adds `fired` matches, and the time since `start_nanos` on
-    /// `tracer`'s clock, to a rule fired in several pieces (the delete
-    /// and rederive passes of [`crate::ivm`]).
+    /// `tracer`'s clock, to a rule fired in several pieces (the Δ
+    /// closures and rederive pass of [`crate::ivm`]); the first piece
+    /// places the rule's start.
     pub(crate) fn add(&mut self, tracer: &Tracer, fired: u64, start_nanos: u64) {
+        if self.start_nanos == 0 {
+            self.start_nanos = start_nanos;
+        }
         self.fired += fired;
         self.dur_nanos += tracer.now_nanos().saturating_sub(start_nanos);
     }
@@ -799,8 +803,10 @@ impl Round {
                 ("probes", self.joins.probes),
                 ("probe_tuples", self.joins.probe_tuples),
                 ("index_builds", self.joins.index_builds),
+                ("indexed_tuples", self.joins.indexed_tuples),
                 ("index_hits", self.joins.index_hits),
                 ("index_appends", self.joins.index_appends),
+                ("appended_tuples", self.joins.appended_tuples),
                 ("index_rebuilds", self.joins.index_rebuilds),
             ];
             tracer.leaf(join);

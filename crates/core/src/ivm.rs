@@ -11,14 +11,10 @@
 //! literal reading the pre-update fixpoint), then a *rederive* pass
 //! restores each withdrawn tuple that still has alternative support in
 //! the new state, queried through bound-head plans whose head variables
-//! become index probe keys. Strata without same-stratum positive
-//! dependencies additionally keep lazy support counts: a deletion that
-//! leaves a positive stored count is absorbed without any support
-//! query. Stored counts only ever *under*-estimate the true number of
-//! derivations (Δ-matches over-count lost derivations, and new support
-//! merely invalidates), so a non-positive count conservatively falls
-//! back to an exact recount — see DESIGN.md § Incremental maintenance
-//! for why this is safe exactly there and not under recursion.
+//! become index probe keys. DRed is exact on every stratum, recursive or
+//! not, so it is the only delete strategy. Overdelete and insertion are
+//! one Δ closure ([`delta_closure`]) that differs only in what its
+//! rounds read and which way it moves the heads they find.
 //!
 //! A poll costs its change, not the instance. It copies nothing: the
 //! pre-update fixpoint is read as a view over the live instance
@@ -45,7 +41,7 @@ use crate::exec::{for_each_head, for_each_match_from, IndexCache, Sources};
 use crate::fixpoint::{Accumulate, Round, RuleStat, Stages};
 use crate::ir::Plan;
 use crate::options::EvalOptions;
-use crate::planner::{Catalog, PlanMode, PlanStats, Planner};
+use crate::planner::{Catalog, PlanStats, Planner};
 use crate::require_language;
 use crate::subst::{active_domain, active_domain_if_enumerated, enumerates_domain, Env};
 use unchained_common::{
@@ -78,9 +74,6 @@ pub struct PollStats {
     pub overdeleted: u64,
     /// Withdrawn tuples restored from alternative support.
     pub rederived: u64,
-    /// Deletions absorbed by a positive support count, with no support
-    /// query at all.
-    pub support_hits: u64,
     /// Strata skipped because nothing they read changed.
     pub strata_skipped: u64,
     /// Strata recomputed from scratch (negated input or active domain
@@ -122,20 +115,11 @@ pub struct IncrementalSession {
     pending: Vec<Edit>,
     /// Long-lived index cache over the maintained instance.
     cache: IndexCache,
-    /// Bound-head support plan per program rule (head variables
-    /// prebound, so support checks probe instead of scan).
-    support_plans: Vec<Plan>,
-    /// Head predicate → indices of the rules deriving it.
-    rules_for: FxHashMap<Symbol, Vec<usize>>,
-    /// Per stratum: eligible for support counting (no rule reads a
-    /// same-stratum head positively)?
-    counted: Vec<bool>,
+    /// The rederive pass's bound-head support plans.
+    support: Support,
     /// Per stratum: some rule has a variable outside every positive
     /// body literal (bound by `Domain` enumeration of the adom)?
     adom_dependent: Vec<bool>,
-    /// Lazy derivation counts for counted predicates; absent = unknown,
-    /// stored ≤ true count.
-    supports: FxHashMap<Symbol, FxHashMap<Tuple, i64>>,
 }
 
 impl IncrementalSession {
@@ -164,17 +148,10 @@ impl IncrementalSession {
         }
 
         let strata = stratification.partition_rules(&program);
-        let mut counted = Vec::with_capacity(strata.len());
-        let mut adom_dependent = Vec::with_capacity(strata.len());
-        for stratum_rules in &strata {
-            let heads = heads_of(stratum_rules);
-            counted.push(!stratum_rules.iter().any(|r| {
-                r.body
-                    .iter()
-                    .any(|l| matches!(l, Literal::Pos(a) if heads.contains(&a.pred)))
-            }));
-            adom_dependent.push(enumerates_domain(stratum_rules.iter().copied()));
-        }
+        let adom_dependent = strata
+            .iter()
+            .map(|rules| enumerates_domain(rules.iter().copied()))
+            .collect();
         let adom = active_domain_if_enumerated(&program, input);
 
         let mut instance = input.clone();
@@ -199,7 +176,7 @@ impl IncrementalSession {
         }
         let (adom, cache) = stages.into_parts();
 
-        let (rules_for, support_plans) = support_plans(
+        let support = Support::new(
             &program,
             &mut Planner::new(Catalog::from_instance(&instance), options.plan_mode),
         );
@@ -216,11 +193,8 @@ impl IncrementalSession {
             idb,
             pending: Vec::new(),
             cache,
-            support_plans,
-            rules_for,
-            counted,
+            support,
             adom_dependent,
-            supports: FxHashMap::default(),
         })
     }
 
@@ -336,11 +310,8 @@ impl IncrementalSession {
         if stats.applied == 0 {
             return Ok(stats);
         }
-        let _poll = self
-            .options
-            .telemetry
-            .tracer()
-            .span(SpanKind::Round, "poll");
+        let tracer = self.options.telemetry.tracer();
+        let _poll = tracer.span(SpanKind::Round, "poll");
         for (pred, rel) in deleted.iter() {
             for t in rel.iter() {
                 self.instance.retract_fact(pred, &t);
@@ -361,19 +332,24 @@ impl IncrementalSession {
         let touched =
             |change: &Instance, p: Symbol| change.relation(p).is_some_and(|r| !r.is_empty());
 
-        for (stratum, stratum_rules) in self
-            .stratification
-            .partition_rules(&self.program)
-            .into_iter()
-            .enumerate()
-        {
+        // Each stratum's rules with their program indices, under which
+        // the poll's rule leaves attribute their matches.
+        let mut strata: Vec<Vec<(usize, &Rule)>> =
+            vec![Vec::new(); self.stratification.strata_count().max(1)];
+        let mut head_preds = Vec::with_capacity(self.program.rules.len());
+        for (ri, rule) in self.program.rules.iter().enumerate() {
+            let head = head_atom(rule).pred;
+            strata[self.stratification.stratum(head)].push((ri, rule));
+            head_preds.push(head);
+        }
+        let mut rule_stats = vec![RuleStat::default(); self.program.rules.len()];
+        for (stratum, stratum_rules) in strata.iter().enumerate() {
             if stratum_rules.is_empty() {
                 continue;
             }
-            let heads = heads_of(&stratum_rules);
             let mut pos_preds: FxHashSet<Symbol> = FxHashSet::default();
             let mut neg_preds: FxHashSet<Symbol> = FxHashSet::default();
-            for rule in &stratum_rules {
+            for (_, rule) in stratum_rules {
                 for lit in &rule.body {
                     match lit {
                         Literal::Pos(a) => {
@@ -394,14 +370,17 @@ impl IncrementalSession {
                 // see growth caused by deletion under negation or by a
                 // shifted active domain. The previous heads are moved
                 // out, not cloned, and diffed against the recomputation.
-                let mut preds: Vec<Symbol> = heads.iter().copied().collect();
+                let mut preds: Vec<Symbol> = stratum_rules
+                    .iter()
+                    .map(|&(ri, _)| head_preds[ri])
+                    .collect();
                 preds.sort_unstable();
+                preds.dedup();
                 let mut previous = Vec::with_capacity(preds.len());
                 for &p in &preds {
                     let rel = self.instance.relation_mut(p).expect("idb relations exist");
                     let empty = Relation::new(rel.arity());
                     previous.push((p, std::mem::replace(rel, empty)));
-                    self.supports.remove(&p);
                 }
                 let mut stages = Stages::over(
                     &self.program,
@@ -409,7 +388,7 @@ impl IncrementalSession {
                     std::mem::take(&mut self.adom),
                     std::mem::take(&mut self.cache),
                 );
-                stages.restrict(stratum_rules);
+                stages.restrict(stratum_rules.iter().map(|&(_, r)| r).collect());
                 let result = stages.run(&mut self.instance, None, &mut Accumulate::delta());
                 (self.adom, self.cache) = stages.into_parts();
                 result?;
@@ -436,63 +415,43 @@ impl IncrementalSession {
                 // `deleted` lost and gained tuples since the last delete
                 // phase read it: index its view side afresh.
                 self.cache.forget_withdrawn();
-                let change = Change {
+                let overdelete = Closure::Withdraw {
                     inserted: &inserted,
-                    deleted: &mut deleted,
                     neg: None,
                 };
-                if self.counted[stratum] {
-                    withdrawn = counted_delete(
-                        &stratum_rules,
-                        change,
-                        &mut self.instance,
-                        &mut self.supports,
-                        &self.program,
-                        &self.rules_for,
-                        &self.support_plans,
-                        &self.adom,
-                        &mut self.cache,
-                        self.options.plan_mode,
-                        &mut stats,
-                    );
-                } else {
-                    withdrawn = overdelete_closure(
-                        &stratum_rules,
-                        change,
-                        &mut self.instance,
-                        &self.adom,
-                        &mut self.cache,
-                        self.options.plan_mode,
-                        self.options.max_stages,
-                        &mut stats,
-                        &Tracer::off(),
-                        &mut vec![RuleStat::default(); stratum_rules.len()],
-                    )?;
-                    rederive(
-                        &withdrawn,
-                        &self.program,
-                        &self.rules_for,
-                        &self.support_plans,
-                        &mut self.instance,
-                        None,
-                        &self.adom,
-                        &mut self.cache,
-                        &mut stats,
-                        &Tracer::off(),
-                        &mut vec![RuleStat::default(); self.program.rules.len()],
-                    );
-                }
-            }
-            if ins_hit {
-                insert_closure(
-                    &stratum_rules,
+                withdrawn = delta_closure(
+                    stratum_rules,
+                    overdelete,
+                    &mut deleted,
                     &mut self.instance,
-                    &mut inserted,
-                    &mut self.supports,
                     &self.adom,
                     &mut self.cache,
                     &self.options,
-                    &mut stats,
+                    &mut rule_stats,
+                )?;
+                stats.overdeleted += withdrawn.len() as u64;
+                stats.rederived += rederive(
+                    &withdrawn,
+                    &self.program,
+                    &self.support,
+                    &mut self.instance,
+                    None,
+                    &self.adom,
+                    &mut self.cache,
+                    tracer,
+                    &mut rule_stats,
+                );
+            }
+            if ins_hit {
+                delta_closure(
+                    stratum_rules,
+                    Closure::Insert,
+                    &mut inserted,
+                    &mut self.instance,
+                    &self.adom,
+                    &mut self.cache,
+                    &self.options,
+                    &mut rule_stats,
                 )?;
             }
             // The stratum's net head change: a withdrawn tuple that is
@@ -510,9 +469,11 @@ impl IncrementalSession {
         self.edb.compact_all();
         stats.facts_removed = deleted.fact_count() as u64;
         stats.facts_added = inserted.fact_count() as u64;
+        stats.rules_fired = rule_stats.iter().map(|s| s.fired).sum();
         stats.joins = self.cache.counters.since(&joins_entry);
         // Each poll is one telemetry stage, so a trace of a session
-        // reads as: initial fixpoint rounds, then one round per poll.
+        // reads as: initial fixpoint rounds, then one round per poll,
+        // with a leaf per program rule.
         let tel = &self.options.telemetry;
         tel.with(|t| {
             t.ivm_overdeleted += stats.overdeleted;
@@ -527,69 +488,43 @@ impl IncrementalSession {
             plan_stats: PlanStats::default(),
             workers: Vec::new(),
         };
-        round.record(tel, &[], &[], poll_sw.nanos(), &self.instance);
+        round.record(
+            tel,
+            &head_preds,
+            &rule_stats,
+            poll_sw.nanos(),
+            &self.instance,
+        );
         Ok(stats)
     }
 }
 
-/// An update's net change so far, as a delete phase sees it: it reads
-/// both sides as its pre-update view and Δ-drives over `deleted`,
-/// into which it also records what it withdraws.
-pub(crate) struct Change<'a> {
-    pub(crate) inserted: &'a Instance,
-    pub(crate) deleted: &'a mut Instance,
-    /// `(context, added)` when negative literals read another instance
-    /// than the updated one: they read `context` as it was before it
-    /// gained `added`. `None`: they read the pre-update view too.
-    pub(crate) neg: Option<(&'a Instance, &'a Instance)>,
-}
-
-impl Change<'_> {
-    /// Sources for a Δ pass over `deleted` since `mark` whose full
-    /// scans and negative literals read the pre-update state.
-    fn sources<'s>(&'s self, instance: &'s Instance, mark: &'s DeltaHandle) -> Sources<'s> {
-        Sources {
-            full: instance,
-            delta: Some(mark),
-            neg: self.neg.map(|(context, _)| context),
-            neg_added: self.neg.map(|(_, added)| added),
-            delta_from: Some(self.deleted),
-            before: Some((self.inserted, self.deleted)),
-        }
-    }
-}
-
-/// Bound-head support plans, one per rule of `program`, with every head
+/// Bound-head support plans, one per rule of a program, with every head
 /// variable prebound so a support check for a concrete tuple starts
 /// from index probes on the head bindings; and the indices of the rules
 /// deriving each head predicate.
-pub(crate) fn support_plans(
-    program: &Program,
-    planner: &mut Planner,
-) -> (FxHashMap<Symbol, Vec<usize>>, Vec<Plan>) {
-    let mut rules_for: FxHashMap<Symbol, Vec<usize>> = FxHashMap::default();
-    let mut plans = Vec::with_capacity(program.rules.len());
-    for (ri, rule) in program.rules.iter().enumerate() {
-        let head = head_atom(rule);
-        rules_for.entry(head.pred).or_default().push(ri);
-        let mut prebound: Vec<Var> = Vec::new();
-        for v in head.vars() {
-            if !prebound.contains(&v) {
-                prebound.push(v);
-            }
-        }
-        plans.push(planner.plan_rule_bound(rule, &prebound));
-    }
-    (rules_for, plans)
+pub(crate) struct Support {
+    rules_for: FxHashMap<Symbol, Vec<usize>>,
+    plans: Vec<Plan>,
 }
 
-/// The head predicates of one stratum's rules.
-fn heads_of(rules: &[&Rule]) -> FxHashSet<Symbol> {
-    rules
-        .iter()
-        .filter_map(|r| r.head.first().and_then(HeadLiteral::atom))
-        .map(|a| a.pred)
-        .collect()
+impl Support {
+    pub(crate) fn new(program: &Program, planner: &mut Planner) -> Support {
+        let mut rules_for: FxHashMap<Symbol, Vec<usize>> = FxHashMap::default();
+        let mut plans = Vec::with_capacity(program.rules.len());
+        for (ri, rule) in program.rules.iter().enumerate() {
+            let head = head_atom(rule);
+            rules_for.entry(head.pred).or_default().push(ri);
+            let mut prebound: Vec<Var> = Vec::new();
+            for v in head.vars() {
+                if !prebound.contains(&v) {
+                    prebound.push(v);
+                }
+            }
+            plans.push(planner.plan_rule_bound(rule, &prebound));
+        }
+        Support { rules_for, plans }
+    }
 }
 
 fn head_atom(rule: &Rule) -> &Atom {
@@ -623,310 +558,52 @@ fn seed_env(head: &Atom, tuple: &Tuple, var_count: usize) -> Option<Env> {
     Some(env)
 }
 
-/// Counts derivations of `tuple` (or just probes for one, with
-/// `first_only`) across every rule whose head predicate matches,
-/// against the current `instance`, with negative literals reading `neg`
-/// when given. Adds each rule's matches, and the time they took on
-/// `tracer`'s clock, to `rule_stats[rule]`.
-#[allow(clippy::too_many_arguments)]
-fn count_support(
-    pred: Symbol,
-    tuple: &Tuple,
-    program: &Program,
-    rules_for: &FxHashMap<Symbol, Vec<usize>>,
-    support_plans: &[Plan],
-    instance: &Instance,
-    neg: Option<&Instance>,
-    adom: &[Value],
-    cache: &mut IndexCache,
-    stats: &mut PollStats,
-    tracer: &Tracer,
-    rule_stats: &mut [RuleStat],
-    first_only: bool,
-) -> u64 {
-    let mut count = 0u64;
-    let Some(rule_indices) = rules_for.get(&pred) else {
-        return 0;
-    };
-    for &ri in rule_indices {
-        let rule = &program.rules[ri];
-        let Some(mut env) = seed_env(head_atom(rule), tuple, rule.var_count()) else {
-            continue;
-        };
-        let (before, start_nanos) = (count, tracer.now_nanos());
-        let _ = for_each_match_from(
-            &support_plans[ri],
-            Sources {
-                neg,
-                ..Sources::simple(instance)
-            },
-            adom,
-            cache,
-            &mut env,
-            &mut |_| {
-                count += 1;
-                if first_only {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            },
-        );
-        rule_stats[ri].add(tracer, count - before, start_nanos);
-        if first_only && count > 0 {
-            break;
-        }
-    }
-    stats.rules_fired += count;
-    count
+/// Which way a [`delta_closure`] moves the head tuples its rounds find,
+/// and what the rounds read besides the live instance and the change
+/// set they are driven over.
+#[derive(Clone, Copy)]
+pub(crate) enum Closure<'a> {
+    /// The DRed overdelete. Rounds read the pre-update state: the live
+    /// instance without `inserted` and with the deletions put back
+    /// ([`Sources::before`]). Negative literals read it too, or, with
+    /// `neg = Some((context, added))`, `context` as it was before it
+    /// gained `added`. A found head must be live, and is withdrawn into
+    /// the deletions.
+    Withdraw {
+        inserted: &'a Instance,
+        neg: Option<(&'a Instance, &'a Instance)>,
+    },
+    /// Insertion propagation. Rounds read the live, growing instance. A
+    /// found head must be absent, and is inserted into the instance and
+    /// the insertions under the fact budget.
+    Insert,
 }
 
-/// The DRed overdelete closure for one stratum: Δ-variant plans driven
-/// over the update's deletions, every other literal reading the
-/// pre-update state through the [`Change`] view. Affected head
-/// tuples are withdrawn from `instance` and recorded in the deletions —
-/// which keeps the view exact and feeds them back into the Δ — until
-/// nothing new is reachable. Returns the withdrawn tuples, in
-/// withdrawal order; `rule_stats[k]` gains the matches of
-/// `stratum_rules[k]` and the time they took on `tracer`'s clock.
+/// One stratum's Δ closure: each round fires the semi-naive variants of
+/// `rules` over the predicates `change` holds, driven over the tuples
+/// `change` gained in the previous round (all of it in the first), and
+/// moves the head tuples it finds as `closure` says, recording each in
+/// `change` — which feeds it into the next round's Δ — until a round
+/// finds nothing to move. Returns the moved tuples in the order they
+/// moved. Each `(index, rule)` adds its matches, and the time they
+/// took, to `rule_stats[index]`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn overdelete_closure(
-    stratum_rules: &[&Rule],
-    change: Change<'_>,
+pub(crate) fn delta_closure(
+    rules: &[(usize, &Rule)],
+    closure: Closure<'_>,
+    change: &mut Instance,
     instance: &mut Instance,
-    adom: &[Value],
-    cache: &mut IndexCache,
-    plan_mode: PlanMode,
-    max_stages: Option<usize>,
-    stats: &mut PollStats,
-    tracer: &Tracer,
-    rule_stats: &mut [RuleStat],
-) -> Result<Vec<(Symbol, Tuple)>, EvalError> {
-    // The default handle marks every deletion so far as new; captured
-    // marks restrict later rounds to that round's withdrawals.
-    let mut mark = DeltaHandle::default();
-    let mut overdeleted: Vec<(Symbol, Tuple)> = Vec::new();
-    let mut planner = Planner::new(Catalog::from_instance(instance), plan_mode);
-    let mut rounds = 0usize;
-    loop {
-        rounds += 1;
-        if max_stages.is_some_and(|m| rounds > m) {
-            return Err(EvalError::StageLimitExceeded(rounds - 1));
-        }
-        cache.begin_delta_round();
-        let del_preds: FxHashSet<Symbol> = change
-            .deleted
-            .iter()
-            .filter(|(_, r)| !r.is_empty())
-            .map(|(p, _)| p)
-            .collect();
-        let mut found: Vec<(Symbol, Tuple)> = Vec::new();
-        for (rule, stat) in stratum_rules.iter().zip(rule_stats.iter_mut()) {
-            let head = head_atom(rule);
-            let start_nanos = tracer.now_nanos();
-            let mut fired = 0;
-            for plan in planner.seminaive_variants(rule, &|p| del_preds.contains(&p)) {
-                let n = for_each_head(
-                    &plan,
-                    &head.args,
-                    change.sources(instance, &mark),
-                    adom,
-                    cache,
-                    &mut |tuple| {
-                        if instance.contains_fact(head.pred, &tuple) {
-                            found.push((head.pred, tuple));
-                        }
-                    },
-                );
-                stats.rules_fired += n;
-                fired += n;
-            }
-            stat.add(tracer, fired, start_nanos);
-        }
-        if found.is_empty() {
-            return Ok(overdeleted);
-        }
-        mark = DeltaHandle::capture(change.deleted);
-        for (pred, tuple) in found {
-            if change.deleted.insert_fact(pred, tuple.clone()) {
-                instance.retract_fact(pred, &tuple);
-                stats.overdeleted += 1;
-                overdeleted.push((pred, tuple));
-            }
-        }
-    }
-}
-
-/// The DRed rederivation pass: each withdrawn tuple that still has a
-/// derivation from surviving (certified) facts is restored, with
-/// negative literals reading `neg` when given (the new negative
-/// context). Iterates to fixpoint because a restored tuple can in turn
-/// support another candidate. `rule_stats[rule]` gains each rule's
-/// matches and the time they took on `tracer`'s clock.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn rederive(
-    candidates: &[(Symbol, Tuple)],
-    program: &Program,
-    rules_for: &FxHashMap<Symbol, Vec<usize>>,
-    support_plans: &[Plan],
-    instance: &mut Instance,
-    neg: Option<&Instance>,
-    adom: &[Value],
-    cache: &mut IndexCache,
-    stats: &mut PollStats,
-    tracer: &Tracer,
-    rule_stats: &mut [RuleStat],
-) {
-    loop {
-        let mut changed = false;
-        for (pred, tuple) in candidates {
-            if instance.contains_fact(*pred, tuple) {
-                continue;
-            }
-            let supported = count_support(
-                *pred,
-                tuple,
-                program,
-                rules_for,
-                support_plans,
-                instance,
-                neg,
-                adom,
-                cache,
-                stats,
-                tracer,
-                rule_stats,
-                true,
-            ) > 0;
-            if supported {
-                instance.insert_fact(*pred, tuple.clone());
-                stats.rederived += 1;
-                changed = true;
-            }
-        }
-        if !changed {
-            return;
-        }
-    }
-}
-
-/// Support-counted deletion for a stratum with no same-stratum positive
-/// dependencies: one Δ pass over the poll's deletions, reading the
-/// pre-update fixpoint through the [`Change`] view, finds every
-/// affected head tuple (no cascade is possible within the stratum), a
-/// stored count that stays positive absorbs the deletion outright, and
-/// anything else gets an exact recount against the new state. Returns
-/// the withdrawn tuples, which it also records in the deletions.
-#[allow(clippy::too_many_arguments)]
-fn counted_delete(
-    stratum_rules: &[&Rule],
-    change: Change<'_>,
-    instance: &mut Instance,
-    supports: &mut FxHashMap<Symbol, FxHashMap<Tuple, i64>>,
-    program: &Program,
-    rules_for: &FxHashMap<Symbol, Vec<usize>>,
-    support_plans: &[Plan],
-    adom: &[Value],
-    cache: &mut IndexCache,
-    plan_mode: PlanMode,
-    stats: &mut PollStats,
-) -> Vec<(Symbol, Tuple)> {
-    let mark = DeltaHandle::default();
-    let del_preds: FxHashSet<Symbol> = change
-        .deleted
-        .iter()
-        .filter(|(_, r)| !r.is_empty())
-        .map(|(p, _)| p)
-        .collect();
-    let mut planner = Planner::new(Catalog::from_instance(instance), plan_mode);
-    let mut affected: Vec<(Symbol, Tuple)> = Vec::new();
-    let mut seen: FxHashSet<(Symbol, Tuple)> = FxHashSet::default();
-    cache.begin_delta_round();
-    for rule in stratum_rules {
-        let head = head_atom(rule);
-        for plan in planner.seminaive_variants(rule, &|p| del_preds.contains(&p)) {
-            stats.rules_fired += for_each_head(
-                &plan,
-                &head.args,
-                change.sources(instance, &mark),
-                adom,
-                cache,
-                &mut |tuple| {
-                    if !instance.contains_fact(head.pred, &tuple) {
-                        return;
-                    }
-                    // Every Δ-match witnesses a (possibly repeated)
-                    // lost derivation: decrementing once per match can
-                    // only push the stored count *below* the truth,
-                    // which is the safe direction.
-                    if let Some(c) = supports.get_mut(&head.pred).and_then(|m| m.get_mut(&tuple)) {
-                        *c -= 1;
-                    }
-                    let key = (head.pred, tuple);
-                    if seen.insert(key.clone()) {
-                        affected.push(key);
-                    }
-                },
-            );
-        }
-    }
-    let mut withdrawn = Vec::new();
-    let mut rule_stats = vec![RuleStat::default(); program.rules.len()];
-    for (pred, tuple) in affected {
-        if let Some(&c) = supports.get(&pred).and_then(|m| m.get(&tuple)) {
-            if c > 0 {
-                stats.support_hits += 1;
-                continue;
-            }
-        }
-        let count = count_support(
-            pred,
-            &tuple,
-            program,
-            rules_for,
-            support_plans,
-            instance,
-            None,
-            adom,
-            cache,
-            stats,
-            &Tracer::off(),
-            &mut rule_stats,
-            false,
-        );
-        supports
-            .entry(pred)
-            .or_default()
-            .insert(tuple.clone(), count as i64);
-        if count == 0 {
-            instance.retract_fact(pred, &tuple);
-            change.deleted.insert_fact(pred, tuple.clone());
-            withdrawn.push((pred, tuple));
-        }
-    }
-    withdrawn
-}
-
-/// Semi-naive insertion propagation for one stratum: Δ-variant plans
-/// over the poll's insertions, full scans against the live (growing)
-/// instance. Every tuple it adds joins `inserted`, which keeps it in the
-/// Δ of later rounds; the caller takes back out the ones that were
-/// withdrawn earlier in the poll. Stored support counts of re-derived
-/// tuples are invalidated rather than incremented — a Δ-match with `k`
-/// new body tuples is enumerated `k` times, so incrementing could
-/// overshoot the truth. The fact budget is checked per added fact.
-#[allow(clippy::too_many_arguments)]
-fn insert_closure(
-    stratum_rules: &[&Rule],
-    instance: &mut Instance,
-    inserted: &mut Instance,
-    supports: &mut FxHashMap<Symbol, FxHashMap<Tuple, i64>>,
     adom: &[Value],
     cache: &mut IndexCache,
     options: &EvalOptions,
-    stats: &mut PollStats,
-) -> Result<(), EvalError> {
+    rule_stats: &mut [RuleStat],
+) -> Result<Vec<(Symbol, Tuple)>, EvalError> {
+    let tracer = options.telemetry.tracer();
+    let withdraw = matches!(closure, Closure::Withdraw { .. });
+    // The default handle marks all of `change` as new; captured marks
+    // restrict later rounds to the previous round's moves.
     let mut mark = DeltaHandle::default();
+    let mut moved: Vec<(Symbol, Tuple)> = Vec::new();
     let mut planner = Planner::new(Catalog::from_instance(instance), options.plan_mode);
     let mut facts = instance.fact_count();
     let mut rounds = 0usize;
@@ -936,48 +613,119 @@ fn insert_closure(
             return Err(EvalError::StageLimitExceeded(rounds - 1));
         }
         cache.begin_delta_round();
-        let ins_preds: FxHashSet<Symbol> = inserted
+        let changed: FxHashSet<Symbol> = change
             .iter()
             .filter(|(_, r)| !r.is_empty())
             .map(|(p, _)| p)
             .collect();
+        let view = match closure {
+            Closure::Withdraw { inserted, neg } => Sources {
+                neg: neg.map(|(context, _)| context),
+                neg_added: neg.map(|(_, added)| added),
+                before: Some((inserted, &*change)),
+                ..Sources::simple(instance)
+            },
+            Closure::Insert => Sources::simple(instance),
+        };
+        let sources = Sources {
+            delta: Some(&mark),
+            delta_from: Some(&*change),
+            ..view
+        };
         let mut found: Vec<(Symbol, Tuple)> = Vec::new();
-        for rule in stratum_rules {
+        for &(ri, rule) in rules {
             let head = head_atom(rule);
-            for plan in planner.seminaive_variants(rule, &|p| ins_preds.contains(&p)) {
-                stats.rules_fired += for_each_head(
-                    &plan,
-                    &head.args,
-                    Sources {
-                        delta: Some(&mark),
-                        delta_from: Some(inserted),
-                        ..Sources::simple(instance)
-                    },
-                    adom,
-                    cache,
-                    &mut |tuple| {
-                        if !instance.contains_fact(head.pred, &tuple) {
-                            found.push((head.pred, tuple));
-                        }
-                    },
-                );
+            let start_nanos = tracer.now_nanos();
+            let mut fired = 0;
+            for plan in planner.seminaive_variants(rule, &|p| changed.contains(&p)) {
+                fired += for_each_head(&plan, &head.args, sources, adom, cache, &mut |tuple| {
+                    if instance.contains_fact(head.pred, &tuple) == withdraw {
+                        found.push((head.pred, tuple));
+                    }
+                });
             }
+            rule_stats[ri].add(tracer, fired, start_nanos);
         }
         if found.is_empty() {
-            return Ok(());
+            return Ok(moved);
         }
-        mark = DeltaHandle::capture(inserted);
+        mark = DeltaHandle::capture(change);
         for (pred, tuple) in found {
-            if instance.insert_fact(pred, tuple.clone()) {
+            if withdraw {
+                if !instance.retract_fact(pred, &tuple) {
+                    continue;
+                }
+            } else {
+                if !instance.insert_row(pred, &tuple) {
+                    continue;
+                }
                 facts += 1;
                 if options.max_facts.is_some_and(|m| facts > m) {
                     return Err(EvalError::FactLimitExceeded(facts));
                 }
-                if let Some(m) = supports.get_mut(&pred) {
-                    m.remove(&tuple);
-                }
-                inserted.insert_fact(pred, tuple);
             }
+            change.insert_row(pred, &tuple);
+            moved.push((pred, tuple));
+        }
+    }
+}
+
+/// The DRed rederivation pass: each withdrawn tuple that still has a
+/// derivation from surviving (certified) facts is restored, with
+/// negative literals reading `neg` when given (the new negative
+/// context). A support check stops at the first derivation. Iterates to
+/// fixpoint because a restored tuple can in turn support another
+/// candidate, and returns the number restored. `rule_stats[rule]` gains
+/// each rule's matches and the time they took on `tracer`'s clock.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn rederive(
+    candidates: &[(Symbol, Tuple)],
+    program: &Program,
+    support: &Support,
+    instance: &mut Instance,
+    neg: Option<&Instance>,
+    adom: &[Value],
+    cache: &mut IndexCache,
+    tracer: &Tracer,
+    rule_stats: &mut [RuleStat],
+) -> u64 {
+    let mut rederived = 0;
+    loop {
+        let mut changed = false;
+        for (pred, tuple) in candidates {
+            if instance.contains_fact(*pred, tuple) {
+                continue;
+            }
+            for &ri in support.rules_for.get(pred).into_iter().flatten() {
+                let rule = &program.rules[ri];
+                let Some(mut env) = seed_env(head_atom(rule), tuple, rule.var_count()) else {
+                    continue;
+                };
+                let start_nanos = tracer.now_nanos();
+                let sources = Sources {
+                    neg,
+                    ..Sources::simple(instance)
+                };
+                let supported = for_each_match_from(
+                    &support.plans[ri],
+                    sources,
+                    adom,
+                    cache,
+                    &mut env,
+                    &mut |_| ControlFlow::Break(()),
+                )
+                .is_break();
+                rule_stats[ri].add(tracer, u64::from(supported), start_nanos);
+                if supported {
+                    instance.insert_fact(*pred, tuple.clone());
+                    rederived += 1;
+                    changed = true;
+                    break;
+                }
+            }
+        }
+        if !changed {
+            return rederived;
         }
     }
 }
@@ -1091,8 +839,11 @@ mod tests {
         assert_matches_scratch(&s, &i);
     }
 
+    /// `P(1)` has three non-recursive derivations; each poll retracts
+    /// one. The overdelete withdraws `P(1)` every time, and the rederive
+    /// pass restores it while a derivation remains.
     #[test]
-    fn support_counting_absorbs_deletions_with_remaining_support() {
+    fn deletions_with_remaining_support_are_rederived() {
         let mut i = Interner::new();
         let p = parse_program("P(x) :- A(x). P(x) :- B(x). P(x) :- C(x).", &mut i).unwrap();
         let (a, b, c) = (
@@ -1107,23 +858,22 @@ mod tests {
             input.insert_fact(pred, one.clone());
         }
         let mut s = IncrementalSession::new(p, &input, EvalOptions::default()).unwrap();
-        // First deletion: the count is unknown, so it is established by
-        // an exact recount (A and B remain → 2).
+        // A and B remain: rederived.
         s.retract(c, one.clone()).unwrap();
         let stats = s.poll().unwrap();
-        assert_eq!(stats.support_hits, 0);
+        assert_eq!(stats.rederived, 1);
         assert!(s.instance().contains_fact(pp, &one));
         assert_matches_scratch(&s, &i);
-        // Second deletion: 2 − 1 = 1 > 0, absorbed without any query.
+        // B remains: rederived.
         s.retract(a, one.clone()).unwrap();
         let stats = s.poll().unwrap();
-        assert_eq!(stats.support_hits, 1);
+        assert_eq!(stats.rederived, 1);
         assert!(s.instance().contains_fact(pp, &one));
         assert_matches_scratch(&s, &i);
-        // Last support gone: 1 − 1 = 0 forces a recount, which deletes.
+        // Last support gone: nothing rederives it.
         s.retract(b, one.clone()).unwrap();
         let stats = s.poll().unwrap();
-        assert_eq!(stats.support_hits, 0);
+        assert_eq!(stats.rederived, 0);
         assert!(!s.instance().contains_fact(pp, &one));
         assert_matches_scratch(&s, &i);
     }

@@ -31,13 +31,12 @@
 use crate::error::EvalError;
 use crate::exec::{for_each_head, Sources};
 use crate::fixpoint::{with_idb, Accumulate, EvalScope, Round, RuleStat, Stages};
-use crate::ir::Plan;
-use crate::ivm::{overdelete_closure, rederive, support_plans, Change, PollStats};
+use crate::ivm::{delta_closure, rederive, Closure, Support};
 use crate::options::{EvalOptions, FixpointRun};
 use crate::planner::{Catalog, Planner};
 use crate::require_language;
 use unchained_common::{
-    DeltaHandle, FxHashMap, HeapSize, Instance, Relation, SpanKind, Symbol, Tracer, Tuple,
+    DeltaHandle, HeapSize, Instance, Relation, SpanKind, Symbol, Tracer, Tuple,
 };
 use unchained_parser::{check_range_restricted, HeadLiteral, Language, Program, Rule};
 
@@ -220,19 +219,22 @@ fn alternate(
     over_side.clear_indexes();
     under_side.clear_indexes();
     let mut gained = since(&under, &DeltaHandle::default(), base, &idb);
-    let (rules_for, support_plans) = support_plans(
+    let support = Support::new(
         program,
         &mut Planner::new(Catalog::from_instance(&over), options.plan_mode),
     );
-    let support = Support {
-        program,
-        rules_for: &rules_for,
-        plans: &support_plans,
-    };
     while !gained.is_empty() {
         let left = {
             let _phase = phase();
-            let left = shrink(&mut over_side, base, &mut over, &under, &gained, &support)?;
+            let left = shrink(
+                &mut over_side,
+                base,
+                &mut over,
+                &under,
+                &gained,
+                program,
+                &support,
+            )?;
             sample(&under, &over);
             left
         };
@@ -283,13 +285,6 @@ fn since(instance: &Instance, marks: &DeltaHandle, base: &Instance, idb: &[Symbo
     out
 }
 
-/// The bound-head support queries of the rederive pass.
-struct Support<'a> {
-    program: &'a Program,
-    rules_for: &'a FxHashMap<Symbol, Vec<usize>>,
-    plans: &'a [Plan],
-}
-
 /// One application of `Γ̂` to an under-estimate that just gained
 /// `gained`, computed from the last over-estimate by delete and
 /// rederive (the DRed of [`crate::ivm`], with a negative context).
@@ -313,7 +308,8 @@ fn shrink(
     over: &mut Instance,
     under: &Instance,
     gained: &Instance,
-    support: &Support<'_>,
+    program: &Program,
+    support: &Support,
 ) -> Result<Instance, EvalError> {
     let options = side.options();
     let tel = &options.telemetry;
@@ -321,7 +317,7 @@ fn shrink(
     let _round = tracer.span(SpanKind::Round, "round 1");
     let stage_sw = tel.stopwatch();
     let head_preds = side.head_preds();
-    let rules: Vec<&Rule> = support.program.rules.iter().collect();
+    let rules: Vec<(usize, &Rule)> = program.rules.iter().enumerate().collect();
     let (adom, cache) = side.parts();
     let joins_before = cache.counters;
     let mut rule_stats = Vec::with_capacity(rules.len());
@@ -339,7 +335,7 @@ fn shrink(
     let gained_has = |p: Symbol| gained.relation(p).is_some_and(|r| !r.is_empty());
     cache.begin_delta_round();
     let mut seed: Vec<(Symbol, Tuple)> = Vec::new();
-    for rule in &rules {
+    for &(_, rule) in &rules {
         let start_nanos = tracer.now_nanos();
         let HeadLiteral::Pos(head) = &rule.head[0] else {
             unreachable!("Datalog¬ heads are positive")
@@ -367,23 +363,20 @@ fn shrink(
         }
     }
 
-    let mut stats = PollStats::default();
     let nothing = Instance::new();
     cache.forget_withdrawn();
-    candidates.extend(overdelete_closure(
+    let overdelete = Closure::Withdraw {
+        inserted: &nothing,
+        neg: Some((under, gained)),
+    };
+    candidates.extend(delta_closure(
         &rules,
-        Change {
-            inserted: &nothing,
-            deleted: &mut withdrawn,
-            neg: Some((under, gained)),
-        },
+        overdelete,
+        &mut withdrawn,
         over,
         adom,
         cache,
-        options.plan_mode,
-        options.max_stages,
-        &mut stats,
-        tracer,
+        options,
         &mut rule_stats,
     )?);
     // Input facts of idb predicates hold in every iterate: the
@@ -395,14 +388,12 @@ fn shrink(
     }
     rederive(
         &candidates,
-        support.program,
-        support.rules_for,
-        support.plans,
+        program,
+        support,
         over,
         Some(under),
         adom,
         cache,
-        &mut stats,
         tracer,
         &mut rule_stats,
     );

@@ -10,6 +10,7 @@ use unchained_common::{
 use unchained_core::noninflationary::ConflictPolicy;
 use unchained_core::{
     inflationary, noninflationary, seminaive, stratified, wellfounded, EvalOptions,
+    IncrementalSession,
 };
 use unchained_parser::parse_program;
 
@@ -281,6 +282,95 @@ fn stage_driver_rounds_account_for_their_rules() {
             "{}",
             eval.name
         );
+    }
+
+    // An incremental session records each poll as one round with a leaf
+    // per program rule: the overdelete, rederive and insert passes of
+    // every stratum attribute their matches to the rule that fired them.
+    // The diamond G(0,1), G(1,3), G(0,2), G(2,3) makes a retraction
+    // rederive, and `CT`, which negates `T`, recomputes in a nested
+    // batch round of its own.
+    let program = parse_program(
+        &format!("{TC} V(x) :- G(x,y). CT(x) :- V(x), !T(x,x)."),
+        &mut interner,
+    )
+    .unwrap();
+    let g = interner.intern("G");
+    let edge = |a: i64, b: i64| Tuple::from([Value::Int(a), Value::Int(b)]);
+    let mut diamond = Instance::new();
+    for (a, b) in [(0, 1), (1, 3), (0, 2), (2, 3)] {
+        diamond.insert_fact(g, edge(a, b));
+    }
+    let tracer = Tracer::enabled();
+    let options =
+        EvalOptions::default().with_telemetry(Telemetry::off().with_tracer(tracer.clone()));
+    let mut session = IncrementalSession::new(program.clone(), &diamond, options).unwrap();
+    let mut polled = 0;
+    for (retract, (a, b)) in [
+        (true, (1, 3)),
+        (false, (3, 0)),
+        (true, (3, 0)),
+        (false, (1, 3)),
+    ] {
+        if retract {
+            session.retract(g, edge(a, b)).unwrap();
+        } else {
+            session.insert(g, edge(a, b)).unwrap();
+        }
+        polled += session.poll().unwrap().rules_fired;
+    }
+    let roots = tracer.finish();
+    let polls: Vec<&Span> = roots.iter().filter(|s| s.name == "poll").collect();
+    assert_eq!(polls.len(), 4);
+    for poll in &polls {
+        assert_eq!(poll.kind, SpanKind::Round);
+        let rules: Vec<&Span> = poll
+            .children
+            .iter()
+            .filter(|c| c.kind == SpanKind::Rule)
+            .collect();
+        assert_eq!(rules.len(), program.rules.len(), "one leaf per rule");
+        let fired: u64 = rules.iter().map(|r| r.gauge("fired").unwrap_or(0)).sum();
+        assert_eq!(poll.gauge("rules_fired"), Some(fired));
+    }
+    assert!(polled > 0);
+    assert!(
+        polls
+            .iter()
+            .any(|p| p.children.iter().any(|c| c.kind == SpanKind::Round)),
+        "CT recomputes in a nested round"
+    );
+}
+
+/// A round's join leaf carries every join counter, so the span tree
+/// reproduces the run's `JoinCounters`.
+#[test]
+fn join_leaves_sum_to_the_runs_join_counters() {
+    let mut interner = Interner::new();
+    let program = parse_program(TC, &mut interner).unwrap();
+    let input = chain(&mut interner, 24);
+    let tracer = Tracer::enabled();
+    let tel = Telemetry::enabled().with_tracer(tracer.clone());
+    seminaive::minimum_model(
+        &program,
+        &input,
+        EvalOptions::default().with_telemetry(tel.clone()),
+    )
+    .unwrap();
+    let trace = tel.snapshot().unwrap();
+    let roots = tracer.finish();
+    assert!(trace.joins.indexed_tuples > 0);
+    for (name, total) in [
+        ("probes", trace.joins.probes),
+        ("probe_tuples", trace.joins.probe_tuples),
+        ("index_builds", trace.joins.index_builds),
+        ("indexed_tuples", trace.joins.indexed_tuples),
+        ("index_hits", trace.joins.index_hits),
+        ("index_appends", trace.joins.index_appends),
+        ("appended_tuples", trace.joins.appended_tuples),
+        ("index_rebuilds", trace.joins.index_rebuilds),
+    ] {
+        assert_eq!(sum_gauge(&roots, SpanKind::Join, name), total, "{name}");
     }
 }
 

@@ -2,8 +2,9 @@
 //! `tests/corpus/` and replayed forever by `tests/corpus_replay.rs`.
 //!
 //! Each repro is a pair of files sharing a stem: `<stem>.dl` holds the
-//! shrunk program behind `%` header comments recording the campaign and
-//! the divergence it witnessed; `<stem>.facts` holds the edb instance
+//! shrunk program behind `%` header comments recording the campaign
+//! (`% campaign: <name>`), the run seed that drove its seeded choosers
+//! (`% run seed: <n>`) and the divergence it witnessed; `<stem>.facts` holds the edb instance
 //! as ground facts, one per line, parseable by
 //! [`unchained_parser::parse_facts`]. Both files are deterministic in
 //! the campaign seed, so re-running a campaign reproduces the corpus
@@ -88,6 +89,8 @@ pub struct LoadedRepro {
     pub instance: Instance,
     /// Campaign recorded in the header, if any.
     pub campaign: Option<Campaign>,
+    /// Run seed recorded in the header, if any.
+    pub run_seed: Option<u64>,
 }
 
 /// Loads a `.dl` corpus file plus its optional `.facts` sibling.
@@ -99,11 +102,14 @@ pub fn load(dl_path: &Path, interner: &mut Interner) -> Result<LoadedRepro, Stri
         .to_string();
     let src =
         std::fs::read_to_string(dl_path).map_err(|e| format!("{}: {e}", dl_path.display()))?;
-    let campaign = src.lines().find_map(|line| {
-        let rest = line.trim().strip_prefix('%')?.trim();
-        let value = rest.strip_prefix("campaign:")?.trim();
-        Campaign::parse(value)
-    });
+    let header = |key: &str| {
+        src.lines().find_map(|line| {
+            let rest = line.trim().strip_prefix('%')?.trim();
+            Some(rest.strip_prefix(key)?.trim().to_string())
+        })
+    };
+    let campaign = header("campaign:").and_then(|v| Campaign::parse(&v));
+    let run_seed = header("run seed:").and_then(|v| v.parse().ok());
     let program =
         parse_program(&src, interner).map_err(|e| format!("{}: {e}", dl_path.display()))?;
     let facts_path = dl_path.with_extension("facts");
@@ -119,6 +125,7 @@ pub fn load(dl_path: &Path, interner: &mut Interner) -> Result<LoadedRepro, Stri
         program,
         instance,
         campaign,
+        run_seed,
     })
 }
 
@@ -158,13 +165,18 @@ mod tests {
             stem: "positive-s0-p0".into(),
             program: program.clone(),
             instance: instance.clone(),
-            header: vec!["campaign: positive".into(), "divergence: a vs b".into()],
+            header: vec![
+                "campaign: positive".into(),
+                "run seed: 17".into(),
+                "divergence: a vs b".into(),
+            ],
         };
         let (dl, _) = repro.write(&dir, &interner).unwrap();
 
         let mut interner2 = Interner::new();
         let loaded = load(&dl, &mut interner2).unwrap();
         assert_eq!(loaded.campaign, Some(Campaign::Positive));
+        assert_eq!(loaded.run_seed, Some(17));
         assert_eq!(loaded.program.rules.len(), 2);
         assert_eq!(loaded.instance.fact_count(), 2);
         std::fs::remove_dir_all(&dir).ok();

@@ -134,10 +134,13 @@ pub fn run_campaign(options: &FuzzOptions) -> Result<(FuzzReport, Vec<Repro>), S
             program: shrunk.program,
             instance: shrunk.instance,
             header: vec![
+                format!("campaign: {}", options.campaign.name()),
+                format!("run seed: {run_seed}"),
                 format!(
-                    "fuzz repro: campaign={} seed={} program={index}",
+                    "regenerate: unchained fuzz --campaign {} --seed {} --budget {}",
                     options.campaign.name(),
-                    options.seed
+                    options.seed,
+                    index + 1
                 ),
                 format!(
                     "divergence: {} vs {} ({})",

@@ -1,6 +1,9 @@
 //! Integration tests for the differential fuzzer: every campaign runs
 //! clean at a small budget, and a full run is bit-for-bit deterministic.
 
+use unchained_common::Interner;
+use unchained_fuzz::corpus::{corpus_files, load};
+use unchained_fuzz::oracle::check;
 use unchained_fuzz::{run_campaign, Campaign, Fault, FuzzOptions};
 
 fn options(campaign: Campaign, seed: u64, budget: usize) -> FuzzOptions {
@@ -105,5 +108,49 @@ fn fault_injection_produces_divergences_and_minimal_repros() {
             "repro not minimal: {} rules",
             repro.program.rules.len()
         );
+    }
+}
+
+/// A repro the campaign writes loads back with the campaign and run seed
+/// its header records, and still diverges under the faulty oracle at
+/// that seed — so a repro copied into `tests/corpus/` replays as found.
+#[test]
+fn written_repros_load_back_with_campaign_and_run_seed() {
+    for campaign in [Campaign::Positive, Campaign::EditScript] {
+        let dir = std::env::temp_dir().join(format!(
+            "unchained-fuzz-repro-header-{}-{}",
+            campaign.name(),
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let opts = FuzzOptions {
+            fault: Fault::DropMaxFact,
+            corpus_dir: Some(dir.clone()),
+            ..options(campaign, 7, 10)
+        };
+        let (report, _) = run_campaign(&opts).expect("faulted run");
+        let files = corpus_files(&dir);
+        assert!(report.divergences > 0, "fault must be observable");
+        assert_eq!(files.len(), report.divergences);
+        for dl in files {
+            let mut interner = Interner::new();
+            let repro = load(&dl, &mut interner).expect("repro loads");
+            assert_eq!(repro.campaign, Some(campaign), "{}", dl.display());
+            let run_seed = repro.run_seed.expect("repro records its run seed");
+            let outcome = check(
+                campaign,
+                &repro.program,
+                &repro.instance,
+                &mut interner,
+                run_seed,
+                Fault::DropMaxFact,
+            );
+            assert!(
+                outcome.divergence.is_some(),
+                "{} no longer diverges",
+                dl.display()
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

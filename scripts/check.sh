@@ -271,19 +271,21 @@ fi
 
 # Incremental-maintenance gate 1: the edit-script campaign drives an
 # IncrementalSession through seeded insert/retract batches and compares
-# every poll against from-scratch evaluation at 1 and 4 threads. A
-# fixed seed keeps it deterministic; any divergence means maintenance
-# drifted from the batch semantics.
-echo "==> fuzz smoke: edits/42/200, zero divergences"
-rm -rf target/fuzz-edits-corpus
-cargo run -q --release -p unchained-fuzz -- --campaign edits --seed 42 \
-    --budget 200 --json target/fuzz-edits.json --corpus target/fuzz-edits-corpus \
-    >/dev/null
-if ! grep -q '"divergences":0' target/fuzz-edits.json; then
-    echo "edit-script fuzz smoke found divergences:" >&2
-    cat target/fuzz-edits.json >&2
-    exit 1
-fi
+# every poll against from-scratch evaluation at 1 and 4 threads. Fixed
+# seeds (42 and 60) keep it deterministic; any divergence means
+# maintenance drifted from the batch semantics.
+for seed in 42 60; do
+    echo "==> fuzz smoke: edits/$seed/200, zero divergences"
+    rm -rf "target/fuzz-edits-$seed-corpus"
+    cargo run -q --release -p unchained-fuzz -- --campaign edits --seed "$seed" \
+        --budget 200 --json "target/fuzz-edits-$seed.json" \
+        --corpus "target/fuzz-edits-$seed-corpus" >/dev/null
+    if ! grep -q '"divergences":0' "target/fuzz-edits-$seed.json"; then
+        echo "edits/$seed fuzz smoke found divergences:" >&2
+        cat "target/fuzz-edits-$seed.json" >&2
+        exit 1
+    fi
+done
 
 # Incremental-maintenance gate 2: the ivm bench case retracts a chain
 # edge, polls, and fails its own runner unless the poll overdeletes
@@ -462,8 +464,10 @@ for seed in 42 60; do
 done
 
 # Shrinker self-test: with a deliberately wrong oracle leg injected,
-# the campaign must (a) detect divergences (exit 1) and (b) delta-debug
-# every witness down to a repro of at most 3 rules.
+# the campaign must (a) detect divergences (exit 1), (b) delta-debug
+# every witness down to a repro of at most 3 rules, and (c) head every
+# repro with the `% campaign:` and `% run seed:` lines corpus replay
+# reads.
 echo "==> fuzz shrinker self-test: injected fault shrinks to <= 3 rules"
 rm -rf target/fuzz-fault-corpus
 set +e
@@ -486,6 +490,12 @@ for dl in $repros; do
         echo "repro $dl has $rules rules after shrinking (want <= 3)" >&2
         exit 1
     fi
+    for key in '% campaign: ' '% run seed: '; do
+        if ! grep -q "^$key" "$dl"; then
+            echo "repro $dl has no \`$key\` header line" >&2
+            exit 1
+        fi
+    done
 done
 
 echo "All checks passed."

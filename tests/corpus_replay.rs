@@ -13,7 +13,8 @@ use unchained::fuzz::corpus::{corpus_files, load};
 use unchained::fuzz::oracle::check;
 use unchained::fuzz::Fault;
 
-/// Run seeds every corpus entry is replayed under.
+/// Run seeds every corpus entry is replayed under, besides the one its
+/// header records.
 const RUN_SEEDS: std::ops::Range<u64> = 0..4;
 
 fn corpus_dir() -> PathBuf {
@@ -37,9 +38,10 @@ fn corpus_replays_without_divergence() {
                 dl.display()
             )
         });
-        // A repro does not record the run seed that drove its seeded
-        // choosers (nondet runs, edit scripts), so replay several.
-        for run_seed in RUN_SEEDS {
+        // A shrunk repro records the run seed that drove its seeded
+        // choosers (nondet runs, edit scripts); hand-written entries do
+        // not. Replay that seed and several more.
+        for run_seed in RUN_SEEDS.chain(repro.run_seed) {
             let outcome = check(
                 campaign,
                 &repro.program,
