@@ -114,6 +114,8 @@ struct Sizes {
     magic_chains: i64,
     magic_len: i64,
     invent_stages: usize,
+    /// Layers and width of the `rederive` case's two-parent DAG.
+    dag: (i64, i64),
 }
 
 impl Sizes {
@@ -128,6 +130,7 @@ impl Sizes {
             magic_chains: 8,
             magic_len: 12,
             invent_stages: 256,
+            dag: (24, 16),
         }
     }
 
@@ -142,6 +145,7 @@ impl Sizes {
             magic_chains: 4,
             magic_len: 6,
             invent_stages: 32,
+            dag: (8, 6),
         }
     }
 }
@@ -562,6 +566,59 @@ pub fn cases(quick: bool, threads: usize) -> Vec<Case> {
                         .map_err(|e| e.to_string())?;
                 if !session.instance().same_facts(&scratch.instance) {
                     return Err("ivm poll diverged from a from-scratch evaluation".into());
+                }
+                tel.finish(&sw, session.instance().fact_count());
+                let profile = tracer
+                    .is_enabled()
+                    .then(|| hottest_rules(&tracer.finish(), &interner, PROFILE_TOP_N));
+                let (gauges, threads) = harvest(&tel, interner.len(), facts)?;
+                Ok((gauges, threads, profile))
+            }),
+        });
+    }
+
+    // rederive — incremental maintenance that restores tuples: TC over
+    // a layered two-parent DAG (the corpus's diamond witness, scaled
+    // up). Retracting the edge from node 0 to its first child
+    // overdeletes every closure fact of node 0 through that child, and
+    // the facts the other child still reaches are rederived. The runner
+    // fails unless the poll rederives something and lands on the
+    // from-scratch evaluation of the edited edb.
+    {
+        let (layers, width) = sizes.dag;
+        out.push(Case {
+            workload: "rederive",
+            engine: "incremental",
+            threads,
+            n: (layers * width) as u64,
+            // Two out-edges per node of every layer but the last.
+            edb_facts: (2 * (layers - 1) * width) as u64,
+            runner: Box::new(move |tracer| {
+                let mut interner = Interner::new();
+                let input = generators::layered_dag(&mut interner, "G", layers, width);
+                let program =
+                    parse_program(programs::TC, &mut interner).expect("registry program parses");
+                let g = interner.get("G").expect("layered DAG interns G");
+                let facts = input.fact_count();
+                let tel = Telemetry::enabled().with_tracer(tracer.clone());
+                let sw = tel.stopwatch();
+                let options = EvalOptions::default()
+                    .with_telemetry(tel.clone())
+                    .with_threads(threads);
+                let mut session =
+                    IncrementalSession::new(program, &input, options).map_err(|e| e.to_string())?;
+                session
+                    .retract(g, Tuple::from([Value::Int(0), Value::Int(width)]))
+                    .map_err(|e| e.to_string())?;
+                let stats = session.poll().map_err(|e| e.to_string())?;
+                if stats.rederived == 0 {
+                    return Err("rederive case retracted a DAG edge but rederived nothing".into());
+                }
+                let scratch =
+                    stratified::eval(session.program(), session.edb(), EvalOptions::default())
+                        .map_err(|e| e.to_string())?;
+                if !session.instance().same_facts(&scratch.instance) {
+                    return Err("rederive poll diverged from a from-scratch evaluation".into());
                 }
                 tel.finish(&sw, session.instance().fact_count());
                 let profile = tracer
@@ -1101,6 +1158,7 @@ mod tests {
             "magic",
             "invent",
             "ivm",
+            "rederive",
             "scale_reach",
             "scale_pointsto",
         ] {
@@ -1363,6 +1421,30 @@ mod tests {
         // The emitted JSON (v6: carries the ivm object) round-trips.
         let round = BenchReport::from_json(&report.to_json()).unwrap();
         assert_eq!(round, report);
+    }
+
+    #[test]
+    fn rederive_case_restores_tuples() {
+        let args = BenchArgs {
+            filter: Some("rederive".into()),
+            quick: true,
+            reps: Some(1),
+            warmup: Some(0),
+            ..Default::default()
+        };
+        let report = run_benchmarks(&args).unwrap();
+        assert_eq!(report.entries.len(), 1);
+        let e = &report.entries[0];
+        assert_eq!(
+            (e.workload.as_str(), e.engine.as_str()),
+            ("rederive", "incremental")
+        );
+        assert!(e.gauges.ivm_rederived > 0, "{:?}", e.gauges);
+        assert!(
+            e.gauges.ivm_rederived < e.gauges.ivm_overdeleted,
+            "{:?}",
+            e.gauges
+        );
     }
 
     #[test]

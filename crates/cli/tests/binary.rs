@@ -53,6 +53,53 @@ fn check_prints_analysis() {
     assert!(stdout.contains("not stratifiable"), "{stdout}");
 }
 
+/// A facts file whose relation has another arity than the program reads
+/// it with is an error at engine entry, exit 1 with a message, under
+/// every semantics and under `ivm` — never a panic in the executor.
+#[test]
+fn input_arity_conflict_fails_with_message_under_every_semantics() {
+    let prog = write_temp("arity.dl", "T(x,y) :- G(x,y).\n");
+    let while_prog = write_temp("arity.wl", "T += { x, y | G(x, y) };\n");
+    let facts = write_temp("arity_facts.dl", "G(23).\n");
+    let edits = write_temp("arity.edits", "poll\n");
+    let semantics = [
+        "naive",
+        "seminaive",
+        "stratified",
+        "wellfounded",
+        "inflationary",
+        "noninflationary",
+        "invention",
+        "nondet",
+        "effect",
+        "whilelang",
+    ];
+    let mut runs: Vec<(String, Command)> = semantics
+        .iter()
+        .map(|&s| {
+            let mut cmd = bin();
+            cmd.args(["eval", "--semantics", s])
+                .arg(if s == "whilelang" { &while_prog } else { &prog })
+                .arg(&facts);
+            (s.to_string(), cmd)
+        })
+        .collect();
+    let mut ivm = bin();
+    ivm.arg("ivm").arg(&prog).arg(&edits).arg(&facts);
+    runs.push(("ivm".into(), ivm));
+    for (name, mut cmd) in runs {
+        let out = cmd.output().unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        let expected = if name == "whilelang" {
+            "instance has 1, formula uses 2"
+        } else {
+            "declared with arity 2 but used with arity 1"
+        };
+        assert!(stderr.contains(expected), "{name}: {stderr}");
+    }
+}
+
 #[test]
 fn help_exits_zero() {
     let out = bin().arg("help").output().unwrap();

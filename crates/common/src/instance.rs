@@ -251,6 +251,16 @@ impl Instance {
     }
 }
 
+impl FromIterator<(Symbol, Relation)> for Instance {
+    /// The instance holding each relation under its symbol; a later
+    /// relation of the same symbol replaces an earlier one.
+    fn from_iter<I: IntoIterator<Item = (Symbol, Relation)>>(relations: I) -> Self {
+        Instance {
+            relations: relations.into_iter().collect(),
+        }
+    }
+}
+
 impl crate::space::HeapSize for Instance {
     /// Sum over the relations; cheap enough (counts only, no tuple
     /// walk) for engines to sample as a per-rule high-water mark.

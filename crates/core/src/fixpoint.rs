@@ -53,6 +53,7 @@ use unchained_parser::{HeadLiteral, Program, Rule, Term};
 
 use crate::error::EvalError;
 use crate::exec::{for_each_match, IndexCache, Sources};
+use crate::input_schema;
 use crate::ir::Plan;
 use crate::options::{EvalOptions, FixpointRun};
 use crate::parallel::{self, Task};
@@ -60,10 +61,11 @@ use crate::planner::{Catalog, PlanStats, Planner};
 use crate::subst::{active_domain_if_enumerated, instantiate_into, Env};
 
 /// `input` with every idb relation of `program` present, even if it
-/// stays empty.
+/// stays empty. Fails if an input relation's arity conflicts with the
+/// program's (see [`input_schema`]).
 pub(crate) fn with_idb(program: &Program, input: &Instance) -> Result<Instance, EvalError> {
+    let schema = input_schema(program, input)?;
     let mut instance = input.clone();
-    let schema = program.schema()?;
     for pred in program.idb() {
         instance.ensure(pred, schema.arity(pred).expect("idb has arity"));
     }

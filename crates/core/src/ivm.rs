@@ -42,8 +42,8 @@ use crate::fixpoint::{Accumulate, Round, RuleStat, Stages};
 use crate::ir::Plan;
 use crate::options::EvalOptions;
 use crate::planner::{Catalog, PlanStats, Planner};
-use crate::require_language;
 use crate::subst::{active_domain, active_domain_if_enumerated, enumerates_domain, Env};
+use crate::{input_schema, require_language};
 use unchained_common::{
     DeltaHandle, FxHashMap, FxHashSet, Instance, JoinCounters, Relation, Schema, SpanKind, Symbol,
     Tracer, Tuple, Value,
@@ -137,7 +137,7 @@ impl IncrementalSession {
         require_language(&program, Language::DatalogNeg)?;
         check_range_restricted(&program, false)?;
         let stratification = DependencyGraph::build(&program).stratify()?;
-        let schema = program.schema()?;
+        let schema = input_schema(&program, input)?;
         let idb: FxHashSet<Symbol> = program.idb().into_iter().collect();
         for (pred, rel) in input.iter() {
             if idb.contains(&pred) && !rel.is_empty() {
@@ -675,8 +675,11 @@ pub(crate) fn delta_closure(
 /// negative literals reading `neg` when given (the new negative
 /// context). A support check stops at the first derivation. Iterates to
 /// fixpoint because a restored tuple can in turn support another
-/// candidate, and returns the number restored. `rule_stats[rule]` gains
-/// each rule's matches and the time they took on `tracer`'s clock.
+/// candidate — but only through a rule for a candidate's predicate that
+/// reads a candidate predicate positively, so without such a rule one
+/// pass is the fixpoint. Returns the number restored.
+/// `rule_stats[rule]` gains each rule's matches and the time they took
+/// on `tracer`'s clock.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rederive(
     candidates: &[(Symbol, Tuple)],
@@ -689,6 +692,7 @@ pub(crate) fn rederive(
     tracer: &Tracer,
     rule_stats: &mut [RuleStat],
 ) -> u64 {
+    let chained = restores_chain(candidates, program, support);
     let mut rederived = 0;
     loop {
         let mut changed = false;
@@ -724,16 +728,36 @@ pub(crate) fn rederive(
                 }
             }
         }
-        if !changed {
+        if !changed || !chained {
             return rederived;
         }
     }
+}
+
+/// Whether restoring one of `candidates` can support another: some rule
+/// for a candidate's predicate reads a candidate predicate positively.
+fn restores_chain(candidates: &[(Symbol, Tuple)], program: &Program, support: &Support) -> bool {
+    let preds: FxHashSet<Symbol> = candidates.iter().map(|(pred, _)| *pred).collect();
+    preds.iter().any(|pred| {
+        support
+            .rules_for
+            .get(pred)
+            .into_iter()
+            .flatten()
+            .any(|&ri| {
+                program.rules[ri]
+                    .body
+                    .iter()
+                    .any(|lit| matches!(lit, Literal::Pos(a) if preds.contains(&a.pred)))
+            })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stratified;
+    use crate::PlanMode;
     use unchained_common::{Interner, Value};
     use unchained_parser::parse_program;
 
@@ -783,6 +807,30 @@ mod tests {
         assert!(stats.facts_added > 2, "inserts must derive new T facts");
         assert_eq!(stats.facts_removed, 0);
         assert_matches_scratch(&s, &i);
+    }
+
+    /// Rederivation repeats its pass only when a restored tuple can
+    /// support another candidate: TC's recursive rule reads `T`, the
+    /// win-move rule reads `win` only under negation.
+    #[test]
+    fn rederive_chains_only_through_positive_candidate_reads() {
+        let mut i = Interner::new();
+        let tc = tc_program(&mut i);
+        let win = parse_program("win(x) :- moves(x,y), !win(y).", &mut i).unwrap();
+        let (t, w) = (i.get("T").unwrap(), i.get("win").unwrap());
+        let support = |p: &Program| {
+            Support::new(
+                p,
+                &mut Planner::new(
+                    Catalog::from_instance(&Instance::new()),
+                    PlanMode::default(),
+                ),
+            )
+        };
+        let one = |pred| vec![(pred, Tuple::from([Value::Int(1), Value::Int(2)]))];
+        assert!(restores_chain(&one(t), &tc, &support(&tc)));
+        assert!(!restores_chain(&one(w), &win, &support(&win)));
+        assert!(!restores_chain(&[], &tc, &support(&tc)));
     }
 
     #[test]

@@ -63,7 +63,21 @@ pub use ivm::{IncrementalSession, PollStats};
 pub use options::{DivergenceDetection, EvalOptions, FixpointRun};
 pub use planner::PlanMode;
 
+use unchained_common::{Instance, Schema};
 use unchained_parser::{classify, Language, Program};
+
+/// `program`'s schema with the arity of every relation of `input`
+/// declared into it: the one check, at engine entry, that the input
+/// fits the program. A relation the program reads with another arity
+/// is an [`ArityConflict`](unchained_common::schema::ArityConflict)
+/// error, not a row of the wrong width for the executor to index.
+pub fn input_schema(program: &Program, input: &Instance) -> Result<Schema, EvalError> {
+    let mut schema = program.schema()?;
+    for (pred, rel) in input.iter() {
+        schema.declare(pred, rel.arity())?;
+    }
+    Ok(schema)
+}
 
 /// Checks that `program` classifies at or below `max` in the language
 /// hierarchy (and that rules have the single-positive-head shape all

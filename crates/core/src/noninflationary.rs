@@ -13,8 +13,9 @@
 //! second stage on its rules fire only over the last stage's change:
 //! their semi-naive variants over its insertions and their negation
 //! variants over its removals, which are tombstones (see the stage
-//! driver, `fixpoint.rs`). Rules whose head some rule retracts fire
-//! full stages. Without negative heads this is exactly inflationary
+//! driver, `fixpoint.rs`), and its facts travel in the flat buffer the
+//! accumulating stages use (`fixpoint::Fired`). Rules whose head some
+//! rule retracts fire full stages. Without negative heads this is exactly inflationary
 //! Datalog¬'s Δ driving.
 //!
 //! Termination is *not* guaranteed: the flip-flop program of Section 4.2
@@ -26,7 +27,7 @@
 //! `ptime` vs `pspace`).
 
 use crate::error::EvalError;
-use crate::fixpoint::{self, Apply, Consequence};
+use crate::fixpoint::{self, Apply, Consequence, Fired};
 use crate::options::{DivergenceDetection, EvalOptions, FixpointRun};
 use crate::require_language;
 use crate::subst::{instantiate_into, Env};
@@ -134,6 +135,7 @@ pub fn eval(
             .collect(),
         mode: options.divergence,
         detector: Detector::default(),
+        kept: Fired::default(),
         inserted: Instance::new(),
         deleted: Instance::new(),
         row: Vec::new(),
@@ -160,7 +162,12 @@ struct Retract {
     retractable: FxHashSet<Symbol>,
     mode: DivergenceDetection,
     detector: Detector,
-    /// The facts the stage inferred, and those it retracted.
+    /// The facts the stage inferred whose predicate no rule retracts:
+    /// no `¬A` can conflict with them, so they are batched as the
+    /// accumulating stages batch theirs.
+    kept: Fired,
+    /// The facts the stage inferred of retractable predicates, and
+    /// those it retracted.
     inserted: Instance,
     deleted: Instance,
     /// Scratch space for instantiating a head.
@@ -188,13 +195,14 @@ impl Consequence for Retract {
         let row = &mut self.row;
         row.clear();
         match head {
+            // Inferring a present fact changes nothing unless the stage
+            // may also infer its retraction.
+            HeadLiteral::Pos(a) if !self.retractable.contains(&a.pred) => {
+                self.kept.push_new(a.pred, &a.args, env, instance);
+            }
             HeadLiteral::Pos(a) => {
                 instantiate_into(&a.args, env, row);
-                // Inferring a present fact changes nothing unless the
-                // stage may also infer its retraction.
-                if self.retractable.contains(&a.pred) || !instance.contains_fact(a.pred, &*row) {
-                    self.inserted.insert_row(a.pred, row);
-                }
+                self.inserted.insert_row(a.pred, row);
             }
             HeadLiteral::Neg(a) => {
                 instantiate_into(&a.args, env, row);
@@ -233,6 +241,7 @@ impl Consequence for Retract {
                 stage.insert(pred, row)?;
             }
         }
+        self.kept.apply(stage, |_, _, _| {})?;
         if stage.tel.is_enabled() {
             stage.tel.sample_peak(
                 prev_facts + stage.instance.fact_count(),

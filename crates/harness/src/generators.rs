@@ -71,6 +71,26 @@ pub fn grid_graph(interner: &mut Interner, name: &str, w: i64, h: i64) -> Instan
     instance
 }
 
+/// A layered two-parent DAG in relation `name`: `layers` layers of
+/// `width` nodes, node `(k, j)` being the integer `k·width + j`, with
+/// edges from `(k, j)` to `(k+1, j)` and `(k+1, (j+1) mod width)`. Every
+/// node past the first layer has two parents, so the transitive closure
+/// derives most facts along several paths: retracting one edge
+/// overdeletes facts that another path rederives.
+pub fn layered_dag(interner: &mut Interner, name: &str, layers: i64, width: i64) -> Instance {
+    let rel = interner.intern(name);
+    let mut instance = Instance::new();
+    instance.ensure(rel, 2);
+    for k in 0..layers - 1 {
+        for j in 0..width {
+            let node = k * width + j;
+            edge(&mut instance, rel, node, node + width);
+            edge(&mut instance, rel, node, (k + 1) * width + (j + 1) % width);
+        }
+    }
+    instance
+}
+
 /// A random digraph on `n` nodes where each ordered pair (including
 /// self-loops) is an edge independently with probability `p`.
 pub fn random_digraph(interner: &mut Interner, name: &str, n: i64, p: f64, seed: u64) -> Instance {

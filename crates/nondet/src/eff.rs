@@ -34,12 +34,14 @@ impl Default for EffOptions {
 ///
 /// # Errors
 /// [`NondetError::StateBudgetExceeded`] when `options.max_states`
-/// distinct states have been visited.
+/// distinct states have been visited; an arity conflict between the
+/// program and `input`.
 pub fn effect(
     compiled: &NondetProgram<'_>,
     input: &Instance,
     options: EffOptions,
 ) -> Result<Vec<Instance>, NondetError> {
+    unchained_core::input_schema(compiled.program, input)?;
     let initial = State::initial(input.clone());
     // Visited memo: fingerprint → states (to resolve collisions exactly).
     let mut visited: FxHashMap<u64, Vec<State>> = FxHashMap::default();

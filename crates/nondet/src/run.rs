@@ -27,13 +27,15 @@ pub struct NondetRun {
 /// * [`NondetError::StepLimitExceeded`] if `options.max_stages` firings
 ///   happen without reaching a terminal state (N-Datalog¬¬ runs need
 ///   not terminate);
-/// * [`NondetError::FactLimitExceeded`] under the fact budget.
+/// * [`NondetError::FactLimitExceeded`] under the fact budget;
+/// * an arity conflict between the program and `input`.
 pub fn run_once(
     compiled: &NondetProgram<'_>,
     input: &Instance,
     chooser: &mut dyn Chooser,
     options: EvalOptions,
 ) -> Result<NondetRun, NondetError> {
+    unchained_core::input_schema(compiled.program, input)?;
     let tel = options.telemetry.clone();
     tel.begin("nondet");
     let run_sw = tel.stopwatch();

@@ -18,11 +18,20 @@
 //! quoted symbols. This matches the paper's examples once constants are
 //! quoted (e.g. the flip-flop program's `T(0)` works verbatim since `0`
 //! is an integer constant).
+//!
+//! A fact file is a program whose statements are all ground positive
+//! facts. [`parse_facts`] reads a statement of the shape
+//! `pred(const, …).` straight off the [`Lexer`] into a flat value
+//! buffer per relation, with no AST. At the first token that does not
+//! fit that shape it re-lexes the statement from its start and parses
+//! it with the rule grammar, so every error reads and points exactly as
+//! the rule grammar reports it. Each relation is then built once from
+//! its rows ([`Relation::from_packed`]), sorted and committed.
 
 use crate::ast::{Atom, HeadLiteral, Literal, Program, Rule, Term, Var};
 use crate::lexer::{lex, LexError, Lexer, Pos, Token, TokenKind};
 use std::fmt;
-use unchained_common::{FxHashMap, Instance, Interner, Value};
+use unchained_common::{FxHashMap, Instance, Interner, Relation, Symbol, Value};
 
 /// A parse error with position information.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -51,15 +60,15 @@ impl From<LexError> for ParseError {
 }
 
 /// The parser over a token stream `T`, holding one token of lookahead.
-struct Parser<'a, T> {
+struct Parser<'i, 's, T> {
     tokens: T,
     /// The lookahead token.
-    cur: Token,
+    cur: Token<'s>,
     /// Where the token before `cur` started.
     prev: Pos,
     /// The lex error the stream stopped at; `cur` is then end of input.
     lex_error: Option<LexError>,
-    interner: &'a mut Interner,
+    interner: &'i mut Interner,
 }
 
 /// Per-rule variable scope.
@@ -81,8 +90,8 @@ impl VarScope {
     }
 }
 
-impl<'a, T: Iterator<Item = Result<Token, LexError>>> Parser<'a, T> {
-    fn new(tokens: T, interner: &'a mut Interner) -> Self {
+impl<'i, 's, T: Iterator<Item = Result<Token<'s>, LexError>>> Parser<'i, 's, T> {
+    fn new(tokens: T, interner: &'i mut Interner) -> Self {
         let start = Pos { line: 1, col: 1 };
         let mut parser = Parser {
             tokens,
@@ -98,8 +107,8 @@ impl<'a, T: Iterator<Item = Result<Token, LexError>>> Parser<'a, T> {
         parser
     }
 
-    fn peek(&self) -> &TokenKind {
-        &self.cur.kind
+    fn peek(&self) -> TokenKind<'s> {
+        self.cur.kind
     }
 
     fn pos(&self) -> Pos {
@@ -108,7 +117,7 @@ impl<'a, T: Iterator<Item = Result<Token, LexError>>> Parser<'a, T> {
 
     /// Returns the lookahead token and pulls the next one. At the end
     /// of input (or at a lex error) the lookahead stays end of input.
-    fn bump(&mut self) -> TokenKind {
+    fn bump(&mut self) -> TokenKind<'s> {
         let next = match self.tokens.next() {
             Some(Ok(token)) => token,
             Some(Err(e)) => {
@@ -138,7 +147,7 @@ impl<'a, T: Iterator<Item = Result<Token, LexError>>> Parser<'a, T> {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<(), ParseError> {
+    fn expect(&mut self, kind: TokenKind<'_>) -> Result<(), ParseError> {
         if self.peek() == kind {
             self.bump();
             Ok(())
@@ -156,8 +165,8 @@ impl<'a, T: Iterator<Item = Result<Token, LexError>>> Parser<'a, T> {
 
     fn parse_term(&mut self, scope: &mut VarScope) -> Result<Term, ParseError> {
         match self.bump() {
-            TokenKind::Ident(name) => Ok(Term::Var(scope.var(&name))),
-            TokenKind::SymConst(s) => Ok(Term::Const(Value::Sym(self.interner.intern(&s)))),
+            TokenKind::Ident(name) => Ok(Term::Var(scope.var(name))),
+            TokenKind::SymConst(s) => Ok(Term::Const(Value::Sym(self.interner.intern(s)))),
             TokenKind::IntConst(n) => Ok(Term::Const(Value::Int(n))),
             other => Err(ParseError {
                 message: format!("expected term, found {other}"),
@@ -168,31 +177,31 @@ impl<'a, T: Iterator<Item = Result<Token, LexError>>> Parser<'a, T> {
 
     fn parse_atom_after_name(
         &mut self,
-        name: String,
+        name: &str,
         scope: &mut VarScope,
     ) -> Result<Atom, ParseError> {
-        let pred = self.interner.intern(&name);
+        let pred = self.interner.intern(name);
         let mut args = Vec::new();
-        if self.peek() == &TokenKind::LParen {
+        if self.peek() == TokenKind::LParen {
             self.bump();
-            if self.peek() != &TokenKind::RParen {
+            if self.peek() != TokenKind::RParen {
                 loop {
                     args.push(self.parse_term(scope)?);
-                    if self.peek() == &TokenKind::Comma {
+                    if self.peek() == TokenKind::Comma {
                         self.bump();
                     } else {
                         break;
                     }
                 }
             }
-            self.expect(&TokenKind::RParen)?;
+            self.expect(TokenKind::RParen)?;
         }
         Ok(Atom::new(pred, args))
     }
 
     /// Parses a body literal: negated atom, plain atom, or (in)equality.
     fn parse_body_literal(&mut self, scope: &mut VarScope) -> Result<Literal, ParseError> {
-        if self.peek() == &TokenKind::Bang {
+        if self.peek() == TokenKind::Bang {
             self.bump();
             match self.bump() {
                 TokenKind::Ident(name) => {
@@ -202,7 +211,7 @@ impl<'a, T: Iterator<Item = Result<Token, LexError>>> Parser<'a, T> {
             }
         } else {
             match self.bump() {
-                TokenKind::Ident(name) if name == "choice" && self.peek() == &TokenKind::LParen => {
+                TokenKind::Ident("choice") if self.peek() == TokenKind::LParen => {
                     self.parse_choice(scope)
                 }
                 TokenKind::Ident(name) => {
@@ -211,13 +220,13 @@ impl<'a, T: Iterator<Item = Result<Token, LexError>>> Parser<'a, T> {
                     match self.peek() {
                         TokenKind::Eq => {
                             self.bump();
-                            let lhs = Term::Var(scope.var(&name));
+                            let lhs = Term::Var(scope.var(name));
                             let rhs = self.parse_term(scope)?;
                             Ok(Literal::Eq(lhs, rhs))
                         }
                         TokenKind::Neq => {
                             self.bump();
-                            let lhs = Term::Var(scope.var(&name));
+                            let lhs = Term::Var(scope.var(name));
                             let rhs = self.parse_term(scope)?;
                             Ok(Literal::Neq(lhs, rhs))
                         }
@@ -229,7 +238,7 @@ impl<'a, T: Iterator<Item = Result<Token, LexError>>> Parser<'a, T> {
                     self.parse_equality_tail(lhs, scope)
                 }
                 TokenKind::SymConst(s) => {
-                    let lhs = Term::Const(Value::Sym(self.interner.intern(&s)));
+                    let lhs = Term::Const(Value::Sym(self.interner.intern(s)));
                     self.parse_equality_tail(lhs, scope)
                 }
                 other => Err(self.error(format!("expected literal, found {other}"))),
@@ -239,29 +248,29 @@ impl<'a, T: Iterator<Item = Result<Token, LexError>>> Parser<'a, T> {
 
     /// Parses `choice((t1, …),(u1, …))` after the `choice` keyword.
     fn parse_choice(&mut self, scope: &mut VarScope) -> Result<Literal, ParseError> {
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::LParen)?;
         let left = self.parse_term_group(scope)?;
-        self.expect(&TokenKind::Comma)?;
+        self.expect(TokenKind::Comma)?;
         let right = self.parse_term_group(scope)?;
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         Ok(Literal::Choice(left, right))
     }
 
     /// Parses a parenthesized, possibly empty term group `(t1, …)`.
     fn parse_term_group(&mut self, scope: &mut VarScope) -> Result<Vec<Term>, ParseError> {
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::LParen)?;
         let mut terms = Vec::new();
-        if self.peek() != &TokenKind::RParen {
+        if self.peek() != TokenKind::RParen {
             loop {
                 terms.push(self.parse_term(scope)?);
-                if self.peek() == &TokenKind::Comma {
+                if self.peek() == TokenKind::Comma {
                     self.bump();
                 } else {
                     break;
                 }
             }
         }
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         Ok(terms)
     }
 
@@ -280,7 +289,7 @@ impl<'a, T: Iterator<Item = Result<Token, LexError>>> Parser<'a, T> {
     }
 
     fn parse_head_literal(&mut self, scope: &mut VarScope) -> Result<HeadLiteral, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Bottom => {
                 self.bump();
                 Ok(HeadLiteral::Bottom)
@@ -305,7 +314,7 @@ impl<'a, T: Iterator<Item = Result<Token, LexError>>> Parser<'a, T> {
     fn parse_rule(&mut self) -> Result<Rule, ParseError> {
         let mut scope = VarScope::default();
         let mut head = vec![self.parse_head_literal(&mut scope)?];
-        while self.peek() == &TokenKind::Comma {
+        while self.peek() == TokenKind::Comma {
             self.bump();
             head.push(self.parse_head_literal(&mut scope)?);
         }
@@ -326,55 +335,56 @@ impl<'a, T: Iterator<Item = Result<Token, LexError>>> Parser<'a, T> {
     ) -> Result<(Vec<Literal>, Vec<Var>), ParseError> {
         let mut body = Vec::new();
         let mut forall = Vec::new();
-        if self.peek() == &TokenKind::Arrow {
+        if self.peek() == TokenKind::Arrow {
             self.bump();
-            if self.peek() == &TokenKind::Forall {
+            if self.peek() == TokenKind::Forall {
                 self.bump();
                 loop {
                     match self.bump() {
-                        TokenKind::Ident(name) => forall.push(scope.var(&name)),
+                        TokenKind::Ident(name) => forall.push(scope.var(name)),
                         other => {
                             return Err(self.error(format!(
                                 "expected variable in forall prefix, found {other}"
                             )))
                         }
                     }
-                    if self.peek() == &TokenKind::Comma {
+                    if self.peek() == TokenKind::Comma {
                         self.bump();
                     }
-                    if self.peek() == &TokenKind::Colon {
+                    if self.peek() == TokenKind::Colon {
                         self.bump();
                         break;
                     }
                 }
             }
             // An empty body after `:-` is allowed (unconditional rule).
-            if self.peek() != &TokenKind::Dot {
+            if self.peek() != TokenKind::Dot {
                 body.push(self.parse_body_literal(scope)?);
-                while self.peek() == &TokenKind::Comma {
+                while self.peek() == TokenKind::Comma {
                     self.bump();
                     body.push(self.parse_body_literal(scope)?);
                 }
             }
         }
-        self.expect(&TokenKind::Dot)?;
+        self.expect(TokenKind::Dot)?;
         Ok((body, forall))
     }
 
-    /// Parses one statement of a fact file with the rule grammar, checks
-    /// that it is a ground positive fact, and inserts it into `out`.
-    /// Errors of the check point at the statement's first token.
-    /// `values` is scratch space for the fact's row.
+    /// Parses one statement of a fact file with the rule grammar and
+    /// checks that it is a ground positive fact whose arity agrees with
+    /// `arity_of` its predicate; returns the predicate, with the fact's
+    /// row in `values`. Errors of the check point at the statement's
+    /// first token.
     fn parse_fact(
         &mut self,
+        arity_of: impl Fn(Symbol) -> Option<usize>,
         values: &mut Vec<Value>,
-        out: &mut Instance,
-    ) -> Result<(), ParseError> {
+    ) -> Result<Symbol, ParseError> {
         let at = self.pos();
         let mut scope = VarScope::default();
         let head = self.parse_head_literal(&mut scope)?;
         let mut heads = 1;
-        while self.peek() == &TokenKind::Comma {
+        while self.peek() == TokenKind::Comma {
             self.bump();
             self.parse_head_literal(&mut scope)?;
             heads += 1;
@@ -399,19 +409,15 @@ impl<'a, T: Iterator<Item = Result<Token, LexError>>> Parser<'a, T> {
                 }
             }
         }
-        if let Some(rel) = out
-            .relation(atom.pred)
-            .filter(|r| r.arity() != values.len())
-        {
+        if let Some(arity) = arity_of(atom.pred).filter(|&a| a != values.len()) {
             return error(format!(
                 "relation `{}` used with arity {} and {}",
                 self.interner.name(atom.pred),
-                rel.arity(),
+                arity,
                 values.len()
             ));
         }
-        out.insert_row(atom.pred, values);
-        Ok(())
+        Ok(atom.pred)
     }
 }
 
@@ -420,27 +426,171 @@ pub fn parse_program(src: &str, interner: &mut Interner) -> Result<Program, Pars
     let tokens = lex(src)?;
     let mut parser = Parser::new(tokens.into_iter().map(Ok), interner);
     let mut rules = Vec::new();
-    while parser.peek() != &TokenKind::Eof {
+    while parser.peek() != TokenKind::Eof {
         rules.push(parser.parse_rule()?);
     }
     Ok(Program { rules })
 }
 
-/// Parses a fact file: a sequence of ground atoms terminated by `.`,
-/// e.g. `G('a','b'). G('b','c').`. Returns the facts as an [`Instance`].
-///
-/// The file is read in one pass: each fact is lexed, parsed, checked
-/// and stored as a row of its relation before the next one is read, so
-/// no token list or rule is kept per fact.
-pub fn parse_facts(src: &str, interner: &mut Interner) -> Result<Instance, ParseError> {
-    let mut parser = Parser::new(Lexer::new(src), interner);
-    let mut instance = Instance::new();
-    let mut values = Vec::new();
-    while parser.peek() != &TokenKind::Eof {
-        let fact = parser.parse_fact(&mut values, &mut instance);
-        parser.finish(fact)?;
+/// One relation of a fact file as it is read: its rows, duplicates
+/// included, packed with stride `arity`.
+struct Loading {
+    pred: Symbol,
+    arity: usize,
+    rows: usize,
+    values: Vec<Value>,
+}
+
+impl Loading {
+    fn push(&mut self, row: &[Value]) {
+        self.values.extend_from_slice(row);
+        self.rows += 1;
     }
-    parser.finish(Ok(instance))
+}
+
+/// What [`FactLoader::read`] made of one statement.
+enum Read {
+    /// A fact, added to its relation's rows.
+    Fact,
+    /// The end of the input.
+    End,
+    /// A token that does not fit `pred(const, …).`, or a lex error.
+    Other,
+}
+
+/// The relations a fact file loads, in the order of their first fact.
+#[derive(Default)]
+struct FactLoader<'s> {
+    relations: Vec<Loading>,
+    by_pred: FxHashMap<Symbol, usize>,
+    /// The predicate name of the last fact read, its symbol, and its
+    /// relation: a run of facts of one predicate interns it once.
+    last: Option<(&'s str, Symbol, usize)>,
+    /// The row being read.
+    row: Vec<Value>,
+}
+
+impl<'s> FactLoader<'s> {
+    /// Reads one statement of the shape `pred(const, …).` (or `pred.`)
+    /// from `lexer` into its relation's rows. Interns what it reads in
+    /// the order the rule grammar does: the predicate, then each
+    /// constant. The row is checked against the relation's arity only
+    /// when complete.
+    fn read(&mut self, lexer: &mut Lexer<'s>, interner: &mut Interner) -> Read {
+        let mut next = || match lexer.next() {
+            Some(Ok(token)) => Some(token.kind),
+            _ => None,
+        };
+        let name = match next() {
+            Some(TokenKind::Ident(name)) => name,
+            Some(TokenKind::Eof) => return Read::End,
+            _ => return Read::Other,
+        };
+        let (pred, known) = match self.last {
+            Some((last, pred, k)) if last == name => (pred, Some(k)),
+            _ => (interner.intern(name), None),
+        };
+        self.row.clear();
+        match next() {
+            Some(TokenKind::Dot) => {}
+            Some(TokenKind::LParen) => {
+                let mut token = next();
+                if token != Some(TokenKind::RParen) {
+                    loop {
+                        self.row.push(match token {
+                            Some(TokenKind::IntConst(n)) => Value::Int(n),
+                            Some(TokenKind::SymConst(s)) => Value::Sym(interner.intern(s)),
+                            _ => return Read::Other,
+                        });
+                        match next() {
+                            Some(TokenKind::Comma) => token = next(),
+                            Some(TokenKind::RParen) => break,
+                            _ => return Read::Other,
+                        }
+                    }
+                }
+                if next() != Some(TokenKind::Dot) {
+                    return Read::Other;
+                }
+            }
+            _ => return Read::Other,
+        }
+        let k = known.unwrap_or_else(|| self.relation(pred, self.row.len()));
+        self.last = Some((name, pred, k));
+        if self.relations[k].arity != self.row.len() {
+            return Read::Other;
+        }
+        self.relations[k].push(&self.row);
+        Read::Fact
+    }
+
+    /// The index of `pred`'s relation, made with `arity` if new.
+    fn relation(&mut self, pred: Symbol, arity: usize) -> usize {
+        let relations = &mut self.relations;
+        *self.by_pred.entry(pred).or_insert_with(|| {
+            relations.push(Loading {
+                pred,
+                arity,
+                rows: 0,
+                values: Vec::new(),
+            });
+            relations.len() - 1
+        })
+    }
+
+    fn arity(&self, pred: Symbol) -> Option<usize> {
+        self.by_pred.get(&pred).map(|&k| self.relations[k].arity)
+    }
+
+    /// Adds the row of a statement the rule grammar parsed.
+    fn push(&mut self, pred: Symbol, row: &[Value]) {
+        let k = self.relation(pred, row.len());
+        self.relations[k].push(row);
+    }
+
+    /// Builds each relation once from its rows.
+    fn finish(self) -> Instance {
+        self.relations
+            .into_iter()
+            .map(|rel| {
+                let relation = Relation::from_packed(rel.arity, rel.rows, rel.values);
+                (rel.pred, relation)
+            })
+            .collect()
+    }
+}
+
+/// Parses a fact file: a sequence of ground atoms terminated by `.`,
+/// e.g. `G('a','b'). G('b','c').`. Returns the facts as an [`Instance`]
+/// whose relations are committed: each holds its distinct rows, sorted,
+/// as one segment.
+///
+/// The file is read in one pass over its tokens, each fact straight
+/// into its relation's rows; a statement of any other shape is parsed
+/// with the rule grammar, which accepts it only as a ground positive
+/// fact and otherwise reports the error `parse_program` plus that
+/// check would.
+pub fn parse_facts(src: &str, interner: &mut Interner) -> Result<Instance, ParseError> {
+    let mut lexer = Lexer::new(src);
+    let mut loader = FactLoader::default();
+    let mut row = Vec::new();
+    loop {
+        let start = lexer.mark();
+        match loader.read(&mut lexer, interner) {
+            Read::Fact => {}
+            Read::End => return Ok(loader.finish()),
+            Read::Other => {
+                lexer.reset(start);
+                let mut parser = Parser::new(&mut lexer, interner);
+                let fact = parser.parse_fact(|pred| loader.arity(pred), &mut row);
+                let pred = parser.finish(fact)?;
+                drop(parser);
+                // The parser read one token past the statement.
+                lexer.unread();
+                loader.push(pred, &row);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

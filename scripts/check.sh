@@ -201,6 +201,24 @@ for series in 'unchained_eval_runs_total{engine="seminaive"}' \
     fi
 done
 
+# Input-boundary gate: a facts file whose relation has another arity
+# than the program reads it with fails at engine entry, exit 1 with the
+# arity conflict, not a panic (exit 101) inside the executor.
+echo "==> arity conflict between program and facts exits 1 with a message"
+printf 'T(x,y) :- G(x,y).\n' > target/arity-conflict.dl
+printf 'G(23).\n' > target/arity-conflict-facts.dl
+set +e
+arity_err=$(cargo run -q --release -p unchained-cli -- run -s seminaive \
+    target/arity-conflict.dl target/arity-conflict-facts.dl 2>&1 >/dev/null)
+arity_status=$?
+set -e
+if [ "$arity_status" != 1 ] \
+    || ! printf '%s' "$arity_err" | grep -q 'declared with arity 2 but used with arity 1'; then
+    echo "arity-conflict run exited $arity_status (want 1 with the conflict):" >&2
+    printf '%s\n' "$arity_err" >&2
+    exit 1
+fi
+
 # Space-accounting gate: a --memstats run must print a per-relation
 # byte tree with a non-zero relation line and the additivity verdict
 # (every branch's bytes equal to the sum of its children), and the
@@ -331,6 +349,22 @@ if [ "$(pick "$ivm_smoke" indexed_tuples)" -gt \
     echo "ivm bench row indexed more than the chain/seminaive row's tuples plus its EDB" >&2
     echo "  ivm:   $ivm_smoke" >&2
     echo "  chain: $chain_smoke" >&2
+    exit 1
+fi
+
+# Incremental-maintenance gate 4: the rederive case retracts a DAG edge
+# whose closure facts other paths still derive, so the quick smoke's
+# poll must rederive some (its runner already fails unless the poll
+# matches a from-scratch evaluation).
+echo "==> bench smoke: rederive case restores tuples"
+rederive_smoke=$(grep '"workload":"rederive","engine":"incremental","threads":1' target/bench-smoke.json)
+if [ -z "$rederive_smoke" ]; then
+    echo "rederive/incremental (threads:1) row missing from bench smoke" >&2
+    exit 1
+fi
+if [ "$(pick "$rederive_smoke" rederived)" = "0" ]; then
+    echo "rederive bench row reports ivm_rederived=0 (no tuple was restored)" >&2
+    echo "  row: $rederive_smoke" >&2
     exit 1
 fi
 
