@@ -229,8 +229,10 @@ const CHECK_BATCH: usize = 64;
 /// buffer: firing a fact allocates nothing once the buffers have grown.
 #[derive(Default)]
 pub(crate) struct Fired {
-    /// Each fact's predicate and the end of its row in `values`.
-    facts: Vec<(Symbol, usize)>,
+    /// Each fact's predicate and the end of its row in `values` (8 B a
+    /// fact: the buffer holds every firing of a fact the instance lacks,
+    /// repeats included, until `apply`).
+    facts: Vec<(Symbol, u32)>,
     values: Vec<Value>,
     /// The facts from here on have not been checked against the
     /// instance yet.
@@ -254,7 +256,7 @@ impl Fired {
     /// Drops the unchecked facts `instance` already holds.
     fn drop_known(&mut self, instance: &Instance) {
         let from = self.unchecked;
-        let mut start = from.checked_sub(1).map_or(0, |i| self.facts[i].1);
+        let mut start = from.checked_sub(1).map_or(0, |i| self.facts[i].1 as usize);
         let mut rel = None;
         let mut lookup = |pred: Symbol| match rel {
             Some((p, r)) if p == pred => r,
@@ -267,6 +269,7 @@ impl Fired {
         let mut touched = 0;
         let mut begin = start;
         for &(pred, end) in &self.facts[from..] {
+            let end = end as usize;
             if let Some(r) = lookup(pred) {
                 touched ^= r.touch(&self.values[begin..end]);
             }
@@ -276,11 +279,12 @@ impl Fired {
         let (mut kept, mut kept_end) = (from, start);
         for i in from..self.facts.len() {
             let (pred, end) = self.facts[i];
+            let end = end as usize;
             let known = lookup(pred).is_some_and(|r| r.contains_row(&self.values[start..end]));
             if !known {
                 self.values.copy_within(start..end, kept_end);
                 kept_end += end - start;
-                self.facts[kept] = (pred, kept_end);
+                self.facts[kept] = (pred, kept_end as u32);
                 kept += 1;
             }
             start = end;
@@ -293,13 +297,17 @@ impl Fired {
     /// Fires `pred(args)` under `env`.
     pub(crate) fn push(&mut self, pred: Symbol, args: &[Term], env: &Env) {
         instantiate_into(args, env, &mut self.values);
-        self.facts.push((pred, self.values.len()));
+        self.facts.push((
+            pred,
+            u32::try_from(self.values.len()).expect("fired values fit u32 positions"),
+        ));
     }
 
     /// The fired facts, in firing order.
     fn iter(&self) -> impl Iterator<Item = (Symbol, &[Value])> {
         let mut start = 0;
         self.facts.iter().map(move |&(pred, end)| {
+            let end = end as usize;
             let row = &self.values[start..end];
             start = end;
             (pred, row)
