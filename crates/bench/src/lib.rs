@@ -39,6 +39,10 @@
 //! Telemetry stays enabled while timing (that is how the gauges are
 //! harvested), so timings include the collection overhead uniformly —
 //! comparisons across runs remain apples-to-apples.
+//!
+//! [`fig1`] holds the Figure 1 witnesses that the `fig1` binary prints.
+
+pub mod fig1;
 
 use unchained_common::bench::{
     compare_reports, compare_with_history, measure, BenchEntry, BenchHistory, BenchReport, Gauges,

@@ -222,7 +222,8 @@ pub fn execute_full(
                         metrics_text,
                     })
                 }
-                Err(mut message) => {
+                Err(message) => {
+                    let mut message = name_relations(&message, &interner);
                     registry.counter_add("unchained_eval_errors_total", &[("engine", &engine)], 1);
                     // Engines finish their trace even on divergence or
                     // budget errors; surface it with the failure.
@@ -327,8 +328,8 @@ pub fn execute_ivm(
     if let Some(threads) = threads {
         options = options.with_threads(threads);
     }
-    let mut session =
-        IncrementalSession::new(program, &input, options).map_err(|e| e.to_string())?;
+    let mut session = IncrementalSession::new(program, &input, options)
+        .map_err(|e| name_relations(&e.to_string(), &interner))?;
     let mut out = String::new();
     let mut polls = 0usize;
     let mut poll = |session: &mut IncrementalSession, out: &mut String| -> Result<(), String> {
@@ -380,7 +381,7 @@ pub fn execute_ivm(
         } else {
             session.retract(pred, tuple)
         };
-        queued.map_err(|e| located(e.to_string()))?;
+        queued.map_err(|e| located(name_relations(&e.to_string(), &interner)))?;
     }
     if session.pending_edits() > 0 {
         poll(&mut session, &mut out)?;
@@ -494,38 +495,48 @@ fn render_plans(
     let idb: unchained_common::FxHashSet<unchained_common::Symbol> =
         program.idb().into_iter().collect();
     planner.inflate(idb.iter().copied());
-    // Plan the whole program before rendering so the sharing gauges
-    // reflect cross-rule arena hits.
-    let plans: Vec<_> = program
-        .rules
-        .iter()
-        .map(|r| {
-            (
-                planner.plan_rule(r),
-                planner.seminaive_variants(r, &|p| idb.contains(&p)),
-            )
-        })
-        .collect();
-    for (i, (rule, (full, deltas))) in program.rules.iter().zip(&plans).enumerate() {
+    for (i, rule) in program.rules.iter().enumerate() {
         let _ = writeln!(out, "rule {}: {}.", i + 1, rule.display(interner));
-        for line in planner.arena().render(full.root, interner).lines() {
+        for line in planner.plan_rule(rule).render(rule, interner).lines() {
             let _ = writeln!(out, "  {line}");
         }
-        for delta in deltas {
+        for delta in planner.seminaive_variants(rule, &|p| idb.contains(&p)) {
             let _ = writeln!(out, "  Δ variant:");
-            for line in planner.arena().render(delta.root, interner).lines() {
+            for line in delta.render(rule, interner).lines() {
                 let _ = writeln!(out, "    {line}");
             }
         }
     }
-    let stats = planner.stats();
     let _ = writeln!(
         out,
-        "% planner: {} join(s) pruned to index probes, {} subplan(s) shared, {} arena node(s)",
-        stats.joins_pruned,
-        stats.subplans_shared,
-        planner.arena().node_count()
+        "% planner: {} join(s) pruned to index probes",
+        planner.stats().joins_pruned
     );
+    out
+}
+
+/// Rewrites each `sym#n` in an error message (how a relation
+/// [`Symbol`](unchained_common::Symbol) prints without an interner) as
+/// the relation's name in `interner`.
+fn name_relations(message: &str, interner: &Interner) -> String {
+    let mut out = String::with_capacity(message.len());
+    let mut rest = message;
+    while let Some(at) = rest.find("sym#") {
+        let digits = rest[at + 4..]
+            .bytes()
+            .take_while(u8::is_ascii_digit)
+            .count();
+        let end = at + 4 + digits;
+        match rest[at + 4..end].parse::<usize>() {
+            Ok(i) if i < interner.len() => {
+                out.push_str(&rest[..at]);
+                out.push_str(interner.name(unchained_common::Symbol::from_index(i)));
+            }
+            _ => out.push_str(&rest[..end]),
+        }
+        rest = &rest[end..];
+    }
+    out.push_str(rest);
     out
 }
 

@@ -92,11 +92,12 @@ fn input_arity_conflict_fails_with_message_under_every_semantics() {
         let stderr = String::from_utf8(out.stderr).unwrap();
         assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
         let expected = if name == "whilelang" {
-            "instance has 1, formula uses 2"
+            "arity mismatch on G: instance has 1, formula uses 2"
         } else {
-            "declared with arity 2 but used with arity 1"
+            "relation G declared with arity 2 but used with arity 1"
         };
         assert!(stderr.contains(expected), "{name}: {stderr}");
+        assert!(!stderr.contains("sym#"), "{name}: {stderr}");
     }
 }
 

@@ -34,8 +34,9 @@ use crate::telemetry::{json_escape, EvalTrace};
 /// thread-scaling rows are first-class, separately-keyed entries. v4
 /// added the space gauges `bytes_peak`/`bytes_final` (logical instance
 /// bytes, see `crate::space`) and the derived `tuples_per_sec` rate.
-/// v5 added the `planner` object (`joins_pruned`, `subplans_shared`)
-/// recording the cost-based planner's deterministic effect on each run.
+/// v5 added the `planner` object (`joins_pruned`; a `subplans_shared`
+/// gauge it also held is gone, and the reader ignores it) recording
+/// the cost-based planner's deterministic effect on each run.
 /// v6 added the `ivm` object (`overdeleted`, `rederived`) for the
 /// incremental-maintenance workloads, and relaxed the reader to accept
 /// v4/v5 baselines (sub-objects introduced later parse as zeroes) so an
@@ -190,9 +191,6 @@ pub struct Gauges {
     /// already-bound literal ahead of unbound ones (deterministic:
     /// a pure function of program + catalog, never of the schedule).
     pub plan_joins_pruned: u64,
-    /// Hash-consed subplan arena hits — body prefixes shared across
-    /// rules or Δ-variants instead of being replanned (deterministic).
-    pub subplans_shared: u64,
     /// Interner size after the run.
     pub interner_symbols: u64,
     /// Logical-byte high-water mark of the instance (plus any pending
@@ -228,7 +226,6 @@ impl Gauges {
             appended_tuples: trace.joins.appended_tuples,
             index_rebuilds: trace.joins.index_rebuilds,
             plan_joins_pruned: trace.plan_joins_pruned,
-            subplans_shared: trace.subplans_shared,
             interner_symbols: trace.interner_symbols as u64,
             bytes_peak: trace.bytes_peak,
             bytes_final: trace.bytes_final,
@@ -363,8 +360,8 @@ impl BenchReport {
             );
             let _ = write!(
                 out,
-                ",\"planner\":{{\"joins_pruned\":{},\"subplans_shared\":{}}}",
-                g.plan_joins_pruned, g.subplans_shared
+                ",\"planner\":{{\"joins_pruned\":{}}}",
+                g.plan_joins_pruned
             );
             let _ = write!(
                 out,
@@ -469,7 +466,6 @@ impl BenchReport {
                     appended_tuples: field(joins, "appended_tuples")?,
                     index_rebuilds: field(joins, "index_rebuilds")?,
                     plan_joins_pruned: opt(planner, "joins_pruned")?,
-                    subplans_shared: opt(planner, "subplans_shared")?,
                     interner_symbols: field(e, "interner_symbols")?,
                     bytes_peak: field(e, "bytes_peak")?,
                     bytes_final: field(e, "bytes_final")?,
@@ -1039,7 +1035,6 @@ mod tests {
                 appended_tuples: 9,
                 index_rebuilds: 1,
                 plan_joins_pruned: 2,
-                subplans_shared: 1,
                 interner_symbols: 5,
                 bytes_peak: 4096,
                 bytes_final: 2048,
@@ -1154,17 +1149,21 @@ mod tests {
         assert_eq!(parsed.entries[0].gauges.ivm_overdeleted, 0);
         assert_eq!(parsed.entries[0].gauges.ivm_rederived, 0);
         assert_eq!(parsed.entries[0].gauges.plan_joins_pruned, 2);
+        // A file that still records the dropped `subplans_shared` gauge.
+        let shared = v5.replace(
+            "\"joins_pruned\":2}",
+            "\"joins_pruned\":2,\"subplans_shared\":1}",
+        );
+        assert_ne!(shared, v5);
+        let parsed = BenchReport::from_json(&shared).unwrap();
+        assert_eq!(parsed.entries[0].gauges.plan_joins_pruned, 2);
 
         // A v4 file: neither planner nor ivm.
         let v4 = v5
             .replace("\"schema_version\":5", "\"schema_version\":4")
-            .replace(
-                ",\"planner\":{\"joins_pruned\":2,\"subplans_shared\":1}",
-                "",
-            );
+            .replace(",\"planner\":{\"joins_pruned\":2}", "");
         let parsed = BenchReport::from_json(&v4).unwrap();
         assert_eq!(parsed.entries[0].gauges.plan_joins_pruned, 0);
-        assert_eq!(parsed.entries[0].gauges.subplans_shared, 0);
         assert_eq!(parsed.entries[0].gauges.ivm_overdeleted, 0);
         // Everything present still round-trips exactly.
         assert_eq!(parsed.entries[0].gauges.probes, 30);

@@ -142,9 +142,6 @@ pub struct EvalTrace {
     /// sideways-information-passing (summed across strata). A plan
     /// property, so deterministic at any thread count.
     pub plan_joins_pruned: u64,
-    /// Plan-arena subplan nodes shared between rules (summed across
-    /// strata). Deterministic, like `plan_joins_pruned`.
-    pub subplans_shared: u64,
     /// Tuples withdrawn by the incremental engine's overdelete pass
     /// (DRed overestimate), summed across polls. Zero for batch runs.
     pub ivm_overdeleted: u64,
@@ -210,11 +207,7 @@ impl EvalTrace {
             self.bytes_peak, self.bytes_final
         );
         let _ = write!(out, ",\"rules_fired\":{}", self.rules_fired);
-        let _ = write!(
-            out,
-            ",\"plan_joins_pruned\":{},\"subplans_shared\":{}",
-            self.plan_joins_pruned, self.subplans_shared
-        );
+        let _ = write!(out, ",\"plan_joins_pruned\":{}", self.plan_joins_pruned);
         let _ = write!(
             out,
             ",\"ivm_overdeleted\":{},\"ivm_rederived\":{}",
@@ -346,7 +339,6 @@ impl EvalTrace {
             final_facts: req_usize("final_facts")?,
             rules_fired: req_u64("rules_fired")?,
             plan_joins_pruned: req_u64("plan_joins_pruned")?,
-            subplans_shared: req_u64("subplans_shared")?,
             ivm_overdeleted: req_u64("ivm_overdeleted")?,
             ivm_rederived: req_u64("ivm_rederived")?,
             bytes_peak: req_u64("bytes_peak")?,
@@ -507,11 +499,11 @@ impl EvalTrace {
                 100.0 * reused as f64 / lookups as f64
             );
         }
-        if self.plan_joins_pruned > 0 || self.subplans_shared > 0 {
+        if self.plan_joins_pruned > 0 {
             let _ = writeln!(
                 out,
-                "planner: {} joins pruned to index probes, {} subplans shared",
-                self.plan_joins_pruned, self.subplans_shared
+                "planner: {} joins pruned to index probes",
+                self.plan_joins_pruned
             );
         }
         if self.invented > 0 {

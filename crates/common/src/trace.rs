@@ -207,15 +207,6 @@ impl Tracer {
         });
     }
 
-    /// Tags the innermost open span with a predicate.
-    pub fn set_pred(&self, pred: Symbol) {
-        self.with_state(|s| {
-            if let Some(span) = s.open.last_mut() {
-                span.pred = Some(pred);
-            }
-        });
-    }
-
     /// Attaches an already-completed span as a child of the innermost
     /// open span (or as a root if none is open).
     pub fn leaf(&self, span: Span) {

@@ -227,7 +227,6 @@ fn sample_report() -> BenchReport {
                 appended_tuples: 12,
                 index_rebuilds: 1,
                 plan_joins_pruned: 3,
-                subplans_shared: 2,
                 interner_symbols: 2,
                 bytes_peak: 8192,
                 bytes_final: 4096,
@@ -270,7 +269,6 @@ fn bench_json_carries_the_schema_version() {
         .get("planner")
         .expect("v5 entries carry planner gauges");
     assert_eq!(u(planner, "joins_pruned"), 3);
-    assert_eq!(u(planner, "subplans_shared"), 2);
 }
 
 #[test]

@@ -791,7 +791,6 @@ impl Round {
         tracer.gauge("rules_fired", self.fired);
         tracer.gauge("bytes", bytes);
         tracer.gauge("plan_joins_pruned", self.plan_stats.joins_pruned);
-        tracer.gauge("subplans_shared", self.plan_stats.subplans_shared);
         if tracer.is_enabled() {
             for (ri, rs) in rule_stats.iter().enumerate() {
                 let mut span = Span::leaf(SpanKind::Rule, format!("rule {ri}"));
@@ -835,7 +834,6 @@ impl Round {
             t.peak_facts = t.peak_facts.max(instance.fact_count());
             t.bytes_peak = t.bytes_peak.max(bytes);
             t.plan_joins_pruned += self.plan_stats.joins_pruned;
-            t.subplans_shared += self.plan_stats.subplans_shared;
         });
     }
 }

@@ -27,7 +27,7 @@
 
 use crate::error::EvalError;
 use crate::fixpoint::{with_idb, Apply, Consequence, EvalScope, Fired, Stages};
-use crate::options::{EvalOptions, FixpointRun};
+use crate::options::EvalOptions;
 use crate::require_language;
 use crate::subst::Env;
 use unchained_common::{FxHashSet, Instance, Value};
@@ -57,14 +57,6 @@ impl InventionRun {
         self.instance
             .relation(answer)
             .is_none_or(|rel| rel.iter().all(|t| t.iter().all(|v| !v.is_invented())))
-    }
-
-    /// Converts to a [`FixpointRun`] (dropping invention stats).
-    pub fn into_fixpoint(self) -> FixpointRun {
-        FixpointRun {
-            instance: self.instance,
-            stages: self.stages,
-        }
     }
 }
 

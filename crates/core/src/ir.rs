@@ -1,27 +1,19 @@
-//! The shared relational-algebra IR every engine's rule bodies compile
-//! to.
+//! The plan form every engine's rule bodies compile to.
 //!
-//! A rule body lowers (see [`crate::planner`]) into two coupled forms:
+//! A rule body lowers (see [`crate::planner`]) into a flat list of
+//! [`Step`]s in the owning rule's variable space: scans (index-nested
+//! loop joins), equality binds, active-domain enumerations, negation
+//! checks and comparisons, in execution order. The executor
+//! ([`crate::exec`]) interprets that list, and [`Plan::render`] prints
+//! it, so the rendered plan is exactly what runs.
 //!
-//! * an **IR chain** of algebra nodes ([`Node`]) — scan / join /
-//!   antijoin / select / bind / domain / project / distinct — held in a
-//!   hash-consing [`PlanArena`] so that structurally identical subplans
-//!   across the rules of a program intern to the same [`NodeId`]. The
-//!   chain names values by **plan slots** (`s0, s1, …`) assigned in
-//!   first-bind order, which makes the representation canonical: two
-//!   rules whose body prefixes are alphabetic variants of each other
-//!   share their prefix nodes. The chain is what `unchained plan`
-//!   renders and what the plan-shape tests count;
-//! * a flat **step list** ([`Step`]) in the owning rule's variable
-//!   space, interpreted by the executor ([`crate::exec`]). Both forms
-//!   are derived from the same planning decisions, so the rendered plan
-//!   is exactly what runs.
-//!
-//! Delta-scan variants for semi-naive evaluation are ordinary chains
-//! whose recursive scan reads [`ScanSource::Delta`].
+//! Delta-scan variants for semi-naive evaluation are ordinary step
+//! lists whose recursive scan reads [`ScanSource::Delta`].
 
-use unchained_common::{FxHashMap, Interner, Symbol, Value};
-use unchained_parser::{Term, Var};
+use std::fmt::Write as _;
+
+use unchained_common::{Interner, Symbol};
+use unchained_parser::{HeadLiteral, Rule, Term, Var};
 
 /// Where a scan reads from: the full relation or the per-round delta
 /// slice (semi-naive evaluation).
@@ -34,273 +26,8 @@ pub enum ScanSource {
     Delta,
 }
 
-/// A plan-space term: a slot bound earlier in the chain, or a constant.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum PTerm {
-    /// A plan slot (first-bind order along the chain).
-    Slot(u32),
-    /// A constant from the rule text.
-    Const(Value),
-}
-
-/// What a join does with one column of the scanned relation.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum ColOp {
-    /// The column's value is known before the probe; it is part of the
-    /// index key (sideways information passing: bound values are pushed
-    /// *into* the scan instead of filtered after it).
-    Key(PTerm),
-    /// The column binds a fresh slot.
-    Load(u32),
-    /// The column must equal an earlier column of the *same* atom (a
-    /// repeated variable first bound at that column's `Load`).
-    Check(u32),
-}
-
-/// Reference to an interned node in a [`PlanArena`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct NodeId(u32);
-
-impl NodeId {
-    /// Index into the arena.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// One relational-algebra operator. Plans are chains: every node has at
-/// most one input, and the deepest node is [`Node::Unit`] (the nullary
-/// relation containing the empty valuation — an empty body matches
-/// once).
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub enum Node {
-    /// The unit relation: one empty valuation.
-    Unit,
-    /// Index-nested-loop join of the input with `pred`: probe on the
-    /// `Key` columns, bind `Load` columns, test `Check` columns. A join
-    /// whose input is [`Node::Unit`] is a plain scan.
-    Join {
-        /// Upstream chain.
-        input: NodeId,
-        /// The relation scanned.
-        pred: Symbol,
-        /// Full or delta relation.
-        source: ScanSource,
-        /// Per-column operation, in column order.
-        cols: Box<[ColOp]>,
-    },
-    /// Keep valuations for which `pred(args)` is **absent**.
-    Antijoin {
-        /// Upstream chain.
-        input: NodeId,
-        /// The negated relation.
-        pred: Symbol,
-        /// Fully bound argument terms.
-        args: Box<[PTerm]>,
-    },
-    /// Keep valuations for which `(left = right) == equal`.
-    Select {
-        /// Upstream chain.
-        input: NodeId,
-        /// Left term.
-        left: PTerm,
-        /// Right term.
-        right: PTerm,
-        /// Equality (`true`) or inequality (`false`).
-        equal: bool,
-    },
-    /// Bind a fresh slot to the value of `term`.
-    Bind {
-        /// Upstream chain.
-        input: NodeId,
-        /// The slot bound.
-        slot: u32,
-        /// Its defining term.
-        term: PTerm,
-    },
-    /// Bind a fresh slot to each value of the active domain in turn.
-    Domain {
-        /// Upstream chain.
-        input: NodeId,
-        /// The slot enumerated.
-        slot: u32,
-    },
-    /// Emit the head tuple `pred(args)` for every input valuation.
-    Project {
-        /// Upstream chain.
-        input: NodeId,
-        /// The head relation.
-        pred: Symbol,
-        /// Head argument terms (all resolvable from the chain).
-        args: Box<[PTerm]>,
-    },
-    /// Set semantics: duplicate output tuples collapse (fixpoint engines
-    /// realize this at the instance merge).
-    Distinct {
-        /// Upstream chain.
-        input: NodeId,
-    },
-}
-
-impl Node {
-    /// The node's input, if any (`Unit` has none).
-    pub fn input(&self) -> Option<NodeId> {
-        match self {
-            Node::Unit => None,
-            Node::Join { input, .. }
-            | Node::Antijoin { input, .. }
-            | Node::Select { input, .. }
-            | Node::Bind { input, .. }
-            | Node::Domain { input, .. }
-            | Node::Project { input, .. }
-            | Node::Distinct { input } => Some(*input),
-        }
-    }
-}
-
-/// A hash-consing arena of plan nodes. Interning the same node twice
-/// returns the same [`NodeId`]; the planner uses the hit count as its
-/// `subplans_shared` gauge.
-#[derive(Default)]
-pub struct PlanArena {
-    nodes: Vec<Node>,
-    dedup: FxHashMap<Node, NodeId>,
-}
-
-impl PlanArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Interns `node`, returning its id and whether it was already
-    /// present (a shared subplan).
-    pub fn intern(&mut self, node: Node) -> (NodeId, bool) {
-        if let Some(&id) = self.dedup.get(&node) {
-            return (id, true);
-        }
-        let id = NodeId(u32::try_from(self.nodes.len()).expect("plan arena overflow"));
-        self.nodes.push(node.clone());
-        self.dedup.insert(node, id);
-        (id, false)
-    }
-
-    /// The node behind an id.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
-    }
-
-    /// Total distinct nodes interned (shared nodes count once).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Length of the chain from `root` down to (and excluding)
-    /// [`Node::Unit`].
-    pub fn chain_len(&self, root: NodeId) -> usize {
-        let mut n = 0;
-        let mut at = root;
-        while let Some(input) = self.node(at).input() {
-            n += 1;
-            at = input;
-        }
-        n
-    }
-
-    /// Renders the chain under `root` as indented text, root first.
-    pub fn render(&self, root: NodeId, interner: &Interner) -> String {
-        let mut chain = Vec::new();
-        let mut at = Some(root);
-        while let Some(id) = at {
-            let node = self.node(id);
-            if matches!(node, Node::Unit) {
-                break;
-            }
-            chain.push(node);
-            at = node.input();
-        }
-        let mut out = String::new();
-        for (depth, node) in chain.iter().enumerate() {
-            for _ in 0..depth {
-                out.push_str(". ");
-            }
-            out.push_str(&render_node(node, self, interner));
-            out.push('\n');
-        }
-        if chain.is_empty() {
-            out.push_str("unit\n");
-        }
-        out
-    }
-}
-
-fn render_pterm(t: &PTerm, interner: &Interner) -> String {
-    match t {
-        PTerm::Slot(s) => format!("s{s}"),
-        PTerm::Const(v) => format!("{}", v.display(interner)),
-    }
-}
-
-fn render_node(node: &Node, arena: &PlanArena, interner: &Interner) -> String {
-    match node {
-        Node::Unit => "unit".into(),
-        Node::Join {
-            input,
-            pred,
-            source,
-            cols,
-        } => {
-            let verb = if matches!(arena.node(*input), Node::Unit) {
-                "scan"
-            } else {
-                "join"
-            };
-            let cols: Vec<String> = cols
-                .iter()
-                .map(|c| match c {
-                    ColOp::Key(t) => format!("={}", render_pterm(t, interner)),
-                    ColOp::Load(s) => format!("s{s}"),
-                    ColOp::Check(s) => format!("?s{s}"),
-                })
-                .collect();
-            let delta = if *source == ScanSource::Delta {
-                " Δ"
-            } else {
-                ""
-            };
-            format!(
-                "{verb} {}({}){delta}",
-                interner.name(*pred),
-                cols.join(", ")
-            )
-        }
-        Node::Antijoin { pred, args, .. } => {
-            let args: Vec<String> = args.iter().map(|t| render_pterm(t, interner)).collect();
-            format!("antijoin !{}({})", interner.name(*pred), args.join(", "))
-        }
-        Node::Select {
-            left, right, equal, ..
-        } => format!(
-            "select {} {} {}",
-            render_pterm(left, interner),
-            if *equal { "=" } else { "!=" },
-            render_pterm(right, interner)
-        ),
-        Node::Bind { slot, term, .. } => {
-            format!("bind s{slot} := {}", render_pterm(term, interner))
-        }
-        Node::Domain { slot, .. } => format!("domain s{slot}"),
-        Node::Project { pred, args, .. } => {
-            let args: Vec<String> = args.iter().map(|t| render_pterm(t, interner)).collect();
-            format!("project {}({})", interner.name(*pred), args.join(", "))
-        }
-        Node::Distinct { .. } => "distinct".into(),
-    }
-}
-
 /// One step of a compiled rule body, in the owning rule's variable
-/// space. This is the executable mirror of the IR chain: the planner
-/// derives both from the same decisions.
+/// space.
 #[derive(Clone, Debug)]
 pub enum Step {
     /// Probe `pred` (via an index on `key` positions) and bind the
@@ -347,105 +74,181 @@ pub enum Step {
     },
 }
 
-/// A compiled rule body: the executable steps plus the IR chain they
-/// were derived from.
+/// A compiled rule body: the steps the executor runs.
 #[derive(Clone, Debug)]
 pub struct Plan {
     /// Ordered steps.
     pub steps: Vec<Step>,
     /// Number of variables in the owning rule (environment size).
     pub var_count: usize,
-    /// IR chain for the body alone (deepest: `Unit`).
-    pub body_root: NodeId,
-    /// Full IR chain: `Distinct(Project(body))` when the owning rule has
-    /// a single positive head whose variables the body binds, else the
-    /// body chain.
-    pub root: NodeId,
 }
 
 impl Plan {
-    /// Nodes in this plan's full chain (shared or not).
-    pub fn node_count(&self, arena: &PlanArena) -> usize {
-        arena.chain_len(self.root)
+    /// Renders the steps in execution order, one per line, naming
+    /// values by `rule`'s own variables. The first step's scan reads
+    /// `scan`, later ones `join`; a key column reads `=t`, a column
+    /// repeating a variable bound earlier in the same atom `?x`, and a
+    /// delta scan ends in `Δ`. When `rule` has a single positive head
+    /// whose variables the steps bind, a closing `project` line names
+    /// the emitted tuple; a plan with no line at all renders `unit`.
+    pub fn render(&self, rule: &Rule, interner: &Interner) -> String {
+        let term = |t: &Term| match t {
+            Term::Var(v) => rule.var_names[v.index()].clone(),
+            Term::Const(c) => c.display(interner).to_string(),
+        };
+        let terms = |args: &[Term]| args.iter().map(term).collect::<Vec<_>>().join(", ");
+        let mut bound = vec![false; self.var_count];
+        let mut out = String::new();
+        for (i, step) in self.steps.iter().enumerate() {
+            let _ = match step {
+                Step::Scan {
+                    pred,
+                    args,
+                    key,
+                    source,
+                } => {
+                    let cols: Vec<String> = args
+                        .iter()
+                        .enumerate()
+                        .map(|(p, t)| {
+                            let seen = t
+                                .as_var()
+                                .is_some_and(|v| std::mem::replace(&mut bound[v.index()], true));
+                            if key.contains(&p) {
+                                format!("={}", term(t))
+                            } else if seen {
+                                format!("?{}", term(t))
+                            } else {
+                                term(t)
+                            }
+                        })
+                        .collect();
+                    writeln!(
+                        out,
+                        "{} {}({}){}",
+                        if i == 0 { "scan" } else { "join" },
+                        interner.name(*pred),
+                        cols.join(", "),
+                        if *source == ScanSource::Delta {
+                            " Δ"
+                        } else {
+                            ""
+                        }
+                    )
+                }
+                Step::BindEq { var, term: t } => {
+                    bound[var.index()] = true;
+                    writeln!(out, "bind {} := {}", rule.var_names[var.index()], term(t))
+                }
+                Step::Domain { var } => {
+                    bound[var.index()] = true;
+                    writeln!(out, "domain {}", rule.var_names[var.index()])
+                }
+                Step::CheckNeg { pred, args } => {
+                    writeln!(out, "antijoin !{}({})", interner.name(*pred), terms(args))
+                }
+                Step::CheckCmp { left, right, equal } => writeln!(
+                    out,
+                    "select {} {} {}",
+                    term(left),
+                    if *equal { "=" } else { "!=" },
+                    term(right)
+                ),
+            };
+        }
+        if let [HeadLiteral::Pos(head)] = &rule.head[..] {
+            if head.vars().all(|v| bound[v.index()]) {
+                let _ = writeln!(
+                    out,
+                    "project {}({})",
+                    interner.name(head.pred),
+                    terms(&head.args)
+                );
+            }
+        }
+        if out.is_empty() {
+            out.push_str("unit\n");
+        }
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn interning_shares_structurally_equal_nodes() {
-        let mut arena = PlanArena::new();
-        let (unit, hit) = arena.intern(Node::Unit);
-        assert!(!hit);
-        let (unit2, hit) = arena.intern(Node::Unit);
-        assert!(hit);
-        assert_eq!(unit, unit2);
-        let mut interner = Interner::new();
-        let g = interner.intern("G");
-        let join = |arena: &mut PlanArena| {
-            arena.intern(Node::Join {
-                input: unit,
-                pred: g,
-                source: ScanSource::Full,
-                cols: vec![ColOp::Load(0), ColOp::Load(1)].into_boxed_slice(),
-            })
-        };
-        let (a, hit_a) = join(&mut arena);
-        let (b, hit_b) = join(&mut arena);
-        assert!(!hit_a && hit_b);
-        assert_eq!(a, b);
-        assert_eq!(arena.node_count(), 2);
-    }
-
-    #[test]
-    fn chain_len_counts_to_unit() {
-        let mut arena = PlanArena::new();
-        let (unit, _) = arena.intern(Node::Unit);
-        let mut interner = Interner::new();
-        let g = interner.intern("G");
-        let (scan, _) = arena.intern(Node::Join {
-            input: unit,
-            pred: g,
-            source: ScanSource::Full,
-            cols: vec![ColOp::Load(0)].into_boxed_slice(),
-        });
-        let (dist, _) = arena.intern(Node::Distinct { input: scan });
-        assert_eq!(arena.chain_len(unit), 0);
-        assert_eq!(arena.chain_len(scan), 1);
-        assert_eq!(arena.chain_len(dist), 2);
-    }
+    use crate::planner::{Catalog, PlanMode, Planner};
+    use unchained_parser::parse_program;
 
     #[test]
     fn render_shows_scan_join_and_delta() {
-        let mut arena = PlanArena::new();
         let mut interner = Interner::new();
-        let g = interner.intern("G");
-        let t = interner.intern("T");
-        let (unit, _) = arena.intern(Node::Unit);
-        let (scan, _) = arena.intern(Node::Join {
-            input: unit,
-            pred: g,
-            source: ScanSource::Full,
-            cols: vec![ColOp::Load(0), ColOp::Load(1)].into_boxed_slice(),
-        });
-        let (join, _) = arena.intern(Node::Join {
-            input: scan,
-            pred: t,
-            source: ScanSource::Delta,
-            cols: vec![ColOp::Key(PTerm::Slot(1)), ColOp::Load(2)].into_boxed_slice(),
-        });
-        let (proj, _) = arena.intern(Node::Project {
-            input: join,
-            pred: t,
-            args: vec![PTerm::Slot(0), PTerm::Slot(2)].into_boxed_slice(),
-        });
-        let (root, _) = arena.intern(Node::Distinct { input: proj });
-        let text = arena.render(root, &interner);
-        assert!(text.starts_with("distinct\n"), "{text}");
-        assert!(text.contains("project T(s0, s2)"), "{text}");
-        assert!(text.contains("join T(=s1, s2) Δ"), "{text}");
-        assert!(text.contains("scan G(s0, s1)"), "{text}");
+        let program = parse_program("T(x,y) :- G(x,z), T(z,y).", &mut interner).unwrap();
+        let rule = &program.rules[0];
+        let [Some(g), Some(t)] = [interner.get("G"), interner.get("T")] else {
+            panic!("parsed program interns G and T");
+        };
+        let (x, y, z) = (Var(0), Var(1), Var(2));
+        let plan = Plan {
+            steps: vec![
+                Step::Scan {
+                    pred: g,
+                    args: vec![Term::Var(x), Term::Var(z)],
+                    key: vec![],
+                    source: ScanSource::Full,
+                },
+                Step::Scan {
+                    pred: t,
+                    args: vec![Term::Var(z), Term::Var(y)],
+                    key: vec![0],
+                    source: ScanSource::Delta,
+                },
+            ],
+            var_count: rule.var_count(),
+        };
+        assert_eq!(
+            plan.render(rule, &interner),
+            "scan G(x, z)\njoin T(=z, y) Δ\nproject T(x, y)\n"
+        );
+    }
+
+    /// Every step form, as the planner emits it for one rule and its
+    /// Δ variant: a repeated-variable check, key columns, a select and
+    /// a bind as soon as their variables are bound, a domain for the
+    /// variable only the negation mentions, then the antijoin.
+    #[test]
+    fn render_pins_every_step_form() {
+        let mut interner = Interner::new();
+        let program = parse_program(
+            "H(x, w) :- G(x, x), T(x, y), !N(y, u), y != 1, w = y.",
+            &mut interner,
+        )
+        .unwrap();
+        let rule = &program.rules[0];
+        let t = interner.get("T").unwrap();
+        let mut planner = Planner::new(Catalog::empty(), PlanMode::Cost);
+        assert_eq!(
+            planner.plan_rule(rule).render(rule, &interner),
+            "scan G(x, ?x)\njoin T(=x, y)\nselect y != 1\nbind w := y\n\
+             domain u\nantijoin !N(y, u)\nproject H(x, w)\n"
+        );
+        let variants = planner.seminaive_variants(rule, &|p| p == t);
+        assert_eq!(
+            variants[0].render(rule, &interner),
+            "scan T(x, y) Δ\nselect y != 1\nbind w := y\njoin G(=x, =x)\n\
+             domain u\nantijoin !N(y, u)\nproject H(x, w)\n"
+        );
+        // A head variable no step binds (an invented value) gets no
+        // projection, and an empty plan renders as the unit relation.
+        let program = parse_program("P(x, n) :- G(x, x).\nQ :- .", &mut interner).unwrap();
+        let invented = &program.rules[0];
+        assert_eq!(
+            planner.plan_rule(invented).render(invented, &interner),
+            "scan G(x, ?x)\n"
+        );
+        let unit = &program.rules[1];
+        assert_eq!(
+            planner.plan_rule(unit).render(unit, &interner),
+            "project Q()\n"
+        );
     }
 }

@@ -4,7 +4,7 @@ use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
 use unchained_common::{Instance, Telemetry};
-use unchained_parser::{HeadLiteral, Program};
+use unchained_parser::Program;
 
 use crate::planner::PlanMode;
 
@@ -157,15 +157,6 @@ impl FixpointRun {
     pub fn answer(&self, program: &Program) -> Instance {
         self.instance.project_schema(program.idb())
     }
-}
-
-/// True if the program's rules all have a single positive head literal
-/// (the shape required by the deterministic Datalog(¬) engines).
-pub fn single_positive_heads(program: &Program) -> bool {
-    program
-        .rules
-        .iter()
-        .all(|r| r.head.len() == 1 && matches!(r.head[0], HeadLiteral::Pos(_)))
 }
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
-//! The rule planner: lowers parser-AST rule bodies into the shared
-//! relational-algebra IR ([`crate::ir`]) with cost-based join ordering,
-//! sideways-information-passing filter pushdown, and common-subplan
-//! sharing.
+//! The rule planner: lowers parser-AST rule bodies into the step lists
+//! of [`crate::ir`] with cost-based join ordering and
+//! sideways-information-passing filter pushdown.
 //!
 //! Planning decisions, in order, per rule body:
 //!
@@ -33,12 +32,10 @@
 //!    instance changed: the literal becomes a delta scan over the facts
 //!    that left (or entered) that instance, so a valuation that a
 //!    negation newly enables, or newly blocks, is found from the change.
-//! 4. **Sharing** — all nodes are interned into one [`PlanArena`] with
-//!    canonical slot names, so identical body prefixes across the rules
-//!    of a program become the same nodes. The planner reports
-//!    [`PlanStats`]: `joins_pruned` (scans whose probe key is
-//!    non-empty, i.e. joins the SIP pushdown narrowed) and
-//!    `subplans_shared` (arena intern hits).
+//!
+//! The planner reports [`PlanStats`]: `joins_pruned` counts the planned
+//! scans whose probe key is non-empty, i.e. joins the SIP pushdown
+//! narrowed.
 //!
 //! The plan is computed once, from a deterministic catalog snapshot —
 //! never from runtime state — so the same program and input produce the
@@ -46,9 +43,9 @@
 //! schedule need not be.
 
 use unchained_common::{FxHashMap, FxHashSet, Instance, Symbol};
-use unchained_parser::{HeadLiteral, Literal, Rule, Term, Var};
+use unchained_parser::{Literal, Rule, Term, Var};
 
-use crate::ir::{ColOp, Node, NodeId, PTerm, Plan, PlanArena, ScanSource, Step};
+use crate::ir::{Plan, ScanSource, Step};
 
 /// How rule bodies are ordered.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -106,14 +103,13 @@ pub struct PlanStats {
     /// Scans whose probe key is non-empty: joins the SIP pushdown
     /// narrowed from full enumeration to an index probe.
     pub joins_pruned: u64,
-    /// Arena intern hits (excluding the unit leaf): subplan nodes
-    /// shared with an earlier compilation in the same batch.
+    /// Always 0: plans share no subplans. Kept only so that readers
+    /// written against the former sharing gauge still build.
     pub subplans_shared: u64,
 }
 
-/// Compiles the rules of one program into plans sharing one arena.
+/// Compiles the rules of one program into plans.
 pub struct Planner {
-    arena: PlanArena,
     catalog: Catalog,
     mode: PlanMode,
     inflated: FxHashSet<Symbol>,
@@ -124,7 +120,6 @@ impl Planner {
     /// A planner over `catalog` in `mode`.
     pub fn new(catalog: Catalog, mode: PlanMode) -> Self {
         Planner {
-            arena: PlanArena::new(),
             catalog,
             mode,
             inflated: FxHashSet::default(),
@@ -143,16 +138,6 @@ impl Planner {
     /// Gauges accumulated so far.
     pub fn stats(&self) -> PlanStats {
         self.stats
-    }
-
-    /// The shared node arena (for rendering and plan-shape tests).
-    pub fn arena(&self) -> &PlanArena {
-        &self.arena
-    }
-
-    /// Consumes the planner, returning the arena and final gauges.
-    pub fn finish(self) -> (PlanArena, PlanStats) {
-        (self.arena, self.stats)
     }
 
     /// Plans a rule's full body, requiring all body variables bound.
@@ -262,14 +247,14 @@ impl Planner {
     /// cost mode it is additionally forced to the front. Variables in
     /// `prebound` start out bound (seeded by the caller at run time),
     /// so they count as known positions for SIP pushdown and cost.
-    fn order_steps(
-        &self,
+    fn compile(
+        &mut self,
         rule: &Rule,
         literals: &[&Literal],
         vars_to_bind: &[Var],
         delta_lit: Option<usize>,
         prebound: &[Var],
-    ) -> Vec<Step> {
+    ) -> Plan {
         #[derive(PartialEq)]
         enum LitState {
             Pending,
@@ -455,150 +440,13 @@ impl Planner {
             state.iter().all(|s| *s == LitState::Done),
             "planner left literals unscheduled"
         );
-        steps
-    }
-
-    fn intern(&mut self, node: Node) -> NodeId {
-        let is_unit = matches!(node, Node::Unit);
-        let (id, hit) = self.arena.intern(node);
-        if hit && !is_unit {
-            self.stats.subplans_shared += 1;
-        }
-        id
-    }
-
-    /// Lowers ordered steps into the canonical IR chain: plan slots are
-    /// assigned in first-bind order, so alphabetic-variant prefixes of
-    /// different rules intern to the same nodes.
-    fn compile(
-        &mut self,
-        rule: &Rule,
-        literals: &[&Literal],
-        vars_to_bind: &[Var],
-        delta_lit: Option<usize>,
-        prebound: &[Var],
-    ) -> Plan {
-        let steps = self.order_steps(rule, literals, vars_to_bind, delta_lit, prebound);
-
-        let mut slot_of: Vec<Option<u32>> = vec![None; rule.var_count()];
-        let mut next_slot = 0u32;
-        // Prebound variables get the first slots, in caller order, so the
-        // IR below can reference them as key columns before any step
-        // binds them.
-        for v in prebound {
-            if slot_of[v.index()].is_none() {
-                slot_of[v.index()] = Some(next_slot);
-                next_slot += 1;
-            }
-        }
-        let mut assign = |v: Var, slot_of: &mut Vec<Option<u32>>| {
-            debug_assert!(slot_of[v.index()].is_none(), "slot assigned twice");
-            let s = next_slot;
-            slot_of[v.index()] = Some(s);
-            next_slot += 1;
-            s
-        };
-        fn pterm(t: &Term, slot_of: &[Option<u32>]) -> PTerm {
-            match t {
-                Term::Const(v) => PTerm::Const(*v),
-                Term::Var(v) => {
-                    PTerm::Slot(slot_of[v.index()].expect("plan term over unbound variable"))
-                }
-            }
-        }
-
-        let mut node = self.intern(Node::Unit);
-        for step in &steps {
-            node = match step {
-                Step::Scan {
-                    pred,
-                    args,
-                    key,
-                    source,
-                } => {
-                    if !key.is_empty() {
-                        self.stats.joins_pruned += 1;
-                    }
-                    let mut cols = Vec::with_capacity(args.len());
-                    for (p, t) in args.iter().enumerate() {
-                        if key.contains(&p) {
-                            cols.push(ColOp::Key(pterm(t, &slot_of)));
-                        } else {
-                            let Term::Var(v) = t else {
-                                unreachable!("constant positions are always key positions")
-                            };
-                            match slot_of[v.index()] {
-                                // Bound earlier in this same atom: a
-                                // repeated-variable check.
-                                Some(s) => cols.push(ColOp::Check(s)),
-                                None => cols.push(ColOp::Load(assign(*v, &mut slot_of))),
-                            }
-                        }
-                    }
-                    self.intern(Node::Join {
-                        input: node,
-                        pred: *pred,
-                        source: *source,
-                        cols: cols.into_boxed_slice(),
-                    })
-                }
-                Step::BindEq { var, term } => {
-                    let term = pterm(term, &slot_of);
-                    let slot = assign(*var, &mut slot_of);
-                    self.intern(Node::Bind {
-                        input: node,
-                        slot,
-                        term,
-                    })
-                }
-                Step::Domain { var } => {
-                    let slot = assign(*var, &mut slot_of);
-                    self.intern(Node::Domain { input: node, slot })
-                }
-                Step::CheckNeg { pred, args } => {
-                    let args: Box<[PTerm]> = args.iter().map(|t| pterm(t, &slot_of)).collect();
-                    self.intern(Node::Antijoin {
-                        input: node,
-                        pred: *pred,
-                        args,
-                    })
-                }
-                Step::CheckCmp { left, right, equal } => self.intern(Node::Select {
-                    input: node,
-                    left: pterm(left, &slot_of),
-                    right: pterm(right, &slot_of),
-                    equal: *equal,
-                }),
-            };
-        }
-        let body_root = node;
-
-        // Head projection: only when the rule has the single-positive
-        // head shape and the body binds every head variable (rules with
-        // invented head variables keep a bare body chain — their engines
-        // extend the valuation themselves).
-        let mut root = body_root;
-        if let [HeadLiteral::Pos(head)] = &rule.head[..] {
-            let resolvable = head.args.iter().all(|t| match t {
-                Term::Const(_) => true,
-                Term::Var(v) => slot_of[v.index()].is_some(),
-            });
-            if resolvable {
-                let args: Box<[PTerm]> = head.args.iter().map(|t| pterm(t, &slot_of)).collect();
-                let project = self.intern(Node::Project {
-                    input: body_root,
-                    pred: head.pred,
-                    args,
-                });
-                root = self.intern(Node::Distinct { input: project });
-            }
-        }
-
+        self.stats.joins_pruned += steps
+            .iter()
+            .filter(|s| matches!(s, Step::Scan { key, .. } if !key.is_empty()))
+            .count() as u64;
         Plan {
             steps,
             var_count: rule.var_count(),
-            body_root,
-            root,
         }
     }
 }
@@ -623,7 +471,7 @@ mod tests {
     use crate::subst::active_domain;
     use std::ops::ControlFlow;
     use unchained_common::{Instance, Interner, Tuple, Value};
-    use unchained_parser::parse_program;
+    use unchained_parser::{parse_program, HeadLiteral};
 
     fn collect_matches(
         src: &str,
@@ -1018,42 +866,14 @@ mod tests {
             })
             .collect();
         assert_eq!(keys, vec![&vec![], &vec![0]]);
-        // The same fact is visible on the IR: one pruned join.
+        // The same fact is visible in the gauge: one pruned join.
         assert_eq!(planner.stats().joins_pruned, 1);
-        // And the join node keys only the bound column.
-        let Node::Join { cols, .. } = planner.arena().node(plan.body_root) else {
-            panic!("body root must be the T join");
-        };
-        assert!(matches!(cols[0], ColOp::Key(PTerm::Slot(_))));
-        assert!(matches!(cols[1], ColOp::Load(_)));
-    }
-
-    #[test]
-    fn common_subplan_sharing_dedupes_identical_body_prefixes() {
-        let mut interner = Interner::new();
-        let program = parse_program(
-            "P(x,y) :- G(x,z), H(z,y).\nQ(u,v) :- G(u,w), H(w,v).",
-            &mut interner,
-        )
-        .unwrap();
-        let mut planner = Planner::new(Catalog::empty(), PlanMode::Cost);
-        let p1 = planner.plan_rule(&program.rules[0]);
-        let p2 = planner.plan_rule(&program.rules[1]);
-        // Canonical slots make the alphabetic-variant bodies identical:
-        // both scan G then join H, so the second rule's body chain is
-        // fully shared (2 nodes), while project/distinct differ.
-        assert_eq!(planner.stats().subplans_shared, 2);
-        assert_eq!(p1.body_root, p2.body_root);
-        assert_eq!(p1.node_count(planner.arena()), 4); // scan, join, project, distinct
-        assert!(
-            planner.arena().node_count()
-                < p1.node_count(planner.arena()) + p2.node_count(planner.arena()) + 1
-        );
-        // A rule with a different body shares nothing.
-        let other = parse_program("R(x,y) :- H(x,z), G(z,y).", &mut interner).unwrap();
-        let before = planner.stats().subplans_shared;
-        planner.plan_rule(&other.rules[0]);
-        assert_eq!(planner.stats().subplans_shared, before);
+        // And the T scan keys only the bound column.
+        let t_key = plan.steps.iter().find_map(|s| match s {
+            Step::Scan { pred, key, .. } if *pred == t => Some(key),
+            _ => None,
+        });
+        assert_eq!(t_key, Some(&vec![0]));
     }
 
     #[test]
@@ -1163,18 +983,23 @@ mod tests {
     }
 
     #[test]
-    fn plans_render_through_the_arena() {
+    fn plans_render_their_steps() {
         let mut interner = Interner::new();
         let program = parse_program("T(x,y) :- G(x,z), T(z,y).", &mut interner).unwrap();
         let t = interner.get("T").unwrap();
         let instance = instance_with(&mut interner, &[("G", 2, 4)]);
         let mut planner = Planner::new(Catalog::from_instance(&instance), PlanMode::Cost);
         planner.inflate([t]);
-        let plan = planner.plan_rule(&program.rules[0]);
-        let text = planner.arena().render(plan.root, &interner);
-        assert!(text.contains("distinct"), "{text}");
-        assert!(text.contains("project T(s0, s2)"), "{text}");
-        assert!(text.contains("join T(=s1, s2)"), "{text}");
-        assert!(text.contains("scan G(s0, s1)"), "{text}");
+        let rule = &program.rules[0];
+        let plan = planner.plan_rule(rule);
+        assert_eq!(
+            plan.render(rule, &interner),
+            "scan G(x, z)\njoin T(=z, y)\nproject T(x, y)\n"
+        );
+        let variants = planner.seminaive_variants(rule, &|p| p == t);
+        assert_eq!(
+            variants[0].render(rule, &interner),
+            "scan T(z, y) Δ\njoin G(x, =z)\nproject T(x, y)\n"
+        );
     }
 }

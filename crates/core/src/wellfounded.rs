@@ -32,7 +32,7 @@ use crate::error::EvalError;
 use crate::exec::{for_each_head, Sources};
 use crate::fixpoint::{with_idb, Accumulate, EvalScope, Round, RuleStat, Stages};
 use crate::ivm::{delta_closure, rederive, Closure, Support};
-use crate::options::{EvalOptions, FixpointRun};
+use crate::options::EvalOptions;
 use crate::planner::{Catalog, Planner};
 use crate::require_language;
 use unchained_common::{
@@ -91,12 +91,6 @@ impl WellFoundedModel {
     /// Whether the model is total (2-valued): no unknown facts.
     pub fn is_total(&self) -> bool {
         self.possible_facts.same_facts(&self.true_facts)
-    }
-
-    /// The 2-valued reading used by Theorem comparison with fixpoint
-    /// queries: take the true facts as the answer.
-    pub fn two_valued(&self) -> &Instance {
-        &self.true_facts
     }
 }
 
@@ -419,20 +413,6 @@ fn shrink(
         round.record(tel, &head_preds, &rule_stats, stage_sw.nanos(), over);
     }
     Ok(left)
-}
-
-/// Convenience wrapper returning the 2-valued reading (true facts only),
-/// shaped like the other engines' results for cross-engine comparisons.
-pub fn eval_two_valued(
-    program: &Program,
-    input: &Instance,
-    options: EvalOptions,
-) -> Result<FixpointRun, EvalError> {
-    let model = eval(program, input, options)?;
-    Ok(FixpointRun {
-        instance: model.true_facts,
-        stages: model.rounds,
-    })
 }
 
 #[cfg(test)]

@@ -190,11 +190,6 @@ impl Network {
         self.peers.get(name)
     }
 
-    /// Peer names in deterministic order.
-    pub fn peer_names(&self) -> Vec<String> {
-        self.peers.keys().cloned().collect()
-    }
-
     /// Runs one round: every peer's local inflationary fixpoint, then
     /// all deliveries. Returns `(facts delivered, local stages)`.
     pub fn round(&mut self, options: EvalOptions) -> Result<(usize, usize), ExchangeError> {

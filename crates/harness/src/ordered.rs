@@ -93,12 +93,6 @@ pub fn evenness_input(
     attach_order(instance, interner, OrderSchema::default())
 }
 
-/// The domain values of `Value::Int` from an inclusive range, for
-/// assertions in tests.
-pub fn int_range(lo: i64, hi: i64) -> Vec<Value> {
-    (lo..=hi).map(Value::Int).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

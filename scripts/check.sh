@@ -260,7 +260,7 @@ cargo run -q --release -p unchained-bench -- compare BENCH.json \
 # Planner gate 1: `unchained plan` on the chain-TC example must render
 # a cost-mode plan for every rule — a scan/join chain per rule, at
 # least one Δ variant for the recursive rule, and the planner footer
-# with the pruning/sharing gauges.
+# with the pruning gauge.
 echo "==> plan smoke: cost-mode plans render for chain TC"
 plan_out=$(cargo run -q --release -p unchained-cli -- plan \
     examples/programs/tc.dl examples/programs/tc_facts.dl)
@@ -271,6 +271,26 @@ for needle in '% mode: cost' 'rule 1:' 'scan ' 'join ' 'Δ variant:' '% planner:
         exit 1
     fi
 done
+
+# The plan renderer prints every step form the executor runs: an
+# antijoin for a negated literal, a select for `!=`, a bind for an `=`
+# that binds a variable; and syntactic mode renders its scans too.
+echo "==> plan smoke: negation, = and != render as antijoin, select, bind"
+printf 'P(x,w) :- G(x,y), !H(y), x != y, w = y.\n' > target/plan-steps.dl
+plan_out=$(cargo run -q --release -p unchained-cli -- plan target/plan-steps.dl)
+for needle in 'antijoin !' 'select' 'bind'; do
+    if ! printf '%s' "$plan_out" | grep -qF "$needle"; then
+        echo "plan output is missing \`$needle\`:" >&2
+        printf '%s\n' "$plan_out" >&2
+        exit 1
+    fi
+done
+plan_out=$(cargo run -q --release -p unchained-cli -- plan --syntactic examples/programs/tc.dl)
+if ! printf '%s' "$plan_out" | grep -qF 'scan '; then
+    echo "syntactic plan output is missing \`scan \`:" >&2
+    printf '%s\n' "$plan_out" >&2
+    exit 1
+fi
 
 # Planner gate 2: the planner campaign differentially runs cost-based
 # plans against the syntactic reference (sequential and parallel legs)
