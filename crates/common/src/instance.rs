@@ -102,6 +102,11 @@ impl Instance {
         self.relations.keys().copied()
     }
 
+    /// Removes a relation entirely, returning it if present.
+    pub fn remove_relation(&mut self, name: Symbol) -> Option<Relation> {
+        self.relations.remove(&name)
+    }
+
     /// Total number of facts across all relations.
     pub fn fact_count(&self) -> usize {
         self.relations.values().map(Relation::len).sum()

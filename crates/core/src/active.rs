@@ -3,10 +3,10 @@
 //! which the paper points to at the end of Section 4.3, in its
 //! deferred-execution, set-oriented form.
 //!
-//! Active rules are ordinary Datalog¬¬-style rules over the base schema
-//! **extended with delta relations**: for a base relation `R`, the
-//! relation `ins-R` holds the tuples inserted in the previous round and
-//! `del-R` those deleted. Execution:
+//! Active rules are Datalog¬¬ rules over the base schema **extended
+//! with delta relations**: for a base relation `R`, the relation `ins-R`
+//! holds the tuples inserted in the previous round and `del-R` those
+//! deleted. Execution:
 //!
 //! 1. an external **update** (a set of insertions and deletions) is
 //!    applied to the state and becomes the round-0 deltas;
@@ -17,6 +17,9 @@
 //!    are applied and become the next round's deltas;
 //! 4. the database **quiesces** when a round changes nothing.
 //!
+//! An update is one run of the shared stage driver (`fixpoint::Stages`)
+//! over the state plus its delta relations, a round per stage.
+//!
 //! Like Datalog¬¬ itself (Section 4.2), triggers need not terminate;
 //! a round budget bounds runaway cascades. \[104\] shows such languages
 //! climb the complexity ladder (pspace, exptime, …) depending on the
@@ -25,13 +28,12 @@
 //! divergence).
 
 use crate::error::EvalError;
-use crate::exec::{for_each_match, IndexCache, Sources};
-use crate::ir::Plan;
-use crate::planner::plan_rule;
-use crate::subst::{active_domain, instantiate};
-use std::ops::ControlFlow;
-use unchained_common::{FxHashSet, Instance, Interner, Symbol, Tuple};
-use unchained_parser::{check_range_restricted, HeadLiteral, Program};
+use crate::fixpoint::{facts, Apply, Consequence, Stages};
+use crate::options::EvalOptions;
+use crate::subst::{instantiate, Env};
+use crate::{input_schema, require_language};
+use unchained_common::{FxHashMap, Instance, Interner, Symbol, Tuple};
+use unchained_parser::{check_range_restricted, HeadLiteral, Language, Program};
 
 /// Prefix naming the insertion delta of a relation (`ins-R`).
 pub const INS_PREFIX: &str = "ins-";
@@ -99,12 +101,17 @@ pub struct ActiveDatabase {
     pub max_rounds: usize,
 }
 
+/// Each base relation's `(ins-R, del-R)` delta relations.
+type Deltas = FxHashMap<Symbol, (Symbol, Symbol)>;
+
 impl ActiveDatabase {
     /// Creates an active database.
     ///
     /// # Errors
-    /// Rejects non-range-restricted rules.
+    /// Rejects programs outside Datalog¬¬ (a rule with several heads
+    /// among them) and non-range-restricted rules.
     pub fn new(program: Program, state: Instance) -> Result<Self, EvalError> {
+        require_language(&program, Language::DatalogNegNeg)?;
         check_range_restricted(&program, false)?;
         Ok(ActiveDatabase {
             program,
@@ -117,127 +124,147 @@ impl ActiveDatabase {
     ///
     /// `interner` is needed to resolve the `ins-R` / `del-R` delta
     /// relation names used by the rules.
+    ///
+    /// # Errors
+    /// An arity conflict between the program, the state, the update and
+    /// the delta relations; [`EvalError::InvalidUpdate`] when a rule head,
+    /// the update or the state names a delta relation;
+    /// [`EvalError::StageLimitExceeded`] past `max_rounds`.
     pub fn apply(
         &mut self,
         update: Update,
         interner: &mut Interner,
     ) -> Result<ActiveReport, EvalError> {
+        let deltas = self.deltas(&update, interner)?;
         // Apply the external update; effective changes seed the deltas.
-        let mut report = ActiveReport {
-            rounds: 0,
+        let mut work = std::mem::take(&mut self.state);
+        let mut trigger = Trigger {
+            deltas: &deltas,
+            insert: Instance::new(),
+            delete: Instance::new(),
             inserted: 0,
             deleted: 0,
         };
-        let mut delta_ins: Vec<(Symbol, Tuple)> = Vec::new();
-        let mut delta_del: Vec<(Symbol, Tuple)> = Vec::new();
-        for (pred, tuple) in update.insertions {
-            if self.state.insert_fact(pred, tuple.clone()) {
-                report.inserted += 1;
-                delta_ins.push((pred, tuple));
+        for (pred, tuple) in &update.insertions {
+            if work.insert_row(*pred, tuple) {
+                trigger.inserted += 1;
+                work.insert_row(deltas[pred].0, tuple);
             }
         }
-        for (pred, tuple) in update.deletions {
-            if self
-                .state
-                .relation_mut(pred)
-                .is_some_and(|r| r.remove(&tuple))
-            {
-                report.deleted += 1;
-                delta_del.push((pred, tuple));
+        for (pred, tuple) in &update.deletions {
+            if work.retract_fact(*pred, tuple) {
+                trigger.deleted += 1;
+                work.insert_row(deltas[pred].1, tuple);
             }
         }
+        let rounds = if trigger.inserted + trigger.deleted == 0 {
+            Ok(0)
+        } else {
+            let options = EvalOptions::default().with_max_stages(self.max_rounds);
+            Stages::new(&self.program, &work, &options).run(&mut work, None, &mut trigger)
+        };
+        strip(&mut work, &deltas);
+        self.state = work;
+        Ok(ActiveReport {
+            rounds: rounds?,
+            inserted: trigger.inserted,
+            deleted: trigger.deleted,
+        })
+    }
 
-        let plans: Vec<Plan> = self.program.rules.iter().map(plan_rule).collect();
-        while !delta_ins.is_empty() || !delta_del.is_empty() {
-            report.rounds += 1;
-            if report.rounds > self.max_rounds {
-                return Err(EvalError::StageLimitExceeded(self.max_rounds));
+    /// Resolves the delta relations of every base relation the program,
+    /// the state or `update` names, checking that they all agree on
+    /// arities and that only the engine writes delta relations.
+    fn deltas(&self, update: &Update, interner: &mut Interner) -> Result<Deltas, EvalError> {
+        let mut schema = input_schema(&self.program, &self.state)?;
+        for (pred, tuple) in update.insertions.iter().chain(&update.deletions) {
+            schema.declare(*pred, tuple.arity())?;
+        }
+        let mut deltas = Deltas::default();
+        for (pred, arity) in schema.iter().collect::<Vec<_>>() {
+            let name = interner.name(pred).to_string();
+            if name.starts_with(INS_PREFIX) || name.starts_with(DEL_PREFIX) {
+                continue;
             }
-            // Resolve delta names for every base relation currently
-            // known (schema, state, or this round's deltas) — relations
-            // first introduced by an update or a trigger head get their
-            // deltas here.
-            let mut delta_of: unchained_common::FxHashMap<Symbol, (Symbol, Symbol)> =
-                unchained_common::FxHashMap::default();
-            let schema = self.program.schema()?;
-            let mut base_preds: Vec<Symbol> = schema.iter().map(|(s, _)| s).collect();
-            base_preds.extend(self.state.symbols());
-            base_preds.extend(delta_ins.iter().chain(delta_del.iter()).map(|(p, _)| *p));
-            base_preds.sort_unstable();
-            base_preds.dedup();
-            for pred in base_preds {
-                let name = interner.name(pred).to_string();
-                if name.starts_with(INS_PREFIX) || name.starts_with(DEL_PREFIX) {
-                    continue;
-                }
-                let ins = interner.intern(&format!("{INS_PREFIX}{name}"));
-                let del = interner.intern(&format!("{DEL_PREFIX}{name}"));
-                delta_of.insert(pred, (ins, del));
-            }
-            // Working view: state + delta relations.
-            let mut view = self.state.clone();
-            for (pred, tuple) in &delta_ins {
-                if let Some(&(ins, _)) = delta_of.get(pred) {
-                    view.insert_fact(ins, tuple.clone());
-                }
-            }
-            for (pred, tuple) in &delta_del {
-                if let Some(&(_, del)) = delta_of.get(pred) {
-                    view.insert_fact(del, tuple.clone());
-                }
-            }
-            // One parallel firing of all rules against the view.
-            let adom = active_domain(&self.program, &view);
-            let mut cache = IndexCache::new();
-            let mut req_ins: FxHashSet<(Symbol, Tuple)> = FxHashSet::default();
-            let mut req_del: FxHashSet<(Symbol, Tuple)> = FxHashSet::default();
-            for (rule, plan) in self.program.rules.iter().zip(&plans) {
-                let (pred, args, negative) = match &rule.head[0] {
-                    HeadLiteral::Pos(a) => (a.pred, &a.args, false),
-                    HeadLiteral::Neg(a) => (a.pred, &a.args, true),
-                    HeadLiteral::Bottom => continue,
-                };
-                let _ = for_each_match(
-                    plan,
-                    Sources::simple(&view),
-                    &adom,
-                    &mut cache,
-                    &mut |env| {
-                        let tuple = instantiate(args, env);
-                        if negative {
-                            req_del.insert((pred, tuple));
-                        } else {
-                            req_ins.insert((pred, tuple));
-                        }
-                        ControlFlow::Continue(())
-                    },
-                );
-            }
-            // Effective changes (insertion priority on conflicts, as in
-            // the paper's Datalog¬¬ semantics).
-            delta_ins.clear();
-            delta_del.clear();
-            for (pred, tuple) in &req_del {
-                if req_ins.contains(&(*pred, tuple.clone())) {
-                    continue;
-                }
-                if self
-                    .state
-                    .relation_mut(*pred)
-                    .is_some_and(|r| r.remove(tuple))
-                {
-                    report.deleted += 1;
-                    delta_del.push((*pred, tuple.clone()));
-                }
-            }
-            for (pred, tuple) in req_ins {
-                if self.state.insert_fact(pred, tuple.clone()) {
-                    report.inserted += 1;
-                    delta_ins.push((pred, tuple));
-                }
+            let ins = interner.intern(&format!("{INS_PREFIX}{name}"));
+            let del = interner.intern(&format!("{DEL_PREFIX}{name}"));
+            schema.declare(ins, arity)?;
+            schema.declare(del, arity)?;
+            deltas.insert(pred, (ins, del));
+        }
+        let heads = self.program.rules.iter().filter_map(|r| r.head[0].atom());
+        let updated = update.insertions.iter().chain(&update.deletions);
+        let written = heads.map(|a| a.pred).chain(updated.map(|(p, _)| *p));
+        if let Some(pred) = written
+            .chain(self.state.symbols())
+            .find(|p| !deltas.contains_key(p))
+        {
+            return Err(EvalError::InvalidUpdate(format!(
+                "{} is a delta relation: no rule, update or state may hold it",
+                interner.name(pred)
+            )));
+        }
+        Ok(deltas)
+    }
+}
+
+/// Drops every delta relation from `instance`.
+fn strip(instance: &mut Instance, deltas: &Deltas) {
+    for &(ins, del) in deltas.values() {
+        instance.remove_relation(ins);
+        instance.remove_relation(del);
+    }
+}
+
+/// One trigger round as a stage policy: every rule fires its full plan
+/// (triggers read the deltas, which a round replaces wholesale, so no
+/// rule is Δ-driven); the effective requests, insertion winning a
+/// conflict as in Datalog¬¬, change the state and replace `ins-R` and
+/// `del-R`. A round that changes no base fact changes nothing, which
+/// ends the run.
+struct Trigger<'d> {
+    deltas: &'d Deltas,
+    /// The round's requested insertions and deletions.
+    insert: Instance,
+    delete: Instance,
+    /// Effective insertions and deletions so far.
+    inserted: usize,
+    deleted: usize,
+}
+
+impl Consequence for Trigger<'_> {
+    fn fire(&mut self, _rule: usize, head: &HeadLiteral, env: &Env, _instance: &Instance) {
+        match head {
+            HeadLiteral::Pos(a) => self.insert.insert_fact(a.pred, instantiate(&a.args, env)),
+            HeadLiteral::Neg(a) => self.delete.insert_fact(a.pred, instantiate(&a.args, env)),
+            HeadLiteral::Bottom => unreachable!("⊥ is nondeterministic-only"),
+        };
+    }
+
+    fn apply(&mut self, stage: &mut Apply<'_>) -> Result<(), EvalError> {
+        let insert = std::mem::take(&mut self.insert);
+        let delete = std::mem::take(&mut self.delete);
+        let mut next = Instance::new();
+        for (pred, row) in facts(&delete) {
+            if !insert.contains_fact(pred, row) && stage.remove(pred, row) {
+                self.deleted += 1;
+                next.insert_row(self.deltas[&pred].1, row);
             }
         }
-        Ok(report)
+        for (pred, row) in facts(&insert) {
+            if stage.insert(pred, row)? {
+                self.inserted += 1;
+                next.insert_row(self.deltas[&pred].0, row);
+            }
+        }
+        if !stage.changed() {
+            return Ok(());
+        }
+        strip(stage.instance, self.deltas);
+        for (pred, row) in facts(&next) {
+            stage.instance.insert_row(pred, row);
+        }
+        Ok(())
     }
 }
 
@@ -249,6 +276,18 @@ mod tests {
 
     fn sym(i: &mut Interner, s: &str) -> Value {
         Value::sym(i, s)
+    }
+
+    /// The state holds no delta relation after an update, whatever its
+    /// outcome.
+    fn assert_no_deltas(db: &ActiveDatabase, i: &Interner) {
+        for pred in db.state.symbols() {
+            let name = i.name(pred);
+            assert!(
+                !name.starts_with(INS_PREFIX) && !name.starts_with(DEL_PREFIX),
+                "delta relation {name} left in the state"
+            );
+        }
     }
 
     /// Referential integrity by genuinely cascading triggers: deleting
@@ -286,11 +325,17 @@ mod tests {
             .unwrap();
         // 1 dept + 2 emps + 2 assignments deleted; 2 cascade rounds +
         // a quiescing round.
-        assert_eq!(report.deleted, 5);
-        assert_eq!(report.inserted, 0);
-        assert!(report.rounds >= 2);
+        assert_eq!(
+            report,
+            ActiveReport {
+                rounds: 3,
+                inserted: 0,
+                deleted: 5
+            }
+        );
         assert_eq!(db.state.relation(emp).unwrap().len(), 1);
         assert_eq!(db.state.relation(assigned).unwrap().len(), 1);
+        assert_no_deltas(&db, &i);
     }
 
     /// Audit triggers: insertions are logged, and the log itself does
@@ -322,6 +367,7 @@ mod tests {
                 deleted: 0
             }
         );
+        assert_no_deltas(&db, &i);
     }
 
     /// Repair trigger: deleting a protected fact re-inserts it
@@ -345,6 +391,7 @@ mod tests {
         assert!(db.state.contains_fact(config, &Tuple::from([k, v])));
         assert_eq!(report.deleted, 1);
         assert_eq!(report.inserted, 1);
+        assert_no_deltas(&db, &i);
     }
 
     /// Two triggers that undo each other forever exhaust the round
@@ -360,6 +407,7 @@ mod tests {
         db.max_rounds = 30;
         let result = db.apply(Update::insert(a, Tuple::from([Value::Int(1)])), &mut i);
         assert!(matches!(result, Err(EvalError::StageLimitExceeded(30))));
+        assert_no_deltas(&db, &i);
     }
 
     /// Mixed update: simultaneous insertions and deletions both seed
@@ -384,5 +432,105 @@ mod tests {
         assert!(db
             .state
             .contains_fact(sawdel, &Tuple::from([Value::Int(1)])));
+        assert_no_deltas(&db, &i);
+    }
+
+    /// A round that requests both `B(1)` and `¬B(1)` inserts it:
+    /// insertion wins a conflict, as in Datalog¬¬ (Section 4.2).
+    #[test]
+    fn conflicting_requests_favour_insertion() {
+        let mut i = Interner::new();
+        let program = parse_program("B(x) :- ins-A(x). !B(x) :- ins-A(x).", &mut i).unwrap();
+        let (a, b) = (i.intern("A"), i.get("B").unwrap());
+        let mut db = ActiveDatabase::new(program, Instance::new()).unwrap();
+        let one = Tuple::from([Value::Int(1)]);
+        let report = db.apply(Update::insert(a, one.clone()), &mut i).unwrap();
+        assert!(db.state.contains_fact(b, &one));
+        assert_eq!(
+            report,
+            ActiveReport {
+                rounds: 2,
+                inserted: 2,
+                deleted: 0
+            }
+        );
+        assert_no_deltas(&db, &i);
+    }
+
+    /// Every head of a rule fires, so a rule with two heads — outside
+    /// Datalog¬¬ — is rejected rather than half fired.
+    #[test]
+    fn multi_head_rules_are_rejected() {
+        let mut i = Interner::new();
+        let program = parse_program("A(x), B(x) :- ins-C(x).", &mut i).unwrap();
+        assert!(matches!(
+            ActiveDatabase::new(program, Instance::new()),
+            Err(EvalError::WrongLanguage { .. })
+        ));
+    }
+
+    /// Only the engine writes delta relations: a rule deriving one is
+    /// rejected, and the state is left as it was.
+    #[test]
+    fn rules_deriving_a_delta_relation_are_rejected() {
+        let mut i = Interner::new();
+        let program = parse_program("ins-B(x) :- ins-A(x).", &mut i).unwrap();
+        let a = i.intern("A");
+        let mut db = ActiveDatabase::new(program, Instance::new()).unwrap();
+        let result = db.apply(Update::insert(a, Tuple::from([Value::Int(1)])), &mut i);
+        assert!(matches!(result, Err(EvalError::InvalidUpdate(_))));
+        assert!(db.state.is_empty());
+        assert_no_deltas(&db, &i);
+    }
+
+    fn arity_conflict(result: Result<ActiveReport, EvalError>) -> bool {
+        matches!(
+            result,
+            Err(EvalError::Analysis(
+                unchained_parser::AnalysisError::ArityConflict(_)
+            ))
+        )
+    }
+
+    /// A state relation the program reads with another arity.
+    #[test]
+    fn state_arity_conflicting_with_the_program_is_rejected() {
+        let mut i = Interner::new();
+        let program = parse_program("T(x,y) :- ins-H(x), G(x,y).", &mut i).unwrap();
+        let (g, h) = (i.get("G").unwrap(), i.intern("H"));
+        let mut state = Instance::new();
+        state.insert_fact(g, Tuple::from([Value::Int(1)]));
+        let mut db = ActiveDatabase::new(program, state).unwrap();
+        let result = db.apply(Update::insert(h, Tuple::from([Value::Int(1)])), &mut i);
+        assert!(arity_conflict(result));
+        assert_no_deltas(&db, &i);
+    }
+
+    /// An update whose relation's delta the program reads with another
+    /// arity.
+    #[test]
+    fn update_arity_conflicting_with_a_delta_literal_is_rejected() {
+        let mut i = Interner::new();
+        let program = parse_program("T(x,y) :- ins-G(x,y).", &mut i).unwrap();
+        let g = i.intern("G");
+        let mut db = ActiveDatabase::new(program, Instance::new()).unwrap();
+        let result = db.apply(Update::insert(g, Tuple::from([Value::Int(2)])), &mut i);
+        assert!(arity_conflict(result));
+        assert!(db.state.is_empty());
+    }
+
+    /// An update fact of another arity than its state relation.
+    #[test]
+    fn update_arity_conflicting_with_the_state_is_rejected() {
+        let mut i = Interner::new();
+        let program = parse_program("log(x) :- ins-G(x).", &mut i).unwrap();
+        let g = i.get("G").unwrap_or_else(|| i.intern("G"));
+        let mut state = Instance::new();
+        state.insert_fact(g, Tuple::from([Value::Int(1)]));
+        let mut db = ActiveDatabase::new(program, state).unwrap();
+        let update = Update::insert(g, Tuple::from([Value::Int(2), Value::Int(3)]));
+        assert!(arity_conflict(db.apply(update, &mut i)));
+        assert_eq!(db.state.fact_count(), 1);
+        assert_no_deltas(&db, &i);
     }
 }

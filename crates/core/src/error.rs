@@ -39,9 +39,10 @@ pub enum EvalError {
         /// Stage at which the contradiction occurred.
         stage: usize,
     },
-    /// An incremental-session update was rejected: edits must target
-    /// EDB relations with schema-consistent arities, and the initial
-    /// instance must not already contain IDB facts.
+    /// An update was rejected. An incremental session's edits must
+    /// target EDB relations with schema-consistent arities, and its
+    /// initial instance must not already contain IDB facts; only an
+    /// active database's trigger engine writes its delta relations.
     InvalidUpdate(String),
 }
 
@@ -68,7 +69,7 @@ impl fmt::Display for EvalError {
                 f,
                 "A and ¬A inferred simultaneously at stage {stage} (undefined semantics)"
             ),
-            EvalError::InvalidUpdate(msg) => write!(f, "invalid incremental update: {msg}"),
+            EvalError::InvalidUpdate(msg) => write!(f, "invalid update: {msg}"),
         }
     }
 }

@@ -20,12 +20,12 @@
 use std::ops::{ControlFlow, Range};
 use unchained_common::{
     DeltaHandle, FxHashMap, Generation, HeapSize, Index, Instance, JoinCounters, Relation, Symbol,
-    Tuple, Value,
+    Value,
 };
 use unchained_parser::Term;
 
 use crate::ir::{Plan, ScanSource, Step};
-use crate::subst::{instantiate, term_value, Env};
+use crate::subst::{term_value, Env};
 
 /// What a cached index covers.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -337,27 +337,6 @@ pub fn for_each_match_from(
 ) -> ControlFlow<()> {
     debug_assert_eq!(env.len(), plan.var_count);
     Run { sources, adom }.steps(&plan.steps, cache, env, on_match)
-}
-
-/// Runs `plan` and instantiates `head_args` once per match, invoking
-/// `on_tuple` with each head tuple. Returns the number of body matches
-/// (the engines' `rules_fired` gauge, which is join-order invariant:
-/// it counts satisfying valuations, not tuples).
-pub fn for_each_head(
-    plan: &Plan,
-    head_args: &[Term],
-    sources: Sources<'_>,
-    adom: &[Value],
-    cache: &mut IndexCache,
-    on_tuple: &mut dyn FnMut(Tuple),
-) -> u64 {
-    let mut fired = 0u64;
-    let _ = for_each_match(plan, sources, adom, cache, &mut |env| {
-        fired += 1;
-        on_tuple(instantiate(head_args, env));
-        ControlFlow::Continue(())
-    });
-    fired
 }
 
 /// One unit of work for the morsel-driven parallel stages: either a
@@ -703,7 +682,8 @@ impl Run<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unchained_common::Interner;
+    use crate::subst::instantiate;
+    use unchained_common::{Interner, Tuple};
     use unchained_parser::HeadLiteral;
 
     #[test]
@@ -835,7 +815,10 @@ mod tests {
             };
             let mut out: Vec<Tuple> = Vec::new();
             let plan = crate::planner::plan_rule(rule);
-            for_each_head(&plan, &head.args, sources, &[], cache, &mut |t| out.push(t));
+            let _ = for_each_match(&plan, sources, &[], cache, &mut |env| {
+                out.push(instantiate(&head.args, env));
+                ControlFlow::Continue(())
+            });
             out.sort_unstable();
             out
         };

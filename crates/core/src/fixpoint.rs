@@ -13,6 +13,7 @@
 //! | `Retract` | noninflationary | inserts and deletes under a conflict policy | per rule: those whose head no rule retracts |
 //! | `Invent` | invention | inserts, minting fresh values per Skolem key | no |
 //! | `Derive` | provenance | inserts, keeping each fact's first derivation | no |
+//! | `Trigger` | the active-database trigger engine | applies the effective insertions and deletions, insertion first, and replaces the `ins-`/`del-` delta relations with them | no |
 //!
 //! Every policy runs at any `threads`, with identical answers, stage
 //! counts and `rules_fired`.
@@ -70,6 +71,13 @@ pub(crate) fn with_idb(program: &Program, input: &Instance) -> Result<Instance, 
         instance.ensure(pred, schema.arity(pred).expect("idb has arity"));
     }
     Ok(instance)
+}
+
+/// Every fact of `instance`, relation by relation.
+pub(crate) fn facts(instance: &Instance) -> impl Iterator<Item = (Symbol, &[Value])> {
+    instance
+        .iter()
+        .flat_map(|(pred, rel)| rel.iter_stored().map(move |row| (pred, row)))
 }
 
 /// The telemetry envelope of one engine run: resets the trace under the

@@ -37,12 +37,14 @@
 use std::ops::ControlFlow;
 
 use crate::error::EvalError;
-use crate::exec::{for_each_head, for_each_match_from, IndexCache, Sources};
+use crate::exec::{for_each_match, for_each_match_from, IndexCache, Sources};
 use crate::fixpoint::{Accumulate, Round, RuleStat, Stages};
 use crate::ir::Plan;
 use crate::options::EvalOptions;
 use crate::planner::{Catalog, PlanStats, Planner};
-use crate::subst::{active_domain, active_domain_if_enumerated, enumerates_domain, Env};
+use crate::subst::{
+    active_domain, active_domain_if_enumerated, enumerates_domain, instantiate, Env,
+};
 use crate::{input_schema, require_language};
 use unchained_common::{
     DeltaHandle, FxHashMap, FxHashSet, Instance, JoinCounters, Relation, Schema, SpanKind, Symbol,
@@ -343,6 +345,7 @@ impl IncrementalSession {
             head_preds.push(head);
         }
         let mut rule_stats = vec![RuleStat::default(); self.program.rules.len()];
+        let mut plan_stats = PlanStats::default();
         for (stratum, stratum_rules) in strata.iter().enumerate() {
             if stratum_rules.is_empty() {
                 continue;
@@ -419,7 +422,8 @@ impl IncrementalSession {
                     inserted: &inserted,
                     neg: None,
                 };
-                withdrawn = delta_closure(
+                let planned;
+                (withdrawn, planned) = delta_closure(
                     stratum_rules,
                     overdelete,
                     &mut deleted,
@@ -429,6 +433,7 @@ impl IncrementalSession {
                     &self.options,
                     &mut rule_stats,
                 )?;
+                plan_stats.joins_pruned += planned.joins_pruned;
                 stats.overdeleted += withdrawn.len() as u64;
                 stats.rederived += rederive(
                     &withdrawn,
@@ -443,7 +448,7 @@ impl IncrementalSession {
                 );
             }
             if ins_hit {
-                delta_closure(
+                let (_, planned) = delta_closure(
                     stratum_rules,
                     Closure::Insert,
                     &mut inserted,
@@ -453,6 +458,7 @@ impl IncrementalSession {
                     &self.options,
                     &mut rule_stats,
                 )?;
+                plan_stats.joins_pruned += planned.joins_pruned;
             }
             // The stratum's net head change: a withdrawn tuple that is
             // live again (rederived, or re-added by the insert closure)
@@ -485,7 +491,7 @@ impl IncrementalSession {
             fired: stats.rules_fired,
             delta: Vec::new(),
             joins: stats.joins,
-            plan_stats: PlanStats::default(),
+            plan_stats,
             workers: Vec::new(),
         };
         round.record(
@@ -567,8 +573,10 @@ pub(crate) enum Closure<'a> {
     /// instance without `inserted` and with the deletions put back
     /// ([`Sources::before`]). Negative literals read it too, or, with
     /// `neg = Some((context, added))`, `context` as it was before it
-    /// gained `added`. A found head must be live, and is withdrawn into
-    /// the deletions.
+    /// gained `added`; the first round then also fires the negation
+    /// variants over `added`, as a valuation that negates an added fact
+    /// is lost too. A found head must be live, and is withdrawn into the
+    /// deletions.
     Withdraw {
         inserted: &'a Instance,
         neg: Option<(&'a Instance, &'a Instance)>,
@@ -585,8 +593,9 @@ pub(crate) enum Closure<'a> {
 /// moves the head tuples it finds as `closure` says, recording each in
 /// `change` — which feeds it into the next round's Δ — until a round
 /// finds nothing to move. Returns the moved tuples in the order they
-/// moved. Each `(index, rule)` adds its matches, and the time they
-/// took, to `rule_stats[index]`.
+/// moved, and what planning the rounds' variants achieved. Each
+/// `(index, rule)` adds its matches, and the time they took, to
+/// `rule_stats[index]`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn delta_closure(
     rules: &[(usize, &Rule)],
@@ -597,7 +606,7 @@ pub(crate) fn delta_closure(
     cache: &mut IndexCache,
     options: &EvalOptions,
     rule_stats: &mut [RuleStat],
-) -> Result<Vec<(Symbol, Tuple)>, EvalError> {
+) -> Result<(Vec<(Symbol, Tuple)>, PlanStats), EvalError> {
     let tracer = options.telemetry.tracer();
     let withdraw = matches!(closure, Closure::Withdraw { .. });
     // The default handle marks all of `change` as new; captured marks
@@ -632,22 +641,41 @@ pub(crate) fn delta_closure(
             delta_from: Some(&*change),
             ..view
         };
+        // The first round's negation variants read the facts the negative
+        // context gained, all new under the first round's marks.
+        let added = view.neg_added.filter(|_| rounds == 1);
+        let added_has = |p| {
+            added
+                .and_then(|a| a.relation(p))
+                .is_some_and(|r| !r.is_empty())
+        };
+        let negation_sources = Sources {
+            delta_from: added,
+            ..sources
+        };
         let mut found: Vec<(Symbol, Tuple)> = Vec::new();
         for &(ri, rule) in rules {
             let head = head_atom(rule);
             let start_nanos = tracer.now_nanos();
             let mut fired = 0;
-            for plan in planner.seminaive_variants(rule, &|p| changed.contains(&p)) {
-                fired += for_each_head(&plan, &head.args, sources, adom, cache, &mut |tuple| {
+            let seminaive = planner.seminaive_variants(rule, &|p| changed.contains(&p));
+            let negation =
+                added.map_or_else(Vec::new, |_| planner.negation_variants(rule, &added_has));
+            let plans = seminaive.iter().map(|p| (p, sources));
+            for (plan, sources) in plans.chain(negation.iter().map(|p| (p, negation_sources))) {
+                let _ = for_each_match(plan, sources, adom, cache, &mut |env| {
+                    fired += 1;
+                    let tuple = instantiate(&head.args, env);
                     if instance.contains_fact(head.pred, &tuple) == withdraw {
                         found.push((head.pred, tuple));
                     }
+                    ControlFlow::Continue(())
                 });
             }
             rule_stats[ri].add(tracer, fired, start_nanos);
         }
         if found.is_empty() {
-            return Ok(moved);
+            return Ok((moved, planner.stats()));
         }
         mark = DeltaHandle::capture(change);
         for (pred, tuple) in found {

@@ -27,7 +27,7 @@
 //! `ptime` vs `pspace`).
 
 use crate::error::EvalError;
-use crate::fixpoint::{self, Apply, Consequence, Fired};
+use crate::fixpoint::{self, facts, Apply, Consequence, Fired};
 use crate::options::{DivergenceDetection, EvalOptions, FixpointRun};
 use crate::require_language;
 use crate::subst::{instantiate_into, Env};
@@ -145,13 +145,6 @@ pub fn eval(
         .telemetry
         .with(|t| t.divergence = Some(retract.snapshot(None)));
     Ok(run)
-}
-
-/// Every fact of `instance`, relation by relation.
-fn facts(instance: &Instance) -> impl Iterator<Item = (Symbol, &[Value])> {
-    instance
-        .iter()
-        .flat_map(|(pred, rel)| rel.iter_stored().map(move |row| (pred, row)))
 }
 
 /// Insert and delete under a [`ConflictPolicy`], remembering visited

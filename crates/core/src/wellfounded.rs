@@ -29,7 +29,6 @@
 //! *negation variants* ([`crate::planner::Planner::negation_variants`]).
 
 use crate::error::EvalError;
-use crate::exec::{for_each_head, Sources};
 use crate::fixpoint::{with_idb, Accumulate, EvalScope, Round, RuleStat, Stages};
 use crate::ivm::{delta_closure, rederive, Closure, Support};
 use crate::options::EvalOptions;
@@ -38,7 +37,7 @@ use crate::require_language;
 use unchained_common::{
     DeltaHandle, HeapSize, Instance, Relation, SpanKind, Symbol, Tracer, Tuple,
 };
-use unchained_parser::{check_range_restricted, HeadLiteral, Language, Program, Rule};
+use unchained_parser::{check_range_restricted, Language, Program, Rule};
 
 /// The truth value of a fact in a 3-valued model.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -285,14 +284,15 @@ fn since(instance: &Instance, marks: &DeltaHandle, base: &Instance, idb: &[Symbo
 ///
 /// Γ̂ is antimonotone, so the new over-estimate is a subset of the old.
 /// A valuation of the old one is lost iff it negates a fact that entered
-/// the under-estimate, or uses a positive fact that is lost: the
-/// negation variants over `gained` seed the overdelete, reading every
-/// other literal in the old state (negation reads the under-estimate
-/// without `gained`), and the Δ closure over the withdrawn facts
-/// finishes it. A withdrawn fact that keeps a derivation — against the
-/// surviving facts and the new under-estimate — is rederived. Facts
-/// never withdrawn keep every derivation they had, so the result is
-/// exactly `Γ̂` of the new under-estimate.
+/// the under-estimate, or uses a positive fact that is lost. The
+/// overdelete is one [`delta_closure`]: its first round fires the
+/// negation variants over `gained`, reading every other literal in the
+/// old state (negation reads the under-estimate without `gained`), and
+/// its later rounds close over the withdrawn facts. A withdrawn fact
+/// that keeps a derivation — against the surviving facts and the new
+/// under-estimate — is rederived. Facts never withdrawn keep every
+/// derivation they had, so the result is exactly `Γ̂` of the new
+/// under-estimate.
 ///
 /// Records the application as one round. Returns the facts that left
 /// the over-estimate.
@@ -314,56 +314,18 @@ fn shrink(
     let rules: Vec<(usize, &Rule)> = program.rules.iter().enumerate().collect();
     let (adom, cache) = side.parts();
     let joins_before = cache.counters;
-    let mut rule_stats = Vec::with_capacity(rules.len());
+    let mut rule_stats = vec![RuleStat::default(); rules.len()];
 
-    // Seed: valuations of the old over-estimate that negate a gained fact.
-    let mut planner = Planner::new(Catalog::from_instance(over), options.plan_mode);
-    let all_new = DeltaHandle::default();
-    let seed_sources = Sources {
-        delta: Some(&all_new),
-        neg: Some(under),
-        neg_added: Some(gained),
-        delta_from: Some(gained),
-        ..Sources::simple(over)
-    };
-    let gained_has = |p: Symbol| gained.relation(p).is_some_and(|r| !r.is_empty());
-    cache.begin_delta_round();
-    let mut seed: Vec<(Symbol, Tuple)> = Vec::new();
-    for &(_, rule) in &rules {
-        let start_nanos = tracer.now_nanos();
-        let HeadLiteral::Pos(head) = &rule.head[0] else {
-            unreachable!("Datalog¬ heads are positive")
-        };
-        let mut fired = 0;
-        for plan in planner.negation_variants(rule, &gained_has) {
-            fired += for_each_head(&plan, &head.args, seed_sources, adom, cache, &mut |t| {
-                if over.contains_fact(head.pred, &t) {
-                    seed.push((head.pred, t));
-                }
-            });
-        }
-        rule_stats.push(RuleStat {
-            fired,
-            start_nanos,
-            dur_nanos: tracer.now_nanos().saturating_sub(start_nanos),
-        });
-    }
-    let mut withdrawn = Instance::new();
-    let mut candidates = Vec::new();
-    for (pred, tuple) in seed {
-        if withdrawn.insert_fact(pred, tuple.clone()) {
-            over.retract_fact(pred, &tuple);
-            candidates.push((pred, tuple));
-        }
-    }
-
+    // The overdelete, seeded by the valuations of the old over-estimate
+    // that negate a gained fact.
     let nothing = Instance::new();
+    let mut withdrawn = Instance::new();
     cache.forget_withdrawn();
     let overdelete = Closure::Withdraw {
         inserted: &nothing,
         neg: Some((under, gained)),
     };
-    candidates.extend(delta_closure(
+    let (candidates, plan_stats) = delta_closure(
         &rules,
         overdelete,
         &mut withdrawn,
@@ -372,7 +334,7 @@ fn shrink(
         cache,
         options,
         &mut rule_stats,
-    )?);
+    )?;
     // Input facts of idb predicates hold in every iterate: the
     // overdelete may withdraw them, and they come straight back.
     for (pred, tuple) in &candidates {
@@ -407,7 +369,7 @@ fn shrink(
             fired: rule_stats.iter().map(|s| s.fired).sum(),
             delta: Vec::new(),
             joins: cache.counters.since(&joins_before),
-            plan_stats: planner.stats(),
+            plan_stats,
             workers: Vec::new(),
         };
         round.record(tel, &head_preds, &rule_stats, stage_sw.nanos(), over);

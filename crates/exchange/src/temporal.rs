@@ -98,7 +98,8 @@ impl TemporalRun {
 /// ```
 ///
 /// # Errors
-/// Propagates engine errors from either rule set (wrapped as
+/// Propagates engine errors from either rule set, and an arity conflict
+/// between the inductive rules and a closed state (wrapped as
 /// [`ExchangeError::Local`] with pseudo-peer names `deductive` /
 /// `inductive`).
 pub fn run_temporal(
@@ -151,6 +152,7 @@ pub fn run_temporal(
                 end: TemporalEnd::BudgetExhausted,
             });
         }
+        unchained_core::input_schema(&program.inductive, &closed).map_err(local("inductive"))?;
         // One parallel inductive firing builds S_{t+1}.
         let adom = active_domain(&program.inductive, &closed);
         let mut cache = IndexCache::new();
@@ -246,6 +248,32 @@ mod tests {
         // Alternating on/off along the trace.
         let lit = |t: usize| run.trace[t].contains_fact(on, &Tuple::from([Value::Int(1)]));
         assert!(!lit(0) && lit(1) && !lit(2));
+    }
+
+    /// A state relation the inductive rules read with another arity is
+    /// an arity conflict of the inductive program, not a panic.
+    #[test]
+    fn inductive_arity_conflict_is_an_error() {
+        let mut i = Interner::new();
+        let inductive = parse_program("L(x,y) :- L(x,y).", &mut i).unwrap();
+        let l = i.get("L").unwrap();
+        let mut initial = Instance::new();
+        initial.insert_fact(l, Tuple::from([Value::Int(1)]));
+        let program = TemporalProgram {
+            deductive: empty_program(),
+            inductive,
+        };
+        let err = run_temporal(&program, &initial, 10).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ExchangeError::Local {
+                    peer,
+                    error: EvalError::Analysis(unchained_parser::AnalysisError::ArityConflict(_)),
+                } if peer == "inductive"
+            ),
+            "{err:?}"
+        );
     }
 
     /// Deductive rules close each timestep: reachability is recomputed

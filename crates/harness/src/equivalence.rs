@@ -1,16 +1,11 @@
-//! The empirical-equivalence harness behind the Figure 1 reproduction:
-//! run two queries (any engine, any language) over a family of
-//! instances and compare their answers.
+//! The empirical-equivalence harness: run two queries (any engine, any
+//! language) over a family of instances and compare their answers.
 
 use std::fmt;
-use unchained_common::{EvalTrace, Instance, Relation, Symbol, Telemetry};
+use unchained_common::{Instance, Relation, Symbol};
 
 /// A query under test: anything that maps an instance to a relation.
 pub type QueryFn<'a> = dyn Fn(&Instance) -> Result<Relation, String> + 'a;
-
-/// A query under test that also reports telemetry: the harness hands
-/// it an enabled [`Telemetry`] to thread into the engine's options.
-pub type TracedQueryFn<'a> = dyn Fn(&Instance, Telemetry) -> Result<Relation, String> + 'a;
 
 /// The outcome of comparing two queries over an instance family.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -98,89 +93,6 @@ pub fn compare(left: &QueryFn<'_>, right: &QueryFn<'_>, family: &[Instance]) -> 
     }
 }
 
-/// A [`Verdict`] plus, when the comparison failed, the evaluation
-/// traces both engines produced on the offending instance — so a
-/// Figure 1 disagreement report shows not just *that* the answers
-/// differ, but how each engine got there (stage counts, deltas, join
-/// work).
-#[derive(Clone, Debug)]
-pub struct TracedVerdict {
-    /// The comparison outcome.
-    pub verdict: Verdict,
-    /// The left engine's trace on the offending instance
-    /// (`None` when equivalent).
-    pub left_trace: Option<EvalTrace>,
-    /// The right engine's trace on the offending instance
-    /// (`None` when equivalent, or when the left query already failed).
-    pub right_trace: Option<EvalTrace>,
-}
-
-impl TracedVerdict {
-    /// True for [`Verdict::Equivalent`].
-    pub fn is_equivalent(&self) -> bool {
-        self.verdict.is_equivalent()
-    }
-}
-
-/// Like [`compare`], but hands each query an enabled [`Telemetry`] and
-/// attaches both engines' traces to any failure.
-pub fn compare_traced(
-    left: &TracedQueryFn<'_>,
-    right: &TracedQueryFn<'_>,
-    family: &[Instance],
-) -> TracedVerdict {
-    for (idx, instance) in family.iter().enumerate() {
-        let ltel = Telemetry::enabled();
-        let rtel = Telemetry::enabled();
-        let a = match left(instance, ltel.clone()) {
-            Ok(r) => r,
-            Err(message) => {
-                return TracedVerdict {
-                    verdict: Verdict::Error {
-                        instance_index: idx,
-                        message,
-                    },
-                    left_trace: ltel.snapshot(),
-                    right_trace: None,
-                }
-            }
-        };
-        let b = match right(instance, rtel.clone()) {
-            Ok(r) => r,
-            Err(message) => {
-                return TracedVerdict {
-                    verdict: Verdict::Error {
-                        instance_index: idx,
-                        message,
-                    },
-                    left_trace: ltel.snapshot(),
-                    right_trace: rtel.snapshot(),
-                }
-            }
-        };
-        if !a.same_tuples(&b) {
-            let only_left = a.iter().filter(|t| !b.contains(t)).count();
-            let only_right = b.iter().filter(|t| !a.contains(t)).count();
-            return TracedVerdict {
-                verdict: Verdict::Differs {
-                    instance_index: idx,
-                    only_left,
-                    only_right,
-                },
-                left_trace: ltel.snapshot(),
-                right_trace: rtel.snapshot(),
-            };
-        }
-    }
-    TracedVerdict {
-        verdict: Verdict::Equivalent {
-            instances: family.len(),
-        },
-        left_trace: None,
-        right_trace: None,
-    }
-}
-
 /// Helper: extracts `pred` from an instance-valued result (missing
 /// relation = empty of the given arity).
 pub fn relation_of(instance: &Instance, pred: Symbol, arity: usize) -> Relation {
@@ -242,64 +154,6 @@ mod tests {
                 only_right: 0
             }
         ));
-    }
-
-    #[test]
-    fn traced_comparison_attaches_both_traces_on_difference() {
-        let mut i = Interner::new();
-        let program = parse_program(TC, &mut i).unwrap();
-        let t = i.get("T").unwrap();
-        let family = vec![line_graph(&mut i, "G", 5)];
-        // Left: the real semi-naive TC. Right: deliberately drops one
-        // tuple, so the harness must report Differs with both traces.
-        let left: Box<TracedQueryFn> = Box::new(|inst: &Instance, tel| {
-            seminaive::minimum_model(&program, inst, EvalOptions::default().with_telemetry(tel))
-                .map(|run| relation_of(&run.instance, t, 2))
-                .map_err(|e| e.to_string())
-        });
-        let right: Box<TracedQueryFn> = Box::new(|inst: &Instance, tel| {
-            seminaive::minimum_model(&program, inst, EvalOptions::default().with_telemetry(tel))
-                .map(|run| {
-                    let full = relation_of(&run.instance, t, 2);
-                    let mut out = Relation::new(2);
-                    for tuple in full.iter().skip(1) {
-                        out.insert_row(&tuple);
-                    }
-                    out
-                })
-                .map_err(|e| e.to_string())
-        });
-        let traced = compare_traced(&left, &right, &family);
-        assert!(matches!(
-            traced.verdict,
-            Verdict::Differs {
-                instance_index: 0,
-                ..
-            }
-        ));
-        let lt = traced.left_trace.expect("left trace");
-        let rt = traced.right_trace.expect("right trace");
-        assert_eq!(lt.engine, "seminaive");
-        assert_eq!(rt.engine, "seminaive");
-        assert!(!lt.stages.is_empty());
-        // Both engines did identical evaluation work; only the
-        // projection differed.
-        assert_eq!(lt.stages.len(), rt.stages.len());
-        assert_eq!(lt.total_facts_added(), rt.total_facts_added());
-    }
-
-    #[test]
-    fn traced_comparison_equivalent_has_no_traces() {
-        let mut i = Interner::new();
-        let g = i.intern("G");
-        let family = vec![line_graph(&mut i, "G", 3)];
-        let left: Box<TracedQueryFn> =
-            Box::new(|inst: &Instance, _tel| Ok(relation_of(inst, g, 2)));
-        let right: Box<TracedQueryFn> =
-            Box::new(|inst: &Instance, _tel| Ok(relation_of(inst, g, 2)));
-        let traced = compare_traced(&left, &right, &family);
-        assert!(traced.is_equivalent());
-        assert!(traced.left_trace.is_none() && traced.right_trace.is_none());
     }
 
     #[test]

@@ -13,18 +13,13 @@
 //! * [`ordered`] — ordered-database support (`succ`/`lt`/`min`/`max`,
 //!   Section 4.5);
 //! * [`equivalence`] — run two queries over an instance family and
-//!   compare answers (the engine behind the Figure 1 table);
-//! * [`randprog`] — random range-restricted program generation for
-//!   differential engine testing.
+//!   compare answers.
 
 pub mod equivalence;
 pub mod generators;
 pub mod oracles;
 pub mod ordered;
 pub mod programs;
-pub mod randprog;
 
-pub use equivalence::{
-    compare, compare_traced, relation_of, QueryFn, TracedQueryFn, TracedVerdict, Verdict,
-};
+pub use equivalence::{compare, relation_of, QueryFn, Verdict};
 pub use oracles::GameValue;

@@ -23,6 +23,22 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
+# Size gate: the non-test code of crates/core/src (each file counted up
+# to its first #[cfg(test)]) stays under 6,000 lines. The count for
+# crates/common/src is printed beside it.
+echo "==> non-test lines: crates/core/src under 6000"
+nontest_lines() {
+    for f in "$1"/*.rs; do
+        awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f"
+    done | awk '{ s += $1 } END { print s + 0 }'
+}
+core_lines=$(nontest_lines crates/core/src)
+echo "crates/core/src: $core_lines, crates/common/src: $(nontest_lines crates/common/src)"
+if [ "$core_lines" -ge 6000 ]; then
+    echo "crates/core/src has $core_lines non-test lines (want under 6000)" >&2
+    exit 1
+fi
+
 # Benchmark harness smoke: a quick run must produce a valid BENCH.json,
 # and comparing a second run against it must exit 0. The threshold is
 # deliberately loose (10x) — this gates the harness and the

@@ -1,23 +1,50 @@
 //! Differential testing of the engine equivalences on *randomly
 //! generated programs* — the theorems say the engines agree on every
 //! program of a fragment, so we compare them on programs nobody
-//! hand-picked (seeded, deterministic).
+//! hand-picked (seeded, deterministic). Programs and inputs come from
+//! the fuzzer's grammar: its positive campaign for Datalog, its
+//! negation campaign (stratified Datalog¬) for the semipositive
+//! properties, and its unstratified campaign less the retracting rules
+//! for full Datalog¬.
 
 use unchained::common::{Instance, Interner};
 use unchained::core::{
     inflationary, naive, noninflationary, seminaive, stratified, wellfounded, EvalOptions,
 };
-use unchained::fuzz::spec;
-use unchained::harness::randprog::{random_edb, random_program, Fragment, RandProgConfig};
+use unchained::fuzz::grammar::generate;
+use unchained::fuzz::{spec, Campaign, GrammarConfig};
 use unchained::nondet::{effect, EffOptions, NondetProgram};
+use unchained::parser::{HeadLiteral, Program};
 
 const SEEDS: std::ops::Range<u64> = 0..40;
+
+/// The program and input the grammar generates for `campaign` at the
+/// default sizes.
+fn generated(campaign: Campaign, seed: u64) -> (Program, Instance) {
+    generate(
+        &mut Interner::new(),
+        campaign,
+        GrammarConfig::default(),
+        seed,
+    )
+}
+
+/// A full Datalog¬ program (negation on any idb predicate, usually
+/// unstratifiable) and its input: an unstratified campaign program
+/// without its rules with a negative head.
+fn datalog_neg(cfg: GrammarConfig, seed: u64) -> (Program, Instance) {
+    let (mut program, input) = generate(&mut Interner::new(), Campaign::Unstratified, cfg, seed);
+    program
+        .rules
+        .retain(|r| matches!(r.head[..], [HeadLiteral::Pos(_)]));
+    (program, input)
+}
 
 /// Inflationary semantics by its definition: the Datalog¬¬ stages of a
 /// program without head negation under insertion priority, computed by
 /// the reference evaluator, which shares no code with the engines.
 /// Returns the fixpoint's facts and its stage count.
-fn spec_inflationary(program: &unchained::parser::Program, input: &Instance) -> (spec::Db, usize) {
+fn spec_inflationary(program: &Program, input: &Instance) -> (spec::Db, usize) {
     let policy = noninflationary::ConflictPolicy::PreferPositive;
     match spec::datalog_negneg(program, input, policy, 1_000) {
         spec::Stages::Fixpoint { db, stages } => (db, stages),
@@ -28,13 +55,7 @@ fn spec_inflationary(program: &unchained::parser::Program, input: &Instance) -> 
 #[test]
 fn naive_equals_seminaive_on_random_positive_programs() {
     for seed in SEEDS {
-        let mut i = Interner::new();
-        let cfg = RandProgConfig {
-            fragment: Fragment::Positive,
-            ..Default::default()
-        };
-        let program = random_program(&mut i, cfg, seed);
-        let input = random_edb(&mut i, cfg, 5, 6, seed ^ 0xABCD);
+        let (program, input) = generated(Campaign::Positive, seed);
         let a = naive::minimum_model(&program, &input, EvalOptions::default()).unwrap();
         let b = seminaive::minimum_model(&program, &input, EvalOptions::default()).unwrap();
         assert!(a.instance.same_facts(&b.instance), "seed {seed}");
@@ -46,13 +67,7 @@ fn naive_equals_seminaive_on_random_positive_programs() {
 #[test]
 fn inflationary_naive_equals_seminaive_on_random_datalog_neg() {
     for seed in SEEDS {
-        let mut i = Interner::new();
-        let cfg = RandProgConfig {
-            fragment: Fragment::DatalogNeg,
-            ..Default::default()
-        };
-        let program = random_program(&mut i, cfg, seed);
-        let input = random_edb(&mut i, cfg, 5, 6, seed ^ 0x1234);
+        let (program, input) = datalog_neg(GrammarConfig::default(), seed);
         let a = inflationary::eval(&program, &input, EvalOptions::default()).unwrap();
         let (facts, stages) = spec_inflationary(&program, &input);
         assert_eq!(spec::db_of(&a.instance), facts, "seed {seed}");
@@ -63,13 +78,7 @@ fn inflationary_naive_equals_seminaive_on_random_datalog_neg() {
 #[test]
 fn stratified_equals_wellfounded_on_random_semipositive_programs() {
     for seed in SEEDS {
-        let mut i = Interner::new();
-        let cfg = RandProgConfig {
-            fragment: Fragment::Semipositive,
-            ..Default::default()
-        };
-        let program = random_program(&mut i, cfg, seed);
-        let input = random_edb(&mut i, cfg, 5, 6, seed ^ 0x77);
+        let (program, input) = generated(Campaign::Negation, seed);
         let a = stratified::eval(&program, &input, EvalOptions::default()).unwrap();
         let wf = wellfounded::eval(&program, &input, EvalOptions::default()).unwrap();
         assert!(wf.is_total(), "seed {seed}");
@@ -80,13 +89,7 @@ fn stratified_equals_wellfounded_on_random_semipositive_programs() {
 #[test]
 fn datalog_negneg_engine_subsumes_inflationary_on_random_programs() {
     for seed in SEEDS {
-        let mut i = Interner::new();
-        let cfg = RandProgConfig {
-            fragment: Fragment::DatalogNeg,
-            ..Default::default()
-        };
-        let program = random_program(&mut i, cfg, seed);
-        let input = random_edb(&mut i, cfg, 5, 6, seed ^ 0xFEED);
+        let (program, input) = datalog_neg(GrammarConfig::default(), seed);
         let a = inflationary::eval(&program, &input, EvalOptions::default()).unwrap();
         let b = noninflationary::eval(
             &program,
@@ -103,16 +106,16 @@ fn datalog_negneg_engine_subsumes_inflationary_on_random_programs() {
 fn nondet_effect_is_singleton_minimum_model_on_random_positive_programs() {
     // Effects explode combinatorially, so keep programs and inputs tiny.
     for seed in 0..12u64 {
-        let mut i = Interner::new();
-        let cfg = RandProgConfig {
-            fragment: Fragment::Positive,
-            rules: 2,
+        let cfg = GrammarConfig {
+            max_rules: 2,
             idb_preds: 1,
             edb_preds: 2,
             max_body: 2,
+            universe: 3,
+            facts_per_pred: 2,
+            ..GrammarConfig::default()
         };
-        let program = random_program(&mut i, cfg, seed);
-        let input = random_edb(&mut i, cfg, 3, 2, seed ^ 0x5A5A);
+        let (program, input) = generate(&mut Interner::new(), Campaign::Positive, cfg, seed);
         let expected = seminaive::minimum_model(&program, &input, EvalOptions::default()).unwrap();
         let compiled = NondetProgram::compile(&program, false).unwrap();
         let effects = match effect(&compiled, &input, EffOptions { max_states: 20_000 }) {
@@ -127,17 +130,11 @@ fn nondet_effect_is_singleton_minimum_model_on_random_positive_programs() {
 #[test]
 fn wellfounded_true_facts_subset_of_inflationary_on_random_programs() {
     // Both realize the fixpoint queries, but on a *given* Datalog¬
-    // program the two semantics differ; what must hold is that the
-    // WF-true facts are contained in the inflationary result whenever
-    // the program is semipositive (where both equal stratified).
+    // program the semantics differ; what must hold is that the WF-true
+    // facts are contained in the stratified result whenever the
+    // program is stratified (where the two agree).
     for seed in SEEDS {
-        let mut i = Interner::new();
-        let cfg = RandProgConfig {
-            fragment: Fragment::Semipositive,
-            ..Default::default()
-        };
-        let program = random_program(&mut i, cfg, seed);
-        let input = random_edb(&mut i, cfg, 5, 6, seed ^ 0xC0DE);
+        let (program, input) = generated(Campaign::Negation, seed);
         let wf = wellfounded::eval(&program, &input, EvalOptions::default()).unwrap();
         let strat = stratified::eval(&program, &input, EvalOptions::default()).unwrap();
         for (pred, rel) in wf.true_facts.iter() {
@@ -154,16 +151,16 @@ fn wellfounded_true_facts_subset_of_inflationary_on_random_programs() {
 #[ignore = "long-running deep fuzz; run explicitly"]
 fn deep_differential_fuzz() {
     for seed in 0..400u64 {
-        let mut i = Interner::new();
-        let cfg = RandProgConfig {
-            fragment: Fragment::DatalogNeg,
-            rules: 6,
+        let cfg = GrammarConfig {
+            max_rules: 6,
             idb_preds: 3,
             edb_preds: 2,
             max_body: 4,
+            universe: 6,
+            facts_per_pred: 8,
+            ..GrammarConfig::default()
         };
-        let program = random_program(&mut i, cfg, seed);
-        let input = random_edb(&mut i, cfg, 6, 8, seed ^ 0xDEED);
+        let (program, input) = datalog_neg(cfg, seed);
         let a = inflationary::eval(&program, &input, EvalOptions::default()).unwrap();
         let (facts, stages) = spec_inflationary(&program, &input);
         assert_eq!(spec::db_of(&a.instance), facts, "seed {seed}");

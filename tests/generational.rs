@@ -9,8 +9,9 @@
 use unchained::common::telemetry::Telemetry;
 use unchained::common::{Instance, Interner, Rng, Tuple, Value};
 use unchained::core::{naive, seminaive, stratified, EvalOptions};
-use unchained::harness::randprog::{random_edb, random_program, Fragment, RandProgConfig};
-use unchained::parser::parse_program;
+use unchained::fuzz::grammar::generate;
+use unchained::fuzz::{Campaign, GrammarConfig};
+use unchained::parser::{parse_program, Program};
 
 fn random_graph(interner: &mut Interner, nodes: i64, edges: usize, seed: u64) -> Instance {
     let g = interner.intern("G");
@@ -24,7 +25,13 @@ fn random_graph(interner: &mut Interner, nodes: i64, edges: usize, seed: u64) ->
     inst
 }
 
-fn tc_program(interner: &mut Interner) -> unchained::parser::Program {
+/// A stratified Datalog¬ program and its input, from the fuzzer's
+/// grammar (its negation campaign, default sizes).
+fn negation_program(interner: &mut Interner, seed: u64) -> (Program, Instance) {
+    generate(interner, Campaign::Negation, GrammarConfig::default(), seed)
+}
+
+fn tc_program(interner: &mut Interner) -> Program {
     parse_program(
         "T(x,y) :- G(x,y).\n\
          T(x,y) :- G(x,z), T(z,y).",
@@ -69,12 +76,7 @@ fn naive_and_generational_seminaive_identical_on_random_tc() {
 fn stratified_generational_path_deterministic_on_random_negation_programs() {
     for seed in 0..25u64 {
         let mut i = Interner::new();
-        let cfg = RandProgConfig {
-            fragment: Fragment::Semipositive,
-            ..Default::default()
-        };
-        let program = random_program(&mut i, cfg, seed);
-        let input = random_edb(&mut i, cfg, 5, 6, seed ^ 0xBEEF);
+        let (program, input) = negation_program(&mut i, seed);
         let a = stratified::eval(&program, &input, EvalOptions::default()).unwrap();
         let b = stratified::eval(&program, &input, EvalOptions::default()).unwrap();
         assert_eq!(
@@ -244,19 +246,14 @@ fn parallel_seminaive_byte_identical_on_random_tc() {
 }
 
 /// Same differential guarantee through the stratified engine on seeded
-/// random semipositive (negation) programs: every stratum routes through
+/// random stratified (negation) programs: every stratum routes through
 /// the parallel fixpoint, and the final instance must not depend on the
 /// thread count.
 #[test]
 fn parallel_stratified_byte_identical_on_random_negation_programs() {
     for seed in 0..15u64 {
         let mut i = Interner::new();
-        let cfg = RandProgConfig {
-            fragment: Fragment::Semipositive,
-            ..Default::default()
-        };
-        let program = random_program(&mut i, cfg, seed);
-        let input = random_edb(&mut i, cfg, 5, 6, seed ^ 0xBEEF);
+        let (program, input) = negation_program(&mut i, seed);
         let tel_seq = Telemetry::enabled();
         let seq = stratified::eval(
             &program,
@@ -341,18 +338,13 @@ fn parallel_seminaive_matches_across_thread_counts() {
     }
 }
 
-/// Same sweep through the stratified engine on seeded semipositive
+/// Same sweep through the stratified engine on seeded stratified
 /// programs: stratum scheduling must be invisible at any worker count.
 #[test]
 fn parallel_stratified_matches_across_thread_counts() {
     for seed in 0..10u64 {
         let mut i = Interner::new();
-        let cfg = RandProgConfig {
-            fragment: Fragment::Semipositive,
-            ..Default::default()
-        };
-        let program = random_program(&mut i, cfg, seed);
-        let input = random_edb(&mut i, cfg, 5, 6, seed ^ 0xBEEF);
+        let (program, input) = negation_program(&mut i, seed);
         let seq =
             stratified::eval(&program, &input, EvalOptions::default().with_threads(1)).unwrap();
         for threads in [2usize, 3, 8] {
