@@ -11,15 +11,11 @@
 //!   evenness, orientation validity);
 //! * [`programs`] — the paper's programs, verbatim, as parseable text;
 //! * [`ordered`] — ordered-database support (`succ`/`lt`/`min`/`max`,
-//!   Section 4.5);
-//! * [`equivalence`] — run two queries over an instance family and
-//!   compare answers.
+//!   Section 4.5).
 
-pub mod equivalence;
 pub mod generators;
 pub mod oracles;
 pub mod ordered;
 pub mod programs;
 
-pub use equivalence::{compare, relation_of, QueryFn, Verdict};
 pub use oracles::GameValue;

@@ -24,18 +24,23 @@ echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
 # Size gate: the non-test code of crates/core/src (each file counted up
-# to its first #[cfg(test)]) stays under 6,000 lines. The count for
-# crates/common/src is printed beside it.
-echo "==> non-test lines: crates/core/src under 6000"
+# to its first #[cfg(test)]) stays under 6,000 lines, and that of
+# crates/common/src under 6,100.
+echo "==> non-test lines: crates/core/src under 6000, crates/common/src under 6100"
 nontest_lines() {
     for f in "$1"/*.rs; do
         awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f"
     done | awk '{ s += $1 } END { print s + 0 }'
 }
 core_lines=$(nontest_lines crates/core/src)
-echo "crates/core/src: $core_lines, crates/common/src: $(nontest_lines crates/common/src)"
+common_lines=$(nontest_lines crates/common/src)
+echo "crates/core/src: $core_lines, crates/common/src: $common_lines"
 if [ "$core_lines" -ge 6000 ]; then
     echo "crates/core/src has $core_lines non-test lines (want under 6000)" >&2
+    exit 1
+fi
+if [ "$common_lines" -ge 6100 ]; then
+    echo "crates/common/src has $common_lines non-test lines (want under 6100)" >&2
     exit 1
 fi
 

@@ -16,7 +16,8 @@
 //! * [`while_lang`] — the imperative while / fixpoint comparator languages
 //! * [`exchange`] — peer-to-peer data exchange with forward-chaining
 //!   rules (Webdamlog-style, Section 6)
-//! * [`harness`] — workload generators, oracles and the equivalence harness
+//! * [`harness`] — workload generators, oracles, the paper's programs and
+//!   ordered-database support
 //! * [`bench`] — the in-repo benchmark harness (workload registry,
 //!   BENCH.json emitter, baseline comparator)
 //! * [`fuzz`] — deterministic differential fuzzing (campaign oracle

@@ -6,12 +6,14 @@
 //! rewrite is supposed to guarantee (no index rebuilds on growth-only
 //! workloads, per-round segment promotion).
 
-use unchained::common::telemetry::Telemetry;
-use unchained::common::{Instance, Interner, Rng, Tuple, Value};
-use unchained::core::{naive, seminaive, stratified, EvalOptions};
+use unchained::common::telemetry::{EvalTrace, Telemetry};
+use unchained::common::{Instance, Interner, Relation, Rng, Symbol, Tuple, Value};
+use unchained::core::{
+    inflationary, naive, noninflationary, seminaive, stratified, wellfounded, EvalOptions,
+};
 use unchained::fuzz::grammar::generate;
 use unchained::fuzz::{Campaign, GrammarConfig};
-use unchained::parser::{parse_program, Program};
+use unchained::parser::{parse_program, HeadLiteral, Program};
 
 fn random_graph(interner: &mut Interner, nodes: i64, edges: usize, seed: u64) -> Instance {
     let g = interner.intern("G");
@@ -477,4 +479,160 @@ fn mutating_the_original_forks_the_epoch_not_the_clone() {
             "seed {seed}: stale mark must degrade to a superset scan"
         );
     }
+}
+
+/// The live rows of each frozen segment of `rel`, in storage order.
+fn segments(rel: &Relation) -> Vec<Vec<&[Value]>> {
+    let mut start = 0;
+    rel.segment_lens()
+        .into_iter()
+        .map(|len| {
+            start += len;
+            rel.iter_stored_range(start - len, start).collect()
+        })
+        .collect()
+}
+
+/// Checks that every relation of `instance` is committed into strictly
+/// sorted segments and, for each of `preds`, that its segments are its
+/// input facts' (committed as one on entry) and then one per stage that
+/// added to it, of the size `trace` records.
+fn check_stage_segments(
+    instance: &Instance,
+    input: &Instance,
+    preds: &[Symbol],
+    trace: &EvalTrace,
+    ctx: &str,
+) {
+    for (pred, rel) in instance.iter() {
+        assert_eq!(rel.recent_len(), 0, "{ctx}: {pred:?} has a tail");
+        for (k, seg) in segments(rel).iter().enumerate() {
+            assert!(
+                seg.windows(2).all(|w| w[0] < w[1]),
+                "{ctx}: segment {k} of {pred:?} is not strictly sorted"
+            );
+        }
+    }
+    for &pred in preds {
+        let mut want = input.relation(pred).map_or(Vec::new(), |r| {
+            let mut lens = r.segment_lens();
+            lens.extend(Some(r.recent_len()).filter(|&n| n > 0));
+            lens
+        });
+        want.extend(
+            trace
+                .stages
+                .iter()
+                .flat_map(|s| s.delta.iter().filter(|(p, _)| *p == pred))
+                .map(|&(_, n)| n),
+        );
+        let rel = instance.relation(pred).expect("idb relation");
+        assert_eq!(rel.segment_lens(), want, "{ctx}: segments of {pred:?}");
+    }
+}
+
+/// A Δ stage adds each relation's new facts as one sorted, duplicate-free
+/// segment. On fuzzer-grammar programs, every segment of a semi-naive,
+/// inflationary, well-founded and Datalog¬¬ result is strictly sorted,
+/// and each idb relation of the semi-naive, inflationary and Datalog¬¬
+/// runs (those no rule retracts from, for Datalog¬¬) holds one segment
+/// per stage that added to it, of the size the stage's trace records.
+#[test]
+fn stage_segments_are_sorted_and_match_the_trace() {
+    let traced = |run: &dyn Fn(EvalOptions) -> Option<Vec<Instance>>| {
+        let tel = Telemetry::enabled();
+        let out = run(EvalOptions::default().with_telemetry(tel.clone()));
+        out.map(|instances| (instances, tel.snapshot().unwrap()))
+    };
+    let mut checked = [0; 4];
+    for seed in 0..30u64 {
+        let mut i = Interner::new();
+        let (program, input) = generate(&mut i, Campaign::Positive, GrammarConfig::default(), seed);
+        let (out, trace) = traced(&|o| {
+            Some(vec![
+                seminaive::minimum_model(&program, &input, o).ok()?.instance,
+            ])
+        })
+        .unwrap();
+        check_stage_segments(
+            &out[0],
+            &input,
+            &program.idb(),
+            &trace,
+            &format!("seminaive {seed}"),
+        );
+        checked[0] += 1;
+
+        let mut i = Interner::new();
+        let (mut program, input) = generate(
+            &mut i,
+            Campaign::Unstratified,
+            GrammarConfig::default(),
+            seed,
+        );
+        let retracted: Vec<Symbol> = program
+            .rules
+            .iter()
+            .flat_map(|r| &r.head)
+            .filter_map(|h| match h {
+                HeadLiteral::Neg(a) => Some(a.pred),
+                _ => None,
+            })
+            .collect();
+        let kept: Vec<Symbol> = program
+            .idb()
+            .into_iter()
+            .filter(|p| !retracted.contains(p))
+            .collect();
+        let policy = noninflationary::ConflictPolicy::PreferPositive;
+        if let Some((out, trace)) = traced(&|o| {
+            Some(vec![
+                noninflationary::eval(&program, &input, policy, o)
+                    .ok()?
+                    .instance,
+            ])
+        }) {
+            check_stage_segments(
+                &out[0],
+                &input,
+                &kept,
+                &trace,
+                &format!("noninflationary {seed}"),
+            );
+            checked[1] += 1;
+        }
+        program
+            .rules
+            .retain(|r| matches!(r.head[..], [HeadLiteral::Pos(_)]));
+        let (out, trace) =
+            traced(&|o| Some(vec![inflationary::eval(&program, &input, o).ok()?.instance]))
+                .unwrap();
+        check_stage_segments(
+            &out[0],
+            &input,
+            &program.idb(),
+            &trace,
+            &format!("inflationary {seed}"),
+        );
+        checked[2] += 1;
+        let (out, trace) = traced(&|o| {
+            let m = wellfounded::eval(&program, &input, o).ok()?;
+            Some(vec![m.true_facts, m.possible_facts])
+        })
+        .unwrap();
+        for (k, instance) in out.iter().enumerate() {
+            check_stage_segments(
+                instance,
+                &input,
+                &[],
+                &trace,
+                &format!("wellfounded {k} {seed}"),
+            );
+        }
+        checked[3] += 1;
+    }
+    assert!(
+        checked.iter().all(|&n| n > 10),
+        "too few runs checked: {checked:?}"
+    );
 }
