@@ -14,6 +14,8 @@
 //! | `Invent` | invention | inserts, minting fresh values per Skolem key | no |
 //! | `Derive` | provenance | inserts, keeping each fact's first derivation | no |
 //! | `Trigger` | the active-database trigger engine | applies the effective insertions and deletions, insertion first, and replaces the `ins-`/`del-` delta relations with them | no |
+//! | `Withdraw` | the DRed overdelete of an IVM poll and of the well-founded shrink | withdraws the fired facts still live into the run's change set | every rule |
+//! | `Insert` | the insert propagation of an IVM poll | inserts the fired facts, one at a time, into the instance and the run's change set | every rule |
 //!
 //! Every policy runs at any `threads`, with identical answers, stage
 //! counts and `rules_fired`.
@@ -46,9 +48,14 @@
 //! inferred, and no `¬A` inference can conflict with it; removals are
 //! tombstones, read back through
 //! [`Relation::retracted_since`](unchained_common::Relation::retracted_since).
-//! A run can also be *entered* with the facts that just left its
-//! negative context ([`Stages::run_from`]): the alternating fixpoint
-//! grows its under-estimate that way.
+//!
+//! A run can also be *entered* with the facts whose membership in its
+//! negative context just changed ([`Stages::run_from`]), and *driven
+//! over a change set* ([`Change`]): a closure of an IVM poll or of the
+//! well-founded shrink. A closure's Δ is that set, so it reads no
+//! instance marks and never commits (a commit would re-sort tails that
+//! the caller's index stamps cover); it fires on the calling thread and
+//! adds its work to the caller's [`Round`].
 
 use std::ops::ControlFlow;
 
@@ -146,17 +153,31 @@ pub(crate) struct RuleStat {
 }
 
 impl RuleStat {
-    /// Adds `fired` matches, and the time since `start_nanos` on
-    /// `tracer`'s clock, to a rule fired in several pieces (the Δ
-    /// closures and rederive pass of [`crate::ivm`]); the first piece
-    /// places the rule's start.
-    pub(crate) fn add(&mut self, tracer: &Tracer, fired: u64, start_nanos: u64) {
+    /// Adds `piece` to a rule fired in several pieces (the closure
+    /// stages and rederive pass of one round); the first piece places
+    /// the rule's start.
+    pub(crate) fn merge(&mut self, piece: &RuleStat) {
         if self.start_nanos == 0 {
-            self.start_nanos = start_nanos;
+            self.start_nanos = piece.start_nanos;
         }
-        self.fired += fired;
-        self.dur_nanos += tracer.now_nanos().saturating_sub(start_nanos);
+        self.fired += piece.fired;
+        self.dur_nanos += piece.dur_nanos;
     }
+}
+
+/// The change set a closure run is driven over — an IVM poll's
+/// deletions or insertions, or the well-founded shrink's withdrawals —
+/// and the round of its caller, which its stages add their rules'
+/// attribution and their planning to.
+pub(crate) struct Change<'c> {
+    /// The first stage's Δ is all of these facts, each later stage's the
+    /// facts the previous stage moved, which its policy appends here.
+    pub(crate) facts: &'c mut Instance,
+    /// When set, full scans (and negation, without a frozen context)
+    /// read the state before an update that inserted these facts and
+    /// deleted `facts` ([`Sources::before`]).
+    pub(crate) before: Option<&'c Instance>,
+    pub(crate) round: &'c mut Round,
 }
 
 /// What a stage does with the facts Γ_P fires.
@@ -187,6 +208,8 @@ pub(crate) struct Apply<'s> {
     /// The stage number, from 1.
     pub(crate) stage: usize,
     pub(crate) tel: &'s Telemetry,
+    /// A closure run's change set, which gets every fact it moves.
+    pub(crate) change: Option<&'s mut Instance>,
     max_facts: Option<usize>,
     facts: usize,
     record: bool,
@@ -370,11 +393,7 @@ impl Fired {
         let batch = self.add(pred, args, env);
         let a = batch.arity;
         let row = &batch.values[batch.values.len() - a..];
-        if probe
-            && instance
-                .relation(pred)
-                .is_some_and(|rel| rel.contains_row(row))
-        {
+        if probe && instance.contains_fact(pred, row) {
             batch.values.truncate(batch.values.len() - a);
             batch.rows -= 1;
         } else if batch.values.len() >= 2 * batch.deduped.max(DEDUP_FLOOR) {
@@ -385,6 +404,16 @@ impl Fired {
     /// Fires `pred(args)` under `env`.
     pub(crate) fn push(&mut self, pred: Symbol, args: &[Term], env: &Env) {
         self.add(pred, args, env);
+    }
+
+    /// Fires `pred(args)` under `env`, kept only if it is in `live`.
+    pub(crate) fn push_live(&mut self, pred: Symbol, args: &[Term], env: &Env, live: &Instance) {
+        let batch = self.add(pred, args, env);
+        let a = batch.arity;
+        if !live.contains_fact(pred, &batch.values[batch.values.len() - a..]) {
+            batch.values.truncate(batch.values.len() - a);
+            batch.rows -= 1;
+        }
     }
 
     /// Appends `pred(args)` under `env` to its predicate's buffer, and
@@ -409,6 +438,21 @@ impl Fired {
         instantiate_into(args, env, &mut batch.values);
         batch.rows += 1;
         batch
+    }
+
+    /// Hands every fired fact to `each`, predicate by predicate in the
+    /// order of their first firing, and empties the buffers.
+    pub(crate) fn drain(
+        &mut self,
+        mut each: impl FnMut(Symbol, &[Value]) -> Result<(), EvalError>,
+    ) -> Result<(), EvalError> {
+        for batch in std::mem::take(&mut self.batches) {
+            let a = batch.arity;
+            for k in 0..batch.rows {
+                each(batch.pred, &batch.values[k * a..(k + 1) * a])?;
+            }
+        }
+        Ok(())
     }
 
     /// Adds every fired fact to `stage`, one sorted segment per
@@ -562,11 +606,6 @@ impl<'p> Stages<'p> {
         (self.adom, self.cache)
     }
 
-    /// The options the run was started with.
-    pub(crate) fn options(&self) -> &'p EvalOptions {
-        self.options
-    }
-
     /// The head predicates of the rules a run fires, sorted.
     pub(crate) fn idb(&self) -> &[Symbol] {
         &self.idb
@@ -627,20 +666,23 @@ impl<'p> Stages<'p> {
         neg: Option<&Instance>,
         policy: &mut impl Consequence,
     ) -> Result<usize, EvalError> {
-        self.run_from(instance, neg, None, policy)
+        self.run_from(instance, neg, None, None, policy)
     }
 
-    /// Like [`run`](Self::run), entered with `left`: the facts that just
-    /// left `neg`, on an `instance` that was the policy's fixpoint for
-    /// `neg` before they did. The first stage is then already a Δ stage:
-    /// Δ-driven rules fire only their negation variants over `left`,
-    /// since a valuation new to the looser negative context must use a
-    /// negated fact that left it.
+    /// Like [`run`](Self::run), entered with `flipped`: facts whose
+    /// membership in `neg` just changed, on an `instance` that was the
+    /// policy's fixpoint for `neg` before. The first stage is then a Δ
+    /// stage: Δ-driven rules fire only their negation variants over
+    /// `flipped`, since a valuation the change makes or breaks negates
+    /// one of them. A closure run is driven over `change` instead of the
+    /// instance's own growth, and reads the state before its change: its
+    /// negation reads `neg` without `flipped` (see the module doc).
     pub(crate) fn run_from(
         &mut self,
         instance: &mut Instance,
         neg: Option<&Instance>,
-        mut left: Option<Instance>,
+        flipped: Option<&Instance>,
+        mut change: Option<Change<'_>>,
         policy: &mut impl Consequence,
     ) -> Result<usize, EvalError> {
         let options = self.options;
@@ -651,19 +693,36 @@ impl<'p> Stages<'p> {
         let driven: Vec<bool> = head_preds.iter().map(|&h| policy.delta_driven(h)).collect();
         let any_driven = driven.contains(&true);
         tel.with(|t| t.threads = self.workers.len().max(1));
-        // Negation variants read `left` with every fact counted as new.
+        // Negation variants read the flipped facts with every fact
+        // counted as new.
         let all_new = DeltaHandle::default();
-        instance.commit_all();
-        // Marks captured before the previous stage's apply: set from the
-        // second stage of a Δ-driven run on, or from the entry.
-        let mut mark: Option<DeltaHandle> = left.as_ref().map(|_| DeltaHandle::capture(instance));
+        // Marks captured before the previous stage's apply, from the
+        // second stage of a Δ-driven run on, or from the entry: on the
+        // instance, or on a closure's change set, all of it new at entry.
+        let mut mark = match &change {
+            Some(change) => {
+                if change.before.is_some() {
+                    // The view's withdrawn side is this run's change set.
+                    self.cache.forget_withdrawn();
+                }
+                Some(DeltaHandle::default())
+            }
+            None => {
+                instance.commit_all();
+                flipped.map(|_| DeltaHandle::capture(instance))
+            }
+        };
+        // The facts that left the instance at the last stage's apply.
+        let mut left: Option<Instance> = None;
         let mut stage = 0;
         loop {
             stage += 1;
             if options.max_stages.is_some_and(|m| stage > m) {
                 return Err(EvalError::StageLimitExceeded(stage - 1));
             }
-            let _round = tracer.span(SpanKind::Round, format!("round {stage}"));
+            let _round = change
+                .is_none()
+                .then(|| tracer.span(SpanKind::Round, format!("round {stage}")));
             let stage_sw = tel.stopwatch();
             let joins_before = self.cache.counters;
             // Re-plan every stage: join orders chosen against a stale
@@ -676,27 +735,39 @@ impl<'p> Stages<'p> {
                 planner.inflate(self.idb.iter().copied());
             }
             // A Δ stage fires each Δ-driven rule's semi-naive variants
-            // over the last stage's insertions (one per positive idb
-            // literal) and its negation variants over the facts that
-            // left the negative context (one per negated literal over
-            // them); every other rule fires its full plan. Each plan
-            // comes with its rule and a flag marking negation variants.
-            let left_has = |p: Symbol| {
-                left.as_ref()
-                    .and_then(|l| l.relation(p))
+            // over the last stage's Δ (one per positive literal over a
+            // head predicate, or one the change set holds) and negation
+            // variants over the flipped facts; every other rule fires its
+            // full plan, with its rule and a flag for negation variants.
+            let facts = change.as_ref().map(|c| &*c.facts);
+            let flips = if stage == 1 { flipped } else { left.as_ref() };
+            let holds = |set: Option<&Instance>, p: Symbol| {
+                set.and_then(|s| s.relation(p))
                     .is_some_and(|r| !r.is_empty())
             };
             let idb = &self.idb;
+            let in_delta = |p| facts.map_or(idb.binary_search(&p).is_ok(), |_| holds(facts, p));
+            // Each rule's planning time, part of its span when sequential.
+            let mut planned = vec![RuleStat::default(); self.rules.len()];
             let mut plans: Vec<(usize, Plan, bool)> = Vec::new();
             for (ri, (r, &driven)) in self.rules.iter().zip(&driven).enumerate() {
+                let start_nanos = tracer.now_nanos();
                 if mark.is_none() || !driven {
                     plans.push((ri, planner.plan_rule(r), false));
-                    continue;
+                } else {
+                    let seminaive = planner.seminaive_variants(r, &in_delta);
+                    plans.extend(seminaive.into_iter().map(|p| (ri, p, false)));
+                    if flips.is_some() {
+                        let negation = planner.negation_variants(r, &|p| holds(flips, p));
+                        plans.extend(negation.into_iter().map(|p| (ri, p, true)));
+                    }
                 }
-                let seminaive = planner.seminaive_variants(r, &|p| idb.binary_search(&p).is_ok());
-                plans.extend(seminaive.into_iter().map(|p| (ri, p, false)));
-                let negation = planner.negation_variants(r, &left_has);
-                plans.extend(negation.into_iter().map(|p| (ri, p, true)));
+                let dur_nanos = tracer.now_nanos().saturating_sub(start_nanos);
+                planned[ri] = RuleStat {
+                    fired: 0,
+                    start_nanos,
+                    dur_nanos,
+                };
             }
             let plan_stats = planner.stats();
             if mark.is_some() {
@@ -711,11 +782,15 @@ impl<'p> Stages<'p> {
             let sources = Sources {
                 delta: mark.as_ref(),
                 neg,
+                // A closure reads the state before its change.
+                neg_added: facts.and(flipped),
+                delta_from: facts,
+                before: change.as_ref().and_then(|c| Some((c.before?, &*c.facts))),
                 ..Sources::simple(current)
             };
-            let left_sources = Sources {
+            let flipped_sources = Sources {
                 delta: Some(&all_new),
-                delta_from: left.as_ref(),
+                delta_from: flips,
                 ..sources
             };
             let tasks: Vec<Task> = plans
@@ -723,19 +798,23 @@ impl<'p> Stages<'p> {
                 .map(|(rule, plan, negation)| Task {
                     rule: *rule,
                     plan,
-                    sources: if *negation { left_sources } else { sources },
+                    sources: if *negation { flipped_sources } else { sources },
                 })
                 .collect();
-            let (rule_stats, workers) = self.fire(&tasks, current, policy);
-            let fired = rule_stats.iter().map(|s| s.fired).sum();
+            // A closure fires on this thread: its stages are change-sized,
+            // morsels cannot read a pre-update view, and the workers of a
+            // poll's driver would index the whole instance afresh.
+            let parallel = facts.is_none();
+            let (rule_stats, workers) = self.fire(&tasks, current, policy, parallel, planned);
 
-            let next_mark = any_driven.then(|| DeltaHandle::capture(instance));
+            let next_mark = any_driven.then(|| DeltaHandle::capture(facts.unwrap_or(current)));
             let mut apply = Apply {
                 facts: instance.fact_count(),
                 instance: &mut *instance,
                 adom: &mut self.adom,
                 stage,
                 tel,
+                change: change.as_mut().map(|c| &mut *c.facts),
                 max_facts: options.max_facts,
                 record,
                 added: 0,
@@ -745,32 +824,36 @@ impl<'p> Stages<'p> {
             let applied = policy.apply(&mut apply);
             let changed = apply.changed();
             let (added, removed, delta) = (apply.added, apply.removed, apply.delta);
-            // Removals are tombstones, so the facts that left the
-            // instance — which negation reads when `neg` is unset — are
-            // the ones logged since the mark.
-            left = match &next_mark {
-                Some(marks) if removed > 0 && neg.is_none() => {
-                    Some(retracted_since(instance, marks))
-                }
-                _ => None,
-            };
-            instance.commit_all();
-            if removed > 0 {
-                instance.compact_all();
-            }
             mark = next_mark;
-
-            if record {
-                let round = Round {
-                    added,
-                    removed,
-                    fired,
-                    delta,
-                    joins: self.cache.counters.since(&joins_before),
-                    plan_stats,
-                    workers,
-                };
-                round.record(tel, &head_preds, &rule_stats, stage_sw.nanos(), instance);
+            match &mut change {
+                Some(change) => change.round.add(&rule_stats, plan_stats),
+                None => {
+                    // Removals are tombstones, so the facts that left the
+                    // instance — which negation reads when `neg` is unset
+                    // — are the ones logged since the mark.
+                    left = match &mark {
+                        Some(marks) if removed > 0 && neg.is_none() => {
+                            Some(retracted_since(instance, marks))
+                        }
+                        _ => None,
+                    };
+                    instance.commit_all();
+                    if removed > 0 {
+                        instance.compact_all();
+                    }
+                    if record {
+                        let round = Round {
+                            added,
+                            removed,
+                            rules: rule_stats,
+                            delta,
+                            joins: self.cache.counters.since(&joins_before),
+                            plan_stats,
+                            workers,
+                        };
+                        round.record(tel, &head_preds, stage_sw.nanos(), instance);
+                    }
+                }
             }
             applied?;
             if !changed {
@@ -780,35 +863,27 @@ impl<'p> Stages<'p> {
     }
 
     /// Fires `tasks` against `instance` and hands every match to
-    /// `policy`: on this thread through the driver's cache, or in
-    /// morsels across the workers, whose join counters then roll up into
-    /// the driver's. Returns each rule's attribution and the worker
-    /// lanes.
+    /// `policy`: on this thread through the driver's cache, adding each
+    /// task's time to its rule's planning time in `stats`, or, when
+    /// `parallel`, in morsels across the workers, whose join counters
+    /// then roll up into the driver's. Returns each rule's attribution
+    /// and the worker lanes.
     fn fire(
         &mut self,
         tasks: &[Task<'_>],
         instance: &Instance,
         policy: &mut impl Consequence,
+        parallel: bool,
+        mut stats: Vec<RuleStat>,
     ) -> (Vec<RuleStat>, Vec<(u64, u64)>) {
         let tracer = self.options.telemetry.tracer();
-        let start_nanos = tracer.now_nanos();
-        let mut stats = vec![
-            RuleStat {
-                start_nanos,
-                ..RuleStat::default()
-            };
-            self.rules.len()
-        ];
         let rules = &self.rules;
         let mut fire =
             |rule: usize, env: &Env| policy.fire(rule, &rules[rule].head[0], env, instance);
-        if self.workers.is_empty() {
-            for (k, task) in tasks.iter().enumerate() {
+        if self.workers.is_empty() || !parallel {
+            for task in tasks {
                 let task_start = tracer.now_nanos();
                 let stat = &mut stats[task.rule];
-                if k == 0 || tasks[k - 1].rule != task.rule {
-                    stat.start_nanos = task_start;
-                }
                 let fired = &mut stat.fired;
                 let _ = for_each_match(
                     task.plan,
@@ -825,6 +900,12 @@ impl<'p> Stages<'p> {
             }
             return (stats, Vec::new());
         }
+        // A parallel rule span holds the worker time of its morsels.
+        let start_nanos = tracer.now_nanos();
+        stats.fill(RuleStat {
+            start_nanos,
+            ..RuleStat::default()
+        });
         let lanes = parallel::fire(
             tasks,
             &self.adom,
@@ -859,11 +940,14 @@ fn retracted_since(instance: &Instance, marks: &DeltaHandle) -> Instance {
 
 /// One round's gauges, recorded on the open round span — with a leaf per
 /// rule, per worker of a parallel round, and for its join counters — and
-/// as a [`StageRecord`].
+/// as a [`StageRecord`]. A caller's round made of several pieces (closure
+/// runs, rederive passes) adds them up in `rules` and `plan_stats`.
+#[derive(Default)]
 pub(crate) struct Round {
     pub(crate) added: usize,
     pub(crate) removed: usize,
-    pub(crate) fired: u64,
+    /// Each rule's attribution, by its position in the rule set fired.
+    pub(crate) rules: Vec<RuleStat>,
     pub(crate) delta: Vec<(Symbol, usize)>,
     pub(crate) joins: JoinCounters,
     pub(crate) plan_stats: PlanStats,
@@ -872,25 +956,40 @@ pub(crate) struct Round {
 }
 
 impl Round {
-    /// Records the round that left `instance`; `rule_stats` holds one
-    /// entry per rule of `head_preds`.
+    /// Adds the rules' attribution and the planning of one piece.
+    pub(crate) fn add(&mut self, rules: &[RuleStat], plan_stats: PlanStats) {
+        let n = self.rules.len().max(rules.len());
+        self.rules.resize(n, RuleStat::default());
+        for (sum, piece) in self.rules.iter_mut().zip(rules) {
+            sum.merge(piece);
+        }
+        self.plan_stats.joins_pruned += plan_stats.joins_pruned;
+    }
+
+    /// The matches the round's rules fired.
+    pub(crate) fn fired(&self) -> u64 {
+        self.rules.iter().map(|s| s.fired).sum()
+    }
+
+    /// Records the round that left `instance`; `rules` holds one entry
+    /// per rule of `head_preds`.
     pub(crate) fn record(
         self,
         tel: &Telemetry,
         head_preds: &[Symbol],
-        rule_stats: &[RuleStat],
         wall_nanos: u64,
         instance: &Instance,
     ) {
         let tracer = tel.tracer();
         let bytes = instance.heap_bytes() as u64;
+        let fired = self.fired();
         tracer.gauge("facts_added", self.added as u64);
         tracer.gauge("facts_removed", self.removed as u64);
-        tracer.gauge("rules_fired", self.fired);
+        tracer.gauge("rules_fired", fired);
         tracer.gauge("bytes", bytes);
         tracer.gauge("plan_joins_pruned", self.plan_stats.joins_pruned);
         if tracer.is_enabled() {
-            for (ri, rs) in rule_stats.iter().enumerate() {
+            for (ri, rs) in self.rules.iter().enumerate() {
                 let mut span = Span::leaf(SpanKind::Rule, format!("rule {ri}"));
                 span.pred = Some(head_preds[ri]);
                 span.start_nanos = rs.start_nanos;
@@ -924,7 +1023,7 @@ impl Round {
                 wall_nanos,
                 facts_added: self.added,
                 facts_removed: self.removed,
-                rules_fired: self.fired,
+                rules_fired: fired,
                 delta: self.delta,
                 bytes,
                 joins: self.joins,
@@ -1061,6 +1160,7 @@ mod tests {
             adom: &mut Vec::new(),
             stage: 1,
             tel: &tel,
+            change: None,
             max_facts: None,
             record: false,
             added: 0,

@@ -13,8 +13,8 @@
 //! the new state, queried through bound-head plans whose head variables
 //! become index probe keys. DRed is exact on every stratum, recursive or
 //! not, so it is the only delete strategy. Overdelete and insertion are
-//! one Δ closure ([`delta_closure`]) that differs only in what its
-//! rounds read and which way it moves the heads they find.
+//! closure runs of the stage driver (`fixpoint::Stages::run_from` with
+//! a change set), under the `Withdraw` and `Insert` policies.
 //!
 //! A poll costs its change, not the instance. It copies nothing: the
 //! pre-update fixpoint is read as a view over the live instance
@@ -22,8 +22,8 @@
 //! deletions and net insertions so far. Those sets are recorded as the
 //! poll goes — from the queued edits against the EDB mirror, then from
 //! what each stratum's closures withdraw and add — rather than diffed.
-//! Deletions are tombstones and revivals append, so the session's
-//! index cache absorbs every poll instead of rebuilding.
+//! Deletions are tombstones, insertions append to the tails, and no
+//! closure commits, so the session's indexes absorb every poll.
 //!
 //! Two changes force a stratum back onto the batch path ([`PollStats::
 //! strata_recomputed`]): a change to a negated predicate (deletion
@@ -37,18 +37,16 @@
 use std::ops::ControlFlow;
 
 use crate::error::EvalError;
-use crate::exec::{for_each_match, for_each_match_from, IndexCache, Sources};
-use crate::fixpoint::{Accumulate, Round, RuleStat, Stages};
+use crate::exec::{for_each_match_from, IndexCache, Sources};
+use crate::fixpoint::{Accumulate, Apply, Change, Consequence, Fired, Round, RuleStat, Stages};
 use crate::ir::Plan;
 use crate::options::EvalOptions;
-use crate::planner::{Catalog, PlanStats, Planner};
-use crate::subst::{
-    active_domain, active_domain_if_enumerated, enumerates_domain, instantiate, Env,
-};
+use crate::planner::{Catalog, Planner};
+use crate::subst::{active_domain, active_domain_if_enumerated, enumerates_domain, Env};
 use crate::{input_schema, require_language};
 use unchained_common::{
-    DeltaHandle, FxHashMap, FxHashSet, Instance, JoinCounters, Relation, Schema, SpanKind, Symbol,
-    Tracer, Tuple, Value,
+    FxHashMap, FxHashSet, Instance, JoinCounters, Relation, Schema, SpanKind, Symbol, Tracer,
+    Tuple, Value,
 };
 use unchained_parser::{
     check_range_restricted, Atom, DependencyGraph, HeadLiteral, Language, Literal, Program, Rule,
@@ -344,26 +342,31 @@ impl IncrementalSession {
             strata[self.stratification.stratum(head)].push((ri, rule));
             head_preds.push(head);
         }
-        let mut rule_stats = vec![RuleStat::default(); self.program.rules.len()];
-        let mut plan_stats = PlanStats::default();
+        // The poll's round, with a rule leaf per program rule.
+        let mut round = Round {
+            rules: vec![RuleStat::default(); self.program.rules.len()],
+            ..Round::default()
+        };
+        // One driver for the poll's closures and recomputed strata, over
+        // the session's active domain and index cache.
+        let mut stages = Stages::over(
+            &self.program,
+            &self.options,
+            std::mem::take(&mut self.adom),
+            std::mem::take(&mut self.cache),
+        );
         for (stratum, stratum_rules) in strata.iter().enumerate() {
             if stratum_rules.is_empty() {
                 continue;
             }
-            let mut pos_preds: FxHashSet<Symbol> = FxHashSet::default();
-            let mut neg_preds: FxHashSet<Symbol> = FxHashSet::default();
-            for (_, rule) in stratum_rules {
-                for lit in &rule.body {
-                    match lit {
-                        Literal::Pos(a) => {
-                            pos_preds.insert(a.pred);
-                        }
-                        Literal::Neg(a) => {
-                            neg_preds.insert(a.pred);
-                        }
-                        _ => {}
-                    }
-                }
+            stages.restrict(stratum_rules.iter().map(|&(_, r)| r).collect());
+            let (mut pos_preds, mut neg_preds) = (FxHashSet::default(), FxHashSet::default());
+            for lit in stratum_rules.iter().flat_map(|(_, rule)| &rule.body) {
+                match lit {
+                    Literal::Pos(a) => pos_preds.insert(a.pred),
+                    Literal::Neg(a) => neg_preds.insert(a.pred),
+                    _ => false,
+                };
             }
             let neg_changed = neg_preds
                 .iter()
@@ -385,16 +388,7 @@ impl IncrementalSession {
                     let empty = Relation::new(rel.arity());
                     previous.push((p, std::mem::replace(rel, empty)));
                 }
-                let mut stages = Stages::over(
-                    &self.program,
-                    &self.options,
-                    std::mem::take(&mut self.adom),
-                    std::mem::take(&mut self.cache),
-                );
-                stages.restrict(stratum_rules.iter().map(|&(_, r)| r).collect());
-                let result = stages.run(&mut self.instance, None, &mut Accumulate::delta());
-                (self.adom, self.cache) = stages.into_parts();
-                result?;
+                stages.run(&mut self.instance, None, &mut Accumulate::delta())?;
                 for (p, old) in previous {
                     let new = self.instance.relation(p).expect("idb relations exist");
                     for t in old.iter().filter(|t| !new.contains(t)) {
@@ -413,69 +407,60 @@ impl IncrementalSession {
                 stats.strata_skipped += 1;
                 continue;
             }
-            let mut withdrawn = Vec::new();
+            // This stratum's closures, by rule position in the stratum.
+            let mut part = Round::default();
+            let mut withdraw = Withdraw::default();
             if del_hit {
-                // `deleted` lost and gained tuples since the last delete
-                // phase read it: index its view side afresh.
-                self.cache.forget_withdrawn();
-                let overdelete = Closure::Withdraw {
-                    inserted: &inserted,
-                    neg: None,
+                let overdelete = Change {
+                    facts: &mut deleted,
+                    before: Some(&inserted),
+                    round: &mut part,
                 };
-                let planned;
-                (withdrawn, planned) = delta_closure(
-                    stratum_rules,
-                    overdelete,
-                    &mut deleted,
-                    &mut self.instance,
-                    &self.adom,
-                    &mut self.cache,
-                    &self.options,
-                    &mut rule_stats,
-                )?;
-                plan_stats.joins_pruned += planned.joins_pruned;
+                let instance = &mut self.instance;
+                stages.run_from(instance, None, None, Some(overdelete), &mut withdraw)?;
+                let withdrawn = &withdraw.withdrawn;
                 stats.overdeleted += withdrawn.len() as u64;
                 stats.rederived += rederive(
-                    &withdrawn,
+                    withdrawn,
                     &self.program,
                     &self.support,
                     &mut self.instance,
                     None,
-                    &self.adom,
-                    &mut self.cache,
+                    &mut stages,
                     tracer,
-                    &mut rule_stats,
+                    &mut round.rules,
                 );
             }
             if ins_hit {
-                let (_, planned) = delta_closure(
-                    stratum_rules,
-                    Closure::Insert,
-                    &mut inserted,
-                    &mut self.instance,
-                    &self.adom,
-                    &mut self.cache,
-                    &self.options,
-                    &mut rule_stats,
-                )?;
-                plan_stats.joins_pruned += planned.joins_pruned;
+                let propagate = Change {
+                    facts: &mut inserted,
+                    before: None,
+                    round: &mut part,
+                };
+                let (instance, insert) = (&mut self.instance, &mut Insert::default());
+                stages.run_from(instance, None, None, Some(propagate), insert)?;
             }
+            for (&(ri, _), piece) in stratum_rules.iter().zip(&part.rules) {
+                round.rules[ri].merge(piece);
+            }
+            round.plan_stats.joins_pruned += part.plan_stats.joins_pruned;
             // The stratum's net head change: a withdrawn tuple that is
             // live again (rederived, or re-added by the insert closure)
             // never changed.
-            for (pred, tuple) in &withdrawn {
+            for (pred, tuple) in &withdraw.withdrawn {
                 if self.instance.contains_fact(*pred, tuple) {
                     deleted.retract_fact(*pred, tuple);
                     inserted.retract_fact(*pred, tuple);
                 }
             }
         }
+        (self.adom, self.cache) = stages.into_parts();
 
         self.instance.compact_all();
         self.edb.compact_all();
         stats.facts_removed = deleted.fact_count() as u64;
         stats.facts_added = inserted.fact_count() as u64;
-        stats.rules_fired = rule_stats.iter().map(|s| s.fired).sum();
+        stats.rules_fired = round.fired();
         stats.joins = self.cache.counters.since(&joins_entry);
         // Each poll is one telemetry stage, so a trace of a session
         // reads as: initial fixpoint rounds, then one round per poll,
@@ -485,22 +470,12 @@ impl IncrementalSession {
             t.ivm_overdeleted += stats.overdeleted;
             t.ivm_rederived += stats.rederived;
         });
-        let round = Round {
-            added: stats.facts_added as usize,
-            removed: stats.facts_removed as usize,
-            fired: stats.rules_fired,
-            delta: Vec::new(),
-            joins: stats.joins,
-            plan_stats,
-            workers: Vec::new(),
-        };
-        round.record(
-            tel,
-            &head_preds,
-            &rule_stats,
-            poll_sw.nanos(),
-            &self.instance,
-        );
+        if tel.is_enabled() || tracer.is_enabled() {
+            round.added = stats.facts_added as usize;
+            round.removed = stats.facts_removed as usize;
+            round.joins = stats.joins;
+            round.record(tel, &head_preds, poll_sw.nanos(), &self.instance);
+        }
         Ok(stats)
     }
 }
@@ -564,144 +539,75 @@ fn seed_env(head: &Atom, tuple: &Tuple, var_count: usize) -> Option<Env> {
     Some(env)
 }
 
-/// Which way a [`delta_closure`] moves the head tuples its rounds find,
-/// and what the rounds read besides the live instance and the change
-/// set they are driven over.
-#[derive(Clone, Copy)]
-pub(crate) enum Closure<'a> {
-    /// The DRed overdelete. Rounds read the pre-update state: the live
-    /// instance without `inserted` and with the deletions put back
-    /// ([`Sources::before`]). Negative literals read it too, or, with
-    /// `neg = Some((context, added))`, `context` as it was before it
-    /// gained `added`; the first round then also fires the negation
-    /// variants over `added`, as a valuation that negates an added fact
-    /// is lost too. A found head must be live, and is withdrawn into the
-    /// deletions.
-    Withdraw {
-        inserted: &'a Instance,
-        neg: Option<(&'a Instance, &'a Instance)>,
-    },
-    /// Insertion propagation. Rounds read the live, growing instance. A
-    /// found head must be absent, and is inserted into the instance and
-    /// the insertions under the fact budget.
-    Insert,
+/// The DRed overdelete's stages, which read the state before the
+/// withdrawals (see [`Change::before`]): withdraw every fired head still
+/// live into the run's change set, and list it in `withdrawn`.
+#[derive(Default)]
+pub(crate) struct Withdraw {
+    fired: Fired,
+    pub(crate) withdrawn: Vec<(Symbol, Tuple)>,
 }
 
-/// One stratum's Δ closure: each round fires the semi-naive variants of
-/// `rules` over the predicates `change` holds, driven over the tuples
-/// `change` gained in the previous round (all of it in the first), and
-/// moves the head tuples it finds as `closure` says, recording each in
-/// `change` — which feeds it into the next round's Δ — until a round
-/// finds nothing to move. Returns the moved tuples in the order they
-/// moved, and what planning the rounds' variants achieved. Each
-/// `(index, rule)` adds its matches, and the time they took, to
-/// `rule_stats[index]`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn delta_closure(
-    rules: &[(usize, &Rule)],
-    closure: Closure<'_>,
-    change: &mut Instance,
-    instance: &mut Instance,
-    adom: &[Value],
-    cache: &mut IndexCache,
-    options: &EvalOptions,
-    rule_stats: &mut [RuleStat],
-) -> Result<(Vec<(Symbol, Tuple)>, PlanStats), EvalError> {
-    let tracer = options.telemetry.tracer();
-    let withdraw = matches!(closure, Closure::Withdraw { .. });
-    // The default handle marks all of `change` as new; captured marks
-    // restrict later rounds to the previous round's moves.
-    let mut mark = DeltaHandle::default();
-    let mut moved: Vec<(Symbol, Tuple)> = Vec::new();
-    let mut planner = Planner::new(Catalog::from_instance(instance), options.plan_mode);
-    let mut facts = instance.fact_count();
-    let mut rounds = 0usize;
-    loop {
-        rounds += 1;
-        if options.max_stages.is_some_and(|m| rounds > m) {
-            return Err(EvalError::StageLimitExceeded(rounds - 1));
-        }
-        cache.begin_delta_round();
-        let changed: FxHashSet<Symbol> = change
-            .iter()
-            .filter(|(_, r)| !r.is_empty())
-            .map(|(p, _)| p)
-            .collect();
-        let view = match closure {
-            Closure::Withdraw { inserted, neg } => Sources {
-                neg: neg.map(|(context, _)| context),
-                neg_added: neg.map(|(_, added)| added),
-                before: Some((inserted, &*change)),
-                ..Sources::simple(instance)
-            },
-            Closure::Insert => Sources::simple(instance),
+impl Consequence for Withdraw {
+    fn fire(&mut self, _rule: usize, head: &HeadLiteral, env: &Env, instance: &Instance) {
+        let HeadLiteral::Pos(head) = head else {
+            unreachable!("Datalog¬ heads are positive")
         };
-        let sources = Sources {
-            delta: Some(&mark),
-            delta_from: Some(&*change),
-            ..view
-        };
-        // The first round's negation variants read the facts the negative
-        // context gained, all new under the first round's marks.
-        let added = view.neg_added.filter(|_| rounds == 1);
-        let added_has = |p| {
-            added
-                .and_then(|a| a.relation(p))
-                .is_some_and(|r| !r.is_empty())
-        };
-        let negation_sources = Sources {
-            delta_from: added,
-            ..sources
-        };
-        let mut found: Vec<(Symbol, Tuple)> = Vec::new();
-        for &(ri, rule) in rules {
-            let head = head_atom(rule);
-            let start_nanos = tracer.now_nanos();
-            let mut fired = 0;
-            let seminaive = planner.seminaive_variants(rule, &|p| changed.contains(&p));
-            let negation =
-                added.map_or_else(Vec::new, |_| planner.negation_variants(rule, &added_has));
-            let plans = seminaive.iter().map(|p| (p, sources));
-            for (plan, sources) in plans.chain(negation.iter().map(|p| (p, negation_sources))) {
-                let _ = for_each_match(plan, sources, adom, cache, &mut |env| {
-                    fired += 1;
-                    let tuple = instantiate(&head.args, env);
-                    if instance.contains_fact(head.pred, &tuple) == withdraw {
-                        found.push((head.pred, tuple));
-                    }
-                    ControlFlow::Continue(())
-                });
+        self.fired.push_live(head.pred, &head.args, env, instance);
+    }
+
+    fn apply(&mut self, stage: &mut Apply<'_>) -> Result<(), EvalError> {
+        self.fired.drain(|pred, row| {
+            if stage.remove(pred, row) {
+                if let Some(change) = stage.change.as_deref_mut() {
+                    change.insert_row(pred, row);
+                }
+                self.withdrawn.push((pred, Tuple::new(row)));
             }
-            rule_stats[ri].add(tracer, fired, start_nanos);
-        }
-        if found.is_empty() {
-            return Ok((moved, planner.stats()));
-        }
-        mark = DeltaHandle::capture(change);
-        for (pred, tuple) in found {
-            if withdraw {
-                if !instance.retract_fact(pred, &tuple) {
-                    continue;
-                }
-            } else {
-                if !instance.insert_row(pred, &tuple) {
-                    continue;
-                }
-                facts += 1;
-                if options.max_facts.is_some_and(|m| facts > m) {
-                    return Err(EvalError::FactLimitExceeded(facts));
+            Ok(())
+        })
+    }
+
+    fn delta_driven(&self, _head: Symbol) -> bool {
+        true
+    }
+}
+
+/// Insert propagation's stages: insert every fired head the instance
+/// lacks, under the fact budget, into the instance and the run's change
+/// set. Facts go into the tail one at a time, so a poll adds no storage
+/// segment: one per poll would pile up in a long-lived session.
+#[derive(Default)]
+pub(crate) struct Insert(Fired);
+
+impl Consequence for Insert {
+    fn fire(&mut self, _rule: usize, head: &HeadLiteral, env: &Env, instance: &Instance) {
+        let HeadLiteral::Pos(head) = head else {
+            unreachable!("Datalog¬ heads are positive")
+        };
+        self.0.push_new(head.pred, &head.args, env, instance);
+    }
+
+    fn apply(&mut self, stage: &mut Apply<'_>) -> Result<(), EvalError> {
+        self.0.drain(|pred, row| {
+            if stage.insert(pred, row)? {
+                if let Some(change) = stage.change.as_deref_mut() {
+                    change.insert_row(pred, row);
                 }
             }
-            change.insert_row(pred, &tuple);
-            moved.push((pred, tuple));
-        }
+            Ok(())
+        })
+    }
+
+    fn delta_driven(&self, _head: Symbol) -> bool {
+        true
     }
 }
 
 /// The DRed rederivation pass: each withdrawn tuple that still has a
 /// derivation from surviving (certified) facts is restored, with
 /// negative literals reading `neg` when given (the new negative
-/// context). A support check stops at the first derivation. Iterates to
+/// context), through the active domain and index cache of `stages`. A support check stops at the first derivation. Iterates to
 /// fixpoint because a restored tuple can in turn support another
 /// candidate — but only through a rule for a candidate's predicate that
 /// reads a candidate predicate positively, so without such a rule one
@@ -715,11 +621,11 @@ pub(crate) fn rederive(
     support: &Support,
     instance: &mut Instance,
     neg: Option<&Instance>,
-    adom: &[Value],
-    cache: &mut IndexCache,
+    stages: &mut Stages<'_>,
     tracer: &Tracer,
     rule_stats: &mut [RuleStat],
 ) -> u64 {
+    let (adom, cache) = stages.parts();
     let chained = restores_chain(candidates, program, support);
     let mut rederived = 0;
     loop {
@@ -747,7 +653,11 @@ pub(crate) fn rederive(
                     &mut |_| ControlFlow::Break(()),
                 )
                 .is_break();
-                rule_stats[ri].add(tracer, u64::from(supported), start_nanos);
+                rule_stats[ri].merge(&RuleStat {
+                    fired: u64::from(supported),
+                    start_nanos,
+                    dur_nanos: tracer.now_nanos().saturating_sub(start_nanos),
+                });
                 if supported {
                     instance.insert_fact(*pred, tuple.clone());
                     rederived += 1;
@@ -1064,7 +974,9 @@ mod tests {
     /// link. Every retraction overdeletes about 800 closure facts and
     /// rederives them all. Once the first poll has built the indexes it
     /// needs, every poll absorbs its change into them: no rebuild, and
-    /// indexing work far below the 320k-fact closure.
+    /// indexing work far below the 320k-fact closure. No poll adds a
+    /// storage segment (its closures write into the tails), and each
+    /// records exactly one telemetry stage.
     #[test]
     fn polls_keep_index_lineage_through_retract_and_revive() {
         let mut i = Interner::new();
@@ -1077,15 +989,21 @@ mod tests {
             input.insert_fact(g, edge(k, 1000 + k));
             input.insert_fact(g, edge(1000 + k, k + 1));
         }
-        let mut s = IncrementalSession::new(p, &input, EvalOptions::default()).unwrap();
+        let tel = unchained_common::Telemetry::enabled();
+        let options = EvalOptions::default().with_telemetry(tel.clone());
+        let mut s = IncrementalSession::new(p, &input, options).unwrap();
         let last = edge(n - 1, n);
+        let stages = || tel.snapshot().unwrap().stages.len();
         for poll in 0..6 {
             if poll % 2 == 0 {
                 s.retract(g, last.clone()).unwrap();
             } else {
                 s.insert(g, last.clone()).unwrap();
             }
+            let (segments, recorded) = (s.instance().storage_stats().0, stages());
             let stats = s.poll().unwrap();
+            assert_eq!(s.instance().storage_stats().0, segments, "poll {poll}");
+            assert_eq!(stages(), recorded + 1, "poll {poll}");
             assert_eq!(stats.facts_added + stats.facts_removed, 1, "only G changes");
             if poll % 2 == 0 {
                 assert!(stats.overdeleted > 700, "{stats:?}");

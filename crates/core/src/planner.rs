@@ -78,10 +78,9 @@ impl Catalog {
     pub fn from_instance(instance: &Instance) -> Self {
         let mut cards = FxHashMap::default();
         let mut total = 0u64;
-        for pred in instance.symbols() {
-            let len = instance.relation(pred).map_or(0, |r| r.len()) as u64;
-            cards.insert(pred, len);
-            total += len;
+        for (pred, rel) in instance.iter() {
+            cards.insert(pred, rel.len() as u64);
+            total += rel.len() as u64;
         }
         Catalog { cards, total }
     }

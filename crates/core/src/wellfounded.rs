@@ -21,23 +21,24 @@
 //! Each application changes its iterate little, so only `I₁` and `I₂`
 //! are computed from scratch. From then on one instance holds the
 //! under-estimate and grows in place, one holds the over-estimate and
-//! shrinks in place, and each application does the work its input's
-//! last change requires: the over-estimate drops what the facts that
-//! entered the under-estimate block (delete and rederive), and the
-//! under-estimate adds what the facts that left the over-estimate
-//! enable (Δ-driven stages entered with those facts). Both start from
-//! *negation variants* ([`crate::planner::Planner::negation_variants`]).
+//! shrinks in place, and each application is one stage-driver run over
+//! its input's last change: the over-estimate drops what the facts that
+//! entered the under-estimate block (a `Withdraw` closure, then
+//! rederive), and the under-estimate adds what the facts that left the
+//! over-estimate enable (Δ-driven stages entered with those facts).
+//! Both start from *negation variants*
+//! ([`crate::planner::Planner::negation_variants`]).
 
 use crate::error::EvalError;
-use crate::fixpoint::{with_idb, Accumulate, EvalScope, Round, RuleStat, Stages};
-use crate::ivm::{delta_closure, rederive, Closure, Support};
+use crate::fixpoint::{with_idb, Accumulate, Change, EvalScope, Round, Stages};
+use crate::ivm::{rederive, Support, Withdraw};
 use crate::options::EvalOptions;
 use crate::planner::{Catalog, Planner};
 use crate::require_language;
 use unchained_common::{
     DeltaHandle, HeapSize, Instance, Relation, SpanKind, Symbol, Tracer, Tuple,
 };
-use unchained_parser::{check_range_restricted, Language, Program, Rule};
+use unchained_parser::{check_range_restricted, Language, Program};
 
 /// The truth value of a fact in a 3-valued model.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -221,6 +222,7 @@ fn alternate(
             let _phase = phase();
             let left = shrink(
                 &mut over_side,
+                options,
                 base,
                 &mut over,
                 &under,
@@ -233,12 +235,8 @@ fn alternate(
         };
         let _phase = phase();
         let mark = DeltaHandle::capture(&under);
-        under_side.run_from(
-            &mut under,
-            Some(&over),
-            Some(left),
-            &mut Accumulate::delta(),
-        )?;
+        let (neg, delta) = (Some(&over), &mut Accumulate::delta());
+        under_side.run_from(&mut under, neg, Some(&left), None, delta)?;
         gained = since(&under, &mark, base, &idb);
         sample(&under, &over);
     }
@@ -285,19 +283,21 @@ fn since(instance: &Instance, marks: &DeltaHandle, base: &Instance, idb: &[Symbo
 /// Γ̂ is antimonotone, so the new over-estimate is a subset of the old.
 /// A valuation of the old one is lost iff it negates a fact that entered
 /// the under-estimate, or uses a positive fact that is lost. The
-/// overdelete is one [`delta_closure`]: its first round fires the
-/// negation variants over `gained`, reading every other literal in the
-/// old state (negation reads the under-estimate without `gained`), and
-/// its later rounds close over the withdrawn facts. A withdrawn fact
-/// that keeps a derivation — against the surviving facts and the new
-/// under-estimate — is rederived. Facts never withdrawn keep every
-/// derivation they had, so the result is exactly `Γ̂` of the new
-/// under-estimate.
+/// overdelete is one closure run under [`Withdraw`]: its first stage
+/// fires the negation variants over `gained`, reading every other
+/// literal in the old state (negation reads the under-estimate without
+/// `gained`), and its later stages close over the withdrawn facts. A
+/// withdrawn fact that keeps a derivation — against the surviving facts
+/// and the new under-estimate — is rederived. Facts never withdrawn
+/// keep every derivation they had, so the result is exactly `Γ̂` of the
+/// new under-estimate.
 ///
 /// Records the application as one round. Returns the facts that left
 /// the over-estimate.
+#[allow(clippy::too_many_arguments)]
 fn shrink(
     side: &mut Stages<'_>,
+    options: &EvalOptions,
     base: &Instance,
     over: &mut Instance,
     under: &Instance,
@@ -305,36 +305,25 @@ fn shrink(
     program: &Program,
     support: &Support,
 ) -> Result<Instance, EvalError> {
-    let options = side.options();
     let tel = &options.telemetry;
     let tracer = tel.tracer();
     let _round = tracer.span(SpanKind::Round, "round 1");
     let stage_sw = tel.stopwatch();
-    let head_preds = side.head_preds();
-    let rules: Vec<(usize, &Rule)> = program.rules.iter().enumerate().collect();
-    let (adom, cache) = side.parts();
-    let joins_before = cache.counters;
-    let mut rule_stats = vec![RuleStat::default(); rules.len()];
+    let joins_before = side.parts().1.counters;
 
     // The overdelete, seeded by the valuations of the old over-estimate
     // that negate a gained fact.
     let nothing = Instance::new();
     let mut withdrawn = Instance::new();
-    cache.forget_withdrawn();
-    let overdelete = Closure::Withdraw {
-        inserted: &nothing,
-        neg: Some((under, gained)),
+    let mut round = Round::default();
+    let overdelete = Change {
+        facts: &mut withdrawn,
+        before: Some(&nothing),
+        round: &mut round,
     };
-    let (candidates, plan_stats) = delta_closure(
-        &rules,
-        overdelete,
-        &mut withdrawn,
-        over,
-        adom,
-        cache,
-        options,
-        &mut rule_stats,
-    )?;
+    let (neg, mut withdraw) = (Some(under), Withdraw::default());
+    side.run_from(over, neg, Some(gained), Some(overdelete), &mut withdraw)?;
+    let candidates = withdraw.withdrawn;
     // Input facts of idb predicates hold in every iterate: the
     // overdelete may withdraw them, and they come straight back.
     for (pred, tuple) in &candidates {
@@ -348,10 +337,9 @@ fn shrink(
         support,
         over,
         Some(under),
-        adom,
-        cache,
+        side,
         tracer,
-        &mut rule_stats,
+        &mut round.rules,
     );
     let mut left = Instance::new();
     for (pred, tuple) in candidates {
@@ -363,16 +351,9 @@ fn shrink(
     over.compact_all();
 
     if tel.is_enabled() || tracer.is_enabled() {
-        let round = Round {
-            added: 0,
-            removed: left.fact_count(),
-            fired: rule_stats.iter().map(|s| s.fired).sum(),
-            delta: Vec::new(),
-            joins: cache.counters.since(&joins_before),
-            plan_stats,
-            workers: Vec::new(),
-        };
-        round.record(tel, &head_preds, &rule_stats, stage_sw.nanos(), over);
+        round.removed = left.fact_count();
+        round.joins = side.parts().1.counters.since(&joins_before);
+        round.record(tel, &side.head_preds(), stage_sw.nanos(), over);
     }
     Ok(left)
 }

@@ -243,7 +243,9 @@ fn every_wellfounded_reduct_fires_nothing_after_its_first_stage() {
 /// resolves one position an application: 202 applications, and every
 /// one of them — counted in the trace — fires a handful of matches, so
 /// the whole run stays within 2,000 (computing every application from
-/// scratch fires about 20,000).
+/// scratch fires about 20,000). Each application that shrinks the
+/// over-estimate (the odd ones from the third on) records its overdelete
+/// closure and rederive pass as exactly one round.
 #[test]
 fn wellfounded_on_a_line_fires_what_each_application_changes() {
     let mut i = Interner::new();
@@ -254,7 +256,8 @@ fn wellfounded_on_a_line_fires_what_each_application_changes() {
     for k in 0..200i64 {
         input.insert_fact(moves, Tuple::from([Value::Int(k), Value::Int(k + 1)]));
     }
-    let tel = Telemetry::enabled();
+    let tracer = Tracer::enabled();
+    let tel = Telemetry::enabled().with_tracer(tracer.clone());
     let model = wellfounded::eval(
         &program,
         &input,
@@ -262,6 +265,18 @@ fn wellfounded_on_a_line_fires_what_each_application_changes() {
     )
     .unwrap();
     let trace = tel.snapshot().unwrap();
+    let roots = tracer.finish();
+    let phases = &roots
+        .iter()
+        .find(|s| s.kind == SpanKind::Eval)
+        .unwrap()
+        .children;
+    let shrinks: Vec<&Span> = phases.iter().skip(2).step_by(2).collect();
+    assert_eq!(shrinks.len(), 100);
+    for phase in shrinks {
+        let rounds = phase.children.iter().filter(|c| c.kind == SpanKind::Round);
+        assert_eq!(rounds.count(), 1, "{}", phase.name);
+    }
     assert_eq!(model.rounds, 202);
     assert!(model.is_total());
     // Position 200 has no move: lost; so 199 wins, 198 loses, …

@@ -27,7 +27,7 @@ use unchained_core::ir::Plan;
 use unchained_core::planner::plan_rule;
 use unchained_core::subst::{active_domain, instantiate};
 use unchained_core::{inflationary, EvalError, EvalOptions};
-use unchained_parser::{HeadLiteral, Program};
+use unchained_parser::{check_range_restricted, classify, HeadLiteral, Language, Program};
 
 /// A temporal program: deductive (same-timestep) and inductive
 /// (next-timestep) Datalog¬ rules over one schema.
@@ -98,10 +98,11 @@ impl TemporalRun {
 /// ```
 ///
 /// # Errors
-/// Propagates engine errors from either rule set, and an arity conflict
-/// between the inductive rules and a closed state (wrapped as
-/// [`ExchangeError::Local`] with pseudo-peer names `deductive` /
-/// `inductive`).
+/// Propagates engine errors from either rule set: inductive rules
+/// outside Datalog¬ (a multi-head rule, say) or not range-restricted,
+/// and an arity conflict between the inductive rules and a closed state
+/// (wrapped as [`ExchangeError::Local`] with pseudo-peer names
+/// `deductive` / `inductive`).
 pub fn run_temporal(
     program: &TemporalProgram,
     initial: &Instance,
@@ -113,6 +114,19 @@ pub fn run_temporal(
             error,
         }
     }
+    // The inductive rules fire once a timestep, each into its one
+    // positive head, under a plan that binds every head variable: the
+    // checks `inflationary::eval` makes of the deductive rules.
+    let found = classify(&program.inductive);
+    if found > Language::DatalogNeg {
+        let engine_accepts = Language::DatalogNeg;
+        let error = EvalError::WrongLanguage {
+            engine_accepts,
+            found,
+        };
+        return Err(local("inductive")(error));
+    }
+    check_range_restricted(&program.inductive, false).map_err(|e| local("inductive")(e.into()))?;
     let inductive_plans: Vec<Plan> = program.inductive.rules.iter().map(plan_rule).collect();
 
     let mut trace: Vec<Instance> = Vec::new();
@@ -159,13 +173,7 @@ pub fn run_temporal(
         let mut next = Instance::new();
         for (rule, plan) in program.inductive.rules.iter().zip(&inductive_plans) {
             let HeadLiteral::Pos(head) = &rule.head[0] else {
-                return Err(ExchangeError::Local {
-                    peer: "inductive".into(),
-                    error: EvalError::WrongLanguage {
-                        engine_accepts: unchained_parser::Language::DatalogNeg,
-                        found: unchained_parser::classify(&program.inductive),
-                    },
-                });
+                unreachable!("Datalog¬ heads are positive")
             };
             let _ = for_each_match(
                 plan,
@@ -270,6 +278,61 @@ mod tests {
                 ExchangeError::Local {
                     peer,
                     error: EvalError::Analysis(unchained_parser::AnalysisError::ArityConflict(_)),
+                } if peer == "inductive"
+            ),
+            "{err:?}"
+        );
+    }
+
+    /// An inductive rule with two heads is outside Datalog¬, which fires
+    /// one head a rule: rejected at entry, not run with its first head.
+    #[test]
+    fn multi_head_inductive_rule_is_rejected() {
+        let mut i = Interner::new();
+        let inductive = parse_program("A(x), B(x) :- C(x).", &mut i).unwrap();
+        let c = i.get("C").unwrap();
+        let mut initial = Instance::new();
+        initial.insert_fact(c, Tuple::from([Value::Int(1)]));
+        let program = TemporalProgram {
+            deductive: empty_program(),
+            inductive,
+        };
+        let err = run_temporal(&program, &initial, 10).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ExchangeError::Local {
+                    peer,
+                    error: EvalError::WrongLanguage { .. },
+                } if peer == "inductive"
+            ),
+            "{err:?}"
+        );
+    }
+
+    /// A head variable no body literal binds would invent a value, which
+    /// Datalog¬ does not: rejected at entry, not a panic in the executor.
+    #[test]
+    fn inductive_head_only_variable_is_an_error() {
+        let mut i = Interner::new();
+        let inductive = parse_program("P(x,y) :- C(x).", &mut i).unwrap();
+        let c = i.get("C").unwrap();
+        let mut initial = Instance::new();
+        initial.insert_fact(c, Tuple::from([Value::Int(1)]));
+        let program = TemporalProgram {
+            deductive: empty_program(),
+            inductive,
+        };
+        let err = run_temporal(&program, &initial, 10).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ExchangeError::Local {
+                    peer,
+                    error: EvalError::WrongLanguage {
+                        found: Language::DatalogNegNew,
+                        ..
+                    },
                 } if peer == "inductive"
             ),
             "{err:?}"

@@ -24,9 +24,9 @@ echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
 # Size gate: the non-test code of crates/core/src (each file counted up
-# to its first #[cfg(test)]) stays under 6,000 lines, and that of
+# to its first #[cfg(test)]) stays under 5,800 lines, and that of
 # crates/common/src under 6,100.
-echo "==> non-test lines: crates/core/src under 6000, crates/common/src under 6100"
+echo "==> non-test lines: crates/core/src under 5800, crates/common/src under 6100"
 nontest_lines() {
     for f in "$1"/*.rs; do
         awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f"
@@ -35,14 +35,29 @@ nontest_lines() {
 core_lines=$(nontest_lines crates/core/src)
 common_lines=$(nontest_lines crates/common/src)
 echo "crates/core/src: $core_lines, crates/common/src: $common_lines"
-if [ "$core_lines" -ge 6000 ]; then
-    echo "crates/core/src has $core_lines non-test lines (want under 6000)" >&2
+if [ "$core_lines" -ge 5800 ]; then
+    echo "crates/core/src has $core_lines non-test lines (want under 5800)" >&2
     exit 1
 fi
 if [ "$common_lines" -ge 6100 ]; then
     echo "crates/common/src has $common_lines non-test lines (want under 6100)" >&2
     exit 1
 fi
+
+# One firing loop: outside the executor (exec.rs), the stage driver
+# (fixpoint.rs) and its parallel firing (parallel.rs), no non-test line
+# of crates/core/src calls `for_each_match(`. Every forward-chaining
+# stage runs through `fixpoint::Stages`.
+echo "==> for_each_match( called only by exec.rs, fixpoint.rs and parallel.rs"
+for f in crates/core/src/*.rs; do
+    case "$(basename "$f")" in exec.rs | fixpoint.rs | parallel.rs) continue ;; esac
+    calls=$(awk '/#\[cfg\(test\)\]/ { exit } /for_each_match\(/ { print FILENAME ":" FNR ": " $0 }' "$f")
+    if [ -n "$calls" ]; then
+        echo "a firing loop outside the stage driver calls for_each_match(:" >&2
+        printf '%s\n' "$calls" >&2
+        exit 1
+    fi
+done
 
 # Benchmark harness smoke: a quick run must produce a valid BENCH.json,
 # and comparing a second run against it must exit 0. The threshold is
