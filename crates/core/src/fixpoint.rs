@@ -20,20 +20,21 @@
 //! Every policy runs at any `threads`, with identical answers, stage
 //! counts and `rules_fired`.
 //!
-//! [`Stages::run`] drives them all through one loop: re-plan every rule
-//! against the current instance, fire every plan, hand each match to
-//! the policy, apply it under the fact budget, commit, and record the
-//! stage. Policies that only insert what they fire collect it in
-//! [`Fired`], one packed buffer per head predicate, and
-//! [`Apply::extend`] adds each buffer as one sorted, duplicate-free
-//! segment, probing each distinct fact once
+//! [`Stages::run`] drives them all through one loop: take every rule's
+//! plans from the driver's [`PlanCache`], re-planning a plan only when a
+//! body relation's cardinality has left the power-of-two bucket it was
+//! planned at, fire every plan, hand each match to the policy, apply it
+//! under the fact budget, commit, and record the stage. Policies that
+//! only insert what they fire collect it in [`Fired`], one packed buffer
+//! per head predicate, and [`Apply::extend`] adds each buffer as one
+//! sorted, duplicate-free segment, probing each distinct fact once
 //! ([`Relation::extend_packed`](unchained_common::Relation::extend_packed));
 //! naive evaluation's full stages, which re-fire every known fact, drop
-//! those as they fire ([`Fired::probing`]). A run fires a rule set — the whole program, or one stratum
-//! ([`Stages::restrict`], [`eval_strata`]). At one thread the plans fire
-//! on the calling thread; otherwise [`crate::parallel`] fires them in
-//! morsels across workers and replays the matches into the policy in
-//! the sequential order.
+//! those as they fire ([`Fired::probing`]). A run fires a rule set — the
+//! whole program, or one stratum ([`Stages::restrict`], [`eval_strata`]).
+//! At one thread the plans fire on the calling thread; otherwise
+//! [`crate::parallel`] fires them in morsels across workers and replays
+//! the matches into the policy in the sequential order.
 //!
 //! A rule is *Δ-driven* when every fact its head infers stays: then only
 //! a valuation new at stage k+1 can add to the stage, and a new valuation
@@ -63,7 +64,7 @@ use unchained_common::{
     fmt_bytes, DeltaHandle, FxHashMap, HeapSize, Instance, JoinCounters, Relation, Span, SpanGuard,
     SpanKind, StageRecord, Stopwatch, Symbol, Telemetry, Tracer, Tuple, Value,
 };
-use unchained_parser::{HeadLiteral, Program, Rule, Term};
+use unchained_parser::{HeadLiteral, Literal, Program, Rule, Term};
 
 use crate::error::EvalError;
 use crate::exec::{for_each_match, IndexCache, Sources};
@@ -71,7 +72,7 @@ use crate::input_schema;
 use crate::ir::Plan;
 use crate::options::{EvalOptions, FixpointRun};
 use crate::parallel::{self, Task};
-use crate::planner::{Catalog, PlanStats, Planner};
+use crate::planner::{Catalog, PlanMode, PlanStats, Planner};
 use crate::subst::{active_domain_if_enumerated, instantiate_into, Env};
 
 /// `input` with every idb relation of `program` present, even if it
@@ -539,19 +540,40 @@ impl Consequence for Accumulate<'_> {
 }
 
 /// The stage driver: the rule set a run fires — the whole program, or
-/// one stratum — with the active domain and the index caches every
-/// stage's joins share, across stages, runs and strata.
+/// one stratum — with the active domain, the index caches every stage's
+/// joins share and the [`PlanCache`], across stages, runs and strata.
 pub(crate) struct Stages<'p> {
-    options: &'p EvalOptions,
-    rules: Vec<&'p Rule>,
+    pub(crate) options: &'p EvalOptions,
+    pub(crate) program: &'p Program,
+    /// The program index of each rule a run fires.
+    rules: Vec<usize>,
+    /// The head predicate of each rule of `rules`.
+    heads: Vec<Symbol>,
     /// The head predicates of `rules`, sorted: the predicates Δ variants
     /// are taken over, and whose cardinality a cold first stage inflates.
     idb: Vec<Symbol>,
     adom: Vec<Value>,
     cache: IndexCache,
+    plans: PlanCache,
     /// One index cache per worker of a parallel stage (none at one
     /// thread), kept across stages like `cache`.
     workers: Vec<IndexCache>,
+}
+
+/// A cached plan's program rule, Δ literal and cold flag.
+type PlanKey = (usize, Option<usize>, bool);
+
+/// The plans a driver compiled, kept across stages and runs: one per
+/// program rule, Δ literal (none for the full plan) and cold-first-stage
+/// flag, with its `joins_pruned` and its stamp — the power-of-two bucket
+/// of the cardinality each body atom was estimated at. A stage reuses a
+/// plan whose stamp it matches, so a join order changes only when the
+/// data has changed shape.
+#[derive(Default)]
+pub(crate) struct PlanCache {
+    plans: FxHashMap<PlanKey, (Plan, u64, Vec<u8>)>,
+    /// Plans compiled so far.
+    pub(crate) compiled: usize,
 }
 
 impl<'p> Stages<'p> {
@@ -561,68 +583,65 @@ impl<'p> Stages<'p> {
             options,
             active_domain_if_enumerated(program, input),
             IndexCache::new(),
+            PlanCache::default(),
         )
     }
 
     /// A driver firing every rule of `program`, whose `Domain` steps
-    /// enumerate `adom` and whose joins start from `cache`.
+    /// enumerate `adom` and whose joins and plans start from `cache` and
+    /// `plans`.
     pub(crate) fn over(
         program: &'p Program,
         options: &'p EvalOptions,
         adom: Vec<Value>,
         cache: IndexCache,
+        plans: PlanCache,
     ) -> Self {
         let threads = options.threads.get();
         let workers = if threads > 1 { threads } else { 0 };
         let mut stages = Stages {
             options,
+            program,
             rules: Vec::new(),
+            heads: Vec::new(),
             idb: Vec::new(),
             adom,
             cache,
+            plans,
             workers: (0..workers).map(|_| IndexCache::new()).collect(),
         };
-        stages.restrict(program.rules.iter().collect());
+        stages.restrict((0..program.rules.len()).collect());
         stages
     }
 
-    /// Makes later runs fire `rules` only: one stratum, whose negative
-    /// literals read lower strata that are already complete.
-    pub(crate) fn restrict(&mut self, rules: Vec<&'p Rule>) {
-        let mut idb: Vec<Symbol> = rules
+    /// Makes later runs fire the program rules `rules` only: one stratum,
+    /// whose negative literals read lower strata that are already
+    /// complete.
+    pub(crate) fn restrict(&mut self, rules: Vec<usize>) {
+        self.heads = rules
             .iter()
-            .flat_map(|r| r.head.iter().filter_map(HeadLiteral::atom))
-            .map(|a| a.pred)
+            .map(|&ri| {
+                self.program.rules[ri].head[0]
+                    .atom()
+                    .expect("relational head")
+                    .pred
+            })
             .collect();
-        idb.sort_unstable();
-        idb.dedup();
-        self.idb = idb;
+        self.idb = self.heads.clone();
+        self.idb.sort_unstable();
+        self.idb.dedup();
         self.rules = rules;
     }
 
-    /// The active domain and the driver's index cache, for an owner that
-    /// keeps them between runs.
-    pub(crate) fn into_parts(self) -> (Vec<Value>, IndexCache) {
-        (self.adom, self.cache)
+    /// The active domain and the driver's index and plan caches, for an
+    /// owner that keeps them between runs.
+    pub(crate) fn into_parts(self) -> (Vec<Value>, IndexCache, PlanCache) {
+        (self.adom, self.cache, self.plans)
     }
 
     /// The head predicates of the rules a run fires, sorted.
     pub(crate) fn idb(&self) -> &[Symbol] {
         &self.idb
-    }
-
-    /// A driver over the same rules and active domain with index caches
-    /// of its own, for an instance whose relations have their own
-    /// lineage.
-    pub(crate) fn sibling(&self) -> Stages<'p> {
-        Stages {
-            options: self.options,
-            rules: self.rules.clone(),
-            idb: self.idb.clone(),
-            adom: self.adom.clone(),
-            cache: IndexCache::new(),
-            workers: self.workers.iter().map(|_| IndexCache::new()).collect(),
-        }
     }
 
     /// The active domain `Domain` steps enumerate, and the index cache
@@ -641,11 +660,8 @@ impl<'p> Stages<'p> {
     }
 
     /// The head predicate of every rule, in rule order.
-    pub(crate) fn head_preds(&self) -> Vec<Symbol> {
-        self.rules
-            .iter()
-            .map(|r| r.head[0].atom().expect("relational head").pred)
-            .collect()
+    pub(crate) fn head_preds(&self) -> &[Symbol] {
+        &self.heads
     }
 
     /// Fires stage after stage over `instance` until one changes
@@ -689,8 +705,7 @@ impl<'p> Stages<'p> {
         let tel = &options.telemetry;
         let tracer = tel.tracer();
         let record = tracer.is_enabled() || tel.is_enabled();
-        let head_preds = self.head_preds();
-        let driven: Vec<bool> = head_preds.iter().map(|&h| policy.delta_driven(h)).collect();
+        let driven: Vec<bool> = self.heads.iter().map(|&h| policy.delta_driven(h)).collect();
         let any_driven = driven.contains(&true);
         tel.with(|t| t.threads = self.workers.len().max(1));
         // Negation variants read the flipped facts with every fact
@@ -725,15 +740,6 @@ impl<'p> Stages<'p> {
                 .then(|| tracer.span(SpanKind::Round, format!("round {stage}")));
             let stage_sw = tel.stopwatch();
             let joins_before = self.cache.counters;
-            // Re-plan every stage: join orders chosen against a stale
-            // catalog would stick as the instance grows (or shrinks).
-            // On a cold first stage the idb really is empty, so its
-            // cardinality is inflated; afterwards the live counts speak
-            // for themselves.
-            let mut planner = Planner::new(Catalog::from_instance(instance), options.plan_mode);
-            if mark.is_none() && stage == 1 {
-                planner.inflate(self.idb.iter().copied());
-            }
             // A Δ stage fires each Δ-driven rule's semi-naive variants
             // over the last stage's Δ (one per positive literal over a
             // head predicate, or one the change set holds) and negation
@@ -747,29 +753,45 @@ impl<'p> Stages<'p> {
             };
             let idb = &self.idb;
             let in_delta = |p| facts.map_or(idb.binary_search(&p).is_ok(), |_| holds(facts, p));
+            // Plans come from the cache (see [`PlanCache`]). On a cold
+            // first stage the idb really is empty, so its cardinality is
+            // inflated; afterwards the live counts speak for themselves.
+            let cold = mark.is_none() && stage == 1;
+            let inflated: &[Symbol] = if cold { idb } else { &[] };
+            let (mut cache, mut planner) = (std::mem::take(&mut self.plans), None);
+            let mut plan_stats = PlanStats::default();
             // Each rule's planning time, part of its span when sequential.
             let mut planned = vec![RuleStat::default(); self.rules.len()];
-            let mut plans: Vec<(usize, Plan, bool)> = Vec::new();
-            for (ri, (r, &driven)) in self.rules.iter().zip(&driven).enumerate() {
+            let mut keys = Vec::new();
+            for (pos, (&ri, &driven)) in self.rules.iter().zip(&driven).enumerate() {
                 let start_nanos = tracer.now_nanos();
+                let rule = &self.program.rules[ri];
+                let first = keys.len();
                 if mark.is_none() || !driven {
-                    plans.push((ri, planner.plan_rule(r), false));
+                    keys.push((pos, (ri, None, cold), false));
                 } else {
-                    let seminaive = planner.seminaive_variants(r, &in_delta);
-                    plans.extend(seminaive.into_iter().map(|p| (ri, p, false)));
-                    if flips.is_some() {
-                        let negation = planner.negation_variants(r, &|p| holds(flips, p));
-                        plans.extend(negation.into_iter().map(|p| (ri, p, true)));
+                    // Semi-naive variants first, then negation variants.
+                    for negation in [false, true] {
+                        let variant = |i: &usize| match &rule.body[*i] {
+                            Literal::Pos(a) => !negation && in_delta(a.pred),
+                            Literal::Neg(a) => negation && holds(flips, a.pred),
+                            _ => false,
+                        };
+                        let body = (0..rule.body.len()).filter(variant);
+                        keys.extend(body.map(|i| (pos, (ri, Some(i), false), negation)));
                     }
                 }
+                for &(_, key, _) in &keys[first..] {
+                    let at = (&*instance, inflated, options.plan_mode);
+                    plan_stats.joins_pruned += cache.plan(key, rule, at, &mut planner);
+                }
                 let dur_nanos = tracer.now_nanos().saturating_sub(start_nanos);
-                planned[ri] = RuleStat {
+                planned[pos] = RuleStat {
                     fired: 0,
                     start_nanos,
                     dur_nanos,
                 };
             }
-            let plan_stats = planner.stats();
             if mark.is_some() {
                 self.cache.begin_delta_round();
                 for worker in &mut self.workers {
@@ -793,11 +815,11 @@ impl<'p> Stages<'p> {
                 delta_from: flips,
                 ..sources
             };
-            let tasks: Vec<Task> = plans
+            let tasks: Vec<Task> = keys
                 .iter()
-                .map(|(rule, plan, negation)| Task {
+                .map(|(rule, key, negation)| Task {
                     rule: *rule,
-                    plan,
+                    plan: &cache.plans[key].0,
                     sources: if *negation { flipped_sources } else { sources },
                 })
                 .collect();
@@ -806,6 +828,7 @@ impl<'p> Stages<'p> {
             // poll's driver would index the whole instance afresh.
             let parallel = facts.is_none();
             let (rule_stats, workers) = self.fire(&tasks, current, policy, parallel, planned);
+            self.plans = cache;
 
             let next_mark = any_driven.then(|| DeltaHandle::capture(facts.unwrap_or(current)));
             let mut apply = Apply {
@@ -851,7 +874,7 @@ impl<'p> Stages<'p> {
                             plan_stats,
                             workers,
                         };
-                        round.record(tel, &head_preds, stage_sw.nanos(), instance);
+                        round.record(tel, &self.heads, stage_sw.nanos(), instance);
                     }
                 }
             }
@@ -877,9 +900,10 @@ impl<'p> Stages<'p> {
         mut stats: Vec<RuleStat>,
     ) -> (Vec<RuleStat>, Vec<(u64, u64)>) {
         let tracer = self.options.telemetry.tracer();
-        let rules = &self.rules;
-        let mut fire =
-            |rule: usize, env: &Env| policy.fire(rule, &rules[rule].head[0], env, instance);
+        let (program, rules) = (self.program, &self.rules);
+        let mut fire = |rule: usize, env: &Env| {
+            policy.fire(rule, &program.rules[rules[rule]].head[0], env, instance)
+        };
         if self.workers.is_empty() || !parallel {
             for task in tasks {
                 let task_start = tracer.now_nanos();
@@ -921,6 +945,51 @@ impl<'p> Stages<'p> {
                 .absorb(&std::mem::take(&mut worker.counters));
         }
         (stats, lanes)
+    }
+}
+
+impl PlanCache {
+    /// Returns the `joins_pruned` of the plan `key` names for `rule` at
+    /// a stage over `instance` that inflates the `inflated` predicates.
+    /// The plan is compiled, by `planner` (made at the stage's first
+    /// miss), only when the cached one was stamped with other buckets.
+    fn plan(
+        &mut self,
+        key: PlanKey,
+        rule: &Rule,
+        (instance, inflated, mode): (&Instance, &[Symbol], PlanMode),
+        planner: &mut Option<Planner>,
+    ) -> u64 {
+        // The catalog's estimate of a body atom's cardinality (see
+        // `Planner::inflate`), by its bucket.
+        let bucket = |p| {
+            let mut n = instance.relation(p).map_or(0, Relation::len);
+            if inflated.contains(&p) {
+                n = n.max(instance.fact_count()).max(1);
+            }
+            (usize::BITS - n.leading_zeros()) as u8
+        };
+        let atoms = rule.body.iter().filter_map(Literal::atom);
+        let stamp = atoms.map(|a| bucket(a.pred));
+        if let Some((_, pruned, at)) = self.plans.get(&key) {
+            if at.iter().copied().eq(stamp.clone()) {
+                return *pruned;
+            }
+        }
+        let planner = planner.get_or_insert_with(|| {
+            let mut planner = Planner::new(Catalog::from_instance(instance), mode);
+            planner.inflate(inflated.iter().copied());
+            planner
+        });
+        let before = planner.stats().joins_pruned;
+        let plan = match key.1 {
+            Some(i) => planner.plan_delta(rule, i),
+            None => planner.plan_rule(rule),
+        };
+        let pruned = planner.stats().joins_pruned - before;
+        self.compiled += 1;
+        self.plans.insert(key, (plan, pruned, stamp.collect()));
+        pruned
     }
 }
 
@@ -1051,18 +1120,19 @@ pub(crate) fn eval(
     Ok(FixpointRun { instance, stages })
 }
 
-/// Runs `strata` of `program` in order on `input`, each to its Δ-driven
-/// [`Accumulate`] fixpoint, inside an [`EvalScope`] named `engine`: a
-/// negative literal must read a predicate no later stratum defines. Each
-/// non-empty stratum is one [`Stages`] run over its own rules in a
-/// `stratum k` span; the strata share one active domain and one index
-/// cache. Returns the stages of all strata together (at least one).
+/// Runs `strata` of `program` (each a list of program rule indices) in
+/// order on `input`, each to its Δ-driven [`Accumulate`] fixpoint,
+/// inside an [`EvalScope`] named `engine`: a negative literal must read
+/// a predicate no later stratum defines. Each non-empty stratum is one
+/// [`Stages`] run over its own rules in a `stratum k` span; the strata
+/// share one active domain, index cache and plan cache. Returns the
+/// stages of all strata together (at least one).
 pub(crate) fn eval_strata(
     program: &Program,
     input: &Instance,
     options: &EvalOptions,
     engine: &str,
-    strata: Vec<Vec<&Rule>>,
+    strata: Vec<Vec<usize>>,
 ) -> Result<FixpointRun, EvalError> {
     let mut instance = with_idb(program, input)?;
     let scope = EvalScope::begin(options, engine);
@@ -1092,7 +1162,7 @@ pub(crate) fn eval_strata(
     options.telemetry.note(format!(
         "storage: {segments} segments, {recent} uncommitted"
     ));
-    let (_, cache) = stages.into_parts();
+    let (_, cache, _) = stages.into_parts();
     options.telemetry.note(format!(
         "index cache: {} indexes, {}",
         cache.entry_count(),
@@ -1220,6 +1290,82 @@ mod tests {
             }
         }
         assert!(passes >= 3, "only {passes} passes");
+    }
+
+    /// A run after a body relation crossed a power-of-two bucket fires
+    /// exactly the plan a fresh planner makes for the instance; growth
+    /// within a bucket compiles nothing.
+    #[test]
+    fn plan_cache_replans_when_a_body_relation_crosses_a_bucket() {
+        use super::{Accumulate, Stages};
+        use crate::planner::{Catalog, Planner};
+        let mut i = Interner::new();
+        let program = parse_program("H(x,y) :- A(x), B(x,y).", &mut i).unwrap();
+        let (a, b) = (i.get("A").unwrap(), i.get("B").unwrap());
+        let rule = &program.rules[0];
+        let mut instance = Instance::new();
+        instance.insert_fact(a, Tuple::from([Value::Int(0)]));
+        for k in 0..8 {
+            instance.insert_fact(b, Tuple::from([Value::Int(k), Value::Int(k)]));
+        }
+        let options = EvalOptions::default();
+        let mut stages = Stages::new(&program, &instance, &options);
+        let mut cached = |instance: &mut Instance| {
+            stages
+                .run(instance, None, &mut Accumulate::delta())
+                .unwrap();
+            let (plan, ..) = &stages.plans.plans[&(0, None, true)];
+            (plan.render(rule, &i), stages.plans.compiled)
+        };
+        let fresh = |instance: &Instance| {
+            let mut planner = Planner::new(Catalog::from_instance(instance), options.plan_mode);
+            planner.inflate(program.idb());
+            planner.plan_rule(rule).render(rule, &i)
+        };
+        let (small, compiled) = cached(&mut instance);
+        assert_eq!((small.as_str(), compiled), (fresh(&instance).as_str(), 1));
+        // A grows from bucket [1, 2) to [64, 128): B is now the cheaper
+        // scan, and the next run re-plans.
+        for k in 1..64 {
+            instance.insert_fact(a, Tuple::from([Value::Int(k)]));
+        }
+        let (large, compiled) = cached(&mut instance);
+        assert_ne!(small, large);
+        assert_eq!((large.as_str(), compiled), (fresh(&instance).as_str(), 2));
+        instance.insert_fact(a, Tuple::from([Value::Int(64)]));
+        assert_eq!(cached(&mut instance), (large, 2));
+    }
+
+    /// A chain run re-plans a rule variant only when a body relation
+    /// enters a new power-of-two bucket: T grows monotonically to n
+    /// facts, so each variant compiles at most ⌈log₂ n⌉ + 2 times, far
+    /// fewer than the stages it fires in.
+    #[test]
+    fn chain_run_compiles_a_variant_once_per_bucket() {
+        use super::{Accumulate, Stages};
+        let mut i = Interner::new();
+        let src = "T(x,y) :- G(x,y).\nT(x,y) :- G(x,z), T(z,y).";
+        let program = parse_program(src, &mut i).unwrap();
+        let (g, t) = (i.get("G").unwrap(), i.get("T").unwrap());
+        let mut instance = Instance::new();
+        for k in 0..64 {
+            instance.insert_fact(g, Tuple::from([Value::Int(k), Value::Int(k + 1)]));
+        }
+        instance.ensure(t, 2);
+        let options = EvalOptions::default();
+        let mut stages = Stages::new(&program, &instance, &options);
+        let rounds = stages
+            .run(&mut instance, None, &mut Accumulate::delta())
+            .unwrap();
+        let n = instance.relation(t).unwrap().len();
+        assert_eq!(n, 64 * 65 / 2);
+        // Each rule's cold full plan and rule 1's variant over T.
+        let variants = stages.plans.plans.len();
+        assert_eq!(variants, 3);
+        let bound = variants * (n.next_power_of_two().ilog2() as usize + 2);
+        let compiled = stages.plans.compiled;
+        assert!(compiled <= bound, "{compiled} plans, bound {bound}");
+        assert!(compiled < rounds, "{compiled} plans over {rounds} stages");
     }
 
     /// The fact budget is checked after every insertion, so a stage that

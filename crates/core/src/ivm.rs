@@ -38,19 +38,20 @@ use std::ops::ControlFlow;
 
 use crate::error::EvalError;
 use crate::exec::{for_each_match_from, IndexCache, Sources};
-use crate::fixpoint::{Accumulate, Apply, Change, Consequence, Fired, Round, RuleStat, Stages};
+use crate::fixpoint::{
+    Accumulate, Apply, Change, Consequence, Fired, PlanCache, Round, RuleStat, Stages,
+};
 use crate::ir::Plan;
 use crate::options::EvalOptions;
-use crate::planner::{Catalog, Planner};
+use crate::planner::{Catalog, PlanMode, Planner};
 use crate::subst::{active_domain, active_domain_if_enumerated, enumerates_domain, Env};
 use crate::{input_schema, require_language};
 use unchained_common::{
-    FxHashMap, FxHashSet, Instance, JoinCounters, Relation, Schema, SpanKind, Symbol, Tracer,
-    Tuple, Value,
+    FxHashMap, FxHashSet, Instance, JoinCounters, Relation, Schema, SpanKind, Symbol, Tuple, Value,
 };
 use unchained_parser::{
     check_range_restricted, Atom, DependencyGraph, HeadLiteral, Language, Literal, Program, Rule,
-    Stratification, Var,
+    Var,
 };
 
 /// One queued EDB edit.
@@ -101,7 +102,10 @@ pub struct PollStats {
 pub struct IncrementalSession {
     program: Program,
     options: EvalOptions,
-    stratification: Stratification,
+    /// The program indices of each stratum's rules.
+    strata: Vec<Vec<usize>>,
+    /// The head predicate of every rule, in program order.
+    heads: Vec<Symbol>,
     schema: Schema,
     /// EDB mirror: exactly the input a from-scratch run would receive.
     edb: Instance,
@@ -113,8 +117,9 @@ pub struct IncrementalSession {
     adom: Vec<Value>,
     idb: FxHashSet<Symbol>,
     pending: Vec<Edit>,
-    /// Long-lived index cache over the maintained instance.
+    /// Long-lived index and plan caches over the maintained instance.
     cache: IndexCache,
+    plans: PlanCache,
     /// The rederive pass's bound-head support plans.
     support: Support,
     /// Per stratum: some rule has a variable outside every positive
@@ -150,7 +155,7 @@ impl IncrementalSession {
         let strata = stratification.partition_rules(&program);
         let adom_dependent = strata
             .iter()
-            .map(|rules| enumerates_domain(rules.iter().copied()))
+            .map(|rules| enumerates_domain(rules.iter().map(|&ri| &program.rules[ri])))
             .collect();
         let adom = active_domain_if_enumerated(&program, input);
 
@@ -167,32 +172,33 @@ impl IncrementalSession {
             instance.ensure(pred, schema.arity(pred).expect("idb has arity"));
         }
         options.telemetry.begin("ivm");
-        // The session keeps the index cache the initial fixpoint built,
-        // so the first poll absorbs into it instead of building afresh.
-        let mut stages = Stages::over(&program, &options, adom, IndexCache::new());
+        // The session keeps the index and plan caches the initial
+        // fixpoint built, so the first poll absorbs into the indexes
+        // instead of building afresh.
+        let (cache, plans) = (IndexCache::new(), PlanCache::default());
+        let mut stages = Stages::over(&program, &options, adom, cache, plans);
         for stratum_rules in strata.iter().filter(|rules| !rules.is_empty()) {
             stages.restrict(stratum_rules.clone());
             stages.run(&mut instance, None, &mut Accumulate::delta())?;
         }
-        let (adom, cache) = stages.into_parts();
+        let (adom, cache, plans) = stages.into_parts();
 
-        let support = Support::new(
-            &program,
-            &mut Planner::new(Catalog::from_instance(&instance), options.plan_mode),
-        );
-        drop(strata);
+        let support = Support::new(&program, &instance, options.plan_mode);
+        let heads = program.rules.iter().map(|r| head_atom(r).pred).collect();
 
         Ok(IncrementalSession {
             edb: input.clone(),
             program,
             options,
-            stratification,
+            strata,
+            heads,
             schema,
             instance,
             adom,
             idb,
             pending: Vec::new(),
             cache,
+            plans,
             support,
             adom_dependent,
         })
@@ -332,36 +338,30 @@ impl IncrementalSession {
         let touched =
             |change: &Instance, p: Symbol| change.relation(p).is_some_and(|r| !r.is_empty());
 
-        // Each stratum's rules with their program indices, under which
-        // the poll's rule leaves attribute their matches.
-        let mut strata: Vec<Vec<(usize, &Rule)>> =
-            vec![Vec::new(); self.stratification.strata_count().max(1)];
-        let mut head_preds = Vec::with_capacity(self.program.rules.len());
-        for (ri, rule) in self.program.rules.iter().enumerate() {
-            let head = head_atom(rule).pred;
-            strata[self.stratification.stratum(head)].push((ri, rule));
-            head_preds.push(head);
-        }
         // The poll's round, with a rule leaf per program rule.
         let mut round = Round {
             rules: vec![RuleStat::default(); self.program.rules.len()],
             ..Round::default()
         };
         // One driver for the poll's closures and recomputed strata, over
-        // the session's active domain and index cache.
+        // the session's active domain, index cache and plan cache.
         let mut stages = Stages::over(
             &self.program,
             &self.options,
             std::mem::take(&mut self.adom),
             std::mem::take(&mut self.cache),
+            std::mem::take(&mut self.plans),
         );
-        for (stratum, stratum_rules) in strata.iter().enumerate() {
+        for (stratum, stratum_rules) in self.strata.iter().enumerate() {
             if stratum_rules.is_empty() {
                 continue;
             }
-            stages.restrict(stratum_rules.iter().map(|&(_, r)| r).collect());
+            stages.restrict(stratum_rules.clone());
             let (mut pos_preds, mut neg_preds) = (FxHashSet::default(), FxHashSet::default());
-            for lit in stratum_rules.iter().flat_map(|(_, rule)| &rule.body) {
+            for lit in stratum_rules
+                .iter()
+                .flat_map(|&ri| &self.program.rules[ri].body)
+            {
                 match lit {
                     Literal::Pos(a) => pos_preds.insert(a.pred),
                     Literal::Neg(a) => neg_preds.insert(a.pred),
@@ -376,14 +376,8 @@ impl IncrementalSession {
                 // see growth caused by deletion under negation or by a
                 // shifted active domain. The previous heads are moved
                 // out, not cloned, and diffed against the recomputation.
-                let mut preds: Vec<Symbol> = stratum_rules
-                    .iter()
-                    .map(|&(ri, _)| head_preds[ri])
-                    .collect();
-                preds.sort_unstable();
-                preds.dedup();
-                let mut previous = Vec::with_capacity(preds.len());
-                for &p in &preds {
+                let mut previous = Vec::with_capacity(stages.idb().len());
+                for &p in stages.idb() {
                     let rel = self.instance.relation_mut(p).expect("idb relations exist");
                     let empty = Relation::new(rel.arity());
                     previous.push((p, std::mem::replace(rel, empty)));
@@ -420,16 +414,9 @@ impl IncrementalSession {
                 stages.run_from(instance, None, None, Some(overdelete), &mut withdraw)?;
                 let withdrawn = &withdraw.withdrawn;
                 stats.overdeleted += withdrawn.len() as u64;
-                stats.rederived += rederive(
-                    withdrawn,
-                    &self.program,
-                    &self.support,
-                    &mut self.instance,
-                    None,
-                    &mut stages,
-                    tracer,
-                    &mut round.rules,
-                );
+                let (support, instance) = (&self.support, &mut self.instance);
+                let rules = &mut round.rules;
+                stats.rederived += rederive(withdrawn, support, instance, None, &mut stages, rules);
             }
             if ins_hit {
                 let propagate = Change {
@@ -440,7 +427,7 @@ impl IncrementalSession {
                 let (instance, insert) = (&mut self.instance, &mut Insert::default());
                 stages.run_from(instance, None, None, Some(propagate), insert)?;
             }
-            for (&(ri, _), piece) in stratum_rules.iter().zip(&part.rules) {
+            for (&ri, piece) in stratum_rules.iter().zip(&part.rules) {
                 round.rules[ri].merge(piece);
             }
             round.plan_stats.joins_pruned += part.plan_stats.joins_pruned;
@@ -454,7 +441,7 @@ impl IncrementalSession {
                 }
             }
         }
-        (self.adom, self.cache) = stages.into_parts();
+        (self.adom, self.cache, self.plans) = stages.into_parts();
 
         self.instance.compact_all();
         self.edb.compact_all();
@@ -474,7 +461,7 @@ impl IncrementalSession {
             round.added = stats.facts_added as usize;
             round.removed = stats.facts_removed as usize;
             round.joins = stats.joins;
-            round.record(tel, &head_preds, poll_sw.nanos(), &self.instance);
+            round.record(tel, &self.heads, poll_sw.nanos(), &self.instance);
         }
         Ok(stats)
     }
@@ -490,7 +477,10 @@ pub(crate) struct Support {
 }
 
 impl Support {
-    pub(crate) fn new(program: &Program, planner: &mut Planner) -> Support {
+    /// Plans `program`'s support queries against the catalog of
+    /// `instance`.
+    pub(crate) fn new(program: &Program, instance: &Instance, mode: PlanMode) -> Support {
+        let mut planner = Planner::new(Catalog::from_instance(instance), mode);
         let mut rules_for: FxHashMap<Symbol, Vec<usize>> = FxHashMap::default();
         let mut plans = Vec::with_capacity(program.rules.len());
         for (ri, rule) in program.rules.iter().enumerate() {
@@ -607,24 +597,24 @@ impl Consequence for Insert {
 /// The DRed rederivation pass: each withdrawn tuple that still has a
 /// derivation from surviving (certified) facts is restored, with
 /// negative literals reading `neg` when given (the new negative
-/// context), through the active domain and index cache of `stages`. A support check stops at the first derivation. Iterates to
-/// fixpoint because a restored tuple can in turn support another
-/// candidate — but only through a rule for a candidate's predicate that
-/// reads a candidate predicate positively, so without such a rule one
-/// pass is the fixpoint. Returns the number restored.
+/// context), through the active domain and index cache of `stages`,
+/// whose program `support` was built for. A support check stops at the
+/// first derivation. Iterates to fixpoint because a restored tuple can
+/// in turn support another candidate — but only through a rule for a
+/// candidate's predicate that reads a candidate predicate positively,
+/// so without such a rule one pass is the fixpoint. Returns the number
+/// restored.
 /// `rule_stats[rule]` gains each rule's matches and the time they took
-/// on `tracer`'s clock.
-#[allow(clippy::too_many_arguments)]
+/// on the run's trace clock.
 pub(crate) fn rederive(
     candidates: &[(Symbol, Tuple)],
-    program: &Program,
     support: &Support,
     instance: &mut Instance,
     neg: Option<&Instance>,
     stages: &mut Stages<'_>,
-    tracer: &Tracer,
     rule_stats: &mut [RuleStat],
 ) -> u64 {
+    let (program, tracer) = (stages.program, stages.options.telemetry.tracer());
     let (adom, cache) = stages.parts();
     let chained = restores_chain(candidates, program, support);
     let mut rederived = 0;
@@ -756,19 +746,39 @@ mod tests {
         let tc = tc_program(&mut i);
         let win = parse_program("win(x) :- moves(x,y), !win(y).", &mut i).unwrap();
         let (t, w) = (i.get("T").unwrap(), i.get("win").unwrap());
-        let support = |p: &Program| {
-            Support::new(
-                p,
-                &mut Planner::new(
-                    Catalog::from_instance(&Instance::new()),
-                    PlanMode::default(),
-                ),
-            )
-        };
+        let support = |p: &Program| Support::new(p, &Instance::new(), PlanMode::default());
         let one = |pred| vec![(pred, Tuple::from([Value::Int(1), Value::Int(2)]))];
         assert!(restores_chain(&one(t), &tc, &support(&tc)));
         assert!(!restores_chain(&one(w), &win, &support(&win)));
         assert!(!restores_chain(&[], &tc, &support(&tc)));
+    }
+
+    /// A session keeps its plans across polls: once its first polls
+    /// have planned the Δ variants, polls whose relations stay in their
+    /// power-of-two buckets (G at 39–40 facts, T at 780–820) compile
+    /// nothing.
+    #[test]
+    fn polls_within_their_buckets_compile_no_plan() {
+        let mut i = Interner::new();
+        let p = tc_program(&mut i);
+        let g = i.get("G").unwrap();
+        let mut s = IncrementalSession::new(p, &chain(&mut i, 41), EvalOptions::default()).unwrap();
+        let poll = |s: &mut IncrementalSession, retract: bool| {
+            if retract {
+                s.retract(g, edge(39, 40)).unwrap();
+            } else {
+                s.insert(g, edge(39, 40)).unwrap();
+            }
+            let stats = s.poll().unwrap();
+            assert_eq!(stats.applied, 1);
+            s.plans.compiled
+        };
+        poll(&mut s, true);
+        let planned = poll(&mut s, false);
+        for k in 0..6 {
+            assert_eq!(poll(&mut s, k % 2 == 0), planned, "poll {}", k + 3);
+        }
+        assert_matches_scratch(&s, &i);
     }
 
     #[test]

@@ -55,6 +55,19 @@ impl QueryPattern {
     fn adornment(&self) -> Adornment {
         self.bindings.iter().map(Option::is_some).collect()
     }
+
+    /// The facts of `pred` in `instance` that agree with every bound
+    /// position.
+    fn select(&self, instance: &Instance, pred: Symbol) -> Relation {
+        let mut out = Relation::new(self.bindings.len());
+        for t in instance.relation(pred).into_iter().flat_map(Relation::iter) {
+            let mut pairs = self.bindings.iter().zip(t.values());
+            if pairs.all(|(b, v)| b.is_none_or(|c| c == *v)) {
+                out.insert_row(&t);
+            }
+        }
+        out
+    }
 }
 
 /// `true` = bound position.
@@ -320,21 +333,7 @@ pub fn answer(
         program.rules.len(),
         magic.seeds.fact_count()
     ));
-    let arity = query.bindings.len();
-    let mut out = Relation::new(arity);
-    if let Some(rel) = run.instance.relation(magic.answer_pred) {
-        for t in rel.iter() {
-            let matches = query
-                .bindings
-                .iter()
-                .zip(t.values())
-                .all(|(b, v)| b.is_none_or(|c| c == *v));
-            if matches {
-                out.insert_row(&t);
-            }
-        }
-    }
-    Ok(out)
+    Ok(query.select(&run.instance, magic.answer_pred))
 }
 
 /// Statistics comparing magic evaluation to full evaluation (used by
@@ -356,22 +355,7 @@ pub fn compare_with_full(
     interner: &mut Interner,
 ) -> Result<(Relation, MagicStats), EvalError> {
     let full = seminaive::minimum_model(program, input, EvalOptions::default())?;
-    let full_answer = {
-        let mut out = Relation::new(query.bindings.len());
-        if let Some(rel) = full.instance.relation(query.pred) {
-            for t in rel.iter() {
-                let matches = query
-                    .bindings
-                    .iter()
-                    .zip(t.values())
-                    .all(|(b, v)| b.is_none_or(|c| c == *v));
-                if matches {
-                    out.insert_row(&t);
-                }
-            }
-        }
-        out
-    };
+    let full_answer = query.select(&full.instance, query.pred);
     let magic = magic_rewrite(program, query, interner).expect("rewrite");
     let mut seeded = input.clone();
     for (pred, rel) in magic.seeds.iter() {

@@ -173,58 +173,36 @@ impl Planner {
         self.compile(rule, literals, vars_to_bind, None, &[])
     }
 
-    /// Produces the semi-naive variants of a rule: for each positive
-    /// body atom over a predicate in `recursive`, a plan where that
-    /// atom (and only that one) reads the delta. Returns an empty
-    /// vector if the body scans no recursive predicate (such rules only
-    /// fire in the first iteration).
+    /// Plans `rule` with body literal `i` read from the delta, forced
+    /// first under cost mode. A positive literal gives its semi-naive
+    /// variant. A negated literal `¬p(ū)` gives its *negation variant*:
+    /// a positive scan of `p(ū)` over the facts that left, or entered,
+    /// the instance the literal reads. The other literals plan as usual,
+    /// so variables only the active domain binds keep their `Domain`
+    /// steps.
+    pub fn plan_delta(&mut self, rule: &Rule, i: usize) -> Plan {
+        let scanned;
+        let mut literals: Vec<&Literal> = rule.body.iter().collect();
+        if let Literal::Neg(atom) = &rule.body[i] {
+            scanned = Literal::Pos(atom.clone());
+            literals[i] = &scanned;
+        }
+        self.compile(rule, &literals, &rule.body_vars(), Some(i), &[])
+    }
+
+    /// The semi-naive variants of a rule: [`plan_delta`](Self::plan_delta)
+    /// of each positive body atom over a predicate in `recursive`. Empty
+    /// if the body scans no recursive predicate (such rules only fire in
+    /// the first iteration).
     pub fn seminaive_variants(
         &mut self,
         rule: &Rule,
         recursive: &dyn Fn(Symbol) -> bool,
     ) -> Vec<Plan> {
-        let literals: Vec<&Literal> = rule.body.iter().collect();
-        let vars = rule.body_vars();
-        let mut variants = Vec::new();
-        for (i, lit) in rule.body.iter().enumerate() {
-            if let Literal::Pos(atom) = lit {
-                if recursive(atom.pred) {
-                    variants.push(self.compile(rule, &literals, &vars, Some(i), &[]));
-                }
-            }
-        }
-        variants
-    }
-
-    /// Produces the negation variants of a rule: for each negated
-    /// literal `¬p(ū)` with `changed(p)`, a plan in which that literal
-    /// becomes a positive scan of `p(ū)` reading the delta — the facts
-    /// that left, or entered, the instance the literal reads — forced
-    /// first under cost mode. The other literals plan as usual, so
-    /// variables only the active domain binds keep their `Domain` steps.
-    /// Returns an empty vector if no negated literal changed.
-    pub fn negation_variants(
-        &mut self,
-        rule: &Rule,
-        changed: &dyn Fn(Symbol) -> bool,
-    ) -> Vec<Plan> {
-        let vars = rule.body_vars();
-        let mut variants = Vec::new();
-        for (i, lit) in rule.body.iter().enumerate() {
-            if let Literal::Neg(atom) = lit {
-                if changed(atom.pred) {
-                    let scanned = Literal::Pos(atom.clone());
-                    let literals: Vec<&Literal> = rule
-                        .body
-                        .iter()
-                        .enumerate()
-                        .map(|(j, l)| if j == i { &scanned } else { l })
-                        .collect();
-                    variants.push(self.compile(rule, &literals, &vars, Some(i), &[]));
-                }
-            }
-        }
-        variants
+        (0..rule.body.len())
+            .filter(|&i| matches!(&rule.body[i], Literal::Pos(a) if recursive(a.pred)))
+            .map(|i| self.plan_delta(rule, i))
+            .collect()
     }
 
     /// Estimated tuples enumerated by scanning `pred` with `known`
@@ -674,9 +652,8 @@ mod tests {
         let rule = &program.rules[0];
         for mode in [PlanMode::Cost, PlanMode::Syntactic] {
             let mut planner = Planner::new(Catalog::from_instance(&instance), mode);
-            assert!(planner.negation_variants(rule, &|_| false).is_empty());
-            let variants = planner.negation_variants(rule, &|s| s == p || s == r);
-            assert_eq!(variants.len(), 2, "{mode:?}");
+            // Literals 1 and 3 are `!P(y)` and `!R(x)`.
+            let variants = [planner.plan_delta(rule, 1), planner.plan_delta(rule, 3)];
             for (plan, changed) in variants.iter().zip([p, r]) {
                 let delta: Vec<Symbol> = plan
                     .steps

@@ -32,7 +32,7 @@ pub fn minimum_model(
 ) -> Result<FixpointRun, EvalError> {
     require_language(program, Language::Datalog)?;
     check_range_restricted(program, false)?;
-    let strata = vec![program.rules.iter().collect()];
+    let strata = vec![(0..program.rules.len()).collect()];
     fixpoint::eval_strata(program, input, &options, "seminaive", strata)
 }
 

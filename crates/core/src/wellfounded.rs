@@ -27,13 +27,12 @@
 //! rederive), and the under-estimate adds what the facts that left the
 //! over-estimate enable (Δ-driven stages entered with those facts).
 //! Both start from *negation variants*
-//! ([`crate::planner::Planner::negation_variants`]).
+//! ([`crate::planner::Planner::plan_delta`]).
 
 use crate::error::EvalError;
 use crate::fixpoint::{with_idb, Accumulate, Change, EvalScope, Round, Stages};
 use crate::ivm::{rederive, Support, Withdraw};
 use crate::options::EvalOptions;
-use crate::planner::{Catalog, Planner};
 use crate::require_language;
 use unchained_common::{
     DeltaHandle, HeapSize, Instance, Relation, SpanKind, Symbol, Tracer, Tuple,
@@ -170,8 +169,8 @@ pub fn eval(
 /// * the under-estimate `Γ̂(I₂ₖ₊₁)` gains what the facts that left the
 ///   over-estimate enable ([`Stages::run_from`]).
 ///
-/// Each side keeps its own index cache, since their idb relations have
-/// separate lineages.
+/// Each side keeps its own index and plan caches across every round,
+/// since their idb relations have separate lineages.
 fn alternate(
     program: &Program,
     base: &Instance,
@@ -180,7 +179,7 @@ fn alternate(
 ) -> Result<WellFoundedModel, EvalError> {
     let tel = &options.telemetry;
     let mut over_side = Stages::new(program, base, options);
-    let mut under_side = over_side.sibling();
+    let mut under_side = Stages::new(program, base, options);
     let idb = over_side.idb().to_vec();
     // The live iterates share the edb: count it once.
     let edb_bytes = base.heap_bytes() as u64;
@@ -213,23 +212,11 @@ fn alternate(
     over_side.clear_indexes();
     under_side.clear_indexes();
     let mut gained = since(&under, &DeltaHandle::default(), base, &idb);
-    let support = Support::new(
-        program,
-        &mut Planner::new(Catalog::from_instance(&over), options.plan_mode),
-    );
+    let support = Support::new(program, &over, options.plan_mode);
     while !gained.is_empty() {
         let left = {
             let _phase = phase();
-            let left = shrink(
-                &mut over_side,
-                options,
-                base,
-                &mut over,
-                &under,
-                &gained,
-                program,
-                &support,
-            )?;
+            let left = shrink(&mut over_side, base, &mut over, &under, &gained, &support)?;
             sample(&under, &over);
             left
         };
@@ -294,18 +281,15 @@ fn since(instance: &Instance, marks: &DeltaHandle, base: &Instance, idb: &[Symbo
 ///
 /// Records the application as one round. Returns the facts that left
 /// the over-estimate.
-#[allow(clippy::too_many_arguments)]
 fn shrink(
     side: &mut Stages<'_>,
-    options: &EvalOptions,
     base: &Instance,
     over: &mut Instance,
     under: &Instance,
     gained: &Instance,
-    program: &Program,
     support: &Support,
 ) -> Result<Instance, EvalError> {
-    let tel = &options.telemetry;
+    let tel = &side.options.telemetry;
     let tracer = tel.tracer();
     let _round = tracer.span(SpanKind::Round, "round 1");
     let stage_sw = tel.stopwatch();
@@ -331,16 +315,8 @@ fn shrink(
             over.insert_fact(*pred, tuple.clone());
         }
     }
-    rederive(
-        &candidates,
-        program,
-        support,
-        over,
-        Some(under),
-        side,
-        tracer,
-        &mut round.rules,
-    );
+    let rules = &mut round.rules;
+    rederive(&candidates, support, over, Some(under), side, rules);
     let mut left = Instance::new();
     for (pred, tuple) in candidates {
         if !over.contains_fact(pred, &tuple) {
@@ -353,7 +329,7 @@ fn shrink(
     if tel.is_enabled() || tracer.is_enabled() {
         round.removed = left.fact_count();
         round.joins = side.parts().1.counters.since(&joins_before);
-        round.record(tel, &side.head_preds(), stage_sw.nanos(), over);
+        round.record(tel, side.head_preds(), stage_sw.nanos(), over);
     }
     Ok(left)
 }

@@ -43,7 +43,8 @@ pub fn to_while(program: &Program) -> Option<WhileProgram> {
     let partition = strat.partition_rules(program);
 
     let mut stmts = Vec::new();
-    for stratum_rules in partition {
+    for stratum in partition {
+        let stratum_rules: Vec<&Rule> = stratum.iter().map(|&ri| &program.rules[ri]).collect();
         if stratum_rules.is_empty() {
             continue;
         }

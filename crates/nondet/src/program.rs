@@ -305,17 +305,21 @@ impl<'p> NondetProgram<'p> {
     /// (Definition 5.2's condition (ii) makes states with no such
     /// successor terminal). Deduplicated. A firing that only commits a
     /// choice changes the state too: [`states_equal`] counts choices,
-    /// and a run takes that step.
+    /// and a run takes that step. States are compared by
+    /// [`State::fingerprint`] first, so the deep comparison runs only
+    /// between states whose fingerprints match.
     pub fn successors(&self, state: &State, fresh: &mut u64) -> Vec<State> {
-        let mut out: Vec<State> = Vec::new();
+        let own = state.fingerprint();
+        let mut out: Vec<(u64, State)> = Vec::new();
         for firing in self.firings(state, fresh) {
             let next = self.apply(state, &firing);
-            let changed = !states_equal(&next, state);
-            if changed && !out.iter().any(|s| states_equal(s, &next)) {
-                out.push(next);
+            let fp = next.fingerprint();
+            let same = |f: u64, s: &State| f == fp && states_equal(s, &next);
+            if !same(own, state) && !out.iter().any(|(f, s)| same(*f, s)) {
+                out.push((fp, next));
             }
         }
-        out
+        out.into_iter().map(|(_, s)| s).collect()
     }
 }
 
@@ -423,6 +427,32 @@ mod tests {
         let mut fresh = 0;
         let succ = compiled.successors(&State::initial(input), &mut fresh);
         assert!(succ.is_empty(), "re-assertion must not be a successor ≠ J");
+    }
+
+    /// Successors are the distinct changed states in the order their
+    /// first firing comes: two of the three firings of `A(x) :- B(x,y)`
+    /// reach the same state, which is kept once, at its first firing.
+    #[test]
+    fn successors_are_distinct_in_firing_order() {
+        let mut i = Interner::new();
+        let program = parse_program("A(x) :- B(x,y).", &mut i).unwrap();
+        let b = i.get("B").unwrap();
+        let mut input = Instance::new();
+        for (x, y) in [(1, 1), (1, 2), (2, 1)] {
+            input.insert_fact(b, Tuple::from([Value::Int(x), Value::Int(y)]));
+        }
+        let compiled = NondetProgram::compile(&program, false).unwrap();
+        let state = State::initial(input);
+        let mut want: Vec<State> = Vec::new();
+        for firing in compiled.firings(&state, &mut 0) {
+            let next = compiled.apply(&state, &firing);
+            if !want.iter().any(|s| states_equal(s, &next)) {
+                want.push(next);
+            }
+        }
+        let succ = compiled.successors(&state, &mut 0);
+        assert_eq!(succ.len(), 2);
+        assert!(succ.iter().zip(&want).all(|(s, w)| states_equal(s, w)));
     }
 
     /// A firing that derives no new fact but commits a new choice is a

@@ -306,14 +306,14 @@ impl Stratification {
         self.strata_count
     }
 
-    /// Partitions `rules` of a program by the stratum of their (single,
-    /// positive) head predicate. Index `i` of the result holds the rules
-    /// of stratum `i`.
-    pub fn partition_rules<'p>(&self, program: &'p Program) -> Vec<Vec<&'p Rule>> {
-        let mut out: Vec<Vec<&Rule>> = vec![Vec::new(); self.strata_count.max(1)];
-        for rule in &program.rules {
+    /// Partitions the rules of a program by the stratum of their (single,
+    /// positive) head predicate. Index `i` of the result holds the
+    /// program indices of the rules of stratum `i`, in program order.
+    pub fn partition_rules(&self, program: &Program) -> Vec<Vec<usize>> {
+        let mut out: Vec<Vec<usize>> = vec![Vec::new(); self.strata_count.max(1)];
+        for (ri, rule) in program.rules.iter().enumerate() {
             if let Some(atom) = rule.head.first().and_then(HeadLiteral::atom) {
-                out[self.stratum(atom.pred)].push(rule);
+                out[self.stratum(atom.pred)].push(ri);
             }
         }
         out
