@@ -8,21 +8,20 @@
 //! external benchmarking dependency, and records machine-readable
 //! artifacts so every performance claim has a before/after trail. The
 //! schema marries wall-time statistics (min/median/p95 over
-//! repetitions) with the work gauges the [`crate::telemetry`] subsystem
+//! repetitions) with the work gauges the [`unchained_common::telemetry`] subsystem
 //! already collects — stage counts, facts derived, join probe/build
 //! counters, peak instance size, interner growth — so a "win" can be
 //! separated into *less work* vs. *same work done faster*.
 //!
-//! The workload registry that produces [`BenchEntry`] values lives in
-//! the `unchained-bench` crate (it needs the parser and every engine);
-//! this module is the dependency-free substrate shared with the CLI.
+//! The workload registry that produces [`BenchEntry`] values is the
+//! crate root; this module is the schema it writes and the CLI reads.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use crate::json::Json;
-use crate::space::fmt_bytes;
-use crate::telemetry::{json_escape, EvalTrace};
+use unchained_common::fmt_bytes;
+use unchained_common::telemetry::{json_escape, EvalTrace};
+use unchained_common::Json;
 
 /// Version of the `BENCH.json` schema. Bump on any breaking change to
 /// the emitted shape; the parser rejects mismatched files so a stale
@@ -33,7 +32,7 @@ use crate::telemetry::{json_escape, EvalTrace};
 /// the per-entry `threads` field (worker threads the case ran with) so
 /// thread-scaling rows are first-class, separately-keyed entries. v4
 /// added the space gauges `bytes_peak`/`bytes_final` (logical instance
-/// bytes, see `crate::space`) and the derived `tuples_per_sec` rate.
+/// bytes, see `unchained_common::space`) and the derived `tuples_per_sec` rate.
 /// v5 added the `planner` object (`joins_pruned`; a `subplans_shared`
 /// gauge it also held is gone, and the reader ignores it) recording
 /// the cost-based planner's deterministic effect on each run.
@@ -67,7 +66,7 @@ pub const DEFAULT_REGRESSION_THRESHOLD: f64 = 2.0;
 
 /// Byte-growth gate: an entry's `bytes_peak` more than this factor over
 /// its baseline counts as a space regression. Logical bytes are
-/// deterministic (counts × fixed widths, see `crate::space`), so unlike
+/// deterministic (counts × fixed widths, see `unchained_common::space`), so unlike
 /// wall time this gate is machine-independent and needs no noise floor
 /// beyond requiring a non-zero baseline.
 pub const BYTES_REGRESSION_FACTOR: f64 = 2.0;

@@ -2,7 +2,7 @@
 //!
 //! The in-repo benchmark harness: a registry of seeded workload
 //! generators run across every applicable engine, measured by the
-//! zero-dependency kernel in [`unchained_common::bench`] and emitted as
+//! zero-dependency kernel in [`bench`] and emitted as
 //! a versioned, machine-readable `BENCH.json` plus a human table.
 //!
 //! Following the self-profiling discipline of production Datalog
@@ -42,11 +42,14 @@
 //!
 //! [`fig1`] holds the Figure 1 witnesses that the `fig1` binary prints.
 
+pub mod bench;
 pub mod fig1;
 
-use unchained_common::bench::{
-    compare_reports, compare_with_history, measure, BenchEntry, BenchHistory, BenchReport, Gauges,
-    HistoryRun, Repetitions, WallStats, DEFAULT_REGRESSION_THRESHOLD,
+use bench::DEFAULT_REGRESSION_THRESHOLD;
+pub use bench::{
+    compare_reports, compare_with_history, measure, BenchEntry, BenchHistory, BenchReport,
+    Comparison, Gauges, HistoryComparison, HistoryPoint, HistoryRun, Repetitions, WallStats,
+    BENCH_SCHEMA_VERSION,
 };
 use unchained_common::fmt_bytes;
 use unchained_common::{hottest_rules, Instance, Interner, Telemetry, Tracer, Tuple, Value};
@@ -1104,7 +1107,7 @@ pub fn main_with_args(argv: &[String]) -> u8 {
                 return 1;
             }
         };
-        let base = match unchained_common::BenchReport::from_json(&text) {
+        let base = match BenchReport::from_json(&text) {
             Ok(b) => b,
             Err(e) => {
                 eprintln!("error: {e}");

@@ -4,7 +4,8 @@
 
 use std::io::Write;
 use std::process::{Command, Stdio};
-use unchained_common::{BenchReport, Json, BENCH_SCHEMA_VERSION};
+use unchained_bench::{BenchReport, BENCH_SCHEMA_VERSION};
+use unchained_common::Json;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_unchained"))

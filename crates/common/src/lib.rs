@@ -19,7 +19,6 @@
 //!
 //! Only finite instances are representable, matching the paper's setting.
 
-pub mod bench;
 pub mod columnar;
 pub mod error;
 pub mod hash;
@@ -36,11 +35,6 @@ pub mod trace;
 pub mod tuple;
 pub mod value;
 
-pub use bench::{
-    compare_reports, compare_with_history, measure, BenchEntry, BenchHistory, BenchReport,
-    Comparison, Gauges, HistoryComparison, HistoryPoint, HistoryRun, Repetitions, WallStats,
-    BENCH_SCHEMA_VERSION,
-};
 pub use columnar::{ColumnSegment, Rows};
 pub use error::CommonError;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};

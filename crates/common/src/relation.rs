@@ -47,6 +47,7 @@
 
 use crate::columnar::{ColumnSegment, Rows};
 use crate::hash::{FxHashMap, FxHashSet, FxHasher};
+use crate::interner::Symbol;
 use crate::space::{
     tuple_bytes, HeapSize, SpaceNode, POSTING_BYTES, SLOT_BYTES, TUPLE_HEADER_BYTES, VALUE_BYTES,
 };
@@ -199,26 +200,166 @@ fn permute_rows(values: &mut [Value], a: usize, order: &mut [u32]) {
     }
 }
 
+/// A value's payload, ordered as the values of its kind are: an `Int`
+/// has its sign bit flipped, so unsigned order is signed order.
+fn payload(v: Value) -> u64 {
+    match v {
+        Value::Sym(s) => s.index() as u64,
+        Value::Int(i) => i as u64 ^ 1 << 63,
+        Value::Invented(n) => n,
+    }
+}
+
+/// A row's sort key: its columns packed into one unsigned integer by a
+/// [`KeyLayout`], `u64` when they fit and `u128` otherwise.
+trait RowKey: Copy + Ord + Default {
+    /// `self` shifted up by `bits`, with `p` in the bits freed.
+    fn push(self, bits: u32, p: u64) -> Self;
+    /// Shifts the low `bits` out of `self` and returns them.
+    fn pop(&mut self, bits: u32) -> u64;
+}
+
+macro_rules! row_key {
+    ($($t:ty),*) => {$(
+        impl RowKey for $t {
+            fn push(self, bits: u32, p: u64) -> Self {
+                self.checked_shl(bits).unwrap_or(0) | p as $t
+            }
+            fn pop(&mut self, bits: u32) -> u64 {
+                let p = *self & !<$t>::MAX.checked_shl(bits).unwrap_or(0);
+                *self = self.checked_shr(bits).unwrap_or(0);
+                p as u64
+            }
+        }
+    )*};
+}
+row_key!(u64, u128);
+
+/// How the sort kernel packs the rows of a buffer into integer keys:
+/// each column's payload less the column's smallest, in as many bits as
+/// the column spans, first column highest. Every column holds values of
+/// one kind, ordered as their payloads are, so the keys' unsigned order
+/// is the rows' `Value` order and equal keys are equal rows.
+struct KeyLayout {
+    /// Per column: a value of its kind, its smallest payload, its bits.
+    cols: Vec<(Value, u64, u32)>,
+    /// The key's bits: the columns' sum plus the spare low bits.
+    bits: u32,
+}
+
+impl KeyLayout {
+    /// The layout of the rows packed in `values` with stride `a`, with
+    /// `spare` low bits left free, found in one pass. `None` for arity
+    /// 0, no rows, a column that mixes kinds, or a key over 128 bits.
+    fn of(a: usize, values: &[Value], spare: u32) -> Option<KeyLayout> {
+        let first = values.get(..a).filter(|_| a > 0)?;
+        let mut range: Vec<(Value, u64, u64)> =
+            first.iter().map(|&v| (v, payload(v), payload(v))).collect();
+        for row in values.chunks_exact(a) {
+            for ((kind, lo, hi), &v) in range.iter_mut().zip(row) {
+                if std::mem::discriminant(kind) != std::mem::discriminant(&v) {
+                    return None;
+                }
+                let p = payload(v);
+                *lo = p.min(*lo);
+                *hi = p.max(*hi);
+            }
+        }
+        let cols: Vec<_> = range
+            .into_iter()
+            .map(|(kind, lo, hi)| (kind, lo, u64::BITS - (hi - lo).leading_zeros()))
+            .collect();
+        let bits = spare + cols.iter().map(|c| c.2).sum::<u32>();
+        (bits <= u128::BITS).then_some(KeyLayout { cols, bits })
+    }
+
+    /// The key of `row`, its spare bits clear.
+    fn key<K: RowKey>(&self, row: &[Value]) -> K {
+        row.iter()
+            .zip(&self.cols)
+            .fold(K::default(), |k, (&v, &(_, lo, bits))| {
+                k.push(bits, payload(v) - lo)
+            })
+    }
+
+    /// Writes the row whose key is `key` into `row`.
+    fn decode<K: RowKey>(&self, mut key: K, row: &mut [Value]) {
+        for (v, &(kind, lo, bits)) in row.iter_mut().zip(&self.cols).rev() {
+            let p = lo + key.pop(bits);
+            *v = match kind {
+                Value::Sym(_) => Value::Sym(Symbol::from_index(p as usize)),
+                Value::Int(_) => Value::Int((p ^ 1 << 63) as i64),
+                Value::Invented(_) => Value::Invented(p),
+            };
+        }
+    }
+
+    /// Sorts the rows of `values` by key and drops the duplicates, in
+    /// place; returns how many rows are left.
+    fn sort_dedup<K: RowKey>(&self, values: &mut Vec<Value>) -> usize {
+        let a = self.cols.len();
+        let mut keys: Vec<K> = values.chunks_exact(a).map(|row| self.key(row)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        for (row, &key) in values.chunks_exact_mut(a).zip(&keys) {
+            self.decode(key, row);
+        }
+        values.truncate(keys.len() * a);
+        keys.len()
+    }
+
+    /// The order that sorts the rows of `values`, equal rows by index:
+    /// each key carries its row's index in its `index_bits` spare bits.
+    fn order<K: RowKey>(&self, values: &[Value], index_bits: u32) -> Vec<u32> {
+        let mut keys: Vec<K> = values
+            .chunks_exact(self.cols.len())
+            .zip(0..)
+            .map(|(row, i)| self.key::<K>(row).push(index_bits, i))
+            .collect();
+        keys.sort_unstable();
+        keys.iter()
+            .map(|&(mut k)| k.pop(index_bits) as u32)
+            .collect()
+    }
+}
+
+/// The order that sorts the `rows` rows packed in `values` with stride
+/// `a`: row `k` of the sorted rows is the row at `order[k]`, and equal
+/// rows keep their relative order. Sorts integer keys when a
+/// [`KeyLayout`] fits the rows beside their index, else compares rows.
+fn sort_order(a: usize, rows: usize, values: &[Value]) -> Vec<u32> {
+    let n = u32::try_from(rows).expect("rows fit u32");
+    let index_bits = u32::BITS - n.saturating_sub(1).leading_zeros();
+    match KeyLayout::of(a, values, index_bits) {
+        Some(l) if l.bits <= u64::BITS => l.order::<u64>(values, index_bits),
+        Some(l) => l.order::<u128>(values, index_bits),
+        None => {
+            let mut order: Vec<u32> = (0..n).collect();
+            let row = |i: u32| &values[i as usize * a..i as usize * a + a];
+            order.sort_unstable_by(|&i, &j| row(i).cmp(row(j)).then(i.cmp(&j)));
+            order
+        }
+    }
+}
+
 /// Sorts the `rows` rows packed in `values` with stride `arity` and
 /// drops the duplicates, in place; returns how many rows are left.
-/// Arities up to 4 sort as arrays, about three times as fast as through
-/// a `u32` order, which longer rows are permuted into.
+/// Rows a [`KeyLayout`] fits sort as integer keys, decoded back into
+/// the buffer; others are permuted into their [`sort_order`].
 ///
 /// # Panics
 /// Panics if `values` does not hold exactly `rows` rows of `arity`.
 fn sort_dedup_packed(arity: usize, rows: usize, values: &mut Vec<Value>) -> usize {
     assert_eq!(values.len(), rows * arity, "packed length mismatch");
     let a = arity;
-    match a {
-        0 => return rows.min(1),
-        1 => values.as_chunks_mut::<1>().0.sort_unstable(),
-        2 => values.as_chunks_mut::<2>().0.sort_unstable(),
-        3 => values.as_chunks_mut::<3>().0.sort_unstable(),
-        4 => values.as_chunks_mut::<4>().0.sort_unstable(),
-        _ => {
-            let mut order: Vec<u32> = (0..u32::try_from(rows).expect("rows fit u32")).collect();
-            let row = |i: u32| &values[i as usize * a..i as usize * a + a];
-            order.sort_unstable_by(|&i, &j| row(i).cmp(row(j)));
+    if a == 0 {
+        return rows.min(1);
+    }
+    match KeyLayout::of(a, values, 0) {
+        Some(l) if l.bits <= u64::BITS => return l.sort_dedup::<u64>(values),
+        Some(l) => return l.sort_dedup::<u128>(values),
+        None => {
+            let mut order = sort_order(a, rows, values);
             permute_rows(values, a, &mut order);
         }
     }
@@ -741,13 +882,9 @@ impl Relation {
         if self.retracted.is_empty() {
             return false;
         }
-        let mut values = Vec::with_capacity(self.live * self.arity);
-        for (_, row) in self.live_rows(0, usize::MAX) {
-            values.extend_from_slice(row);
-        }
         *self = Relation {
             version: self.version,
-            ..Relation::from_packed(self.arity, self.live, values)
+            ..Relation::from_packed(self.arity, self.live, self.live_values())
         };
         true
     }
@@ -772,14 +909,10 @@ impl Relation {
     /// after removals that punched holes into frozen segments, and by
     /// compaction.
     fn collapse(&mut self) {
-        let mut tail = Vec::with_capacity(self.live * self.arity);
-        for (_, row) in self.live_rows(0, usize::MAX) {
-            tail.extend_from_slice(row);
-        }
+        self.tail = self.live_values();
         self.segments.clear();
         self.starts.clear();
         self.tail_base = 0;
-        self.tail = tail;
         self.tail_len = self.live;
         self.tail_slots = vec![0; self.live];
         self.dead = Vec::new();
@@ -805,12 +938,13 @@ impl Relation {
     /// Contents are unchanged, so the version does not move — only the
     /// generation shape does.
     ///
-    /// The sort runs over a `u32` order of the tail's rows; the table
-    /// slots of the rows it moves are re-pointed straight from the
-    /// order, and dead rows (and their log entries) through a small map
-    /// built only when the tail holds any. The packed tail is then
-    /// permuted in place, cycle by cycle, and its own buffer becomes the
-    /// segment: no second copy of the rows is ever allocated.
+    /// The sort yields a `u32` order of the tail's rows (see
+    /// [`sort_order`]); the table slots of the rows it moves are
+    /// re-pointed straight from the order, and dead rows (and their log
+    /// entries) through a small map built only when the tail holds any.
+    /// The packed tail is then permuted in place, cycle by cycle, and its
+    /// own buffer becomes the segment: no second copy of the rows is ever
+    /// allocated.
     pub fn commit(&mut self) -> bool {
         let logged = std::mem::replace(&mut self.logged_at_commit, self.retracted.len());
         let n = self.tail_len;
@@ -818,10 +952,7 @@ impl Relation {
             return false;
         }
         let a = self.arity;
-        let mut order: Vec<u32> = (0..u32::try_from(n).expect("tail fits u32 positions")).collect();
-        let tail = &self.tail;
-        let row = |i: u32| &tail[i as usize * a..i as usize * a + a];
-        order.sort_unstable_by(|&i, &j| row(i).cmp(row(j)));
+        let mut order = sort_order(a, n, &self.tail);
         if order.iter().enumerate().any(|(k, &i)| k != i as usize) {
             self.repoint_tail(logged, &order);
             permute_rows(&mut self.tail, a, &mut order);
@@ -891,17 +1022,20 @@ impl Relation {
         if self.retracted.is_empty() {
             return self.segments.clone();
         }
-        let mut rows: Vec<&[Value]> = self.iter_stored().collect();
-        rows.sort_unstable();
-        let mut values = Vec::with_capacity(rows.len() * self.arity);
-        for row in &rows {
+        let mut values = self.live_values();
+        let rows = sort_dedup_packed(self.arity, self.live, &mut values);
+        vec![Arc::new(ColumnSegment::from_packed(
+            self.arity, rows, values,
+        ))]
+    }
+
+    /// The live rows, packed in storage order.
+    fn live_values(&self) -> Vec<Value> {
+        let mut values = Vec::with_capacity(self.live * self.arity);
+        for (_, row) in self.live_rows(0, usize::MAX) {
             values.extend_from_slice(row);
         }
-        vec![Arc::new(ColumnSegment::from_packed(
-            self.arity,
-            rows.len(),
-            values,
-        ))]
+        values
     }
 
     /// The live rows at storage positions `lo..hi` (clamped to the
@@ -2333,16 +2467,33 @@ mod tests {
         }
     }
 
-    /// Every tuple over a small domain: all the tuples a test can name.
-    fn universe(arity: usize) -> Vec<Tuple> {
+    /// The four values column `column` of a test universe draws from,
+    /// by palette: small ints; ints spanning all 64 bits; symbols and
+    /// invented values spanning 32 and 64 bits; kinds mixed in a column.
+    /// Rows drawn from them take every path of the sort kernel: `u64`
+    /// and `u128` keys and the comparator.
+    fn palette(palette: usize, column: usize) -> [Value; 4] {
+        let sym = |i: usize| Value::Sym(Symbol::from_index(i));
+        match palette {
+            0 => [0, 1, 2, 3].map(Value::Int),
+            1 => [i64::MIN, -1, 0, i64::MAX].map(Value::Int),
+            2 if column.is_multiple_of(2) => [0, 1, 2, u32::MAX as usize].map(sym),
+            2 => [0, 5, 1 << 63, u64::MAX].map(Value::Invented),
+            _ => [sym(1), Value::Int(-5), Value::Int(7), Value::Invented(2)],
+        }
+    }
+
+    /// Every tuple over the values of `palette_no`: all the tuples a test
+    /// can name.
+    fn universe(arity: usize, palette_no: usize) -> Vec<Tuple> {
         let mut out = vec![Tuple::from([])];
-        for _ in 0..arity {
+        for column in 0..arity {
             out = out
                 .iter()
                 .flat_map(|t| {
-                    (0..4).map(move |v| {
+                    palette(palette_no, column).map(|v| {
                         let mut values = t.values().to_vec();
-                        values.push(Value::Int(v));
+                        values.push(v);
                         Tuple::from(values)
                     })
                 })
@@ -2351,18 +2502,38 @@ mod tests {
         out
     }
 
+    /// The path the sort kernel takes for the rows packed in `values`
+    /// with stride `a` and `spare` index bits: 0 for `u64` keys, 1 for
+    /// `u128` keys, 2 for the comparator.
+    fn kernel_path(a: usize, values: &[Value], spare: u32) -> usize {
+        match KeyLayout::of(a, values, spare) {
+            Some(l) if l.bits <= u64::BITS => 0,
+            Some(_) => 1,
+            None => 2,
+        }
+    }
+
+    /// Every segment of `r` holds its rows in `Value` order.
+    fn assert_segments_sorted(r: &Relation, ctx: &str) {
+        for (s, seg) in r.segments.iter().enumerate() {
+            let rows: Vec<&[Value]> = (0..seg.len()).map(|i| seg.row(i)).collect();
+            assert!(rows.is_sorted(), "{ctx}: segment {s} is not sorted");
+        }
+    }
+
     /// Checks `r` against `model`, including the deltas since `mark`.
-    fn check_against(r: &Relation, model: &Model, mark: Generation, ctx: &str) {
+    fn check_against(r: &Relation, model: &Model, mark: Generation, domain: &[Tuple], ctx: &str) {
         let want: Vec<Tuple> = model.tuples.iter().cloned().collect();
+        assert_segments_sorted(r, ctx);
         assert_eq!(r.len(), want.len(), "{ctx}: len");
         let mut stored: Vec<Tuple> = r.iter_stored().map(Tuple::new).collect();
         stored.sort_unstable();
         assert_eq!(stored, want, "{ctx}: iter_stored");
         assert_eq!(*r.sorted(), want, "{ctx}: sorted");
-        for t in universe(r.arity()) {
+        for t in domain {
             assert_eq!(
-                r.contains(&t),
-                model.tuples.contains(&t),
+                r.contains(t),
+                model.tuples.contains(t),
                 "{ctx}: contains {t:?}"
             );
         }
@@ -2415,7 +2586,7 @@ mod tests {
 
     /// Probes every key of `idx` and of a fresh build over `r`: both hold
     /// the same postings.
-    fn check_index(idx: &Index, r: &Relation, ctx: &str) {
+    fn check_index(idx: &Index, r: &Relation, domain: &[Tuple], ctx: &str) {
         let fresh = Index::build(r, idx.key_columns());
         assert_eq!(idx.tuple_count(), fresh.tuple_count(), "{ctx}: index size");
         assert_eq!(
@@ -2423,11 +2594,10 @@ mod tests {
             fresh.distinct_keys(),
             "{ctx}: index keys"
         );
-        let keys = universe(idx.key_columns().len());
-        for key in keys {
-            let rows = |idx: &Index| -> Vec<Tuple> {
-                r.rows_at(idx.probe(key.values())).map(Tuple::new).collect()
-            };
+        for t in domain {
+            let key = &t.values()[..idx.key_columns().len()];
+            let rows =
+                |idx: &Index| -> Vec<Tuple> { r.rows_at(idx.probe(key)).map(Tuple::new).collect() };
             let (mut got, mut want) = (rows(idx), rows(&fresh));
             got.sort_unstable();
             want.sort_unstable();
@@ -2435,11 +2605,146 @@ mod tests {
         }
     }
 
+    /// A seeded buffer of `rows` rows for the sort kernel's model test.
+    /// Column `c` holds one kind whose payloads span exactly
+    /// `widths[c]` bits (`None`: kinds mixed), drawn from `distinct`
+    /// payloads per column so that rows repeat.
+    fn kernel_buffer(
+        rng: &mut crate::rng::Rng,
+        rows: usize,
+        widths: &[Option<u32>],
+        distinct: usize,
+    ) -> Vec<Value> {
+        let of_kind = |kind: usize, p: u64| match kind {
+            0 => Value::Sym(Symbol::from_index(p as usize)),
+            1 => Value::Int((p ^ 1 << 63) as i64),
+            _ => Value::Invented(p),
+        };
+        let mut values = vec![Value::Int(0); rows * widths.len()];
+        for (c, &width) in widths.iter().enumerate() {
+            let column: Vec<Value> = match width {
+                Some(w) => {
+                    // Symbols hold 32 bits; a 64-bit span of ints runs
+                    // from `i64::MIN` to `i64::MAX`.
+                    let kind = rng.gen_index(if w <= 32 { 3 } else { 2 }) + usize::from(w > 32);
+                    let top = if kind == 0 { u32::MAX.into() } else { u64::MAX };
+                    let mask = u64::MAX.checked_shr(64 - w).unwrap_or(0);
+                    let lo = match (top - mask).checked_add(1) {
+                        Some(room) => rng.next_u64() % room,
+                        None => rng.next_u64(),
+                    };
+                    let mut payloads = vec![lo, lo + mask];
+                    payloads.extend((0..distinct).map(|_| lo + (rng.next_u64() & mask)));
+                    let mut column: Vec<Value> = (0..rows)
+                        .map(|_| of_kind(kind, payloads[rng.gen_index(payloads.len())]))
+                        .collect();
+                    // Both ends occur, so the span is exactly `w` bits
+                    // (of two rows or more).
+                    let at = rng.gen_index(rows);
+                    column[at] = of_kind(kind, lo);
+                    column[(at + 1) % rows] = of_kind(kind, lo + mask);
+                    column
+                }
+                None => (0..rows)
+                    .map(|i| of_kind(i % 3, rng.next_u64() % distinct as u64))
+                    .collect(),
+            };
+            for (r, v) in column.into_iter().enumerate() {
+                values[r * widths.len() + c] = v;
+            }
+        }
+        values
+    }
+
+    /// Checks the sort kernel on one buffer against sorting its rows as
+    /// slices: `sort_dedup_packed` leaves the sorted distinct rows, and
+    /// `sort_order` is the stable sort of the row indices. Returns the
+    /// path the kernel took.
+    fn check_kernel(a: usize, values: &[Value], ctx: &str) -> usize {
+        // An arity-0 buffer stands for three empty rows.
+        let rows = values.len().checked_div(a).unwrap_or(3);
+        let row = |i: usize| &values[i * a..i * a + a];
+        let mut want: Vec<&[Value]> = (0..rows).map(row).collect();
+        want.sort();
+        want.dedup();
+        let mut got = values.to_vec();
+        let kept = sort_dedup_packed(a, rows, &mut got);
+        assert_eq!(kept, want.len(), "{ctx}: kept");
+        assert_eq!(got, want.concat(), "{ctx}: sorted rows");
+        let mut order: Vec<u32> = (0..rows as u32).collect();
+        order.sort_by_key(|&i| row(i as usize));
+        assert_eq!(sort_order(a, rows, values), order, "{ctx}: order");
+        kernel_path(a, values, 0)
+    }
+
+    /// The sort kernel matches sorting rows as slices and dropping
+    /// repeats, on seeded buffers: arities 0–6; negative ints and
+    /// `i64::MIN`/`i64::MAX`; symbol and invented columns; columns that
+    /// mix kinds; key widths of exactly 64/65 and 128/129 bits, on the
+    /// path each width asks for; one row; every row a repeat.
+    #[test]
+    fn sort_kernel_matches_a_comparator_sort() {
+        let mut rng = crate::rng::Rng::seeded(27);
+        // Widths, and the path: 0 for u64 keys, 1 for u128, 2 compare.
+        let exact: [(&[u32], usize); 12] = [
+            (&[64], 0),
+            (&[32, 32], 0),
+            (&[63, 1], 0),
+            (&[20, 20, 20, 4], 0),
+            (&[32, 33], 1),
+            (&[64, 1], 1),
+            (&[13, 13, 13, 13, 13], 1),
+            (&[64, 64], 1),
+            (&[43, 43, 42], 1),
+            (&[22, 22, 21, 21, 21, 21], 1),
+            (&[64, 64, 1], 2),
+            (&[22, 22, 22, 21, 21, 21], 2),
+        ];
+        for (widths, path) in exact {
+            let widths: Vec<Option<u32>> = widths.iter().copied().map(Some).collect();
+            for round in 0..8 {
+                let rows = 2 + rng.gen_index(200);
+                let values = kernel_buffer(&mut rng, rows, &widths, 6);
+                let ctx = format!("widths {widths:?}, round {round}");
+                assert_eq!(check_kernel(widths.len(), &values, &ctx), path, "{ctx}");
+            }
+        }
+        let mut paths = [0; 3];
+        for round in 0..600 {
+            let a = rng.gen_index(7);
+            let widths: Vec<Option<u32>> = (0..a)
+                .map(|_| match rng.gen_index(8) {
+                    0 => None,
+                    1 => Some(0),
+                    2 => Some(64),
+                    _ => Some(rng.gen_index(65) as u32),
+                })
+                .collect();
+            let rows = match round % 3 {
+                0 => 1,
+                _ => 1 + rng.gen_index(300),
+            };
+            let distinct = 1 + rng.gen_index(12);
+            let mut values = kernel_buffer(&mut rng, rows, &widths, distinct);
+            let ctx = format!("round {round}, widths {widths:?}, rows {rows}");
+            paths[check_kernel(a, &values, &ctx)] += 1;
+            // Every row a repeat of the first.
+            if a > 0 {
+                let first = values[..a].to_vec();
+                for row in values.chunks_exact_mut(a) {
+                    row.copy_from_slice(&first);
+                }
+                check_kernel(a, &values, &format!("{ctx}, repeats"));
+            }
+        }
+        assert!(paths.iter().all(|&n| n > 0), "kernel paths {paths:?}");
+    }
+
     /// `from_packed` leaves the state `insert_row` of each row and a
     /// commit leave: the same rows in storage order, one segment, no
     /// tail, the same length, fingerprint and version, and a table of
-    /// the same size that holds every row — over arities 0–6 (the array sorts and the
-    /// strided one), with duplicates.
+    /// the same size that holds every row — over arities 0–6, with
+    /// duplicates.
     #[test]
     fn from_packed_matches_insert_then_commit() {
         for seed in 0..40 {
@@ -2488,10 +2793,9 @@ mod tests {
     /// A relation of `arity` after a seeded run of inserts, commits and
     /// retractions, its tail holding a row when `tail` draws a new one:
     /// the same relation for the same arguments.
-    fn seeded_state(seed: u64, arity: usize, tail: bool) -> Relation {
+    fn seeded_state(seed: u64, domain: &[Tuple], tail: bool) -> Relation {
         let mut rng = crate::rng::Rng::seeded(seed);
-        let domain = universe(arity);
-        let mut r = Relation::new(arity);
+        let mut r = Relation::new(domain[0].arity());
         for _ in 0..rng.gen_index(60) {
             let t = &domain[rng.gen_index(domain.len())];
             match rng.gen_index(5) {
@@ -2518,23 +2822,24 @@ mod tests {
     /// lengths, length, version and fingerprint, the same rows since and
     /// retractions since a mark captured before, and an index stamped at
     /// that mark absorbs the same way into an index probing the same
-    /// rows. Over arities 0–4, batches with repeats, present and
-    /// tombstoned rows, on committed relations and on relations whose
-    /// tail holds a row, which both commit first. The table grows to the
-    /// same size.
+    /// rows. Over arities 0–4 and every value palette, batches with
+    /// repeats, present and tombstoned rows, on committed relations and
+    /// on relations whose tail holds a row, which both commit first. The
+    /// table grows to the same size, and every segment is sorted. The
+    /// batches take every path of the sort kernel.
     #[test]
     fn extend_packed_matches_insert_then_commit() {
-        let (mut revived, mut with_tail) = (0, 0);
+        let (mut revived, mut with_tail, mut paths) = (0, 0, [0; 3]);
         for seed in 0..300 {
             let arity = seed as usize % 5;
             let tail = seed % 3 == 0;
-            let domain = universe(arity);
+            let domain = universe(arity, seed as usize / 5 % 4);
             let mut rng = crate::rng::Rng::seeded(seed + 1000);
             let batch: Vec<Tuple> = (0..rng.gen_index(80))
                 .map(|_| domain[rng.gen_index(domain.len())].clone())
                 .collect();
-            let mut packed = seeded_state(seed, arity, tail);
-            let mut inserted = seeded_state(seed, arity, tail);
+            let mut packed = seeded_state(seed, &domain, tail);
+            let mut inserted = seeded_state(seed, &domain, tail);
             let had_tail = packed.recent_len() > 0;
             with_tail += usize::from(had_tail);
             let dead: Vec<&[Value]> = packed.retracted_since(Generation::default()).collect();
@@ -2557,11 +2862,13 @@ mod tests {
                 .filter(|t| inserted.insert_row(t.values()))
                 .count();
             inserted.commit();
-            let values = batch.iter().flat_map(|t| t.values().to_vec()).collect();
+            let values: Vec<Value> = batch.iter().flat_map(|t| t.values().to_vec()).collect();
+            paths[kernel_path(arity, &values, 0)] += 1;
             let got = packed.extend_packed(batch.len(), values, usize::MAX);
             packed.commit();
             let ctx = format!("seed {seed}, arity {arity}, tail {had_tail}");
             assert_eq!(got, want, "{ctx}: new rows");
+            assert_segments_sorted(&packed, &ctx);
             let rows = |it: &mut dyn Iterator<Item = &[Value]>| -> Vec<Vec<Value>> {
                 it.map(<[Value]>::to_vec).collect()
             };
@@ -2617,6 +2924,7 @@ mod tests {
         }
         assert!(revived > 0, "no batch revived a tombstoned row");
         assert!(with_tail > 0, "no relation had a tail");
+        assert!(paths.iter().all(|&n| n > 0), "kernel paths {paths:?}");
     }
 
     /// Seeded random sequences of insert, retract, re-insert,
@@ -2626,14 +2934,18 @@ mod tests {
     /// since captured marks, and an index kept up to date by absorbing
     /// (or rebuilt when the lineage breaks) all stay exact. A second
     /// index absorbs only at segment boundaries, so it is probed across
-    /// commits that sorted tails holding dead rows.
+    /// commits that sorted tails holding dead rows. The values come from
+    /// every palette, so commits and batches take every path of the sort
+    /// kernel.
     #[test]
     fn random_operations_match_a_set_model() {
-        let mut dead_tail_commits = 0;
+        // Commits of tails holding a dead row, and batches, by the path
+        // the sort kernel takes.
+        let (mut dead_tail_commits, mut batch_paths) = ([0; 3], [0; 3]);
         for seed in 0..60 {
             let mut rng = crate::rng::Rng::seeded(seed);
             let arity = rng.gen_index(3);
-            let domain = universe(arity);
+            let domain = universe(arity, seed as usize % 4);
             let key: Vec<usize> = (0..arity.min(1)).collect();
             let mut r = Relation::new(arity);
             let mut model = Model::default();
@@ -2668,7 +2980,9 @@ mod tests {
                                 want += 1;
                             }
                         }
-                        let values = batch.iter().flat_map(|t| t.values().to_vec()).collect();
+                        let values: Vec<Value> =
+                            batch.iter().flat_map(|t| t.values().to_vec()).collect();
+                        batch_paths[kernel_path(arity, &values, 0)] += 1;
                         let got = r.extend_packed(batch.len(), values, max_new);
                         assert_eq!(got, want, "{ctx}: extend_packed");
                     }
@@ -2676,7 +2990,8 @@ mod tests {
                     7 => {
                         let base = r.tail_base;
                         if r.retracted[r.logged_at_commit..].iter().any(|&p| p >= base) {
-                            dead_tail_commits += 1;
+                            let index_bits = usize::BITS - (r.recent_len() - 1).leading_zeros();
+                            dead_tail_commits[kernel_path(arity, &r.tail, index_bits)] += 1;
                         }
                         r.commit();
                     }
@@ -2699,11 +3014,11 @@ mod tests {
                         let u = domain[rng.gen_index(domain.len())].clone();
                         assert_eq!(c.retract(&t), cm.retract(&t), "{ctx}: clone retract");
                         assert_eq!(c.insert(u.clone()), cm.insert(&u), "{ctx}: clone insert");
-                        check_against(&c, &cm, mark, &format!("{ctx} (clone)"));
+                        check_against(&c, &cm, mark, &domain, &format!("{ctx} (clone)"));
                         sibling = Some((c, cm, mark));
                     }
                 }
-                check_against(&r, &model, mark, &ctx);
+                check_against(&r, &model, mark, &domain, &ctx);
                 if let Some((c, cm, c_mark)) = &mut sibling {
                     // The sibling keeps diverging while `r` moves on.
                     let u = domain[rng.gen_index(domain.len())].clone();
@@ -2711,22 +3026,29 @@ mod tests {
                     if step % 3 == 0 {
                         c.commit();
                     }
-                    check_against(c, cm, *c_mark, &format!("{ctx} (sibling)"));
+                    check_against(c, cm, *c_mark, &domain, &format!("{ctx} (sibling)"));
                 }
                 if idx.absorb_from(&r, idx_gen).is_none() {
                     idx = Index::build(&r, &key);
                 }
                 idx_gen = r.generation();
-                check_index(&idx, &r, &ctx);
+                check_index(&idx, &r, &domain, &ctx);
                 if r.recent_len() == 0 {
                     if bidx.absorb_from(&r, bidx_gen).is_none() {
                         bidx = Index::build(&r, &key);
                     }
                     bidx_gen = r.generation();
-                    check_index(&bidx, &r, &format!("{ctx} (boundary index)"));
+                    check_index(&bidx, &r, &domain, &format!("{ctx} (boundary index)"));
                 }
             }
         }
-        assert!(dead_tail_commits > 0, "no commit sorted a dead tail row");
+        assert!(
+            dead_tail_commits.iter().all(|&n| n > 0),
+            "commits of dead tail rows by kernel path: {dead_tail_commits:?}"
+        );
+        assert!(
+            batch_paths.iter().all(|&n| n > 0),
+            "batches by kernel path: {batch_paths:?}"
+        );
     }
 }

@@ -25,8 +25,9 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 
 # Size gate: the non-test code of crates/core/src (each file counted up
 # to its first #[cfg(test)]) stays under 5,800 lines, and that of
-# crates/common/src under 6,100.
-echo "==> non-test lines: crates/core/src under 5800, crates/common/src under 6100"
+# crates/common/src under 5,250. crates/bench/src (the BENCH.json
+# schema and workload registry) is counted and printed, not gated.
+echo "==> non-test lines: crates/core/src under 5800, crates/common/src under 5250"
 nontest_lines() {
     for f in "$1"/*.rs; do
         awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f"
@@ -34,13 +35,14 @@ nontest_lines() {
 }
 core_lines=$(nontest_lines crates/core/src)
 common_lines=$(nontest_lines crates/common/src)
-echo "crates/core/src: $core_lines, crates/common/src: $common_lines"
+bench_lines=$(nontest_lines crates/bench/src)
+echo "crates/core/src: $core_lines, crates/common/src: $common_lines, crates/bench/src: $bench_lines"
 if [ "$core_lines" -ge 5800 ]; then
     echo "crates/core/src has $core_lines non-test lines (want under 5800)" >&2
     exit 1
 fi
-if [ "$common_lines" -ge 6100 ]; then
-    echo "crates/common/src has $common_lines non-test lines (want under 6100)" >&2
+if [ "$common_lines" -ge 5250 ]; then
+    echo "crates/common/src has $common_lines non-test lines (want under 5250)" >&2
     exit 1
 fi
 
