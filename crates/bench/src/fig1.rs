@@ -20,8 +20,8 @@
 
 use unchained_common::{Instance, Interner, Relation, Tuple, Value};
 use unchained_core::{
-    inflationary, invention, magic, noninflationary, stable, stratified, wellfounded,
-    DivergenceDetection, EvalError, EvalOptions,
+    inflationary, invention, magic, noninflationary, stable, stratified, wellfounded, EvalError,
+    EvalOptions,
 };
 use unchained_fo::{FoTerm, Formula, VarSet};
 use unchained_harness::generators::{cycle_graph, line_graph, random_digraph, random_game};
@@ -381,7 +381,7 @@ fn level_while(report: &mut Report) {
             &flip,
             &input,
             noninflationary::ConflictPolicy::PreferPositive,
-            EvalOptions::default().with_divergence(DivergenceDetection::Exact),
+            EvalOptions::default(),
         ),
         Err(EvalError::Diverged { period: 2, .. })
     );

@@ -36,9 +36,9 @@
 //! Every generator is deterministic in its seed (`common::rng`), so
 //! the work gauges — stages, facts derived, join probes — are exactly
 //! reproducible across runs and machines; only wall times vary.
-//! Telemetry stays enabled while timing (that is how the gauges are
-//! harvested), so timings include the collection overhead uniformly —
-//! comparisons across runs remain apples-to-apples.
+//! Telemetry stays enabled while timing (the gauges are projected from
+//! each run's span tree), so timings include the collection overhead
+//! uniformly — comparisons across runs remain apples-to-apples.
 //!
 //! [`fig1`] holds the Figure 1 witnesses that the `fig1` binary prints.
 
@@ -173,6 +173,17 @@ fn harvest(
     Ok((Gauges::from_trace(&trace, input_facts), threads))
 }
 
+/// The telemetry handle of one case run: recording into `tracer` when
+/// the `--profile` pass enabled it, and into a tracer of its own
+/// otherwise, so every run yields its gauges.
+fn case_telemetry(tracer: &Tracer) -> Telemetry {
+    if tracer.is_enabled() {
+        Telemetry::off().with_tracer(tracer.clone())
+    } else {
+        Telemetry::enabled()
+    }
+}
+
 /// A boxed workload-input generator.
 type GraphGen = Box<dyn Fn(&mut Interner) -> Instance>;
 
@@ -191,7 +202,7 @@ fn options_runner(
     mut eval: impl FnMut(&Instance, EvalOptions) -> Result<(), String> + 'static,
 ) -> CaseRunner {
     Box::new(move |tracer| {
-        let tel = Telemetry::enabled().with_tracer(tracer.clone());
+        let tel = case_telemetry(tracer);
         let options = EvalOptions::default()
             .with_telemetry(tel.clone())
             .with_threads(threads);
@@ -221,7 +232,7 @@ fn lazy_runner(
             let (input, program) = build(&mut interner);
             (input, interner, program)
         });
-        let tel = Telemetry::enabled().with_tracer(tracer.clone());
+        let tel = case_telemetry(tracer);
         let options = EvalOptions::default()
             .with_telemetry(tel.clone())
             .with_threads(threads);
@@ -297,7 +308,7 @@ pub fn cases(quick: bool, threads: usize) -> Vec<Case> {
                         n,
                         edb_facts: facts as u64,
                         runner: Box::new(move |tracer| {
-                            let tel = Telemetry::enabled().with_tracer(tracer.clone());
+                            let tel = case_telemetry(tracer);
                             unchained_while::run_traced(
                                 &program,
                                 &input,
@@ -483,7 +494,7 @@ pub fn cases(quick: bool, threads: usize) -> Vec<Case> {
                 n,
                 edb_facts: facts as u64,
                 runner: Box::new(move |tracer| {
-                    let tel = Telemetry::enabled().with_tracer(tracer.clone());
+                    let tel = case_telemetry(tracer);
                     let options = EvalOptions::default()
                         .with_telemetry(tel.clone())
                         .with_threads(threads);
@@ -554,8 +565,7 @@ pub fn cases(quick: bool, threads: usize) -> Vec<Case> {
                     parse_program(programs::TC, &mut interner).expect("registry program parses");
                 let g = interner.get("G").expect("line graph interns G");
                 let facts = input.fact_count();
-                let tel = Telemetry::enabled().with_tracer(tracer.clone());
-                let sw = tel.stopwatch();
+                let tel = case_telemetry(tracer);
                 let options = EvalOptions::default()
                     .with_telemetry(tel.clone())
                     .with_threads(threads);
@@ -574,7 +584,6 @@ pub fn cases(quick: bool, threads: usize) -> Vec<Case> {
                 if !session.instance().same_facts(&scratch.instance) {
                     return Err("ivm poll diverged from a from-scratch evaluation".into());
                 }
-                tel.finish(&sw, session.instance().fact_count());
                 let profile = tracer
                     .is_enabled()
                     .then(|| hottest_rules(&tracer.finish(), &interner, PROFILE_TOP_N));
@@ -607,8 +616,7 @@ pub fn cases(quick: bool, threads: usize) -> Vec<Case> {
                     parse_program(programs::TC, &mut interner).expect("registry program parses");
                 let g = interner.get("G").expect("layered DAG interns G");
                 let facts = input.fact_count();
-                let tel = Telemetry::enabled().with_tracer(tracer.clone());
-                let sw = tel.stopwatch();
+                let tel = case_telemetry(tracer);
                 let options = EvalOptions::default()
                     .with_telemetry(tel.clone())
                     .with_threads(threads);
@@ -627,7 +635,6 @@ pub fn cases(quick: bool, threads: usize) -> Vec<Case> {
                 if !session.instance().same_facts(&scratch.instance) {
                     return Err("rederive poll diverged from a from-scratch evaluation".into());
                 }
-                tel.finish(&sw, session.instance().fact_count());
                 let profile = tracer
                     .is_enabled()
                     .then(|| hottest_rules(&tracer.finish(), &interner, PROFILE_TOP_N));

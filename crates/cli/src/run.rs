@@ -98,15 +98,13 @@ pub fn execute_full(
             ..
         } => {
             let mut interner = Interner::new();
-            let want_trace = *stats || *memstats || trace_json.is_some();
-            let mut tel = if want_trace {
-                Telemetry::enabled()
+            let want_trace = *stats || *memstats || trace_json.is_some() || profile.is_some();
+            let tracer = if want_trace {
+                Tracer::enabled()
             } else {
-                Telemetry::off()
+                Tracer::off()
             };
-            if profile.is_some() {
-                tel = tel.with_tracer(Tracer::enabled());
-            }
+            let tel = Telemetry::off().with_tracer(tracer);
             let wall = std::time::Instant::now();
             // Rendered space report plus its relation-bytes gauge,
             // captured before the answer is rendered away.
@@ -154,7 +152,10 @@ pub fn execute_full(
                     render_answer(&answer, output.as_deref(), &program, &interner)
                 })
             };
-            tel.with(|t| t.interner_symbols = interner.len());
+            let trace = tel.snapshot().map(|mut trace| {
+                trace.interner_symbols = interner.len();
+                trace
+            });
             // Process-wide metrics: every run counts, errors separately.
             let engine = semantics.to_string();
             let registry = unchained_common::metrics();
@@ -168,7 +169,7 @@ pub fn execute_full(
             match evaluated {
                 Ok(mut text) => {
                     if *stats {
-                        if let Some(trace) = tel.snapshot() {
+                        if let Some(trace) = &trace {
                             text.push_str(&trace.render_table(&interner));
                         }
                     }
@@ -181,7 +182,7 @@ pub fn execute_full(
                                 *relation_bytes as f64,
                             );
                         }
-                        if let Some(trace) = tel.snapshot() {
+                        if let Some(trace) = &trace {
                             text.push_str(&trace.fattest_deltas(&interner, 8));
                             registry.gauge_set(
                                 "unchained_peak_bytes",
@@ -201,7 +202,7 @@ pub fn execute_full(
                         }
                     }
                     let json = match trace_json {
-                        Some(_) => tel.snapshot().map(|t| t.to_json_lines(&interner)),
+                        Some(_) => trace.map(|t| t.to_json_lines(&interner)),
                         None => None,
                     };
                     let profile_json = profile.as_ref().map(|_| {
@@ -228,7 +229,7 @@ pub fn execute_full(
                     // Engines finish their trace even on divergence or
                     // budget errors; surface it with the failure.
                     if *stats {
-                        if let Some(trace) = tel.snapshot() {
+                        if let Some(trace) = trace {
                             if !trace.stages.is_empty() {
                                 message.push('\n');
                                 message.push_str(&trace.render_table(&interner));

@@ -48,9 +48,7 @@ pub use schema::{RelationSchema, Schema};
 pub use space::{
     fmt_bytes, tuple_bytes, HeapSize, SpaceNode, SpaceReport, POSTING_BYTES, SLOT_BYTES,
 };
-pub use telemetry::{
-    DivergenceSnapshot, EvalTrace, JoinCounters, StageRecord, Stopwatch, Telemetry,
-};
+pub use telemetry::{DivergenceSnapshot, EvalTrace, JoinCounters, Run, StageRecord, Telemetry};
 pub use trace::{
     gauge_tree, hottest_rules, sum_gauge, to_chrome_json, validate_chrome_trace, Span, SpanGuard,
     SpanKind, Tracer,

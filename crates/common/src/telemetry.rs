@@ -1,24 +1,24 @@
-//! Zero-dependency evaluation telemetry: counters, monotonic timers,
-//! per-stage fixpoint traces, and a hand-rolled JSON-lines emitter.
+//! Zero-dependency evaluation telemetry: join counters, per-stage
+//! fixpoint traces, and a hand-rolled JSON-lines emitter.
 //!
 //! The paper's empirical story is about *how* forward chaining unfolds —
 //! stages of the immediate consequence operator, deltas shrinking to a
 //! fixpoint, divergence cycles in noninflationary runs. The engines
-//! record that unfolding into an [`EvalTrace`] through a [`Telemetry`]
-//! handle threaded through their options. A disabled handle (the
-//! default) is a no-op sink: the hot join counters are plain unguarded
-//! integer adds on the index cache, and everything stage-granular is
-//! skipped behind a single `Option` check per stage.
+//! record that unfolding on the span tree ([`crate::trace`]) of the
+//! [`Telemetry`] handle threaded through their options, writing each
+//! gauge once, and an [`EvalTrace`] is projected from a run's eval span.
+//! A disabled handle (the default) records nothing: the hot join
+//! counters are plain unguarded integer adds on the index cache, and
+//! everything stage-granular is skipped behind a single `Option` check
+//! per stage.
 //!
 //! Nothing here depends on `serde`/`tracing` — the offline build cannot
 //! fetch them, so the JSON emitter and table renderer are hand-rolled.
 
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::json::Json;
-use crate::trace::Tracer;
+use crate::trace::{Span, SpanKind, Tracer};
 use crate::{Interner, Symbol};
 
 /// Join-work counters, accumulated branch-free on the index cache.
@@ -63,6 +63,35 @@ impl JoinCounters {
         }
     }
 
+    /// The counters as span gauges, named as in the JSON-lines trace.
+    pub fn gauges(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            ("probes", self.probes),
+            ("probe_tuples", self.probe_tuples),
+            ("index_builds", self.index_builds),
+            ("indexed_tuples", self.indexed_tuples),
+            ("index_hits", self.index_hits),
+            ("index_appends", self.index_appends),
+            ("appended_tuples", self.appended_tuples),
+            ("index_rebuilds", self.index_rebuilds),
+        ]
+    }
+
+    /// The counters a join span's [`gauges`](Self::gauges) recorded.
+    fn of_span(span: &Span) -> JoinCounters {
+        let g = |key| span.gauge(key).unwrap_or(0);
+        JoinCounters {
+            probes: g("probes"),
+            probe_tuples: g("probe_tuples"),
+            index_builds: g("index_builds"),
+            indexed_tuples: g("indexed_tuples"),
+            index_hits: g("index_hits"),
+            index_appends: g("index_appends"),
+            appended_tuples: g("appended_tuples"),
+            index_rebuilds: g("index_rebuilds"),
+        }
+    }
+
     /// Component-wise accumulation.
     pub fn absorb(&mut self, other: &JoinCounters) {
         self.probes += other.probes;
@@ -78,7 +107,8 @@ impl JoinCounters {
 
 /// One application of the immediate consequence operator (or the
 /// engine's closest analogue: a semi-naive round, an alternating-fixpoint
-/// iterate, a nondeterministic firing step…).
+/// iterate, an incremental poll…): the projection of one round span the
+/// stage driver recorded.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StageRecord {
     /// 1-based stage index within the run.
@@ -100,11 +130,10 @@ pub struct StageRecord {
     pub bytes: u64,
 }
 
-/// Snapshot of the noninflationary divergence detector at run end.
+/// Snapshot of the noninflationary divergence detector, which remembers
+/// every visited state exactly, at run end.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DivergenceSnapshot {
-    /// Detector kind: `"exact"`, `"fingerprint"`, or `"off"`.
-    pub detector: String,
     /// Distinct states remembered when the run ended.
     pub states_seen: usize,
     /// Stage at which a cycle was detected, if one was.
@@ -113,7 +142,9 @@ pub struct DivergenceSnapshot {
     pub period: Option<usize>,
 }
 
-/// A full evaluation trace: per-stage records plus run-level summary.
+/// A full evaluation trace: per-stage records plus run-level summary,
+/// projected from the span tree of a handle's runs (see
+/// [`Telemetry::snapshot`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EvalTrace {
     /// Engine that produced the trace (`"naive"`, `"seminaive"`, …).
@@ -122,10 +153,11 @@ pub struct EvalTrace {
     pub stages: Vec<StageRecord>,
     /// Total wall time of the run, in nanoseconds.
     pub total_wall_nanos: u64,
-    /// Largest number of live facts observed, sampled after every rule
-    /// application (instance plus any pending delta buffer), so the
-    /// value is a true high-water mark rather than a stage-boundary
-    /// sample.
+    /// Largest number of live facts observed: at every stage's end, and
+    /// mid-stage where an engine holds two states at once (a Datalog¬¬
+    /// stage's old and new instance, a while assignment's result beside
+    /// the instance), so the value is a true high-water mark rather
+    /// than a stage-boundary sample.
     pub peak_facts: usize,
     /// Instance size at run end.
     pub final_facts: usize,
@@ -171,20 +203,91 @@ impl EvalTrace {
         self.stages.iter().map(|s| s.facts_added).sum()
     }
 
-    /// Fills the run-level summary from the stage records: total wall
-    /// time, final/peak sizes, and the stage sums for rules fired and
-    /// join work.
-    pub fn finish(&mut self, total_wall_nanos: u64, final_facts: usize) {
-        self.total_wall_nanos = total_wall_nanos;
-        self.final_facts = final_facts;
-        self.peak_facts = self.peak_facts.max(final_facts);
-        self.bytes_peak = self.bytes_peak.max(self.bytes_final);
-        self.rules_fired = self.stages.iter().map(|s| s.rules_fired).sum();
-        let mut joins = JoinCounters::default();
-        for s in &self.stages {
-            joins.absorb(&s.joins);
+    /// The trace of `runs`, the eval spans of the runs one handle made,
+    /// in order: the engine is the first run's, wall time the runs'
+    /// durations, the final sizes the last run's `final_facts` and
+    /// `bytes_final`. Everything else is read off the runs' subtrees.
+    fn project(runs: &[Span]) -> EvalTrace {
+        let mut trace = EvalTrace {
+            engine: runs.first().map(|run| run.name.clone()).unwrap_or_default(),
+            ..EvalTrace::default()
+        };
+        for run in runs {
+            trace.total_wall_nanos += run.dur_nanos;
+            trace.final_facts = run.gauge("final_facts").unwrap_or(0) as usize;
+            trace.bytes_final = run.gauge("bytes_final").unwrap_or(0);
+            trace.add(run);
         }
-        self.joins = joins;
+        trace.peak_facts = trace.peak_facts.max(trace.final_facts);
+        trace.bytes_peak = trace.bytes_peak.max(trace.bytes_final);
+        trace
+    }
+
+    /// Adds what `span` and its subtree recorded, in completion order:
+    /// the run-level maxima raised on eval spans, a stage per round span
+    /// carrying `rules_fired` (the stage driver's), the worker count of
+    /// join leaves, every `choices` gauge and every note.
+    fn add(&mut self, span: &Span) {
+        for child in &span.children {
+            self.add(child);
+        }
+        let g = |key| span.gauge(key).unwrap_or(0);
+        match span.kind {
+            SpanKind::Eval => {
+                self.peak_facts = self.peak_facts.max(g("peak_facts") as usize);
+                self.bytes_peak = self.bytes_peak.max(g("bytes_peak"));
+                self.invented = self.invented.max(g("invented") as usize);
+                self.loop_iterations = self.loop_iterations.max(g("iterations") as usize);
+                if let Some(states_seen) = span.gauge("states_seen") {
+                    self.divergence = Some(DivergenceSnapshot {
+                        states_seen: states_seen as usize,
+                        diverged_stage: span.gauge("diverged_stage").map(|s| s as usize),
+                        period: span.gauge("period").map(|p| p as usize),
+                    });
+                }
+            }
+            SpanKind::Round if span.gauge("rules_fired").is_some() => self.add_stage(span),
+            SpanKind::Join => self.threads = self.threads.max(g("threads") as usize),
+            _ => {}
+        }
+        if let Some(choices) = span.gauge("choices") {
+            self.choice_points.push(choices as usize);
+        }
+        self.notes.extend(span.notes.iter().cloned());
+    }
+
+    /// Adds the stage `round` recorded: its gauges, its Δ from its absorb
+    /// leaves and its join work from its join leaf.
+    fn add_stage(&mut self, round: &Span) {
+        let g = |key| round.gauge(key).unwrap_or(0);
+        let mut stage = StageRecord {
+            stage: self.stages.len() + 1,
+            wall_nanos: round.dur_nanos,
+            facts_added: g("facts_added") as usize,
+            facts_removed: g("facts_removed") as usize,
+            rules_fired: g("rules_fired"),
+            bytes: g("bytes"),
+            ..StageRecord::default()
+        };
+        for leaf in &round.children {
+            match (leaf.kind, leaf.pred) {
+                (SpanKind::Absorb, Some(pred)) => {
+                    stage
+                        .delta
+                        .push((pred, leaf.gauge("facts_added").unwrap_or(0) as usize));
+                }
+                (SpanKind::Join, _) => stage.joins.absorb(&JoinCounters::of_span(leaf)),
+                _ => {}
+            }
+        }
+        self.rules_fired += stage.rules_fired;
+        self.joins.absorb(&stage.joins);
+        self.plan_joins_pruned += g("plan_joins_pruned");
+        self.ivm_overdeleted += g("overdeleted");
+        self.ivm_rederived += g("rederived");
+        self.peak_facts = self.peak_facts.max(g("facts") as usize);
+        self.bytes_peak = self.bytes_peak.max(stage.bytes);
+        self.stages.push(stage);
     }
 
     /// Renders the trace as JSON lines: one `run` object followed by one
@@ -219,9 +322,11 @@ impl EvalTrace {
         match &self.divergence {
             None => out.push_str("null"),
             Some(d) => {
-                out.push('{');
-                let _ = write!(out, "\"detector\":\"{}\"", json_escape(&d.detector));
-                let _ = write!(out, ",\"states_seen\":{}", d.states_seen);
+                let _ = write!(
+                    out,
+                    "{{\"detector\":\"exact\",\"states_seen\":{}",
+                    d.states_seen
+                );
                 match d.diverged_stage {
                     Some(s) => {
                         let _ = write!(out, ",\"diverged_stage\":{s}");
@@ -266,8 +371,7 @@ impl EvalTrace {
                 s.stage, s.wall_nanos, s.facts_added, s.facts_removed, s.rules_fired, s.bytes
             );
             out.push_str(",\"delta\":{");
-            // Name order, matching the object normalization applied by
-            // `from_json_lines` — keeps the round-trip exact.
+            // Name order, the order a JSON reader normalizes objects to.
             let mut delta: Vec<(&str, usize)> = s
                 .delta
                 .iter()
@@ -285,167 +389,6 @@ impl EvalTrace {
             out.push_str("}\n");
         }
         out
-    }
-
-    /// Parses a trace back from its [`to_json_lines`](Self::to_json_lines)
-    /// rendering. Predicate names re-intern through `interner`; the
-    /// result compares equal (`PartialEq`) to the emitted trace whenever
-    /// the same interner produced the names, so the round-trip drift
-    /// test in `crates/common/tests/format_roundtrip.rs` can hold the
-    /// emitter and this parser to one schema.
-    pub fn from_json_lines(text: &str, interner: &mut Interner) -> Result<EvalTrace, String> {
-        let joins_of = |v: &Json, what: &str| -> Result<JoinCounters, String> {
-            let field = |key: &str| {
-                v.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("{what}: missing joins.{key}"))
-            };
-            Ok(JoinCounters {
-                probes: field("probes")?,
-                probe_tuples: field("probe_tuples")?,
-                index_builds: field("index_builds")?,
-                indexed_tuples: field("indexed_tuples")?,
-                index_hits: field("index_hits")?,
-                index_appends: field("index_appends")?,
-                appended_tuples: field("appended_tuples")?,
-                index_rebuilds: field("index_rebuilds")?,
-            })
-        };
-
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let run_line = lines.next().ok_or("empty trace")?;
-        let run = Json::parse(run_line).map_err(|e| format!("run line: {e}"))?;
-        if run.get("type").and_then(Json::as_str) != Some("run") {
-            return Err("first line is not a `run` object".into());
-        }
-        let req_u64 = |key: &str| {
-            run.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("run: missing `{key}`"))
-        };
-        let req_usize = |key: &str| {
-            run.get(key)
-                .and_then(Json::as_usize)
-                .ok_or_else(|| format!("run: missing `{key}`"))
-        };
-        let mut trace = EvalTrace {
-            engine: run
-                .get("engine")
-                .and_then(Json::as_str)
-                .ok_or("run: missing `engine`")?
-                .to_string(),
-            total_wall_nanos: req_u64("total_wall_nanos")?,
-            peak_facts: req_usize("peak_facts")?,
-            final_facts: req_usize("final_facts")?,
-            rules_fired: req_u64("rules_fired")?,
-            plan_joins_pruned: req_u64("plan_joins_pruned")?,
-            ivm_overdeleted: req_u64("ivm_overdeleted")?,
-            ivm_rederived: req_u64("ivm_rederived")?,
-            bytes_peak: req_u64("bytes_peak")?,
-            bytes_final: req_u64("bytes_final")?,
-            joins: joins_of(run.get("joins").ok_or("run: missing `joins`")?, "run")?,
-            invented: req_usize("invented")?,
-            loop_iterations: req_usize("loop_iterations")?,
-            interner_symbols: req_usize("interner_symbols")?,
-            threads: req_usize("threads")?,
-            ..EvalTrace::default()
-        };
-        trace.divergence = match run.get("divergence").ok_or("run: missing `divergence`")? {
-            Json::Null => None,
-            d => Some(DivergenceSnapshot {
-                detector: d
-                    .get("detector")
-                    .and_then(Json::as_str)
-                    .ok_or("divergence: missing `detector`")?
-                    .to_string(),
-                states_seen: d
-                    .get("states_seen")
-                    .and_then(Json::as_usize)
-                    .ok_or("divergence: missing `states_seen`")?,
-                diverged_stage: d.get("diverged_stage").and_then(Json::as_usize),
-                period: d.get("period").and_then(Json::as_usize),
-            }),
-        };
-        for c in run
-            .get("choice_points")
-            .and_then(Json::as_arr)
-            .ok_or("run: missing `choice_points`")?
-        {
-            trace
-                .choice_points
-                .push(c.as_usize().ok_or("choice_points: non-integer entry")?);
-        }
-        for n in run
-            .get("notes")
-            .and_then(Json::as_arr)
-            .ok_or("run: missing `notes`")?
-        {
-            trace
-                .notes
-                .push(n.as_str().ok_or("notes: non-string entry")?.to_string());
-        }
-        let declared_stages = req_usize("stages")?;
-
-        for line in lines {
-            let what = "stage line";
-            let stage = Json::parse(line).map_err(|e| format!("{what}: {e}"))?;
-            if stage.get("type").and_then(Json::as_str) != Some("stage") {
-                return Err(format!("{what}: not a `stage` object"));
-            }
-            let mut record = StageRecord {
-                stage: stage
-                    .get("stage")
-                    .and_then(Json::as_usize)
-                    .ok_or_else(|| format!("{what}: missing `stage`"))?,
-                wall_nanos: stage
-                    .get("wall_nanos")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("{what}: missing `wall_nanos`"))?,
-                facts_added: stage
-                    .get("facts_added")
-                    .and_then(Json::as_usize)
-                    .ok_or_else(|| format!("{what}: missing `facts_added`"))?,
-                facts_removed: stage
-                    .get("facts_removed")
-                    .and_then(Json::as_usize)
-                    .ok_or_else(|| format!("{what}: missing `facts_removed`"))?,
-                rules_fired: stage
-                    .get("rules_fired")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("{what}: missing `rules_fired`"))?,
-                bytes: stage
-                    .get("bytes")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("{what}: missing `bytes`"))?,
-                joins: joins_of(
-                    stage
-                        .get("joins")
-                        .ok_or_else(|| format!("{what}: missing `joins`"))?,
-                    what,
-                )?,
-                ..StageRecord::default()
-            };
-            match stage.get("delta") {
-                Some(Json::Obj(members)) => {
-                    for (pred, n) in members {
-                        record.delta.push((
-                            interner.intern(pred),
-                            n.as_usize()
-                                .ok_or_else(|| format!("{what}: non-integer delta"))?,
-                        ));
-                    }
-                }
-                _ => return Err(format!("{what}: missing `delta` object")),
-            }
-            trace.stages.push(record);
-        }
-        if trace.stages.len() != declared_stages {
-            return Err(format!(
-                "run declares {declared_stages} stages but {} stage lines follow",
-                trace.stages.len()
-            ));
-        }
-        Ok(trace)
     }
 
     /// Renders the trace as a human-readable statistics table.
@@ -531,8 +474,8 @@ impl EvalTrace {
             };
             let _ = writeln!(
                 out,
-                "divergence detector: {} ({} states seen, {verdict})",
-                d.detector, d.states_seen
+                "divergence detector: exact ({} states seen, {verdict})",
+                d.states_seen
             );
         }
         if self.interner_symbols > 0 {
@@ -598,19 +541,11 @@ impl EvalTrace {
 }
 
 fn push_joins(out: &mut String, j: &JoinCounters) {
-    let _ = write!(
-        out,
-        "{{\"probes\":{},\"probe_tuples\":{},\"index_builds\":{},\"indexed_tuples\":{},\
-         \"index_hits\":{},\"index_appends\":{},\"appended_tuples\":{},\"index_rebuilds\":{}}}",
-        j.probes,
-        j.probe_tuples,
-        j.index_builds,
-        j.indexed_tuples,
-        j.index_hits,
-        j.index_appends,
-        j.appended_tuples,
-        j.index_rebuilds
-    );
+    for (i, (key, value)) in j.gauges().into_iter().enumerate() {
+        let sep = if i == 0 { '{' } else { ',' };
+        let _ = write!(out, "{sep}\"{key}\":{value}");
+    }
+    out.push('}');
 }
 
 fn push_json_str(out: &mut String, key: &str, value: &str) {
@@ -649,134 +584,124 @@ fn fmt_nanos(nanos: u64) -> String {
     }
 }
 
-/// A monotonic timer that only reads the clock when telemetry is on.
-#[derive(Clone, Copy, Debug)]
-pub struct Stopwatch(Option<Instant>);
-
-impl Stopwatch {
-    /// A stopwatch that never reads the clock and reports 0.
-    pub fn disabled() -> Self {
-        Stopwatch(None)
-    }
-
-    /// Nanoseconds elapsed since creation (0 when disabled). Saturates
-    /// at `u64::MAX` (≈ 584 years).
-    pub fn nanos(&self) -> u64 {
-        self.0
-            .map(|t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX))
-            .unwrap_or(0)
-    }
-}
-
-/// A cheap, clonable handle to an optional [`EvalTrace`] sink.
+/// A cheap, clonable handle to the span tracer an evaluation records
+/// into, and to the runs made through it.
 ///
-/// Disabled (the default) it is a no-op: every recording method returns
-/// immediately after one `Option` check — no lock is ever touched.
-/// Enabled, it shares one mutex-guarded trace among all clones (the
-/// handle is `Send + Sync`, so options structs carrying it can cross
-/// into scoped worker threads), and it can be read back by whoever
-/// created it. The lock is poison-tolerant: a panicking recorder leaves
-/// a readable trace behind.
+/// The span tree is the only recorder: engines write each gauge once,
+/// on a span, and [`snapshot`](Self::snapshot) projects the
+/// [`EvalTrace`] of the handle's runs from their eval spans. One switch:
+/// the handle is on exactly when its tracer is. Off (the default), every
+/// recording call is a single `Option` check. On, it records into a
+/// tracer of its own ([`enabled`](Self::enabled)) or a caller's
+/// ([`with_tracer`](Self::with_tracer)), which several handles may
+/// share: each still projects only its own runs, and the caller's
+/// tracer gets every run's spans once. Clones share the runs; the handle
+/// is `Send + Sync`, so options carrying it cross into scoped worker
+/// threads. The locks are poison-tolerant: a panicking recorder leaves a
+/// readable trace behind.
 #[derive(Clone, Debug, Default)]
 pub struct Telemetry {
-    sink: Option<Arc<Mutex<EvalTrace>>>,
     tracer: Tracer,
+    /// The runs made through this handle; `None` exactly when off.
+    runs: Option<Arc<Mutex<Runs>>>,
+}
+
+/// The runs of one handle.
+#[derive(Debug, Default)]
+struct Runs {
+    /// Whether the tracer is the handle's own: no one else reads it, so
+    /// a closed run moves out of it instead of being copied.
+    own: bool,
+    /// Runs open now. A run opened inside another — the inner engine of
+    /// magic sets — is part of the outer one.
+    open: usize,
+    /// The eval span of every closed outermost run, in order.
+    closed: Vec<Span>,
+}
+
+fn lock(runs: &Mutex<Runs>) -> MutexGuard<'_, Runs> {
+    runs.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Telemetry {
     /// The disabled (no-op) handle.
     pub fn off() -> Self {
-        Telemetry {
-            sink: None,
-            tracer: Tracer::off(),
-        }
+        Telemetry::default()
     }
 
-    /// An enabled handle with an empty trace (span tracing stays off —
-    /// see [`with_tracer`](Self::with_tracer)).
+    /// An enabled handle recording into a tracer of its own.
     pub fn enabled() -> Self {
-        Telemetry {
-            sink: Some(Arc::new(Mutex::new(EvalTrace::default()))),
-            tracer: Tracer::off(),
-        }
+        Telemetry::recording(Tracer::enabled(), true)
     }
 
-    /// This handle with the given span tracer attached. The tracer
-    /// rides inside the telemetry handle through `EvalOptions` into
-    /// every engine, so span emission needs no signature changes.
+    /// This handle recording into `tracer` instead, which keeps every
+    /// run's spans: on exactly when `tracer` is. The tracer rides inside
+    /// the handle through `EvalOptions` into every engine, so span
+    /// emission needs no signature changes.
     #[must_use]
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
+    pub fn with_tracer(self, tracer: Tracer) -> Self {
+        Telemetry::recording(tracer, false)
     }
 
-    /// The attached span tracer (disabled unless one was attached).
+    fn recording(tracer: Tracer, own: bool) -> Self {
+        let runs = tracer.is_enabled().then(|| {
+            Arc::new(Mutex::new(Runs {
+                own,
+                ..Runs::default()
+            }))
+        });
+        Telemetry { tracer, runs }
+    }
+
+    /// The span tracer the handle records into (disabled when off).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
 
     /// Whether this handle records anything.
     pub fn is_enabled(&self) -> bool {
-        self.sink.is_some()
+        self.runs.is_some()
     }
 
-    /// Runs `f` on the trace if enabled; returns its result.
-    pub fn with<R>(&self, f: impl FnOnce(&mut EvalTrace) -> R) -> Option<R> {
-        self.sink
-            .as_ref()
-            .map(|cell| f(&mut cell.lock().unwrap_or_else(PoisonError::into_inner)))
-    }
-
-    /// Resets the trace and names the engine. Call at run entry.
-    pub fn begin(&self, engine: &str) {
-        self.with(|t| {
-            *t = EvalTrace::default();
-            t.engine = engine.to_string();
-        });
-    }
-
-    /// Renames the engine without clearing the trace (wrapping engines
-    /// such as magic-sets claim the inner engine's trace this way).
-    pub fn rename(&self, engine: &str) {
-        self.with(|t| t.engine = engine.to_string());
-    }
-
-    /// Appends a free-form note.
-    pub fn note(&self, note: impl Into<String>) {
-        self.with(|t| t.notes.push(note.into()));
-    }
-
-    /// Raises the live-size high-water marks (facts and logical bytes).
-    /// Engines call this after every rule application with the total
-    /// live footprint — instance plus any pending delta buffers — so
-    /// `peak_facts`/`bytes_peak` are true peaks, not stage-boundary
-    /// samples. Guard the (cheap) argument computation behind
-    /// [`is_enabled`](Self::is_enabled) on hot paths.
-    pub fn sample_peak(&self, live_facts: usize, live_bytes: usize) {
-        self.with(|t| {
-            t.peak_facts = t.peak_facts.max(live_facts);
-            t.bytes_peak = t.bytes_peak.max(live_bytes as u64);
-        });
-    }
-
-    /// A stopwatch that is live only when telemetry is enabled.
-    pub fn stopwatch(&self) -> Stopwatch {
-        if self.sink.is_some() {
-            Stopwatch(Some(Instant::now()))
-        } else {
-            Stopwatch::disabled()
+    /// Opens a run of `engine`: an eval span, closed when the returned
+    /// guard drops. The handle keeps the span of each outermost run.
+    pub fn run(&self, engine: &str) -> Run {
+        if let Some(runs) = &self.runs {
+            self.tracer.open(SpanKind::Eval, engine);
+            lock(runs).open += 1;
         }
+        Run(self.clone())
     }
 
-    /// Fills the run-level summary (see [`EvalTrace::finish`]).
-    pub fn finish(&self, sw: &Stopwatch, final_facts: usize) {
-        let nanos = sw.nanos();
-        self.with(|t| t.finish(nanos, final_facts));
-    }
-
-    /// Clones the current trace out of the handle, if enabled.
+    /// The trace of every run made through this handle, if enabled.
     pub fn snapshot(&self) -> Option<EvalTrace> {
-        self.with(|t| t.clone())
+        let runs = self.runs.as_ref()?;
+        Some(EvalTrace::project(&lock(runs).closed))
+    }
+}
+
+/// An open run (see [`Telemetry::run`]); dropping it closes the run's
+/// eval span.
+#[must_use]
+#[derive(Debug)]
+pub struct Run(Telemetry);
+
+impl Drop for Run {
+    fn drop(&mut self) {
+        let Some(runs) = &self.0.runs else {
+            return;
+        };
+        let tracer = &self.0.tracer;
+        let mut runs = lock(runs);
+        runs.open -= 1;
+        if runs.open > 0 {
+            tracer.close(false);
+        } else if runs.own {
+            tracer.close(false);
+            runs.closed.extend(tracer.finish());
+        } else {
+            runs.closed.extend(tracer.close(true));
+        }
     }
 }
 
@@ -797,59 +722,91 @@ mod tests {
     fn disabled_handle_records_nothing() {
         let tel = Telemetry::off();
         assert!(!tel.is_enabled());
-        tel.begin("x");
-        tel.note("ignored");
-        assert_eq!(tel.with(|_| ()), None);
+        {
+            let _run = tel.run("x");
+            tel.tracer()
+                .note(|| unreachable!("notes run only when tracing"));
+        }
         assert!(tel.snapshot().is_none());
-        assert_eq!(tel.stopwatch().nanos(), 0);
+        assert!(!Telemetry::enabled().with_tracer(Tracer::off()).is_enabled());
     }
 
     #[test]
     fn clones_share_one_trace() {
         let tel = Telemetry::enabled();
         let other = tel.clone();
-        other.begin("seminaive");
-        other.note("hello");
+        {
+            let _run = other.run("seminaive");
+            other.tracer().note(|| "hello".into());
+        }
         let trace = tel.snapshot().unwrap();
         assert_eq!(trace.engine, "seminaive");
         assert_eq!(trace.notes, vec!["hello".to_string()]);
     }
 
+    /// One recorded stage: a round span with its gauges and a join leaf.
+    fn stage(tracer: &Tracer, added: u64, fired: u64, probes: u64) {
+        let _round = tracer.span(SpanKind::Round, "round");
+        tracer.gauge("facts_added", added);
+        tracer.gauge("rules_fired", fired);
+        tracer.gauge("facts", added);
+        let mut join = Span::leaf(SpanKind::Join, "joins");
+        join.gauges = JoinCounters {
+            probes,
+            probe_tuples: 2 * probes,
+            ..JoinCounters::default()
+        }
+        .gauges();
+        tracer.leaf(join);
+    }
+
     #[test]
-    fn finish_sums_stages() {
+    fn projection_sums_stages() {
         let tel = Telemetry::enabled();
-        tel.begin("naive");
-        tel.with(|t| {
-            t.stages.push(StageRecord {
-                stage: 1,
-                facts_added: 3,
-                rules_fired: 5,
-                joins: JoinCounters {
-                    probes: 2,
-                    probe_tuples: 7,
-                    ..Default::default()
-                },
-                ..Default::default()
-            });
-            t.stages.push(StageRecord {
-                stage: 2,
-                facts_added: 1,
-                rules_fired: 4,
-                joins: JoinCounters {
-                    probes: 1,
-                    probe_tuples: 1,
-                    ..Default::default()
-                },
-                ..Default::default()
-            });
-        });
-        tel.finish(&Stopwatch::disabled(), 10);
+        let tracer = tel.tracer().clone();
+        {
+            let _run = tel.run("naive");
+            stage(&tracer, 3, 5, 2);
+            stage(&tracer, 1, 4, 1);
+            tracer.raise("peak_facts", 9);
+            tracer.raise("peak_facts", 7);
+            tracer.gauge("final_facts", 10);
+        }
         let t = tel.snapshot().unwrap();
+        assert_eq!(t.stages.len(), 2);
+        assert_eq!((t.stages[0].stage, t.stages[1].stage), (1, 2));
         assert_eq!(t.rules_fired, 9);
         assert_eq!(t.joins.probes, 3);
-        assert_eq!(t.joins.probe_tuples, 8);
+        assert_eq!(t.joins.probe_tuples, 6);
         assert_eq!(t.final_facts, 10);
+        assert_eq!(t.peak_facts, 10);
         assert_eq!(t.total_facts_added(), 4);
+    }
+
+    /// A run opened inside another through the same handle is part of
+    /// it, and handles sharing a tracer each project their own runs.
+    #[test]
+    fn runs_nest_and_handles_share_a_tracer() {
+        let tracer = Tracer::enabled();
+        let (a, b) = (
+            Telemetry::off().with_tracer(tracer.clone()),
+            Telemetry::off().with_tracer(tracer.clone()),
+        );
+        {
+            let _outer = a.run("magic");
+            let _inner = a.run("seminaive");
+            stage(&tracer, 2, 2, 1);
+        }
+        {
+            let _run = b.run("naive");
+            stage(&tracer, 1, 1, 1);
+        }
+        let (ta, tb) = (a.snapshot().unwrap(), b.snapshot().unwrap());
+        assert_eq!((ta.engine.as_str(), ta.stages.len()), ("magic", 1));
+        assert_eq!((tb.engine.as_str(), tb.stages.len()), ("naive", 1));
+        let roots = tracer.finish();
+        assert_eq!(roots.len(), 2);
+        assert_eq!(roots[0].children[0].kind, SpanKind::Eval);
     }
 
     #[test]
@@ -870,7 +827,6 @@ mod tests {
             facts_added: 2,
             ..Default::default()
         });
-        trace.finish(42, 2);
         let text = trace.to_json_lines(&interner);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -886,6 +842,7 @@ mod tests {
         let t_sym = interner.intern("T");
         let mut trace = EvalTrace {
             engine: "seminaive".into(),
+            total_wall_nanos: 1_500,
             ..Default::default()
         };
         trace.stages.push(StageRecord {
@@ -894,7 +851,6 @@ mod tests {
             delta: vec![(t_sym, 4)],
             ..Default::default()
         });
-        trace.finish(1_500, 4);
         let table = trace.render_table(&interner);
         assert!(table.contains("engine: seminaive"));
         assert!(table.contains("T=4"));

@@ -2,15 +2,21 @@
 //! and work went — eval → stratum → round → rule, with join/absorb
 //! leaves and per-worker timelines from the parallel executor.
 //!
-//! The flat [`crate::telemetry::EvalTrace`] says how much work each
-//! stage did; the span tree says which rule, which join, and which
-//! worker did it. Spans carry two kinds of payload:
+//! The span tree is the one recorder of an evaluation: engines write
+//! each gauge once, on a span, and the flat
+//! [`crate::telemetry::EvalTrace`] — how much work each stage did — is
+//! projected from a run's eval span; the tree also says which rule,
+//! which join, and which worker did it. Spans carry three kinds of
+//! payload:
 //!
 //! * **wall-clock** (`start_nanos`/`dur_nanos`, relative to the tracer's
 //!   creation) — machine- and schedule-dependent, never compared;
 //! * **work gauges** (`gauges`: fired counts, delta sizes…) — for the
 //!   deterministic span kinds these are byte-identical across thread
-//!   counts, and [`gauge_tree`] projects exactly that comparable part.
+//!   counts, and [`gauge_tree`] projects exactly that comparable part;
+//!   a run-level maximum (a peak) is raised on the eval span
+//!   ([`Tracer::raise`]);
+//! * **notes** — free-form annotations ([`Tracer::note`]).
 //!
 //! Span trees export as Chrome trace-event JSON ([`to_chrome_json`]),
 //! loadable in Perfetto / `chrome://tracing`: the main evaluation
@@ -48,7 +54,8 @@ pub enum SpanKind {
     Worker,
     /// Join work of a round (index probes/builds), as counters.
     Join,
-    /// Merging a round's pending delta into the instance.
+    /// The facts a round merged into one relation: its Δ of the span's
+    /// predicate.
     Absorb,
     /// Any other engine-specific phase (rewrite, candidate check…).
     Phase,
@@ -98,6 +105,9 @@ pub struct Span {
     pub gauges: Vec<(&'static str, u64)>,
     /// Child spans, in completion order.
     pub children: Vec<Span>,
+    /// Free-form annotations (strata, rewrites, candidate models…), in
+    /// the order written.
+    pub notes: Vec<String>,
 }
 
 impl Span {
@@ -113,6 +123,7 @@ impl Span {
             dur_nanos: 0,
             gauges: Vec::new(),
             children: Vec::new(),
+            notes: Vec::new(),
         }
     }
 
@@ -126,6 +137,21 @@ impl Span {
 struct TraceState {
     roots: Vec<Span>,
     open: Vec<Span>,
+}
+
+impl TraceState {
+    /// Closes the innermost open span at `now` and attaches it to its
+    /// parent (or the roots); returns it there.
+    fn close(&mut self, now: u64) -> Option<&Span> {
+        let mut span = self.open.pop()?;
+        span.dur_nanos = now.saturating_sub(span.start_nanos);
+        let siblings = match self.open.last_mut() {
+            Some(parent) => &mut parent.children,
+            None => &mut self.roots,
+        };
+        siblings.push(span);
+        siblings.last()
+    }
 }
 
 #[derive(Debug)]
@@ -184,18 +210,27 @@ impl Tracer {
     /// returned guard drops. Guards must nest like scopes.
     #[must_use]
     pub fn span(&self, kind: SpanKind, name: impl Into<String>) -> SpanGuard {
+        self.open(kind, name);
+        SpanGuard {
+            tracer: self.clone(),
+        }
+    }
+
+    /// Opens a span without a guard: [`close`](Self::close) ends it.
+    pub(crate) fn open(&self, kind: SpanKind, name: impl Into<String>) {
         if self.inner.is_some() {
             let mut span = Span::leaf(kind, name);
             span.start_nanos = self.now_nanos();
             self.with_state(|s| s.open.push(span));
-            SpanGuard {
-                tracer: self.clone(),
-            }
-        } else {
-            SpanGuard {
-                tracer: Tracer::off(),
-            }
         }
+    }
+
+    /// Closes the innermost open span and attaches it to its parent (or
+    /// the roots); returns a copy of it when `copy`.
+    pub(crate) fn close(&self, copy: bool) -> Option<Span> {
+        let now = self.now_nanos();
+        self.with_state(|s| s.close(now).filter(|_| copy).cloned())
+            .flatten()
     }
 
     /// Records a work gauge on the innermost open span.
@@ -205,6 +240,34 @@ impl Tracer {
                 span.gauges.push((key, value));
             }
         });
+    }
+
+    /// Raises the gauge `key` of the innermost open eval span to at least
+    /// `value`: a run-level maximum — a peak, or a count that only grows
+    /// — recorded from anywhere inside the run.
+    pub fn raise(&self, key: &'static str, value: u64) {
+        self.with_state(|s| {
+            let Some(eval) = s.open.iter_mut().rev().find(|s| s.kind == SpanKind::Eval) else {
+                return;
+            };
+            match eval.gauges.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, v)) => *v = (*v).max(value),
+                None => eval.gauges.push((key, value)),
+            }
+        });
+    }
+
+    /// Appends a note to the innermost open span; `note` runs only when
+    /// the tracer is on.
+    pub fn note(&self, note: impl FnOnce() -> String) {
+        if self.inner.is_some() {
+            let note = note();
+            self.with_state(|s| {
+                if let Some(span) = s.open.last_mut() {
+                    span.notes.push(note);
+                }
+            });
+        }
     }
 
     /// Attaches an already-completed span as a child of the innermost
@@ -221,13 +284,7 @@ impl Tracer {
     pub fn finish(&self) -> Vec<Span> {
         let now = self.now_nanos();
         self.with_state(|s| {
-            while let Some(mut span) = s.open.pop() {
-                span.dur_nanos = now.saturating_sub(span.start_nanos);
-                match s.open.last_mut() {
-                    Some(parent) => parent.children.push(span),
-                    None => s.roots.push(span),
-                }
-            }
+            while s.close(now).is_some() {}
             std::mem::take(&mut s.roots)
         })
         .unwrap_or_default()
@@ -242,16 +299,7 @@ pub struct SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let now = self.tracer.now_nanos();
-        self.tracer.with_state(|s| {
-            if let Some(mut span) = s.open.pop() {
-                span.dur_nanos = now.saturating_sub(span.start_nanos);
-                match s.open.last_mut() {
-                    Some(parent) => parent.children.push(span),
-                    None => s.roots.push(span),
-                }
-            }
-        });
+        self.tracer.close(false);
     }
 }
 

@@ -105,14 +105,21 @@ pub struct ActiveDatabase {
 type Deltas = FxHashMap<Symbol, (Symbol, Symbol)>;
 
 impl ActiveDatabase {
-    /// Creates an active database.
+    /// Creates an active database; `interner` names the program's
+    /// relations.
     ///
     /// # Errors
     /// Rejects programs outside Datalog¬¬ (a rule with several heads
-    /// among them) and non-range-restricted rules.
-    pub fn new(program: Program, state: Instance) -> Result<Self, EvalError> {
+    /// among them), non-range-restricted rules, and, with
+    /// [`EvalError::InvalidUpdate`], a rule whose head is an `ins-`/`del-`
+    /// delta relation: only the engine writes those.
+    pub fn new(program: Program, state: Instance, interner: &Interner) -> Result<Self, EvalError> {
         require_language(&program, Language::DatalogNegNeg)?;
         check_range_restricted(&program, false)?;
+        let heads = program.rules.iter().filter_map(|r| r.head[0].atom());
+        if let Some(head) = heads.map(|a| interner.name(a.pred)).find(|n| is_delta(n)) {
+            return Err(delta_written(head));
+        }
         Ok(ActiveDatabase {
             program,
             state,
@@ -183,7 +190,7 @@ impl ActiveDatabase {
         let mut deltas = Deltas::default();
         for (pred, arity) in schema.iter().collect::<Vec<_>>() {
             let name = interner.name(pred).to_string();
-            if name.starts_with(INS_PREFIX) || name.starts_with(DEL_PREFIX) {
+            if is_delta(&name) {
                 continue;
             }
             let ins = interner.intern(&format!("{INS_PREFIX}{name}"));
@@ -199,13 +206,22 @@ impl ActiveDatabase {
             .chain(self.state.symbols())
             .find(|p| !deltas.contains_key(p))
         {
-            return Err(EvalError::InvalidUpdate(format!(
-                "{} is a delta relation: no rule, update or state may hold it",
-                interner.name(pred)
-            )));
+            return Err(delta_written(interner.name(pred)));
         }
         Ok(deltas)
     }
+}
+
+/// Whether `name` names a delta relation.
+fn is_delta(name: &str) -> bool {
+    name.starts_with(INS_PREFIX) || name.starts_with(DEL_PREFIX)
+}
+
+/// The error for writing the delta relation `name`.
+fn delta_written(name: &str) -> EvalError {
+    EvalError::InvalidUpdate(format!(
+        "{name} is a delta relation: no rule, update or state may hold it"
+    ))
 }
 
 /// Drops every delta relation from `instance`.
@@ -319,7 +335,7 @@ mod tests {
         state.insert_fact(assigned, Tuple::from([bob, p2]));
         state.insert_fact(assigned, Tuple::from([dan, p3]));
 
-        let mut db = ActiveDatabase::new(program, state).unwrap();
+        let mut db = ActiveDatabase::new(program, state, &i).unwrap();
         let report = db
             .apply(Update::delete(dept, Tuple::from([sales])), &mut i)
             .unwrap();
@@ -346,7 +362,7 @@ mod tests {
         let program = parse_program("log(e, d) :- ins-emp(e, d).", &mut i).unwrap();
         let emp = i.intern("emp");
         let log = i.get("log").unwrap();
-        let mut db = ActiveDatabase::new(program, Instance::new()).unwrap();
+        let mut db = ActiveDatabase::new(program, Instance::new(), &i).unwrap();
         let e = sym(&mut i, "eve");
         let d = sym(&mut i, "rnd");
         let report = db
@@ -384,7 +400,7 @@ mod tests {
         let v = sym(&mut i, "v1");
         state.insert_fact(config, Tuple::from([k, v]));
         state.insert_fact(protected, Tuple::from([k]));
-        let mut db = ActiveDatabase::new(program, state).unwrap();
+        let mut db = ActiveDatabase::new(program, state, &i).unwrap();
         let report = db
             .apply(Update::delete(config, Tuple::from([k, v])), &mut i)
             .unwrap();
@@ -403,7 +419,7 @@ mod tests {
         // previous one forever.
         let program = parse_program("!A(x) :- ins-A(x). A(x) :- del-A(x).", &mut i).unwrap();
         let a = i.intern("A");
-        let mut db = ActiveDatabase::new(program, Instance::new()).unwrap();
+        let mut db = ActiveDatabase::new(program, Instance::new(), &i).unwrap();
         db.max_rounds = 30;
         let result = db.apply(Update::insert(a, Tuple::from([Value::Int(1)])), &mut i);
         assert!(matches!(result, Err(EvalError::StageLimitExceeded(30))));
@@ -422,7 +438,7 @@ mod tests {
         let sawdel = i.get("sawdel").unwrap();
         let mut state = Instance::new();
         state.insert_fact(r, Tuple::from([Value::Int(1)]));
-        let mut db = ActiveDatabase::new(program, state).unwrap();
+        let mut db = ActiveDatabase::new(program, state, &i).unwrap();
         let update = Update::insert(r, Tuple::from([Value::Int(2)]))
             .and_delete(r, Tuple::from([Value::Int(1)]));
         db.apply(update, &mut i).unwrap();
@@ -442,7 +458,7 @@ mod tests {
         let mut i = Interner::new();
         let program = parse_program("B(x) :- ins-A(x). !B(x) :- ins-A(x).", &mut i).unwrap();
         let (a, b) = (i.intern("A"), i.get("B").unwrap());
-        let mut db = ActiveDatabase::new(program, Instance::new()).unwrap();
+        let mut db = ActiveDatabase::new(program, Instance::new(), &i).unwrap();
         let one = Tuple::from([Value::Int(1)]);
         let report = db.apply(Update::insert(a, one.clone()), &mut i).unwrap();
         assert!(db.state.contains_fact(b, &one));
@@ -464,23 +480,19 @@ mod tests {
         let mut i = Interner::new();
         let program = parse_program("A(x), B(x) :- ins-C(x).", &mut i).unwrap();
         assert!(matches!(
-            ActiveDatabase::new(program, Instance::new()),
+            ActiveDatabase::new(program, Instance::new(), &i),
             Err(EvalError::WrongLanguage { .. })
         ));
     }
 
     /// Only the engine writes delta relations: a rule deriving one is
-    /// rejected, and the state is left as it was.
+    /// rejected when the database is created, not at its first update.
     #[test]
     fn rules_deriving_a_delta_relation_are_rejected() {
         let mut i = Interner::new();
         let program = parse_program("ins-B(x) :- ins-A(x).", &mut i).unwrap();
-        let a = i.intern("A");
-        let mut db = ActiveDatabase::new(program, Instance::new()).unwrap();
-        let result = db.apply(Update::insert(a, Tuple::from([Value::Int(1)])), &mut i);
+        let result = ActiveDatabase::new(program, Instance::new(), &i);
         assert!(matches!(result, Err(EvalError::InvalidUpdate(_))));
-        assert!(db.state.is_empty());
-        assert_no_deltas(&db, &i);
     }
 
     fn arity_conflict(result: Result<ActiveReport, EvalError>) -> bool {
@@ -500,7 +512,7 @@ mod tests {
         let (g, h) = (i.get("G").unwrap(), i.intern("H"));
         let mut state = Instance::new();
         state.insert_fact(g, Tuple::from([Value::Int(1)]));
-        let mut db = ActiveDatabase::new(program, state).unwrap();
+        let mut db = ActiveDatabase::new(program, state, &i).unwrap();
         let result = db.apply(Update::insert(h, Tuple::from([Value::Int(1)])), &mut i);
         assert!(arity_conflict(result));
         assert_no_deltas(&db, &i);
@@ -513,7 +525,7 @@ mod tests {
         let mut i = Interner::new();
         let program = parse_program("T(x,y) :- ins-G(x,y).", &mut i).unwrap();
         let g = i.intern("G");
-        let mut db = ActiveDatabase::new(program, Instance::new()).unwrap();
+        let mut db = ActiveDatabase::new(program, Instance::new(), &i).unwrap();
         let result = db.apply(Update::insert(g, Tuple::from([Value::Int(2)])), &mut i);
         assert!(arity_conflict(result));
         assert!(db.state.is_empty());
@@ -527,7 +539,7 @@ mod tests {
         let g = i.get("G").unwrap_or_else(|| i.intern("G"));
         let mut state = Instance::new();
         state.insert_fact(g, Tuple::from([Value::Int(1)]));
-        let mut db = ActiveDatabase::new(program, state).unwrap();
+        let mut db = ActiveDatabase::new(program, state, &i).unwrap();
         let update = Update::insert(g, Tuple::from([Value::Int(2), Value::Int(3)]));
         assert!(arity_conflict(db.apply(update, &mut i)));
         assert_eq!(db.state.fact_count(), 1);

@@ -61,8 +61,8 @@
 use std::ops::ControlFlow;
 
 use unchained_common::{
-    fmt_bytes, DeltaHandle, FxHashMap, HeapSize, Instance, JoinCounters, Relation, Span, SpanGuard,
-    SpanKind, StageRecord, Stopwatch, Symbol, Telemetry, Tracer, Tuple, Value,
+    fmt_bytes, DeltaHandle, FxHashMap, HeapSize, Instance, JoinCounters, Relation, Run, Span,
+    SpanKind, Symbol, Tracer, Tuple, Value,
 };
 use unchained_parser::{HeadLiteral, Literal, Program, Rule, Term};
 
@@ -94,41 +94,38 @@ pub(crate) fn facts(instance: &Instance) -> impl Iterator<Item = (Symbol, &[Valu
         .flat_map(|(pred, rel)| rel.iter_stored().map(move |row| (pred, row)))
 }
 
-/// The telemetry envelope of one engine run: resets the trace under the
-/// engine's name, times the run, and holds its eval span open until
-/// [`finish`](Self::finish).
+/// The telemetry envelope of one engine run: its run of the telemetry
+/// handle, named after the engine, whose eval span stays open until
+/// [`finish`](Self::finish) (or the scope drops).
 pub(crate) struct EvalScope {
-    tel: Telemetry,
-    run_sw: Stopwatch,
-    eval: SpanGuard,
+    tracer: Tracer,
+    _run: Run,
 }
 
 impl EvalScope {
     pub(crate) fn begin(options: &EvalOptions, engine: &str) -> EvalScope {
-        let tel = options.telemetry.clone();
-        tel.begin(engine);
-        let run_sw = tel.stopwatch();
-        let eval = tel.tracer().span(SpanKind::Eval, engine);
-        EvalScope { tel, run_sw, eval }
+        let tel = &options.telemetry;
+        EvalScope {
+            tracer: tel.tracer().clone(),
+            _run: tel.run(engine),
+        }
     }
 
     pub(crate) fn tracer(&self) -> &Tracer {
-        self.tel.tracer()
+        &self.tracer
     }
 
-    /// Ends the run on `instance`: gauges `rounds` (when given) and
-    /// `final_facts` on the eval span, closes it, and fills the trace's
-    /// run summary.
+    /// Ends the run on `instance`: gauges `rounds` (when given),
+    /// `final_facts` and `bytes_final` on the eval span, and closes it.
     pub(crate) fn finish(self, instance: &Instance, rounds: Option<usize>) {
-        let tracer = self.tel.tracer();
+        let tracer = &self.tracer;
         if let Some(rounds) = rounds {
             tracer.gauge("rounds", rounds as u64);
         }
         tracer.gauge("final_facts", instance.fact_count() as u64);
-        drop(self.eval);
-        self.tel
-            .with(|t| t.bytes_final = instance.heap_bytes() as u64);
-        self.tel.finish(&self.run_sw, instance.fact_count());
+        if tracer.is_enabled() {
+            tracer.gauge("bytes_final", instance.heap_bytes() as u64);
+        }
     }
 
     /// Finishes the run on `instance` and passes the stage count (or
@@ -208,12 +205,11 @@ pub(crate) struct Apply<'s> {
     pub(crate) adom: &'s mut Vec<Value>,
     /// The stage number, from 1.
     pub(crate) stage: usize,
-    pub(crate) tel: &'s Telemetry,
+    pub(crate) tracer: &'s Tracer,
     /// A closure run's change set, which gets every fact it moves.
     pub(crate) change: Option<&'s mut Instance>,
     max_facts: Option<usize>,
     facts: usize,
-    record: bool,
     added: usize,
     removed: usize,
     delta: Vec<(Symbol, usize)>,
@@ -265,7 +261,7 @@ impl Apply<'_> {
     fn count(&mut self, pred: Symbol, n: usize) {
         self.added += n;
         self.facts += n;
-        if self.record && n > 0 {
+        if n > 0 && self.tracer.is_enabled() {
             match self.delta.iter_mut().find(|(p, _)| *p == pred) {
                 Some((_, k)) => *k += n,
                 None => self.delta.push((pred, n)),
@@ -702,12 +698,9 @@ impl<'p> Stages<'p> {
         policy: &mut impl Consequence,
     ) -> Result<usize, EvalError> {
         let options = self.options;
-        let tel = &options.telemetry;
-        let tracer = tel.tracer();
-        let record = tracer.is_enabled() || tel.is_enabled();
+        let tracer = options.telemetry.tracer();
         let driven: Vec<bool> = self.heads.iter().map(|&h| policy.delta_driven(h)).collect();
         let any_driven = driven.contains(&true);
-        tel.with(|t| t.threads = self.workers.len().max(1));
         // Negation variants read the flipped facts with every fact
         // counted as new.
         let all_new = DeltaHandle::default();
@@ -738,7 +731,6 @@ impl<'p> Stages<'p> {
             let _round = change
                 .is_none()
                 .then(|| tracer.span(SpanKind::Round, format!("round {stage}")));
-            let stage_sw = tel.stopwatch();
             let joins_before = self.cache.counters;
             // A Δ stage fires each Δ-driven rule's semi-naive variants
             // over the last stage's Δ (one per positive literal over a
@@ -836,10 +828,9 @@ impl<'p> Stages<'p> {
                 instance: &mut *instance,
                 adom: &mut self.adom,
                 stage,
-                tel,
+                tracer,
                 change: change.as_mut().map(|c| &mut *c.facts),
                 max_facts: options.max_facts,
-                record,
                 added: 0,
                 removed: 0,
                 delta: Vec::new(),
@@ -864,7 +855,7 @@ impl<'p> Stages<'p> {
                     if removed > 0 {
                         instance.compact_all();
                     }
-                    if record {
+                    if tracer.is_enabled() {
                         let round = Round {
                             added,
                             removed,
@@ -874,7 +865,7 @@ impl<'p> Stages<'p> {
                             plan_stats,
                             workers,
                         };
-                        round.record(tel, &self.heads, stage_sw.nanos(), instance);
+                        round.record(options, &self.heads, instance);
                     }
                 }
             }
@@ -1008,9 +999,12 @@ fn retracted_since(instance: &Instance, marks: &DeltaHandle) -> Instance {
 }
 
 /// One round's gauges, recorded on the open round span — with a leaf per
-/// rule, per worker of a parallel round, and for its join counters — and
-/// as a [`StageRecord`]. A caller's round made of several pieces (closure
-/// runs, rederive passes) adds them up in `rules` and `plan_stats`.
+/// rule, per worker of a parallel round, per relation of its Δ and for
+/// its join counters; a [`StageRecord`] is projected from them. A
+/// caller's round made of several pieces (closure runs, rederive passes)
+/// adds them up in `rules` and `plan_stats`.
+///
+/// [`StageRecord`]: unchained_common::StageRecord
 #[derive(Default)]
 pub(crate) struct Round {
     pub(crate) added: usize,
@@ -1040,67 +1034,41 @@ impl Round {
         self.rules.iter().map(|s| s.fired).sum()
     }
 
-    /// Records the round that left `instance`; `rules` holds one entry
-    /// per rule of `head_preds`.
-    pub(crate) fn record(
-        self,
-        tel: &Telemetry,
-        head_preds: &[Symbol],
-        wall_nanos: u64,
-        instance: &Instance,
-    ) {
-        let tracer = tel.tracer();
-        let bytes = instance.heap_bytes() as u64;
-        let fired = self.fired();
+    /// Records the round that left `instance`, run under `options`;
+    /// `rules` holds one entry per rule of `head_preds`.
+    pub(crate) fn record(self, options: &EvalOptions, head_preds: &[Symbol], instance: &Instance) {
+        let tracer = options.telemetry.tracer();
         tracer.gauge("facts_added", self.added as u64);
         tracer.gauge("facts_removed", self.removed as u64);
-        tracer.gauge("rules_fired", fired);
-        tracer.gauge("bytes", bytes);
+        tracer.gauge("rules_fired", self.fired());
+        tracer.gauge("facts", instance.fact_count() as u64);
+        tracer.gauge("bytes", instance.heap_bytes() as u64);
         tracer.gauge("plan_joins_pruned", self.plan_stats.joins_pruned);
-        if tracer.is_enabled() {
-            for (ri, rs) in self.rules.iter().enumerate() {
-                let mut span = Span::leaf(SpanKind::Rule, format!("rule {ri}"));
-                span.pred = Some(head_preds[ri]);
-                span.start_nanos = rs.start_nanos;
-                span.dur_nanos = rs.dur_nanos;
-                span.gauges.push(("fired", rs.fired));
-                tracer.leaf(span);
-            }
-            for (w, &(start, dur)) in self.workers.iter().enumerate() {
-                let mut span = Span::leaf(SpanKind::Worker, format!("worker {w}"));
-                span.lane = Some(w);
-                span.start_nanos = start;
-                span.dur_nanos = dur;
-                tracer.leaf(span);
-            }
-            let mut join = Span::leaf(SpanKind::Join, "joins");
-            join.gauges = vec![
-                ("probes", self.joins.probes),
-                ("probe_tuples", self.joins.probe_tuples),
-                ("index_builds", self.joins.index_builds),
-                ("indexed_tuples", self.joins.indexed_tuples),
-                ("index_hits", self.joins.index_hits),
-                ("index_appends", self.joins.index_appends),
-                ("appended_tuples", self.joins.appended_tuples),
-                ("index_rebuilds", self.joins.index_rebuilds),
-            ];
-            tracer.leaf(join);
+        for (ri, rs) in self.rules.iter().enumerate() {
+            let mut span = Span::leaf(SpanKind::Rule, format!("rule {ri}"));
+            span.pred = Some(head_preds[ri]);
+            span.start_nanos = rs.start_nanos;
+            span.dur_nanos = rs.dur_nanos;
+            span.gauges.push(("fired", rs.fired));
+            tracer.leaf(span);
         }
-        tel.with(|t| {
-            t.stages.push(StageRecord {
-                stage: t.stages.len() + 1,
-                wall_nanos,
-                facts_added: self.added,
-                facts_removed: self.removed,
-                rules_fired: fired,
-                delta: self.delta,
-                bytes,
-                joins: self.joins,
-            });
-            t.peak_facts = t.peak_facts.max(instance.fact_count());
-            t.bytes_peak = t.bytes_peak.max(bytes);
-            t.plan_joins_pruned += self.plan_stats.joins_pruned;
-        });
+        for (w, &(start, dur)) in self.workers.iter().enumerate() {
+            let mut span = Span::leaf(SpanKind::Worker, format!("worker {w}"));
+            span.lane = Some(w);
+            span.start_nanos = start;
+            span.dur_nanos = dur;
+            tracer.leaf(span);
+        }
+        for (pred, added) in self.delta {
+            let mut span = Span::leaf(SpanKind::Absorb, "delta");
+            span.pred = Some(pred);
+            span.gauges.push(("facts_added", added as u64));
+            tracer.leaf(span);
+        }
+        let mut join = Span::leaf(SpanKind::Join, "joins");
+        join.gauges = self.joins.gauges();
+        join.gauges.push(("threads", options.threads.get() as u64));
+        tracer.leaf(join);
     }
 }
 
@@ -1150,24 +1118,24 @@ pub(crate) fn eval_strata(
             let rounds = stages.run(&mut instance, None, &mut Accumulate::delta())?;
             tracer.gauge("rounds", rounds as u64);
             tracer.gauge("rules", n as u64);
-            options
-                .telemetry
-                .note(format!("stratum {k}: {n} rules, {rounds} rounds"));
+            tracer.note(|| format!("stratum {k}: {n} rules, {rounds} rounds"));
             total += rounds;
         }
         Ok(total)
     };
     let result = run();
-    let (segments, recent) = instance.storage_stats();
-    options.telemetry.note(format!(
-        "storage: {segments} segments, {recent} uncommitted"
-    ));
+    tracer.note(|| {
+        let (segments, recent) = instance.storage_stats();
+        format!("storage: {segments} segments, {recent} uncommitted")
+    });
     let (_, cache, _) = stages.into_parts();
-    options.telemetry.note(format!(
-        "index cache: {} indexes, {}",
-        cache.entry_count(),
-        fmt_bytes(cache.heap_bytes() as u64)
-    ));
+    tracer.note(|| {
+        format!(
+            "index cache: {} indexes, {}",
+            cache.entry_count(),
+            fmt_bytes(cache.heap_bytes() as u64)
+        )
+    });
     scope.finish(&instance, None);
     Ok(FixpointRun {
         instance,
@@ -1194,7 +1162,7 @@ mod tests {
     fn fired_buffer_stays_small_under_repeated_firings() {
         use super::{Apply, Fired, DEDUP_FLOOR};
         use crate::subst::Env;
-        use unchained_common::Telemetry;
+        use unchained_common::Tracer;
         use unchained_parser::{Term, Var};
         let mut i = Interner::new();
         let p = i.intern("P");
@@ -1223,16 +1191,15 @@ mod tests {
         let held = &probing.batches[0];
         assert_eq!(held.rows, 500);
         assert!(held.values.iter().all(|v| *v >= Value::Int(5)));
-        let tel = Telemetry::default();
+        let tracer = Tracer::off();
         let mut stage = Apply {
             facts: instance.fact_count(),
             instance: &mut instance,
             adom: &mut Vec::new(),
             stage: 1,
-            tel: &tel,
+            tracer: &tracer,
             change: None,
             max_facts: None,
-            record: false,
             added: 0,
             removed: 0,
             delta: Vec::new(),

@@ -91,7 +91,6 @@ pub fn eval(
     let mut instance = with_idb(program, input)?;
     let scope = EvalScope::begin(&options, "invention");
     let result = Stages::new(program, input, &options).run(&mut instance, None, &mut invent);
-    scope.tracer().gauge("invented", invent.next_fresh);
     let stages = scope.end(&instance, result)?;
     Ok(InventionRun {
         instance,
@@ -154,7 +153,7 @@ impl Consequence for Invent {
             }
         }
         self.in_adom = self.next_fresh;
-        stage.tel.with(|t| t.invented = self.next_fresh as usize);
+        stage.tracer.raise("invented", self.next_fresh);
         Ok(())
     }
 }

@@ -171,7 +171,9 @@ impl IncrementalSession {
         for pred in program.idb() {
             instance.ensure(pred, schema.arity(pred).expect("idb has arity"));
         }
-        options.telemetry.begin("ivm");
+        // The initial fixpoint is the session's first run; each poll is
+        // one more.
+        let run = options.telemetry.run("ivm");
         // The session keeps the index and plan caches the initial
         // fixpoint built, so the first poll absorbs into the indexes
         // instead of building afresh.
@@ -182,6 +184,9 @@ impl IncrementalSession {
             stages.run(&mut instance, None, &mut Accumulate::delta())?;
         }
         let (adom, cache, plans) = stages.into_parts();
+        let final_facts = instance.fact_count() as u64;
+        options.telemetry.tracer().gauge("final_facts", final_facts);
+        drop(run);
 
         let support = Support::new(&program, &instance, options.plan_mode);
         let heads = program.rules.iter().map(|r| head_atom(r).pred).collect();
@@ -286,7 +291,6 @@ impl IncrementalSession {
             return Ok(stats);
         }
         let joins_entry = self.cache.counters;
-        let poll_sw = self.options.telemetry.stopwatch();
 
         // The poll's net change so far. Invariant: the live instance is
         // the pre-poll fixpoint minus `deleted` plus `inserted`, which is
@@ -316,8 +320,9 @@ impl IncrementalSession {
         if stats.applied == 0 {
             return Ok(stats);
         }
-        let tracer = self.options.telemetry.tracer();
-        let _poll = tracer.span(SpanKind::Round, "poll");
+        let tracer = self.options.telemetry.tracer().clone();
+        let run = self.options.telemetry.run("ivm");
+        let poll = tracer.span(SpanKind::Round, "poll");
         for (pred, rel) in deleted.iter() {
             for t in rel.iter() {
                 self.instance.retract_fact(pred, &t);
@@ -452,17 +457,17 @@ impl IncrementalSession {
         // Each poll is one telemetry stage, so a trace of a session
         // reads as: initial fixpoint rounds, then one round per poll,
         // with a leaf per program rule.
-        let tel = &self.options.telemetry;
-        tel.with(|t| {
-            t.ivm_overdeleted += stats.overdeleted;
-            t.ivm_rederived += stats.rederived;
-        });
-        if tel.is_enabled() || tracer.is_enabled() {
+        if tracer.is_enabled() {
             round.added = stats.facts_added as usize;
             round.removed = stats.facts_removed as usize;
             round.joins = stats.joins;
-            round.record(tel, &self.heads, poll_sw.nanos(), &self.instance);
+            round.record(&self.options, &self.heads, &self.instance);
+            tracer.gauge("overdeleted", stats.overdeleted);
+            tracer.gauge("rederived", stats.rederived);
         }
+        drop(poll);
+        tracer.gauge("final_facts", self.instance.fact_count() as u64);
+        drop(run);
         Ok(stats)
     }
 }

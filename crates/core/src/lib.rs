@@ -60,7 +60,7 @@ pub mod wellfounded;
 
 pub use error::EvalError;
 pub use ivm::{IncrementalSession, PollStats};
-pub use options::{DivergenceDetection, EvalOptions, FixpointRun};
+pub use options::{EvalOptions, FixpointRun};
 pub use planner::PlanMode;
 
 use unchained_common::{Instance, Schema};

@@ -26,6 +26,7 @@
 //! the speedup on single-source reachability.
 
 use crate::error::EvalError;
+use crate::fixpoint::EvalScope;
 use crate::options::EvalOptions;
 use crate::require_language;
 use crate::seminaive;
@@ -294,9 +295,8 @@ pub fn answer(
 ) -> Result<Relation, EvalError> {
     require_language(program, Language::Datalog)?;
     check_range_restricted(program, false)?;
-    let tel = options.telemetry.clone();
-    let tracer = tel.tracer().clone();
-    let eval_guard = tracer.span(SpanKind::Eval, "magic");
+    let scope = EvalScope::begin(&options, "magic");
+    let tracer = scope.tracer().clone();
     let rewrite_start = tracer.now_nanos();
     let magic = magic_rewrite(program, query, interner).map_err(|e| {
         // Surface rewrite problems as analysis errors.
@@ -321,18 +321,18 @@ pub fn answer(
     for (pred, rel) in magic.seeds.iter() {
         seeded.ensure(pred, rel.arity()).union_with(rel);
     }
+    // The inner semi-naive run is part of this one: its rounds are the
+    // stages of the magic trace.
     let run = seminaive::minimum_model(&magic.program, &seeded, options)?;
-    tracer.gauge("final_facts", run.instance.fact_count() as u64);
-    drop(eval_guard);
-    // The inner semi-naive run wrote the stage records; relabel the
-    // trace and note what the rewrite did to the program.
-    tel.rename("magic");
-    tel.note(format!(
-        "rewrite: {} rules from {}, {} magic seed fact(s)",
-        magic.program.rules.len(),
-        program.rules.len(),
-        magic.seeds.fact_count()
-    ));
+    tracer.note(|| {
+        format!(
+            "rewrite: {} rules from {}, {} magic seed fact(s)",
+            magic.program.rules.len(),
+            program.rules.len(),
+            magic.seeds.fact_count()
+        )
+    });
+    scope.finish(&run.instance, None);
     Ok(query.select(&run.instance, magic.answer_pred))
 }
 

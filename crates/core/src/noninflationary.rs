@@ -20,7 +20,7 @@
 //!
 //! Termination is *not* guaranteed: the flip-flop program of Section 4.2
 //! oscillates forever. The engine detects such divergence by
-//! remembering visited states (exactly, or by fingerprint).
+//! remembering every visited state exactly.
 //!
 //! By the results of \[6\], Datalog¬¬ expresses exactly the **while
 //! queries** (Theorem 4.5 relates it to inflationary Datalog¬ via
@@ -28,64 +28,35 @@
 
 use crate::error::EvalError;
 use crate::fixpoint::{self, facts, Apply, Consequence, Fired};
-use crate::options::{DivergenceDetection, EvalOptions, FixpointRun};
+use crate::options::{EvalOptions, FixpointRun};
 use crate::require_language;
 use crate::subst::{instantiate_into, Env};
-use std::collections::hash_map::Entry;
-use unchained_common::{
-    DivergenceSnapshot, FrozenFacts, FxHashMap, FxHashSet, HeapSize, Instance, Symbol, Value,
-};
+use unchained_common::{FrozenFacts, FxHashMap, FxHashSet, HeapSize, Instance, Symbol, Value};
 use unchained_parser::{check_range_restricted, HeadLiteral, Language, Program};
 
-/// Remembered states for divergence detection. Exact states are kept as
-/// [`FrozenFacts`]: they share the instance's committed segments instead
-/// of cloning it, so remembering a state neither copies its tuples nor
-/// breaks the lineage the index cache absorbs along.
+/// The visited states, by fingerprint, for divergence detection. They
+/// are kept as [`FrozenFacts`]: they share the instance's committed
+/// segments instead of cloning it, so remembering a state neither copies
+/// its tuples nor breaks the lineage the index cache absorbs along.
 #[derive(Default)]
 struct Detector {
-    seen_exact: FxHashMap<u64, Vec<(FrozenFacts, usize)>>,
-    seen_fp: FxHashMap<u64, usize>,
+    seen: FxHashMap<u64, Vec<(FrozenFacts, usize)>>,
+    /// Distinct states remembered.
+    states: usize,
 }
 
 impl Detector {
     /// Records `inst` as visited at `stage`; returns the stage of a
     /// previous visit if this state was seen before. Tuples are compared
     /// only on a fingerprint match.
-    fn record(
-        &mut self,
-        inst: &mut Instance,
-        stage: usize,
-        mode: DivergenceDetection,
-    ) -> Option<usize> {
-        let fp = inst.fingerprint();
-        match mode {
-            DivergenceDetection::Off => None,
-            DivergenceDetection::Fingerprint => match self.seen_fp.entry(fp) {
-                Entry::Occupied(prev) => Some(*prev.get()),
-                Entry::Vacant(slot) => {
-                    slot.insert(stage);
-                    None
-                }
-            },
-            DivergenceDetection::Exact => {
-                let bucket = self.seen_exact.entry(fp).or_default();
-                if let Some((_, prev)) = bucket.iter().find(|(f, _)| f.same_facts(inst)) {
-                    Some(*prev)
-                } else {
-                    bucket.push((inst.freeze(), stage));
-                    None
-                }
-            }
+    fn record(&mut self, inst: &mut Instance, stage: usize) -> Option<usize> {
+        let bucket = self.seen.entry(inst.fingerprint()).or_default();
+        if let Some((_, prev)) = bucket.iter().find(|(f, _)| f.same_facts(inst)) {
+            return Some(*prev);
         }
-    }
-
-    /// Distinct states currently remembered.
-    fn states_seen(&self, mode: DivergenceDetection) -> usize {
-        match mode {
-            DivergenceDetection::Off => 0,
-            DivergenceDetection::Fingerprint => self.seen_fp.len(),
-            DivergenceDetection::Exact => self.seen_exact.values().map(Vec::len).sum(),
-        }
+        bucket.push((inst.freeze(), stage));
+        self.states += 1;
+        None
     }
 }
 
@@ -133,27 +104,23 @@ pub fn eval(
                 _ => None,
             })
             .collect(),
-        mode: options.divergence,
         detector: Detector::default(),
         kept: Fired::default(),
         inserted: Instance::new(),
         deleted: Instance::new(),
         row: Vec::new(),
     };
-    let run = fixpoint::eval(program, input, &options, "noninflationary", &mut retract)?;
-    options
-        .telemetry
-        .with(|t| t.divergence = Some(retract.snapshot(None)));
-    Ok(run)
+    fixpoint::eval(program, input, &options, "noninflationary", &mut retract)
 }
 
 /// Insert and delete under a [`ConflictPolicy`], remembering visited
-/// states to detect divergence.
+/// states to detect divergence. The detector's state count lands on the
+/// run's eval span when the run ends at a fixpoint or diverges, with the
+/// stage and period of a divergence.
 struct Retract {
     policy: ConflictPolicy,
     /// The predicates some rule's negative head retracts from.
     retractable: FxHashSet<Symbol>,
-    mode: DivergenceDetection,
     detector: Detector,
     /// The facts the stage inferred whose predicate no rule retracts:
     /// no `¬A` can conflict with them, so they are batched as the
@@ -165,22 +132,6 @@ struct Retract {
     deleted: Instance,
     /// Scratch space for instantiating a head.
     row: Vec<Value>,
-}
-
-impl Retract {
-    fn snapshot(&self, diverged: Option<(usize, usize)>) -> DivergenceSnapshot {
-        DivergenceSnapshot {
-            detector: match self.mode {
-                DivergenceDetection::Exact => "exact",
-                DivergenceDetection::Fingerprint => "fingerprint",
-                DivergenceDetection::Off => "off",
-            }
-            .to_string(),
-            states_seen: self.detector.states_seen(self.mode),
-            diverged_stage: diverged.map(|(stage, _)| stage),
-            period: diverged.map(|(_, period)| period),
-        }
-    }
 }
 
 impl Consequence for Retract {
@@ -215,12 +166,15 @@ impl Consequence for Retract {
         }
         if stage.stage == 1 {
             // The input state counts as visited at stage 0.
-            self.detector.record(stage.instance, 0, self.mode);
+            self.detector.record(stage.instance, 0);
         }
         // The state the stage fired against stays live while its
         // successor materializes: that is the true high-water mark — on
         // a shrinking program it strictly exceeds every stage-end count.
-        let (prev_facts, prev_bytes) = (stage.instance.fact_count(), stage.instance.heap_bytes());
+        let tracer = stage.tracer;
+        let prev = tracer
+            .is_enabled()
+            .then(|| (stage.instance.fact_count(), stage.instance.heap_bytes()));
         // A fact both inferred and retracted is resolved by the policy;
         // afterwards the two sets are disjoint, so deleting first changes
         // no outcome and keeps the fact budget exact.
@@ -235,22 +189,21 @@ impl Consequence for Retract {
             }
         }
         self.kept.apply(stage, |_, _, _| {})?;
-        if stage.tel.is_enabled() {
-            stage.tel.sample_peak(
-                prev_facts + stage.instance.fact_count(),
-                prev_bytes + stage.instance.heap_bytes(),
-            );
+        if let Some((facts, bytes)) = prev {
+            let live = &*stage.instance;
+            tracer.raise("peak_facts", (facts + live.fact_count()) as u64);
+            tracer.raise("bytes_peak", (bytes + live.heap_bytes()) as u64);
         }
         if !stage.changed() {
+            tracer.raise("states_seen", self.detector.states as u64);
             return Ok(());
         }
-        if let Some(first) = self.detector.record(stage.instance, stage.stage, self.mode) {
+        if let Some(first) = self.detector.record(stage.instance, stage.stage) {
             let (at, period) = (stage.stage, stage.stage - first);
-            stage.tel.with(|t| {
-                t.divergence = Some(self.snapshot(Some((at, period))));
-                t.notes
-                    .push(format!("diverged at stage {at} with period {period}"));
-            });
+            tracer.raise("states_seen", self.detector.states as u64);
+            tracer.raise("diverged_stage", at as u64);
+            tracer.raise("period", period as u64);
+            tracer.note(|| format!("diverged at stage {at} with period {period}"));
             return Err(EvalError::Diverged { stage: at, period });
         }
         Ok(())
@@ -292,7 +245,7 @@ mod tests {
             &program,
             &input,
             ConflictPolicy::PreferPositive,
-            EvalOptions::default().with_divergence(DivergenceDetection::Exact),
+            EvalOptions::default(),
         )
         .unwrap_err();
         // T flip-flops between {⟨0⟩} and {⟨1⟩}: period 2.
@@ -303,32 +256,6 @@ mod tests {
                 period: 2
             }
         );
-    }
-
-    #[test]
-    fn flip_flop_diverges_under_fingerprint_detection() {
-        let mut i = Interner::new();
-        let program = parse_program(
-            "T(0) :- T(1). !T(1) :- T(1). T(1) :- T(0). !T(0) :- T(0).",
-            &mut i,
-        )
-        .unwrap();
-        let t = i.get("T").unwrap();
-        let mut input = Instance::new();
-        input.insert_fact(t, Tuple::from([Value::Int(0)]));
-        let opts = EvalOptions::default().with_divergence(DivergenceDetection::Fingerprint);
-        assert!(matches!(
-            eval(&program, &input, ConflictPolicy::PreferPositive, opts),
-            Err(EvalError::Diverged { .. })
-        ));
-        // With detection off, the stage limit kicks in.
-        let opts = EvalOptions::default()
-            .with_divergence(DivergenceDetection::Off)
-            .with_max_stages(50);
-        assert!(matches!(
-            eval(&program, &input, ConflictPolicy::PreferPositive, opts),
-            Err(EvalError::StageLimitExceeded(50))
-        ));
     }
 
     /// The deterministic 2-cycle removal program from Section 5.1 (with

@@ -27,24 +27,6 @@ fn default_threads() -> NonZeroUsize {
 /// fetch is noise next to the per-row join work.
 pub const DEFAULT_MORSEL_SIZE: usize = 2048;
 
-/// How the noninflationary engines detect that a computation will never
-/// reach a fixpoint (Section 4.2: e.g. the flip-flop program).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum DivergenceDetection {
-    /// Remember every visited state and compare exactly on a fingerprint
-    /// match. Precise; states share the instance's frozen segments, so
-    /// memory is proportional to the distinct segments ever committed
-    /// (the final instance, on an append-only run).
-    #[default]
-    Exact,
-    /// Remember only 64-bit state fingerprints. Uses constant memory per
-    /// stage; a false divergence report requires a fingerprint collision
-    /// (probability ≈ 2⁻⁶⁴ per pair of states).
-    Fingerprint,
-    /// No cycle detection; rely on the stage limit alone.
-    Off,
-}
-
 /// Budgets and knobs for an evaluation run.
 #[derive(Clone, Debug)]
 pub struct EvalOptions {
@@ -57,10 +39,8 @@ pub struct EvalOptions {
     /// invention can grow an instance beyond polynomial bounds, but the
     /// limit is enforced wherever set.
     pub max_facts: Option<usize>,
-    /// Cycle detection for noninflationary semantics.
-    pub divergence: DivergenceDetection,
-    /// Trace sink. Disabled by default; cloning the options clones the
-    /// handle, so all clones feed the same trace.
+    /// Telemetry handle. Disabled by default; cloning the options clones
+    /// the handle, so all clones record the same runs.
     pub telemetry: Telemetry,
     /// Worker threads for every engine on the stage driver
     /// ([`crate::fixpoint`]): each stage fires its plans in morsels
@@ -87,7 +67,6 @@ impl Default for EvalOptions {
         EvalOptions {
             max_stages: None,
             max_facts: None,
-            divergence: DivergenceDetection::Exact,
             telemetry: Telemetry::off(),
             threads: default_threads(),
             morsel_size: DEFAULT_MORSEL_SIZE,
@@ -106,12 +85,6 @@ impl EvalOptions {
     /// Options with a fact budget.
     pub fn with_max_facts(mut self, n: usize) -> Self {
         self.max_facts = Some(n);
-        self
-    }
-
-    /// Options with the given divergence detector.
-    pub fn with_divergence(mut self, d: DivergenceDetection) -> Self {
-        self.divergence = d;
         self
     }
 
@@ -167,18 +140,15 @@ mod tests {
     fn option_builders() {
         let o = EvalOptions::default()
             .with_max_stages(5)
-            .with_max_facts(100)
-            .with_divergence(DivergenceDetection::Fingerprint);
+            .with_max_facts(100);
         assert_eq!(o.max_stages, Some(5));
         assert_eq!(o.max_facts, Some(100));
-        assert_eq!(o.divergence, DivergenceDetection::Fingerprint);
     }
 
     #[test]
     fn default_has_no_budgets() {
         let o = EvalOptions::default();
         assert!(o.max_stages.is_none() && o.max_facts.is_none());
-        assert_eq!(o.divergence, DivergenceDetection::Exact);
     }
 
     #[test]

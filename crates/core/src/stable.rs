@@ -191,13 +191,15 @@ pub fn stable_models(
     }
     models.sort_by_cached_key(|m| format!("{m:?}"));
     tracer.gauge("models", models.len() as u64);
-    options.eval.telemetry.note(format!(
-        "well-founded interval: {} true facts, {} unknown; {} candidates tested, {} stable",
-        wf.true_facts.fact_count(),
-        unknowns.len(),
-        1u64 << unknowns.len(),
-        models.len()
-    ));
+    tracer.note(|| {
+        format!(
+            "well-founded interval: {} true facts, {} unknown; {} candidates tested, {} stable",
+            wf.true_facts.fact_count(),
+            unknowns.len(),
+            1u64 << unknowns.len(),
+            models.len()
+        )
+    });
     scope.finish(models.first().unwrap_or(&wf.true_facts), None);
     Ok(models)
 }

@@ -141,13 +141,15 @@ pub fn eval(
     let scope = EvalScope::begin(&options, "wellfounded");
     match alternate(program, &base, &options, scope.tracer()) {
         Ok(model) => {
-            options.telemetry.note(format!(
-                "alternating fixpoint stable after {} reduct applications: \
-                 {} true facts, {} possible facts",
-                model.rounds,
-                model.true_facts.fact_count(),
-                model.possible_facts.fact_count()
-            ));
+            scope.tracer().note(|| {
+                format!(
+                    "alternating fixpoint stable after {} reduct applications: \
+                     {} true facts, {} possible facts",
+                    model.rounds,
+                    model.true_facts.fact_count(),
+                    model.possible_facts.fact_count()
+                )
+            });
             scope.finish(&model.true_facts, Some(model.rounds));
             Ok(model)
         }
@@ -177,16 +179,15 @@ fn alternate(
     options: &EvalOptions,
     tracer: &Tracer,
 ) -> Result<WellFoundedModel, EvalError> {
-    let tel = &options.telemetry;
     let mut over_side = Stages::new(program, base, options);
     let mut under_side = Stages::new(program, base, options);
     let idb = over_side.idb().to_vec();
     // The live iterates share the edb: count it once.
     let edb_bytes = base.heap_bytes() as u64;
     let sample = |under: &Instance, over: &Instance| {
-        if tel.is_enabled() {
+        if tracer.is_enabled() {
             let live = edb_bytes + idb_bytes(under, &idb) + idb_bytes(over, &idb);
-            tel.with(|t| t.bytes_peak = t.bytes_peak.max(live));
+            tracer.raise("bytes_peak", live);
         }
     };
     let mut rounds = 0;
@@ -289,10 +290,9 @@ fn shrink(
     gained: &Instance,
     support: &Support,
 ) -> Result<Instance, EvalError> {
-    let tel = &side.options.telemetry;
-    let tracer = tel.tracer();
+    let options = side.options;
+    let tracer = options.telemetry.tracer();
     let _round = tracer.span(SpanKind::Round, "round 1");
-    let stage_sw = tel.stopwatch();
     let joins_before = side.parts().1.counters;
 
     // The overdelete, seeded by the valuations of the old over-estimate
@@ -326,10 +326,10 @@ fn shrink(
     over.commit_all();
     over.compact_all();
 
-    if tel.is_enabled() || tracer.is_enabled() {
+    if tracer.is_enabled() {
         round.removed = left.fact_count();
         round.joins = side.parts().1.counters.since(&joins_before);
-        round.record(tel, side.head_preds(), stage_sw.nanos(), over);
+        round.record(options, side.head_preds(), over);
     }
     Ok(left)
 }

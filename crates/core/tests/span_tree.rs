@@ -9,7 +9,7 @@ use unchained_common::{
 };
 use unchained_core::noninflationary::ConflictPolicy;
 use unchained_core::{
-    inflationary, noninflationary, seminaive, stratified, wellfounded, EvalOptions,
+    inflationary, invention, noninflationary, seminaive, stratified, wellfounded, EvalOptions,
     IncrementalSession,
 };
 use unchained_parser::parse_program;
@@ -67,6 +67,66 @@ fn gauge_tree_is_byte_identical_across_thread_counts() {
     // (probe counts depend on the per-worker index chunking).
     assert!(!seq_tree.contains("worker"), "{seq_tree}");
     assert!(!seq_tree.contains("probes"), "{seq_tree}");
+}
+
+/// The run-level gauges raised on eval spans (peaks, the divergence
+/// detector's state count, invented values) and every round's live
+/// facts and bytes are thread-invariant too: each stage-driver engine's
+/// gauge tree is byte-identical at threads 1 and 4.
+#[test]
+fn every_engines_gauge_tree_is_identical_at_threads_1_and_4() {
+    let mut i = Interner::new();
+    let tc = parse_program(TC, &mut i).unwrap();
+    let input = chain(&mut i, 12);
+    let win = parse_program("win(x) :- moves(x,y), !win(y).", &mut i).unwrap();
+    let moves = i.intern("moves");
+    let mut game = Instance::new();
+    for k in 0..20 {
+        game.insert_fact(moves, Tuple::from([Value::Int(k), Value::Int(k + 1)]));
+        game.insert_fact(
+            moves,
+            Tuple::from([Value::Int(k), Value::Int((k * 7) % 21)]),
+        );
+    }
+    let shrink = parse_program("!G(x,y) :- G(x,y), G(y,x). T(x,y) :- G(x,y).", &mut i).unwrap();
+    let g = i.get("G").unwrap();
+    let mut cycles = input.clone();
+    for k in 0..12 {
+        cycles.insert_fact(g, Tuple::from([Value::Int(k + 1), Value::Int(k)]));
+    }
+    let objects = parse_program("EdgeObj(e, x, y) :- G(x,y).", &mut i).unwrap();
+    let trees = |threads: usize| {
+        let tracer = Tracer::enabled();
+        let options = EvalOptions::default()
+            .with_telemetry(Telemetry::off().with_tracer(tracer.clone()))
+            .with_threads(threads);
+        wellfounded::eval(&win, &game, options.clone()).unwrap();
+        noninflationary::eval(
+            &shrink,
+            &cycles,
+            ConflictPolicy::PreferPositive,
+            options.clone(),
+        )
+        .unwrap();
+        invention::eval(&objects, &input, options.clone()).unwrap();
+        let mut session = IncrementalSession::new(tc.clone(), &input, options).unwrap();
+        session
+            .retract(g, Tuple::from([Value::Int(5), Value::Int(6)]))
+            .unwrap();
+        session.poll().unwrap();
+        gauge_tree(&tracer.finish(), &i)
+    };
+    let seq = trees(1);
+    assert_eq!(seq, trees(4));
+    for gauge in [
+        "peak_facts=",
+        "bytes_peak=",
+        "states_seen=",
+        "invented=",
+        " facts=",
+    ] {
+        assert!(seq.contains(gauge), "{gauge} missing from {seq}");
+    }
 }
 
 #[test]
@@ -319,7 +379,16 @@ fn stage_driver_rounds_account_for_their_rules() {
         polled += session.poll().unwrap().rules_fired;
     }
     let roots = tracer.finish();
-    let polls: Vec<&Span> = roots.iter().filter(|s| s.name == "poll").collect();
+    // The initial fixpoint and each poll are runs of their own: `ivm`
+    // eval spans, a poll's around its round.
+    assert!(roots
+        .iter()
+        .all(|r| r.kind == SpanKind::Eval && r.name == "ivm"));
+    let polls: Vec<&Span> = roots
+        .iter()
+        .flat_map(|r| &r.children)
+        .filter(|s| s.name == "poll")
+        .collect();
     assert_eq!(polls.len(), 4);
     for poll in &polls {
         assert_eq!(poll.kind, SpanKind::Round);

@@ -7,11 +7,13 @@
 //! Section 4.2 flip-flop program cycles with period 2.
 
 use unchained_common::{
-    Instance, Interner, SpaceReport, Span, SpanKind, Telemetry, Tracer, Tuple, Value,
+    Instance, Interner, SpaceReport, Span, SpanKind, Symbol, Telemetry, Tracer, Tuple, Value,
 };
+use unchained_core::magic::{self, QueryPattern};
+use unchained_core::noninflationary::ConflictPolicy;
 use unchained_core::{
-    inflationary, naive, noninflationary, seminaive, wellfounded, DivergenceDetection, EvalError,
-    EvalOptions,
+    inflationary, invention, naive, noninflationary, provenance, seminaive, stable, stratified,
+    wellfounded, EvalError, EvalOptions, IncrementalSession,
 };
 use unchained_parser::parse_program;
 
@@ -312,7 +314,6 @@ T(x,y) :- T(x,z), T(z,y).",
     let input = chain(&mut i, n);
     let tel = Telemetry::enabled();
     let options = EvalOptions::default().with_telemetry(tel.clone());
-    assert_eq!(options.divergence, DivergenceDetection::Exact);
     let run = noninflationary::eval(
         &program,
         &input,
@@ -677,4 +678,239 @@ fn trace_json_lines_are_well_formed() {
     }
     // Per-predicate deltas are keyed by interned name.
     assert!(lines[1].contains("\"T\":4"), "{}", lines[1]);
+}
+
+/// The round spans the stage driver recorded (those carrying the stage
+/// gauges) under `span`, in completion order.
+fn stage_rounds<'s>(span: &'s Span, out: &mut Vec<&'s Span>) {
+    for child in &span.children {
+        stage_rounds(child, out);
+    }
+    if span.kind == SpanKind::Round && span.gauge("rules_fired").is_some() {
+        out.push(span);
+    }
+}
+
+/// Every engine that records stages projects them from its round spans:
+/// stage for round, each `StageRecord` field equals the round's gauge,
+/// its Δ the round's absorb leaves and its join work the round's join
+/// leaf, and the run's totals are the sums.
+#[test]
+fn projected_stages_equal_the_round_spans_gauges() {
+    let mut i = Interner::new();
+    let tc = parse_program(TC, &mut i).unwrap();
+    let input = chain(&mut i, 6);
+    let t = i.get("T").unwrap();
+    let win = parse_program("win(x) :- moves(x,y), !win(y).", &mut i).unwrap();
+    let moves = i.intern("moves");
+    let mut game = Instance::new();
+    for (a, b) in [(1, 2), (2, 1), (2, 3), (3, 4)] {
+        game.insert_fact(moves, Tuple::from([Value::Int(a), Value::Int(b)]));
+    }
+    let ctc = parse_program(
+        &format!("{TC}\nV(x) :- G(x,y).\nCT(x,y) :- V(x), V(y), !T(x,y)."),
+        &mut i,
+    )
+    .unwrap();
+    let shrink = parse_program("!G(x,y) :- G(x,y), G(y,x).", &mut i).unwrap();
+    let g = i.get("G").unwrap();
+    let mut cycles = Instance::new();
+    for (a, b) in [(1, 2), (2, 1), (2, 3), (3, 2), (4, 5)] {
+        cycles.insert_fact(g, Tuple::from([Value::Int(a), Value::Int(b)]));
+    }
+    let objects = parse_program("EdgeObj(e, x, y) :- G(x,y).", &mut i).unwrap();
+    let query = QueryPattern::new(t, vec![Some(Value::Int(2)), None]);
+    let interner = i.clone();
+    type Engine<'a> = Box<dyn Fn(EvalOptions) + 'a>;
+    let engines: Vec<(&str, Engine)> = vec![
+        (
+            "naive",
+            Box::new(|o| drop(naive::minimum_model(&tc, &input, o))),
+        ),
+        (
+            "seminaive",
+            Box::new(|o| drop(seminaive::minimum_model(&tc, &input, o))),
+        ),
+        (
+            "stratified",
+            Box::new(|o| drop(stratified::eval(&ctc, &input, o))),
+        ),
+        (
+            "inflationary-traced",
+            Box::new(|o| drop(inflationary::eval_traced(&tc, &input, o))),
+        ),
+        (
+            "noninflationary",
+            Box::new(|o| {
+                drop(noninflationary::eval(
+                    &shrink,
+                    &cycles,
+                    ConflictPolicy::PreferPositive,
+                    o,
+                ))
+            }),
+        ),
+        (
+            "wellfounded",
+            Box::new(|o| drop(wellfounded::eval(&win, &game, o))),
+        ),
+        (
+            "invention",
+            Box::new(|o| drop(invention::eval(&objects, &input, o))),
+        ),
+        (
+            "magic",
+            Box::new(|o| drop(magic::answer(&tc, &query, &input, &mut interner.clone(), o))),
+        ),
+        (
+            "provenance",
+            Box::new(|o| drop(provenance::minimum_model_with_provenance(&tc, &input, o))),
+        ),
+        (
+            "stable",
+            Box::new(|o| {
+                let model = wellfounded::eval(&win, &game, EvalOptions::default()).unwrap();
+                drop(stable::is_stable_model(&win, &game, &model.true_facts, o));
+            }),
+        ),
+        (
+            "ivm",
+            Box::new(|o| {
+                let mut session = IncrementalSession::new(tc.clone(), &input, o).unwrap();
+                session
+                    .retract(g, Tuple::from([Value::Int(3), Value::Int(4)]))
+                    .unwrap();
+                session.poll().unwrap();
+            }),
+        ),
+    ];
+    for (engine, run) in engines {
+        let tracer = Tracer::enabled();
+        let tel = Telemetry::off().with_tracer(tracer.clone());
+        run(EvalOptions::default().with_telemetry(tel.clone()));
+        let trace = tel.snapshot().unwrap();
+        let roots = tracer.finish();
+        let mut rounds = Vec::new();
+        for root in &roots {
+            stage_rounds(root, &mut rounds);
+        }
+        assert_eq!(trace.engine, engine);
+        assert!(!rounds.is_empty(), "{engine}");
+        assert_eq!(trace.stages.len(), rounds.len(), "{engine}");
+        for (stage, round) in trace.stages.iter().zip(&rounds) {
+            let gauge = |key| round.gauge(key).unwrap();
+            assert_eq!(stage.facts_added as u64, gauge("facts_added"), "{engine}");
+            assert_eq!(
+                stage.facts_removed as u64,
+                gauge("facts_removed"),
+                "{engine}"
+            );
+            assert_eq!(stage.rules_fired, gauge("rules_fired"), "{engine}");
+            assert_eq!(stage.bytes, gauge("bytes"), "{engine}");
+            assert_eq!(stage.wall_nanos, round.dur_nanos, "{engine}");
+            let leaves = |kind| {
+                round
+                    .children
+                    .iter()
+                    .filter(move |c: &&Span| c.kind == kind)
+            };
+            let delta: Vec<(Symbol, usize)> = leaves(SpanKind::Absorb)
+                .map(|c| (c.pred.unwrap(), c.gauge("facts_added").unwrap() as usize))
+                .collect();
+            assert_eq!(stage.delta, delta, "{engine}");
+            let join = leaves(SpanKind::Join).next().expect("a join leaf");
+            for (key, value) in stage.joins.gauges() {
+                assert_eq!(join.gauge(key), Some(value), "{engine} {key}");
+            }
+        }
+        let sum = |key| rounds.iter().map(|r| r.gauge(key).unwrap()).sum::<u64>();
+        assert_eq!(trace.rules_fired, sum("rules_fired"), "{engine}");
+        assert_eq!(
+            trace.total_facts_added() as u64,
+            sum("facts_added"),
+            "{engine}"
+        );
+        assert_eq!(
+            trace.plan_joins_pruned,
+            sum("plan_joins_pruned"),
+            "{engine}"
+        );
+        let wall: u64 = roots.iter().map(|r| r.dur_nanos).sum();
+        assert_eq!(trace.total_wall_nanos, wall, "{engine}");
+    }
+}
+
+/// Three handles on one tracer, each running another engine inside a
+/// caller's span: each snapshot holds its own run alone — the trace a
+/// handle of its own records — and the tracer holds the three eval spans
+/// once each.
+#[test]
+fn handles_sharing_a_tracer_each_project_their_own_run() {
+    let mut i = Interner::new();
+    let tc = parse_program(TC, &mut i).unwrap();
+    let input = chain(&mut i, 6);
+    let win = parse_program("win(x) :- moves(x,y), !win(y).", &mut i).unwrap();
+    let moves = i.intern("moves");
+    let mut game = Instance::new();
+    for (a, b) in [(1, 2), (2, 1), (2, 3)] {
+        game.insert_fact(moves, Tuple::from([Value::Int(a), Value::Int(b)]));
+    }
+    let run = |engine: usize, tel: &Telemetry| {
+        // One thread: join counters of parallel runs vary with the schedule.
+        let o = EvalOptions::default()
+            .with_telemetry(tel.clone())
+            .with_threads(1);
+        match engine {
+            0 => drop(seminaive::minimum_model(&tc, &input, o).unwrap()),
+            1 => drop(wellfounded::eval(&win, &game, o).unwrap()),
+            _ => {
+                drop(noninflationary::eval(&tc, &input, ConflictPolicy::PreferPositive, o).unwrap())
+            }
+        }
+    };
+    let tracer = Tracer::enabled();
+    let handles: [Telemetry; 3] =
+        std::array::from_fn(|_| Telemetry::enabled().with_tracer(tracer.clone()));
+    {
+        let _op = tracer.span(SpanKind::Phase, "traced op");
+        for (engine, tel) in handles.iter().enumerate() {
+            run(engine, tel);
+        }
+    }
+    let roots = tracer.finish();
+    let mut evals = Vec::new();
+    fn collect<'s>(span: &'s Span, out: &mut Vec<&'s Span>) {
+        if span.kind == SpanKind::Eval {
+            out.push(span);
+        }
+        span.children.iter().for_each(|c| collect(c, out));
+    }
+    roots.iter().for_each(|r| collect(r, &mut evals));
+    let names: Vec<&str> = evals.iter().map(|e| e.name.as_str()).collect();
+    assert_eq!(names, ["seminaive", "wellfounded", "noninflationary"]);
+    for (engine, (tel, eval)) in handles.iter().zip(&evals).enumerate() {
+        let shared = tel.snapshot().unwrap();
+        assert_eq!(shared.engine, eval.name);
+        assert_eq!(shared.total_wall_nanos, eval.dur_nanos);
+        let alone = Telemetry::enabled();
+        run(engine, &alone);
+        let alone = alone.snapshot().unwrap();
+        let work = |t: &unchained_common::EvalTrace| {
+            let stages: Vec<_> = t
+                .stages
+                .iter()
+                .map(|s| (s.facts_added, s.rules_fired, s.bytes))
+                .collect();
+            (
+                stages,
+                t.rules_fired,
+                t.joins,
+                t.peak_facts,
+                t.final_facts,
+                t.bytes_peak,
+                t.notes.len(),
+            )
+        };
+        assert_eq!(work(&shared), work(&alone), "{}", eval.name);
+    }
 }

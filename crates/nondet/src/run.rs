@@ -36,17 +36,14 @@ pub fn run_once(
     options: EvalOptions,
 ) -> Result<NondetRun, NondetError> {
     unchained_core::input_schema(compiled.program, input)?;
-    let tel = options.telemetry.clone();
-    tel.begin("nondet");
-    let run_sw = tel.stopwatch();
-    let tracer = tel.tracer().clone();
-    let eval_guard = tracer.span(SpanKind::Eval, "nondet");
+    let tracer = options.telemetry.tracer().clone();
+    let _run = options.telemetry.run("nondet");
     let mut state = State::initial(input.clone());
     let mut fresh: u64 = 0;
     let mut steps = 0usize;
     loop {
         if options.max_stages.is_some_and(|m| steps >= m) {
-            tel.finish(&run_sw, state.instance.fact_count());
+            tracer.gauge("final_facts", state.instance.fact_count() as u64);
             return Err(NondetError::StepLimitExceeded(steps));
         }
         let round_guard = tracer.span(SpanKind::Round, format!("step {}", steps + 1));
@@ -64,9 +61,6 @@ pub fn run_once(
             tracer.gauge("steps", steps as u64);
             tracer.gauge("invented", fresh);
             tracer.gauge("final_facts", state.instance.fact_count() as u64);
-            drop(eval_guard);
-            tel.with(|t| t.invented = fresh as usize);
-            tel.finish(&run_sw, state.instance.fact_count());
             return Ok(NondetRun {
                 instance: state.instance,
                 steps,
@@ -74,21 +68,20 @@ pub fn run_once(
             });
         }
         // One choice point per firing: how many candidates were live.
-        tel.with(|t| t.choice_points.push(changing.len()));
         tracer.gauge("choices", changing.len() as u64);
         let pick = chooser.choose(changing.len());
         state = compiled.apply(&state, changing[pick]);
         steps += 1;
         drop(round_guard);
         if state.bottom {
-            tel.finish(&run_sw, state.instance.fact_count());
+            tracer.gauge("final_facts", state.instance.fact_count() as u64);
             return Err(NondetError::Aborted { steps });
         }
         if options
             .max_facts
             .is_some_and(|m| state.instance.fact_count() > m)
         {
-            tel.finish(&run_sw, state.instance.fact_count());
+            tracer.gauge("final_facts", state.instance.fact_count() as u64);
             return Err(NondetError::FactLimitExceeded(state.instance.fact_count()));
         }
     }

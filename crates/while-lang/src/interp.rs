@@ -2,7 +2,9 @@
 
 use crate::ast::{Assignment, LoopCondition, Stmt, WhileProgram};
 use std::fmt;
-use unchained_common::{FxHashMap, HeapSize, Instance, Relation, SpanKind, Telemetry, Value};
+use unchained_common::{
+    FxHashMap, HeapSize, Instance, Relation, Span, SpanKind, Telemetry, Tracer, Value,
+};
 use unchained_fo::{eval_formula_joined, eval_sentence, FoError};
 
 /// Supplies the choices of the witness operator `W`.
@@ -86,7 +88,7 @@ struct Interp<'c> {
     max_iterations: usize,
     iterations: usize,
     chooser: Option<&'c mut dyn WitnessChooser>,
-    tel: Telemetry,
+    tracer: Tracer,
 }
 
 impl Interp<'_> {
@@ -109,11 +111,11 @@ impl Interp<'_> {
                 let rel = eval_formula_joined(formula, vars, instance, &self.domain)?;
                 // Mid-assignment, the evaluated comprehension and the
                 // instance are both live — that is the space peak.
-                if self.tel.is_enabled() {
-                    self.tel.sample_peak(
-                        instance.fact_count() + rel.len(),
-                        instance.heap_bytes() + rel.heap_bytes(),
-                    );
+                if self.tracer.is_enabled() {
+                    let facts = instance.fact_count() + rel.len();
+                    self.tracer.raise("peak_facts", facts as u64);
+                    let bytes = instance.heap_bytes() + rel.heap_bytes();
+                    self.tracer.raise("bytes_peak", bytes as u64);
                 }
                 Ok(apply_assignment(instance, *target, rel, *mode))
             }
@@ -132,7 +134,11 @@ impl Interp<'_> {
                         .chooser
                         .as_deref_mut()
                         .ok_or(WhileError::WitnessWithoutChooser)?;
-                    self.tel.with(|t| t.choice_points.push(sorted.len()));
+                    if self.tracer.is_enabled() {
+                        let mut choice = Span::leaf(SpanKind::Phase, "choose");
+                        choice.gauges.push(("choices", sorted.len() as u64));
+                        self.tracer.leaf(choice);
+                    }
                     let pick = chooser.choose(sorted.len()).min(sorted.len() - 1);
                     Relation::from_tuples(vars.len(), [sorted[pick].clone()])
                 };
@@ -156,12 +162,12 @@ impl Interp<'_> {
                     if self.iterations > self.max_iterations {
                         return Err(WhileError::IterationLimitExceeded(self.max_iterations));
                     }
-                    let tracer = self.tel.tracer().clone();
-                    let round_guard =
-                        tracer.span(SpanKind::Round, format!("iteration {}", self.iterations));
+                    let round_guard = self
+                        .tracer
+                        .span(SpanKind::Round, format!("iteration {}", self.iterations));
                     let changed = self.exec_block(body, instance)?;
-                    tracer.gauge("facts", instance.fact_count() as u64);
-                    tracer.gauge("changed", u64::from(changed));
+                    self.tracer.gauge("facts", instance.fact_count() as u64);
+                    self.tracer.gauge("changed", u64::from(changed));
                     drop(round_guard);
                     any_change |= changed;
                     match condition {
@@ -228,9 +234,9 @@ pub fn run(
 }
 
 /// Like [`run`], but records loop iterations and witness choice points
-/// into `telemetry` (engine name `"while"`). The trace is finished
-/// even when the run fails, so budget and divergence errors still
-/// carry the partial picture.
+/// as a run of `telemetry` (engine name `"while"`). The run ends even
+/// when it fails, so budget and divergence errors still carry the
+/// partial picture.
 pub fn run_traced(
     program: &WhileProgram,
     input: &Instance,
@@ -263,24 +269,22 @@ pub fn run_traced(
         }
     }
     declare(&program.stmts, &mut instance);
-    telemetry.begin("while");
-    let run_sw = telemetry.stopwatch();
     let tracer = telemetry.tracer().clone();
-    let eval_guard = tracer.span(SpanKind::Eval, "while");
+    let run = telemetry.run("while");
     let mut interp = Interp {
         domain,
         max_iterations,
         iterations: 0,
         chooser: chooser.take(),
-        tel: telemetry.clone(),
+        tracer: tracer.clone(),
     };
     let outcome = interp.exec_block(&program.stmts, &mut instance);
     tracer.gauge("iterations", interp.iterations as u64);
     tracer.gauge("final_facts", instance.fact_count() as u64);
-    drop(eval_guard);
-    telemetry.with(|t| t.loop_iterations = interp.iterations);
-    telemetry.with(|t| t.bytes_final = instance.heap_bytes() as u64);
-    telemetry.finish(&run_sw, instance.fact_count());
+    if tracer.is_enabled() {
+        tracer.gauge("bytes_final", instance.heap_bytes() as u64);
+    }
+    drop(run);
     outcome?;
     Ok(RunResult {
         instance,

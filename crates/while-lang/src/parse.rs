@@ -222,6 +222,39 @@ mod tests {
         assert!(rel.contains(&Tuple::from([Value::Int(2)])));
     }
 
+    /// Witness choice points reach the trace in the order they happen —
+    /// before a loop, in each of its iterations, after it — beside the
+    /// loop's iteration count.
+    #[test]
+    fn trace_lists_choice_points_in_order() {
+        let mut i = Interner::new();
+        let (program, _) = parse_while_program(
+            "first := W { x | R(x) };\n\
+             while change do\n\
+               S += W { x | R(x) & !S(x) };\n\
+             end\n\
+             last := W { x, y | R(x) & R(y) };",
+            &mut i,
+        )
+        .unwrap();
+        let r = i.get("R").unwrap();
+        let mut input = Instance::new();
+        for k in 0..3 {
+            input.insert_fact(r, Tuple::from([Value::Int(k)]));
+        }
+        let tel = unchained_common::Telemetry::enabled();
+        let mut chooser = |_n: usize| 0usize;
+        let result =
+            crate::run_traced(&program, &input, 100, Some(&mut chooser), tel.clone()).unwrap();
+        let trace = tel.snapshot().unwrap();
+        assert_eq!(trace.engine, "while");
+        assert_eq!(trace.loop_iterations, result.iterations);
+        // R has 3 values: 1 choice of 3, the loop's 3, 2, 1 (its last
+        // iteration finds nothing to choose), then 1 of 9 pairs.
+        assert_eq!(trace.choice_points, vec![3, 3, 2, 1, 9]);
+        assert_eq!(trace.final_facts, result.instance.fact_count());
+    }
+
     #[test]
     fn zero_ary_assignment() {
         let mut i = Interner::new();
