@@ -129,7 +129,9 @@ impl Planner {
     /// Marks predicates whose relations grow during the fixpoint (idb /
     /// recursive predicates): their cost estimate is raised to at least
     /// the catalog's total fact count, so an initially-empty recursive
-    /// relation is not mistaken for a free scan.
+    /// relation is not mistaken for a free scan. For a plan rendered
+    /// ahead of any stage (`unchained plan`); the stage driver plans
+    /// each stage on the counts it fires over.
     pub fn inflate(&mut self, preds: impl IntoIterator<Item = Symbol>) {
         self.inflated.extend(preds);
     }

@@ -442,6 +442,60 @@ fn join_leaves_sum_to_the_runs_join_counters() {
     }
 }
 
+/// A poll whose stratum falls back to batch recomputation nests that
+/// recomputation's rounds in its own, and each round records its own
+/// join work: the poll's rounds together read `PollStats::joins`, the
+/// recomputation counted once. On the diamond session, inserting
+/// `G(3,0)` closes a cycle, so `T` gains `T(x,x)` facts and `CT`, which
+/// negates `T`, recomputes.
+#[test]
+fn poll_rounds_sum_to_the_polls_join_counters() {
+    let mut interner = Interner::new();
+    let program = parse_program(
+        &format!("{TC} V(x) :- G(x,y). CT(x) :- V(x), !T(x,x)."),
+        &mut interner,
+    )
+    .unwrap();
+    let g = interner.intern("G");
+    let edge = |a: i64, b: i64| Tuple::from([Value::Int(a), Value::Int(b)]);
+    let mut diamond = Instance::new();
+    for (a, b) in [(0, 1), (1, 3), (0, 2), (2, 3)] {
+        diamond.insert_fact(g, edge(a, b));
+    }
+    let tracer = Tracer::enabled();
+    let options =
+        EvalOptions::default().with_telemetry(Telemetry::off().with_tracer(tracer.clone()));
+    let mut session = IncrementalSession::new(program, &diamond, options).unwrap();
+    session.insert(g, edge(3, 0)).unwrap();
+    let stats = session.poll().unwrap();
+    assert_eq!(stats.strata_recomputed, 1, "{stats:?}");
+    let roots = tracer.finish();
+    let poll: Vec<&Span> = roots
+        .iter()
+        .flat_map(|r| &r.children)
+        .filter(|s| s.name == "poll")
+        .collect();
+    let [poll] = poll[..] else {
+        panic!("one poll round, got {}", poll.len())
+    };
+    assert!(poll.children.iter().any(|c| c.kind == SpanKind::Round));
+    let joins = stats.joins;
+    assert!(joins.probes > 0);
+    for (name, total) in [
+        ("probes", joins.probes),
+        ("probe_tuples", joins.probe_tuples),
+        ("index_builds", joins.index_builds),
+        ("indexed_tuples", joins.indexed_tuples),
+        ("index_hits", joins.index_hits),
+        ("index_appends", joins.index_appends),
+        ("appended_tuples", joins.appended_tuples),
+        ("index_rebuilds", joins.index_rebuilds),
+    ] {
+        let rounds = sum_gauge(std::slice::from_ref(poll), SpanKind::Join, name);
+        assert_eq!(rounds, total, "{name}");
+    }
+}
+
 /// A well-founded round that shrinks the over-estimate fires most of
 /// its matches in the overdelete closure and the rederive pass, not in
 /// the seed loop over the gained facts. Each rule's span carries the

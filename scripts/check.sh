@@ -385,11 +385,12 @@ fi
 # Incremental-maintenance gate 3: a poll costs its change, not the
 # instance. In the full quick smoke, the ivm row (initial fixpoint plus
 # one retraction poll) must absorb the poll into the session's indexes
-# without a rebuild, and index no more than the chain/seminaive row
-# (the same fixpoint, run alone) plus the EDB once more: the poll's
-# support plans key into G's live rows and the pre-update view keys
-# into the retracted edge, edb_facts tuples together. A poll that
-# re-indexed state the size of the instance would exceed it.
+# without a rebuild, and put no more postings into indexes, built or
+# appended, than the chain/seminaive row (the same fixpoint, run alone)
+# plus the EDB once more: the poll's support plans key into G's live
+# rows and the pre-update view keys into the retracted edge, edb_facts
+# tuples together. A poll that indexed state the size of the instance,
+# by a build or by appending it to an index, would exceed it.
 echo "==> bench smoke: ivm poll rebuilds no index and indexes <= chain/seminaive + EDB"
 ivm_smoke=$(grep '"workload":"ivm","engine":"incremental","threads":1' target/bench-smoke.json)
 chain_smoke=$(grep '"workload":"chain","engine":"seminaive","threads":1' target/bench-smoke.json)
@@ -402,9 +403,10 @@ if [ "$(pick "$ivm_smoke" index_rebuilds)" != "0" ]; then
     echo "  row: $ivm_smoke" >&2
     exit 1
 fi
-if [ "$(pick "$ivm_smoke" indexed_tuples)" -gt \
-    $(( $(pick "$chain_smoke" indexed_tuples) + $(pick "$chain_smoke" edb_facts) )) ]; then
-    echo "ivm bench row indexed more than the chain/seminaive row's tuples plus its EDB" >&2
+ivm_postings=$(( $(pick "$ivm_smoke" indexed_tuples) + $(pick "$ivm_smoke" appended_tuples) ))
+chain_postings=$(( $(pick "$chain_smoke" indexed_tuples) + $(pick "$chain_smoke" appended_tuples) ))
+if [ "$ivm_postings" -gt $(( chain_postings + $(pick "$chain_smoke" edb_facts) )) ]; then
+    echo "ivm bench row indexed (built + appended) more than the chain/seminaive row plus its EDB" >&2
     echo "  ivm:   $ivm_smoke" >&2
     echo "  chain: $chain_smoke" >&2
     exit 1
