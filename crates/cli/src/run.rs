@@ -467,10 +467,10 @@ fn eval_while(
 }
 
 /// Renders every rule's compiled plan (and its semi-naive Δ variants)
-/// without evaluating: the same [`Planner`] call the engines make, so
-/// what prints is exactly what would run. The catalog comes from the
-/// facts file (empty without one, which degenerates cost ordering to
-/// most-bound-first).
+/// without evaluating: the same [`Planner`] call the engines make, on
+/// the counts the first stage plans on, so the full plans print as
+/// stage 1 fires them. The catalog comes from the facts file (empty
+/// without one, which degenerates cost ordering to most-bound-first).
 fn render_plans(
     program: &Program,
     input: &Instance,
@@ -495,7 +495,6 @@ fn render_plans(
     let mut planner = Planner::new(catalog, mode);
     let idb: unchained_common::FxHashSet<unchained_common::Symbol> =
         program.idb().into_iter().collect();
-    planner.inflate(idb.iter().copied());
     for (i, rule) in program.rules.iter().enumerate() {
         let _ = writeln!(out, "rule {}: {}.", i + 1, rule.display(interner));
         for line in planner.plan_rule(rule).render(rule, interner).lines() {
@@ -873,6 +872,31 @@ poll
         assert!(out.contains("% mode: syntactic"), "{out}");
         assert!(out.contains("scan B("), "{out}");
         assert!(out.contains("join A("), "{out}");
+    }
+
+    /// `unchained plan` renders the full plans on the facts file's
+    /// counts, as the first stage plans them: the recursive rule scans
+    /// the still-empty `R` and seeks `G` on the column `R` binds.
+    #[test]
+    fn plan_command_renders_the_plans_stage_one_fires() {
+        let cmd = parse_args(&["plan", "p.dl", "f.dl"].map(String::from))
+            .unwrap()
+            .command;
+        let facts: String = (0..4)
+            .map(|k| format!("S({k})."))
+            .chain((0..2000).map(|k| format!("G({},{}).", k % 500, k)))
+            .collect::<Vec<_>>()
+            .join(" ");
+        let out = execute(&cmd, "R(x) :- S(x). R(y) :- R(x), G(x,y).", Some(&facts)).unwrap();
+        let rule2 = &out[out.find("rule 2:").expect("two rules")..];
+        assert!(
+            rule2.contains("  scan R(x)\n  join G(=x, y) seek\n  project R(y)\n"),
+            "{out}"
+        );
+        assert!(
+            rule2.contains("    scan R(x) Δ\n    join G(=x, y) seek\n"),
+            "{out}"
+        );
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! [`tuple_bytes`](crate::space::tuple_bytes) whatever the physical
 //! layout, so byte gauges stay comparable across layouts.
 
-use crate::tuple::Tuple;
 use crate::value::Value;
 
 /// An immutable, row-major packed run of same-arity rows.
@@ -30,25 +29,6 @@ pub struct ColumnSegment {
 }
 
 impl ColumnSegment {
-    /// Packs `tuples` into a segment. The tuples' order is preserved.
-    ///
-    /// # Panics
-    /// Panics if a tuple's arity does not match.
-    pub fn from_tuples<'a>(arity: usize, tuples: impl IntoIterator<Item = &'a Tuple>) -> Self {
-        let mut seg = ColumnSegment {
-            arity,
-            rows: 0,
-            values: Vec::new(),
-        };
-        for t in tuples {
-            assert_eq!(t.arity(), arity, "arity mismatch packing a segment");
-            seg.values.extend_from_slice(t.values());
-            seg.rows += 1;
-        }
-        seg.values.shrink_to_fit();
-        seg
-    }
-
     /// A segment of `rows` rows already packed row-major in `values`;
     /// takes the buffer over without copying it.
     ///
@@ -172,15 +152,22 @@ impl ExactSizeIterator for Rows<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuple::Tuple;
 
     fn t2(a: i64, b: i64) -> Tuple {
         Tuple::from([Value::Int(a), Value::Int(b)])
     }
 
+    /// `tuples` packed into a segment, in order.
+    fn from_tuples(arity: usize, tuples: &[Tuple]) -> ColumnSegment {
+        let values = tuples.iter().flat_map(|t| t.values().iter().copied());
+        ColumnSegment::from_packed(arity, tuples.len(), values.collect())
+    }
+
     #[test]
     fn packs_rows_in_order() {
         let tuples = vec![t2(3, 4), t2(1, 2), t2(5, 6)];
-        let seg = ColumnSegment::from_tuples(2, &tuples);
+        let seg = from_tuples(2, &tuples);
         assert_eq!(seg.len(), 3);
         assert_eq!(seg.arity(), 2);
         assert_eq!(seg.row(1), &[Value::Int(1), Value::Int(2)]);
@@ -191,7 +178,7 @@ mod tests {
     #[test]
     fn range_iteration_matches_skip_take() {
         let tuples: Vec<Tuple> = (0..10).map(|k| t2(k, k + 1)).collect();
-        let seg = ColumnSegment::from_tuples(2, &tuples);
+        let seg = from_tuples(2, &tuples);
         for (lo, hi) in [(0, 0), (0, 10), (3, 7), (9, 10)] {
             let ranged: Vec<&[Value]> = seg.rows_range(lo, hi).collect();
             let skipped: Vec<&[Value]> = seg.rows().skip(lo).take(hi - lo).collect();
@@ -202,7 +189,7 @@ mod tests {
     #[test]
     fn arity_zero_counts_rows_without_values() {
         let tuples = vec![Tuple::from([]), Tuple::from([])];
-        let seg = ColumnSegment::from_tuples(0, &tuples);
+        let seg = from_tuples(0, &tuples);
         assert_eq!(seg.len(), 2);
         assert_eq!(seg.rows().count(), 2);
         assert_eq!(seg.row(0), &[] as &[Value]);
@@ -212,7 +199,7 @@ mod tests {
     #[test]
     fn exact_size_is_reported() {
         let tuples: Vec<Tuple> = (0..5).map(|k| t2(k, k)).collect();
-        let seg = ColumnSegment::from_tuples(2, &tuples);
+        let seg = from_tuples(2, &tuples);
         let mut it = seg.rows();
         assert_eq!(it.len(), 5);
         it.next();
@@ -220,9 +207,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "arity mismatch")]
+    #[should_panic(expected = "packed length mismatch")]
     fn arity_is_checked() {
-        let t = Tuple::from([Value::Int(1)]);
-        let _ = ColumnSegment::from_tuples(2, [&t]);
+        let _ = ColumnSegment::from_packed(2, 1, vec![Value::Int(1)]);
     }
 }

@@ -4,7 +4,6 @@ use crate::columnar::ColumnSegment;
 use crate::hash::{hash_one, FxHashMap, FxHashSet};
 use crate::interner::{Interner, Symbol};
 use crate::relation::{Generation, Relation};
-use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::BTreeMap;
@@ -26,15 +25,6 @@ impl Instance {
     /// Creates an empty instance (no relations at all).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an instance with an empty relation for every schema entry.
-    pub fn empty_of(schema: &Schema) -> Self {
-        let mut inst = Instance::new();
-        for (name, arity) in schema.iter() {
-            inst.relations.insert(name, Relation::new(arity));
-        }
-        inst
     }
 
     /// The relation for `name`, if present.
@@ -172,18 +162,6 @@ impl Instance {
     /// relations are ignored, mirroring [`Instance::fingerprint`]).
     pub fn same_facts(&self, other: &Instance) -> bool {
         self.nonempty().eq(other.nonempty())
-    }
-
-    /// True iff both instances hold the same facts in each relation of
-    /// `names`; an absent relation counts as empty.
-    pub fn same_facts_on(&self, other: &Instance, names: impl IntoIterator<Item = Symbol>) -> bool {
-        names
-            .into_iter()
-            .all(|name| match (self.relation(name), other.relation(name)) {
-                (Some(a), Some(b)) => a == b || (a.is_empty() && b.is_empty()),
-                (Some(r), None) | (None, Some(r)) => r.is_empty(),
-                (None, None) => true,
-            })
     }
 
     /// The non-empty relations, in symbol order.
@@ -443,20 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn same_facts_on_compares_only_the_named_relations() {
-        let (_, g, t) = setup();
-        let mut a = Instance::new();
-        a.insert_fact(g, t2(1, 2));
-        a.ensure(t, 2);
-        let mut b = Instance::new();
-        b.insert_fact(g, t2(3, 4));
-        assert!(a.same_facts_on(&b, [t]), "empty and absent T agree");
-        assert!(!a.same_facts_on(&b, [g, t]));
-        b.insert_fact(t, t2(5, 6));
-        assert!(!a.same_facts_on(&b, [t]));
-    }
-
-    #[test]
     fn frozen_facts_share_segments_and_keep_the_lineage() {
         let (_, g, t) = setup();
         let mut inst = Instance::new();
@@ -497,17 +461,6 @@ mod tests {
         let proj = inst.project_schema([t]);
         assert!(proj.relation(g).is_none());
         assert!(proj.contains_fact(t, &t2(3, 4)));
-    }
-
-    #[test]
-    fn empty_of_schema() {
-        let (mut i, g, _) = setup();
-        let mut schema = Schema::new();
-        schema.declare(g, 2).unwrap();
-        schema.declare(i.intern("P"), 1).unwrap();
-        let inst = Instance::empty_of(&schema);
-        assert_eq!(inst.relations.len(), 2);
-        assert!(inst.is_empty());
     }
 
     #[test]

@@ -174,6 +174,34 @@ fn set_bit(bits: &mut Vec<u64>, pos: usize, on: bool) {
     }
 }
 
+/// The first position in `0..end` at which `before` fails, for a
+/// `before` that holds on a prefix of `0..end`: found by galloping up
+/// from `from` when `before` holds just below it, else by a binary
+/// search below `from`. An answer `d` positions past `from` costs
+/// O(log d) calls.
+fn gallop(from: usize, end: usize, before: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (from, end);
+    if from > 0 && !before(from - 1) {
+        (lo, hi) = (0, from - 1);
+    } else {
+        let mut step = 1;
+        while lo + step <= end && before(lo + step - 1) {
+            lo += step;
+            step *= 2;
+        }
+        hi = hi.min(lo + step - 1);
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if before(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 /// Rearranges the rows packed in `values` with stride `a` so that row
 /// `k` becomes the row that was at `order[k]`: each cycle of the
 /// permutation is walked once, holding one row aside. Leaves `order`
@@ -611,7 +639,7 @@ impl Relation {
     }
 
     /// Whether the row at storage position `pos` was retracted.
-    fn is_dead(&self, pos: usize) -> bool {
+    pub fn is_dead(&self, pos: usize) -> bool {
         bit(&self.dead, pos)
     }
 
@@ -1163,6 +1191,25 @@ impl Relation {
             span: 0..0,
             values: &[],
         }
+    }
+
+    /// The storage positions of the rows whose leading columns equal
+    /// `key`, when the relation is stored as at most one sorted segment
+    /// and no tail (`None` otherwise). Found in place by galloping from
+    /// `last`, the span an earlier probe returned: a key at or a little
+    /// past the last one costs a few comparisons, and any `last` gives
+    /// the right span. The span may hold dead rows
+    /// ([`Relation::is_dead`]).
+    pub fn prefix_span(&self, key: &[Value], last: Range<usize>) -> Option<Range<usize>> {
+        if self.segments.len() > 1 || self.tail_len > 0 {
+            return None;
+        }
+        let (rows, a, k) = (self.tail_base, self.arity, key.len());
+        let values = self.segments.first().map_or(&[][..], |s| s.values());
+        let lead = |pos: usize| &values[pos * a..pos * a + k];
+        let start = gallop(last.start.min(rows), rows, |pos| lead(pos) < key);
+        let end = gallop(last.end.clamp(start, rows), rows, |pos| lead(pos) <= key);
+        Some(start..end)
     }
 
     /// Exact delta bounds `(first new segment, first new recent index)` for
@@ -1959,6 +2006,81 @@ mod tests {
         assert_eq!(b.delta_bounds(mark), Some((0, 1)));
         // The mutated one conservatively reports everything.
         assert_eq!(a.iter_since(mark).count(), a.len());
+    }
+
+    /// `prefix_span` over a one-segment relation, with tombstones or
+    /// without, yields exactly the rows a filter over `iter_stored`
+    /// keeps, in storage order: for probe sequences that ascend,
+    /// descend, repeat a key, miss, and fall before the first row or
+    /// past the last, at every key length, each probe searching from the
+    /// span the last one returned or from an arbitrary one. A tail or a
+    /// second segment turns the search down.
+    #[test]
+    fn prefix_span_matches_a_filter_over_storage() {
+        let mut rng = crate::rng::Rng::seeded(30);
+        for round in 0..400 {
+            let a = 1 + rng.gen_index(3);
+            let mut rel = Relation::new(a);
+            for _ in 0..rng.gen_index(60) {
+                let row: Tuple = (0..a)
+                    .map(|_| Value::Int(rng.gen_range_i64(1, 7)))
+                    .collect();
+                rel.insert(row);
+            }
+            rel.commit();
+            if rng.gen_bool(0.5) {
+                let rows: Vec<Tuple> = rel.iter_stored().map(Tuple::new).collect();
+                for row in rows.iter().filter(|_| rng.gen_bool(0.3)) {
+                    rel.retract(row.values());
+                }
+            }
+            // Values 0 and 7 fall before every row and past the last.
+            let k = 1 + rng.gen_index(a);
+            let mut keys: Vec<Vec<Value>> = (0..24)
+                .map(|_| {
+                    (0..k)
+                        .map(|_| Value::Int(rng.gen_range_i64(0, 8)))
+                        .collect()
+                })
+                .collect();
+            match round % 4 {
+                0 => keys.sort(),
+                1 => keys.sort_by(|x, y| y.cmp(x)),
+                2 => {
+                    let first = keys[0].clone();
+                    keys.iter_mut()
+                        .step_by(2)
+                        .for_each(|key| key.clone_from(&first));
+                }
+                _ => {}
+            }
+            let stored = rel.stored_rows() + 2;
+            let mut last = 0..0;
+            for key in &keys {
+                if rng.gen_bool(0.2) {
+                    last = rng.gen_index(stored)..rng.gen_index(stored);
+                }
+                let span = rel.prefix_span(key, last.clone()).expect("one segment");
+                let got: Vec<&[Value]> = rel.iter_stored_range(span.start, span.end).collect();
+                let want: Vec<&[Value]> = rel
+                    .iter_stored()
+                    .filter(|row| row[..k] == key[..])
+                    .collect();
+                assert_eq!(got, want, "round {round}: key {key:?} from {last:?}");
+                last = span;
+            }
+        }
+        let mut rel = Relation::from_tuples(2, [t2(1, 2)]);
+        assert_eq!(rel.prefix_span(&[Value::Int(1)], 0..0), None, "a tail");
+        rel.commit();
+        assert_eq!(rel.prefix_span(&[Value::Int(1)], 0..0), Some(0..1));
+        rel.insert(t2(0, 5));
+        rel.commit();
+        assert_eq!(
+            rel.prefix_span(&[Value::Int(1)], 0..0),
+            None,
+            "two segments"
+        );
     }
 
     #[test]

@@ -284,7 +284,8 @@ fn column_segments_replay_tuples_verbatim() {
     let mut rng = Rng::seeded(0xC05);
     for arity in 0..=5 {
         let tuples: Vec<Tuple> = (0..50).map(|_| random_tuple(&mut rng, arity, 4)).collect();
-        let seg = ColumnSegment::from_tuples(arity, &tuples);
+        let values = tuples.iter().flat_map(|t| t.values().iter().copied());
+        let seg = ColumnSegment::from_packed(arity, tuples.len(), values.collect());
         assert_eq!(seg.len(), tuples.len());
         let back: Vec<Tuple> = seg.rows().map(Tuple::new).collect();
         assert_eq!(back, tuples, "arity {arity}");

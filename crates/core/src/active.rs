@@ -66,12 +66,6 @@ impl Update {
         }
     }
 
-    /// Adds an insertion (builder style).
-    pub fn and_insert(mut self, pred: Symbol, tuple: Tuple) -> Self {
-        self.insertions.push((pred, tuple));
-        self
-    }
-
     /// Adds a deletion (builder style).
     pub fn and_delete(mut self, pred: Symbol, tuple: Tuple) -> Self {
         self.deletions.push((pred, tuple));

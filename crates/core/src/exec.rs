@@ -6,8 +6,11 @@
 //! ([`crate::ir::Step`]) depth-first, invoking a callback once per
 //! satisfying valuation. A scan with no bound column reads the
 //! relation's stored rows in place, in storage order, through one loop
-//! that the morsel entry point shares ([`for_each_match_morsel`]). A
-//! keyed scan probes a per-(relation, columns) hash index, memoized
+//! that the morsel entry point shares ([`for_each_match_morsel`]). So
+//! does a keyed scan marked `seek` while its driver reads sorted storage
+//! and its relation is one sorted segment: a galloping search from the
+//! last probe's span finds the rows ([`Relation::prefix_span`]). Other
+//! keyed scans probe a per-(relation, columns) hash index, memoized
 //! across fixpoint iterations in an [`IndexCache`] tracked by relation
 //! [`Generation`]: when a relation only grew, the cached index absorbs
 //! the new tuples incrementally instead of being rebuilt from scratch.
@@ -44,18 +47,36 @@ enum Covers {
 /// hits allocates nothing.
 type ColumnEntries = Vec<(Box<[usize]>, CacheEntry)>;
 
-struct CacheEntry {
-    /// Generation of the relation the index is current for.
-    gen: Generation,
-    /// For delta-source entries, the mark the slice was taken from.
-    mark: Option<Generation>,
-    index: Index,
+/// How the cache answers the probes of one key: through a hash index
+/// current for the relation at `gen` (for a delta-source entry, for the
+/// slice since `mark`), or by seeks in the relation's one sorted segment
+/// ([`Relation::prefix_span`]), each searching from the span the last
+/// one read. A new entry seeks until a probe cannot. (A boxed index
+/// would cost every indexed probe a pointer chase.)
+#[allow(clippy::large_enum_variant)]
+enum CacheEntry {
+    Index {
+        gen: Generation,
+        mark: Option<Generation>,
+        index: Index,
+    },
+    Seek(Range<usize>),
+}
+
+/// What answers one keyed probe: a hash index to look the key up in,
+/// or the storage positions of the rows that lead with the key.
+pub(crate) enum Probe<'c> {
+    Index(&'c Index),
+    Seek(Range<usize>),
 }
 
 /// A per-run cache of relation indexes, keyed by
 /// `(relation, key columns, source)` and tracked by relation generation.
 /// It holds only indexes some probe keys into: scans with no bound
 /// column read storage in place and build none.
+///
+/// A `seek` probe ([`Step::Scan`]) may instead be answered from sorted
+/// storage (see [`CacheEntry`]); either way it costs one lookup.
 ///
 /// A full-source entry whose relation only grew since the index was built
 /// absorbs the new tuples by appending postings ([`Index::absorb_from`]);
@@ -167,15 +188,21 @@ impl IndexCache {
         self.entries
             .values()
             .flatten()
-            .map(|(_, e)| e.index.heap_bytes())
+            .map(|(_, e)| match e {
+                CacheEntry::Index { index, .. } => index.heap_bytes(),
+                CacheEntry::Seek(_) => 0,
+            })
             .sum()
     }
 
-    /// Number of cached indexes.
+    /// Number of cached keys, each served by an index or by seeks.
     pub fn entry_count(&self) -> usize {
         self.entries.values().map(Vec::len).sum()
     }
 
+    /// How a probe of `relation` on `cols` is answered. Given `seek`, the
+    /// probe's key, a key no index serves yet is sought in storage while
+    /// the relation allows; otherwise its index is built, grown or hit.
     #[inline]
     pub(crate) fn get(
         &mut self,
@@ -184,12 +211,13 @@ impl IndexCache {
         source: ScanSource,
         relation: &Relation,
         mark: Option<Generation>,
-    ) -> &Index {
+        seek: Option<&[Value]>,
+    ) -> Probe<'_> {
         let covers = match source {
             ScanSource::Full => Covers::Full,
             ScanSource::Delta => Covers::Delta,
         };
-        self.entry(pred, cols, covers, relation, mark)
+        self.entry(pred, cols, covers, relation, mark, seek)
     }
 
     fn entry(
@@ -199,7 +227,8 @@ impl IndexCache {
         covers: Covers,
         relation: &Relation,
         mark: Option<Generation>,
-    ) -> &Index {
+        seek: Option<&[Value]>,
+    ) -> Probe<'_> {
         debug_assert!(!cols.is_empty(), "a keyless scan reads storage in place");
         let gen_now = relation.generation();
         let counters = &mut self.counters;
@@ -210,39 +239,51 @@ impl IndexCache {
             };
             counters.index_builds += 1;
             counters.indexed_tuples += index.tuple_count() as u64;
-            CacheEntry {
+            CacheEntry::Index {
                 gen: gen_now,
                 mark,
                 index,
             }
         };
         let entries = self.entries.entry((pred, covers)).or_default();
-        match entries.iter().position(|(c, _)| **c == *cols) {
+        let at = match entries.iter().position(|(c, _)| **c == *cols) {
+            Some(at) => at,
             None => {
-                entries.push((cols.into(), fresh(counters)));
-                &entries.last().expect("just pushed").1.index
+                entries.push((cols.into(), CacheEntry::Seek(0..0)));
+                entries.len() - 1
             }
-            Some(at) => {
-                let entry = &mut entries[at].1;
-                if entry.gen == gen_now && entry.mark == mark {
-                    counters.index_hits += 1;
-                } else if mark.is_some() {
-                    // Delta indexes are rebuilt per round, never absorbed.
-                    *entry = fresh(counters);
-                } else if let Some(appended) = entry.index.absorb_from(relation, entry.gen) {
+        };
+        let entry = &mut entries[at].1;
+        match entry {
+            CacheEntry::Seek(last) => {
+                if let Some(span) = seek.and_then(|key| relation.prefix_span(key, last.clone())) {
+                    *last = span.clone();
+                    return Probe::Seek(span);
+                }
+                // The relation or the driver is not sorted: index the key.
+                *entry = fresh(counters);
+            }
+            CacheEntry::Index { gen, mark: m, .. } if *gen == gen_now && *m == mark => {
+                counters.index_hits += 1;
+            }
+            // Delta indexes are rebuilt per round, never absorbed.
+            CacheEntry::Index { .. } if mark.is_some() => *entry = fresh(counters),
+            CacheEntry::Index { gen, index, .. } => {
+                if let Some(appended) = index.absorb_from(relation, *gen) {
                     counters.index_appends += 1;
                     counters.appended_tuples += appended as u64;
-                    entry.gen = gen_now;
                 } else {
                     counters.index_rebuilds += 1;
                     counters.indexed_tuples += relation.len() as u64;
-                    entry.index = Index::build(relation, cols);
-                    entry.gen = gen_now;
-                    entry.mark = None;
+                    *index = Index::build(relation, cols);
                 }
-                &entry.index
+                *gen = gen_now;
             }
         }
+        let CacheEntry::Index { index, .. } = entry else {
+            unreachable!("a seek returns above");
+        };
+        Probe::Index(index)
     }
 }
 
@@ -318,7 +359,7 @@ pub fn for_each_match(
     on_match: &mut dyn FnMut(&Env) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     let mut env: Env = vec![None; plan.var_count];
-    Run { sources, adom }.steps(&plan.steps, cache, &mut env, on_match)
+    Run::new(plan, sources, adom).steps(&plan.steps, cache, &mut env, on_match)
 }
 
 /// Like [`for_each_match`], but starting from a caller-seeded
@@ -336,7 +377,7 @@ pub fn for_each_match_from(
     on_match: &mut dyn FnMut(&Env) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     debug_assert_eq!(env.len(), plan.var_count);
-    Run { sources, adom }.steps(&plan.steps, cache, env, on_match)
+    Run::new(plan, sources, adom).steps(&plan.steps, cache, env, on_match)
 }
 
 /// One unit of work for the morsel-driven parallel stages: either a
@@ -461,7 +502,7 @@ pub fn for_each_match_morsel(
         ControlFlow::Continue(())
     };
     let env = &mut vec![None; plan.var_count];
-    let run = Run { sources, adom };
+    let run = Run::new(plan, sources, adom);
     let _ = match (morsel, driver(plan, &sources)) {
         (Morsel::Rows { lo, hi }, Some((args, mut scan))) => {
             scan.span = scan.span.start + lo..scan.span.start + hi;
@@ -518,9 +559,26 @@ fn bind_row(args: &[Term], key: &[usize], row: &[Value], env: &mut Env) -> bool 
 struct Run<'a> {
     sources: Sources<'a>,
     adom: &'a [Value],
+    /// Whether the driver reads sorted runs of storage only, so that the
+    /// keys of `seek` scans ascend: not when it reads an uncommitted
+    /// tail, which holds rows in insertion order, or a pre-update view.
+    sorted: bool,
 }
 
-impl Run<'_> {
+impl<'a> Run<'a> {
+    fn new(plan: &Plan, sources: Sources<'a>, adom: &'a [Value]) -> Self {
+        let seek = |s: &Step| matches!(s, Step::Scan { seek: true, .. });
+        let sorted = plan.steps.iter().any(seek)
+            && driver(plan, &sources).is_some_and(|(_, scan)| {
+                scan.withdrawn.is_none() && scan.relation.is_some_and(|r| r.recent_len() == 0)
+            });
+        Run {
+            sources,
+            adom,
+            sorted,
+        }
+    }
+
     /// Counts one probe yielding `count` rows, then binds `args` from
     /// each of `rows` in turn, at the positions not in `key`, and runs
     /// `rest` under each binding that matches.
@@ -573,6 +631,7 @@ impl Run<'_> {
                 args,
                 key,
                 source,
+                seek,
             } => {
                 let scan = Stored::new(&sources, *pred, *source);
                 if scan.relation.is_none() && scan.withdrawn.is_none() {
@@ -601,25 +660,37 @@ impl Run<'_> {
                 // nothing. The rows are read from storage as they bind.
                 let mut probe = cache.take_scratch();
                 probe.extend(key.iter().map(|&p| term_value(&args[p], env)));
+                let seek =
+                    *seek && self.sorted && scan.hidden.is_none() && scan.withdrawn.is_none();
+                let seek = seek.then_some(&probe[..]);
                 let mut hits = cache.take_positions();
                 if let Some(relation) = scan.relation {
-                    let index = cache.get(*pred, key, *source, relation, scan.mark);
-                    let postings = index.probe(&probe);
-                    match scan.hidden {
-                        None => hits.extend(postings),
-                        Some(hidden) => hits.extend(
-                            postings
-                                .clone()
-                                .zip(relation.rows_at(postings))
-                                .filter(|(_, row)| !hidden.contains_row(row))
-                                .map(|(pos, _)| pos),
-                        ),
+                    match cache.get(*pred, key, *source, relation, scan.mark, seek) {
+                        // The live positions of the span found in storage.
+                        Probe::Seek(span) => {
+                            hits.extend(span.filter(|&p| !relation.is_dead(p)).map(|p| p as u32));
+                        }
+                        Probe::Index(index) => {
+                            let postings = index.probe(&probe);
+                            match scan.hidden {
+                                None => hits.extend(postings),
+                                Some(hidden) => hits.extend(
+                                    postings
+                                        .clone()
+                                        .zip(relation.rows_at(postings))
+                                        .filter(|(_, row)| !hidden.contains_row(row))
+                                        .map(|(pos, _)| pos),
+                                ),
+                            }
+                        }
                     }
                 }
                 let own = hits.len();
                 if let Some(withdrawn) = scan.withdrawn {
-                    let index = cache.entry(*pred, key, Covers::Withdrawn, withdrawn, None);
-                    hits.extend(index.probe(&probe));
+                    let index = cache.entry(*pred, key, Covers::Withdrawn, withdrawn, None, None);
+                    if let Probe::Index(index) = index {
+                        hits.extend(index.probe(&probe));
+                    }
                 }
                 cache.put_scratch(probe);
                 let (own, theirs) = hits.split_at(own);
@@ -686,6 +757,20 @@ mod tests {
     use unchained_common::{Interner, Tuple};
     use unchained_parser::HeadLiteral;
 
+    /// The index `cache` answers a probe of `rel` on column 0 through.
+    fn index<'c>(
+        cache: &'c mut IndexCache,
+        g: Symbol,
+        rel: &Relation,
+        source: ScanSource,
+        mark: Option<Generation>,
+    ) -> &'c Index {
+        match cache.get(g, &[0], source, rel, mark, None) {
+            Probe::Index(index) => index,
+            Probe::Seek(_) => unreachable!("no seek was asked for"),
+        }
+    }
+
     #[test]
     fn index_cache_absorbs_growth_instead_of_rebuilding() {
         let mut interner = Interner::new();
@@ -695,22 +780,20 @@ mod tests {
         rel.commit();
         let mut cache = IndexCache::new();
         assert_eq!(
-            cache
-                .get(g, &[0], ScanSource::Full, &rel, None)
+            index(&mut cache, g, &rel, ScanSource::Full, None)
                 .probe(&[Value::Int(1)])
                 .len(),
             1
         );
         assert_eq!(cache.counters.index_builds, 1);
         // Unchanged relation: a cache hit, no index work.
-        let _ = cache.get(g, &[0], ScanSource::Full, &rel, None);
+        let _ = index(&mut cache, g, &rel, ScanSource::Full, None);
         assert_eq!(cache.counters.index_hits, 1);
         // Growth (including across a commit) is absorbed incrementally.
         rel.insert(Tuple::from([Value::Int(2)]));
         rel.commit();
         assert_eq!(
-            cache
-                .get(g, &[0], ScanSource::Full, &rel, None)
+            index(&mut cache, g, &rel, ScanSource::Full, None)
                 .probe(&[Value::Int(2)])
                 .len(),
             1
@@ -721,8 +804,7 @@ mod tests {
         // A removal breaks the lineage and forces a rebuild.
         rel.remove(&Tuple::from([Value::Int(1)]));
         assert_eq!(
-            cache
-                .get(g, &[0], ScanSource::Full, &rel, None)
+            index(&mut cache, g, &rel, ScanSource::Full, None)
                 .probe(&[Value::Int(1)])
                 .len(),
             0
@@ -742,22 +824,22 @@ mod tests {
         instance.insert_fact(g, pair(0, 0));
         instance.commit_all();
         let mut cache = IndexCache::new();
-        let _ = cache.get(
+        let _ = index(
+            &mut cache,
             g,
-            &[0],
-            ScanSource::Full,
             instance.relation(g).unwrap(),
+            ScanSource::Full,
             None,
         );
         // Tail rows in reverse order, so the commit's sort moves them.
         for b in (1..=6).rev() {
             instance.insert_fact(g, pair(b % 2, b));
         }
-        let _ = cache.get(
+        let _ = index(
+            &mut cache,
             g,
-            &[0],
-            ScanSource::Full,
             instance.relation(g).unwrap(),
+            ScanSource::Full,
             None,
         );
         assert_eq!(cache.counters.index_appends, 1);
@@ -765,7 +847,7 @@ mod tests {
         instance.commit_all();
         let rel = instance.relation(g).unwrap();
         let fresh = Index::build(rel, &[0]);
-        let idx = cache.get(g, &[0], ScanSource::Full, rel, None);
+        let idx = index(&mut cache, g, rel, ScanSource::Full, None);
         for k in 0..3 {
             let got: Vec<Tuple> = rel
                 .rows_at(idx.probe(&[Value::Int(k)]))
@@ -833,6 +915,70 @@ mod tests {
         assert_eq!(heads(2, &mut cache), vec![one(5)]);
     }
 
+    /// A `seek` join reads the same rows in the same order whether the
+    /// probed relation is one sorted segment (answered from storage, no
+    /// index) or the same rows in two (answered through an index), dead
+    /// rows included; a driver with an uncommitted tail keeps the index.
+    #[test]
+    fn seek_and_index_probes_match_alike_in_order() {
+        use crate::planner::{Catalog, PlanMode, Planner};
+        let mut i = Interner::new();
+        let program = unchained_parser::parse_program("H(x,y) :- D(x), G(x,y).", &mut i).unwrap();
+        let (d, g) = (i.get("D").unwrap(), i.get("G").unwrap());
+        let pair = |a: i64, b: i64| Tuple::from([Value::Int(a), Value::Int(b)]);
+        let mut rows: Vec<Tuple> = (0..60).map(|k| pair(k % 13, k * 7 % 19)).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        // G's rows at the same storage positions, in one segment or two.
+        let layout = |cut: usize, tail: bool| {
+            let mut instance = Instance::new();
+            for (k, part) in [&rows[..cut], &rows[cut..]].into_iter().enumerate() {
+                for row in part {
+                    instance.insert_fact(g, row.clone());
+                }
+                instance.insert_fact(d, Tuple::from([Value::Int(2 * k as i64 + 3)]));
+                instance.commit_all();
+            }
+            instance.relation_mut(g).unwrap().retract(&rows[7]);
+            for x in [0, 5, 5 + i64::from(tail)] {
+                instance.insert_fact(d, Tuple::from([Value::Int(x)]));
+            }
+            if !tail {
+                instance.commit_all();
+            }
+            instance
+        };
+        let run = |instance: &Instance| {
+            let mut planner = Planner::new(Catalog::from_instance(instance), PlanMode::Cost);
+            let plan = planner.plan_rule(&program.rules[0]);
+            assert!(matches!(plan.steps[1], Step::Scan { seek: true, .. }));
+            let mut cache = IndexCache::new();
+            let mut matches = Vec::new();
+            let _ = for_each_match(
+                &plan,
+                Sources::simple(instance),
+                &[],
+                &mut cache,
+                &mut |env| {
+                    matches.push((env[0], env[1]));
+                    ControlFlow::Continue(())
+                },
+            );
+            (matches, cache.counters)
+        };
+        let (seek, a) = run(&layout(0, false));
+        let (index, b) = run(&layout(rows.len() / 2, false));
+        assert_eq!(seek, index);
+        assert!(seek.len() > 4, "{seek:?}");
+        assert_eq!((a.probes, a.probe_tuples), (b.probes, b.probe_tuples));
+        assert_eq!((a.index_builds, b.index_builds), (0, 1));
+        let (_, c) = run(&layout(0, true));
+        assert_eq!(
+            c.index_builds, 1,
+            "a driver with a tail yields unsorted keys"
+        );
+    }
+
     #[test]
     fn delta_index_covers_only_the_slice_since_the_mark() {
         let mut interner = Interner::new();
@@ -844,7 +990,7 @@ mod tests {
         rel.insert(Tuple::from([Value::Int(2)]));
         rel.commit();
         let mut cache = IndexCache::new();
-        let idx = cache.get(g, &[0], ScanSource::Delta, &rel, Some(mark));
+        let idx = index(&mut cache, g, &rel, ScanSource::Delta, Some(mark));
         assert_eq!(idx.probe(&[Value::Int(1)]).len(), 0);
         assert_eq!(idx.probe(&[Value::Int(2)]).len(), 1);
         assert_eq!(cache.counters.index_builds, 1);

@@ -1122,7 +1122,7 @@ pub(crate) fn eval_strata(
     let (_, cache, _) = stages.into_parts();
     tracer.note(|| {
         format!(
-            "index cache: {} indexes, {}",
+            "index cache: {} keys, {} of indexes",
             cache.entry_count(),
             fmt_bytes(cache.heap_bytes() as u64)
         )

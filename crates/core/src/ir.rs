@@ -30,18 +30,28 @@ pub enum ScanSource {
 /// space.
 #[derive(Clone, Debug)]
 pub enum Step {
-    /// Probe `pred` (via an index on `key` positions) and bind the
-    /// remaining positions.
+    /// Probe `pred` on its `key` positions and bind the remaining
+    /// positions.
     Scan {
         /// The relation scanned.
         pred: Symbol,
         /// The atom's argument terms.
         args: Vec<Term>,
         /// Positions whose value is known before the scan (constants and
-        /// already-bound variables). The index is built on these.
+        /// already-bound variables): the probe key.
         key: Vec<usize>,
         /// Full or delta relation.
         source: ScanSource,
+        /// Set on a full scan after the first step whose key is its
+        /// relation's leading columns, bound in the same order by the
+        /// driver's (the first step's) leading columns. Its probe keys
+        /// then come in the driver's storage order, ascending over each
+        /// sorted run, so the executor may seek its rows in sorted
+        /// storage from the last probe's ([`Relation::prefix_span`])
+        /// instead of through a hash index.
+        ///
+        /// [`Relation::prefix_span`]: unchained_common::Relation::prefix_span
+        seek: bool,
     },
     /// Bind `var` to the value of `term` (which the plan guarantees is
     /// evaluable here).
@@ -87,8 +97,9 @@ impl Plan {
     /// Renders the steps in execution order, one per line, naming
     /// values by `rule`'s own variables. The first step's scan reads
     /// `scan`, later ones `join`; a key column reads `=t`, a column
-    /// repeating a variable bound earlier in the same atom `?x`, and a
-    /// delta scan ends in `Δ`. When `rule` has a single positive head
+    /// repeating a variable bound earlier in the same atom `?x`, a delta
+    /// scan ends in `Δ`, and a scan marked to seek sorted storage in
+    /// `seek`. When `rule` has a single positive head
     /// whose variables the steps bind, a closing `project` line names
     /// the emitted tuple; a plan with no line at all renders `unit`.
     pub fn render(&self, rule: &Rule, interner: &Interner) -> String {
@@ -106,6 +117,7 @@ impl Plan {
                     args,
                     key,
                     source,
+                    seek,
                 } => {
                     let cols: Vec<String> = args
                         .iter()
@@ -125,7 +137,7 @@ impl Plan {
                         .collect();
                     writeln!(
                         out,
-                        "{} {}({}){}",
+                        "{} {}({}){}{}",
                         if i == 0 { "scan" } else { "join" },
                         interner.name(*pred),
                         cols.join(", "),
@@ -133,7 +145,8 @@ impl Plan {
                             " Δ"
                         } else {
                             ""
-                        }
+                        },
+                        if *seek { " seek" } else { "" }
                     )
                 }
                 Step::BindEq { var, term: t } => {
@@ -195,12 +208,14 @@ mod tests {
                     args: vec![Term::Var(x), Term::Var(z)],
                     key: vec![],
                     source: ScanSource::Full,
+                    seek: false,
                 },
                 Step::Scan {
                     pred: t,
                     args: vec![Term::Var(z), Term::Var(y)],
                     key: vec![0],
                     source: ScanSource::Delta,
+                    seek: false,
                 },
             ],
             var_count: rule.var_count(),
@@ -212,7 +227,8 @@ mod tests {
     }
 
     /// Every step form, as the planner emits it for one rule and its
-    /// Δ variant: a repeated-variable check, key columns, a select and
+    /// Δ variant: a repeated-variable check, key columns (the join on
+    /// the driver's leading column marked `seek`), a select and
     /// a bind as soon as their variables are bound, a domain for the
     /// variable only the negation mentions, then the antijoin.
     #[test]
@@ -228,7 +244,7 @@ mod tests {
         let mut planner = Planner::new(Catalog::empty(), PlanMode::Cost);
         assert_eq!(
             planner.plan_rule(rule).render(rule, &interner),
-            "scan G(x, ?x)\njoin T(=x, y)\nselect y != 1\nbind w := y\n\
+            "scan G(x, ?x)\njoin T(=x, y) seek\nselect y != 1\nbind w := y\n\
              domain u\nantijoin !N(y, u)\nproject H(x, w)\n"
         );
         let variants = planner.seminaive_variants(rule, &|p| p == t);

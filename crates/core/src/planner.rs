@@ -7,12 +7,11 @@
 //! 1. **Join order** — positive atoms are scheduled greedily. Under
 //!    [`PlanMode::Cost`] the next atom is the one with the smallest
 //!    estimated probe cost `card(pred) / 4^bound_positions`, using
-//!    relation cardinalities snapshotted from the input [`Instance`]
-//!    into a [`Catalog`] (recursive predicates, whose relations grow
-//!    during the fixpoint, are estimated at no less than the total fact
-//!    count), with a Cartesian guard: once any position is bound, atoms
-//!    sharing a bound position always beat unconnected ones regardless
-//!    of cardinality. Under [`PlanMode::Syntactic`] the next atom is simply the
+//!    relation cardinalities snapshotted from the instance the plan
+//!    fires over into a [`Catalog`], with a Cartesian guard: once any
+//!    position is bound, atoms sharing a bound position always beat
+//!    unconnected ones regardless of cardinality. Under
+//!    [`PlanMode::Syntactic`] the next atom is simply the
 //!    one with the most bound argument positions, tie-broken by source
 //!    order — the historical ordering, kept as the differential-fuzzing
 //!    counterpart. Ties in cost fall back to bound positions, then
@@ -32,6 +31,11 @@
 //!    instance changed: the literal becomes a delta scan over the facts
 //!    that left (or entered) that instance, so a valuation that a
 //!    negation newly enables, or newly blocks, is found from the change.
+//! 4. **Storage seeks** — a later scan whose key is its relation's
+//!    leading columns, bound in order by the driver's leading columns,
+//!    is marked `seek` (see [`Step::Scan`]): its probe keys follow the
+//!    driver's sorted rows, so the executor may answer them from sorted
+//!    storage instead of a hash index.
 //!
 //! The planner reports [`PlanStats`]: `joins_pruned` counts the planned
 //! scans whose probe key is non-empty, i.e. joins the SIP pushdown
@@ -42,7 +46,7 @@
 //! same plan at any thread count: the *plan* is deterministic, the
 //! schedule need not be.
 
-use unchained_common::{FxHashMap, FxHashSet, Instance, Symbol};
+use unchained_common::{FxHashMap, Instance, Symbol};
 use unchained_parser::{Literal, Rule, Term, Var};
 
 use crate::ir::{Plan, ScanSource, Step};
@@ -111,7 +115,6 @@ pub struct PlanStats {
 pub struct Planner {
     catalog: Catalog,
     mode: PlanMode,
-    inflated: FxHashSet<Symbol>,
     stats: PlanStats,
 }
 
@@ -121,19 +124,8 @@ impl Planner {
         Planner {
             catalog,
             mode,
-            inflated: FxHashSet::default(),
             stats: PlanStats::default(),
         }
-    }
-
-    /// Marks predicates whose relations grow during the fixpoint (idb /
-    /// recursive predicates): their cost estimate is raised to at least
-    /// the catalog's total fact count, so an initially-empty recursive
-    /// relation is not mistaken for a free scan. For a plan rendered
-    /// ahead of any stage (`unchained plan`); the stage driver plans
-    /// each stage on the counts it fires over.
-    pub fn inflate(&mut self, preds: impl IntoIterator<Item = Symbol>) {
-        self.inflated.extend(preds);
     }
 
     /// Gauges accumulated so far.
@@ -208,17 +200,9 @@ impl Planner {
     }
 
     /// Estimated tuples enumerated by scanning `pred` with `known`
-    /// bound positions: `card / 4^known`, never below the raw count's
-    /// usefulness for ordering. Inflated (growing) predicates estimate
-    /// at no less than the snapshot's total.
+    /// bound positions: `card / 4^known`.
     fn estimate(&self, pred: Symbol, known: usize) -> u64 {
-        let card = self.catalog.card(pred);
-        let card = if self.inflated.contains(&pred) {
-            card.max(self.catalog.total).max(1)
-        } else {
-            card
-        };
-        card >> (2 * known).min(63)
+        self.catalog.card(pred) >> (2 * known).min(63)
     }
 
     /// Orders the body into steps (the join-ordering loop). When
@@ -398,6 +382,7 @@ impl Planner {
                     } else {
                         ScanSource::Full
                     },
+                    seek: false,
                 });
                 state[i] = LitState::Done;
                 continue;
@@ -419,6 +404,7 @@ impl Planner {
             state.iter().all(|s| *s == LitState::Done),
             "planner left literals unscheduled"
         );
+        mark_seeks(&mut steps);
         self.stats.joins_pruned += steps
             .iter()
             .filter(|s| matches!(s, Step::Scan { key, .. } if !key.is_empty()))
@@ -426,6 +412,31 @@ impl Planner {
         Plan {
             steps,
             var_count: rule.var_count(),
+        }
+    }
+}
+
+/// Marks every full scan after the driver (a leading scan step) whose
+/// probe key is its relation's leading columns, each bound by the
+/// driver's column at the same position: see [`Step::Scan`]'s `seek`.
+fn mark_seeks(steps: &mut [Step]) {
+    let Some((Step::Scan { args: lead, .. }, rest)) = steps.split_first_mut() else {
+        return;
+    };
+    for step in rest {
+        if let Step::Scan {
+            args,
+            key,
+            source: ScanSource::Full,
+            seek,
+            ..
+        } = step
+        {
+            *seek = !key.is_empty()
+                && key
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &p)| p == i && lead.get(i) == Some(&args[i]));
         }
     }
 }
@@ -710,9 +721,8 @@ mod tests {
         let program = parse_program("T(x,y) :- G(x,z), T(z,y).", &mut interner).unwrap();
         let g = interner.get("G").unwrap();
         let t = interner.get("T").unwrap();
-        let instance = instance_with(&mut interner, &[("G", 2, 8)]);
+        let instance = instance_with(&mut interner, &[("G", 2, 8), ("T", 2, 64)]);
         let mut planner = Planner::new(Catalog::from_instance(&instance), PlanMode::Cost);
-        planner.inflate([t]);
         let variants = planner.seminaive_variants(&program.rules[0], &|p| p == t);
         assert_eq!(scan_preds(&variants[0]), vec![t, g]);
         // Syntactic mode keeps the full plan's order (G first) and only
@@ -804,7 +814,6 @@ mod tests {
         let pt = interner.get("PT").unwrap();
         let instance = instance_with(&mut interner, &[("Load", 2, 4), ("PT", 2, 64)]);
         let mut planner = Planner::new(Catalog::from_instance(&instance), PlanMode::Cost);
-        planner.inflate([pt]);
         let variants = planner.seminaive_variants(&program.rules[0], &|p| p == pt);
         assert_eq!(variants.len(), 2);
         // Δ on PT(q,o): delta first, then PT(p,q) via q, then Load via p.
@@ -828,10 +837,9 @@ mod tests {
     fn sip_filters_only_push_into_bound_positions() {
         let mut interner = Interner::new();
         let program = parse_program("T(x,y) :- G(x,z), T(z,y).", &mut interner).unwrap();
-        let instance = instance_with(&mut interner, &[("G", 2, 8)]);
+        let instance = instance_with(&mut interner, &[("G", 2, 8), ("T", 2, 64)]);
         let t = interner.get("T").unwrap();
         let mut planner = Planner::new(Catalog::from_instance(&instance), PlanMode::Cost);
-        planner.inflate([t]);
         let plan = planner.plan_rule(&program.rules[0]);
         // First scan (G) has nothing bound: empty key. Second scan (T)
         // probes exactly on column 0 (z is bound, y is not).
@@ -965,9 +973,8 @@ mod tests {
         let mut interner = Interner::new();
         let program = parse_program("T(x,y) :- G(x,z), T(z,y).", &mut interner).unwrap();
         let t = interner.get("T").unwrap();
-        let instance = instance_with(&mut interner, &[("G", 2, 4)]);
+        let instance = instance_with(&mut interner, &[("G", 2, 4), ("T", 2, 16)]);
         let mut planner = Planner::new(Catalog::from_instance(&instance), PlanMode::Cost);
-        planner.inflate([t]);
         let rule = &program.rules[0];
         let plan = planner.plan_rule(rule);
         assert_eq!(
@@ -979,5 +986,53 @@ mod tests {
             variants[0].render(rule, &interner),
             "scan T(z, y) Δ\njoin G(x, =z)\nproject T(x, y)\n"
         );
+    }
+
+    /// A later scan is marked `seek` only when its key is its leading
+    /// columns, each bound by the driver's column at the same position:
+    /// not when the key binds another column, in another order, or from
+    /// a scan after the driver.
+    #[test]
+    fn seek_marks_keys_the_drivers_leading_columns_bind_in_order() {
+        let mut interner = Interner::new();
+        let program = parse_program(
+            "R(y) :- R(x), G(x,y).\n\
+             P(x,y) :- D(x,y), E(x,y,z).\n\
+             P(x,y) :- D(x,y), E(y,x,z).\n\
+             P(x,y) :- D(x,y), G(y,z).\n\
+             P(x,z) :- D(x,y), G(y,z), H(z,w).",
+            &mut interner,
+        )
+        .unwrap();
+        let r = interner.get("R").unwrap();
+        let instance = instance_with(
+            &mut interner,
+            &[("D", 2, 4), ("E", 3, 64), ("G", 2, 64), ("H", 2, 64)],
+        );
+        let mut planner = Planner::new(Catalog::from_instance(&instance), PlanMode::Cost);
+        let seeks = |plan: &Plan| -> Vec<bool> {
+            plan.steps
+                .iter()
+                .filter_map(|s| match s {
+                    Step::Scan { seek, .. } => Some(*seek),
+                    _ => None,
+                })
+                .collect()
+        };
+        let reach = &program.rules[0];
+        let delta = &planner.seminaive_variants(reach, &|p| p == r)[0];
+        assert_eq!(
+            delta.render(reach, &interner),
+            "scan R(x) Δ\njoin G(=x, y) seek\nproject R(y)\n"
+        );
+        let want = [
+            vec![false, true],
+            vec![false, false],
+            vec![false, false],
+            vec![false, false, false],
+        ];
+        for (rule, want) in program.rules[1..].iter().zip(&want) {
+            assert_eq!(&seeks(&planner.plan_rule(rule)), want, "{rule:?}");
+        }
     }
 }

@@ -152,6 +152,17 @@ if [ -z "$scale_indexed" ] || [ -z "$scale_edb" ] || [ "$scale_indexed" -gt "$sc
     echo "scale_reach indexed_tuples=$scale_indexed exceeds edb_facts=$scale_edb" >&2
     exit 1
 fi
+# Every worker reads the same sorted storage, so the thread-scaling
+# rows index what the one-thread row indexes: no per-worker copies.
+echo "==> BENCH.json scale_reach indexes the same at 1, 2, 4 and 8 threads"
+for t in 2 4 8; do
+    row=$(grep "\"workload\":\"scale_reach\",\"engine\":\"seminaive\",\"threads\":$t" BENCH.json)
+    indexed=$(printf '%s' "$row" | sed -n 's/.*"indexed_tuples":\([0-9]*\).*/\1/p')
+    if [ -z "$indexed" ] || [ "$indexed" != "$scale_indexed" ]; then
+        echo "scale_reach threads:$t indexed_tuples=$indexed differs from threads:1's $scale_indexed" >&2
+        exit 1
+    fi
+done
 
 # Docs drift gate: DESIGN.md's layout must name every crate directory.
 echo "==> DESIGN.md names every crates/* directory"
@@ -326,6 +337,15 @@ done
 plan_out=$(cargo run -q --release -p unchained-cli -- plan --syntactic examples/programs/tc.dl)
 if ! printf '%s' "$plan_out" | grep -qF 'scan '; then
     echo "syntactic plan output is missing \`scan \`:" >&2
+    printf '%s\n' "$plan_out" >&2
+    exit 1
+fi
+# Reachability's Δ variant probes G on the column the Δ scan of R
+# binds, so the plan marks that join to seek sorted storage.
+printf 'R(x) :- S(x).\nR(y) :- R(x), G(x,y).\n' > target/plan-reach.dl
+plan_out=$(cargo run -q --release -p unchained-cli -- plan target/plan-reach.dl)
+if ! printf '%s' "$plan_out" | grep -qF 'join G(=x, y) seek'; then
+    echo "reach plan output is missing \`join G(=x, y) seek\`:" >&2
     printf '%s\n' "$plan_out" >&2
     exit 1
 fi

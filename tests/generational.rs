@@ -636,3 +636,101 @@ fn stage_segments_are_sorted_and_match_the_trace() {
         "too few runs checked: {checked:?}"
     );
 }
+
+/// `input` with every relation stored as one sorted segment, or with
+/// `split` stored as two: its lower half of rows in sort order, then
+/// its upper half. Either way the rows sit at the same storage
+/// positions in the same order; only the segment count differs.
+fn laid_out(input: &Instance, split: Option<Symbol>) -> Instance {
+    let mut out = Instance::new();
+    for (pred, rel) in input.iter() {
+        let mut rows: Vec<Tuple> = rel.iter_stored().map(Tuple::new).collect();
+        rows.sort_unstable();
+        let cut = if split == Some(pred) {
+            rows.len() / 2
+        } else {
+            0
+        };
+        out.ensure(pred, rel.arity());
+        for half in [&rows[..cut], &rows[cut..]] {
+            for row in half {
+                out.insert_fact(pred, row.clone());
+            }
+            out.commit_all();
+        }
+    }
+    out
+}
+
+/// A keyed probe the plan marks `seek` (reach's `G(=x, y)` under
+/// `ΔR(x)`, points-to's `Store(=p, w)` under `ΔPT(p, q)`) is answered
+/// from sorted storage when the probed relation is one segment, and
+/// through a hash index when it is two. Both read the same rows in the
+/// same order, so the answers, stages, rules fired, probes, probe
+/// tuples and first derivations agree at 1, 2 and 4 threads; on the
+/// one-segment input reach builds no index at all.
+#[test]
+fn storage_seeks_and_index_probes_do_the_same_work() {
+    use unchained::core::provenance::minimum_model_with_provenance;
+    use unchained::harness::{generators, programs};
+    let mut i = Interner::new();
+    let reach = generators::merge(
+        generators::random_out_digraph(&mut i, "G", 3_000, 4, 11),
+        &generators::random_unary(&mut i, "S", 3_000, 8, 12),
+    );
+    let pointsto = generators::random_pointsto(&mut i, 2_000, 600, 300, 300, 13);
+    let cases = [
+        (programs::REACH, reach, "G"),
+        (programs::POINTSTO, pointsto, "Store"),
+    ];
+    for (src, input, probed) in cases {
+        let program = parse_program(src, &mut i).unwrap();
+        let probed = i.get(probed).unwrap();
+        let layouts = [laid_out(&input, None), laid_out(&input, Some(probed))];
+        assert_eq!(layouts[0].relation(probed).unwrap().segment_count(), 1);
+        assert_eq!(layouts[1].relation(probed).unwrap().segment_count(), 2);
+        for threads in [1, 2, 4] {
+            let runs: Vec<_> = layouts
+                .iter()
+                .map(|layout| {
+                    let tel = Telemetry::enabled();
+                    let options = EvalOptions::default()
+                        .with_threads(threads)
+                        .with_telemetry(tel.clone());
+                    let run = seminaive::minimum_model(&program, layout, options).unwrap();
+                    (run, tel.snapshot().unwrap())
+                })
+                .collect();
+            let [(seek, a), (index, b)] = &runs[..] else {
+                unreachable!("two layouts")
+            };
+            let ctx = format!("{src}at {threads} thread(s)");
+            assert_eq!(seek.instance, index.instance, "{ctx}");
+            assert_eq!(seek.stages, index.stages, "{ctx}");
+            assert_eq!(a.stages.len(), b.stages.len(), "{ctx}");
+            assert_eq!(a.rules_fired, b.rules_fired, "{ctx}");
+            assert_eq!(a.joins.probes, b.joins.probes, "{ctx}");
+            assert_eq!(a.joins.probe_tuples, b.joins.probe_tuples, "{ctx}");
+            // Which worker indexes what varies run to run at 2 and 4
+            // threads; sequentially, the two-segment run indexes more.
+            if threads == 1 {
+                let postings = |t: &EvalTrace| t.joins.indexed_tuples + t.joins.appended_tuples;
+                assert!(postings(a) < postings(b), "{ctx}");
+            }
+            if src == programs::REACH {
+                assert_eq!(a.joins.indexed_tuples, 0, "{ctx}");
+                assert_eq!(a.joins.index_builds, 0, "{ctx}");
+            }
+            let why: Vec<_> = layouts
+                .iter()
+                .map(|layout| {
+                    let options = EvalOptions::default().with_threads(threads);
+                    minimum_model_with_provenance(&program, layout, options)
+                        .unwrap()
+                        .why
+                })
+                .collect();
+            assert_eq!(why[0], why[1], "{ctx}: first derivations");
+        }
+    }
+}
