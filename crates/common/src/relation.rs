@@ -1469,7 +1469,7 @@ fn hash_key(key: &[Value]) -> u64 {
 ///
 /// The index never copies a row: a tuple is stored once, in its
 /// relation. Probing and absorbing allocate nothing per tuple.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Index {
     key_columns: Vec<usize>,
     /// Linear-probe slot table of [`bucket_entry`]s; [`NO_BUCKET`] marks

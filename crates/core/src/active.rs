@@ -65,12 +65,6 @@ impl Update {
             deletions: vec![(pred, tuple)],
         }
     }
-
-    /// Adds a deletion (builder style).
-    pub fn and_delete(mut self, pred: Symbol, tuple: Tuple) -> Self {
-        self.deletions.push((pred, tuple));
-        self
-    }
 }
 
 /// Outcome of processing one update to quiescence.
@@ -433,8 +427,10 @@ mod tests {
         let mut state = Instance::new();
         state.insert_fact(r, Tuple::from([Value::Int(1)]));
         let mut db = ActiveDatabase::new(program, state, &i).unwrap();
-        let update = Update::insert(r, Tuple::from([Value::Int(2)]))
-            .and_delete(r, Tuple::from([Value::Int(1)]));
+        let update = Update {
+            insertions: vec![(r, Tuple::from([Value::Int(2)]))],
+            deletions: vec![(r, Tuple::from([Value::Int(1)]))],
+        };
         db.apply(update, &mut i).unwrap();
         assert!(db
             .state

@@ -4,23 +4,24 @@
 //!
 //! The interpreter walks a compiled [`Plan`]'s steps
 //! ([`crate::ir::Step`]) depth-first, invoking a callback once per
-//! satisfying valuation. A scan with no bound column reads the
-//! relation's stored rows in place, in storage order, through one loop
-//! that the morsel entry point shares ([`for_each_match_morsel`]). So
-//! does a keyed scan marked `seek` while its driver reads sorted storage
-//! and its relation is one sorted segment: a galloping search from the
-//! last probe's span finds the rows ([`Relation::prefix_span`]). Other
-//! keyed scans probe a per-(relation, columns) hash index, memoized
-//! across fixpoint iterations in an [`IndexCache`] tracked by relation
+//! satisfying valuation. A step is resolved once per run, at its first
+//! probe ([`Handle`]). A scan with no bound column reads the relation's
+//! stored rows in place, in storage order, through one loop that the
+//! morsel entry point shares ([`for_each_match_morsel`]). So does a
+//! keyed scan marked `seek` while its driver reads sorted storage and
+//! its relation is one sorted segment: a galloping search from the last
+//! probe's span finds the rows ([`Relation::prefix_span`]). Other keyed
+//! scans probe a per-(relation, columns) hash index, memoized across
+//! fixpoint iterations in an [`IndexCache`] tracked by relation
 //! [`Generation`]: when a relation only grew, the cached index absorbs
 //! the new tuples incrementally instead of being rebuilt from scratch.
-//! An index's postings are storage positions, not rows: the scan copies
-//! a probe's positions into a pooled buffer and reads each row from
-//! storage as it binds it ([`Relation::rows_at`]), so no tuple is ever
-//! copied out of its relation. Join-work telemetry ([`JoinCounters`])
-//! is emitted here, in one place, for all engines.
+//! A probe walks the index's postings (storage positions) in place and
+//! reads each row from storage as it binds it ([`Relation::rows_at`]),
+//! so no tuple is ever copied out of its relation. Join-work telemetry
+//! ([`JoinCounters`]) is emitted here, in one place, for all engines.
 
 use std::ops::{ControlFlow, Range};
+use std::sync::Arc;
 use unchained_common::{
     DeltaHandle, FxHashMap, Generation, HeapSize, Index, Instance, JoinCounters, Relation, Symbol,
     Value,
@@ -50,23 +51,25 @@ type ColumnEntries = Vec<(Box<[usize]>, CacheEntry)>;
 /// How the cache answers the probes of one key: through a hash index
 /// current for the relation at `gen` (for a delta-source entry, for the
 /// slice since `mark`), or by seeks in the relation's one sorted segment
-/// ([`Relation::prefix_span`]), each searching from the span the last
-/// one read. A new entry seeks until a probe cannot. (A boxed index
-/// would cost every indexed probe a pointer chase.)
-#[allow(clippy::large_enum_variant)]
+/// ([`Relation::prefix_span`]). A new entry seeks until a probe cannot.
+/// The index is shared with the runs that probe it ([`Handle`]); none
+/// outlives its run and no relation changes during one, so an absorb
+/// or a rebuild reaches the index through [`Arc::make_mut`] without
+/// copying it.
 enum CacheEntry {
     Index {
         gen: Generation,
         mark: Option<Generation>,
-        index: Index,
+        index: Arc<Index>,
     },
     Seek(Range<usize>),
 }
 
-/// What answers one keyed probe: a hash index to look the key up in,
-/// or the storage positions of the rows that lead with the key.
-pub(crate) enum Probe<'c> {
-    Index(&'c Index),
+/// What answers the keyed probes of one scan in a run: a hash index to
+/// look each key up in, or seeks in sorted storage from the span the
+/// last one found ([`Relation::prefix_span`]).
+enum Probe {
+    Index(Arc<Index>),
     Seek(Range<usize>),
 }
 
@@ -76,7 +79,8 @@ pub(crate) enum Probe<'c> {
 /// column read storage in place and build none.
 ///
 /// A `seek` probe ([`Step::Scan`]) may instead be answered from sorted
-/// storage (see [`CacheEntry`]); either way it costs one lookup.
+/// storage (see [`CacheEntry`]). A run looks a scan's entry up once and
+/// counts the later probes its index answers as hits ([`Handle`]).
 ///
 /// A full-source entry whose relation only grew since the index was built
 /// absorbs the new tuples by appending postings ([`Index::absorb_from`]);
@@ -94,66 +98,12 @@ pub struct IndexCache {
     /// adds — the telemetry-off path stays branch-free). Engines
     /// snapshot and diff this per stage when telemetry is enabled.
     pub counters: JoinCounters,
-    /// Pool of packed-value scratch buffers reused by keyed scans and
-    /// negative checks (probe keys and fully bound rows), so
-    /// steady-state probing does not allocate. Depth-bounded: the pool
-    /// high-water mark is the deepest scan nesting of any plan, not the
-    /// data size.
-    scratch: Vec<Vec<Value>>,
-    /// Pool of the buffers a keyed scan copies a probe's postings into:
-    /// storage positions, 4 bytes a match, never copies of the rows.
-    positions: Vec<Vec<u32>>,
-    /// Pool of variable-slot lists the scan step reuses the same way.
-    slots: Vec<Vec<usize>>,
 }
 
 impl IndexCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Takes a cleared scratch buffer from the pool (or a fresh one).
-    fn take_scratch(&mut self) -> Vec<Value> {
-        self.scratch.pop().unwrap_or_default()
-    }
-
-    /// Returns a scratch buffer to the pool for reuse.
-    fn put_scratch(&mut self, mut buf: Vec<Value>) {
-        buf.clear();
-        self.scratch.push(buf);
-    }
-
-    /// Takes a cleared position buffer from the pool (or a fresh one).
-    fn take_positions(&mut self) -> Vec<u32> {
-        self.positions.pop().unwrap_or_default()
-    }
-
-    /// Returns a position buffer to the pool for reuse.
-    fn put_positions(&mut self, mut buf: Vec<u32>) {
-        buf.clear();
-        self.positions.push(buf);
-    }
-
-    /// The variables a scan of `args` binds from each row: those at
-    /// non-`key` positions still unbound in `env`, in a pooled list to
-    /// hand back with [`IndexCache::put_slots`].
-    fn binds(&mut self, args: &[Term], key: &[usize], env: &Env) -> Vec<usize> {
-        let mut binds = self.slots.pop().unwrap_or_default();
-        for (p, term) in args.iter().enumerate() {
-            if let Term::Var(v) = term {
-                if !key.contains(&p) && env[v.index()].is_none() {
-                    binds.push(v.index());
-                }
-            }
-        }
-        binds
-    }
-
-    /// Returns a list taken by [`IndexCache::binds`] to the pool.
-    fn put_slots(&mut self, mut slots: Vec<usize>) {
-        slots.clear();
-        self.slots.push(slots);
     }
 
     /// Drops all delta-source entries. Call at the start of each
@@ -200,27 +150,11 @@ impl IndexCache {
         self.entries.values().map(Vec::len).sum()
     }
 
-    /// How a probe of `relation` on `cols` is answered. Given `seek`, the
-    /// probe's key, a key no index serves yet is sought in storage while
-    /// the relation allows; otherwise its index is built, grown or hit.
-    #[inline]
-    pub(crate) fn get(
-        &mut self,
-        pred: Symbol,
-        cols: &[usize],
-        source: ScanSource,
-        relation: &Relation,
-        mark: Option<Generation>,
-        seek: Option<&[Value]>,
-    ) -> Probe<'_> {
-        let covers = match source {
-            ScanSource::Full => Covers::Full,
-            ScanSource::Delta => Covers::Delta,
-        };
-        self.entry(pred, cols, covers, relation, mark, seek)
-    }
-
-    fn entry(
+    /// How the probes of `relation` on `cols` in one run are answered:
+    /// given `seek`, the run's first key, a key no index serves yet is
+    /// sought in storage while the relation allows; otherwise its index
+    /// is built, grown or hit.
+    fn get(
         &mut self,
         pred: Symbol,
         cols: &[usize],
@@ -228,7 +162,7 @@ impl IndexCache {
         relation: &Relation,
         mark: Option<Generation>,
         seek: Option<&[Value]>,
-    ) -> Probe<'_> {
+    ) -> Probe {
         debug_assert!(!cols.is_empty(), "a keyless scan reads storage in place");
         let gen_now = relation.generation();
         let counters = &mut self.counters;
@@ -242,7 +176,7 @@ impl IndexCache {
             CacheEntry::Index {
                 gen: gen_now,
                 mark,
-                index,
+                index: Arc::new(index),
             }
         };
         let entries = self.entries.entry((pred, covers)).or_default();
@@ -269,6 +203,7 @@ impl IndexCache {
             // Delta indexes are rebuilt per round, never absorbed.
             CacheEntry::Index { .. } if mark.is_some() => *entry = fresh(counters),
             CacheEntry::Index { gen, index, .. } => {
+                let index = Arc::make_mut(index);
                 if let Some(appended) = index.absorb_from(relation, *gen) {
                     counters.index_appends += 1;
                     counters.appended_tuples += appended as u64;
@@ -283,7 +218,7 @@ impl IndexCache {
         let CacheEntry::Index { index, .. } = entry else {
             unreachable!("a seek returns above");
         };
-        Probe::Index(index)
+        Probe::Index(Arc::clone(index))
     }
 }
 
@@ -359,7 +294,7 @@ pub fn for_each_match(
     on_match: &mut dyn FnMut(&Env) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     let mut env: Env = vec![None; plan.var_count];
-    Run::new(plan, sources, adom).steps(&plan.steps, cache, &mut env, on_match)
+    for_each_match_from(plan, sources, adom, cache, &mut env, on_match)
 }
 
 /// Like [`for_each_match`], but starting from a caller-seeded
@@ -377,7 +312,8 @@ pub fn for_each_match_from(
     on_match: &mut dyn FnMut(&Env) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     debug_assert_eq!(env.len(), plan.var_count);
-    Run::new(plan, sources, adom).steps(&plan.steps, cache, env, on_match)
+    let handles: &mut Vec<_> = &mut plan.steps.iter().map(|_| None).collect();
+    Run::new(plan, sources, adom).steps(&plan.steps, handles, cache, env, on_match)
 }
 
 /// One unit of work for the morsel-driven parallel stages: either a
@@ -406,6 +342,7 @@ pub enum Morsel {
 /// pre-update view ([`Sources::before`]) has `hidden` (the update's
 /// insertions) and `withdrawn` (its deletions). A scan with no bound
 /// column reads these rows in place; a keyed scan probes an index.
+#[derive(Default)]
 struct Stored<'a> {
     relation: Option<&'a Relation>,
     mark: Option<Generation>,
@@ -457,6 +394,12 @@ impl<'a> Stored<'a> {
             .map_or(0, |r| r.live_between(self.span.start, self.span.end))
             + self.withdrawn.map_or(0, Relation::len)
     }
+
+    /// Whether [`Stored::rows`] of a full scan yields `row`.
+    fn contains(&self, row: &[Value]) -> bool {
+        let has = |r: Option<&Relation>| r.is_some_and(|r| r.contains_row(row));
+        (has(self.relation) && !has(self.hidden)) || has(self.withdrawn)
+    }
 }
 
 /// The plan's first step, if it is a scan: its arguments, and what it
@@ -503,24 +446,40 @@ pub fn for_each_match_morsel(
     };
     let env = &mut vec![None; plan.var_count];
     let run = Run::new(plan, sources, adom);
+    let handles: &mut Vec<_> = &mut plan.steps.iter().map(|_| None).collect();
     let _ = match (morsel, driver(plan, &sources)) {
         (Morsel::Rows { lo, hi }, Some((args, mut scan))) => {
             scan.span = scan.span.start + lo..scan.span.start + hi;
-            let (rows, rest) = (scan.rows(), &plan.steps[1..]);
-            run.each_row(scan.count(), rows, args, &[], rest, cache, env, on_match)
+            let (rows, rest, later) = (scan.rows(), &plan.steps[1..], &mut handles[1..]);
+            let shape = (args, &[][..], &row_binds(args, &[], env)[..]);
+            run.each_row(scan.count(), rows, shape, rest, later, cache, env, on_match)
         }
-        _ => run.steps(&plan.steps, cache, env, on_match),
+        _ => run.steps(&plan.steps, handles, cache, env, on_match),
     };
 }
 
-/// Whether `row` is in `pred` as full scans read it: in `full`, or in
-/// the pre-update view when [`Sources::before`] is set.
-fn in_full(sources: Sources<'_>, pred: Symbol, row: &[Value]) -> bool {
-    let has = |instance: &Instance| instance.relation(pred).is_some_and(|r| r.contains_row(row));
-    match sources.before {
-        None => has(sources.full),
-        Some((inserted, deleted)) => (has(sources.full) && !has(inserted)) || has(deleted),
-    }
+/// The variables a scan of `args` binds from each row: those at
+/// non-`key` positions still unbound in `env`.
+fn row_binds(args: &[Term], key: &[usize], env: &Env) -> Vec<usize> {
+    let unbound = |(p, term): (usize, &Term)| match term {
+        Term::Var(v) if !key.contains(&p) && env[v.index()].is_none() => Some(v.index()),
+        _ => None,
+    };
+    args.iter().enumerate().filter_map(unbound).collect()
+}
+
+/// The rows of `relation` whose key columns equal `key`, when `probe`
+/// is answered by an index (none when it seeks or is absent).
+fn indexed<'r>(
+    relation: Option<&'r Relation>,
+    probe: &'r Option<Probe>,
+    key: &[Value],
+) -> impl Iterator<Item = &'r [Value]> + Clone {
+    let rows = match (relation, probe) {
+        (Some(r), Some(Probe::Index(index))) => Some(r.rows_at(index.probe(key))),
+        _ => None,
+    };
+    rows.into_iter().flatten()
 }
 
 /// Binds the variables at the non-`key` positions of `args` to `row`'s
@@ -553,6 +512,27 @@ fn bind_row(args: &[Term], key: &[usize], row: &[Value], env: &mut Env) -> bool 
     true
 }
 
+/// A step as one run reads it, taken at the step's first probe and kept
+/// for the run: what a scan (or a negative check) reads, the variables
+/// each of its rows binds, the buffer its probe keys are packed in, and
+/// what answers its keyed probes in the relation (`own`) and in a view's
+/// withdrawn side (`theirs`), resolved at its first keyed probe.
+#[derive(Default)]
+struct Handle<'a> {
+    scan: Stored<'a>,
+    binds: Vec<usize>,
+    key: Vec<Value>,
+    own: Option<Probe>,
+    theirs: Option<Probe>,
+    /// The cache's `index_builds` when `own` was resolved. A seek whose
+    /// key another scan of the run has indexed since is resolved again,
+    /// so that its probes count as that index's hits.
+    builds: u64,
+}
+
+/// A scan's arguments, its key positions and the variables its rows bind.
+type Shape<'s> = (&'s [Term], &'s [usize], &'s [usize]);
+
 /// What every step of one plan run reads: its sources, and the active
 /// domain that domain steps enumerate.
 #[derive(Clone, Copy)]
@@ -579,49 +559,49 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Counts one probe yielding `count` rows, then binds `args` from
-    /// each of `rows` in turn, at the positions not in `key`, and runs
-    /// `rest` under each binding that matches.
+    /// Counts one probe yielding `count` rows, then binds each of `rows`
+    /// in turn at the non-key positions of `shape`, and runs `rest`
+    /// under each binding that matches.
     #[allow(clippy::too_many_arguments)]
     fn each_row<'r>(
         self,
         count: usize,
         rows: impl Iterator<Item = &'r [Value]>,
-        args: &[Term],
-        key: &[usize],
+        (args, key, binds): Shape<'_>,
         rest: &[Step],
+        handles: &mut [Option<Handle<'a>>],
         cache: &mut IndexCache,
         env: &mut Env,
         on_match: &mut dyn FnMut(&Env) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         cache.counters.probes += 1;
         cache.counters.probe_tuples += count as u64;
-        let binds = cache.binds(args, key, env);
         let mut flow = ControlFlow::Continue(());
         for row in rows {
             // Bind non-key positions, checking repeated variables.
             if bind_row(args, key, row, env) {
-                flow = self.steps(rest, cache, env, on_match);
+                flow = self.steps(rest, handles, cache, env, on_match);
             }
-            for &b in &binds {
+            for &b in binds {
                 env[b] = None;
             }
             if flow.is_break() {
                 break;
             }
         }
-        cache.put_slots(binds);
         flow
     }
 
+    /// Runs `steps`, each with its slot of `handles`.
     fn steps(
         self,
         steps: &[Step],
+        handles: &mut [Option<Handle<'a>>],
         cache: &mut IndexCache,
         env: &mut Env,
         on_match: &mut dyn FnMut(&Env) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        let Some((step, rest)) = steps.split_first() else {
+        let (Some((step, rest)), [slot, later @ ..]) = (steps.split_first(), handles) else {
             return on_match(env);
         };
         let sources = self.sources;
@@ -633,115 +613,118 @@ impl<'a> Run<'a> {
                 source,
                 seek,
             } => {
-                let scan = Stored::new(&sources, *pred, *source);
+                let h = slot.get_or_insert_with(|| Handle {
+                    scan: Stored::new(&sources, *pred, *source),
+                    binds: row_binds(args, key, env),
+                    ..Handle::default()
+                });
+                let (scan, probe, shape) =
+                    (&h.scan, &mut h.key, (&args[..], &key[..], &h.binds[..]));
                 if scan.relation.is_none() && scan.withdrawn.is_none() {
                     return ControlFlow::Continue(()); // absent relation = empty
                 }
                 if key.is_empty() {
-                    // Nothing bound: read the stored rows in place. They
-                    // borrow from `sources`, not `cache`: no buffering.
+                    // Nothing bound: read the stored rows in place.
                     let (count, rows) = (scan.count(), scan.rows());
-                    return self.each_row(count, rows, args, key, rest, cache, env, on_match);
+                    return self.each_row(count, rows, shape, rest, later, cache, env, on_match);
                 }
+                probe.clear();
                 if scan.mark.is_none() && key.len() == args.len() {
                     // Every position bound: a membership test, no index.
-                    let mut row = cache.take_scratch();
-                    row.extend(args.iter().map(|t| term_value(t, env)));
-                    let hit = usize::from(in_full(sources, *pred, &row));
-                    let rows = row.chunks_exact(args.len()).take(hit);
-                    let flow = self.each_row(hit, rows, args, key, rest, cache, env, on_match);
-                    cache.put_scratch(row);
-                    return flow;
+                    probe.extend(args.iter().map(|t| term_value(t, env)));
+                    let hit = usize::from(scan.contains(probe));
+                    let rows = probe.chunks_exact(args.len()).take(hit);
+                    return self.each_row(hit, rows, shape, rest, later, cache, env, on_match);
                 }
-                // An index cannot be held across the recursive call (which
-                // needs `cache`), so copy the matching postings — storage
-                // positions, not rows — into a pooled buffer: buckets are
-                // typically small, and in steady state this allocates
-                // nothing. The rows are read from storage as they bind.
-                let mut probe = cache.take_scratch();
                 probe.extend(key.iter().map(|&p| term_value(&args[p], env)));
-                let seek =
-                    *seek && self.sorted && scan.hidden.is_none() && scan.withdrawn.is_none();
-                let seek = seek.then_some(&probe[..]);
-                let mut hits = cache.take_positions();
-                if let Some(relation) = scan.relation {
-                    match cache.get(*pred, key, *source, relation, scan.mark, seek) {
-                        // The live positions of the span found in storage.
-                        Probe::Seek(span) => {
-                            hits.extend(span.filter(|&p| !relation.is_dead(p)).map(|p| p as u32));
+                let resolve = match (&h.own, &h.theirs) {
+                    (None, None) => true,
+                    (Some(Probe::Seek(_)), _) => h.builds != cache.counters.index_builds,
+                    // A later probe: each index the scan holds is hit.
+                    (own, theirs) => {
+                        cache.counters.index_hits +=
+                            u64::from(own.is_some()) + u64::from(theirs.is_some());
+                        false
+                    }
+                };
+                if resolve {
+                    // The first keyed probe of the run resolves the scan.
+                    let seek =
+                        *seek && self.sorted && scan.hidden.is_none() && scan.withdrawn.is_none();
+                    let (mark, seek) = (scan.mark, seek.then_some(&probe[..]));
+                    let covers = mark.map_or(Covers::Full, |_| Covers::Delta);
+                    h.own = (scan.relation).map(|r| cache.get(*pred, key, covers, r, mark, seek));
+                    let withdrawn = |w| cache.get(*pred, key, Covers::Withdrawn, w, None, None);
+                    h.theirs = scan.withdrawn.map(withdrawn);
+                    h.builds = cache.counters.index_builds;
+                }
+                match (scan.relation, &mut h.own, scan.hidden, &h.theirs) {
+                    (Some(r), Some(Probe::Seek(last)), ..) => {
+                        // A span just resolved is this key's already.
+                        if !resolve {
+                            *last = (r.prefix_span(probe, last.clone()))
+                                .expect("a relation keeps its storage during a run");
                         }
-                        Probe::Index(index) => {
-                            let postings = index.probe(&probe);
-                            match scan.hidden {
-                                None => hits.extend(postings),
-                                Some(hidden) => hits.extend(
-                                    postings
-                                        .clone()
-                                        .zip(relation.rows_at(postings))
-                                        .filter(|(_, row)| !hidden.contains_row(row))
-                                        .map(|(pos, _)| pos),
-                                ),
-                            }
-                        }
+                        let (lo, hi) = (last.start, last.end);
+                        let live = (lo..hi).filter(|&p| !r.is_dead(p)).map(|p| p as u32);
+                        let (count, rows) = (r.live_between(lo, hi), r.rows_at(live));
+                        self.each_row(count, rows, shape, rest, later, cache, env, on_match)
+                    }
+                    (Some(r), Some(Probe::Index(index)), None, None) => {
+                        let rows = r.rows_at(index.probe(probe));
+                        self.each_row(rows.len(), rows, shape, rest, later, cache, env, on_match)
+                    }
+                    // Through a view: the rows it does not hide, then the withdrawn.
+                    (r, own, hidden, theirs) => {
+                        let rows = (indexed(r, own, probe))
+                            .filter(move |row| !hidden.is_some_and(|h| h.contains_row(row)))
+                            .chain(indexed(scan.withdrawn, theirs, probe));
+                        let count = rows.clone().count();
+                        self.each_row(count, rows, shape, rest, later, cache, env, on_match)
                     }
                 }
-                let own = hits.len();
-                if let Some(withdrawn) = scan.withdrawn {
-                    let index = cache.entry(*pred, key, Covers::Withdrawn, withdrawn, None, None);
-                    if let Probe::Index(index) = index {
-                        hits.extend(index.probe(&probe));
-                    }
-                }
-                cache.put_scratch(probe);
-                let (own, theirs) = hits.split_at(own);
-                let withdrawn = scan.withdrawn.into_iter();
-                let rows = scan
-                    .relation
-                    .into_iter()
-                    .flat_map(|r| r.rows_at(own.iter().copied()))
-                    .chain(withdrawn.flat_map(|w| w.rows_at(theirs.iter().copied())));
-                let flow = self.each_row(hits.len(), rows, args, key, rest, cache, env, on_match);
-                cache.put_positions(hits);
-                flow
             }
             Step::BindEq { var, term } => {
                 let value = term_value(term, env);
                 let prev = env[var.index()];
                 env[var.index()] = Some(value);
-                let flow = self.steps(rest, cache, env, on_match);
+                let flow = self.steps(rest, later, cache, env, on_match);
                 env[var.index()] = prev;
                 flow
             }
             Step::Domain { var } => {
                 for &value in self.adom {
                     env[var.index()] = Some(value);
-                    self.steps(rest, cache, env, on_match)?;
+                    self.steps(rest, later, cache, env, on_match)?;
                 }
                 env[var.index()] = None;
                 ControlFlow::Continue(())
             }
             Step::CheckNeg { pred, args } => {
-                let mut row = cache.take_scratch();
+                let Handle { scan, key: row, .. } = slot.get_or_insert_with(|| Handle {
+                    scan: Stored::new(&sources, *pred, ScanSource::Full),
+                    ..Handle::default()
+                });
+                row.clear();
                 row.extend(args.iter().map(|t| term_value(t, env)));
                 let present = match sources.neg {
                     Some(neg) => {
-                        neg.contains_fact(*pred, &row)
+                        neg.contains_fact(*pred, row)
                             && !sources
                                 .neg_added
-                                .is_some_and(|added| added.contains_fact(*pred, &row))
+                                .is_some_and(|added| added.contains_fact(*pred, row))
                     }
-                    None => in_full(sources, *pred, &row),
+                    None => scan.contains(row),
                 };
-                cache.put_scratch(row);
                 if present {
                     ControlFlow::Continue(())
                 } else {
-                    self.steps(rest, cache, env, on_match)
+                    self.steps(rest, later, cache, env, on_match)
                 }
             }
             Step::CheckCmp { left, right, equal } => {
                 if (term_value(left, env) == term_value(right, env)) == *equal {
-                    self.steps(rest, cache, env, on_match)
+                    self.steps(rest, later, cache, env, on_match)
                 } else {
                     ControlFlow::Continue(())
                 }
@@ -757,15 +740,20 @@ mod tests {
     use unchained_common::{Interner, Tuple};
     use unchained_parser::HeadLiteral;
 
-    /// The index `cache` answers a probe of `rel` on column 0 through.
-    fn index<'c>(
-        cache: &'c mut IndexCache,
+    /// The index `cache` answers a probe of `rel` on column 0 through:
+    /// for a full scan, or for a Δ scan of the rows since `mark`.
+    fn index(
+        cache: &mut IndexCache,
         g: Symbol,
         rel: &Relation,
-        source: ScanSource,
         mark: Option<Generation>,
-    ) -> &'c Index {
-        match cache.get(g, &[0], source, rel, mark, None) {
+    ) -> Arc<Index> {
+        let covers = if mark.is_some() {
+            Covers::Delta
+        } else {
+            Covers::Full
+        };
+        match cache.get(g, &[0], covers, rel, mark, None) {
             Probe::Index(index) => index,
             Probe::Seek(_) => unreachable!("no seek was asked for"),
         }
@@ -780,20 +768,20 @@ mod tests {
         rel.commit();
         let mut cache = IndexCache::new();
         assert_eq!(
-            index(&mut cache, g, &rel, ScanSource::Full, None)
+            index(&mut cache, g, &rel, None)
                 .probe(&[Value::Int(1)])
                 .len(),
             1
         );
         assert_eq!(cache.counters.index_builds, 1);
         // Unchanged relation: a cache hit, no index work.
-        let _ = index(&mut cache, g, &rel, ScanSource::Full, None);
+        let _ = index(&mut cache, g, &rel, None);
         assert_eq!(cache.counters.index_hits, 1);
         // Growth (including across a commit) is absorbed incrementally.
         rel.insert(Tuple::from([Value::Int(2)]));
         rel.commit();
         assert_eq!(
-            index(&mut cache, g, &rel, ScanSource::Full, None)
+            index(&mut cache, g, &rel, None)
                 .probe(&[Value::Int(2)])
                 .len(),
             1
@@ -804,7 +792,7 @@ mod tests {
         // A removal breaks the lineage and forces a rebuild.
         rel.remove(&Tuple::from([Value::Int(1)]));
         assert_eq!(
-            index(&mut cache, g, &rel, ScanSource::Full, None)
+            index(&mut cache, g, &rel, None)
                 .probe(&[Value::Int(1)])
                 .len(),
             0
@@ -824,30 +812,18 @@ mod tests {
         instance.insert_fact(g, pair(0, 0));
         instance.commit_all();
         let mut cache = IndexCache::new();
-        let _ = index(
-            &mut cache,
-            g,
-            instance.relation(g).unwrap(),
-            ScanSource::Full,
-            None,
-        );
+        let _ = index(&mut cache, g, instance.relation(g).unwrap(), None);
         // Tail rows in reverse order, so the commit's sort moves them.
         for b in (1..=6).rev() {
             instance.insert_fact(g, pair(b % 2, b));
         }
-        let _ = index(
-            &mut cache,
-            g,
-            instance.relation(g).unwrap(),
-            ScanSource::Full,
-            None,
-        );
+        let _ = index(&mut cache, g, instance.relation(g).unwrap(), None);
         assert_eq!(cache.counters.index_appends, 1);
         assert_eq!(cache.counters.appended_tuples, 6);
         instance.commit_all();
         let rel = instance.relation(g).unwrap();
         let fresh = Index::build(rel, &[0]);
-        let idx = index(&mut cache, g, rel, ScanSource::Full, None);
+        let idx = index(&mut cache, g, rel, None);
         for k in 0..3 {
             let got: Vec<Tuple> = rel
                 .rows_at(idx.probe(&[Value::Int(k)]))
@@ -990,10 +966,267 @@ mod tests {
         rel.insert(Tuple::from([Value::Int(2)]));
         rel.commit();
         let mut cache = IndexCache::new();
-        let idx = index(&mut cache, g, &rel, ScanSource::Delta, Some(mark));
+        let idx = index(&mut cache, g, &rel, Some(mark));
         assert_eq!(idx.probe(&[Value::Int(1)]).len(), 0);
         assert_eq!(idx.probe(&[Value::Int(2)]).len(), 1);
         assert_eq!(cache.counters.index_builds, 1);
         assert_eq!(cache.counters.indexed_tuples, 1);
+    }
+    /// An instance for [`pinned_runs`]: a driver `D`; `G`, one sorted
+    /// segment with a dead row (answered by seeks); `K`, two segments (a
+    /// full index); `T`, grown since the returned marks (a Δ index); and
+    /// `V`, read under a pre-update view whose insertions hide `V(30,43)`
+    /// and whose deletions add `V(31,44)` and `V(33,45)`.
+    fn pinned_instance(i: &mut Interner) -> (Instance, DeltaHandle, Instance, Instance) {
+        let [d, g, k, t, v] = ["D", "G", "K", "T", "V"].map(|p| i.intern(p));
+        let row = |vals: &[i64]| vals.iter().map(|&x| Value::Int(x)).collect::<Tuple>();
+        let mut inst = Instance::new();
+        let mut put = |pred, rows: &[&[i64]]| {
+            for r in rows {
+                inst.insert_fact(pred, row(r));
+            }
+        };
+        put(d, &[&[1], &[2], &[3], &[5]]);
+        put(
+            g,
+            &[
+                &[1, 10],
+                &[1, 11],
+                &[2, 10],
+                &[2, 11],
+                &[3, 12],
+                &[4, 13],
+                &[5, 11],
+            ],
+        );
+        put(k, &[&[10, 20], &[11, 21], &[12, 20]]);
+        put(t, &[&[20, 30]]);
+        put(v, &[&[30, 40], &[31, 41], &[32, 42], &[30, 43], &[33, 46]]);
+        inst.commit_all();
+        inst.relation_mut(g)
+            .unwrap()
+            .retract(&[Value::Int(2), Value::Int(11)]);
+        let marks = DeltaHandle::capture(&inst);
+        for r in [[11, 22], [13, 23]] {
+            inst.insert_fact(k, row(&r));
+        }
+        for r in [[20, 31], [21, 30], [22, 32], [23, 33], [21, 33]] {
+            inst.insert_fact(t, row(&r));
+        }
+        inst.commit_all();
+        let (mut inserted, mut deleted) = (Instance::new(), Instance::new());
+        inserted.insert_fact(v, row(&[30, 43]));
+        deleted.insert_fact(v, row(&[31, 44]));
+        deleted.insert_fact(v, row(&[33, 45]));
+        (inst, marks, inserted, deleted)
+    }
+
+    /// A plan of scans, one per `(pred, vars, key, source, seek)`, over
+    /// `Var(0)..Var(var_count)`.
+    type ScanSpec<'s> = (&'s str, &'s [u32], &'s [usize], ScanSource, bool);
+    fn scans(i: &Interner, var_count: usize, specs: &[ScanSpec<'_>]) -> Plan {
+        let var = |n: u32| Term::Var(unchained_parser::Var(n));
+        let step = |&(pred, vars, key, source, seek): &ScanSpec<'_>| Step::Scan {
+            pred: i.get(pred).unwrap(),
+            args: vars.iter().map(|&n| var(n)).collect(),
+            key: key.to_vec(),
+            source,
+            seek,
+        };
+        Plan {
+            steps: specs.iter().map(step).collect(),
+            var_count,
+        }
+    }
+
+    /// Each match of `plan` over `sources` as space-separated integers,
+    /// the matches comma-separated in the order they are found.
+    fn matches(plan: &Plan, sources: Sources<'_>, cache: &mut IndexCache) -> String {
+        let mut out = Vec::new();
+        let _ = for_each_match(plan, sources, &[], cache, &mut |env| {
+            out.push(render(env));
+            ControlFlow::Continue(())
+        });
+        out.join(", ")
+    }
+
+    fn render(env: &Env) -> String {
+        let value = |v: &Option<Value>| match v {
+            Some(Value::Int(n)) => n.to_string(),
+            _ => unreachable!("every variable binds an integer"),
+        };
+        env.iter().map(value).collect::<Vec<_>>().join(" ")
+    }
+
+    /// Runs `D(x), G(x,y) seek, K(y,z), ΔT(z,w), V(w,u)` — a keyless
+    /// driver, then a seek, a full, a Δ and a full keyed scan — twice
+    /// over [`pinned_instance`], with `K` grown by one committed row
+    /// between the runs: each time plainly, then with `V` read under the
+    /// pre-update view. At one thread every run is sequential; at more,
+    /// the plain runs fire the driver's one-row morsels round-robin over
+    /// that many worker caches (a view run is never split). Returns each
+    /// run's matches in order, and the summed join counters.
+    fn pinned_runs(threads: usize) -> (Vec<String>, JoinCounters) {
+        let mut i = Interner::new();
+        let (mut inst, marks, inserted, deleted) = pinned_instance(&mut i);
+        let plan = scans(
+            &i,
+            5,
+            &[
+                ("D", &[0], &[], ScanSource::Full, false),
+                ("G", &[0, 1], &[0], ScanSource::Full, true),
+                ("K", &[1, 2], &[0], ScanSource::Full, false),
+                ("T", &[2, 3], &[0], ScanSource::Delta, false),
+                ("V", &[3, 4], &[0], ScanSource::Full, false),
+            ],
+        );
+        let (mut cache, mut workers) = (IndexCache::new(), Vec::new());
+        workers.resize_with(threads, IndexCache::new);
+        let mut out = Vec::new();
+        for run in 0..2 {
+            if run == 1 {
+                let k = i.get("K").unwrap();
+                inst.insert_fact(k, Tuple::from([Value::Int(12), Value::Int(21)]));
+                inst.commit_all();
+            }
+            let plain = Sources {
+                delta: Some(&marks),
+                ..Sources::simple(&inst)
+            };
+            if threads == 1 {
+                out.push(matches(&plan, plain, &mut cache));
+            } else {
+                let mut found = Vec::new();
+                for lo in 0..driver_len(&plan, plain).unwrap() {
+                    let worker = &mut workers[lo % threads];
+                    let morsel = Morsel::Rows { lo, hi: lo + 1 };
+                    let on_match = &mut |env: &Env| found.push(render(env));
+                    for_each_match_morsel(&plan, plain, &[], worker, morsel, on_match);
+                }
+                out.push(found.join(", "));
+            }
+            let view = Sources {
+                before: Some((&inserted, &deleted)),
+                ..plain
+            };
+            out.push(matches(&plan, view, &mut cache));
+        }
+        let mut counters = cache.counters;
+        for worker in &workers {
+            counters.absorb(&worker.counters);
+        }
+        (out, counters)
+    }
+
+    /// The order of the matches and the join work of [`pinned_runs`],
+    /// pinned: however a scan is resolved, every probe, hit, build and
+    /// append counts as if each probe looked its cache entry up.
+    #[test]
+    fn pinned_work_of_full_delta_seek_and_view_scans() {
+        let plain = "1 10 20 31 41, 1 11 21 30 40, 1 11 21 30 43, 1 11 21 33 46, \
+            1 11 22 32 42, 2 10 20 31 41, 3 12 20 31 41, 5 11 21 30 40, 5 11 21 30 43, \
+            5 11 21 33 46, 5 11 22 32 42";
+        let view = "1 10 20 31 41, 1 10 20 31 44, 1 11 21 30 40, 1 11 21 33 46, \
+            1 11 21 33 45, 1 11 22 32 42, 2 10 20 31 41, 2 10 20 31 44, 3 12 20 31 41, \
+            3 12 20 31 44, 5 11 21 30 40, 5 11 21 33 46, 5 11 21 33 45, 5 11 22 32 42";
+        let grown = "1 10 20 31 41, 1 11 21 30 40, 1 11 21 30 43, 1 11 21 33 46, \
+            1 11 22 32 42, 2 10 20 31 41, 3 12 20 31 41, 3 12 21 30 40, 3 12 21 30 43, \
+            3 12 21 33 46, 5 11 21 30 40, 5 11 21 30 43, 5 11 21 33 46, 5 11 22 32 42";
+        let grown_view = "1 10 20 31 41, 1 10 20 31 44, 1 11 21 30 40, 1 11 21 33 46, \
+            1 11 21 33 45, 1 11 22 32 42, 2 10 20 31 41, 2 10 20 31 44, 3 12 20 31 41, \
+            3 12 20 31 44, 3 12 21 30 40, 3 12 21 33 46, 3 12 21 33 45, 5 11 21 30 40, \
+            5 11 21 33 46, 5 11 21 33 45, 5 11 22 32 42";
+        // (threads, probes, index hits, builds, indexed tuples, appended tuples)
+        for (threads, probes, hits, builds, indexed, appended) in
+            [(1, 110, 105, 4, 17, 1), (4, 116, 89, 16, 77, 5)]
+        {
+            let (out, c) = pinned_runs(threads);
+            assert_eq!(out, [plain, view, grown, grown_view], "{threads} threads");
+            let work = (c.probes, c.probe_tuples, c.index_hits, c.index_builds);
+            assert_eq!(work, (probes, 162, hits, builds), "{threads} threads");
+            assert_eq!((c.indexed_tuples, c.appended_tuples), (indexed, appended));
+        }
+    }
+    /// A `seek` scan and a probe of the same key that may not seek, in
+    /// one run: once the second has indexed the key, the seek's later
+    /// probes count as that index's hits, as lookups of the entry would.
+    #[test]
+    fn a_seek_counts_hits_once_another_scan_indexes_its_key() {
+        let mut i = Interner::new();
+        let [d, g] = ["D", "G"].map(|p| i.intern(p));
+        let mut inst = Instance::new();
+        for x in [1, 2, 3] {
+            inst.insert_fact(d, Tuple::from([Value::Int(x)]));
+        }
+        for (x, y) in [(1, 2), (1, 3), (2, 3), (3, 1)] {
+            inst.insert_fact(g, Tuple::from([Value::Int(x), Value::Int(y)]));
+        }
+        inst.commit_all();
+        let plan = scans(
+            &i,
+            3,
+            &[
+                ("D", &[0], &[], ScanSource::Full, false),
+                ("G", &[0, 1], &[0], ScanSource::Full, true),
+                ("G", &[1, 2], &[0], ScanSource::Full, false),
+            ],
+        );
+        let mut cache = IndexCache::new();
+        let found = matches(&plan, Sources::simple(&inst), &mut cache);
+        let c = cache.counters;
+        let work = (c.probes, c.probe_tuples, c.index_hits, c.index_builds);
+        assert_eq!(found, "1 2 3, 1 3 1, 2 3 1, 3 1 2, 3 1 3");
+        assert_eq!(work, (8, 12, 5, 1));
+    }
+    /// Runs on one cache each see the rows current when they start: a
+    /// run's handles are dropped with it, so the growth absorbed between
+    /// two runs updates the cached index in place, never a copy of it,
+    /// and so does the rebuild after a removal.
+    #[test]
+    fn no_handle_outlives_its_run() {
+        let mut i = Interner::new();
+        let [d, g] = ["D", "G"].map(|p| i.intern(p));
+        let pair = |x: i64, y: i64| Tuple::from([Value::Int(x), Value::Int(y)]);
+        let mut inst = Instance::new();
+        for x in [1, 2] {
+            inst.insert_fact(d, Tuple::from([Value::Int(x)]));
+        }
+        inst.insert_fact(g, pair(1, 10));
+        inst.insert_fact(g, pair(2, 20));
+        inst.commit_all();
+        let plan = scans(
+            &i,
+            2,
+            &[
+                ("D", &[0], &[], ScanSource::Full, false),
+                ("G", &[0, 1], &[0], ScanSource::Full, false),
+            ],
+        );
+        let mut cache = IndexCache::new();
+        // The cached index of `G` on column 0, and how many hold it.
+        let index = |cache: &IndexCache| match &cache.entries[&(g, Covers::Full)][..] {
+            [(_, CacheEntry::Index { index, .. })] => {
+                (Arc::as_ptr(index), Arc::strong_count(index))
+            }
+            _ => panic!("G is indexed on column 0 alone"),
+        };
+        let run =
+            |inst: &Instance, cache: &mut IndexCache| matches(&plan, Sources::simple(inst), cache);
+        assert_eq!(run(&inst, &mut cache), "1 10, 2 20");
+        let (built, holders) = index(&cache);
+        assert_eq!(holders, 1);
+        inst.insert_fact(g, pair(1, 11));
+        inst.commit_all();
+        assert_eq!(run(&inst, &mut cache), "1 10, 1 11, 2 20");
+        assert_eq!(index(&cache), (built, 1));
+        let c = cache.counters;
+        assert_eq!(
+            (c.index_builds, c.index_appends, c.index_rebuilds),
+            (1, 1, 0)
+        );
+        inst.relation_mut(g).unwrap().remove(&pair(1, 10));
+        assert_eq!(run(&inst, &mut cache), "1 11, 2 20");
+        assert_eq!(index(&cache), (built, 1));
+        assert_eq!(cache.counters.index_rebuilds, 1);
     }
 }

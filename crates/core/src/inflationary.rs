@@ -70,14 +70,6 @@ pub struct TracedRun {
     pub birth: FxHashMap<(Symbol, Tuple), usize>,
 }
 
-impl TracedRun {
-    /// The birth stage of a fact (`None` for input facts and facts
-    /// never derived).
-    pub fn birth_stage(&self, pred: Symbol, tuple: &Tuple) -> Option<usize> {
-        self.birth.get(&(pred, tuple.clone())).copied()
-    }
-}
-
 /// Like [`eval`], additionally recording when each fact was first
 /// inferred.
 pub fn eval_traced(
@@ -335,7 +327,7 @@ mod tests {
             for b in (a + 1)..6 {
                 let tuple = Tuple::from([Value::Int(a), Value::Int(b)]);
                 assert_eq!(
-                    traced.birth_stage(t, &tuple),
+                    traced.birth.get(&(t, tuple)).copied(),
                     Some((b - a) as usize),
                     "T({a},{b})"
                 );
@@ -344,11 +336,15 @@ mod tests {
         // Input facts and underivable facts have no birth stage.
         let g = i.get("G").unwrap();
         assert_eq!(
-            traced.birth_stage(g, &Tuple::from([Value::Int(0), Value::Int(1)])),
+            traced
+                .birth
+                .get(&(g, Tuple::from([Value::Int(0), Value::Int(1)]))),
             None
         );
         assert_eq!(
-            traced.birth_stage(t, &Tuple::from([Value::Int(3), Value::Int(0)])),
+            traced
+                .birth
+                .get(&(t, Tuple::from([Value::Int(3), Value::Int(0)]))),
             None
         );
         // Traced and untraced runs agree.

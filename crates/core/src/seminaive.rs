@@ -16,7 +16,7 @@ use crate::error::EvalError;
 use crate::fixpoint;
 use crate::options::{EvalOptions, FixpointRun};
 use crate::require_language;
-use unchained_common::{Instance, Symbol};
+use unchained_common::Instance;
 use unchained_parser::{check_range_restricted, Language, Program};
 
 /// Computes the minimum model of a positive Datalog program on `input`
@@ -34,22 +34,6 @@ pub fn minimum_model(
     check_range_restricted(program, false)?;
     let strata = vec![(0..program.rules.len()).collect()];
     fixpoint::eval_strata(program, input, &options, "seminaive", strata)
-}
-
-/// Convenience: evaluate a Datalog program and return just the relation
-/// for `answer_pred` (empty if it was never derived).
-pub fn eval_to_relation(
-    program: &Program,
-    input: &Instance,
-    answer_pred: Symbol,
-) -> Result<unchained_common::Relation, EvalError> {
-    let run = minimum_model(program, input, EvalOptions::default())?;
-    let arity = program.schema()?.arity(answer_pred).unwrap_or(0);
-    Ok(run
-        .instance
-        .relation(answer_pred)
-        .cloned()
-        .unwrap_or_else(|| unchained_common::Relation::new(arity)))
 }
 
 #[cfg(test)]
@@ -201,15 +185,5 @@ mod tests {
         assert!(!rel.contains(&Tuple::from([Value::Int(2), Value::Int(4)])));
         // 7 reflexive + {2,3}² off-diag 2 + {4..7}² off-diag 12 = 21.
         assert_eq!(rel.len(), 21);
-    }
-
-    #[test]
-    fn eval_to_relation_missing_answer_is_empty() {
-        let mut i = Interner::new();
-        let p = tc_program(&mut i);
-        let t = i.get("T").unwrap();
-        let rel = eval_to_relation(&p, &Instance::new(), t).unwrap();
-        assert!(rel.is_empty());
-        assert_eq!(rel.arity(), 2);
     }
 }

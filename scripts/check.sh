@@ -61,6 +61,19 @@ for f in crates/core/src/*.rs; do
     fi
 done
 
+# Safe code only: no `unsafe` block, fn, impl, trait or extern block
+# appears in crates/*/src (comment lines are skipped). Handles into the
+# index cache are shared `Arc`s, not raw pointers, so the executor
+# needs none.
+echo "==> no unsafe code in crates/*/src"
+unsafe_lines=$(grep -rnE '(^|[^[:alnum:]_])unsafe[[:space:]]*(\{|fn[[:space:]]|impl([[:space:]]|<)|trait[[:space:]]|extern([[:space:]]|$))' \
+    --include='*.rs' crates/*/src | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$unsafe_lines" ]; then
+    echo "unsafe code in crates/*/src:" >&2
+    printf '%s\n' "$unsafe_lines" >&2
+    exit 1
+fi
+
 # Benchmark harness smoke: a quick run must produce a valid BENCH.json,
 # and comparing a second run against it must exit 0. The threshold is
 # deliberately loose (10x) — this gates the harness and the
